@@ -1,5 +1,7 @@
 #include "driver/io_executor.h"
 
+#include "sched/mailbox.h"
+
 namespace pfs {
 
 IoExecutor::IoExecutor(int num_threads, std::unique_ptr<IoEngine> engine)
@@ -14,7 +16,7 @@ IoExecutor::IoExecutor(int num_threads, std::unique_ptr<IoEngine> engine)
 IoExecutor::~IoExecutor() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
+    stop_.store(true);
   }
   cv_.notify_all();
   for (auto& t : threads_) {
@@ -23,33 +25,41 @@ IoExecutor::~IoExecutor() {
 }
 
 void IoExecutor::SubmitBatch(std::span<BatchIo> batch, std::function<void()> on_complete) {
-  Execute([this, batch, cb = std::move(on_complete)] {
-    engine_->RunBatch(batch);
-    cb();
-  });
-}
-
-void IoExecutor::Execute(std::function<void()> fn) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(fn));
+    queue_.push_back(Job{batch, std::move(on_complete)});
+    queued_.store(queue_.size(), std::memory_order_release);
+    // A worker counted in parked_ checked the queue under mu_ before this
+    // push and is (or is about to be) inside cv_.wait; one that is not
+    // counted will see the job when it next takes mu_.
+    wake = parked_ > 0;
   }
-  cv_.notify_one();
+  if (wake) {
+    cv_.notify_one();
+  }
 }
 
 void IoExecutor::WorkerLoop() {
   for (;;) {
-    std::function<void()> fn;
+    SpinUntil(MonotonicNanos() + kIdleSpinNanos, [this] { return HasWorkOrStop(); });
+    Job job;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty() && !stop_.load()) {
+        ++parked_;
+        cv_.wait(lk, [this] { return stop_.load() || !queue_.empty(); });
+        --parked_;
+      }
       if (queue_.empty()) {
         return;  // stopped and drained
       }
-      fn = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop_front();
+      queued_.store(queue_.size(), std::memory_order_release);
     }
-    fn();
+    engine_->RunBatch(job.batch);
+    job.on_complete();
   }
 }
 

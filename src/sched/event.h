@@ -86,6 +86,14 @@ class Notification {
   Awaiter Wait() { return Awaiter(this); }
 
  private:
+  friend class Thread;
+
+  // A reused Thread record's done() starts unfired; nobody may be waiting.
+  void Rearm() {
+    PFS_CHECK(event_.waiter_count() == 0);
+    fired_ = false;
+  }
+
   bool fired_ = false;
   Event event_;
 };

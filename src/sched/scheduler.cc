@@ -1,10 +1,10 @@
 #include "sched/scheduler.h"
 
-#include <thread>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
+#include <thread>
 
 #include "core/log.h"
 #include "sched/shard.h"
@@ -12,11 +12,7 @@
 namespace pfs {
 
 namespace {
-int64_t SteadyNowNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 
 // The scheduler whose loop is executing on this OS thread (set around every
 // coroutine step and posted function). With sharding, multiple schedulers may
@@ -25,11 +21,13 @@ int64_t SteadyNowNanos() {
 thread_local Scheduler* g_current_scheduler = nullptr;
 }  // namespace
 
-RealClock::RealClock() : epoch_ns_(SteadyNowNanos()) {}
+RealClock::RealClock() : epoch_ns_(MonotonicNanos()) {}
 
-int64_t RealClock::SteadyEpochNow() { return SteadyNowNanos(); }
+int64_t RealClock::SteadyEpochNow() { return MonotonicNanos(); }
 
-TimePoint RealClock::Now() const { return TimePoint::FromNanos(SteadyNowNanos() - epoch_ns_); }
+TimePoint RealClock::Now() const {
+  return TimePoint::FromNanos(MonotonicNanos() - epoch_ns_);
+}
 
 Scheduler* Scheduler::Current() { return g_current_scheduler; }
 
@@ -56,6 +54,17 @@ Thread::Thread(Scheduler* sched, uint64_t id, std::string name, bool daemon, Tas
       body_(std::move(body)),
       resume_point_(body_.handle()),
       done_(sched) {}
+
+void Thread::Reuse(uint64_t id, std::string name, bool daemon, Task<> body) {
+  id_ = id;
+  name_ = std::move(name);
+  daemon_ = daemon;
+  body_ = std::move(body);
+  resume_point_ = body_.handle();
+  state_ = ThreadState::kRunnable;
+  done_.Rearm();
+  trace = TraceContext();
+}
 
 void Event::BlockOn(std::coroutine_handle<> h) { sched_->BlockCurrentOn(h, this); }
 
@@ -91,12 +100,14 @@ Scheduler::Scheduler(std::unique_ptr<Clock> clock, uint64_t seed)
 Scheduler::~Scheduler() {
   // A completion thread may still be between "work queued" and "Post()
   // returned" when the loop drains that work and the owner tears us down;
-  // wait those posters out so they never touch freed members. A condvar
-  // wait, not a spin-yield: the final decrement in Post() notifies while
-  // holding post_mu_, so once this predicate is observably true the poster
-  // holds no lock and touches nothing further.
-  std::unique_lock<std::mutex> lk(post_mu_);
-  post_cv_.wait(lk, [this] { return posters_ == 0; });
+  // wait those posters out so they never touch freed members. The window is
+  // a few instructions (the park check and at most one notify), so a
+  // sleeping poll costs nothing in practice and keeps PostNode free of any
+  // lock; the acquire load pairs with the poster's final release decrement.
+  while (posters_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  DropPosted();
 }
 
 std::unique_ptr<Scheduler> Scheduler::CreateVirtual(uint64_t seed) {
@@ -109,8 +120,15 @@ std::unique_ptr<Scheduler> Scheduler::CreateReal(uint64_t seed) {
 
 Thread* Scheduler::SpawnImpl(std::string name, bool daemon, Task<> body, bool transient) {
   PFS_CHECK_MSG(body.valid(), "Spawn of an empty task");
-  auto thread = std::unique_ptr<Thread>(
-      new Thread(this, next_thread_id_++, std::move(name), daemon, std::move(body)));
+  std::unique_ptr<Thread> thread;
+  if (transient && !spare_threads_.empty()) {
+    thread = std::move(spare_threads_.back());
+    spare_threads_.pop_back();
+    thread->Reuse(next_thread_id_++, std::move(name), daemon, std::move(body));
+  } else {
+    thread = std::unique_ptr<Thread>(
+        new Thread(this, next_thread_id_++, std::move(name), daemon, std::move(body)));
+  }
   Thread* t = thread.get();
   t->transient_ = transient;
   t->slot_ = threads_.size();
@@ -180,8 +198,10 @@ void Scheduler::FinishThread(Thread* t) {
   t->body_ = Task<>();
   if (t->transient_) {
     // By the SpawnTransient contract no one holds this pointer, so the
-    // record can be reclaimed (swap-with-back keeps the vector dense).
+    // record can be reclaimed (swap-with-back keeps the vector dense) and
+    // kept for the next transient spawn.
     const size_t slot = t->slot_;
+    spare_threads_.push_back(std::move(threads_[slot]));
     if (slot != threads_.size() - 1) {
       threads_[slot] = std::move(threads_.back());
       threads_[slot]->slot_ = slot;
@@ -233,17 +253,14 @@ void Scheduler::WakeExpired() {
 }
 
 void Scheduler::DrainPosted() {
-  std::deque<std::function<void()>> batch;
-  {
-    std::lock_guard<std::mutex> lk(post_mu_);
-    batch.swap(posted_);
-  }
-  if (batch.empty()) {
+  if (mailbox_.empty()) {
     return;
   }
+  size_t depth = 0;
+  MailboxNode* node = mailbox_.TakeAll(&depth);
   // Depth histogram: log2 bucket of the non-empty batch size.
   size_t bucket = 0;
-  for (size_t d = batch.size(); d > 1; d = (d + 1) / 2) {
+  for (size_t d = depth; d > 1; d = (d + 1) / 2) {
     ++bucket;
   }
   if (bucket >= kMailboxDepthBuckets) {
@@ -253,11 +270,13 @@ void Scheduler::DrainPosted() {
                                std::memory_order_relaxed);
   mailbox_drains_.store(mailbox_drains_.load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
-  posts_received_.store(posts_received_.load(std::memory_order_relaxed) + batch.size(),
+  posts_received_.store(posts_received_.load(std::memory_order_relaxed) + depth,
                         std::memory_order_relaxed);
   Scheduler* prev = std::exchange(g_current_scheduler, this);
-  for (auto& fn : batch) {
-    fn();
+  while (node != nullptr) {
+    MailboxNode* next = Mailbox::Next(node);  // Run() may free or re-post it
+    node->Run();
+    node = next;
     if (group_ != nullptr) {
       // Balances the NoteWorkBegun charged at Post() enqueue. Done *after* the
       // function ran, so anything it spawned is already counted and the group
@@ -281,6 +300,14 @@ size_t Scheduler::live_thread_count() const {
 }
 
 void Scheduler::DestroyAllThreads() {
+  // A queued post may point into a suspended frame on any shard (CallOn
+  // keeps its hops in the calling frame), so every mailbox of the group is
+  // emptied before any frame goes away.
+  if (group_ != nullptr) {
+    group_->DropAllPosted();
+  } else {
+    DropPosted();
+  }
   for (auto& t : threads_) {
     // Destroying a frame runs the destructors of its locals (lock guards,
     // buffers); those may legitimately signal events and mark other threads
@@ -314,24 +341,50 @@ void Scheduler::DumpThreads() const {
 }
 
 void Scheduler::WaitRealUntil(TimePoint t) {
-  std::unique_lock<std::mutex> lk(post_mu_);
   const Duration remaining = t - Now();
   if (remaining <= Duration()) {
     return;
   }
-  const int64_t wait_start = SteadyNowNanos();
-  post_cv_.wait_for(lk, std::chrono::nanoseconds(remaining.nanos()),
-                    [&] { return !posted_.empty() || stop_.load(); });
-  idle_ns_.store(idle_ns_.load(std::memory_order_relaxed) + (SteadyNowNanos() - wait_start),
+  IdleWait(MonotonicNanos() + remaining.nanos());
+}
+
+void Scheduler::WaitRealForever() { IdleWait(kNoDeadline); }
+
+// Spin, then park. The park cannot lose a wakeup: this thread stores
+// parked_ and then (under park_mu_, in the wait predicate) loads the mailbox
+// head; PostNode pushes and then loads parked_. All four accesses are
+// sequentially consistent, so at least one side sees the other's store:
+// either the predicate sees the post, or the poster sees parked_ and
+// notifies under park_mu_, which it can only take once this thread is
+// inside wait() or has not yet checked the predicate.
+void Scheduler::IdleWait(int64_t deadline_ns) {
+  const int64_t start = MonotonicNanos();
+  const bool ready = SpinUntil(std::min(start + kIdleSpinNanos, deadline_ns),
+                               [this] { return HasWakeReason(); });
+  if (!ready && MonotonicNanos() < deadline_ns) {
+    parked_.store(true);
+    {
+      std::unique_lock<std::mutex> lk(park_mu_);
+      const auto woken = [this] { return HasWakeReason(); };
+      if (deadline_ns == kNoDeadline) {
+        park_cv_.wait(lk, woken);
+      } else {
+        park_cv_.wait_until(lk,
+                            std::chrono::steady_clock::time_point(
+                                std::chrono::nanoseconds(deadline_ns)),
+                            woken);
+      }
+    }
+    parked_.store(false, std::memory_order_relaxed);
+  }
+  idle_ns_.store(idle_ns_.load(std::memory_order_relaxed) + (MonotonicNanos() - start),
                  std::memory_order_relaxed);
 }
 
-void Scheduler::WaitRealForever() {
-  std::unique_lock<std::mutex> lk(post_mu_);
-  const int64_t wait_start = SteadyNowNanos();
-  post_cv_.wait(lk, [&] { return !posted_.empty() || stop_.load(); });
-  idle_ns_.store(idle_ns_.load(std::memory_order_relaxed) + (SteadyNowNanos() - wait_start),
-                 std::memory_order_relaxed);
+void Scheduler::Unpark() {
+  // Taking the lock orders this notify after the loop's predicate check.
+  { std::lock_guard<std::mutex> lk(park_mu_); }
+  park_cv_.notify_one();
 }
 
 void Scheduler::Run() {
@@ -409,14 +462,11 @@ void Scheduler::RunFor(Duration d) {
 
 void Scheduler::RequestStop() {
   stop_.store(true);
-  post_cv_.notify_all();
+  Unpark();
 }
 
-void Scheduler::Post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(post_mu_);
-    ++posters_;
-  }
+void Scheduler::PostNode(MailboxNode* node) {
+  posters_.fetch_add(1, std::memory_order_relaxed);  // ordered by the push
   PFS_CHECK_MSG(!closed_.load(),
                 "Post() to a closed scheduler: the loop has shut down and this "
                 "work would never run");
@@ -429,23 +479,15 @@ void Scheduler::Post(std::function<void()> fn) {
   if (group_ != nullptr) {
     group_->NoteWorkBegun();
   }
-  {
-    std::lock_guard<std::mutex> lk(post_mu_);
-    posted_.push_back(std::move(fn));
+  mailbox_.Push(node);
+  if (parked_.load()) {
+    Unpark();
   }
-  post_cv_.notify_all();
-  if (group_ != nullptr) {
-    group_->NotifyPosted();
+  if (group_ != nullptr && is_virtual()) {
+    group_->NotifyPosted();  // the lockstep loop may be waiting for this
   }
-  // Drop the poster mark last, notifying while still inside the lock: the
-  // destructor may free this scheduler the instant it observes zero, and
-  // that observation requires post_mu_ — so this thread is provably done
-  // with the object before the memory can go away.
-  {
-    std::lock_guard<std::mutex> lk(post_mu_);
-    --posters_;
-    post_cv_.notify_all();
-  }
+  // Last access to this object: the destructor may free it once it sees 0.
+  posters_.fetch_sub(1, std::memory_order_release);
 }
 
 void Scheduler::Close() { closed_.store(true); }
@@ -461,10 +503,13 @@ void Scheduler::EndExternalOp() {
   pending_external_.fetch_sub(1);
   if (group_ != nullptr) {
     group_->NoteWorkDone();
-    // The lockstep loop may be parked on "all external ops finished" even
-    // while other group work keeps the counter above zero — wake it
-    // explicitly so that predicate gets re-evaluated.
-    group_->NotifyPosted();
+    if (is_virtual()) {
+      // The lockstep loop may be parked on "all external ops finished" even
+      // while other group work keeps the counter above zero — wake it
+      // explicitly so that predicate gets re-evaluated. The real-clock
+      // monitor only cares about stop and work_ == 0 (NoteWorkDone).
+      group_->NotifyPosted();
+    }
   }
 }
 

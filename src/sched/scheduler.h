@@ -14,16 +14,17 @@
 #include <atomic>
 #include <condition_variable>
 #include <coroutine>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/random.h"
 #include "obs/trace_context.h"
 #include "sched/event.h"
+#include "sched/mailbox.h"
 #include "sched/task.h"
 #include "sched/time.h"
 
@@ -103,6 +104,8 @@ class Thread {
   friend class Scheduler;
 
   Thread(Scheduler* sched, uint64_t id, std::string name, bool daemon, Task<> body);
+  // Re-arms a reclaimed transient record for a new body (see SpawnImpl).
+  void Reuse(uint64_t id, std::string name, bool daemon, Task<> body);
 
   uint64_t id_;
   std::string name_;
@@ -178,8 +181,16 @@ class Scheduler {
   // This is how the on-line system injects external requests (paper §2:
   // "External events are also managed by the scheduler ... in a real
   // system"). `fn` must not block; typically it spawns a thread or signals an
-  // event. Posting to a Close()d scheduler is a checked error.
-  void Post(std::function<void()> fn);
+  // event. Posting to a Close()d scheduler is a checked error. Posts run in
+  // push order, so each posting thread's posts run in the order it made them.
+  template <typename Fn>
+  void Post(Fn fn) {
+    PostNode(new internal::PostedFn<Fn>(std::move(fn)));
+  }
+
+  // Post() for a caller-owned node (CallOn keeps its hops in the calling
+  // frame). The node must stay alive until it runs or is dropped.
+  void PostNode(MailboxNode* node);
 
   // Declares that no further Post() is coming: the owner has shut the loop
   // down for good (server stopped, system torn down). A Post() after Close()
@@ -298,23 +309,29 @@ class Scheduler {
   bool NonDaemonAlive() const;
   void FinishThread(Thread* t);
 
-  // Real-clock idle waits (interruptible by Post/RequestStop).
+  // Real-clock idle waits (interruptible by Post/RequestStop): spin for
+  // kIdleSpinNanos, then park. Both count as idle time.
   void WaitRealUntil(TimePoint t);
   void WaitRealForever();
+  void IdleWait(int64_t deadline_ns);
+  bool HasWakeReason() const { return !mailbox_.empty() || stop_.load(); }
+  void Unpark();
+  // Frees queued posts that will never run (teardown).
+  void DropPosted() { mailbox_.DropAll(); }
 
   // SchedulerGroup hooks (see shard.h). Attach wires the shard into its
   // group's global-quiescence accounting; ResetStop lets the group reuse a
   // shard loop across multiple Run phases (setup, then the workload).
   void AttachToGroup(SchedulerGroup* group, uint32_t shard_index);
   void ResetStop() { stop_.store(false); }
-  bool HasPosted() {
-    std::lock_guard<std::mutex> lk(post_mu_);
-    return !posted_.empty();
-  }
+  bool HasPosted() const { return !mailbox_.empty(); }
 
   std::unique_ptr<Clock> clock_;
   Rng rng_;
   std::vector<std::unique_ptr<Thread>> threads_;
+  // Finished transient records kept for reuse, so a per-request spawn
+  // allocates no Thread (nor the deque inside its done() event).
+  std::vector<std::unique_ptr<Thread>> spare_threads_;
   std::vector<Thread*> runnable_;
   std::priority_queue<DelayEntry, std::vector<DelayEntry>, std::greater<DelayEntry>> delayed_;
   Thread* current_ = nullptr;
@@ -328,15 +345,18 @@ class Scheduler {
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> pending_external_{0};
 
-  std::mutex post_mu_;
-  std::condition_variable post_cv_;
-  std::deque<std::function<void()>> posted_;
+  Mailbox mailbox_;
   std::atomic<bool> closed_{false};
-  // Posts still inside Post() on another OS thread; the destructor blocks on
-  // post_cv_ until the count drains so a poster never touches a freed
-  // scheduler. Guarded by post_mu_ (a condvar wait, not a spin: teardown
-  // under TSAN used to burn a core yielding on an atomic).
-  int posters_ = 0;
+  // Park protocol (see IdleWait/PostNode): the loop sets parked_ before its
+  // last emptiness check and sleeps on park_cv_; a poster takes park_mu_
+  // and notifies only when it sees parked_ after its push.
+  std::atomic<bool> parked_{false};
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  // Posts still inside PostNode(); the destructor waits for zero so a
+  // poster never touches a freed scheduler. The decrement is a poster's
+  // last access to this object.
+  std::atomic<int> posters_{0};
 
   // Sharding: set once by SchedulerGroup before any shard runs.
   SchedulerGroup* group_ = nullptr;

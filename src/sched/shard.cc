@@ -31,7 +31,17 @@ SchedulerGroup::SchedulerGroup(size_t shards, bool virtual_clock, uint64_t seed)
   }
 }
 
-SchedulerGroup::~SchedulerGroup() = default;
+SchedulerGroup::~SchedulerGroup() {
+  // Queued posts may point into frames on any shard; drop them all before
+  // the first shard frees its frames.
+  DropAllPosted();
+}
+
+void SchedulerGroup::DropAllPosted() {
+  for (auto& s : shards_) {
+    s->DropPosted();
+  }
+}
 
 void SchedulerGroup::Run() {
   if (shards_[0]->is_virtual()) {
@@ -81,8 +91,8 @@ bool SchedulerGroup::AnyStop() const {
   return false;
 }
 
-bool SchedulerGroup::AnyPosted() {
-  for (auto& s : shards_) {
+bool SchedulerGroup::AnyPosted() const {
+  for (const auto& s : shards_) {
     if (s->HasPosted()) {
       return true;
     }
@@ -243,14 +253,22 @@ void SchedulerGroup::RunThreaded(bool bounded, Duration d) {
     threads.emplace_back([sp = s.get()] { sp->Run(); });
   }
   {
+    // The monitor sleeps until stop or global quiescence: NoteWorkDone
+    // notifies when work_ reaches zero, RequestStop always. Posts and
+    // external-op completions do not wake it, so a run of N cross-shard
+    // calls costs this thread O(1) wakeups.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::nanoseconds(d.nanos());
     std::unique_lock<std::mutex> lk(mu_);
-    const auto quiescent = [&] {
-      return AnyStop() || (!server_mode && work_.load() == 0);
-    };
-    if (bounded) {
-      cv_.wait_for(lk, std::chrono::nanoseconds(d.nanos()), quiescent);
-    } else {
-      cv_.wait(lk, quiescent);
+    while (!AnyStop() && (server_mode || work_.load() != 0)) {
+      if (bounded) {
+        if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
+          break;
+        }
+      } else {
+        cv_.wait(lk);
+      }
+      ++monitor_wakeups_;
     }
   }
   for (auto& s : shards_) {

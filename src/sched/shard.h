@@ -78,10 +78,15 @@ class SchedulerGroup {
   // post, and pending external op, across all shards.
   void NoteWorkBegun() { work_.fetch_add(1); }
   void NoteWorkDone();
-  // Wakes the lockstep loop when it is parked waiting for cross-shard work.
+  // Wakes the virtual-clock lockstep loop when it is parked waiting for
+  // cross-shard work or I/O completions. The real-clock monitor ignores it.
   void NotifyPosted();
+  // Teardown: frees every shard's queued posts (they will never run).
+  void DropAllPosted();
 
  private:
+  friend class SchedulerGroupTestPeer;
+
   void RunLockstep();
   void RunLockstepFor(Duration d);
   void RunThreaded(bool bounded, Duration d);
@@ -90,7 +95,7 @@ class SchedulerGroup {
   // current time; repeats while any mailbox is non-empty.
   void Sweep();
   bool AnyStop() const;
-  bool AnyPosted();
+  bool AnyPosted() const;
   bool AnyKeepAlive() const;
   bool AnyNonDaemonAlive() const;
   bool MinWake(TimePoint* out) const;
@@ -102,49 +107,68 @@ class SchedulerGroup {
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<int64_t> work_{0};
+  uint64_t monitor_wakeups_ = 0;  // real-clock monitor, guarded by mu_
 };
 
 namespace detail {
 
-// Shared between the waiting coroutine (home shard) and the transient running
-// the body (target shard). The Notification belongs to the home scheduler, so
-// only the home shard ever touches it; the target hands the result back with
-// a Post.
-template <typename T>
-struct XCallState {
-  explicit XCallState(Scheduler* home) : done(home) {}
+// One cross-shard call. It lives in the calling coroutine's frame, which
+// stays suspended for the whole round trip, and it is its own mailbox node:
+// posted to the target it spawns the body there; posted back home it wakes
+// the caller. The Notification belongs to the home scheduler, so only the
+// home shard ever touches it.
+template <typename T, typename Fn>
+class XCall final : public MailboxNode {
+ public:
+  XCall(Scheduler* from, Scheduler* to, Fn body)
+      : home(from), target(to), fn(std::move(body)), done(from) {}
+
+  void Run() override {
+    if (value.has_value()) {
+      done.Notify();  // homebound
+    } else {
+      target->SpawnTransient("xshard", Body(this));
+    }
+  }
+  void Drop() override {}  // owned by the calling frame
+
+  Scheduler* const home;
+  Scheduler* const target;
+  Fn fn;
   std::optional<T> value;
   Notification done;
-};
 
-template <typename T, typename Fn>
-Task<> XShardRun(Scheduler* home, std::shared_ptr<XCallState<T>> st, Fn fn) {
-  st->value.emplace(co_await fn());
-  home->Post([st] { st->done.Notify(); });
-}
+ private:
+  static Task<> Body(XCall* call) {
+    call->value.emplace(co_await call->fn());
+    // The caller may resume and free `call` as soon as it is pushed.
+    Scheduler* home = call->home;
+    home->PostNode(call);
+  }
+};
 
 }  // namespace detail
 
 // Runs `fn` (a callable returning Task<T>) on `target`'s shard and returns
 // its result on `home`'s. Must be awaited from a coroutine scheduled on
-// `home`. Same-shard calls collapse to a plain inline await — at
-// system.shards = 1 every CallOn is exactly the direct call it replaced.
-// The home shard counts the round trip as an external op, so its loop (and
-// the lockstep barrier) will not declare deadlock while the result is in
-// flight on another shard.
+// `home`; both are shards of one SchedulerGroup. Same-shard calls collapse
+// to a plain inline await — at system.shards = 1 every CallOn is exactly
+// the direct call it replaced. The home shard counts the round trip as an
+// external op, so its loop (and the lockstep barrier) will not declare
+// deadlock while the result is in flight on another shard. A hop allocates
+// only the body's coroutine frames: the call state and both mailbox hops
+// live in this frame, and the target reuses a reclaimed Thread record.
 template <typename T, typename Fn>
 Task<T> CallOn(Scheduler* home, Scheduler* target, Fn fn) {
   if (target == home || target == nullptr) {
     co_return co_await fn();
   }
-  auto st = std::make_shared<detail::XCallState<T>>(home);
+  detail::XCall<T, Fn> call(home, target, std::move(fn));
   home->BeginExternalOp();
-  target->Post([target, home, st, fn]() mutable {
-    target->SpawnTransient("xshard", detail::XShardRun<T, Fn>(home, st, std::move(fn)));
-  });
-  co_await st->done.Wait();
+  target->PostNode(&call);
+  co_await call.done.Wait();
   home->EndExternalOp();
-  co_return std::move(*st->value);
+  co_return std::move(*call.value);
 }
 
 }  // namespace pfs

@@ -2,8 +2,12 @@
 // and real clocks, sync primitives, channels.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sched/channel.h"
@@ -15,6 +19,15 @@
 #include "sched/time.h"
 
 namespace pfs {
+
+// Reads the SchedulerGroup internals the public API deliberately leaves out.
+class SchedulerGroupTestPeer {
+ public:
+  static uint64_t MonitorWakeups(const SchedulerGroup& group) {
+    return group.monitor_wakeups_;
+  }
+};
+
 namespace {
 
 TEST(TimeTest, DurationConversions) {
@@ -469,6 +482,91 @@ TEST(SchedulerDeathTest, PostAfterCloseIsACheckedError) {
   EXPECT_DEATH(sched->Post([] {}), "closed scheduler");
 }
 
+// -- Mailbox handoff: lock-free posts, spin-then-park idle loops -------------
+
+TEST(SchedulerMailboxTest, ConcurrentProducersRunEveryPostOnceInProducerOrder) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 100000;
+  auto sched = Scheduler::CreateReal();
+  sched->set_keep_alive(true);
+  // Posted closures run only on the loop's OS thread, so plain vectors do.
+  std::vector<std::vector<int>> seen(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&sched, &seen, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        sched->Post([&seen, p, i] { seen[p].push_back(i); });
+      }
+    });
+  }
+  std::thread closer([&] {
+    for (auto& t : producers) {
+      t.join();
+    }
+    // Pushed after every producer's last post, so it runs after all of them.
+    sched->Post([&sched] { sched->RequestStop(); });
+  });
+  sched->Run();
+  closer.join();
+  for (int p = 0; p < kProducers; ++p) {
+    ASSERT_EQ(seen[p].size(), static_cast<size_t>(kPerProducer)) << "producer " << p;
+    for (int i = 0; i < kPerProducer; ++i) {
+      ASSERT_EQ(seen[p][i], i) << "producer " << p << " out of order";
+    }
+  }
+  EXPECT_EQ(sched->posts_received(),
+            static_cast<uint64_t>(kProducers * kPerProducer + 1));
+}
+
+TEST(SchedulerMailboxTest, PostWakesAParkedLoop) {
+  auto sched = Scheduler::CreateReal();
+  sched->set_keep_alive(true);
+  std::thread loop([&sched] { sched->Run(); });
+  for (int round = 0; round < 5; ++round) {
+    // Far longer than the spin window: the loop is parked on its condvar.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::promise<void> ran;
+    std::future<void> done = ran.get_future();
+    sched->Post([&ran] { ran.set_value(); });
+    // Liveness, not latency: a lost wakeup would leave the post queued.
+    ASSERT_EQ(done.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "round " << round;
+  }
+  sched->RequestStop();
+  loop.join();
+  EXPECT_GT(sched->idle_nanos(), 0);
+}
+
+TEST(SchedulerMailboxTest, DestructionWaitsForALatePoster) {
+  // The loop runs the post (and stops) while the posting thread may still
+  // be inside Post(); the destructor must wait it out. Clean under TSAN.
+  for (int round = 0; round < 200; ++round) {
+    auto sched = Scheduler::CreateReal();
+    sched->set_keep_alive(true);
+    Scheduler* raw = sched.get();
+    std::thread loop([raw] { raw->Run(); });
+    if (round % 4 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));  // let it park
+    }
+    std::thread poster([raw] { raw->Post([raw] { raw->RequestStop(); }); });
+    loop.join();
+    sched.reset();
+    poster.join();
+  }
+}
+
+TEST(SchedulerMailboxTest, QueuedPostsAreFreedWithTheScheduler) {
+  auto token = std::make_shared<int>(0);
+  {
+    auto sched = Scheduler::CreateVirtual();
+    sched->Post([token] { ++*token; });
+    sched->Post([token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 0);
+}
+
 // -- SchedulerGroup: sharded loops ------------------------------------------
 
 // `tag` by value: the coroutine frame outlives the caller's argument.
@@ -558,6 +656,30 @@ TEST(SchedulerGroupTest, ThreadedRealClockShardsCompleteAcrossOsThreads) {
   group.Run();
   EXPECT_EQ(results[0], 101);
   EXPECT_EQ(results[1], 100);
+}
+
+TEST(SchedulerGroupTest, ThreadedCallOnsWakeTheMonitorOnlyAtQuiescence) {
+  constexpr int kCalls = 2000;
+  SchedulerGroup group(2, /*virtual_clock=*/false, 5);
+  Scheduler* home = group.shard(0);
+  Scheduler* target = group.shard(1);
+  int sum = 0;
+  home->Spawn("caller", [](Scheduler* h, Scheduler* t, int n, int* out) -> Task<> {
+    for (int i = 0; i < n; ++i) {
+      auto body = [t, i]() -> Task<int> {
+        co_return i + static_cast<int>(t->shard_index());
+      };
+      const int got = co_await CallOn<int>(h, t, body);
+      *out += got;
+    }
+  }(home, target, kCalls, &sum));
+  group.Run();
+  EXPECT_EQ(sum, kCalls * (kCalls - 1) / 2 + kCalls);
+  EXPECT_EQ(target->posts_received(), static_cast<uint64_t>(kCalls));
+  EXPECT_EQ(home->posts_received(), static_cast<uint64_t>(kCalls));
+  // 2 * kCalls posts, but the monitor wakes for global quiescence (plus the
+  // odd spurious wakeup), not once per post.
+  EXPECT_LE(SchedulerGroupTestPeer::MonitorWakeups(group), 4u);
 }
 
 TEST(SchedulerGroupTest, GroupOfOneMatchesStandaloneSchedule) {
