@@ -297,6 +297,11 @@ Task<Status> BufferCache::FlushBlockSet(uint32_t fs_id, uint64_t ino,
   auto handler_it = handlers_.find(fs_id);
   PFS_CHECK_MSG(handler_it != handlers_.end(), "no handler for fs");
 
+  // Sort before capturing versions: versions[i] must describe blocks[i].
+  std::sort(blocks.begin(), blocks.end(),
+            [](const CacheBlock* a, const CacheBlock* b) {
+              return a->id.block_no < b->id.block_no;
+            });
   std::vector<uint64_t> versions;
   versions.reserve(blocks.size());
   for (CacheBlock* b : blocks) {
@@ -304,10 +309,6 @@ Task<Status> BufferCache::FlushBlockSet(uint32_t fs_id, uint64_t ino,
     b->io_in_progress = true;
     versions.push_back(b->dirty_version);
   }
-  std::sort(blocks.begin(), blocks.end(),
-            [](const CacheBlock* a, const CacheBlock* b) {
-              return a->id.block_no < b->id.block_no;
-            });
   const Status status = co_await handler_it->second->WriteBlocks(ino, blocks);
   for (size_t i = 0; i < blocks.size(); ++i) {
     CacheBlock* b = blocks[i];

@@ -10,6 +10,7 @@
 #include "cache/data_mover.h"
 #include "cache/flush_policy.h"
 #include "cache/replacement.h"
+#include "core/random.h"
 #include "sched/scheduler.h"
 
 namespace pfs {
@@ -284,6 +285,54 @@ TEST(BufferCacheTest, SyncAllDrains) {
   f.sched->Run();
   EXPECT_EQ(f.cache->dirty_count(), 0u);
   EXPECT_EQ(f.handler->blocks_written, 6u);
+}
+
+TEST(BufferCacheTest, OutOfOrderRedirtiedBlocksAllCleanAfterOneFlushFile) {
+  CacheFixture f;
+  Status s;
+  f.sched->Spawn("t", [](CacheFixture* fx, Status* out) -> Task<> {
+    // The dirty list holds blocks in first-dirtied order (3, 1, 2, 0), which
+    // is not block order, and blocks 3 and 2 are dirtied a second time, so
+    // their dirty versions differ from the others'.
+    static constexpr uint64_t kDirtyOrder[] = {3, 1, 2, 0, 3, 2};
+    for (uint64_t b : kDirtyOrder) {
+      co_await TouchBlock(fx->cache.get(), CacheFixture::Id(7, b), GetMode::kOverwrite,
+                          true, out);
+    }
+    *out = co_await fx->cache->FlushFile(1, 7);
+  }(&f, &s));
+  f.sched->Run();
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(f.handler->write_calls, 1);
+  EXPECT_EQ(f.cache->blocks_flushed(), 4u);
+  EXPECT_EQ(f.cache->dirty_count(), 0u);
+}
+
+TEST(BufferCacheTest, SyncAllReturnsAfterRandomOverwrites) {
+  CacheFixture f;
+  Status s;
+  bool synced = false;
+  f.sched->Spawn("t", [](CacheFixture* fx, Status* out, bool* done) -> Task<> {
+    // 3 files x 6 blocks through an 8-block cache: evictions flush and
+    // recycle frames, so dirty versions vary block to block.
+    Rng rng(11);
+    for (int i = 0; i < 200; ++i) {
+      const uint64_t ino = 1 + rng.NextBelow(3);
+      const uint64_t blk = rng.NextBelow(6);
+      const BlockId id = CacheFixture::Id(ino, blk);
+      co_await TouchBlock(fx->cache.get(), id, GetMode::kOverwrite, true, out);
+      if (!out->ok()) {
+        co_return;
+      }
+    }
+    *out = co_await fx->cache->SyncAll();
+    *done = true;
+  }(&f, &s, &synced));
+  // Bounded in virtual time: a SyncAll that keeps rewriting never returns.
+  f.sched->RunFor(Duration::Seconds(60));
+  EXPECT_TRUE(synced);
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(f.cache->dirty_count(), 0u);
 }
 
 TEST(FlushPolicyTest, WriteDelayFlushesAfterMaxAge) {
