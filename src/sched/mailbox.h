@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <utility>
 
 namespace pfs {
@@ -36,25 +37,20 @@ inline int64_t MonotonicNanos() {
       .count();
 }
 
-// A spin-wait hint to the CPU (frees pipeline resources for a sibling
-// hyperthread); a no-op where the architecture has none.
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
 // Polls `ready` — which must be cheap, typically one atomic load — until it
 // holds or the steady clock reaches `until_ns`. Returns whether it held.
+// Each miss yields the CPU instead of pausing in place: the kernel often
+// wakes the thread this one waits for onto this very CPU, and a pause loop
+// would keep it off the CPU for the whole window (on a 4-vCPU KVM guest
+// that stretched pfsbench hot-read's 64-fsync prefill from 6 ms to 30 ms).
+// With nothing else runnable here, a yield returns at once.
 template <typename Pred>
 bool SpinUntil(int64_t until_ns, Pred ready) {
   while (!ready()) {
     if (MonotonicNanos() >= until_ns) {
       return ready();
     }
-    CpuRelax();
+    std::this_thread::yield();
   }
   return true;
 }
@@ -66,6 +62,9 @@ bool SpinUntil(int64_t until_ns, Pred ready) {
 // poster must not touch it again.
 class MailboxNode {
  public:
+  MailboxNode(const MailboxNode&) = delete;
+  MailboxNode& operator=(const MailboxNode&) = delete;
+
   // Runs the work on the consumer's thread. May free or re-post the node.
   virtual void Run() = 0;
   // Releases a node that will never run (its mailbox was torn down with
