@@ -163,10 +163,23 @@ int main(int argc, char** argv) {
     patsy_flushed.emplace_back(policy, static_cast<double>(sim->blocks_flushed));
     pfs_flushed.emplace_back(policy, *real);
   }
+  // An ordering needs two distinct, non-zero counts on each side: a zero
+  // means that backend flushed nothing to compare, and a tie orders nothing.
+  bool conclusive = true;
+  for (const auto* side : {&patsy_flushed, &pfs_flushed}) {
+    const double a = (*side)[0].second;
+    const double b = (*side)[1].second;
+    conclusive = conclusive && a != 0 && b != 0 && a != b;
+  }
+  if (!conclusive) {
+    std::printf("# policy ordering consistent between simulator and real system: "
+                "inconclusive (a zero or tied flush count)\n");
+    return 2;
+  }
   const bool same_order = (patsy_flushed[0].second > patsy_flushed[1].second) ==
                           (pfs_flushed[0].second > pfs_flushed[1].second);
   std::printf("# policy ordering consistent between simulator and real system: %s\n",
               same_order ? "yes" : "NO");
   std::printf("# (write-delay writes more than UPS in both instantiations)\n");
-  return 0;
+  return same_order ? 0 : 1;
 }
