@@ -463,6 +463,9 @@ void Scheduler::RunFor(Duration d) {
 void Scheduler::RequestStop() {
   stop_.store(true);
   Unpark();
+  if (group_ != nullptr) {
+    group_->NotifyPosted();  // the monitor and the lockstep loop watch AnyStop()
+  }
 }
 
 void Scheduler::PostNode(MailboxNode* node) {

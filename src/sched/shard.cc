@@ -63,7 +63,6 @@ void SchedulerGroup::RequestStop() {
   for (auto& s : shards_) {
     s->RequestStop();
   }
-  NotifyPosted();
 }
 
 void SchedulerGroup::NoteWorkDone() {

@@ -78,8 +78,8 @@ class SchedulerGroup {
   // post, and pending external op, across all shards.
   void NoteWorkBegun() { work_.fetch_add(1); }
   void NoteWorkDone();
-  // Wakes the virtual-clock lockstep loop when it is parked waiting for
-  // cross-shard work or I/O completions. The real-clock monitor ignores it.
+  // Wakes the virtual-clock lockstep loop (parked waiting for cross-shard
+  // work or I/O completions) and the real-clock monitor (for a stop).
   void NotifyPosted();
   // Teardown: frees every shard's queued posts (they will never run).
   void DropAllPosted();
