@@ -42,7 +42,9 @@ void IoExecutor::SubmitBatch(std::span<BatchIo> batch, std::function<void()> on_
 
 void IoExecutor::WorkerLoop() {
   for (;;) {
-    SpinUntil(MonotonicNanos() + kIdleSpinNanos, [this] { return HasWorkOrStop(); });
+    SpinUntil(MonotonicNanos() + kIdleSpinNanos, [this] {
+      return queued_.load(std::memory_order_acquire) > 0 || stop_.load();
+    });
     Job job;
     {
       std::unique_lock<std::mutex> lk(mu_);

@@ -52,10 +52,6 @@ class IoExecutor {
   };
 
   void WorkerLoop();
-  bool HasWorkOrStop() const {
-    return queued_.load(std::memory_order_acquire) > 0 ||
-           stop_.load(std::memory_order_acquire);
-  }
 
   std::unique_ptr<IoEngine> engine_;
   std::mutex mu_;

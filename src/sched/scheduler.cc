@@ -102,8 +102,9 @@ Scheduler::~Scheduler() {
   // returned" when the loop drains that work and the owner tears us down;
   // wait those posters out so they never touch freed members. The window is
   // a few instructions (the park check and at most one notify), so a
-  // sleeping poll costs nothing in practice and keeps PostNode free of any
-  // lock; the acquire load pairs with the poster's final release decrement.
+  // sleeping poll costs nothing in practice and keeps PostNode's common path
+  // lock-free; the acquire load pairs with the poster's final release
+  // decrement.
   while (posters_.load(std::memory_order_acquire) != 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(20));
   }
