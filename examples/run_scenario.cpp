@@ -4,7 +4,12 @@
 // examples/scenarios/ through this, so scenario files can never rot.
 //
 //   ./run_scenario <file.scenario> [--ops N] [--files N] [--wscale BYTES]
-//                  [--stats] [--trace FILE] [--metrics PORT]
+//                  [--stats] [--trace FILE] [--metrics PORT] [--report-json FILE]
+//
+// --report-json FILE writes the run's StatsRegistry::ReportJson() to FILE
+// once the workload has finished. On the virtual clock the report is a pure
+// function of the scenario and the flags, so tests/golden/ keeps one per
+// simulated scenario and the scenario_* tests compare against it.
 //
 // --trace FILE force-enables request tracing regardless of the scenario's
 // trace.* keys and exports the run as Chrome trace_event JSON to FILE (plus
@@ -101,6 +106,7 @@ int TotalDisks(const SystemConfig& config) {
 int main(int argc, char** argv) {
   std::string scenario_path;
   std::string trace_file;
+  std::string report_json_file;
   SmokeShape shape;
   int ops = 1000;
   bool with_stats = false;
@@ -120,6 +126,8 @@ int main(int argc, char** argv) {
       shape.files = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--wscale") == 0 && i + 1 < argc) {
       shape.wscale = static_cast<uint64_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--report-json") == 0 && i + 1 < argc) {
+      report_json_file = argv[++i];
     } else {
       scenario_path = argv[i];
     }
@@ -128,7 +136,7 @@ int main(int argc, char** argv) {
       metrics_port < 0 || metrics_port > 65535) {
     std::fprintf(stderr,
                  "usage: run_scenario <file.scenario> [--ops N] [--files N] [--wscale BYTES] "
-                 "[--stats] [--trace FILE] [--metrics PORT]\n");
+                 "[--stats] [--trace FILE] [--metrics PORT] [--report-json FILE]\n");
     return 2;
   }
 
@@ -211,6 +219,19 @@ int main(int argc, char** argv) {
   if (with_stats) {
     std::printf("%s", sys.StatReport(false).c_str());
   }
+  bool report_written = true;
+  if (!report_json_file.empty()) {
+    const std::string report = sys.stats().ReportJson() + "\n";
+    std::FILE* out = std::fopen(report_json_file.c_str(), "w");
+    report_written =
+        out != nullptr && std::fwrite(report.data(), 1, report.size(), out) == report.size();
+    if (out != nullptr && std::fclose(out) != 0) {
+      report_written = false;
+    }
+    if (!report_written) {
+      std::fprintf(stderr, "cannot write %s\n", report_json_file.c_str());
+    }
+  }
   if (MetricRegistry* reg = sys.metrics(); reg != nullptr) {
     std::printf("  metrics: port=%u scrapes=%llu\n", sys.metrics_port(),
                 static_cast<unsigned long long>(reg->scrapes()));
@@ -238,5 +259,5 @@ int main(int argc, char** argv) {
       std::remove(path.c_str());
     }
   }
-  return result.ok() ? 0 : 1;
+  return result.ok() && report_written ? 0 : 1;
 }

@@ -1,0 +1,21 @@
+# Golden-report check for one simulated scenario: runs the scenario smoke
+# workload with --report-json and requires the virtual-clock ReportJson to be
+# byte-identical to the committed file. CMakeLists.txt registers one
+# scenario_<name> test per tests/golden/<name>.json:
+#
+#   cmake -DRUNNER=<run_scenario> -DSCENARIO=<file.scenario> \
+#         -DGOLDEN=<tests/golden/name.json> -DOUT=<report.json> -P check_report.cmake
+#
+# After an intended behaviour change, regenerate the golden file with
+#   run_scenario examples/scenarios/<name>.scenario --ops 1000 \
+#       --report-json tests/golden/<name>.json
+execute_process(COMMAND ${RUNNER} ${SCENARIO} --ops 1000 --report-json ${OUT}
+                RESULT_VARIABLE run_rc)
+if(NOT run_rc EQUAL 0)
+  message(FATAL_ERROR "run_scenario ${SCENARIO} failed (${run_rc})")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${OUT}
+                RESULT_VARIABLE diff_rc)
+if(NOT diff_rc EQUAL 0)
+  message(FATAL_ERROR "ReportJson differs from ${GOLDEN}; this run wrote ${OUT}")
+endif()
