@@ -12,9 +12,31 @@
 
 namespace pfs {
 
-StatsSampler::StatsSampler(Scheduler* sched, StatsRegistry* stats, Duration interval)
-    : sched_(sched), stats_(stats), interval_(interval) {
-  PFS_CHECK(sched != nullptr);
+Task<std::string> GatherReportJson(SchedulerGroup* group, StatsRegistry* stats) {
+  Scheduler* home = group->shard(0);
+  std::string out = "{";
+  for (size_t i = 0; i < group->size(); ++i) {
+    Scheduler* shard = group->shard(i);
+    // Named thunk, not a temporary: GCC 12 double-destroys non-trivial
+    // temporaries passed as coroutine arguments in an await full-expression.
+    auto body = [stats, shard, home]() -> Task<std::string> {
+      co_return stats->ReportJsonOwned(shard, /*include_unowned=*/shard == home);
+    };
+    std::string frag = co_await CallOn<std::string>(home, shard, body);
+    if (!frag.empty()) {
+      if (out.size() > 1) {
+        out += ",";
+      }
+      out += frag;
+    }
+  }
+  out += "}";
+  co_return out;
+}
+
+StatsSampler::StatsSampler(SchedulerGroup* group, StatsRegistry* stats, Duration interval)
+    : group_(group), stats_(stats), interval_(interval) {
+  PFS_CHECK(group != nullptr);
   PFS_CHECK(stats != nullptr);
   PFS_CHECK(interval > Duration());
 }
@@ -81,17 +103,16 @@ void StatsSampler::WriterLoop() {
 void StatsSampler::Start() {
   PFS_CHECK_MSG(!started_, "StatsSampler started twice");
   started_ = true;
-  sched_->SpawnTransientDaemon("obs.stats_sampler", Loop());
+  group_->shard(0)->SpawnTransientDaemon("obs.stats_sampler", Loop());
 }
 
 Task<> StatsSampler::Loop() {
+  Scheduler* home = group_->shard(0);
   for (;;) {
-    co_await sched_->Sleep(interval_);
-    if (group_ == nullptr) {
-      SampleNow();
-    } else {
-      co_await SampleSharded();
-    }
+    co_await home->Sleep(interval_);
+    const double t_ms = static_cast<double>(home->Now().nanos()) / 1e6;
+    std::string stats_json = co_await GatherReportJson(group_, stats_);
+    PushSample(t_ms, std::move(stats_json));
   }
 }
 
@@ -112,36 +133,6 @@ void StatsSampler::PushSample(double t_ms, std::string stats_json) {
     cv_.notify_one();
   }
   samples_.push_back(std::move(sample));
-}
-
-void StatsSampler::SampleNow() {
-  PushSample(static_cast<double>(sched_->Now().nanos()) / 1e6, stats_->ReportJson());
-}
-
-Task<> StatsSampler::SampleSharded() {
-  const double t_ms = static_cast<double>(sched_->Now().nanos()) / 1e6;
-  std::string out = "{";
-  for (size_t i = 0; i < group_->size(); ++i) {
-    Scheduler* shard = group_->shard(i);
-    StatsRegistry* stats = stats_;
-    Scheduler* home = sched_;
-    // The non-affine sources ride with the sampler's own shard so every
-    // source appears exactly once. Named thunk, not a temporary: GCC 12
-    // double-destroys non-trivial temporaries passed as coroutine arguments
-    // in an await full-expression.
-    auto body = [stats, shard, home]() -> Task<std::string> {
-      co_return stats->ReportJsonOwned(shard, /*include_unowned=*/shard == home);
-    };
-    std::string frag = co_await CallOn<std::string>(sched_, shard, body);
-    if (!frag.empty()) {
-      if (out.size() > 1) {
-        out += ",";
-      }
-      out += frag;
-    }
-  }
-  out += "}";
-  PushSample(t_ms, std::move(out));
 }
 
 std::string StatsSampler::LineJson(const SamplePoint& sample) const {

@@ -11,6 +11,9 @@
 // sampling coroutine would stall the shard's scheduler loop and distort the
 // very latencies being sampled — so the sampler only enqueues lines.
 //
+// Snapshots are gathered shard by shard (GatherReportJson), so each shard's
+// shard-affine sources are read on their own loop.
+//
 // Deliberately NOT a StatSource: registering it would recurse through
 // ReportJson().
 #ifndef PFS_OBS_STATS_SAMPLER_H_
@@ -40,20 +43,23 @@ struct SamplePoint {
   std::string metrics_json;  // empty when no MetricRegistry is attached
 };
 
+// ReportJson() of `stats`, read shard by shard on the owning loops: every
+// shard's shard-affine sources via a CallOn round trip to that shard, the
+// unowned sources with shard 0, so each source appears exactly once. Await
+// it from a coroutine on shard 0. With one shard every hop is inline and the
+// result equals stats->ReportJson().
+Task<std::string> GatherReportJson(SchedulerGroup* group, StatsRegistry* stats);
+
 class StatsSampler {
  public:
-  StatsSampler(Scheduler* sched, StatsRegistry* stats, Duration interval);
+  // Samples on `group`'s shard 0.
+  StatsSampler(SchedulerGroup* group, StatsRegistry* stats, Duration interval);
   ~StatsSampler();
 
   StatsSampler(const StatsSampler&) = delete;
   StatsSampler& operator=(const StatsSampler&) = delete;
 
   Duration interval() const { return interval_; }
-
-  // Sharded systems: sample each shard's shard-affine sources *on that
-  // shard's loop* (via CallOn round trips) instead of reading foreign
-  // counters directly. Call before Start().
-  void set_group(SchedulerGroup* group) { group_ = group; }
 
   // Live metrics plane: when set, every sample carries a "metrics" object
   // (MetricRegistry::JsonSnapshot()) next to "stats". Call before Start().
@@ -65,11 +71,8 @@ class StatsSampler {
   bool streaming() const { return out_ != nullptr; }
 
   // Spawns the sampling daemon (transient: neither keeps Run() alive nor
-  // leaves a finished record).
+  // leaves a finished record); it takes one snapshot every interval.
   void Start();
-
-  // Takes one snapshot now; the daemon calls this every interval.
-  void SampleNow();
 
   size_t sample_count() const { return samples_.size(); }
 
@@ -81,7 +84,6 @@ class StatsSampler {
 
  private:
   Task<> Loop();
-  Task<> SampleSharded();
   // "{"t_ms":...,"stats":<json>[,"metrics":<snapshot>]}" for one sample.
   std::string LineJson(const SamplePoint& sample) const;
   void PushSample(double t_ms, std::string stats_json);
@@ -89,10 +91,9 @@ class StatsSampler {
   // `flush_every_` lines, plus once more on shutdown.
   void WriterLoop();
 
-  Scheduler* sched_;
+  SchedulerGroup* group_;
   StatsRegistry* stats_;
   Duration interval_;
-  SchedulerGroup* group_ = nullptr;
   MetricRegistry* metrics_ = nullptr;
 
   std::vector<SamplePoint> samples_;

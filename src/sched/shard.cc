@@ -43,8 +43,12 @@ void SchedulerGroup::DropAllPosted() {
   }
 }
 
+// A group of one has nothing to coordinate: its loop runs on the calling
+// thread, exactly as a standalone Scheduler would.
 void SchedulerGroup::Run() {
-  if (shards_[0]->is_virtual()) {
+  if (shards_.size() == 1) {
+    shards_[0]->Run();
+  } else if (shards_[0]->is_virtual()) {
     RunLockstep();
   } else {
     RunThreaded(/*bounded=*/false, Duration());
@@ -52,7 +56,9 @@ void SchedulerGroup::Run() {
 }
 
 void SchedulerGroup::RunFor(Duration d) {
-  if (shards_[0]->is_virtual()) {
+  if (shards_.size() == 1) {
+    shards_[0]->RunFor(d);
+  } else if (shards_[0]->is_virtual()) {
     RunLockstepFor(d);
   } else {
     RunThreaded(/*bounded=*/true, d);

@@ -13,6 +13,8 @@
 //     thread. A group-level work counter (live non-daemon threads + queued
 //     posts + pending external ops, across all shards) tells the monitor when
 //     everything has drained; it then stops and joins the shard threads.
+//   * A group of one coordinates nothing: Run/RunFor run its single loop on
+//     the calling thread, so it behaves exactly like a standalone Scheduler.
 //
 // Cross-shard interaction goes exclusively through Scheduler::Post (each
 // shard's MPSC mailbox): Events/Notifications are shard-local, so a coroutine
@@ -52,8 +54,9 @@ class SchedulerGroup {
 
   // Runs until no non-daemon work remains on any shard (or RequestStop).
   // Virtual clock: deterministic lockstep. Real clock: one OS thread per
-  // shard. May be called again after it returns (e.g. setup phase, then the
-  // workload) — threaded runs reset the shards' stop flags on exit.
+  // shard. One shard: that shard's own Run() on the calling thread. May be
+  // called again after it returns (e.g. setup phase, then the workload) —
+  // threaded runs reset the shards' stop flags on exit.
   void Run();
 
   // Runs for at most `d` of (virtual or wall) time.

@@ -274,20 +274,11 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   auto system = std::unique_ptr<System>(new System());
   System& sys = *system;
   sys.config_ = config;
-  if (nshards > 1) {
-    sys.group_ = std::make_unique<SchedulerGroup>(static_cast<size_t>(nshards),
-                                                  config.virtual_clock(), config.seed);
-  } else {
-    sys.sched_ = config.virtual_clock() ? Scheduler::CreateVirtual(config.seed)
-                                        : Scheduler::CreateReal(config.seed);
-  }
-  auto shard_sched = [&sys](int s) -> Scheduler* {
-    return sys.group_ != nullptr ? sys.group_->shard(static_cast<size_t>(s))
-                                 : sys.sched_.get();
-  };
+  sys.group_ = std::make_unique<SchedulerGroup>(static_cast<size_t>(nshards),
+                                                config.virtual_clock(), config.seed);
   for (int s = 0; s < nshards; ++s) {
-    auto sched_stats = std::make_unique<SchedStats>(shard_sched(s));
-    sys.stats_.Register(sched_stats.get(), shard_sched(s));
+    auto sched_stats = std::make_unique<SchedStats>(sys.shard_scheduler(s));
+    sys.stats_.Register(sched_stats.get(), sys.shard_scheduler(s));
     sys.sched_stats_.push_back(std::move(sched_stats));
   }
 
@@ -299,7 +290,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     for (size_t b = 0; b < config.disks_per_bus.size(); ++b) {
       const int bus_owner =
           config.disks_per_bus[b] > 0 ? disk_owners[static_cast<size_t>(disk_index)] : 0;
-      Scheduler* bus_sched = shard_sched(bus_owner);
+      Scheduler* bus_sched = sys.shard_scheduler(bus_owner);
       auto bus = std::make_unique<ScsiBus>(bus_sched, std::string("scsi") + std::to_string(b));
       for (int d = 0; d < config.disks_per_bus[b]; ++d) {
         const std::string name = std::string("d") + std::to_string(disk_index);
@@ -325,7 +316,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     for (int i = 0; i < total_disks; ++i) {
       const std::string path =
           i == 0 ? config.image_path : config.image_path + "." + std::to_string(i);
-      Scheduler* disk_sched = shard_sched(disk_owners[static_cast<size_t>(i)]);
+      Scheduler* disk_sched = sys.shard_scheduler(disk_owners[static_cast<size_t>(i)]);
       PFS_ASSIGN_OR_RETURN(
           std::unique_ptr<FileBackedDriver> driver,
           FileBackedDriver::Create(disk_sched, std::string("d") + std::to_string(i), path,
@@ -347,7 +338,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   cache_config.async_flush = config.async_flush;
   for (int s = 0; s < nshards; ++s) {
     auto cache = std::make_unique<BufferCache>(
-        shard_sched(s), cache_config,
+        sys.shard_scheduler(s), cache_config,
         (*ReplacementRegistry::Find(config.replacement))(config.seed +
                                                          static_cast<uint64_t>(s)),
         (*FlushPolicyRegistry::Find(config.flush_policy))(
@@ -355,13 +346,14 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     if (nshards > 1) {
       cache->set_stat_suffix(".shard" + std::to_string(s));
     }
-    sys.stats_.Register(cache.get(), shard_sched(s));
+    sys.stats_.Register(cache.get(), sys.shard_scheduler(s));
     sys.caches_.push_back(std::move(cache));
     if (config.simulated()) {
-      sys.movers_.push_back(std::make_unique<SimDataMover>(shard_sched(s), config.host));
+      sys.movers_.push_back(
+          std::make_unique<SimDataMover>(sys.shard_scheduler(s), config.host));
     } else {
       auto mover = std::make_unique<RealDataMover>();
-      mover->BindHomeShard(shard_sched(s), "data_mover");
+      mover->BindHomeShard(sys.shard_scheduler(s), "data_mover");
       sys.movers_.push_back(std::move(mover));
     }
   }
@@ -371,16 +363,14 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   // and the sampler snapshots the whole registry on a period (hopping to
   // each shard for its shard-affine sources when sharded).
   if (config.trace.enabled) {
-    sys.tracer_ = std::make_unique<TraceRecorder>(shard_sched(0), config.trace.ring_capacity);
+    sys.tracer_ =
+        std::make_unique<TraceRecorder>(sys.scheduler(), config.trace.ring_capacity);
     sys.trace_sink_ = std::make_unique<TraceSink>(sys.tracer_.get());
     sys.stats_.Register(sys.trace_sink_.get());
   }
   if (config.trace.sample_ms > 0) {
-    sys.sampler_ = std::make_unique<StatsSampler>(shard_sched(0), &sys.stats_,
+    sys.sampler_ = std::make_unique<StatsSampler>(sys.group_.get(), &sys.stats_,
                                                   Duration::Millis(config.trace.sample_ms));
-    if (sys.group_ != nullptr) {
-      sys.sampler_->set_group(sys.group_.get());
-    }
     if (!config.trace.file.empty()) {
       // Stream samples incrementally (fsync every 8) so an interrupted run
       // keeps its curve; ExportObservability skips the end-of-run rewrite.
@@ -394,12 +384,12 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   // file systems on 10 disks); explicit volume specs compose slices into
   // concat/striped/mirror devices. A slice whose disk belongs to another
   // shard gets a CrossShardDevice proxy.
-  sys.client_ = std::make_unique<LocalClient>(shard_sched(0));
+  sys.client_ = std::make_unique<LocalClient>(sys.scheduler());
   sys.client_->set_trace_recorder(sys.tracer_.get());
   for (int f = 0; f < config.num_filesystems; ++f) {
     const VolumePlan& plan = plans[static_cast<size_t>(f)];
     const int fshard = config.ShardForFs(f);
-    Scheduler* fsched = shard_sched(fshard);
+    Scheduler* fsched = sys.shard_scheduler(fshard);
     sys.fs_shard_.push_back(fshard);
     const std::string vol_name = config.mount_prefix + std::to_string(f);
     std::vector<VolumeSliceRef> slices;
@@ -407,8 +397,8 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
       BlockDevice* backing = sys.drivers_[static_cast<size_t>(s.disk)].get();
       const int owner = disk_owners[static_cast<size_t>(s.disk)];
       if (owner != fshard) {
-        auto proxy =
-            std::make_unique<CrossShardDevice>(fsched, shard_sched(owner), backing);
+        auto proxy = std::make_unique<CrossShardDevice>(fsched, sys.shard_scheduler(owner),
+                                                        backing);
         backing = proxy.get();
         sys.cross_devices_.push_back(std::move(proxy));
       }
@@ -443,7 +433,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     if (mirror == nullptr) {
       continue;
     }
-    Scheduler* fsched = shard_sched(sys.fs_shard_[f]);
+    Scheduler* fsched = sys.shard_scheduler(sys.fs_shard_[f]);
     RebuildDaemon::Options options;
     options.bw_kbps = config.rebuild_bw_kbps;
     options.copy_real_data = !config.simulated();
@@ -468,11 +458,11 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
         continue;
       }
       auto injector = std::make_unique<FaultInjector>(
-          shard_sched(s), std::move(per_shard[static_cast<size_t>(s)]));
+          sys.shard_scheduler(s), std::move(per_shard[static_cast<size_t>(s)]));
       if (nshards > 1) {
         injector->set_stat_suffix(".shard" + std::to_string(s));
       }
-      sys.stats_.Register(injector.get(), shard_sched(s));
+      sys.stats_.Register(injector.get(), sys.shard_scheduler(s));
       sys.injectors_[static_cast<size_t>(s)] = std::move(injector);
     }
   }
@@ -485,7 +475,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
                                                     config.metrics.prefix);
     MetricRegistry* reg = sys.metrics_.get();
     for (int s = 0; s < nshards; ++s) {
-      Scheduler* sched = shard_sched(s);
+      Scheduler* sched = sys.shard_scheduler(s);
       char labels[32];
       std::snprintf(labels, sizeof(labels), "shard=\"%d\"", s);
       reg->AddCallback("sched_steps_total", "Coroutine resumes", MetricKind::kCounter, labels,
@@ -535,28 +525,8 @@ System::~System() {
   // references into the components destroyed below; release their frames
   // while everything is still alive. Shard threads are already joined by the
   // time a System dies, so walking every shard here is single-threaded.
-  if (group_ != nullptr) {
-    for (size_t s = 0; s < group_->size(); ++s) {
-      group_->shard(s)->DestroyAllThreads();
-    }
-  } else if (sched_ != nullptr) {
-    sched_->DestroyAllThreads();
-  }
-}
-
-void System::RunToCompletion() {
-  if (group_ != nullptr) {
-    group_->Run();
-  } else {
-    sched_->Run();
-  }
-}
-
-void System::RunForDuration(Duration d) {
-  if (group_ != nullptr) {
-    group_->RunFor(d);
-  } else {
-    sched_->RunFor(d);
+  for (int s = 0; s < shard_count(); ++s) {
+    shard_scheduler(s)->DestroyAllThreads();
   }
 }
 
@@ -584,38 +554,26 @@ Task<> SetupLayouts(std::vector<StorageLayout*> layouts, bool format, Status* ou
 
 Status System::Setup() {
   const bool format = config_.simulated() || config_.format;
-  if (group_ == nullptr) {
-    Status result(ErrorCode::kAborted);
-    std::vector<StorageLayout*> all;
-    for (auto& layout : layouts_) {
-      all.push_back(layout.get());
+  // One setup coroutine per shard, formatting that shard's layouts on that
+  // shard's loop (a layout can only be driven from its own shard).
+  std::vector<Status> results(group_->size(), OkStatus());
+  for (size_t s = 0; s < group_->size(); ++s) {
+    std::vector<StorageLayout*> shard_layouts;
+    for (size_t f = 0; f < layouts_.size(); ++f) {
+      if (fs_shard_[f] == static_cast<int>(s)) {
+        shard_layouts.push_back(layouts_[f].get());
+      }
     }
-    sched_->Spawn("system.setup", SetupLayouts(std::move(all), format, &result));
-    sched_->Run();
+    if (shard_layouts.empty()) {
+      continue;
+    }
+    results[s] = Status(ErrorCode::kAborted);
+    group_->shard(s)->Spawn("system.setup." + std::to_string(s),
+                            SetupLayouts(std::move(shard_layouts), format, &results[s]));
+  }
+  group_->Run();
+  for (const Status& result : results) {
     PFS_RETURN_IF_ERROR(result);
-  } else {
-    // One setup coroutine per shard, formatting that shard's layouts on that
-    // shard's loop (a layout can only be driven from its own shard).
-    std::vector<Status> results(group_->size(), OkStatus());
-    for (size_t s = 0; s < group_->size(); ++s) {
-      std::vector<StorageLayout*> shard_layouts;
-      for (size_t f = 0; f < layouts_.size(); ++f) {
-        if (fs_shard_[f] == static_cast<int>(s)) {
-          shard_layouts.push_back(layouts_[f].get());
-        }
-      }
-      if (shard_layouts.empty()) {
-        continue;
-      }
-      results[s] = Status(ErrorCode::kAborted);
-      group_->shard(s)->Spawn(
-          "system.setup." + std::to_string(s),
-          SetupLayouts(std::move(shard_layouts), format, &results[s]));
-    }
-    group_->Run();
-    for (const Status& result : results) {
-      PFS_RETURN_IF_ERROR(result);
-    }
   }
   for (auto& cache : caches_) {
     cache->Start();
@@ -692,37 +650,13 @@ Status System::StartMetricsHttp() {
 }
 
 Task<> System::StatzRefresher(Duration period) {
-  Scheduler* home = scheduler();
   for (;;) {
-    std::string json;
-    if (group_ == nullptr) {
-      json = stats_.ReportJson();
-    } else {
-      json = "{";
-      for (size_t s = 0; s < group_->size(); ++s) {
-        Scheduler* shard = group_->shard(s);
-        StatsRegistry* stats = &stats_;
-        Scheduler* h = home;
-        // Named thunk, not a temporary in the co_await expression (GCC 12
-        // double-destroys non-trivial coroutine-argument temporaries).
-        auto body = [stats, shard, h]() -> Task<std::string> {
-          co_return stats->ReportJsonOwned(shard, /*include_unowned=*/shard == h);
-        };
-        std::string frag = co_await CallOn<std::string>(home, shard, body);
-        if (!frag.empty()) {
-          if (json.size() > 1) {
-            json += ",";
-          }
-          json += frag;
-        }
-      }
-      json += "}";
-    }
+    std::string json = co_await GatherReportJson(group_.get(), &stats_);
     {
       std::lock_guard<std::mutex> lock(statz_mu_);
       statz_json_ = std::move(json);
     }
-    co_await home->Sleep(period);
+    co_await scheduler()->Sleep(period);
   }
 }
 

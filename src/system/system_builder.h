@@ -9,8 +9,8 @@
 // cache, and data mover are pinned to one scheduler shard; physical disks
 // (whole busses under the simulator) belong to the shard of the first file
 // system referencing them, and a file system reaching a foreign disk gets a
-// CrossShardDevice proxy spliced into that volume slice. shards == 1 builds
-// exactly the single-loop system of old.
+// CrossShardDevice proxy spliced into that volume slice. Every system runs a
+// SchedulerGroup; with shards == 1 it is one loop, run on the calling thread.
 #ifndef PFS_SYSTEM_SYSTEM_BUILDER_H_
 #define PFS_SYSTEM_SYSTEM_BUILDER_H_
 
@@ -61,15 +61,12 @@ class System {
   const SystemConfig& config() const { return config_; }
 
   // Shard 0's loop — the client front end and the observability components
-  // live here. With shards == 1 this is the only loop, exactly the old
-  // single-scheduler accessor.
-  Scheduler* scheduler() { return group_ != nullptr ? group_->shard(0) : sched_.get(); }
+  // live here. With shards == 1 this is the only loop.
+  Scheduler* scheduler() { return group_->shard(0); }
 
   // -- shard topology -------------------------------------------------------
-  int shard_count() const { return group_ != nullptr ? static_cast<int>(group_->size()) : 1; }
-  Scheduler* shard_scheduler(int s) {
-    return group_ != nullptr ? group_->shard(static_cast<size_t>(s)) : sched_.get();
-  }
+  int shard_count() const { return static_cast<int>(group_->size()); }
+  Scheduler* shard_scheduler(int s) { return group_->shard(static_cast<size_t>(s)); }
   // The shard file system `f` is pinned to, and that shard's loop. Spawn
   // workload threads that target file system f on fs_scheduler(f); reaching
   // it from another shard goes through LocalClient's cross-shard routing.
@@ -83,16 +80,10 @@ class System {
   // Drives every shard to quiescence: deterministic lockstep on the virtual
   // clock, one OS thread per shard on the real clock. With shards == 1 these
   // are exactly Scheduler::Run()/RunFor().
-  void RunToCompletion();
-  void RunForDuration(Duration d);
+  void RunToCompletion() { group_->Run(); }
+  void RunForDuration(Duration d) { group_->RunFor(d); }
   // Stops every shard's loop (thread-safe: callable from any OS thread).
-  void RequestStop() {
-    if (group_ != nullptr) {
-      group_->RequestStop();
-    } else {
-      sched_->RequestStop();
-    }
-  }
+  void RequestStop() { group_->RequestStop(); }
   // Closes every shard: further Post() calls become checked errors instead
   // of silently enqueueing work that will never run. Call after the final
   // Run()/RunToCompletion() has returned.
@@ -183,10 +174,8 @@ class System {
   Task<> StatzRefresher(Duration period);
 
   SystemConfig config_;
-  // Exactly one of group_ (shards > 1) and sched_ (shards == 1) is set.
-  // Both precede every component so the loops are destroyed last.
+  // Precedes every component so the loops are destroyed last.
   std::unique_ptr<SchedulerGroup> group_;
-  std::unique_ptr<Scheduler> sched_;
   std::unique_ptr<IoExecutor> executor_;  // file-backed only
   std::vector<std::unique_ptr<ScsiBus>> busses_;
   std::vector<std::unique_ptr<DiskModel>> disks_;
