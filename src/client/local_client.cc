@@ -63,14 +63,48 @@ Scheduler* LocalClient::SchedForPath(const std::string& path) {
   return it->second.fs->scheduler();
 }
 
-bool LocalClient::LookupFd(Fd fd, OpenFile* out) const {
+bool LocalClient::LookupFd(Fd fd, OpenFile* out, bool close) {
   std::lock_guard<std::mutex> lk(fd_mu_);
   auto it = open_files_.find(fd);
   if (it == open_files_.end()) {
     return false;
   }
   *out = it->second;
+  if (close) {
+    open_files_.erase(it);
+  }
   return true;
+}
+
+// The one routing path. The thunk is a *named local*, never a temporary in
+// the co_await expression: GCC 12 mishandles non-trivial temporaries passed
+// as coroutine arguments inside an await full-expression (the capture copies
+// end up double-destroyed, corrupting the frame).
+template <typename R, typename... Params, typename... Args>
+Task<R> LocalClient::Route(Scheduler* target, Task<R> (LocalClient::*local)(Params...),
+                           Args... args) {
+  LocalClient* self = this;
+  auto body = [self, local, ...args = std::move(args)]() {
+    return (self->*local)(args...);
+  };
+  Scheduler* home = Scheduler::Current();
+  if (target == nullptr || home == nullptr || target == home) {
+    co_return co_await body();
+  }
+  co_return co_await CallOn<R>(home, target, body);
+}
+
+template <typename R, typename... Params, typename... Args>
+Task<R> LocalClient::RouteFd(Fd fd, bool close,
+                             Task<R> (LocalClient::*local)(OpenFile, Params...),
+                             Args... args) {
+  OpenFile open;
+  if (!LookupFd(fd, &open, close)) {
+    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
+  }
+  // Spans in `args` stay valid across a hop: this coroutine suspends on its
+  // home shard until the remote body is done with the buffer.
+  co_return co_await Route(open.mount->fs->scheduler(), local, open, args...);
 }
 
 Task<Result<LocalClient::Resolved>> LocalClient::ResolveParent(const std::string& path) {
@@ -184,117 +218,53 @@ void LocalClient::TraceEnd(const OpTrace& t, uint64_t arg) {
 }
 
 // ---------------------------------------------------------------------------
-// Routers: hop to the owning shard, then run the *Local body.
-//
-// Every thunk is a *named local*, never a temporary in the co_await
-// expression: GCC 12 mishandles non-trivial temporaries passed as coroutine
-// arguments inside an await full-expression (the capture copies end up
-// double-destroyed, corrupting the frame).
+// Public ops: hop to the owning shard, then run the *Local body.
 // ---------------------------------------------------------------------------
 
 Task<Result<Fd>> LocalClient::Open(const std::string& path, OpenOptions options) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p, options]() { return self->OpenLocal(p, options); };
-  co_return co_await RouteTo<Result<Fd>>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::OpenLocal, path, options);
 }
 
 Task<Status> LocalClient::Close(Fd fd) {
-  OpenFile open;
-  {
-    std::lock_guard<std::mutex> lk(fd_mu_);
-    auto it = open_files_.find(fd);
-    if (it == open_files_.end()) {
-      co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-    }
-    open = it->second;
-    open_files_.erase(it);
-  }
-  LocalClient* self = this;
-  auto body = [self, open]() { return self->CloseLocal(open); };
-  co_return co_await RouteTo<Status>(open.mount->fs->scheduler(), body);
+  return RouteFd(fd, /*close=*/true, &LocalClient::CloseLocal);
 }
 
 Task<Result<uint64_t>> LocalClient::Read(Fd fd, uint64_t offset, uint64_t len,
                                          std::span<std::byte> out) {
-  OpenFile open;
-  if (!LookupFd(fd, &open)) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-  }
-  // The span stays valid across the hop: this coroutine suspends on its home
-  // shard until the remote body finishes with the buffer.
-  LocalClient* self = this;
-  auto body = [self, open, offset, len, out]() { return self->ReadLocal(open, offset, len, out); };
-  co_return co_await RouteTo<Result<uint64_t>>(open.mount->fs->scheduler(), body);
+  return RouteFd(fd, /*close=*/false, &LocalClient::ReadLocal, offset, len, out);
 }
 
 Task<Result<uint64_t>> LocalClient::Write(Fd fd, uint64_t offset, uint64_t len,
                                           std::span<const std::byte> in) {
-  OpenFile open;
-  if (!LookupFd(fd, &open)) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-  }
-  LocalClient* self = this;
-  auto body = [self, open, offset, len, in]() { return self->WriteLocal(open, offset, len, in); };
-  co_return co_await RouteTo<Result<uint64_t>>(open.mount->fs->scheduler(), body);
+  return RouteFd(fd, /*close=*/false, &LocalClient::WriteLocal, offset, len, in);
 }
 
 Task<Status> LocalClient::Truncate(Fd fd, uint64_t new_size) {
-  OpenFile open;
-  if (!LookupFd(fd, &open)) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-  }
-  LocalClient* self = this;
-  auto body = [self, open, new_size]() { return self->TruncateLocal(open, new_size); };
-  co_return co_await RouteTo<Status>(open.mount->fs->scheduler(), body);
+  return RouteFd(fd, /*close=*/false, &LocalClient::TruncateLocal, new_size);
 }
 
 Task<Status> LocalClient::Fsync(Fd fd) {
-  OpenFile open;
-  if (!LookupFd(fd, &open)) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-  }
-  LocalClient* self = this;
-  auto body = [self, open]() { return self->FsyncLocal(open); };
-  co_return co_await RouteTo<Status>(open.mount->fs->scheduler(), body);
+  return RouteFd(fd, /*close=*/false, &LocalClient::FsyncLocal);
 }
 
 Task<Result<FileAttrs>> LocalClient::FStat(Fd fd) {
-  OpenFile open;
-  if (!LookupFd(fd, &open)) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-  }
-  LocalClient* self = this;
-  auto body = [self, open]() { return self->FStatLocal(open); };
-  co_return co_await RouteTo<Result<FileAttrs>>(open.mount->fs->scheduler(), body);
+  return RouteFd(fd, /*close=*/false, &LocalClient::FStatLocal);
 }
 
 Task<Result<FileAttrs>> LocalClient::Stat(const std::string& path) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p]() { return self->StatLocal(p); };
-  co_return co_await RouteTo<Result<FileAttrs>>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::StatLocal, path);
 }
 
 Task<Status> LocalClient::Unlink(const std::string& path) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p]() { return self->UnlinkLocal(p); };
-  co_return co_await RouteTo<Status>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::UnlinkLocal, path);
 }
 
 Task<Status> LocalClient::Mkdir(const std::string& path) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p]() { return self->MkdirLocal(p); };
-  co_return co_await RouteTo<Status>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::MkdirLocal, path);
 }
 
 Task<Status> LocalClient::Rmdir(const std::string& path) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p]() { return self->RmdirLocal(p); };
-  co_return co_await RouteTo<Status>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::RmdirLocal, path);
 }
 
 Task<Status> LocalClient::Rename(const std::string& from, const std::string& to) {
@@ -305,33 +275,20 @@ Task<Status> LocalClient::Rename(const std::string& from, const std::string& to)
     // the two directory updates would race on different loops.
     co_return Status(ErrorCode::kInvalidArgument, "bad rename");
   }
-  LocalClient* self = this;
-  std::string f = from;
-  std::string t = to;
-  auto body = [self, f, t]() { return self->RenameLocal(f, t); };
-  co_return co_await RouteTo<Status>(from_shard != nullptr ? from_shard : to_shard, body);
+  co_return co_await Route(from_shard != nullptr ? from_shard : to_shard,
+                           &LocalClient::RenameLocal, from, to);
 }
 
 Task<Result<std::vector<DirEntry>>> LocalClient::ReadDir(const std::string& path) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p]() { return self->ReadDirLocal(p); };
-  co_return co_await RouteTo<Result<std::vector<DirEntry>>>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::ReadDirLocal, path);
 }
 
 Task<Status> LocalClient::SymlinkAt(const std::string& path, const std::string& target) {
-  LocalClient* self = this;
-  std::string p = path;
-  std::string t = target;
-  auto body = [self, p, t]() { return self->SymlinkAtLocal(p, t); };
-  co_return co_await RouteTo<Status>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::SymlinkAtLocal, path, target);
 }
 
 Task<Result<std::string>> LocalClient::ReadLink(const std::string& path) {
-  LocalClient* self = this;
-  std::string p = path;
-  auto body = [self, p]() { return self->ReadLinkLocal(p); };
-  co_return co_await RouteTo<Result<std::string>>(SchedForPath(p), body);
+  return Route(SchedForPath(path), &LocalClient::ReadLinkLocal, path);
 }
 
 // ---------------------------------------------------------------------------
@@ -449,34 +406,44 @@ Task<Result<FileAttrs>> LocalClient::StatLocal(const std::string& path) {
   co_return attrs;
 }
 
+Task<Result<Directory*>> LocalClient::AcquireDir(Mount* mount, uint64_t ino,
+                                                 const std::string& path) {
+  PFS_CO_ASSIGN_OR_RETURN(File * file, co_await mount->table->Acquire(ino));
+  if (file->type() != FileType::kDirectory) {
+    (void)co_await mount->table->Release(ino);
+    co_return Status(ErrorCode::kNotDirectory, path);
+  }
+  co_return static_cast<Directory*>(file);
+}
+
+Task<Status> LocalClient::FreeUnlinked(Mount* mount, uint64_t ino) {
+  if (mount->table->open_count(ino) > 0) {
+    mount->table->MarkDeletePending(ino);
+    co_return OkStatus();
+  }
+  // Dirty cached data dies in memory — the write-saving effect.
+  mount->fs->cache()->InvalidateFile(mount->fs->fs_id(), ino);
+  co_return co_await mount->fs->layout()->FreeInode(ino);
+}
+
 Task<Status> LocalClient::UnlinkLocal(const std::string& path) {
   PFS_CO_ASSIGN_OR_RETURN(Resolved r, co_await ResolveParent(path));
   if (r.leaf.empty()) {
     co_return Status(ErrorCode::kIsDirectory, "cannot unlink a mount root");
   }
-  PFS_CO_ASSIGN_OR_RETURN(File * parent, co_await r.mount->table->Acquire(r.parent_ino));
-  auto* dir = static_cast<Directory*>(parent);
+  PFS_CO_ASSIGN_OR_RETURN(Directory * dir,
+                          co_await AcquireDir(r.mount, r.parent_ino, path));
   auto entry_or = co_await dir->Lookup(r.leaf);
-  if (!entry_or.ok()) {
-    (void)co_await r.mount->table->Release(r.parent_ino);
-    co_return entry_or.status();
+  Status status = entry_or.status();
+  if (status.ok() && entry_or->type == FileType::kDirectory) {
+    status = Status(ErrorCode::kIsDirectory, path);
   }
-  if (entry_or->type == FileType::kDirectory) {
-    (void)co_await r.mount->table->Release(r.parent_ino);
-    co_return Status(ErrorCode::kIsDirectory, path);
+  if (status.ok()) {
+    status = co_await dir->Remove(r.leaf);
   }
-  PFS_CO_RETURN_IF_ERROR(co_await dir->Remove(r.leaf));
   (void)co_await r.mount->table->Release(r.parent_ino);
-
-  const uint64_t ino = entry_or->ino;
-  if (r.mount->table->open_count(ino) > 0) {
-    // Unix semantics: the file lives until the last close.
-    r.mount->table->MarkDeletePending(ino);
-    co_return OkStatus();
-  }
-  // Dirty cached data dies in memory — the write-saving effect.
-  r.mount->fs->cache()->InvalidateFile(r.mount->fs->fs_id(), ino);
-  co_return co_await r.mount->fs->layout()->FreeInode(ino);
+  PFS_CO_RETURN_IF_ERROR(status);
+  co_return co_await FreeUnlinked(r.mount, entry_or->ino);
 }
 
 Task<Status> LocalClient::MkdirLocal(const std::string& path) {
@@ -484,12 +451,8 @@ Task<Status> LocalClient::MkdirLocal(const std::string& path) {
   if (r.leaf.empty()) {
     co_return Status(ErrorCode::kExists, path);
   }
-  PFS_CO_ASSIGN_OR_RETURN(File * parent, co_await r.mount->table->Acquire(r.parent_ino));
-  if (parent->type() != FileType::kDirectory) {
-    (void)co_await r.mount->table->Release(r.parent_ino);
-    co_return Status(ErrorCode::kNotDirectory, path);
-  }
-  auto* dir = static_cast<Directory*>(parent);
+  PFS_CO_ASSIGN_OR_RETURN(Directory * dir,
+                          co_await AcquireDir(r.mount, r.parent_ino, path));
   auto ino_or = co_await r.mount->fs->layout()->AllocInode(FileType::kDirectory);
   if (!ino_or.ok()) {
     (void)co_await r.mount->table->Release(r.parent_ino);
@@ -508,24 +471,30 @@ Task<Status> LocalClient::RmdirLocal(const std::string& path) {
   if (r.leaf.empty()) {
     co_return Status(ErrorCode::kInvalidArgument, "cannot remove a mount root");
   }
-  PFS_CO_ASSIGN_OR_RETURN(File * parent, co_await r.mount->table->Acquire(r.parent_ino));
-  auto* dir = static_cast<Directory*>(parent);
+  PFS_CO_ASSIGN_OR_RETURN(Directory * dir,
+                          co_await AcquireDir(r.mount, r.parent_ino, path));
   auto entry_or = co_await dir->Lookup(r.leaf);
-  if (!entry_or.ok() || entry_or->type != FileType::kDirectory) {
-    (void)co_await r.mount->table->Release(r.parent_ino);
-    co_return entry_or.ok() ? Status(ErrorCode::kNotDirectory, path) : entry_or.status();
+  Status status = entry_or.status();
+  if (status.ok() && entry_or->type != FileType::kDirectory) {
+    status = Status(ErrorCode::kNotDirectory, path);
   }
-  // The victim must be empty.
-  PFS_CO_ASSIGN_OR_RETURN(File * victim_file, co_await r.mount->table->Acquire(entry_or->ino));
-  auto* victim = static_cast<Directory*>(victim_file);
-  const bool empty = victim->IsEmpty();
-  (void)co_await r.mount->table->Release(entry_or->ino);
-  if (!empty) {
-    (void)co_await r.mount->table->Release(r.parent_ino);
-    co_return Status(ErrorCode::kNotEmpty, path);
+  if (status.ok()) {
+    // The victim must be empty.
+    auto victim_or = co_await r.mount->table->Acquire(entry_or->ino);
+    status = victim_or.status();
+    if (status.ok()) {
+      const bool empty = static_cast<Directory*>(*victim_or)->IsEmpty();
+      (void)co_await r.mount->table->Release(entry_or->ino);
+      if (!empty) {
+        status = Status(ErrorCode::kNotEmpty, path);
+      }
+    }
   }
-  PFS_CO_RETURN_IF_ERROR(co_await dir->Remove(r.leaf));
+  if (status.ok()) {
+    status = co_await dir->Remove(r.leaf);
+  }
   (void)co_await r.mount->table->Release(r.parent_ino);
+  PFS_CO_RETURN_IF_ERROR(status);
   r.mount->fs->cache()->InvalidateFile(r.mount->fs->fs_id(), entry_or->ino);
   co_return co_await r.mount->fs->layout()->FreeInode(entry_or->ino);
 }
@@ -536,28 +505,50 @@ Task<Status> LocalClient::RenameLocal(const std::string& from, const std::string
   if (rf.leaf.empty() || rt.leaf.empty() || rf.mount != rt.mount) {
     co_return Status(ErrorCode::kInvalidArgument, "bad rename");
   }
-  PFS_CO_ASSIGN_OR_RETURN(File * from_parent, co_await rf.mount->table->Acquire(rf.parent_ino));
-  auto* from_dir = static_cast<Directory*>(from_parent);
-  auto entry_or = co_await from_dir->Lookup(rf.leaf);
-  if (!entry_or.ok()) {
-    (void)co_await rf.mount->table->Release(rf.parent_ino);
-    co_return entry_or.status();
+  Mount* mount = rf.mount;
+  PFS_CO_ASSIGN_OR_RETURN(Directory * from_dir,
+                          co_await AcquireDir(mount, rf.parent_ino, from));
+  auto to_dir_or = co_await AcquireDir(mount, rt.parent_ino, to);
+  if (!to_dir_or.ok()) {
+    (void)co_await mount->table->Release(rf.parent_ino);
+    co_return to_dir_or.status();
   }
-  // Replace an existing regular-file target, per Unix rename semantics.
-  // Same shard by construction (the router rejected cross-shard pairs), so
-  // the nested Unlink router collapses inline.
-  auto existing = co_await ResolveExisting(to);
-  if (existing.ok() && existing->second.type != FileType::kDirectory) {
-    PFS_CO_RETURN_IF_ERROR(co_await Unlink(to));
+  Directory* to_dir = *to_dir_or;
+  // Every check runs before the first directory update, so a failed rename
+  // changes nothing.
+  auto source = co_await from_dir->Lookup(rf.leaf);
+  Status status = source.status();
+  Result<DirEntry> target = Status(ErrorCode::kNotFound, to);
+  if (status.ok()) {
+    target = co_await to_dir->Lookup(rt.leaf);
+    if (!target.ok() && target.code() != ErrorCode::kNotFound) {
+      status = target.status();
+    } else if (target.ok() && target->ino != source->ino &&
+               target->type == FileType::kDirectory) {
+      status = Status(ErrorCode::kExists, to);
+    }
   }
-  PFS_CO_RETURN_IF_ERROR(co_await from_dir->Remove(rf.leaf));
-  (void)co_await rf.mount->table->Release(rf.parent_ino);
-
-  PFS_CO_ASSIGN_OR_RETURN(File * to_parent, co_await rt.mount->table->Acquire(rt.parent_ino));
-  auto* to_dir = static_cast<Directory*>(to_parent);
-  const Status add = co_await to_dir->Add(rt.leaf, entry_or->ino, entry_or->type);
-  (void)co_await rt.mount->table->Release(rt.parent_ino);
-  co_return add;
+  // An entry renamed onto itself (or onto another link to its inode) is a
+  // successful no-op. Otherwise an existing regular-file target is replaced,
+  // per Unix rename semantics.
+  const bool relink = status.ok() && !(target.ok() && target->ino == source->ino);
+  const bool replace = relink && target.ok();
+  if (replace) {
+    status = co_await to_dir->Remove(rt.leaf);
+  }
+  if (relink && status.ok()) {
+    status = co_await to_dir->Add(rt.leaf, source->ino, source->type);
+  }
+  if (relink && status.ok()) {
+    status = co_await from_dir->Remove(rf.leaf);
+  }
+  (void)co_await mount->table->Release(rt.parent_ino);
+  (void)co_await mount->table->Release(rf.parent_ino);
+  PFS_CO_RETURN_IF_ERROR(status);
+  if (replace) {
+    co_return co_await FreeUnlinked(mount, target->ino);
+  }
+  co_return OkStatus();
 }
 
 Task<Result<std::vector<DirEntry>>> LocalClient::ReadDirLocal(const std::string& path) {
@@ -620,17 +611,8 @@ Task<Status> LocalClient::SyncAllImpl() {
   if (shards.size() <= 1) {
     co_return co_await SyncShard(nullptr);
   }
-  Scheduler* home = Scheduler::Current();
   for (Scheduler* shard : shards) {
-    LocalClient* self = this;
-    Status status;
-    if (home == nullptr || shard == home) {
-      status = co_await SyncShard(shard);
-    } else {
-      auto body = [self, shard]() { return self->SyncShard(shard); };
-      status = co_await CallOn<Status>(home, shard, body);
-    }
-    PFS_CO_RETURN_IF_ERROR(status);
+    PFS_CO_RETURN_IF_ERROR(co_await Route(shard, &LocalClient::SyncShard, shard));
   }
   co_return OkStatus();
 }

@@ -98,24 +98,34 @@ class LocalClient final : public ClientInterface {
   Task<Result<std::pair<Mount*, DirEntry>>> ResolveExisting(const std::string& path);
 
   static FileAttrs AttrsOf(const File& file);
+  // Acquires `ino` as a directory: kNotDirectory, with nothing left acquired,
+  // when it is any other type. Pair with mount->table->Release(ino).
+  static Task<Result<Directory*>> AcquireDir(Mount* mount, uint64_t ino,
+                                             const std::string& path);
+  // Frees an inode whose directory entry is gone: now, or at its last close
+  // while it is still open (Unix semantics).
+  static Task<Status> FreeUnlinked(Mount* mount, uint64_t ino);
 
   // -- cross-shard routing --------------------------------------------------
   // The shard owning the file system the path's mount component names
   // (nullptr for unknown mounts: the local body reports the NotFound).
   // mounts_ is immutable once running, so this reads it lock-free.
   Scheduler* SchedForPath(const std::string& path);
-  // Copies the fd's entry out under the fd-table mutex.
-  bool LookupFd(Fd fd, OpenFile* out) const;
-  // Runs `local` (a copyable thunk returning Task<T>) on `target`, inline
-  // when already there (or when there is nowhere sensible to hop).
-  template <typename T, typename Fn>
-  Task<T> RouteTo(Scheduler* target, Fn local) {
-    Scheduler* home = Scheduler::Current();
-    if (target == nullptr || home == nullptr || target == home) {
-      co_return co_await local();
-    }
-    co_return co_await CallOn<T>(home, target, std::move(local));
-  }
+  // Copies the fd's entry out under the fd-table mutex; `close` also drops
+  // it from the table.
+  bool LookupFd(Fd fd, OpenFile* out, bool close = false);
+  // Runs (this->*local)(args...) on `target`'s loop: inline when the caller
+  // already runs there (or there is nowhere sensible to hop), else through a
+  // CallOn round trip. The arguments are copied into the call, so they may
+  // name the caller's temporaries.
+  template <typename R, typename... Params, typename... Args>
+  Task<R> Route(Scheduler* target, Task<R> (LocalClient::*local)(Params...),
+                Args... args);
+  // The fd ops' path: look `fd` up (closing it when `close`), then Route
+  // `local` to the file's shard with the entry as its first argument.
+  template <typename R, typename... Params, typename... Args>
+  Task<R> RouteFd(Fd fd, bool close, Task<R> (LocalClient::*local)(OpenFile, Params...),
+                  Args... args);
 
   // -- shard-local op bodies (run on the mount's shard) ---------------------
   Task<Result<Fd>> OpenLocal(const std::string& path, OpenOptions options);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bus/scsi_bus.h"
 #include "cache/data_mover.h"
@@ -215,6 +217,97 @@ TEST(ClientTest, RenameMovesBetweenDirectories) {
     PFS_CHECK(gone.code() == ErrorCode::kNotFound);
     auto stat = co_await c->Stat("/fs0/dst/file2");
     PFS_CHECK(stat.ok() && stat->size == 100);
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// Creates `path` holding `bytes` bytes.
+Task<Status> CreateFile(LocalClient* c, const std::string& path, uint64_t bytes) {
+  OpenOptions create;
+  create.create = true;
+  PFS_CO_ASSIGN_OR_RETURN(const Fd fd, co_await c->Open(path, create));
+  PFS_CO_RETURN_IF_ERROR((co_await c->Write(fd, 0, bytes, {})).status());
+  co_return co_await c->Close(fd);
+}
+
+// Unlink, rmdir, and rename (on either side) through a regular file fail
+// with kNotDirectory, leave both files intact, and release the file they
+// looked through: a later unlink frees its inode at once.
+TEST(ClientTest, NamespaceOpsThroughARegularFileReturnNotDirectory) {
+  ServerFixture f;
+  std::vector<ErrorCode> codes;
+  uint64_t a_ino = 0;
+  Status a_freed = OkStatus();
+  const Status s = f.RunScript([&](LocalClient* c, Status* out) -> Task<> {
+    PFS_CHECK((co_await CreateFile(c, "/fs0/a", 100)).ok());
+    PFS_CHECK((co_await CreateFile(c, "/fs0/b", 200)).ok());
+    codes.push_back((co_await c->Unlink("/fs0/a/x")).code());
+    codes.push_back((co_await c->Rmdir("/fs0/a/x")).code());
+    codes.push_back((co_await c->Rename("/fs0/a/x", "/fs0/c")).code());
+    codes.push_back((co_await c->Rename("/fs0/b", "/fs0/a/x")).code());
+    auto a = co_await c->Stat("/fs0/a");
+    auto b = co_await c->Stat("/fs0/b");
+    PFS_CHECK(a.ok() && a->type == FileType::kRegular && a->size == 100);
+    PFS_CHECK(b.ok() && b->type == FileType::kRegular && b->size == 200);
+    a_ino = a->ino;
+    *out = co_await c->Unlink("/fs0/a");
+    a_freed = (co_await f.layout->ReadInode(a_ino)).status();
+  });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(codes, std::vector<ErrorCode>(4, ErrorCode::kNotDirectory));
+  EXPECT_FALSE(a_freed.ok()) << "inode " << a_ino << " still allocated after unlink";
+}
+
+TEST(ClientTest, RenameOntoItselfIsANoOp) {
+  ServerFixture f;
+  const Status s = f.RunScript([](LocalClient* c, Status* out) -> Task<> {
+    PFS_CHECK((co_await c->Mkdir("/fs0/d")).ok());
+    PFS_CHECK((co_await CreateFile(c, "/fs0/d/a", 300)).ok());
+    PFS_CHECK((co_await c->Rename("/fs0/d/a", "/fs0/d/a")).ok());
+    PFS_CHECK((co_await c->Rename("/fs0/d", "/fs0/d")).ok());
+    auto a = co_await c->Stat("/fs0/d/a");
+    PFS_CHECK(a.ok() && a->size == 300);
+    auto list = co_await c->ReadDir("/fs0/d");
+    PFS_CHECK(list.ok() && list->size() == 1);
+    *out = OkStatus();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(ClientTest, RenameOntoADirectoryChangesNothing) {
+  ServerFixture f;
+  Status rename = OkStatus();
+  const Status s = f.RunScript([&rename](LocalClient* c, Status* out) -> Task<> {
+    PFS_CHECK((co_await CreateFile(c, "/fs0/a", 400)).ok());
+    PFS_CHECK((co_await c->Mkdir("/fs0/d")).ok());
+    rename = co_await c->Rename("/fs0/a", "/fs0/d");
+    auto a = co_await c->Stat("/fs0/a");
+    PFS_CHECK(a.ok() && a->type == FileType::kRegular && a->size == 400);
+    auto d = co_await c->Stat("/fs0/d");
+    PFS_CHECK(d.ok() && d->type == FileType::kDirectory);
+    auto root = co_await c->ReadDir("/fs0");
+    PFS_CHECK(root.ok() && root->size() == 2);  // a, d
+    auto in_d = co_await c->ReadDir("/fs0/d");
+    PFS_CHECK(in_d.ok() && in_d->empty());
+    *out = OkStatus();
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(rename.code(), ErrorCode::kExists) << rename.ToString();
+}
+
+TEST(ClientTest, RenameReplacesARegularFile) {
+  ServerFixture f;
+  const Status s = f.RunScript([](LocalClient* c, Status* out) -> Task<> {
+    PFS_CHECK((co_await CreateFile(c, "/fs0/a", 500)).ok());
+    PFS_CHECK((co_await CreateFile(c, "/fs0/b", 600)).ok());
+    *out = co_await c->Rename("/fs0/a", "/fs0/b");
+    PFS_CHECK(out->ok());
+    auto gone = co_await c->Stat("/fs0/a");
+    PFS_CHECK(gone.code() == ErrorCode::kNotFound);
+    auto b = co_await c->Stat("/fs0/b");
+    PFS_CHECK(b.ok() && b->size == 500);
+    auto root = co_await c->ReadDir("/fs0");
+    PFS_CHECK(root.ok() && root->size() == 1);
   });
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
