@@ -15,14 +15,6 @@ Status Invalid(const std::string& message) {
   return Status(ErrorCode::kInvalidArgument, message);
 }
 
-int TotalDisks(const SystemConfig& config) {
-  int total = 0;
-  for (int n : config.disks_per_bus) {
-    total += n;
-  }
-  return total;
-}
-
 // File-system blocks one disk offers, from the backend's sector geometry.
 uint64_t DiskBlocks(const SystemConfig& config) {
   const uint32_t sector_bytes = config.simulated() ? config.disk_params.geometry.sector_bytes
@@ -53,7 +45,7 @@ struct VolumePlan {
 };
 
 Result<std::vector<VolumePlan>> PlanVolumes(const SystemConfig& config) {
-  const int total_disks = TotalDisks(config);
+  const int total_disks = config.total_disks();
   const uint32_t sector_bytes = config.simulated() ? config.disk_params.geometry.sector_bytes
                                                    : FileBackedDriver::kSectorBytes;
   const uint32_t spb = kDefaultBlockSize / sector_bytes;
@@ -197,7 +189,7 @@ Status ValidateStack(const SystemConfig& config) {
       return Invalid("disks_per_bus: negative disk count");
     }
   }
-  const int total_disks = TotalDisks(config);
+  const int total_disks = config.total_disks();
   if (total_disks == 0) {
     return Invalid("disks_per_bus: topology has zero disks");
   }
@@ -252,7 +244,9 @@ Status ValidateStack(const SystemConfig& config) {
   if (auto shard_error = CheckShardSpecs(config); shard_error.has_value()) {
     return Invalid(shard_error->key + ": " + shard_error->message);
   }
-  return OkStatus();
+  // The scenario keys' own rules (a zero host.mem_bandwidth_bytes_per_sec
+  // would divide by zero in every simulated copy).
+  return CheckScenarioKeys(config);
 }
 
 }  // namespace
@@ -312,15 +306,14 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   } else {
     auto engine = (*IoEngineRegistry::Find(config.io_engine))();
     sys.executor_ = std::make_unique<IoExecutor>(config.io_threads, std::move(engine));
-    const int total_disks = TotalDisks(config);
+    const int total_disks = config.total_disks();
     for (int i = 0; i < total_disks; ++i) {
-      const std::string path =
-          i == 0 ? config.image_path : config.image_path + "." + std::to_string(i);
       Scheduler* disk_sched = sys.shard_scheduler(disk_owners[static_cast<size_t>(i)]);
       PFS_ASSIGN_OR_RETURN(
           std::unique_ptr<FileBackedDriver> driver,
-          FileBackedDriver::Create(disk_sched, std::string("d") + std::to_string(i), path,
-                                   config.image_bytes, sys.executor_.get(), queue_policy));
+          FileBackedDriver::Create(disk_sched, std::string("d") + std::to_string(i),
+                                   config.disk_image_path(i), config.image_bytes,
+                                   sys.executor_.get(), queue_policy));
       driver->Start();
       sys.stats_.Register(driver.get(), disk_sched);
       sys.drivers_.push_back(std::move(driver));

@@ -14,6 +14,8 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "fault/fault_schedule.h"
 #include "obs/metrics.h"
@@ -59,8 +61,12 @@ SystemConfig SystemConfig::OnlineDefaults() {
 
 namespace {
 
+Status Invalid(const std::string& message) {
+  return Status(ErrorCode::kInvalidArgument, message);
+}
+
 Status LineError(int line, const std::string& message) {
-  return Status(ErrorCode::kInvalidArgument, "line " + std::to_string(line) + ": " + message);
+  return Invalid("line " + std::to_string(line) + ": " + message);
 }
 
 std::string Trim(std::string_view s) {
@@ -91,37 +97,33 @@ Result<uint64_t> ParseBytes(const std::string& value) {
     } else if (suffix == "GiB") {
       multiplier = kGiB;
     } else {
-      return Status(ErrorCode::kInvalidArgument,
-                    "\"" + value + "\" is not a byte count (digits + optional KiB/MiB/GiB)");
+      return Invalid("\"" + value + "\" is not a byte count (digits + optional KiB/MiB/GiB)");
     }
   }
   if (digits.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "\"" + value + "\" is not a byte count");
+    return Invalid("\"" + value + "\" is not a byte count");
   }
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(digits.c_str(), &end, 10);
   if (errno != 0 || end == nullptr || *end != '\0') {
-    return Status(ErrorCode::kInvalidArgument, "\"" + value + "\" is not a number");
+    return Invalid("\"" + value + "\" is not a number");
+  }
+  if (parsed > UINT64_MAX / multiplier) {
+    return Invalid("\"" + value + "\" overflows a 64-bit byte count");
   }
   return static_cast<uint64_t>(parsed) * multiplier;
 }
 
-Result<uint64_t> ParseUint(const std::string& value) {
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "\"" + value + "\" is not a non-negative integer");
-  }
-  return ParseBytes(value);
-}
-
-// Bounded integer fields: a value the target type cannot hold is an error,
+// Bounded integer fields: a value the target field cannot hold is an error,
 // never a silent truncation.
-Result<uint64_t> ParseUintMax(const std::string& value, uint64_t max) {
-  PFS_ASSIGN_OR_RETURN(const uint64_t parsed, ParseUint(value));
+Result<uint64_t> ParseUint(const std::string& value, uint64_t max) {
+  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+    return Invalid("\"" + value + "\" is not a non-negative integer");
+  }
+  PFS_ASSIGN_OR_RETURN(const uint64_t parsed, ParseBytes(value));
   if (parsed > max) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "\"" + value + "\" is out of range (max " + std::to_string(max) + ")");
+    return Invalid("\"" + value + "\" is out of range (max " + std::to_string(max) + ")");
   }
   return parsed;
 }
@@ -133,8 +135,7 @@ Result<bool> ParseBool(const std::string& value) {
   if (value == "false") {
     return false;
   }
-  return Status(ErrorCode::kInvalidArgument,
-                "\"" + value + "\" is not a boolean (true or false)");
+  return Invalid("\"" + value + "\" is not a boolean (true or false)");
 }
 
 // "4, 3, 3" -> {4, 3, 3}; used for disk lists and member lists.
@@ -144,15 +145,14 @@ Result<std::vector<int>> ParseIntList(const std::string& value) {
   std::string item;
   while (std::getline(ss, item, ',')) {
     const std::string trimmed = Trim(item);
-    PFS_ASSIGN_OR_RETURN(const uint64_t n, ParseUint(trimmed));
+    PFS_ASSIGN_OR_RETURN(const uint64_t n, ParseUint(trimmed, UINT64_MAX));
     if (n > INT32_MAX) {
-      return Status(ErrorCode::kInvalidArgument, "\"" + trimmed + "\" is out of range");
+      return Invalid("\"" + trimmed + "\" is out of range");
     }
     out.push_back(static_cast<int>(n));
   }
   if (out.empty()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "\"" + value + "\" is not a comma-separated integer list");
+    return Invalid("\"" + value + "\" is not a comma-separated integer list");
   }
   return out;
 }
@@ -170,20 +170,33 @@ std::string FormatBytes(uint64_t bytes) {
   return std::to_string(bytes);
 }
 
-std::string JoinInts(const std::vector<int>& values) {
+std::string Join(const std::vector<std::string>& items, const char* separator) {
   std::string out;
-  for (int v : values) {
+  for (const std::string& item : items) {
     if (!out.empty()) {
-      out += ", ";
+      out += separator;
     }
-    out += std::to_string(v);
+    out += item;
   }
   return out;
 }
 
+std::string JoinInts(const std::vector<int>& values) {
+  std::vector<std::string> items;
+  for (int v : values) {
+    items.push_back(std::to_string(v));
+  }
+  return Join(items, ", ");
+}
+
+// "a or b", "a, b, or c".
+std::string JoinOr(std::vector<std::string> items) {
+  items.back() = "or " + items.back();
+  return Join(items, items.size() > 2 ? ", " : " ");
+}
+
 // "volume3.members" -> {3, "members"} for prefix "volume"; nullopt when the
-// key is not a <prefix><i>.* key. Shared by the volume<i>.* and fault<i>.*
-// sections.
+// key is not a <prefix><i>.* key.
 struct IndexedKey {
   size_t index;
   std::string field;
@@ -206,44 +219,341 @@ std::optional<IndexedKey> ParseIndexedKey(const std::string& key, std::string_vi
   return IndexedKey{static_cast<size_t>(std::stoull(digits)), key.substr(dot + 1)};
 }
 
-// Which scenario line set each fault<i> field, so the post-parse
-// cross-checks (CheckFaultSpecs) can point at the offending line.
-struct FaultFieldLines {
-  int at_ms = 0;
-  int volume = 0;
-  int member = 0;
-  int action = 0;
+// -- the indexed families ------------------------------------------------------
 
-  int ForField(std::string_view field) const {
-    if (field == "at_ms") {
-      return at_ms;
-    }
-    if (field == "volume") {
-      return volume;
-    }
-    if (field == "member") {
-      return member;
-    }
-    return action;
-  }
+// Which SystemConfig vector holds a family's members, and the rules on them.
+struct Family {
+  std::string_view prefix;  // "volume" for the volume<i>.* rows
+  bool contiguous;          // members are numbered 0..n-1
+  bool every_key_required;  // each member sets every key of the family
+  size_t (*size)(const SystemConfig&);
+  void (*resize)(SystemConfig&, size_t);
 };
+
+const Family kFamilies[] = {
+    {"volume", true, false, [](const SystemConfig& c) { return c.volumes.size(); },
+     [](SystemConfig& c, size_t n) { c.volumes.resize(n); }},
+    {"fault", true, true, [](const SystemConfig& c) { return c.faults.size(); },
+     [](SystemConfig& c, size_t n) { c.faults.resize(n); }},
+    {"fs", false, false, [](const SystemConfig& c) { return c.fs_shards.size(); },
+     [](SystemConfig& c, size_t n) { c.fs_shards.resize(n, -1); }},
+};
+
+// "volume<i>.kind" -> {the volume family, "kind"}; a plain key -> {null, key}.
+std::pair<const Family*, std::string_view> SplitKey(const ScenarioKey& row) {
+  const std::string_view key = row.key;
+  const size_t marker = key.find("<i>.");
+  for (const Family& family : kFamilies) {
+    if (marker != std::string_view::npos && key.substr(0, marker) == family.prefix) {
+      return {&family, key.substr(marker + 4)};
+    }
+  }
+  return {nullptr, key};
+}
+
+const Family* FamilyOf(const ScenarioKey& row) { return SplitKey(row).first; }
+
+// The key of family member `index`: "volume3.kind".
+std::string KeyOf(const ScenarioKey& row, size_t index) {
+  const auto [family, field] = SplitKey(row);
+  if (family == nullptr) {
+    return row.key;
+  }
+  return std::string(family->prefix) + std::to_string(index) + "." + std::string(field);
+}
+
+// The family's fields, in table order ("kind, members, ...").
+std::string FamilyFields(const Family& family) {
+  std::vector<std::string> fields;
+  for (const ScenarioKey& row : ScenarioKeys()) {
+    if (FamilyOf(row) == &family) {
+      fields.emplace_back(SplitKey(row).second);
+    }
+  }
+  return Join(fields, ", ");
+}
+
+// A written key resolved to its row; `index` is the family member.
+struct KeyMatch {
+  const ScenarioKey* row;
+  const Family* family;  // null for a plain key
+  size_t index;
+};
+
+Result<KeyMatch> MatchKey(const std::string& key) {
+  for (const ScenarioKey& row : ScenarioKeys()) {
+    if (key == row.key || key == row.alias) {
+      return KeyMatch{&row, nullptr, 0};
+    }
+  }
+  for (const Family& family : kFamilies) {
+    const std::optional<IndexedKey> member = ParseIndexedKey(key, family.prefix);
+    if (!member.has_value()) {
+      continue;
+    }
+    for (const ScenarioKey& row : ScenarioKeys()) {
+      if (SplitKey(row) == std::pair(&family, std::string_view(member->field))) {
+        return KeyMatch{&row, &family, member->index};
+      }
+    }
+    return Invalid("unknown key \"" + key + "\" (" + std::string(family.prefix) +
+                   " keys: " + FamilyFields(family) + ")");
+  }
+  return Invalid("unknown key \"" + key + "\"");
+}
+
+// -- reading and writing one field --------------------------------------------
+
+// The enumerators of E, named by `kName`: the choices of an enum key.
+template <typename E, int kCount, const char* (*kName)(E)>
+std::vector<std::string> EnumNames() {
+  std::vector<std::string> names;
+  for (int v = 0; v < kCount; ++v) {
+    names.emplace_back(kName(static_cast<E>(v)));
+  }
+  return names;
+}
+
+template <typename R>
+constexpr NameSet kRegistered = {&R::Names, &R::UnknownNameError};
+constexpr NameSet kBackends = {&EnumNames<BackendKind, 2, BackendKindName>, nullptr};
+constexpr NameSet kClocks = {&EnumNames<ClockKind, 3, ClockKindName>, nullptr};
+
+// Parses `value` into the field and applies the row's rules; `key` is the
+// key as written, for messages.
+Status SetField(const ScenarioKey& row, const FieldRef& field, const std::string& key,
+                const std::string& value) {
+  uint64_t n = 0;
+  if (row.type == KeyType::kBytes || row.type == KeyType::kUint) {
+    PFS_ASSIGN_OR_RETURN(n, row.type == KeyType::kBytes ? ParseBytes(value)
+                                                        : ParseUint(value, row.max));
+    if (n < row.min) {
+      return Invalid(key + ": " + row.below_min);
+    }
+  }
+  size_t choice = 0;
+  if (row.names != nullptr) {
+    const std::vector<std::string> names = row.names->choices();
+    choice = static_cast<size_t>(std::find(names.begin(), names.end(), value) - names.begin());
+    if (choice == names.size() && row.names->unknown != nullptr) {
+      return row.names->unknown(key, value);
+    }
+    if (choice == names.size()) {
+      return Invalid(key + ": unknown " + key + " \"" + value + "\" (expected " +
+                     JoinOr(names) + ")");
+    }
+  }
+  return std::visit(
+      [&](auto* p) -> Status {
+        using T = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          PFS_ASSIGN_OR_RETURN(*p, ParseBool(value));
+        } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+          PFS_ASSIGN_OR_RETURN(*p, ParseIntList(value));
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *p = value;
+          if (row.rule != nullptr) {
+            return row.rule(key, value);
+          }
+        } else if constexpr (std::is_same_v<T, DiskParams>) {
+          *p = (*DiskModelRegistry::Find(value))();
+        } else if constexpr (std::is_enum_v<T>) {
+          *p = static_cast<T>(choice);
+        } else if constexpr (std::is_same_v<T, Duration>) {
+          *p = Duration::Nanos(static_cast<int64_t>(n));
+        } else {
+          *p = static_cast<T>(n);
+        }
+        return OkStatus();
+      },
+      field);
+}
+
+// The field as ToString prints it, or nullopt when an optional key is unset.
+std::optional<std::string> PrintField(const ScenarioKey& row, const FieldRef& field) {
+  return std::visit(
+      [&row](auto* p) -> std::optional<std::string> {
+        using T = std::remove_pointer_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return *p ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          return *p;
+        } else if constexpr (std::is_same_v<T, std::vector<int>>) {
+          return row.optional && p->empty() ? std::nullopt : std::optional(JoinInts(*p));
+        } else if constexpr (std::is_same_v<T, DiskParams>) {
+          return p->model_name;
+        } else if constexpr (std::is_enum_v<T>) {
+          return row.names->choices()[static_cast<size_t>(*p)];
+        } else if constexpr (std::is_same_v<T, Duration>) {
+          return std::to_string(p->nanos());
+        } else if constexpr (std::is_signed_v<T>) {
+          return row.optional && *p < 0 ? std::nullopt : std::optional(std::to_string(*p));
+        } else {
+          return row.type == KeyType::kBytes && !row.plain ? FormatBytes(*p) : std::to_string(*p);
+        }
+      },
+      field);
+}
+
+Status NonEmpty(const std::string& key, const std::string& value) {
+  return value.empty() ? Invalid(key + ": must not be empty") : OkStatus();
+}
+
+Status MetricPrefix(const std::string& key, const std::string& value) {
+  if (ValidMetricPrefix(value)) {
+    return OkStatus();
+  }
+  return Invalid(key + " must match [a-zA-Z_][a-zA-Z0-9_]* (got \"" + value + "\")");
+}
 
 }  // namespace
 
+// A row's field: `i` is the member of an indexed family's row.
+#define FIELD(expr) [](SystemConfig& c, [[maybe_unused]] size_t i) -> FieldRef { return &(expr); }
+
+const std::vector<ScenarioKey>& ScenarioKeys() {
+  using enum KeyType;
+  static const std::vector<ScenarioKey> keys = {
+      {.key = "backend", .type = kEnum, .field = FIELD(c.backend), .names = &kBackends,
+       .doc = "Disk models behind a SCSI bus, or Unix files holding real bytes"},
+      {.key = "clock", .type = kEnum, .field = FIELD(c.clock), .names = &kClocks,
+       .doc = "auto: virtual for the simulated backend, real for file-backed"},
+      {.key = "seed", .type = kUint, .field = FIELD(c.seed),
+       .doc = "Seeds the random scheduling policy and every shard's RNG stream"},
+      {.key = "mount_prefix", .type = kString, .field = FIELD(c.mount_prefix), .rule = NonEmpty,
+       .doc = "File system i is mounted at /<mount_prefix><i>"},
+
+      {.key = "system.shards", .type = kUint, .field = FIELD(c.shards), .min = 1,
+       .max = kMaxShards, .below_min = "at least one shard is required", .section = "scheduling",
+       .doc = "Scheduler loops; on the real clock each runs on its own OS thread"},
+      {.key = "fs<i>.shard", .type = kUint, .field = FIELD(c.fs_shards[i]),
+       .max = kMaxShards - 1, .optional = true,
+       .doc = "The shard file system i is pinned to (default: i % system.shards)"},
+
+      {.key = "topology.disks_per_bus", .type = kIntList, .field = FIELD(c.disks_per_bus),
+       .section = "topology", .doc = "Disks on each bus; the file-backed backend sums them"},
+      {.key = "topology.num_filesystems", .type = kUint, .field = FIELD(c.num_filesystems),
+       .max = INT32_MAX, .doc = "File systems; by default each gets one disk, round-robin"},
+      {.key = "topology.disk_model", .type = kName, .field = FIELD(c.disk_params),
+       .names = &kRegistered<DiskModelRegistry>, .doc = "Simulated disk mechanism"},
+      {.key = "topology.queue_policy", .type = kName, .field = FIELD(c.queue_policy),
+       .names = &kRegistered<QueuePolicyRegistry>, .doc = "Disk-queue scheduling policy"},
+
+      {.key = "volume<i>.kind", .type = kName, .field = FIELD(c.volumes[i].kind),
+       .names = &kRegistered<VolumeKindRegistry>, .section = "per-file-system volumes",
+       .doc = "How file system i's volume composes its member disks"},
+      {.key = "volume<i>.members", .type = kIntList, .field = FIELD(c.volumes[i].members),
+       .doc = "Disk indices (bus-major) of file system i's volume"},
+      {.key = "volume<i>.stripe_unit_kb", .type = kUint,
+       .field = FIELD(c.volumes[i].stripe_unit_kb), .max = UINT32_MAX, .doc = "Stripe unit"},
+      {.key = "volume<i>.failed_members", .type = kIntList,
+       .field = FIELD(c.volumes[i].failed_members), .optional = true,
+       .doc = "Mirror member positions failed at setup: the mirror starts degraded"},
+
+      {.key = "fault.rebuild_bw_kbps", .type = kUint, .field = FIELD(c.rebuild_bw_kbps),
+       .max = UINT32_MAX, .section = "fault schedule",
+       .doc = "Bandwidth cap on rebuild copy I/O after a member returns; 0 = none"},
+      {.key = "fault<i>.at_ms", .type = kUint, .field = FIELD(c.faults[i].at_ms),
+       .max = kMaxFaultAtMs, .doc = "When fault i fires, in system-clock ms (non-decreasing)"},
+      {.key = "fault<i>.volume", .type = kUint, .field = FIELD(c.faults[i].volume),
+       .max = INT32_MAX, .doc = "The mirror volume fault i targets"},
+      {.key = "fault<i>.member", .type = kUint, .field = FIELD(c.faults[i].member),
+       .max = INT32_MAX, .doc = "The member position within that volume"},
+      {.key = "fault<i>.action", .type = kName, .field = FIELD(c.faults[i].action),
+       .names = &kRegistered<FaultActionRegistry>, .doc = "What fault i does to the member"},
+
+      {.key = "image.path", .type = kString, .field = FIELD(c.image_path),
+       .section = "file-backed backend", .doc = "Disk 0's image; disk i > 0 appends .<i>"},
+      {.key = "image.bytes", .type = kBytes, .field = FIELD(c.image_bytes),
+       .doc = "Size of each disk image"},
+      {.key = "image.format", .type = kBool, .field = FIELD(c.format),
+       .doc = "Format the images (false: mount existing ones)"},
+      {.key = "system.io_threads", .type = kUint, .field = FIELD(c.io_threads),
+       .max = INT32_MAX, .alias = "image.io_threads", .doc = "Blocking-syscall threads"},
+      {.key = "system.io_engine", .type = kName, .field = FIELD(c.io_engine),
+       .names = &kRegistered<IoEngineRegistry>, .doc = "Batch submission engine"},
+
+      {.key = "layout.name", .type = kName, .field = FIELD(c.layout),
+       .names = &kRegistered<LayoutRegistry>, .section = "storage layout", .doc = "Layout"},
+      {.key = "layout.cleaner", .type = kName, .field = FIELD(c.cleaner),
+       .names = &kRegistered<CleanerRegistry>, .doc = "LFS segment cleaner policy"},
+      {.key = "layout.lfs_segment_blocks", .type = kUint, .field = FIELD(c.lfs_segment_blocks),
+       .max = UINT32_MAX, .doc = "Blocks per LFS segment"},
+      {.key = "layout.max_inodes", .type = kUint, .field = FIELD(c.max_inodes),
+       .max = UINT32_MAX, .doc = "Inodes per file system"},
+
+      {.key = "cache.bytes", .type = kBytes, .field = FIELD(c.cache_bytes), .section = "cache",
+       .doc = "Cache budget of the whole server, split evenly across shards"},
+      {.key = "cache.replacement", .type = kName, .field = FIELD(c.replacement),
+       .names = &kRegistered<ReplacementRegistry>, .doc = "Replacement policy"},
+      {.key = "cache.flush_policy", .type = kName, .field = FIELD(c.flush_policy),
+       .names = &kRegistered<FlushPolicyRegistry>, .doc = "When dirty blocks are written"},
+      {.key = "cache.nvram_bytes", .type = kBytes, .field = FIELD(c.nvram_bytes),
+       .doc = "NVRAM size of the nvram-* flush policies"},
+      {.key = "cache.async_flush", .type = kBool, .field = FIELD(c.async_flush),
+       .doc = "Write dirty blocks back off the writer's path"},
+
+      {.key = "trace.enabled", .type = kBool, .field = FIELD(c.trace.enabled),
+       .section = "observability", .doc = "Request tracing: spans, trace stats, Chrome export"},
+      {.key = "trace.file", .type = kString, .field = FIELD(c.trace.file),
+       .doc = "Chrome trace_event export path (empty: no export)"},
+      {.key = "trace.sample_ms", .type = kUint, .field = FIELD(c.trace.sample_ms),
+       .max = UINT32_MAX, .doc = "StatsSampler period; 0 = no sampling"},
+      {.key = "trace.ring_capacity", .type = kUint, .field = FIELD(c.trace.ring_capacity),
+       .max = UINT32_MAX, .doc = "Spans per OS-thread ring buffer"},
+      {.key = "metrics.enabled", .type = kBool, .field = FIELD(c.metrics.enabled),
+       .doc = "Live metric registry and the /metrics, /healthz, /statz listener"},
+      {.key = "metrics.port", .type = kUint, .field = FIELD(c.metrics.port), .max = 65535,
+       .doc = "Listener port on 127.0.0.1; 0 = ephemeral"},
+      {.key = "metrics.prefix", .type = kString, .field = FIELD(c.metrics.prefix),
+       .rule = MetricPrefix, .doc = "Prefix of every metric family name"},
+
+      {.key = "host.mem_bandwidth_bytes_per_sec", .type = kBytes, .plain = true,
+       .field = FIELD(c.host.mem_bandwidth_bytes_per_sec), .min = 1,
+       .below_min = "must be at least 1 byte per second", .section = "simulated host model",
+       .doc = "Simulated buffer-copy bandwidth"},
+      {.key = "host.per_op_cpu_ns", .type = kUint, .field = FIELD(c.host.per_op_cpu),
+       .max = INT64_MAX, .doc = "Simulated CPU cost of decoding and dispatching a request"},
+  };
+  return keys;
+}
+
+#undef FIELD
+
+Status SetScenarioKey(SystemConfig& config, const std::string& key, const std::string& value) {
+  PFS_ASSIGN_OR_RETURN(const KeyMatch match, MatchKey(key));
+  if (match.family != nullptr && match.family->size(config) <= match.index) {
+    match.family->resize(config, match.index + 1);
+  }
+  return SetField(*match.row, match.row->field(config, match.index), key, value);
+}
+
+Status CheckScenarioKeys(const SystemConfig& config) {
+  // Re-reads every key that has a rule from its printed value, so a config
+  // built in code meets the rules a scenario line does.
+  SystemConfig fields = config;  // row accessors take a mutable config
+  SystemConfig scratch;
+  for (const ScenarioKey& row : ScenarioKeys()) {
+    if (FamilyOf(row) == nullptr && (row.min > 0 || row.rule != nullptr)) {
+      PFS_RETURN_IF_ERROR(SetField(row, row.field(scratch, 0), row.key,
+                                   *PrintField(row, row.field(fields, 0))));
+    }
+  }
+  return OkStatus();
+}
+
 Result<SystemConfig> SystemConfig::Parse(const std::string& text) {
   SystemConfig config;
+  // Every member of a contiguous family takes a line of its own, so one
+  // numbered past the line count can never complete its family: its value
+  // is checked on this scratch config instead of growing `config` to it.
+  SystemConfig scratch;
+  const size_t line_count = static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
   std::set<std::string> seen_keys;
-  std::map<size_t, VolumeSpec> volumes;
-  size_t max_volume_index = 0;
-  bool any_volume = false;
-  std::map<size_t, FaultSpec> faults;
-  std::map<size_t, FaultFieldLines> fault_lines;
-  size_t max_fault_index = 0;
-  bool any_fault = false;
-  // Which line set system.shards / each fs<i>.shard, so the post-parse
-  // CheckShardSpecs cross-checks can point at the offending line.
-  int shards_line = 0;
-  std::map<size_t, int> fs_shard_lines;
+  // The line that set each key (family members with canonical indices), so
+  // the post-parse cross-checks can point at the offending line.
+  std::map<std::string, int> key_lines;
+  std::map<const Family*, std::set<size_t>> members;
 
   std::stringstream lines(text);
   std::string raw_line;
@@ -267,451 +577,141 @@ Result<SystemConfig> SystemConfig::Parse(const std::string& text) {
     if (key.empty()) {
       return LineError(line_no, "empty key");
     }
+    const Result<KeyMatch> match = MatchKey(key);
     // "image.io_threads" is the legacy spelling of "system.io_threads"; fold
     // them together so a scenario can't set the same knob twice.
-    const std::string canonical_key =
-        key == "image.io_threads" ? std::string("system.io_threads") : key;
-    if (!seen_keys.insert(canonical_key).second) {
+    const bool alias = match.ok() && key == match->row->alias;
+    if (!seen_keys.insert(alias ? match->row->key : key).second) {
       return LineError(line_no, "duplicate key \"" + key + "\"");
     }
-
-    // Wraps a field parser so every value error carries the line number.
-    auto fail = [&](const Status& status) { return LineError(line_no, status.message()); };
-
-    if (key == "backend") {
-      if (value == BackendKindName(BackendKind::kSimulated)) {
-        config.backend = BackendKind::kSimulated;
-      } else if (value == BackendKindName(BackendKind::kFileBacked)) {
-        config.backend = BackendKind::kFileBacked;
-      } else {
-        return LineError(line_no, "backend: unknown backend \"" + value +
-                                      "\" (expected simulated or file-backed)");
+    if (!match.ok()) {
+      return LineError(line_no, match.status().message());
+    }
+    SystemConfig* target = &config;
+    size_t index = match->index;
+    if (const Family* family = match->family; family != nullptr) {
+      members[family].insert(index);
+      if (family->contiguous && index >= line_count) {
+        target = &scratch;
+        index = 0;
       }
-    } else if (key == "clock") {
-      if (value == ClockKindName(ClockKind::kAuto)) {
-        config.clock = ClockKind::kAuto;
-      } else if (value == ClockKindName(ClockKind::kVirtual)) {
-        config.clock = ClockKind::kVirtual;
-      } else if (value == ClockKindName(ClockKind::kReal)) {
-        config.clock = ClockKind::kReal;
-      } else {
-        return LineError(line_no, "clock: unknown clock \"" + value +
-                                      "\" (expected auto, virtual, or real)");
+      if (family->size(*target) <= index) {
+        family->resize(*target, index + 1);
       }
-    } else if (key == "seed") {
-      auto parsed = ParseUint(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.seed = *parsed;
-    } else if (key == "mount_prefix") {
-      if (value.empty()) {
-        return LineError(line_no, "mount_prefix: must not be empty");
-      }
-      config.mount_prefix = value;
-    } else if (key == "topology.disks_per_bus") {
-      auto parsed = ParseIntList(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.disks_per_bus = *parsed;
-    } else if (key == "topology.num_filesystems") {
-      auto parsed = ParseUintMax(value, INT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.num_filesystems = static_cast<int>(*parsed);
-    } else if (key == "topology.disk_model") {
-      const auto* model = DiskModelRegistry::Find(value);
-      if (model == nullptr) {
-        return fail(DiskModelRegistry::UnknownNameError(key, value));
-      }
-      config.disk_params = (*model)();
-    } else if (key == "topology.queue_policy") {
-      if (!QueuePolicyRegistry::Contains(value)) {
-        return fail(QueuePolicyRegistry::UnknownNameError(key, value));
-      }
-      config.queue_policy = value;
-    } else if (key == "image.path") {
-      config.image_path = value;
-    } else if (key == "image.bytes") {
-      auto parsed = ParseBytes(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.image_bytes = *parsed;
-    } else if (key == "image.format") {
-      auto parsed = ParseBool(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.format = *parsed;
-    } else if (key == "system.io_threads" || key == "image.io_threads") {
-      auto parsed = ParseUintMax(value, INT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.io_threads = static_cast<int>(*parsed);
-    } else if (key == "system.shards") {
-      // Range-checked here for the value shape, and again in CheckShardSpecs
-      // (which Validate also runs) so programmatic configs get the same
-      // rejection.
-      auto parsed = ParseUintMax(value, kMaxShards);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      if (*parsed < 1) {
-        return LineError(line_no, "system.shards: at least one shard is required");
-      }
-      config.shards = static_cast<int>(*parsed);
-      shards_line = line_no;
-    } else if (key == "system.io_engine") {
-      if (!IoEngineRegistry::Contains(value)) {
-        return fail(IoEngineRegistry::UnknownNameError(key, value));
-      }
-      config.io_engine = value;
-    } else if (key == "layout.name") {
-      if (!LayoutRegistry::Contains(value)) {
-        return fail(LayoutRegistry::UnknownNameError(key, value));
-      }
-      config.layout = value;
-    } else if (key == "layout.cleaner") {
-      if (!CleanerRegistry::Contains(value)) {
-        return fail(CleanerRegistry::UnknownNameError(key, value));
-      }
-      config.cleaner = value;
-    } else if (key == "layout.lfs_segment_blocks") {
-      auto parsed = ParseUintMax(value, UINT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.lfs_segment_blocks = static_cast<uint32_t>(*parsed);
-    } else if (key == "layout.max_inodes") {
-      auto parsed = ParseUintMax(value, UINT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.max_inodes = static_cast<uint32_t>(*parsed);
-    } else if (key == "cache.bytes") {
-      auto parsed = ParseBytes(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.cache_bytes = *parsed;
-    } else if (key == "cache.replacement") {
-      if (!ReplacementRegistry::Contains(value)) {
-        return fail(ReplacementRegistry::UnknownNameError(key, value));
-      }
-      config.replacement = value;
-    } else if (key == "cache.flush_policy") {
-      if (!FlushPolicyRegistry::Contains(value)) {
-        return fail(FlushPolicyRegistry::UnknownNameError(key, value));
-      }
-      config.flush_policy = value;
-    } else if (key == "cache.nvram_bytes") {
-      auto parsed = ParseBytes(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.nvram_bytes = *parsed;
-    } else if (key == "cache.async_flush") {
-      auto parsed = ParseBool(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.async_flush = *parsed;
-    } else if (key == "trace.enabled") {
-      auto parsed = ParseBool(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.trace.enabled = *parsed;
-    } else if (key == "trace.file") {
-      config.trace.file = value;
-    } else if (key == "trace.sample_ms") {
-      auto parsed = ParseUintMax(value, UINT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.trace.sample_ms = static_cast<uint32_t>(*parsed);
-    } else if (key == "trace.ring_capacity") {
-      auto parsed = ParseUintMax(value, UINT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.trace.ring_capacity = static_cast<uint32_t>(*parsed);
-    } else if (key == "metrics.enabled") {
-      auto parsed = ParseBool(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.metrics.enabled = *parsed;
-    } else if (key == "metrics.port") {
-      auto parsed = ParseUintMax(value, 65535);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.metrics.port = static_cast<uint32_t>(*parsed);
-    } else if (key == "metrics.prefix") {
-      if (!ValidMetricPrefix(value)) {
-        return fail(Status(ErrorCode::kInvalidArgument,
-                           "metrics.prefix must match [a-zA-Z_][a-zA-Z0-9_]* (got \"" + value +
-                               "\")"));
-      }
-      config.metrics.prefix = value;
-    } else if (key == "host.mem_bandwidth_bytes_per_sec") {
-      auto parsed = ParseBytes(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.host.mem_bandwidth_bytes_per_sec = *parsed;
-    } else if (key == "host.per_op_cpu_ns") {
-      auto parsed = ParseUint(value);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.host.per_op_cpu = Duration::Nanos(static_cast<int64_t>(*parsed));
-    } else if (key == "fault.rebuild_bw_kbps") {
-      auto parsed = ParseUintMax(value, UINT32_MAX);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      config.rebuild_bw_kbps = static_cast<uint32_t>(*parsed);
-    } else if (auto fkey = ParseIndexedKey(key, "fault"); fkey.has_value()) {
-      any_fault = true;
-      max_fault_index = std::max(max_fault_index, fkey->index);
-      FaultSpec& spec = faults[fkey->index];
-      FaultFieldLines& field_lines = fault_lines[fkey->index];
-      if (fkey->field == "at_ms") {
-        // Bounded so the ms -> ns conversion can never overflow Duration.
-        auto parsed = ParseUintMax(value, kMaxFaultAtMs);
-        if (!parsed.ok()) {
-          return fail(parsed.status());
-        }
-        spec.at_ms = *parsed;
-        field_lines.at_ms = line_no;
-      } else if (fkey->field == "volume") {
-        auto parsed = ParseUintMax(value, INT32_MAX);
-        if (!parsed.ok()) {
-          return fail(parsed.status());
-        }
-        spec.volume = static_cast<int>(*parsed);
-        field_lines.volume = line_no;
-      } else if (fkey->field == "member") {
-        auto parsed = ParseUintMax(value, INT32_MAX);
-        if (!parsed.ok()) {
-          return fail(parsed.status());
-        }
-        spec.member = static_cast<int>(*parsed);
-        field_lines.member = line_no;
-      } else if (fkey->field == "action") {
-        // Checked here (not only post-parse) so an unknown action names its
-        // own line and the registered alternatives.
-        if (!FaultActionRegistry::Contains(value)) {
-          return fail(FaultActionRegistry::UnknownNameError(key, value));
-        }
-        spec.action = value;
-        field_lines.action = line_no;
-      } else {
-        return LineError(line_no, "unknown key \"" + key + "\" (fault keys: at_ms, "
-                                  "volume, member, action)");
-      }
-    } else if (auto skey = ParseIndexedKey(key, "fs"); skey.has_value()) {
-      if (skey->field != "shard") {
-        return LineError(line_no, "unknown key \"" + key + "\" (fs keys: shard)");
-      }
-      auto parsed = ParseUintMax(value, kMaxShards - 1);
-      if (!parsed.ok()) {
-        return fail(parsed.status());
-      }
-      if (config.fs_shards.size() <= skey->index) {
-        config.fs_shards.resize(skey->index + 1, -1);
-      }
-      config.fs_shards[skey->index] = static_cast<int>(*parsed);
-      fs_shard_lines[skey->index] = line_no;
-    } else if (auto vkey = ParseIndexedKey(key, "volume"); vkey.has_value()) {
-      any_volume = true;
-      max_volume_index = std::max(max_volume_index, vkey->index);
-      VolumeSpec& spec = volumes[vkey->index];
-      if (vkey->field == "kind") {
-        if (!VolumeKindRegistry::Contains(value)) {
-          return fail(VolumeKindRegistry::UnknownNameError(key, value));
-        }
-        spec.kind = value;
-      } else if (vkey->field == "members") {
-        auto parsed = ParseIntList(value);
-        if (!parsed.ok()) {
-          return fail(parsed.status());
-        }
-        spec.members = *parsed;
-      } else if (vkey->field == "stripe_unit_kb") {
-        auto parsed = ParseUintMax(value, UINT32_MAX);
-        if (!parsed.ok()) {
-          return fail(parsed.status());
-        }
-        spec.stripe_unit_kb = static_cast<uint32_t>(*parsed);
-      } else if (vkey->field == "failed_members") {
-        auto parsed = ParseIntList(value);
-        if (!parsed.ok()) {
-          return fail(parsed.status());
-        }
-        spec.failed_members = *parsed;
-      } else {
-        return LineError(line_no, "unknown key \"" + key + "\" (volume keys: kind, "
-                                  "members, stripe_unit_kb, failed_members)");
-      }
-    } else {
-      return LineError(line_no, "unknown key \"" + key + "\"");
+    }
+    key_lines[KeyOf(*match->row, match->index)] = line_no;
+    const Status status = SetField(*match->row, match->row->field(*target, index), key, value);
+    if (!status.ok()) {
+      return LineError(line_no, status.message());
     }
   }
 
-  if (any_volume) {
-    for (size_t i = 0; i <= max_volume_index; ++i) {
-      if (volumes.find(i) == volumes.end()) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "volume" + std::to_string(i) + ": missing (volume indices must be "
-                      "contiguous from 0)");
-      }
+  for (const Family& family : kFamilies) {
+    const std::set<size_t>& present = members[&family];
+    if (!family.contiguous || present.empty()) {
+      continue;
     }
-    config.volumes.clear();
-    for (size_t i = 0; i <= max_volume_index; ++i) {
-      config.volumes.push_back(std::move(volumes[i]));
-    }
-  }
-  if (any_fault) {
-    for (size_t i = 0; i <= max_fault_index; ++i) {
-      if (faults.find(i) == faults.end()) {
-        return Status(ErrorCode::kInvalidArgument,
-                      "fault" + std::to_string(i) + ": missing (fault indices must be "
-                      "contiguous from 0)");
+    const std::string prefix(family.prefix);
+    for (size_t i = 0; i <= *present.rbegin(); ++i) {
+      if (present.count(i) == 0) {
+        return Invalid(prefix + std::to_string(i) + ": missing (" + prefix +
+                       " indices must be contiguous from 0)");
       }
-      const FaultFieldLines& field_lines = fault_lines[i];
-      for (const char* field : {"at_ms", "volume", "member", "action"}) {
-        if (field_lines.ForField(field) == 0) {
-          return Status(ErrorCode::kInvalidArgument,
-                        "fault" + std::to_string(i) + "." + field +
-                            ": missing (every fault needs at_ms, volume, member, action)");
+      for (const ScenarioKey& row : ScenarioKeys()) {
+        if (family.every_key_required && FamilyOf(row) == &family &&
+            key_lines.count(KeyOf(row, i)) == 0) {
+          return Invalid(KeyOf(row, i) + ": missing (every " + prefix + " needs " +
+                         FamilyFields(family) + ")");
         }
       }
     }
-    config.faults.clear();
-    for (size_t i = 0; i <= max_fault_index; ++i) {
-      config.faults.push_back(std::move(faults[i]));
-    }
+  }
+  if (!config.faults.empty()) {
     // Cross-field checks (volume/member ranges, mirror-kind targets,
     // monotonic timestamps) run against the finished config; errors point
     // back at the scenario line that set the offending field.
     if (auto error = CheckFaultSpecs(config); error.has_value()) {
-      return LineError(fault_lines[error->fault].ForField(error->field),
-                       "fault" + std::to_string(error->fault) + "." + error->field + ": " +
-                           error->message);
+      const std::string key = "fault" + std::to_string(error->fault) + "." + error->field;
+      return LineError(key_lines[key], key + ": " + error->message);
     }
   }
   if (auto error = CheckShardSpecs(config); error.has_value()) {
-    // Map the blamed key back to the line that set it. A violation can also
-    // arise from a key the scenario never wrote (a round-robin default pin
-    // conflicting with a mirror): blame the system.shards line then, since
-    // sharding introduced the conflict.
-    int line = 0;
-    if (auto skey = ParseIndexedKey(error->key, "fs"); skey.has_value()) {
-      if (auto it = fs_shard_lines.find(skey->index); it != fs_shard_lines.end()) {
-        line = it->second;
-      }
-    } else if (error->key == "system.shards") {
-      line = shards_line;
+    // Blame the line that set the key. A violation can also arise from a key
+    // the scenario never wrote (a round-robin default pin conflicting with a
+    // mirror): blame the system.shards line then, since sharding introduced
+    // the conflict.
+    auto it = key_lines.find(error->key);
+    if (it == key_lines.end()) {
+      it = key_lines.find("system.shards");
     }
-    if (line == 0) {
-      line = shards_line;
+    if (it == key_lines.end()) {
+      return Invalid(error->key + ": " + error->message);
     }
-    if (line == 0) {
-      return Status(ErrorCode::kInvalidArgument, error->key + ": " + error->message);
-    }
-    return LineError(line, error->key + ": " + error->message);
+    return LineError(it->second, error->key + ": " + error->message);
   }
   return config;
 }
 
 std::string SystemConfig::ToString() const {
-  std::ostringstream out;
-  out << "# pfs scenario (SystemConfig::ToString)\n";
-  out << "backend = " << BackendKindName(backend) << "\n";
-  out << "clock = " << ClockKindName(clock) << "\n";
-  out << "seed = " << seed << "\n";
-  out << "mount_prefix = " << mount_prefix << "\n";
-  out << "\n# scheduling\n";
-  out << "system.shards = " << shards << "\n";
-  for (size_t f = 0; f < fs_shards.size(); ++f) {
-    if (fs_shards[f] >= 0) {
-      out << "fs" << f << ".shard = " << fs_shards[f] << "\n";
+  SystemConfig fields = *this;  // row accessors take a mutable config
+  const std::vector<ScenarioKey>& keys = ScenarioKeys();
+  std::string out = "# pfs scenario (SystemConfig::ToString)\n";
+  for (size_t first = 0; first < keys.size();) {
+    // One block: a plain key, or every key of an indexed family, member by
+    // member. A block that prints nothing drops its section comment too.
+    const Family* family = FamilyOf(keys[first]);
+    size_t end = first + 1;
+    while (family != nullptr && end < keys.size() && FamilyOf(keys[end]) == family) {
+      ++end;
     }
-  }
-  out << "\n# topology\n";
-  out << "topology.disks_per_bus = " << JoinInts(disks_per_bus) << "\n";
-  out << "topology.num_filesystems = " << num_filesystems << "\n";
-  out << "topology.disk_model = " << disk_params.model_name << "\n";
-  out << "topology.queue_policy = " << queue_policy << "\n";
-  if (!volumes.empty()) {
-    out << "\n# per-file-system volumes\n";
-    for (size_t i = 0; i < volumes.size(); ++i) {
-      const VolumeSpec& spec = volumes[i];
-      const std::string prefix = "volume" + std::to_string(i);
-      out << prefix << ".kind = " << spec.kind << "\n";
-      out << prefix << ".members = " << JoinInts(spec.members) << "\n";
-      out << prefix << ".stripe_unit_kb = " << spec.stripe_unit_kb << "\n";
-      if (!spec.failed_members.empty()) {
-        out << prefix << ".failed_members = " << JoinInts(spec.failed_members) << "\n";
+    std::string block;
+    for (size_t i = 0; i < (family != nullptr ? family->size(fields) : 1); ++i) {
+      for (size_t k = first; k < end; ++k) {
+        if (auto value = PrintField(keys[k], keys[k].field(fields, i)); value.has_value()) {
+          block += KeyOf(keys[k], i) + " = " + *value + "\n";
+        }
       }
     }
+    if (!block.empty() && *keys[first].section != '\0') {
+      out += "\n# " + std::string(keys[first].section) + "\n";
+    }
+    out += block;
+    first = end;
   }
-  out << "\n# fault schedule\n";
-  out << "fault.rebuild_bw_kbps = " << rebuild_bw_kbps << "\n";
-  for (size_t i = 0; i < faults.size(); ++i) {
-    const FaultSpec& fault = faults[i];
-    const std::string prefix = "fault" + std::to_string(i);
-    out << prefix << ".at_ms = " << fault.at_ms << "\n";
-    out << prefix << ".volume = " << fault.volume << "\n";
-    out << prefix << ".member = " << fault.member << "\n";
-    out << prefix << ".action = " << fault.action << "\n";
+  return out;
+}
+
+std::string ScenarioKeyReference() {
+  static const char* const kValues[] = {"<bytes>[KiB|MiB|GiB]", "<integer>", "true | false",
+                                        "<text>", "", "<n>, <n>, ...", ""};
+  SystemConfig defaults;
+  std::string out =
+      "# Scenario keys: one \"key = value\" per line; '#' starts a comment.\n"
+      "# <i> numbers the members of an indexed family from 0.\n";
+  for (const ScenarioKey& row : ScenarioKeys()) {
+    std::string values = kValues[static_cast<size_t>(row.type)];
+    if (row.names != nullptr) {
+      values = Join(row.names->choices(), " | ");
+    } else if (row.type == KeyType::kUint && row.max != UINT64_MAX) {
+      values = std::to_string(row.min) + ".." + std::to_string(row.max);
+    }
+    out += "\n" + std::string(row.key) + " = " + values;
+    if (FamilyOf(row) == nullptr) {
+      out += "  [default: " + PrintField(row, row.field(defaults, 0)).value_or("") + "]";
+    }
+    if (*row.alias != '\0') {
+      out += "  (alias: " + std::string(row.alias) + ")";
+    }
+    out += "\n    " + std::string(row.doc) + "\n";
   }
-  out << "\n# file-backed backend\n";
-  out << "image.path = " << image_path << "\n";
-  out << "image.bytes = " << FormatBytes(image_bytes) << "\n";
-  out << "image.format = " << (format ? "true" : "false") << "\n";
-  out << "system.io_threads = " << io_threads << "\n";
-  out << "system.io_engine = " << io_engine << "\n";
-  out << "\n# storage layout\n";
-  out << "layout.name = " << layout << "\n";
-  out << "layout.cleaner = " << cleaner << "\n";
-  out << "layout.lfs_segment_blocks = " << lfs_segment_blocks << "\n";
-  out << "layout.max_inodes = " << max_inodes << "\n";
-  out << "\n# cache\n";
-  out << "cache.bytes = " << FormatBytes(cache_bytes) << "\n";
-  out << "cache.replacement = " << replacement << "\n";
-  out << "cache.flush_policy = " << flush_policy << "\n";
-  out << "cache.nvram_bytes = " << FormatBytes(nvram_bytes) << "\n";
-  out << "cache.async_flush = " << (async_flush ? "true" : "false") << "\n";
-  out << "\n# observability\n";
-  out << "trace.enabled = " << (trace.enabled ? "true" : "false") << "\n";
-  out << "trace.file = " << trace.file << "\n";
-  out << "trace.sample_ms = " << trace.sample_ms << "\n";
-  out << "trace.ring_capacity = " << trace.ring_capacity << "\n";
-  out << "metrics.enabled = " << (metrics.enabled ? "true" : "false") << "\n";
-  out << "metrics.port = " << metrics.port << "\n";
-  out << "metrics.prefix = " << metrics.prefix << "\n";
-  out << "\n# simulated host model\n";
-  out << "host.mem_bandwidth_bytes_per_sec = " << host.mem_bandwidth_bytes_per_sec << "\n";
-  out << "host.per_op_cpu_ns = " << host.per_op_cpu.nanos() << "\n";
-  return out.str();
+  return out;
 }
 
 std::vector<VolumeSpec> EffectiveVolumeSpecs(const SystemConfig& config) {
   if (!config.volumes.empty()) {
     return config.volumes;
   }
-  int total_disks = 0;
-  for (int n : config.disks_per_bus) {
-    total_disks += n;
-  }
+  const int total_disks = config.total_disks();
   std::vector<VolumeSpec> specs(
       static_cast<size_t>(std::max(config.num_filesystems, 0)));
   if (total_disks <= 0) {
@@ -724,10 +724,7 @@ std::vector<VolumeSpec> EffectiveVolumeSpecs(const SystemConfig& config) {
 }
 
 std::vector<int> DiskShardOwners(const SystemConfig& config) {
-  int total_disks = 0;
-  for (int n : config.disks_per_bus) {
-    total_disks += n;
-  }
+  const int total_disks = config.total_disks();
   std::vector<int> owner(static_cast<size_t>(std::max(total_disks, 0)), -1);
   const std::vector<VolumeSpec> specs = EffectiveVolumeSpecs(config);
   const int fs_count =

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cache/data_mover.h"
@@ -92,6 +94,15 @@ struct SystemConfig {
   // File-backed: busses are not modelled; the total is the disk count.
   std::vector<int> disks_per_bus = {4, 3, 3};
   int num_filesystems = 14;
+
+  // Disks in the topology, numbered bus-major from 0.
+  int total_disks() const {
+    int total = 0;
+    for (int n : disks_per_bus) {
+      total += n;
+    }
+    return total;
+  }
   DiskParams disk_params = DiskParams::Hp97560();
   // Disk-queue scheduling policy name (round-trips with
   // QueueSchedPolicyName): FCFS, SSTF, SCAN, C-SCAN, LOOK, or C-LOOK.
@@ -113,6 +124,9 @@ struct SystemConfig {
   // -- file-backed backend -------------------------------------------------
   // Disk 0 uses `image_path` verbatim; disk i > 0 appends ".i".
   std::string image_path;
+  std::string disk_image_path(int disk) const {
+    return disk == 0 ? image_path : image_path + "." + std::to_string(disk);
+  }
   uint64_t image_bytes = 64 * kMiB;  // per disk
   bool format = true;                // format vs mount existing images
   int io_threads = 2;                // blocking-syscall pool size
@@ -176,18 +190,83 @@ struct SystemConfig {
   // -- the textual scenario API --------------------------------------------
   // A scenario is a flat "key = value" text (one key per line, `#` comments,
   // dotted section prefixes: topology.*, volume<i>.*, image.*, layout.*,
-  // cache.*, host.*). Parse rejects unknown keys, unknown component names
-  // (enumerating the registered alternatives), malformed values, and
-  // duplicate keys — each with the offending line number in the Status.
-  // Every field ToString() emits round-trips: Parse(c.ToString()) rebuilds a
-  // config equal to `c`. DiskParams round-trip by registered model name
-  // (topology.disk_model); hand-mutated parameter structs do not serialize.
+  // cache.*, host.*); ScenarioKeys() below lists every key. Parse rejects
+  // unknown keys, unknown component names (enumerating the registered
+  // alternatives), malformed values, and duplicate keys — each with the
+  // offending line number in the Status. Every field ToString() emits
+  // round-trips: Parse(c.ToString()) rebuilds a config equal to `c`.
+  // DiskParams round-trip by registered model name (topology.disk_model);
+  // hand-mutated parameter structs do not serialize.
   static Result<SystemConfig> Parse(const std::string& text);
   std::string ToString() const;
 };
 
 // The largest accepted "system.shards" value.
 inline constexpr int kMaxShards = 64;
+
+// -- scenario keys -------------------------------------------------------------
+// Every scenario key is one row of one table, ScenarioKeys(): the key, the
+// SystemConfig field it sets, its value type, its validation rule, how it
+// prints, and a one-line doc. Parse, ToString, `run_scenario --list-keys`
+// (ScenarioKeyReference) and config_test's randomized round trip all read
+// the table, so a new key is one row.
+
+enum class KeyType : uint8_t {
+  kBytes,    // digits with an optional KiB/MiB/GiB suffix
+  kUint,     // digits in [min, max]
+  kBool,     // true | false
+  kString,   // the rest of the line, trimmed
+  kName,     // a registered component name
+  kIntList,  // comma-separated non-negative integers: "4, 3, 3"
+  kEnum,     // one of a fixed set of names
+};
+
+// The field a key sets (SystemConfig::<field>, or a family member's).
+using FieldRef = std::variant<uint64_t*, uint32_t*, int*, Duration*, bool*, std::string*,
+                              std::vector<int>*, DiskParams*, BackendKind*, ClockKind*>;
+
+// The accepted values of a kName or kEnum key, and the registry's rejection
+// of any other (null for enums).
+struct NameSet {
+  std::vector<std::string> (*choices)();
+  Status (*unknown)(std::string_view key, std::string_view value);
+};
+
+struct ScenarioKey {
+  // "cache.bytes"; an indexed family's rows read "volume<i>.kind": <i> is
+  // the member's 0-based index.
+  const char* key;
+  KeyType type;
+  bool plain = false;  // kBytes printed as digits, not "48MiB"
+  FieldRef (*field)(SystemConfig& config, size_t index);
+  // kBytes/kUint: the accepted range; a value below `min` is rejected with
+  // "<key>: <below_min>".
+  uint64_t min = 0;
+  uint64_t max = UINT64_MAX;
+  const char* below_min = "";
+  const NameSet* names = nullptr;  // kName/kEnum
+  // kString: a rule on the value, returning the full rejection.
+  Status (*rule)(const std::string& key, const std::string& value) = nullptr;
+  bool optional = false;     // ToString leaves out an empty list or a negative int
+  const char* alias = "";    // a legacy spelling Parse also accepts
+  const char* section = "";  // ToString opens a "# <section>" block here
+  const char* doc = "";
+};
+
+// Every scenario key, in ToString order.
+const std::vector<ScenarioKey>& ScenarioKeys();
+
+// Sets one key ("cache.bytes", "volume1.kind") the way Parse sets one line,
+// without Parse's cross-key checks; a family's vector grows to hold index i.
+Status SetScenarioKey(SystemConfig& config, const std::string& key, const std::string& value);
+
+// Each plain key's `min` and `rule` on a config built in code (Parse checks
+// them line by line).
+Status CheckScenarioKeys(const SystemConfig& config);
+
+// What `run_scenario --list-keys` prints: every key, its values, its
+// default, and its doc.
+std::string ScenarioKeyReference();
 
 // Effective per-file-system volume specs: config.volumes, or the default
 // round-robin single-disk spec per file system when none are given. Shared

@@ -5,12 +5,15 @@
 // accepts run-time extensions without touching the assembly layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/random.h"
+#include "fault/fault_schedule.h"
 #include "system/component_registry.h"
 #include "system/system_builder.h"
 
@@ -148,79 +151,104 @@ TEST(ConfigParseTest, RejectsBadMetricsValuesWithLineNumbers) {
       << prefix.status().ToString();
 }
 
-// Randomized configs: Parse(ToString(c)) must reproduce the serialization
-// and the validation verdict, whether or not the config is actually
-// buildable.
+// A random value `row` accepts: mostly small, since small values make
+// consistent configs. Wide values stay below 2^16 as well: a count such as
+// topology.num_filesystems sizes what Validate allocates.
+std::string RandomValue(const ScenarioKey& row, Rng& rng) {
+  switch (row.type) {
+    case KeyType::kBytes:
+    case KeyType::kUint: {
+      const uint64_t n =
+          std::min(row.max, row.min + rng.NextBelow(rng.NextBelow(4) == 0 ? 1 << 16 : 4));
+      if (row.type == KeyType::kBytes && n < (1u << 20) && rng.NextBelow(2) == 0) {
+        return std::to_string(n + 1) + "MiB";
+      }
+      return std::to_string(n);
+    }
+    case KeyType::kBool:
+      return rng.NextBelow(2) == 0 ? "true" : "false";
+    case KeyType::kString: {
+      std::string text(1, static_cast<char>('a' + rng.NextBelow(26)));
+      for (uint64_t k = rng.NextBelow(8); k > 0; --k) {
+        text += "az_09./"[rng.NextBelow(7)];
+      }
+      return text;
+    }
+    case KeyType::kName:
+    case KeyType::kEnum: {
+      const std::vector<std::string> names = row.names->choices();
+      return names[rng.NextBelow(names.size())];
+    }
+    case KeyType::kIntList: {
+      std::string text = std::to_string(rng.NextBelow(8));
+      for (uint64_t k = rng.NextBelow(3); k > 0; --k) {
+        text += ", " + std::to_string(rng.NextBelow(8));
+      }
+      return text;
+    }
+  }
+  return "";
+}
+
+// Randomized configs, built key by key from the key table, so a new key is
+// covered without editing this test. Parse(ToString(c)) must succeed exactly
+// when the cross-key checks pass, and then reproduce the serialization and
+// the validation verdict, whether or not the config is actually buildable.
 TEST(ConfigRoundTripTest, RandomizedConfigs) {
   Rng rng(20260730);
-  const std::vector<std::string> layouts = LayoutRegistry::Names();
-  const std::vector<std::string> cleaners = CleanerRegistry::Names();
-  const std::vector<std::string> replacements = ReplacementRegistry::Names();
-  const std::vector<std::string> flushes = FlushPolicyRegistry::Names();
-  const std::vector<std::string> queues = QueuePolicyRegistry::Names();
-  auto pick = [&](const std::vector<std::string>& names) {
-    return names[rng.NextBelow(names.size())];
-  };
-  for (int round = 0; round < 24; ++round) {
+  const std::vector<ScenarioKey>& keys = ScenarioKeys();
+  std::vector<int> accepted(keys.size(), 0);
+  int round_trips = 0;
+  for (int round = 0; round < 300; ++round) {
     SystemConfig config;
-    config.backend = rng.NextBelow(2) == 0 ? BackendKind::kSimulated
-                                           : BackendKind::kFileBacked;
-    config.clock = static_cast<ClockKind>(rng.NextBelow(3));
-    config.seed = rng.NextBelow(1 << 20);
-    config.disks_per_bus.clear();
-    const int busses = 1 + static_cast<int>(rng.NextBelow(3));
-    for (int b = 0; b < busses; ++b) {
-      config.disks_per_bus.push_back(1 + static_cast<int>(rng.NextBelow(4)));
-    }
-    config.num_filesystems = 1 + static_cast<int>(rng.NextBelow(4));
-    config.queue_policy = pick(queues);
-    config.layout = pick(layouts);
-    config.cleaner = pick(cleaners);
-    config.replacement = pick(replacements);
-    config.flush_policy = pick(flushes);
-    config.lfs_segment_blocks = 8 << rng.NextBelow(5);
-    config.max_inodes = 512 << rng.NextBelow(4);
-    config.cache_bytes = (1 + rng.NextBelow(64)) * kMiB;
-    config.nvram_bytes = (1 + rng.NextBelow(8)) * kMiB;
-    config.async_flush = rng.NextBelow(2) == 0;
-    config.image_path = "/tmp/pfs_random_" + std::to_string(round) + ".img";
-    config.image_bytes = (8 + rng.NextBelow(64)) * kMiB;
-    config.io_threads = 1 + static_cast<int>(rng.NextBelow(4));
-    config.metrics.enabled = rng.NextBelow(2) == 0;
-    config.metrics.port = static_cast<uint32_t>(rng.NextBelow(65536));
-    config.metrics.prefix = rng.NextBelow(2) == 0 ? "pfs" : "patsy_" + std::to_string(round);
-    if (rng.NextBelow(2) == 0) {
-      int total_disks = 0;
-      for (int n : config.disks_per_bus) {
-        total_disks += n;
-      }
-      config.volumes.clear();
-      for (int f = 0; f < config.num_filesystems; ++f) {
-        VolumeSpec spec;
-        const uint64_t kind = rng.NextBelow(4);
-        const int want =
-            kind == 0 ? 1 : 2 + static_cast<int>(rng.NextBelow(2));
-        for (int m = 0; m < want; ++m) {
-          spec.members.push_back(static_cast<int>(rng.NextBelow(
-              static_cast<uint64_t>(total_disks))));
+    std::map<std::string, uint64_t> members;  // indexed family -> member count
+    for (size_t r = 0; r < keys.size(); ++r) {
+      const std::string key = keys[r].key;
+      const size_t marker = key.find("<i>");
+      uint64_t count = 1;
+      if (marker != std::string::npos) {
+        auto [family, fresh] = members.try_emplace(key.substr(0, marker), 0);
+        if (fresh && rng.NextBelow(2) == 0) {
+          family->second = 1 + rng.NextBelow(3);
         }
-        spec.kind = kind == 0   ? "single"
-                    : kind == 1 ? "concat"
-                    : kind == 2 ? "striped"
-                                : "mirror";
-        config.volumes.push_back(std::move(spec));
+        count = family->second;
+      } else if (rng.NextBelow(2) == 0) {
+        continue;  // keep the default
+      }
+      for (uint64_t i = 0; i < count; ++i) {
+        std::string name = key;
+        if (marker != std::string::npos) {
+          name.replace(marker, 3, std::to_string(i));
+        }
+        for (int attempt = 0; attempt < 16; ++attempt) {
+          if (SetScenarioKey(config, name, RandomValue(keys[r], rng)).ok()) {
+            ++accepted[r];
+            break;
+          }
+        }
       }
     }
 
     const std::string text = config.ToString();
     auto reparsed = SystemConfig::Parse(text);
-    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << text;
+    const bool consistent =
+        !CheckFaultSpecs(config).has_value() && !CheckShardSpecs(config).has_value();
+    ASSERT_EQ(reparsed.ok(), consistent)
+        << "round " << round << ": " << reparsed.status().ToString() << "\n" << text;
+    if (!reparsed.ok()) {
+      continue;
+    }
+    ++round_trips;
     EXPECT_EQ(text, reparsed->ToString()) << "round " << round;
     const Status original_verdict = SystemBuilder::Validate(config);
     const Status reparsed_verdict = SystemBuilder::Validate(*reparsed);
     EXPECT_EQ(original_verdict.code(), reparsed_verdict.code())
         << "round " << round << ": " << original_verdict.ToString() << " vs "
         << reparsed_verdict.ToString() << "\n" << text;
+  }
+  EXPECT_GE(round_trips, 50);
+  for (size_t r = 0; r < keys.size(); ++r) {
+    EXPECT_GT(accepted[r], 0) << keys[r].key << " never took a random value";
   }
 }
 
@@ -311,6 +339,50 @@ TEST(ConfigParseTest, RejectsOutOfRangeIntegers) {
   EXPECT_FALSE(SystemConfig::Parse("volume0.kind = striped\nvolume0.members = 0, 1\n"
                                    "volume0.stripe_unit_kb = 4294967296\n")
                    .ok());
+}
+
+TEST(ConfigParseTest, RejectsOverflowingByteCounts) {
+  auto overflow = SystemConfig::Parse("seed = 1\ncache.bytes = 17179869185GiB\n");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("line 2"), std::string::npos)
+      << overflow.status().ToString();
+  EXPECT_NE(overflow.status().message().find("17179869185GiB"), std::string::npos);
+  EXPECT_FALSE(SystemConfig::Parse("image.bytes = 18014398509481984KiB\n").ok());
+  // The largest count that still fits parses exactly.
+  auto fits = SystemConfig::Parse("cache.bytes = 17179869183GiB\n");
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->cache_bytes, 17179869183ull * kGiB);
+  // per_op_cpu_ns lands in a signed Duration.
+  EXPECT_FALSE(SystemConfig::Parse("host.per_op_cpu_ns = 9223372036854775808\n").ok());
+}
+
+TEST(ConfigParseTest, RejectsZeroMemoryBandwidth) {
+  auto zero = SystemConfig::Parse("seed = 1\n\nhost.mem_bandwidth_bytes_per_sec = 0\n");
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(zero.status().message().find("line 3"), std::string::npos)
+      << zero.status().ToString();
+  EXPECT_NE(zero.status().message().find("host.mem_bandwidth_bytes_per_sec"),
+            std::string::npos);
+
+  // A config built in code gets the same rule from Validate (and Build).
+  SystemConfig config;
+  config.host.mem_bandwidth_bytes_per_sec = 0;
+  const Status status = SystemBuilder::Validate(config);
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("host.mem_bandwidth_bytes_per_sec"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(SystemBuilder::Build(config).ok());
+}
+
+TEST(ConfigParseTest, KeyReferenceListsEveryKey) {
+  const std::string reference = ScenarioKeyReference();
+  for (const ScenarioKey& row : ScenarioKeys()) {
+    EXPECT_NE(reference.find(std::string("\n") + row.key + " = "), std::string::npos)
+        << row.key;
+  }
+  EXPECT_NE(reference.find("(alias: image.io_threads)"), std::string::npos);
 }
 
 TEST(ConfigParseTest, ScenarioArgsFlagHandling) {
@@ -548,10 +620,8 @@ TEST(ScenarioFilesTest, SameTopologyOnBothBackends) {
               (*real_system)->volume(f)->member_count());
     EXPECT_EQ((*sim_system)->mount_name(f), (*real_system)->mount_name(f));
   }
-  for (int i = 0; i < 8; ++i) {
-    std::remove(("/tmp/pfs_scenario_topology.img" +
-                 (i == 0 ? std::string() : "." + std::to_string(i)))
-                    .c_str());
+  for (int i = 0; i < real.total_disks(); ++i) {
+    std::remove(real.disk_image_path(i).c_str());
   }
 }
 #endif  // PFS_SCENARIO_DIR
