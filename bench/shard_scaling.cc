@@ -113,9 +113,8 @@ Result<PointResult> RunPoint(int shards, int ops_per_fs, const SystemConfig& bas
   point.seconds = seconds;
   point.iops = static_cast<double>(ops_per_fs) * kFilesystems / seconds;
   point.sched0_json = system->sched_stats(0)->StatJson();
-  std::remove(config.image_path.c_str());
-  for (int d = 1; d < 4; ++d) {
-    std::remove((config.image_path + "." + std::to_string(d)).c_str());
+  for (int d = 0; d < config.total_disks(); ++d) {
+    std::remove(config.disk_image_path(d).c_str());
   }
   return point;
 }

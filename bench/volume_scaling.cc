@@ -155,9 +155,8 @@ int main(int argc, char** argv) {
     config.image_bytes = 96 * kMiB;
     config.io_engine = "uring";  // registry falls back to threadpool if absent
     auto point = StripedReadMBps(config, kFbRuns, buf);
-    for (int i = 0; i < members; ++i) {
-      const std::string path = i == 0 ? image : image + "." + std::to_string(i);
-      std::remove(path.c_str());
+    for (int i = 0; i < config.total_disks(); ++i) {
+      std::remove(config.disk_image_path(i).c_str());
     }
     if (!point.ok()) {
       std::printf("ERROR members=%d: %s\n", members, point.status().ToString().c_str());

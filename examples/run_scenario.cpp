@@ -5,6 +5,10 @@
 //
 //   ./run_scenario <file.scenario> [--ops N] [--files N] [--wscale BYTES]
 //                  [--stats] [--trace FILE] [--metrics PORT] [--report-json FILE]
+//   ./run_scenario --list-keys
+//
+// --list-keys prints every scenario key (its values, default, and doc) from
+// the key table SystemConfig::Parse reads, and exits.
 //
 // --report-json FILE writes the run's StatsRegistry::ReportJson() to FILE
 // once the workload has finished. On the virtual clock the report is a pure
@@ -93,14 +97,6 @@ Task<Status> Smoke(System* sys, int ops, SmokeShape shape, uint64_t* done) {
   co_return co_await client->SyncAll();
 }
 
-int TotalDisks(const SystemConfig& config) {
-  int total = 0;
-  for (int n : config.disks_per_bus) {
-    total += n;
-  }
-  return total;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,6 +109,10 @@ int main(int argc, char** argv) {
   bool with_metrics = false;
   int metrics_port = 0;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--list-keys") == 0) {
+      std::printf("%s", ScenarioKeyReference().c_str());
+      return 0;
+    }
     if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
       ops = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -136,7 +136,8 @@ int main(int argc, char** argv) {
       metrics_port < 0 || metrics_port > 65535) {
     std::fprintf(stderr,
                  "usage: run_scenario <file.scenario> [--ops N] [--files N] [--wscale BYTES] "
-                 "[--stats] [--trace FILE] [--metrics PORT] [--report-json FILE]\n");
+                 "[--stats] [--trace FILE] [--metrics PORT] [--report-json FILE]\n"
+                 "       run_scenario --list-keys\n");
     return 2;
   }
 
@@ -192,7 +193,7 @@ int main(int argc, char** argv) {
 
   std::printf("scenario: %s\n", scenario_path.c_str());
   std::printf("  backend=%s disks=%d filesystems=%d layout=%s flush=%s\n",
-              BackendKindName(config.backend), TotalDisks(config), config.num_filesystems,
+              BackendKindName(config.backend), config.total_disks(), config.num_filesystems,
               config.layout.c_str(), config.flush_policy.c_str());
   for (int f = 0; f < sys.filesystem_count() && f < 4; ++f) {
     Volume* v = sys.volume(f);
@@ -253,10 +254,8 @@ int main(int argc, char** argv) {
   }
 
   if (!config.simulated()) {
-    for (int i = 0; i < TotalDisks(config); ++i) {
-      const std::string path =
-          i == 0 ? config.image_path : config.image_path + "." + std::to_string(i);
-      std::remove(path.c_str());
+    for (int i = 0; i < config.total_disks(); ++i) {
+      std::remove(config.disk_image_path(i).c_str());
     }
   }
   return result.ok() && report_written ? 0 : 1;
