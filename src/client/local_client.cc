@@ -122,12 +122,7 @@ Task<Result<LocalClient::Resolved>> LocalClient::ResolveParent(const std::string
   }
   uint64_t dir_ino = mount->fs->layout()->root_ino();
   for (size_t i = 1; i + 1 < parts.size(); ++i) {
-    PFS_CO_ASSIGN_OR_RETURN(File * file, co_await mount->table->Acquire(dir_ino));
-    if (file->type() != FileType::kDirectory) {
-      (void)co_await mount->table->Release(dir_ino);
-      co_return Status(ErrorCode::kNotDirectory, parts[i]);
-    }
-    auto* dir = static_cast<Directory*>(file);
+    PFS_CO_ASSIGN_OR_RETURN(Directory * dir, co_await AcquireDir(mount, dir_ino, parts[i]));
     auto entry_or = co_await dir->Lookup(parts[i]);
     (void)co_await mount->table->Release(dir_ino);
     PFS_CO_RETURN_IF_ERROR(entry_or.status());
@@ -143,12 +138,9 @@ Task<Result<std::pair<LocalClient::Mount*, DirEntry>>> LocalClient::ResolveExist
     const uint64_t root = r.mount->fs->layout()->root_ino();
     co_return std::make_pair(r.mount, DirEntry{"", root, FileType::kDirectory});
   }
-  PFS_CO_ASSIGN_OR_RETURN(File * parent, co_await r.mount->table->Acquire(r.parent_ino));
-  if (parent->type() != FileType::kDirectory) {
-    (void)co_await r.mount->table->Release(r.parent_ino);
-    co_return Status(ErrorCode::kNotDirectory, path);
-  }
-  auto entry_or = co_await static_cast<Directory*>(parent)->Lookup(r.leaf);
+  PFS_CO_ASSIGN_OR_RETURN(Directory * dir,
+                          co_await AcquireDir(r.mount, r.parent_ino, path));
+  auto entry_or = co_await dir->Lookup(r.leaf);
   (void)co_await r.mount->table->Release(r.parent_ino);
   PFS_CO_RETURN_IF_ERROR(entry_or.status());
   co_return std::make_pair(r.mount, *entry_or);
@@ -308,12 +300,8 @@ Task<Result<Fd>> LocalClient::OpenImpl(const std::string& path, OpenOptions opti
   if (r.leaf.empty()) {
     ino = r.mount->fs->layout()->root_ino();
   } else {
-    PFS_CO_ASSIGN_OR_RETURN(File * parent, co_await r.mount->table->Acquire(r.parent_ino));
-    if (parent->type() != FileType::kDirectory) {
-      (void)co_await r.mount->table->Release(r.parent_ino);
-      co_return Status(ErrorCode::kNotDirectory, path);
-    }
-    auto* dir = static_cast<Directory*>(parent);
+    PFS_CO_ASSIGN_OR_RETURN(Directory * dir,
+                            co_await AcquireDir(r.mount, r.parent_ino, path));
     auto entry_or = co_await dir->Lookup(r.leaf);
     if (entry_or.ok()) {
       ino = entry_or->ino;
@@ -608,9 +596,6 @@ Task<Status> LocalClient::SyncAllImpl() {
       shards.push_back(s);
     }
   }
-  if (shards.size() <= 1) {
-    co_return co_await SyncShard(nullptr);
-  }
   for (Scheduler* shard : shards) {
     PFS_CO_RETURN_IF_ERROR(co_await Route(shard, &LocalClient::SyncShard, shard));
   }
@@ -620,7 +605,7 @@ Task<Status> LocalClient::SyncAllImpl() {
 Task<Status> LocalClient::SyncShard(Scheduler* shard) {
   BufferCache* cache = nullptr;
   for (auto& [name, mount] : mounts_) {
-    if (shard != nullptr && mount.fs->scheduler() != shard) {
+    if (mount.fs->scheduler() != shard) {
       continue;
     }
     if (cache != mount.fs->cache()) {
@@ -629,7 +614,7 @@ Task<Status> LocalClient::SyncShard(Scheduler* shard) {
     }
   }
   for (auto& [name, mount] : mounts_) {
-    if (shard != nullptr && mount.fs->scheduler() != shard) {
+    if (mount.fs->scheduler() != shard) {
       continue;
     }
     PFS_CO_RETURN_IF_ERROR(co_await mount.fs->layout()->Sync());

@@ -146,8 +146,8 @@ class LocalClient final : public ClientInterface {
   Task<Result<std::vector<DirEntry>>> ReadDirLocal(const std::string& path);
   Task<Status> SymlinkAtLocal(const std::string& path, const std::string& target);
   Task<Result<std::string>> ReadLinkLocal(const std::string& path);
-  // Syncs the caches and layouts of the mounts living on `shard` (all
-  // mounts when null), in mount order, deduping shared caches.
+  // Syncs the caches and layouts of the mounts living on `shard`, in mount
+  // order, deduping shared caches.
   Task<Status> SyncShard(Scheduler* shard);
   Task<Status> SyncAllImpl();
 

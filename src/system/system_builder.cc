@@ -390,8 +390,8 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
       BlockDevice* backing = sys.drivers_[static_cast<size_t>(s.disk)].get();
       const int owner = disk_owners[static_cast<size_t>(s.disk)];
       if (owner != fshard) {
-        auto proxy = std::make_unique<CrossShardDevice>(fsched, sys.shard_scheduler(owner),
-                                                        backing);
+        auto proxy = std::make_unique<CrossShardDevice>(
+            fsched, sys.shard_scheduler(owner), backing);
         backing = proxy.get();
         sys.cross_devices_.push_back(std::move(proxy));
       }

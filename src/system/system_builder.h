@@ -72,7 +72,6 @@ class System {
   // it from another shard goes through LocalClient's cross-shard routing.
   int fs_shard(int f) const { return fs_shard_[static_cast<size_t>(f)]; }
   Scheduler* fs_scheduler(int f) { return shard_scheduler(fs_shard(f)); }
-  SchedulerGroup* scheduler_group() { return group_.get(); }
   // Per-shard scheduler counters (steps, mailbox traffic, idle time) as a
   // StatSource; read after the shard threads have quiesced.
   SchedStats* sched_stats(int s) { return sched_stats_[static_cast<size_t>(s)].get(); }

@@ -97,7 +97,8 @@ Result<uint64_t> ParseBytes(const std::string& value) {
     } else if (suffix == "GiB") {
       multiplier = kGiB;
     } else {
-      return Invalid("\"" + value + "\" is not a byte count (digits + optional KiB/MiB/GiB)");
+      return Invalid("\"" + value +
+                     "\" is not a byte count (digits + optional KiB/MiB/GiB)");
     }
   }
   if (digits.empty()) {
@@ -273,17 +274,11 @@ std::string FamilyFields(const Family& family) {
   return Join(fields, ", ");
 }
 
-// A written key resolved to its row; `index` is the family member.
-struct KeyMatch {
-  const ScenarioKey* row;
-  const Family* family;  // null for a plain key
-  size_t index;
-};
-
-Result<KeyMatch> MatchKey(const std::string& key) {
+// A written key's row, and the family member it names (0 for a plain key).
+Result<std::pair<const ScenarioKey*, size_t>> MatchKey(const std::string& key) {
   for (const ScenarioKey& row : ScenarioKeys()) {
     if (key == row.key || key == row.alias) {
-      return KeyMatch{&row, nullptr, 0};
+      return std::pair(&row, size_t{0});
     }
   }
   for (const Family& family : kFamilies) {
@@ -293,7 +288,7 @@ Result<KeyMatch> MatchKey(const std::string& key) {
     }
     for (const ScenarioKey& row : ScenarioKeys()) {
       if (SplitKey(row) == std::pair(&family, std::string_view(member->field))) {
-        return KeyMatch{&row, &family, member->index};
+        return std::pair(&row, member->index);
       }
     }
     return Invalid("unknown key \"" + key + "\" (" + std::string(family.prefix) +
@@ -334,7 +329,8 @@ Status SetField(const ScenarioKey& row, const FieldRef& field, const std::string
   size_t choice = 0;
   if (row.names != nullptr) {
     const std::vector<std::string> names = row.names->choices();
-    choice = static_cast<size_t>(std::find(names.begin(), names.end(), value) - names.begin());
+    choice = static_cast<size_t>(std::find(names.begin(), names.end(), value) -
+                                 names.begin());
     if (choice == names.size() && row.names->unknown != nullptr) {
       return row.names->unknown(key, value);
     }
@@ -387,9 +383,14 @@ std::optional<std::string> PrintField(const ScenarioKey& row, const FieldRef& fi
         } else if constexpr (std::is_same_v<T, Duration>) {
           return std::to_string(p->nanos());
         } else if constexpr (std::is_signed_v<T>) {
-          return row.optional && *p < 0 ? std::nullopt : std::optional(std::to_string(*p));
+          if (row.optional && *p < 0) {
+            return std::nullopt;
+          }
+          return std::to_string(*p);
+        } else if (row.type == KeyType::kBytes && !row.plain) {
+          return FormatBytes(*p);
         } else {
-          return row.type == KeyType::kBytes && !row.plain ? FormatBytes(*p) : std::to_string(*p);
+          return std::to_string(*p);
         }
       },
       field);
@@ -409,7 +410,8 @@ Status MetricPrefix(const std::string& key, const std::string& value) {
 }  // namespace
 
 // A row's field: `i` is the member of an indexed family's row.
-#define FIELD(expr) [](SystemConfig& c, [[maybe_unused]] size_t i) -> FieldRef { return &(expr); }
+#define FIELD(expr) \
+  [](SystemConfig& c, [[maybe_unused]] size_t i) -> FieldRef { return &(expr); }
 
 const std::vector<ScenarioKey>& ScenarioKeys() {
   using enum KeyType;
@@ -420,20 +422,23 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
        .doc = "auto: virtual for the simulated backend, real for file-backed"},
       {.key = "seed", .type = kUint, .field = FIELD(c.seed),
        .doc = "Seeds the random scheduling policy and every shard's RNG stream"},
-      {.key = "mount_prefix", .type = kString, .field = FIELD(c.mount_prefix), .rule = NonEmpty,
-       .doc = "File system i is mounted at /<mount_prefix><i>"},
+      {.key = "mount_prefix", .type = kString, .field = FIELD(c.mount_prefix),
+       .rule = NonEmpty, .doc = "File system i is mounted at /<mount_prefix><i>"},
 
       {.key = "system.shards", .type = kUint, .field = FIELD(c.shards), .min = 1,
-       .max = kMaxShards, .below_min = "at least one shard is required", .section = "scheduling",
+       .max = kMaxShards, .below_min = "at least one shard is required",
+       .section = "scheduling",
        .doc = "Scheduler loops; on the real clock each runs on its own OS thread"},
       {.key = "fs<i>.shard", .type = kUint, .field = FIELD(c.fs_shards[i]),
        .max = kMaxShards - 1, .optional = true,
        .doc = "The shard file system i is pinned to (default: i % system.shards)"},
 
       {.key = "topology.disks_per_bus", .type = kIntList, .field = FIELD(c.disks_per_bus),
-       .section = "topology", .doc = "Disks on each bus; the file-backed backend sums them"},
-      {.key = "topology.num_filesystems", .type = kUint, .field = FIELD(c.num_filesystems),
-       .max = INT32_MAX, .doc = "File systems; by default each gets one disk, round-robin"},
+       .section = "topology",
+       .doc = "Disks on each bus; the file-backed backend sums them"},
+      {.key = "topology.num_filesystems", .type = kUint,
+       .field = FIELD(c.num_filesystems), .max = INT32_MAX,
+       .doc = "File systems; by default each gets one disk, round-robin"},
       {.key = "topology.disk_model", .type = kName, .field = FIELD(c.disk_params),
        .names = &kRegistered<DiskModelRegistry>, .doc = "Simulated disk mechanism"},
       {.key = "topology.queue_policy", .type = kName, .field = FIELD(c.queue_policy),
@@ -445,7 +450,8 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
       {.key = "volume<i>.members", .type = kIntList, .field = FIELD(c.volumes[i].members),
        .doc = "Disk indices (bus-major) of file system i's volume"},
       {.key = "volume<i>.stripe_unit_kb", .type = kUint,
-       .field = FIELD(c.volumes[i].stripe_unit_kb), .max = UINT32_MAX, .doc = "Stripe unit"},
+       .field = FIELD(c.volumes[i].stripe_unit_kb), .max = UINT32_MAX,
+       .doc = "Stripe unit"},
       {.key = "volume<i>.failed_members", .type = kIntList,
        .field = FIELD(c.volumes[i].failed_members), .optional = true,
        .doc = "Mirror member positions failed at setup: the mirror starts degraded"},
@@ -454,16 +460,19 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
        .max = UINT32_MAX, .section = "fault schedule",
        .doc = "Bandwidth cap on rebuild copy I/O after a member returns; 0 = none"},
       {.key = "fault<i>.at_ms", .type = kUint, .field = FIELD(c.faults[i].at_ms),
-       .max = kMaxFaultAtMs, .doc = "When fault i fires, in system-clock ms (non-decreasing)"},
+       .max = kMaxFaultAtMs,
+       .doc = "When fault i fires, in system-clock ms (non-decreasing)"},
       {.key = "fault<i>.volume", .type = kUint, .field = FIELD(c.faults[i].volume),
        .max = INT32_MAX, .doc = "The mirror volume fault i targets"},
       {.key = "fault<i>.member", .type = kUint, .field = FIELD(c.faults[i].member),
        .max = INT32_MAX, .doc = "The member position within that volume"},
       {.key = "fault<i>.action", .type = kName, .field = FIELD(c.faults[i].action),
-       .names = &kRegistered<FaultActionRegistry>, .doc = "What fault i does to the member"},
+       .names = &kRegistered<FaultActionRegistry>,
+       .doc = "What fault i does to the member"},
 
       {.key = "image.path", .type = kString, .field = FIELD(c.image_path),
-       .section = "file-backed backend", .doc = "Disk 0's image; disk i > 0 appends .<i>"},
+       .section = "file-backed backend",
+       .doc = "Disk 0's image; disk i > 0 appends .<i>"},
       {.key = "image.bytes", .type = kBytes, .field = FIELD(c.image_bytes),
        .doc = "Size of each disk image"},
       {.key = "image.format", .type = kBool, .field = FIELD(c.format),
@@ -474,27 +483,32 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
        .names = &kRegistered<IoEngineRegistry>, .doc = "Batch submission engine"},
 
       {.key = "layout.name", .type = kName, .field = FIELD(c.layout),
-       .names = &kRegistered<LayoutRegistry>, .section = "storage layout", .doc = "Layout"},
+       .names = &kRegistered<LayoutRegistry>, .section = "storage layout",
+       .doc = "Layout"},
       {.key = "layout.cleaner", .type = kName, .field = FIELD(c.cleaner),
        .names = &kRegistered<CleanerRegistry>, .doc = "LFS segment cleaner policy"},
-      {.key = "layout.lfs_segment_blocks", .type = kUint, .field = FIELD(c.lfs_segment_blocks),
-       .max = UINT32_MAX, .doc = "Blocks per LFS segment"},
+      {.key = "layout.lfs_segment_blocks", .type = kUint,
+       .field = FIELD(c.lfs_segment_blocks), .max = UINT32_MAX,
+       .doc = "Blocks per LFS segment"},
       {.key = "layout.max_inodes", .type = kUint, .field = FIELD(c.max_inodes),
        .max = UINT32_MAX, .doc = "Inodes per file system"},
 
-      {.key = "cache.bytes", .type = kBytes, .field = FIELD(c.cache_bytes), .section = "cache",
+      {.key = "cache.bytes", .type = kBytes, .field = FIELD(c.cache_bytes),
+       .section = "cache",
        .doc = "Cache budget of the whole server, split evenly across shards"},
       {.key = "cache.replacement", .type = kName, .field = FIELD(c.replacement),
        .names = &kRegistered<ReplacementRegistry>, .doc = "Replacement policy"},
       {.key = "cache.flush_policy", .type = kName, .field = FIELD(c.flush_policy),
-       .names = &kRegistered<FlushPolicyRegistry>, .doc = "When dirty blocks are written"},
+       .names = &kRegistered<FlushPolicyRegistry>,
+       .doc = "When dirty blocks are written"},
       {.key = "cache.nvram_bytes", .type = kBytes, .field = FIELD(c.nvram_bytes),
        .doc = "NVRAM size of the nvram-* flush policies"},
       {.key = "cache.async_flush", .type = kBool, .field = FIELD(c.async_flush),
        .doc = "Write dirty blocks back off the writer's path"},
 
       {.key = "trace.enabled", .type = kBool, .field = FIELD(c.trace.enabled),
-       .section = "observability", .doc = "Request tracing: spans, trace stats, Chrome export"},
+       .section = "observability",
+       .doc = "Request tracing: spans, trace stats, Chrome export"},
       {.key = "trace.file", .type = kString, .field = FIELD(c.trace.file),
        .doc = "Chrome trace_event export path (empty: no export)"},
       {.key = "trace.sample_ms", .type = kUint, .field = FIELD(c.trace.sample_ms),
@@ -510,23 +524,17 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
 
       {.key = "host.mem_bandwidth_bytes_per_sec", .type = kBytes, .plain = true,
        .field = FIELD(c.host.mem_bandwidth_bytes_per_sec), .min = 1,
-       .below_min = "must be at least 1 byte per second", .section = "simulated host model",
-       .doc = "Simulated buffer-copy bandwidth"},
+       .below_min = "must be at least 1 byte per second",
+       .section = "simulated host model", .doc = "Simulated buffer-copy bandwidth"},
       {.key = "host.per_op_cpu_ns", .type = kUint, .field = FIELD(c.host.per_op_cpu),
-       .max = INT64_MAX, .doc = "Simulated CPU cost of decoding and dispatching a request"},
+       .max = INT64_MAX,
+       .doc = "Simulated CPU cost of decoding and dispatching a request"},
+
   };
   return keys;
 }
 
 #undef FIELD
-
-Status SetScenarioKey(SystemConfig& config, const std::string& key, const std::string& value) {
-  PFS_ASSIGN_OR_RETURN(const KeyMatch match, MatchKey(key));
-  if (match.family != nullptr && match.family->size(config) <= match.index) {
-    match.family->resize(config, match.index + 1);
-  }
-  return SetField(*match.row, match.row->field(config, match.index), key, value);
-}
 
 Status CheckScenarioKeys(const SystemConfig& config) {
   // Re-reads every key that has a rule from its printed value, so a config
@@ -548,7 +556,8 @@ Result<SystemConfig> SystemConfig::Parse(const std::string& text) {
   // numbered past the line count can never complete its family: its value
   // is checked on this scratch config instead of growing `config` to it.
   SystemConfig scratch;
-  const size_t line_count = static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  const size_t line_count =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
   std::set<std::string> seen_keys;
   // The line that set each key (family members with canonical indices), so
   // the post-parse cross-checks can point at the offending line.
@@ -577,19 +586,20 @@ Result<SystemConfig> SystemConfig::Parse(const std::string& text) {
     if (key.empty()) {
       return LineError(line_no, "empty key");
     }
-    const Result<KeyMatch> match = MatchKey(key);
+    const auto match = MatchKey(key);
     // "image.io_threads" is the legacy spelling of "system.io_threads"; fold
     // them together so a scenario can't set the same knob twice.
-    const bool alias = match.ok() && key == match->row->alias;
-    if (!seen_keys.insert(alias ? match->row->key : key).second) {
+    const bool alias = match.ok() && key == match->first->alias;
+    if (!seen_keys.insert(alias ? match->first->key : key).second) {
       return LineError(line_no, "duplicate key \"" + key + "\"");
     }
     if (!match.ok()) {
       return LineError(line_no, match.status().message());
     }
+    const ScenarioKey& row = *match->first;
     SystemConfig* target = &config;
-    size_t index = match->index;
-    if (const Family* family = match->family; family != nullptr) {
+    size_t index = match->second;
+    if (const Family* family = FamilyOf(row); family != nullptr) {
       members[family].insert(index);
       if (family->contiguous && index >= line_count) {
         target = &scratch;
@@ -599,8 +609,8 @@ Result<SystemConfig> SystemConfig::Parse(const std::string& text) {
         family->resize(*target, index + 1);
       }
     }
-    key_lines[KeyOf(*match->row, match->index)] = line_no;
-    const Status status = SetField(*match->row, match->row->field(*target, index), key, value);
+    key_lines[KeyOf(row, match->second)] = line_no;
+    const Status status = SetField(row, row.field(*target, index), key, value);
     if (!status.ok()) {
       return LineError(line_no, status.message());
     }
@@ -667,7 +677,9 @@ std::string SystemConfig::ToString() const {
     std::string block;
     for (size_t i = 0; i < (family != nullptr ? family->size(fields) : 1); ++i) {
       for (size_t k = first; k < end; ++k) {
-        if (auto value = PrintField(keys[k], keys[k].field(fields, i)); value.has_value()) {
+        const std::optional<std::string> value =
+            PrintField(keys[k], keys[k].field(fields, i));
+        if (value.has_value()) {
           block += KeyOf(keys[k], i) + " = " + *value + "\n";
         }
       }
@@ -682,8 +694,11 @@ std::string SystemConfig::ToString() const {
 }
 
 std::string ScenarioKeyReference() {
-  static const char* const kValues[] = {"<bytes>[KiB|MiB|GiB]", "<integer>", "true | false",
-                                        "<text>", "", "<n>, <n>, ...", ""};
+  // Indexed by KeyType; names (kName, kEnum) are listed from the table.
+  static const char* const kValues[] = {"<bytes>[KiB|MiB|GiB]", "<integer>",
+                                        "true | false",          "<text>",
+                                        "",                      "<n>, <n>, ...",
+                                        ""};
   SystemConfig defaults;
   std::string out =
       "# Scenario keys: one \"key = value\" per line; '#' starts a comment.\n"

@@ -256,10 +256,6 @@ struct ScenarioKey {
 // Every scenario key, in ToString order.
 const std::vector<ScenarioKey>& ScenarioKeys();
 
-// Sets one key ("cache.bytes", "volume1.kind") the way Parse sets one line,
-// without Parse's cross-key checks; a family's vector grows to hold index i.
-Status SetScenarioKey(SystemConfig& config, const std::string& key, const std::string& value);
-
 // Each plain key's `min` and `rule` on a config built in code (Parse checks
 // them line by line).
 Status CheckScenarioKeys(const SystemConfig& config);
