@@ -26,7 +26,12 @@ SchedulerGroup::SchedulerGroup(size_t shards, bool virtual_clock, uint64_t seed)
     }
     auto s = std::make_unique<Scheduler>(std::move(clock),
                                          seed + static_cast<uint64_t>(i) * kShardSeedStride);
-    s->AttachToGroup(this, static_cast<uint32_t>(i));
+    // Only several loops read the group's quiescence accounting; a lone
+    // shard stays a standalone scheduler, with no shared counter to bump on
+    // every spawn, post, and I/O completion.
+    if (shards > 1) {
+      s->AttachToGroup(this, static_cast<uint32_t>(i));
+    }
     shards_.push_back(std::move(s));
   }
 }

@@ -13,8 +13,9 @@
 //     thread. A group-level work counter (live non-daemon threads + queued
 //     posts + pending external ops, across all shards) tells the monitor when
 //     everything has drained; it then stops and joins the shard threads.
-//   * A group of one coordinates nothing: Run/RunFor run its single loop on
-//     the calling thread, so it behaves exactly like a standalone Scheduler.
+//   * A group of one coordinates nothing: its shard keeps out of the group
+//     accounting below, and Run/RunFor run its loop on the calling thread,
+//     exactly like a standalone Scheduler.
 //
 // Cross-shard interaction goes exclusively through Scheduler::Post (each
 // shard's MPSC mailbox): Events/Notifications are shard-local, so a coroutine
