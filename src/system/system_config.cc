@@ -379,7 +379,10 @@ std::optional<std::string> PrintField(const ScenarioKey& row, const FieldRef& fi
         } else if constexpr (std::is_same_v<T, DiskParams>) {
           return p->model_name;
         } else if constexpr (std::is_enum_v<T>) {
-          return row.names->choices()[static_cast<size_t>(*p)];
+          // "?" for a value outside the enumerators, like BackendKindName.
+          const std::vector<std::string> names = row.names->choices();
+          const auto v = static_cast<size_t>(*p);
+          return v < names.size() ? names[v] : "?";
         } else if constexpr (std::is_same_v<T, Duration>) {
           return std::to_string(p->nanos());
         } else if constexpr (std::is_signed_v<T>) {
