@@ -21,9 +21,11 @@ struct Rig {
     bus = std::make_unique<ScsiBus>(sched.get(), "scsi0");
     disk = std::make_unique<DiskModel>(sched.get(), "d0", DiskParams::Hp97560(), bus.get());
     disk->Start();
-    driver = std::make_unique<SimDiskDriver>(sched.get(), "d0", disk.get(), bus.get());
+    driver = std::make_unique<SimDiskDriver>(sched.get(), &metrics, "d0", disk.get(),
+                                             bus.get());
     driver->Start();
   }
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<ScsiBus> bus;
   std::unique_ptr<DiskModel> disk;

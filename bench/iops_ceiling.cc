@@ -42,6 +42,7 @@ struct PointResult {
 Result<PointResult> RunPoint(const std::string& engine_name, int members, int qd,
                              int total_ops, const SystemConfig& base) {
   auto sched = Scheduler::CreateReal(static_cast<uint64_t>(members * 1000 + qd));
+  MetricRegistry metrics(1, "pfs");
   auto engine = (*IoEngineRegistry::Find(engine_name))();
   IoExecutor executor(base.io_threads, std::move(engine));
   const QueueSchedPolicy policy = *QueuePolicyRegistry::Find(base.queue_policy);
@@ -54,7 +55,8 @@ Result<PointResult> RunPoint(const std::string& engine_name, int members, int qd
   for (int i = 0; i < members; ++i) {
     paths.push_back(prefix + std::to_string(i) + ".img");
     PFS_ASSIGN_OR_RETURN(std::unique_ptr<FileBackedDriver> driver,
-                         FileBackedDriver::Create(sched.get(), "d" + std::to_string(i),
+                         FileBackedDriver::Create(sched.get(), &metrics,
+                                                  "d" + std::to_string(i),
                                                   paths.back(), image_bytes,
                                                   &executor, policy));
     driver->Start();
@@ -63,9 +65,10 @@ Result<PointResult> RunPoint(const std::string& engine_name, int members, int qd
   }
   std::unique_ptr<Volume> volume;
   if (members == 1) {
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), "bench", member_devs[0]);
+    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "bench",
+                                                member_devs[0]);
   } else {
-    volume = std::make_unique<StripedVolume>(sched.get(), "bench", member_devs,
+    volume = std::make_unique<StripedVolume>(sched.get(), &metrics, "bench", member_devs,
                                              kStripeUnitSectors);
   }
 

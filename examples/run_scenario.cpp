@@ -19,10 +19,14 @@
 // trace.* keys and exports the run as Chrome trace_event JSON to FILE (plus
 // the sampled stats time series to FILE's "-samples" sibling).
 //
-// --metrics PORT force-enables the live metrics plane on PORT (0 = ask the
-// kernel). Whenever metrics end up on, the bound port is printed (and
-// flushed) right after setup as "metrics: http://127.0.0.1:<port>/metrics",
-// so a scraper driving this binary can pick it up mid-run.
+// --metrics PORT serves the live metrics plane on PORT (0 = ask the kernel):
+// it forces metrics.enabled, which starts the HTTP listener (/metrics,
+// /healthz, /statz) and the /statz refresher. The metric registry counts with
+// or without it; on the virtual clock the refresher is one more coroutine on
+// shard 0, so a run with --metrics is not step-for-step the run without.
+// Whenever the listener runs, the bound port is printed (and flushed) right
+// after setup as "metrics: http://127.0.0.1:<port>/metrics", so a scraper
+// driving this binary can pick it up mid-run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -233,9 +237,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", report_json_file.c_str());
     }
   }
-  if (MetricRegistry* reg = sys.metrics(); reg != nullptr) {
+  if (sys.metrics_http() != nullptr) {
     std::printf("  metrics: port=%u scrapes=%llu\n", sys.metrics_port(),
-                static_cast<unsigned long long>(reg->scrapes()));
+                static_cast<unsigned long long>(sys.metrics()->scrapes()));
   }
   if (TraceSink* sink = sys.trace_sink(); sink != nullptr) {
     sink->Drain();

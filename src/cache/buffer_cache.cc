@@ -8,7 +8,7 @@
 
 namespace pfs {
 
-BufferCache::BufferCache(Scheduler* sched, Config config,
+BufferCache::BufferCache(Scheduler* sched, MetricRegistry* metrics, Config config,
                          std::unique_ptr<ReplacementPolicy> replacement,
                          std::unique_ptr<FlushPolicy> flush_policy)
     : sched_(sched),
@@ -18,6 +18,16 @@ BufferCache::BufferCache(Scheduler* sched, Config config,
       cleaned_(sched),
       space_available_(sched),
       flusher_wakeup_(sched) {
+  const std::string labels = "shard=\"" + std::to_string(sched_->shard_index()) + "\"";
+  hits_ =
+      metrics->Counter("cache_hits_total", "Block lookups served from the cache", labels);
+  misses_ = metrics->Counter("cache_misses_total", "Block lookups that missed", labels);
+  fills_ = metrics->Counter("cache_fills_total", "Blocks filled from disk", labels);
+  evictions_ = metrics->Counter("cache_evictions_total", "Clean blocks evicted", labels);
+  blocks_flushed_ =
+      metrics->Counter("cache_blocks_flushed_total", "Dirty blocks written back", labels);
+  fill_latency_ = metrics->Histogram("cache_fill_seconds", "Miss-fill service time",
+                                     labels, /*scale=*/1e-9);
   PFS_CHECK(replacement_ != nullptr);
   PFS_CHECK(flush_policy_ != nullptr);
   BindHomeShard(sched_);  // public entry points assert shard affinity
@@ -54,19 +64,6 @@ void BufferCache::Start() {
   }
 }
 
-void BufferCache::BindMetrics(MetricRegistry* registry, uint32_t shard_label) {
-  char labels[32];
-  std::snprintf(labels, sizeof(labels), "shard=\"%u\"", shard_label);
-  m_hits_ = registry->Counter("cache_hits_total", "Block lookups served from the cache", labels);
-  m_misses_ = registry->Counter("cache_misses_total", "Block lookups that missed", labels);
-  m_fills_ = registry->Counter("cache_fills_total", "Blocks filled from disk", labels);
-  m_evictions_ = registry->Counter("cache_evictions_total", "Clean blocks evicted", labels);
-  m_blocks_flushed_ =
-      registry->Counter("cache_blocks_flushed_total", "Dirty blocks written back", labels);
-  m_fill_ = registry->Histogram("cache_fill_seconds", "Miss-fill service time", labels,
-                                /*scale=*/1e-9);
-}
-
 void BufferCache::SetFileHint(uint32_t fs_id, uint64_t ino, FileCacheHint hint) {
   PFS_ASSERT_SHARD();
   if (hint == FileCacheHint::kNormal) {
@@ -99,19 +96,13 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
         co_await block->ready.Wait();
         continue;
       }
-      hits_.Inc();
-      if (m_hits_ != nullptr) {
-        m_hits_->Inc();
-      }
+      hits_->Inc();
       ++block->pin_count;
       Touch(block);
       co_return block;
     }
 
-    misses_.Inc();
-    if (m_misses_ != nullptr) {
-      m_misses_->Inc();
-    }
+    misses_->Inc();
     PFS_CO_ASSIGN_OR_RETURN(CacheBlock* block, co_await AllocateSlot());
     // AllocateSlot may have suspended; another thread may have inserted the
     // block meanwhile.
@@ -142,16 +133,10 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
     block->state = BlockState::kFilling;
     block->io_in_progress = true;
     ++block->pin_count;
-    fills_.Inc();
-    if (m_fills_ != nullptr) {
-      m_fills_->Inc();
-    }
+    fills_->Inc();
     const TimePoint fill_begin = sched_->Now();
     const Status status = co_await handler_it->second->FillBlock(id, block);
-    fill_latency_.Record(sched_->Now() - fill_begin);
-    if (m_fill_ != nullptr) {
-      m_fill_->RecordDuration(sched_->Now() - fill_begin);
-    }
+    fill_latency_->RecordDuration(sched_->Now() - fill_begin);
     {
       const Thread* self = sched_->current_thread();
       if (self != nullptr && self->trace.active()) {
@@ -181,10 +166,7 @@ Task<Result<CacheBlock*>> BufferCache::AllocateSlot() {
       co_return block;
     }
     if (CacheBlock* victim = replacement_->PickVictim(clean_); victim != nullptr) {
-      evictions_.Inc();
-      if (m_evictions_ != nullptr) {
-        m_evictions_->Inc();
-      }
+      evictions_->Inc();
       map_.erase(victim->id);
       clean_.Remove(*victim);
       victim->state = BlockState::kFree;
@@ -317,10 +299,7 @@ Task<Status> BufferCache::FlushBlockSet(uint32_t fs_id, uint64_t ino,
     if (status.ok() && b->state == BlockState::kDirty && b->dirty_version == versions[i] &&
         !b->doomed) {
       TransitionToClean(b);
-      blocks_flushed_.Inc();
-      if (m_blocks_flushed_ != nullptr) {
-        m_blocks_flushed_->Inc();
-      }
+      blocks_flushed_->Inc();
     }
     b->ready.Broadcast();
     if (b->pin_count == 0 && b->doomed) {
@@ -436,8 +415,9 @@ Task<> BufferCache::Flusher() {
 }
 
 double BufferCache::HitRate() const {
-  const uint64_t total = hits_.value() + misses_.value();
-  return total == 0 ? 0.0 : static_cast<double>(hits_.value()) / static_cast<double>(total);
+  const uint64_t hits = hits_->Total();
+  const uint64_t total = hits + misses_->Total();
+  return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 std::string BufferCache::StatReport(bool with_histograms) const {
@@ -448,15 +428,15 @@ std::string BufferCache::StatReport(bool with_histograms) const {
                 "blocks-flushed=%llu files-flushed=%llu absorbed-dirty=%llu\n",
                 flush_policy_->name().c_str(), replacement_->name(), pool_.size(),
                 free_.size(), clean_.size(), dirty_.size(),
-                static_cast<unsigned long long>(hits_.value()),
-                static_cast<unsigned long long>(misses_.value()), HitRate() * 100.0,
-                static_cast<unsigned long long>(fills_.value()),
-                static_cast<unsigned long long>(evictions_.value()),
-                static_cast<unsigned long long>(blocks_flushed_.value()),
+                static_cast<unsigned long long>(hits()),
+                static_cast<unsigned long long>(misses()), HitRate() * 100.0,
+                static_cast<unsigned long long>(fills_->Total()),
+                static_cast<unsigned long long>(evictions()),
+                static_cast<unsigned long long>(blocks_flushed()),
                 static_cast<unsigned long long>(files_flushed_.value()),
                 static_cast<unsigned long long>(absorbed_.value()));
   std::string out(buf);
-  std::snprintf(buf, sizeof(buf), "fill latency: %s\n", fill_latency_.Summary().c_str());
+  std::snprintf(buf, sizeof(buf), "fill latency: %s\n", fill_latency().Summary().c_str());
   out += buf;
   if (with_histograms) {
     out += "dirty-fraction histogram:\n" + dirty_fraction_.BucketDump();
@@ -472,32 +452,22 @@ std::string BufferCache::StatJson() const {
                 "\"evictions\":%llu,\"blocks_flushed\":%llu,\"files_flushed\":%llu,"
                 "\"absorbed\":%llu,",
                 pool_.size(), free_.size(), clean_.size(), dirty_.size(),
-                static_cast<unsigned long long>(hits_.value()),
-                static_cast<unsigned long long>(misses_.value()), HitRate(),
-                static_cast<unsigned long long>(fills_.value()),
-                static_cast<unsigned long long>(evictions_.value()),
-                static_cast<unsigned long long>(blocks_flushed_.value()),
+                static_cast<unsigned long long>(hits()),
+                static_cast<unsigned long long>(misses()), HitRate(),
+                static_cast<unsigned long long>(fills_->Total()),
+                static_cast<unsigned long long>(evictions()),
+                static_cast<unsigned long long>(blocks_flushed()),
                 static_cast<unsigned long long>(files_flushed_.value()),
                 static_cast<unsigned long long>(absorbed_.value()));
   std::string out(buf);
-  if (m_fill_ != nullptr) {
-    // Bound to the metrics plane: the scrape and StatJson share one source.
-    out += m_fill_->LatencyMsJsonObject("fill_ms");
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "\"fill_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
-                  fill_latency_.mean().ToMillisF(), fill_latency_.Percentile(0.5).ToMillisF(),
-                  fill_latency_.Percentile(0.95).ToMillisF(),
-                  fill_latency_.Percentile(0.99).ToMillisF());
-    out += buf;
-  }
+  out += fill_latency_->LatencyMsJsonObject("fill_ms");
   out += "}";
   return out;
 }
 
 void BufferCache::StatResetInterval() {
   dirty_fraction_.Reset();
-  fill_latency_.Reset();
+  fill_start_ = fill_latency_->Snapshot();
 }
 
 }  // namespace pfs

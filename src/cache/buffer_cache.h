@@ -23,16 +23,13 @@
 #include "cache/replacement.h"
 #include "core/result.h"
 #include "core/units.h"
+#include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
 #include "stats/histogram.h"
 #include "stats/registry.h"
 
 namespace pfs {
-
-class MetricRegistry;
-class CounterMetric;
-class HistogramMetric;
 
 // The storage side of the cache: each mounted file system registers one of
 // these to fill blocks from disk and to write dirty blocks back. Flushes are
@@ -69,7 +66,10 @@ class BufferCache : public StatSource, public ShardAffine {
     size_t flusher_target_blocks = 8;
   };
 
-  BufferCache(Scheduler* sched, Config config, std::unique_ptr<ReplacementPolicy> replacement,
+  // Counts hits, misses, fills, evictions, flushed blocks and fill latency
+  // in `metrics`, labelled {shard="<the scheduler's shard index>"}.
+  BufferCache(Scheduler* sched, MetricRegistry* metrics, Config config,
+              std::unique_ptr<ReplacementPolicy> replacement,
               std::unique_ptr<FlushPolicy> flush_policy);
   ~BufferCache() override;
 
@@ -142,24 +142,22 @@ class BufferCache : public StatSource, public ShardAffine {
   // keeps their registry names distinct. Single-shard systems keep "cache".
   void set_stat_suffix(std::string suffix) { stat_suffix_ = std::move(suffix); }
 
-  // Registers this cache's counters/histogram with the live metrics plane;
-  // `shard_label` becomes the {shard="..."} label on every family. Legacy
-  // StatSource counters keep working either way.
-  void BindMetrics(MetricRegistry* registry, uint32_t shard_label);
-
   // StatSource
   std::string stat_name() const override { return "cache" + stat_suffix_; }
   std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
   void StatResetInterval() override;
 
-  uint64_t hits() const { return hits_.value(); }
-  const LatencyHistogram& fill_latency() const { return fill_latency_; }
-  uint64_t misses() const { return misses_.value(); }
+  uint64_t hits() const { return hits_->Total(); }
+  // Miss-fill service times since the last StatResetInterval.
+  LatencyHistogram fill_latency() const {
+    return fill_latency_->Snapshot().Since(fill_start_);
+  }
+  uint64_t misses() const { return misses_->Total(); }
   double HitRate() const;
-  uint64_t blocks_flushed() const { return blocks_flushed_.value(); }
+  uint64_t blocks_flushed() const { return blocks_flushed_->Total(); }
   uint64_t absorbed_dirty_blocks() const { return absorbed_.value(); }
-  uint64_t evictions() const { return evictions_.value(); }
+  uint64_t evictions() const { return evictions_->Total(); }
 
  private:
   Task<Result<CacheBlock*>> AllocateSlot();
@@ -190,24 +188,16 @@ class BufferCache : public StatSource, public ShardAffine {
   Event space_available_;  // signalled when free/clean blocks appear
   Event flusher_wakeup_;   // async mode: allocation pressure
 
-  Counter hits_;
-  Counter misses_;
-  Counter fills_;
-  Counter evictions_;
-  Counter blocks_flushed_;
+  CounterMetric* hits_;
+  CounterMetric* misses_;
+  CounterMetric* fills_;
+  CounterMetric* evictions_;
+  CounterMetric* blocks_flushed_;
+  HistogramMetric* fill_latency_;  // miss-fill service time
+  LatencyHistogram fill_start_;    // fill_latency_ at the last StatResetInterval
   Counter files_flushed_;
   Counter absorbed_;
   Histogram dirty_fraction_{0, 1.0, 50};  // sampled at each MarkDirty
-  LatencyHistogram fill_latency_;         // miss-fill service time
-
-  // Live metrics plane (null until BindMetrics; written next to the legacy
-  // counters above).
-  CounterMetric* m_hits_ = nullptr;
-  CounterMetric* m_misses_ = nullptr;
-  CounterMetric* m_fills_ = nullptr;
-  CounterMetric* m_evictions_ = nullptr;
-  CounterMetric* m_blocks_flushed_ = nullptr;
-  HistogramMetric* m_fill_ = nullptr;
 };
 
 }  // namespace pfs

@@ -146,43 +146,47 @@ Task<Result<std::pair<LocalClient::Mount*, DirEntry>>> LocalClient::ResolveExist
   co_return std::make_pair(r.mount, *entry_or);
 }
 
-void LocalClient::BindMetrics(MetricRegistry* registry) {
+LocalClient::LocalClient(Scheduler* sched, MetricRegistry* metrics)
+    : sched_(sched), shard_ticks_(metrics->shards()) {
   static constexpr const char* kOpNames[kClientOpCount] = {"open", "read", "write", "fsync",
                                                            "sync_all"};
   for (size_t i = 0; i < kClientOpCount; ++i) {
     const std::string labels = std::string("op=\"") + kOpNames[i] + "\"";
-    m_ops_[i] = registry->Counter("client_ops_total", "Client operations completed", labels);
-    m_latency_[i] = registry->Histogram("client_op_seconds",
-                                        "Client operation latency (TraceBegin to TraceEnd)",
-                                        labels, /*scale=*/1e-9);
+    ops_[i] = metrics->Counter("client_ops_total", "Client operations completed", labels);
+    latency_[i] = metrics->Histogram("client_op_seconds",
+                                     "Client operation latency (TraceBegin to TraceEnd)",
+                                     labels, /*scale=*/1e-9);
   }
+}
+
+bool LocalClient::SampleLatency(const Scheduler* current) {
+  uint32_t tick;
+  if (current != nullptr && current->shard_index() < shard_ticks_.size()) {
+    tick = shard_ticks_[current->shard_index()].n++;
+  } else {
+    tick = outside_tick_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return (tick & (kLatencySampleEvery - 1)) == 0;
 }
 
 LocalClient::OpTrace LocalClient::TraceBegin(ClientOp op) {
   OpTrace t;
   t.op = op;
-  if (tracer_ == nullptr && m_ops_[0] == nullptr) {
-    return t;  // neither tracing nor metrics: the bracket stays inert
-  }
-  Scheduler* sched = Scheduler::Current();
-  if (sched == nullptr) {
-    sched = sched_;
-  }
-  t.sched = sched;
+  Scheduler* current = Scheduler::Current();
+  t.sched = current != nullptr ? current : sched_;
   if (tracer_ == nullptr) {
-    // Metrics only: the op counter stays exact, but latency timestamps are
-    // sampled 1-in-64 — two real-clock reads (~30 ns each) per op would
-    // otherwise dominate a ~350 ns cache-hit read.
-    static thread_local uint32_t lat_tick = 0;
-    t.timed = (lat_tick++ & (kLatencySampleEvery - 1)) == 0;
+    // The op counter stays exact, but latency timestamps are sampled
+    // 1-in-64 — two real-clock reads (~30 ns each) per op would otherwise
+    // dominate a ~350 ns cache-hit read.
+    t.timed = SampleLatency(current);
     if (t.timed) {
-      t.begin = sched->Now();
+      t.begin = t.sched->Now();
     }
     return t;
   }
   t.timed = true;
-  t.begin = sched->Now();
-  Thread* self = sched->current_thread();
+  t.begin = t.sched->Now();
+  Thread* self = t.sched->current_thread();
   if (self == nullptr) {
     return t;
   }
@@ -193,15 +197,10 @@ LocalClient::OpTrace LocalClient::TraceBegin(ClientOp op) {
 }
 
 void LocalClient::TraceEnd(const OpTrace& t, uint64_t arg) {
-  if (t.sched == nullptr) {
-    return;
-  }
   const size_t op = static_cast<size_t>(t.op);
-  if (m_ops_[op] != nullptr) {
-    m_ops_[op]->Inc();
-    if (t.timed) {
-      m_latency_[op]->RecordDuration(t.sched->Now() - t.begin);
-    }
+  ops_[op]->Inc();
+  if (t.timed) {
+    latency_[op]->RecordDuration(t.sched->Now() - t.begin);
   }
   if (t.self != nullptr) {
     RecordSpan(t.self->trace, TraceStage::kClient, t.self->id(), t.begin, t.sched->Now(), arg);

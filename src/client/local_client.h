@@ -15,27 +15,29 @@
 #ifndef PFS_CLIENT_LOCAL_CLIENT_H_
 #define PFS_CLIENT_LOCAL_CLIENT_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "client/client_interface.h"
 #include "fs/file_system.h"
 #include "fs/file_table.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "sched/shard.h"
 
 namespace pfs {
 
 class TraceRecorder;
-class MetricRegistry;
-class CounterMetric;
-class HistogramMetric;
 
 class LocalClient final : public ClientInterface {
  public:
-  explicit LocalClient(Scheduler* sched) : sched_(sched) {}
+  // Counts ops in `metrics` as client_ops_total / client_op_seconds,
+  // labelled {op="..."}; the TraceBegin/TraceEnd bracket feeds them.
+  LocalClient(Scheduler* sched, MetricRegistry* metrics);
 
   // Mounts `fs` under "/<name>". The file system must be formatted/mounted
   // at the layout level already. Not thread-safe: mount before running.
@@ -45,10 +47,6 @@ class LocalClient final : public ClientInterface {
   // trace roots — a fresh trace id rides the calling thread for the life of
   // the operation, so every stage below attributes its spans to it.
   void set_trace_recorder(TraceRecorder* recorder) { tracer_ = recorder; }
-
-  // Registers client_ops_total / client_op_seconds (labelled {op="..."}) with
-  // the live metrics plane; the TraceBegin/TraceEnd bracket feeds them.
-  void BindMetrics(MetricRegistry* registry);
 
   // ClientInterface
   Task<Result<Fd>> Open(const std::string& path, OpenOptions options) override;
@@ -151,21 +149,21 @@ class LocalClient final : public ClientInterface {
   Task<Status> SyncShard(Scheduler* shard);
   Task<Status> SyncAllImpl();
 
-  // Root-span bracket, shared by tracing and the live metrics plane.
+  // Root-span bracket, shared by tracing and the metric registry.
   // TraceBegin saves the thread's context and installs a fresh trace id;
-  // TraceEnd records the client.op span (and, when metrics are bound, the
-  // op counter + latency sample) and restores it. Explicit (not RAII) so the
+  // TraceEnd counts the op, records its latency sample and (when tracing)
+  // the client.op span, and restores the context. Explicit (not RAII) so the
   // end stamp lands before co_return, not at frame destruction. Runs against
   // the *executing* shard's scheduler, so routed ops trace on the shard that
-  // does the work. With metrics bound but tracing off, only 1-in-64 ops
-  // read the clock for the latency histogram: op counters stay exact while
-  // the per-op cost stays at a handful of relaxed stores.
+  // does the work. With tracing off, only 1-in-64 ops read the clock for the
+  // latency histogram: op counters stay exact while the per-op cost stays at
+  // a handful of relaxed stores.
   enum class ClientOp : uint8_t { kOpen = 0, kRead, kWrite, kFsync, kSyncAll };
   static constexpr size_t kClientOpCount = 5;
   static constexpr uint32_t kLatencySampleEvery = 64;  // power of two
   struct OpTrace {
-    Thread* self = nullptr;     // null: tracing off for this op
-    Scheduler* sched = nullptr; // null: neither tracing nor metrics active
+    Thread* self = nullptr;      // null: tracing off for this op
+    Scheduler* sched = nullptr;  // the executing shard's loop
     ClientOp op = ClientOp::kOpen;
     bool timed = false;         // this op's latency lands in the histogram
     TraceContext saved;
@@ -173,12 +171,22 @@ class LocalClient final : public ClientInterface {
   };
   OpTrace TraceBegin(ClientOp op);
   void TraceEnd(const OpTrace& t, uint64_t arg);
+  // True for every kLatencySampleEvery-th op begun on `current`'s shard.
+  bool SampleLatency(const Scheduler* current);
 
   Scheduler* sched_;  // shard 0: the client's home loop
   TraceRecorder* tracer_ = nullptr;
-  // Live metrics plane, indexed by ClientOp (null until BindMetrics).
-  CounterMetric* m_ops_[kClientOpCount] = {};
-  HistogramMetric* m_latency_[kClientOpCount] = {};
+  // Indexed by ClientOp.
+  CounterMetric* ops_[kClientOpCount];
+  HistogramMetric* latency_[kClientOpCount];
+  // The latency-sampling ticks: one per shard, written only by that shard's
+  // loop, plus a shared one for ops begun outside the scheduler group. Per
+  // client, so a system's samples depend on its own op sequence alone.
+  struct alignas(64) SampleTick {
+    uint32_t n = 0;
+  };
+  std::vector<SampleTick> shard_ticks_;
+  std::atomic<uint32_t> outside_tick_{0};
   std::map<std::string, Mount> mounts_;
   // The fd table is shared across shards (any shard may open/close/use fds),
   // so it lives under a mutex; entries are copied out, never held across

@@ -50,24 +50,22 @@ std::optional<QueueSchedPolicy> QueueSchedPolicyFromName(std::string_view name) 
 
 std::string QueueSchedPolicyNames() { return QueuePolicyRegistry::NameList(); }
 
-QueueingDiskDriver::QueueingDiskDriver(Scheduler* sched, std::string name,
-                                       QueueSchedPolicy policy)
-    : sched_(sched), name_(std::move(name)), policy_(policy), work_(sched) {}
-
-void QueueingDiskDriver::BindMetrics(MetricRegistry* registry) {
+QueueingDiskDriver::QueueingDiskDriver(Scheduler* sched, MetricRegistry* metrics,
+                                       std::string name, QueueSchedPolicy policy)
+    : sched_(sched), name_(std::move(name)), policy_(policy), work_(sched) {
   const std::string labels = "disk=\"" + name_ + "\"";
-  m_reads_ = registry->Counter("disk_reads_total", "Read requests submitted", labels);
-  m_writes_ = registry->Counter("disk_writes_total", "Write requests submitted", labels);
-  m_batches_ = registry->Counter("disk_batches_total", "Device dispatches", labels);
-  m_queue_depth_ = registry->Gauge("disk_queue_depth", "Requests waiting in the driver queue",
-                                   labels);
-  m_batch_size_ =
-      registry->Histogram("disk_batch_size", "Requests drained per dispatch", labels);
-  m_queue_wait_ = registry->Histogram("disk_queue_wait_seconds",
-                                      "Enqueue-to-dispatch wait", labels, /*scale=*/1e-9);
-  m_latency_ = registry->Histogram("disk_request_seconds",
-                                   "Enqueue-to-completion request latency", labels,
-                                   /*scale=*/1e-9);
+  reads_ = metrics->Counter("disk_reads_total", "Read requests submitted", labels);
+  writes_ = metrics->Counter("disk_writes_total", "Write requests submitted", labels);
+  batches_ = metrics->Counter("disk_batches_total", "Device dispatches", labels);
+  queue_depth_ =
+      metrics->Gauge("disk_queue_depth", "Requests waiting in the driver queue", labels);
+  batch_size_ =
+      metrics->Histogram("disk_batch_size", "Requests drained per dispatch", labels);
+  queue_wait_ = metrics->Histogram("disk_queue_wait_seconds", "Enqueue-to-dispatch wait",
+                                   labels, /*scale=*/1e-9);
+  latency_ = metrics->Histogram("disk_request_seconds",
+                                "Enqueue-to-completion request latency", labels,
+                                /*scale=*/1e-9);
 }
 
 void QueueingDiskDriver::Start() {
@@ -79,20 +77,14 @@ void QueueingDiskDriver::Start() {
 Task<Status> QueueingDiskDriver::Read(uint64_t sector, uint32_t count,
                                       std::span<std::byte> out) {
   IoRequest req(sched_, IoOp::kRead, sector, count, out, {});
-  reads_.Inc();
-  if (m_reads_ != nullptr) {
-    m_reads_->Inc();
-  }
+  reads_->Inc();
   co_return co_await Submit(&req);
 }
 
 Task<Status> QueueingDiskDriver::Write(uint64_t sector, uint32_t count,
                                        std::span<const std::byte> in) {
   IoRequest req(sched_, IoOp::kWrite, sector, count, {}, in);
-  writes_.Inc();
-  if (m_writes_ != nullptr) {
-    m_writes_->Inc();
-  }
+  writes_->Inc();
   co_return co_await Submit(&req);
 }
 
@@ -105,18 +97,11 @@ Task<Status> QueueingDiskDriver::Submit(IoRequest* req) {
   req->enqueue_time = sched_->Now();
   queue_len_.Record(static_cast<double>(queue_.size()));
   queue_.push_back(req);
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-  }
+  queue_depth_->Set(static_cast<int64_t>(queue_.size()));
   work_.Signal();
   co_await req->done.Wait();
-  queue_wait_.Record(req->dispatch_time - req->enqueue_time);
-  latency_.Record(req->complete_time - req->enqueue_time);
-  ops_.Inc();
-  if (m_latency_ != nullptr) {
-    m_queue_wait_->RecordDuration(req->dispatch_time - req->enqueue_time);
-    m_latency_->RecordDuration(req->complete_time - req->enqueue_time);
-  }
+  queue_wait_->RecordDuration(req->dispatch_time - req->enqueue_time);
+  latency_->RecordDuration(req->complete_time - req->enqueue_time);
   if (req->trace.active()) {
     // Queue wait and service time fall out of the timestamps the driver
     // already stamps — no extra clock reads on the traced path either.
@@ -232,13 +217,9 @@ Task<> QueueingDiskDriver::Worker() {
       req->dispatch_time = sched_->Now();
       batch.push_back(req);
     }
-    batches_.Inc();
-    batch_size_.Record(static_cast<double>(batch.size()));
-    if (m_batches_ != nullptr) {
-      m_batches_->Inc();
-      m_batch_size_->Record(static_cast<int64_t>(batch.size()));
-      m_queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-    }
+    batches_->Inc();
+    batch_size_->Record(batch.size());
+    queue_depth_->Set(static_cast<int64_t>(queue_.size()));
     // Attribute the batch to the first traced request it carries (a batch
     // can mix traced client requests with untraced daemon I/O).
     TraceContext batch_ctx;
@@ -263,11 +244,12 @@ std::string QueueingDiskDriver::StatReport(bool with_histograms) const {
                 "policy=%s ops=%llu reads=%llu writes=%llu queued=%zu "
                 "batches=%llu reqs/batch=%.2f\n"
                 "latency: %s\nqueue-wait: %s\nqueue-length: %s\n",
-                QueueSchedPolicyName(policy_), static_cast<unsigned long long>(ops_.value()),
-                static_cast<unsigned long long>(reads_.value()),
-                static_cast<unsigned long long>(writes_.value()), queue_.size(),
-                static_cast<unsigned long long>(batches_.value()), batch_size_.mean(),
-                latency_.Summary().c_str(), queue_wait_.Summary().c_str(),
+                QueueSchedPolicyName(policy_),
+                static_cast<unsigned long long>(ops_completed()),
+                static_cast<unsigned long long>(reads_->Total()),
+                static_cast<unsigned long long>(writes_->Total()), queue_.size(),
+                static_cast<unsigned long long>(batches()), batch_size_->Mean(),
+                io_latency().Summary().c_str(), queue_wait().Summary().c_str(),
                 queue_len_.Summary().c_str());
   std::string out(buf);
   if (with_histograms) {
@@ -281,36 +263,23 @@ std::string QueueingDiskDriver::StatJson() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"policy\":\"%s\",\"ops\":%llu,\"reads\":%llu,\"writes\":%llu,"
                 "\"batches\":%llu,\"reqs_per_batch\":%.3f,",
-                QueueSchedPolicyName(policy_), static_cast<unsigned long long>(ops_.value()),
-                static_cast<unsigned long long>(reads_.value()),
-                static_cast<unsigned long long>(writes_.value()),
-                static_cast<unsigned long long>(batches_.value()), batch_size_.mean());
+                QueueSchedPolicyName(policy_),
+                static_cast<unsigned long long>(ops_completed()),
+                static_cast<unsigned long long>(reads_->Total()),
+                static_cast<unsigned long long>(writes_->Total()),
+                static_cast<unsigned long long>(batches()), batch_size_->Mean());
   std::string out(buf);
-  if (m_latency_ != nullptr) {
-    // Bound to the metrics plane: the scrape and StatJson share one source.
-    out += m_latency_->LatencyMsJsonObject("latency_ms");
-    out += ",";
-    out += m_queue_wait_->LatencyMsJsonObject("queue_wait_ms");
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "\"latency_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f},"
-                  "\"queue_wait_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
-                  latency_.mean().ToMillisF(), latency_.Percentile(0.5).ToMillisF(),
-                  latency_.Percentile(0.95).ToMillisF(), latency_.Percentile(0.99).ToMillisF(),
-                  queue_wait_.mean().ToMillisF(), queue_wait_.Percentile(0.5).ToMillisF(),
-                  queue_wait_.Percentile(0.95).ToMillisF(),
-                  queue_wait_.Percentile(0.99).ToMillisF());
-    out += buf;
-  }
+  out += latency_->LatencyMsJsonObject("latency_ms");
+  out += ",";
+  out += queue_wait_->LatencyMsJsonObject("queue_wait_ms");
   out += "}";
   return out;
 }
 
 void QueueingDiskDriver::StatResetInterval() {
   queue_len_.Reset();
-  batch_size_.Reset();
-  queue_wait_.Reset();
-  latency_.Reset();
+  queue_wait_start_ = queue_wait_->Snapshot();
+  latency_start_ = latency_->Snapshot();
 }
 
 }  // namespace pfs

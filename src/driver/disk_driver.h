@@ -15,17 +15,13 @@
 #include <vector>
 
 #include "disk/io_request.h"
+#include "obs/metrics.h"
 #include "sched/scheduler.h"
 #include "stats/histogram.h"
 #include "stats/registry.h"
 #include "volume/block_device.h"
 
 namespace pfs {
-
-class MetricRegistry;
-class CounterMetric;
-class GaugeMetric;
-class HistogramMetric;
 
 // Queue-scheduling policies (paper §3 cites SCAN, C-SCAN, LOOK, C-LOOK).
 // The arm-positioning cost of sweeping to the physical edge is modelled by
@@ -48,7 +44,10 @@ class DiskDriver : public BlockDevice {};
 // device at a time (the device's own cache provides overlap).
 class QueueingDiskDriver : public DiskDriver, public StatSource {
  public:
-  QueueingDiskDriver(Scheduler* sched, std::string name, QueueSchedPolicy policy);
+  // Counts requests, dispatches, queue waits and latencies in `metrics`
+  // under a {disk="<name>"} label.
+  QueueingDiskDriver(Scheduler* sched, MetricRegistry* metrics, std::string name,
+                     QueueSchedPolicy policy);
 
   // Spawns the driver's worker daemon; call once.
   void Start();
@@ -67,18 +66,17 @@ class QueueingDiskDriver : public DiskDriver, public StatSource {
   std::string StatJson() const override;
   void StatResetInterval() override;
 
-  uint64_t ops_completed() const { return ops_.value(); }
+  uint64_t ops_completed() const { return latency_->Count(); }
   const Histogram& queue_length_hist() const { return queue_len_; }
-  const LatencyHistogram& io_latency() const { return latency_; }
-  const LatencyHistogram& queue_wait() const { return queue_wait_; }
+  // Request latency and queue wait since the last StatResetInterval.
+  LatencyHistogram io_latency() const {
+    return latency_->Snapshot().Since(latency_start_);
+  }
+  LatencyHistogram queue_wait() const {
+    return queue_wait_->Snapshot().Since(queue_wait_start_);
+  }
 
-  uint64_t batches() const { return batches_.value(); }
-  const Histogram& batch_size_hist() const { return batch_size_; }
-
-  // Registers this driver's families with the live metrics plane under a
-  // {disk="<name>"} label. Derived drivers may extend it (FileBackedDriver
-  // adds its io_uring submit latency).
-  virtual void BindMetrics(MetricRegistry* registry);
+  uint64_t batches() const { return batches_->Total(); }
 
  protected:
   Scheduler* sched() { return sched_; }
@@ -114,23 +112,19 @@ class QueueingDiskDriver : public DiskDriver, public StatSource {
   uint64_t head_position_ = 0;  // sector of the last dispatched request
   int sweep_direction_ = 1;     // for SCAN/LOOK
 
-  Counter ops_;
-  Counter reads_;
-  Counter writes_;
-  Counter batches_;              // device dispatches (>= 1 request each)
-  Histogram batch_size_{0, 64, 64};  // requests per dispatch
+  // Batches are device dispatches (>= 1 request each); the latency
+  // histogram's count is the completed-ops count. The *_start_ snapshots
+  // are the histograms at the last StatResetInterval.
+  CounterMetric* reads_;
+  CounterMetric* writes_;
+  CounterMetric* batches_;
+  GaugeMetric* queue_depth_;
+  HistogramMetric* batch_size_;
+  HistogramMetric* queue_wait_;
+  HistogramMetric* latency_;
+  LatencyHistogram queue_wait_start_;
+  LatencyHistogram latency_start_;
   Histogram queue_len_{0, 128, 128};
-  LatencyHistogram queue_wait_;
-  LatencyHistogram latency_;
-
-  // Live metrics plane (null until BindMetrics).
-  CounterMetric* m_reads_ = nullptr;
-  CounterMetric* m_writes_ = nullptr;
-  CounterMetric* m_batches_ = nullptr;
-  GaugeMetric* m_queue_depth_ = nullptr;
-  HistogramMetric* m_batch_size_ = nullptr;
-  HistogramMetric* m_queue_wait_ = nullptr;
-  HistogramMetric* m_latency_ = nullptr;
 };
 
 }  // namespace pfs

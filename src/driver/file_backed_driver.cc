@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -14,17 +13,20 @@
 
 namespace pfs {
 
-void FileBackedDriver::BindMetrics(MetricRegistry* registry) {
-  QueueingDiskDriver::BindMetrics(registry);
-  const std::string labels = "disk=\"" + name() + "\"";
-  m_submit_ = registry->Histogram("disk_submit_seconds",
-                                  "Executor handoff to engine completion", labels,
-                                  /*scale=*/1e-6);
-}
+FileBackedDriver::FileBackedDriver(Scheduler* sched, MetricRegistry* metrics,
+                                   std::string name, int fd, uint64_t total_sectors,
+                                   IoExecutor* executor, QueueSchedPolicy policy)
+    : QueueingDiskDriver(sched, metrics, std::move(name), policy),
+      fd_(fd),
+      total_sectors_(total_sectors),
+      executor_(executor),
+      submit_(metrics->Histogram("disk_submit_seconds",
+                                 "Executor handoff to engine completion",
+                                 "disk=\"" + this->name() + "\"", /*scale=*/1e-9)) {}
 
 Result<std::unique_ptr<FileBackedDriver>> FileBackedDriver::Create(
-    Scheduler* sched, std::string name, const std::string& path, uint64_t size_bytes,
-    IoExecutor* executor, QueueSchedPolicy policy) {
+    Scheduler* sched, MetricRegistry* metrics, std::string name, const std::string& path,
+    uint64_t size_bytes, IoExecutor* executor, QueueSchedPolicy policy) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) {
     return Status(ErrorCode::kIoError, "open " + path + ": " + std::strerror(errno));
@@ -33,8 +35,8 @@ Result<std::unique_ptr<FileBackedDriver>> FileBackedDriver::Create(
     ::close(fd);
     return Status(ErrorCode::kIoError, "ftruncate " + path + ": " + std::strerror(errno));
   }
-  auto driver = std::unique_ptr<FileBackedDriver>(
-      new FileBackedDriver(sched, std::move(name), fd, size_bytes / kSectorBytes, executor, policy));
+  auto driver = std::unique_ptr<FileBackedDriver>(new FileBackedDriver(
+      sched, metrics, std::move(name), fd, size_bytes / kSectorBytes, executor, policy));
   return driver;
 }
 
@@ -72,23 +74,19 @@ Task<> FileBackedDriver::DispatchBatch(std::span<IoRequest* const> batch) {
     // submit time here and deliver everything on the scheduler thread, so
     // all request and histogram mutation stays single-threaded.
     const auto elapsed = std::chrono::steady_clock::now() - t0;
-    const double us =
-        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(elapsed)
-            .count();
+    const auto ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
     // Synchronous handoff: the submitting coroutine frame (which owns descs
     // and batch_done) stays suspended on batch_done.Wait() below until this
     // callback runs, so the by-ref captures cannot dangle.
     // pfs-lint: allow(ref-capture-escape)
-    s->Post([this, s, batch, &descs, &batch_done, us] {
+    s->Post([this, s, batch, &descs, &batch_done, ns] {
       for (size_t i = 0; i < batch.size(); ++i) {
         batch[i]->result = descs[i].result;
         batch[i]->complete_time = s->Now();
         batch[i]->done.Notify();
       }
-      submit_us_.Record(us);
-      if (m_submit_ != nullptr) {
-        m_submit_->Record(std::llround(us));
-      }
+      submit_->Record(ns);
       batch_done.Notify();
       s->EndExternalOp();
     });
@@ -97,21 +95,24 @@ Task<> FileBackedDriver::DispatchBatch(std::span<IoRequest* const> batch) {
 }
 
 std::string FileBackedDriver::StatReport(bool with_histograms) const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "engine=%s submit-us: %s\n", engine_name(),
-                submit_us_.Summary().c_str());
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "engine=%s submit: %s\n", engine_name(),
+                submit_->Snapshot().Summary().c_str());
   return QueueingDiskDriver::StatReport(with_histograms) + buf;
 }
 
 std::string FileBackedDriver::StatJson() const {
   std::string out = QueueingDiskDriver::StatJson();
   out.pop_back();  // extend the base object in place
+  const std::vector<uint64_t> bins = submit_->Bins();
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 ",\"engine\":\"%s\",\"submit_us\":{\"mean\":%.1f,\"p50\":%.1f,\"p95\":%.1f,"
                 "\"p99\":%.1f}}",
-                engine_name(), submit_us_.mean(), submit_us_.Percentile(0.5),
-                submit_us_.Percentile(0.95), submit_us_.Percentile(0.99));
+                engine_name(), submit_->Mean() / 1e3,
+                static_cast<double>(HistPercentile(bins, 0.5)) / 1e3,
+                static_cast<double>(HistPercentile(bins, 0.95)) / 1e3,
+                static_cast<double>(HistPercentile(bins, 0.99)) / 1e3);
   return out + buf;
 }
 

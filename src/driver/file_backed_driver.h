@@ -27,8 +27,9 @@ class FileBackedDriver final : public QueueingDiskDriver {
 
   // Opens (creating and sizing if needed) `path` as the backing store.
   static Result<std::unique_ptr<FileBackedDriver>> Create(
-      Scheduler* sched, std::string name, const std::string& path, uint64_t size_bytes,
-      IoExecutor* executor, QueueSchedPolicy policy = QueueSchedPolicy::kClook);
+      Scheduler* sched, MetricRegistry* metrics, std::string name,
+      const std::string& path, uint64_t size_bytes, IoExecutor* executor,
+      QueueSchedPolicy policy = QueueSchedPolicy::kClook);
 
   ~FileBackedDriver() override;
 
@@ -41,27 +42,20 @@ class FileBackedDriver final : public QueueingDiskDriver {
   std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
-  void BindMetrics(MetricRegistry* registry) override;
-
  protected:
   Task<> DispatchBatch(std::span<IoRequest* const> batch) override;
   size_t MaxBatchSize() const override { return kMaxBatch; }
 
  private:
-  FileBackedDriver(Scheduler* sched, std::string name, int fd, uint64_t total_sectors,
-                   IoExecutor* executor, QueueSchedPolicy policy)
-      : QueueingDiskDriver(sched, std::move(name), policy),
-        fd_(fd),
-        total_sectors_(total_sectors),
-        executor_(executor) {}
+  FileBackedDriver(Scheduler* sched, MetricRegistry* metrics, std::string name, int fd,
+                   uint64_t total_sectors, IoExecutor* executor, QueueSchedPolicy policy);
 
   int fd_;
   uint64_t total_sectors_;
   IoExecutor* executor_;
   // Wall time from handing a batch to the executor to its engine completion
-  // (pool wait + submission syscalls + device time), in microseconds.
-  Histogram submit_us_{0, 65536, 64};
-  HistogramMetric* m_submit_ = nullptr;  // live metrics twin of submit_us_
+  // (pool wait + submission syscalls + device time), in nanoseconds.
+  HistogramMetric* submit_;
 };
 
 }  // namespace pfs

@@ -17,9 +17,12 @@ namespace pfs {
 
 class SimDiskDriver final : public QueueingDiskDriver {
  public:
-  SimDiskDriver(Scheduler* sched, std::string name, DiskModel* disk, Connection* bus,
+  SimDiskDriver(Scheduler* sched, MetricRegistry* metrics, std::string name,
+                DiskModel* disk, Connection* bus,
                 QueueSchedPolicy policy = QueueSchedPolicy::kClook)
-      : QueueingDiskDriver(sched, std::move(name), policy), disk_(disk), bus_(bus) {}
+      : QueueingDiskDriver(sched, metrics, std::move(name), policy),
+        disk_(disk),
+        bus_(bus) {}
 
   uint64_t total_sectors() const override { return disk_->params().geometry.TotalSectors(); }
   uint32_t sector_bytes() const override { return disk_->params().geometry.sector_bytes; }

@@ -7,9 +7,17 @@
 
 namespace pfs {
 
-FaultInjector::FaultInjector(Scheduler* sched, std::vector<PlannedEvent> events)
+FaultInjector::FaultInjector(Scheduler* sched, MetricRegistry* metrics,
+                             std::vector<PlannedEvent> events)
     : sched_(sched), events_(std::move(events)) {
   BindHomeShard(sched_);
+  const std::string shard = "shard=\"" + std::to_string(sched_->shard_index()) + "\"";
+  fails_ = metrics->Counter("fault_events_total", "Fault-schedule events applied",
+                            shard + ",kind=\"fail\"");
+  returns_ = metrics->Counter("fault_events_total", "Fault-schedule events applied",
+                              shard + ",kind=\"return\"");
+  noops_ = metrics->Counter("fault_events_total", "Fault-schedule events applied",
+                            shard + ",kind=\"noop\"");
   for (const PlannedEvent& planned : events_) {
     PFS_CHECK(planned.mirror != nullptr);
     PFS_CHECK_MSG(planned.event.action != FaultAction::kReturn || planned.rebuild != nullptr,
@@ -24,16 +32,6 @@ void FaultInjector::Start() {
   if (!events_.empty()) {
     sched_->SpawnTransientDaemon("fault.injector", Run());
   }
-}
-
-void FaultInjector::BindMetrics(MetricRegistry* registry, uint32_t shard_label) {
-  char labels[64];
-  std::snprintf(labels, sizeof(labels), "shard=\"%u\",kind=\"fail\"", shard_label);
-  m_fails_ = registry->Counter("fault_events_total", "Fault-schedule events applied", labels);
-  std::snprintf(labels, sizeof(labels), "shard=\"%u\",kind=\"return\"", shard_label);
-  m_returns_ = registry->Counter("fault_events_total", "Fault-schedule events applied", labels);
-  std::snprintf(labels, sizeof(labels), "shard=\"%u\",kind=\"noop\"", shard_label);
-  m_noops_ = registry->Counter("fault_events_total", "Fault-schedule events applied", labels);
 }
 
 Task<> FaultInjector::Run() {
@@ -51,27 +49,23 @@ void FaultInjector::Apply(const PlannedEvent& planned) {
   switch (planned.event.action) {
     case FaultAction::kFail:
       if (mirror->member_failed(member)) {
-        noops_.Inc();
-        if (m_noops_ != nullptr) m_noops_->Inc();
+        noops_->Inc();
         return;
       }
       // Failing a member out always succeeds.
       PFS_CHECK(mirror->SetMemberFailed(member, true).ok());
-      fails_.Inc();
-      if (m_fails_ != nullptr) m_fails_->Inc();
+      fails_->Inc();
       PFS_LOG_INFO("fault", "t=%.3fms: failed %s member %zu (%zu live)",
                    sched_->Now().ToSecondsF() * 1e3, mirror->name().c_str(), member,
                    mirror->live_member_count());
       return;
     case FaultAction::kReturn:
       if (!mirror->member_failed(member)) {
-        noops_.Inc();
-        if (m_noops_ != nullptr) m_noops_->Inc();
+        noops_->Inc();
         return;
       }
       planned.rebuild->RequestRebuild(member);
-      returns_.Inc();
-      if (m_returns_ != nullptr) m_returns_->Inc();
+      returns_->Inc();
       PFS_LOG_INFO("fault", "t=%.3fms: returned %s member %zu (debt %llu B)",
                    sched_->Now().ToSecondsF() * 1e3, mirror->name().c_str(), member,
                    static_cast<unsigned long long>(mirror->debt_sectors(member) *
@@ -96,9 +90,10 @@ std::string FaultInjector::StatReport(bool) const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "events=%zu applied=%zu fails=%llu returns=%llu noops=%llu quiescent=%s\n",
-                events_.size(), applied_, static_cast<unsigned long long>(fails_.value()),
-                static_cast<unsigned long long>(returns_.value()),
-                static_cast<unsigned long long>(noops_.value()),
+                events_.size(), applied_,
+                static_cast<unsigned long long>(fails_applied()),
+                static_cast<unsigned long long>(returns_applied()),
+                static_cast<unsigned long long>(noop_events()),
                 quiescent() ? "yes" : "no");
   return buf;
 }
@@ -108,9 +103,10 @@ std::string FaultInjector::StatJson() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"events\":%zu,\"applied\":%zu,\"fails\":%llu,\"returns\":%llu,"
                 "\"noops\":%llu,\"quiescent\":%s}",
-                events_.size(), applied_, static_cast<unsigned long long>(fails_.value()),
-                static_cast<unsigned long long>(returns_.value()),
-                static_cast<unsigned long long>(noops_.value()),
+                events_.size(), applied_,
+                static_cast<unsigned long long>(fails_applied()),
+                static_cast<unsigned long long>(returns_applied()),
+                static_cast<unsigned long long>(noop_events()),
                 quiescent() ? "true" : "false");
   return buf;
 }

@@ -19,15 +19,13 @@
 
 #include "fault/fault_schedule.h"
 #include "fault/rebuild_daemon.h"
+#include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
 #include "stats/registry.h"
 #include "volume/volume.h"
 
 namespace pfs {
-
-class MetricRegistry;
-class CounterMetric;
 
 // Shard-affine (ShardAffine): each injector drives mirrors owned by one
 // shard, so Apply asserts it runs on that shard's loop.
@@ -42,7 +40,10 @@ class FaultInjector : public StatSource, public ShardAffine {
     RebuildDaemon* rebuild;
   };
 
-  FaultInjector(Scheduler* sched, std::vector<PlannedEvent> events);
+  // Counts applied events in `metrics` as fault_events_total{shard="<the
+  // scheduler's shard index>",kind="fail"|"return"|"noop"}.
+  FaultInjector(Scheduler* sched, MetricRegistry* metrics,
+                std::vector<PlannedEvent> events);
 
   // Spawns the injector as a transient daemon: it neither keeps the
   // scheduler's Run() alive nor leaves a finished thread record behind once
@@ -56,19 +57,15 @@ class FaultInjector : public StatSource, public ShardAffine {
   // nothing fault-related will happen anymore.
   bool quiescent() const;
 
-  uint64_t fails_applied() const { return fails_.value(); }
-  uint64_t returns_applied() const { return returns_.value(); }
+  uint64_t fails_applied() const { return fails_->Total(); }
+  uint64_t returns_applied() const { return returns_->Total(); }
   // Events that found their target already in the requested state (failing
   // a failed member, returning a live one).
-  uint64_t noop_events() const { return noops_.value(); }
+  uint64_t noop_events() const { return noops_->Total(); }
 
   // Sharded systems run one injector per shard that has scheduled events;
   // the suffix (".shard<i>") keeps the registry names distinct.
   void set_stat_suffix(std::string suffix) { stat_suffix_ = std::move(suffix); }
-
-  // Registers fault_events_total{kind=...} with the live metrics plane;
-  // `shard_label` distinguishes the per-shard injectors.
-  void BindMetrics(MetricRegistry* registry, uint32_t shard_label);
 
   // StatSource
   std::string stat_name() const override { return "fault.injector" + stat_suffix_; }
@@ -84,12 +81,9 @@ class FaultInjector : public StatSource, public ShardAffine {
   size_t applied_ = 0;
   bool started_ = false;
   std::string stat_suffix_;
-  Counter fails_;
-  Counter returns_;
-  Counter noops_;
-  CounterMetric* m_fails_ = nullptr;  // live metrics plane (null until bound)
-  CounterMetric* m_returns_ = nullptr;
-  CounterMetric* m_noops_ = nullptr;
+  CounterMetric* fails_;
+  CounterMetric* returns_;
+  CounterMetric* noops_;
 };
 
 }  // namespace pfs

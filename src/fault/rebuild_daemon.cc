@@ -8,9 +8,19 @@
 
 namespace pfs {
 
-RebuildDaemon::RebuildDaemon(Scheduler* sched, MirrorVolume* mirror, Options options)
+RebuildDaemon::RebuildDaemon(Scheduler* sched, MetricRegistry* metrics,
+                             MirrorVolume* mirror, Options options)
     : sched_(sched), mirror_(mirror), options_(options), work_(sched) {
   PFS_CHECK(mirror_ != nullptr);
+  const std::string labels = "volume=\"" + mirror_->name() + "\"";
+  requests_ =
+      metrics->Counter("rebuild_requests_total", "Member rebuilds requested", labels);
+  completed_ = metrics->Counter("rebuild_completed_total",
+                                "Members rebuilt and reinstated", labels);
+  aborted_ = metrics->Counter("rebuild_aborted_total",
+                              "Rebuild passes aborted on copy failure", labels);
+  copied_bytes_ =
+      metrics->Counter("rebuild_copied_bytes_total", "Debt bytes copied back", labels);
   BindHomeShard(sched_);
   PFS_CHECK_MSG(options_.chunk_sectors > 0, "rebuild chunk must be at least one sector");
   if (options_.copy_real_data) {
@@ -24,17 +34,6 @@ void RebuildDaemon::Start() {
   sched_->SpawnDaemon("rebuild." + mirror_->name(), Loop());
 }
 
-void RebuildDaemon::BindMetrics(MetricRegistry* registry) {
-  const std::string labels = "volume=\"" + mirror_->name() + "\"";
-  m_requests_ = registry->Counter("rebuild_requests_total", "Member rebuilds requested", labels);
-  m_completed_ =
-      registry->Counter("rebuild_completed_total", "Members rebuilt and reinstated", labels);
-  m_aborted_ = registry->Counter("rebuild_aborted_total", "Rebuild passes aborted on copy "
-                                 "failure", labels);
-  m_copied_bytes_ =
-      registry->Counter("rebuild_copied_bytes_total", "Debt bytes copied back", labels);
-}
-
 void RebuildDaemon::RequestRebuild(size_t member) {
   PFS_ASSERT_SHARD();
   PFS_CHECK(member < mirror_->member_count());
@@ -46,8 +45,7 @@ void RebuildDaemon::RequestRebuild(size_t member) {
       return;
     }
   }
-  requests_.Inc();
-  if (m_requests_ != nullptr) m_requests_->Inc();
+  requests_->Inc();
   pending_.push_back(member);
   work_.Signal();
 }
@@ -89,15 +87,13 @@ Task<> RebuildDaemon::RebuildMember(size_t member) {
     }
     if (!status.ok()) {
       mirror_->PushDebtExtent(member, sector, count);
-      aborted_.Inc();
-      if (m_aborted_ != nullptr) m_aborted_->Inc();
+      aborted_->Inc();
       PFS_LOG_WARN("rebuild", "%s member %zu aborted: %s", mirror_->name().c_str(), member,
                    status.ToString().c_str());
       failed = true;
       break;
     }
-    rebuilt_sectors_.Inc(count);
-    if (m_copied_bytes_ != nullptr) m_copied_bytes_->Inc(bytes);
+    copied_bytes_->Inc(bytes);
     mirror_->NoteRebuildCopied(count);
     if (options_.bw_kbps > 0) {
       co_await sched_->Sleep(Duration::SecondsF(
@@ -122,8 +118,7 @@ Task<> RebuildDaemon::RebuildMember(size_t member) {
     // call (no suspension point): this succeeds, or the member was already
     // reinstated under us (a no-op OkStatus) — completed either way.
     PFS_CHECK(mirror_->SetMemberFailed(member, false).ok());
-    completed_.Inc();
-    if (m_completed_ != nullptr) m_completed_->Inc();
+    completed_->Inc();
   }
 }
 
@@ -132,26 +127,25 @@ std::string RebuildDaemon::StatReport(bool) const {
   std::snprintf(buf, sizeof(buf),
                 "bw-cap=%ukbps requests=%llu completed=%llu aborted=%llu "
                 "rebuilt=%lluB busy=%.3fms\n",
-                options_.bw_kbps, static_cast<unsigned long long>(requests_.value()),
-                static_cast<unsigned long long>(completed_.value()),
-                static_cast<unsigned long long>(aborted_.value()),
-                static_cast<unsigned long long>(rebuilt_sectors_.value() *
-                                                mirror_->sector_bytes()),
+                options_.bw_kbps, static_cast<unsigned long long>(requests()),
+                static_cast<unsigned long long>(completed()),
+                static_cast<unsigned long long>(aborted()),
+                static_cast<unsigned long long>(copied_bytes_->Total()),
                 static_cast<double>(busy_ns_) / 1e6);
   return buf;
 }
 
 std::string RebuildDaemon::StatJson() const {
-  const uint64_t bytes = rebuilt_sectors_.value() * mirror_->sector_bytes();
+  const uint64_t bytes = copied_bytes_->Total();
   const double busy_s = static_cast<double>(busy_ns_) / 1e9;
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "{\"bw_kbps\":%u,\"requests\":%llu,\"completed\":%llu,\"aborted\":%llu,"
                 "\"rebuilt_bytes\":%llu,\"busy_ms\":%.3f,\"throughput_kbps\":%.1f,"
                 "\"idle\":%s}",
-                options_.bw_kbps, static_cast<unsigned long long>(requests_.value()),
-                static_cast<unsigned long long>(completed_.value()),
-                static_cast<unsigned long long>(aborted_.value()),
+                options_.bw_kbps, static_cast<unsigned long long>(requests()),
+                static_cast<unsigned long long>(completed()),
+                static_cast<unsigned long long>(aborted()),
                 static_cast<unsigned long long>(bytes), static_cast<double>(busy_ns_) / 1e6,
                 busy_s > 0 ? static_cast<double>(bytes) / busy_s / 1024.0 : 0.0,
                 idle() ? "true" : "false");

@@ -15,6 +15,7 @@
 #include <deque>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/event.h"
 #include "sched/scheduler.h"
@@ -22,9 +23,6 @@
 #include "volume/volume.h"
 
 namespace pfs {
-
-class MetricRegistry;
-class CounterMetric;
 
 // Shard-affine (ShardAffine): the daemon, its mirror, and the debt ledger all
 // live on the mirror's shard; RequestRebuild asserts the caller's loop.
@@ -36,7 +34,10 @@ class RebuildDaemon : public StatSource, public ShardAffine {
     bool copy_real_data = false;  // file-backed backend: move real bytes
   };
 
-  RebuildDaemon(Scheduler* sched, MirrorVolume* mirror, Options options);
+  // Counts rebuild requests, completions, aborts and copied bytes in
+  // `metrics` under a {volume="<mirror>"} label.
+  RebuildDaemon(Scheduler* sched, MetricRegistry* metrics, MirrorVolume* mirror,
+                Options options);
 
   // Spawns the daemon thread; call once, before RequestRebuild.
   void Start();
@@ -50,15 +51,13 @@ class RebuildDaemon : public StatSource, public ShardAffine {
   bool idle() const { return pending_.empty() && !active_; }
 
   MirrorVolume* mirror() { return mirror_; }
-  uint64_t requests() const { return requests_.value(); }
-  uint64_t completed() const { return completed_.value(); }
-  uint64_t aborted() const { return aborted_.value(); }
-  uint64_t rebuilt_sectors() const { return rebuilt_sectors_.value(); }
+  uint64_t requests() const { return requests_->Total(); }
+  uint64_t completed() const { return completed_->Total(); }
+  uint64_t aborted() const { return aborted_->Total(); }
+  uint64_t rebuilt_sectors() const {
+    return copied_bytes_->Total() / mirror_->sector_bytes();
+  }
   Duration busy_time() const { return Duration::Nanos(busy_ns_); }
-
-  // Registers rebuild_* families (labelled {volume="<mirror>"}) with the
-  // live metrics plane.
-  void BindMetrics(MetricRegistry* registry);
 
   // StatSource
   std::string stat_name() const override { return "rebuild." + mirror_->name(); }
@@ -82,17 +81,11 @@ class RebuildDaemon : public StatSource, public ShardAffine {
   bool started_ = false;
   std::vector<std::byte> buffer_;  // chunk bounce buffer (real-data mode)
 
-  Counter requests_;
-  Counter completed_;
-  Counter aborted_;
-  Counter rebuilt_sectors_;
+  CounterMetric* requests_;
+  CounterMetric* completed_;
+  CounterMetric* aborted_;
+  CounterMetric* copied_bytes_;
   int64_t busy_ns_ = 0;
-
-  // Live metrics plane (null until BindMetrics).
-  CounterMetric* m_requests_ = nullptr;
-  CounterMetric* m_completed_ = nullptr;
-  CounterMetric* m_aborted_ = nullptr;
-  CounterMetric* m_copied_bytes_ = nullptr;
 };
 
 }  // namespace pfs

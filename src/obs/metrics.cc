@@ -1,8 +1,6 @@
 #include "obs/metrics.h"
 
-#include <bit>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -66,23 +64,6 @@ std::string JsonKey(const std::string& name, const std::string& labels) {
 }
 
 }  // namespace
-
-size_t HistBucketIndex(uint64_t v) {
-  if (v < kHistSubBuckets) return static_cast<size_t>(v);
-  uint32_t e = 63u - static_cast<uint32_t>(std::countl_zero(v));
-  uint32_t sub = static_cast<uint32_t>(v >> (e - kHistSubBits)) & (kHistSubBuckets - 1);
-  return static_cast<size_t>(kHistSubBuckets) * (e - kHistSubBits + 1) + sub;
-}
-
-uint64_t HistBucketHigh(size_t i) {
-  size_t q = i / kHistSubBuckets;
-  size_t r = i % kHistSubBuckets;
-  if (q == 0) return static_cast<uint64_t>(r);  // unit buckets: value == index
-  uint32_t e = static_cast<uint32_t>(q) + kHistSubBits - 1;
-  if (e >= 63 && r == kHistSubBuckets - 1) return UINT64_MAX;
-  uint64_t lo = (static_cast<uint64_t>(kHistSubBuckets) + r) << (e - kHistSubBits);
-  return lo + (uint64_t{1} << (e - kHistSubBits)) - 1;
-}
 
 void CounterMetric::Inc(uint64_t k) {
   size_t slot = OwnSlot(cells_.size() - 1);
@@ -164,35 +145,22 @@ std::vector<uint64_t> HistogramMetric::Bins() const {
   return bins;
 }
 
-uint64_t HistogramMetric::Percentile(double q) const {
-  std::vector<uint64_t> bins = Bins();
-  uint64_t total = 0;
-  for (uint64_t b : bins) total += b;
-  if (total == 0) return 0;
-  // Nearest-rank definition: the q-quantile is the ceil(q*total)-th sample
-  // (1-based, clamped into [1, total]). Truncating instead of ceiling would
-  // bias one sample low — worst at small counts, where p99 of two samples
-  // would report the smaller one.
-  uint64_t rank = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-  if (rank < 1) rank = 1;
-  if (rank > total) rank = total;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kHistBuckets; ++i) {
-    seen += bins[i];
-    if (seen >= rank) return HistBucketHigh(i);
-  }
-  return HistBucketHigh(kHistBuckets - 1);
+uint64_t HistogramMetric::Percentile(double q) const { return HistPercentile(Bins(), q); }
+
+LatencyHistogram HistogramMetric::Snapshot() const {
+  return LatencyHistogram(Bins(), static_cast<int64_t>(Sum()));
 }
 
 std::string HistogramMetric::LatencyMsJsonObject(const std::string& key) const {
   // Samples are nanoseconds (scale 1e-9 to seconds); StatJson reports ms.
   const double to_ms = scale_ * 1e3;
+  const std::vector<uint64_t> bins = Bins();
   char buf[192];
   snprintf(buf, sizeof(buf),
            "\"%s\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}", key.c_str(),
-           Mean() * to_ms, static_cast<double>(Percentile(0.50)) * to_ms,
-           static_cast<double>(Percentile(0.95)) * to_ms,
-           static_cast<double>(Percentile(0.99)) * to_ms);
+           Mean() * to_ms, static_cast<double>(HistPercentile(bins, 0.50)) * to_ms,
+           static_cast<double>(HistPercentile(bins, 0.95)) * to_ms,
+           static_cast<double>(HistPercentile(bins, 0.99)) * to_ms);
   return buf;
 }
 
@@ -345,14 +313,15 @@ std::string MetricRegistry::JsonSnapshot() const {
         AppendNumber(&out, static_cast<double>(inst->gauge->Total()));
       } else {
         const HistogramMetric& h = *inst->histogram;
+        const std::vector<uint64_t> bins = h.Bins();
         snprintf(buf, sizeof(buf),
                  "{\"count\":%llu,\"sum\":%.9g,\"mean\":%.9g,\"p50\":%.9g,\"p95\":%.9g,"
                  "\"p99\":%.9g}",
                  static_cast<unsigned long long>(h.Count()),
                  static_cast<double>(h.Sum()) * h.scale(), h.Mean() * h.scale(),
-                 static_cast<double>(h.Percentile(0.50)) * h.scale(),
-                 static_cast<double>(h.Percentile(0.95)) * h.scale(),
-                 static_cast<double>(h.Percentile(0.99)) * h.scale());
+                 static_cast<double>(HistPercentile(bins, 0.50)) * h.scale(),
+                 static_cast<double>(HistPercentile(bins, 0.95)) * h.scale(),
+                 static_cast<double>(HistPercentile(bins, 0.99)) * h.scale());
         out.append(buf);
       }
     }

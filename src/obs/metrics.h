@@ -11,13 +11,16 @@
 // monotonic for counters, so consecutive scrapes can never observe a counter
 // go backwards.
 //
-// Histograms are HDR-style log-bucketed fixed bins: 8 sub-buckets per power
-// of two (<= 12.5% relative bucket width) over the full uint64 range, no
-// sampling and no ring to overflow — unlike the bounded trace-span rings,
-// the percentile error is bounded by bucket width alone. The latency_ms /
-// queue_wait_ms / fill_ms percentile objects in StatJson are computed from
-// these histograms whenever a component is bound to a registry, so the
-// scrape output and the end-of-run report agree by construction.
+// Histograms are HDR-style log-bucketed fixed bins (stats/histogram.h): 8
+// sub-buckets per power of two (<= 12.5% relative bucket width) over the full
+// uint64 range, no sampling and no ring to overflow — unlike the bounded
+// trace-span rings, the percentile error is bounded by bucket width alone.
+//
+// Every System builds a registry, and the components count their events
+// only here: the latency_ms / queue_wait_ms / fill_ms percentile objects in
+// StatJson are computed from these histograms, so the scrape output and the
+// end-of-run report agree by construction. metrics.enabled only adds the
+// HTTP listener that serves them.
 #ifndef PFS_OBS_METRICS_H_
 #define PFS_OBS_METRICS_H_
 
@@ -30,22 +33,9 @@
 #include <vector>
 
 #include "sched/time.h"
+#include "stats/histogram.h"
 
 namespace pfs {
-
-// Bucket scheme shared by recording, percentile math, and the text export:
-// values < 2^kHistSubBits get unit-width buckets; above that, each power of
-// two splits into kHistSubBuckets equal bins.
-inline constexpr uint32_t kHistSubBits = 3;
-inline constexpr uint32_t kHistSubBuckets = 1u << kHistSubBits;  // 8
-inline constexpr size_t kHistBuckets =
-    static_cast<size_t>(64 - kHistSubBits + 1) * kHistSubBuckets;  // covers all of uint64
-
-// Bucket index of `v` (always < kHistBuckets).
-size_t HistBucketIndex(uint64_t v);
-// Exclusive upper bound of bucket `i` (the `le` boundary in scrape output);
-// the last bucket reports UINT64_MAX.
-uint64_t HistBucketHigh(size_t i);
 
 enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
 
@@ -120,11 +110,14 @@ class HistogramMetric {
   uint64_t Count() const;
   uint64_t Sum() const;
   double Mean() const;
-  // Smallest bucket upper bound covering fraction `q` (in [0, 1]) of the
-  // recorded samples; 0 when empty. Percentile error <= one bucket width.
+  // HistPercentile over Bins(): the smallest bucket upper bound covering
+  // fraction `q` (in [0, 1]) of the samples; 0 when empty.
   uint64_t Percentile(double q) const;
   // One bin per bucket, aggregated across shards (kHistBuckets entries).
   std::vector<uint64_t> Bins() const;
+  // The samples, read as nanoseconds, as a LatencyHistogram: the value the
+  // components' latency accessors hand out.
+  LatencyHistogram Snapshot() const;
 
   // The four-field percentile object every latency-carrying StatJson uses
   // ("\"<key>\":{\"mean\":…,\"p50\":…,\"p95\":…,\"p99\":…}", milliseconds):

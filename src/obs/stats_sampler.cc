@@ -34,8 +34,9 @@ Task<std::string> GatherReportJson(SchedulerGroup* group, StatsRegistry* stats) 
   co_return out;
 }
 
-StatsSampler::StatsSampler(SchedulerGroup* group, StatsRegistry* stats, Duration interval)
-    : group_(group), stats_(stats), interval_(interval) {
+StatsSampler::StatsSampler(SchedulerGroup* group, StatsRegistry* stats,
+                           MetricRegistry* metrics, Duration interval)
+    : group_(group), stats_(stats), metrics_(metrics), interval_(interval) {
   PFS_CHECK(group != nullptr);
   PFS_CHECK(stats != nullptr);
   PFS_CHECK(interval > Duration());
@@ -120,9 +121,7 @@ void StatsSampler::PushSample(double t_ms, std::string stats_json) {
   SamplePoint sample;
   sample.t_ms = t_ms;
   sample.stats_json = std::move(stats_json);
-  if (metrics_ != nullptr) {
-    sample.metrics_json = metrics_->JsonSnapshot();
-  }
+  sample.metrics_json = metrics_->JsonSnapshot();
   if (out_ != nullptr) {
     // Hand the rendered line to the writer thread; file I/O (and the
     // periodic sync) must not run on the scheduler thread.
@@ -140,10 +139,8 @@ std::string StatsSampler::LineJson(const SamplePoint& sample) const {
   std::snprintf(buf, sizeof(buf), "{\"t_ms\":%.3f,\"stats\":", sample.t_ms);
   std::string out(buf);
   out += sample.stats_json;
-  if (!sample.metrics_json.empty()) {
-    out += ",\"metrics\":";
-    out += sample.metrics_json;
-  }
+  out += ",\"metrics\":";
+  out += sample.metrics_json;
   out += "}";
   return out;
 }

@@ -1,8 +1,8 @@
 // StatsSampler: a transient daemon that snapshots StatsRegistry::ReportJson()
-// every N ms into a time-series, so runs emit latency/throughput *curves*
-// instead of one end-of-run scalar. Snapshots are cumulative (the sampler
-// never calls ResetIntervalAll — interval semantics stay owned by whoever
-// drives StatReport); consumers difference adjacent samples to get rates.
+// and the MetricRegistry every N ms into a time-series, so runs emit
+// latency/throughput *curves* instead of one end-of-run scalar. Snapshots are
+// cumulative (StatJson never resets); consumers difference adjacent samples
+// to get rates.
 //
 // With OpenOutput() the series also streams to disk incrementally: each
 // sample appends one NDJSON line and the file is sync'd every `flush_every`
@@ -40,7 +40,7 @@ class MetricRegistry;
 struct SamplePoint {
   double t_ms;
   std::string stats_json;
-  std::string metrics_json;  // empty when no MetricRegistry is attached
+  std::string metrics_json;
 };
 
 // ReportJson() of `stats`, read shard by shard on the owning loops: every
@@ -52,18 +52,16 @@ Task<std::string> GatherReportJson(SchedulerGroup* group, StatsRegistry* stats);
 
 class StatsSampler {
  public:
-  // Samples on `group`'s shard 0.
-  StatsSampler(SchedulerGroup* group, StatsRegistry* stats, Duration interval);
+  // Samples on `group`'s shard 0; every sample carries a "metrics" object
+  // (MetricRegistry::JsonSnapshot()) next to "stats".
+  StatsSampler(SchedulerGroup* group, StatsRegistry* stats, MetricRegistry* metrics,
+               Duration interval);
   ~StatsSampler();
 
   StatsSampler(const StatsSampler&) = delete;
   StatsSampler& operator=(const StatsSampler&) = delete;
 
   Duration interval() const { return interval_; }
-
-  // Live metrics plane: when set, every sample carries a "metrics" object
-  // (MetricRegistry::JsonSnapshot()) next to "stats". Call before Start().
-  void set_metrics(MetricRegistry* metrics) { metrics_ = metrics; }
 
   // Streams samples to `path` as NDJSON on a writer thread, syncing every
   // `flush_every` samples (and on destruction). Call before Start().
@@ -76,15 +74,15 @@ class StatsSampler {
 
   size_t sample_count() const { return samples_.size(); }
 
-  // `[{"t_ms":<clock ms>,"stats":<ReportJson()>}, ...]`
+  // `[{"t_ms":<clock ms>,"stats":<ReportJson()>,"metrics":<snapshot>}, ...]`
   std::string SeriesJson() const;
-  // One `{"t_ms":...,"stats":...}` line per sample (NDJSON, the same shape
-  // OpenOutput streams).
+  // One `{"t_ms":...,"stats":...,"metrics":...}` line per sample (NDJSON,
+  // the same shape OpenOutput streams).
   Status WriteFile(const std::string& path) const;
 
  private:
   Task<> Loop();
-  // "{"t_ms":...,"stats":<json>[,"metrics":<snapshot>]}" for one sample.
+  // "{"t_ms":...,"stats":<json>,"metrics":<snapshot>}" for one sample.
   std::string LineJson(const SamplePoint& sample) const;
   void PushSample(double t_ms, std::string stats_json);
   // Writer-thread body: drains `pending_` into `out_`, syncing every
@@ -93,8 +91,8 @@ class StatsSampler {
 
   SchedulerGroup* group_;
   StatsRegistry* stats_;
+  MetricRegistry* metrics_;
   Duration interval_;
-  MetricRegistry* metrics_ = nullptr;
 
   std::vector<SamplePoint> samples_;
   bool started_ = false;

@@ -1,6 +1,7 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -123,50 +124,98 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
+size_t HistBucketIndex(uint64_t v) {
+  if (v < kHistSubBuckets) {
+    return static_cast<size_t>(v);
+  }
+  const uint32_t e = 63u - static_cast<uint32_t>(std::countl_zero(v));
+  const uint32_t sub =
+      static_cast<uint32_t>(v >> (e - kHistSubBits)) & (kHistSubBuckets - 1);
+  return static_cast<size_t>(kHistSubBuckets) * (e - kHistSubBits + 1) + sub;
+}
+
+uint64_t HistBucketHigh(size_t i) {
+  const size_t q = i / kHistSubBuckets;
+  const size_t r = i % kHistSubBuckets;
+  if (q == 0) {
+    return static_cast<uint64_t>(r);  // unit buckets: value == index
+  }
+  const uint32_t e = static_cast<uint32_t>(q) + kHistSubBits - 1;
+  if (e >= 63 && r == kHistSubBuckets - 1) {
+    return UINT64_MAX;
+  }
+  const uint64_t lo = (static_cast<uint64_t>(kHistSubBuckets) + r) << (e - kHistSubBits);
+  return lo + (uint64_t{1} << (e - kHistSubBits)) - 1;
+}
+
+uint64_t HistPercentile(std::span<const uint64_t> bins, double q) {
+  uint64_t total = 0;
+  for (uint64_t b : bins) {
+    total += b;
+  }
+  if (total == 0) {
+    return 0;
+  }
+  // Nearest rank: the ceil(q*total)-th sample (1-based). Truncating instead
+  // would bias one sample low — worst at small counts, where p99 of two
+  // samples would report the smaller one.
+  const uint64_t rank = std::clamp<uint64_t>(
+      static_cast<uint64_t>(std::ceil(q * static_cast<double>(total))), 1, total);
+  uint64_t seen = 0;
+  for (size_t i = 0; i < bins.size(); ++i) {
+    seen += bins[i];
+    if (seen >= rank) {
+      return HistBucketHigh(i);
+    }
+  }
+  return HistBucketHigh(bins.size() - 1);
+}
+
 namespace {
 
-// Geometric buckets: 1 µs lower bound, ratio 2^(1/8) (~9% per step). 8 steps
-// per octave * ~27 octaves (1 µs .. ~134 s) = 216 buckets + overflow.
-constexpr int kStepsPerOctave = 8;
-constexpr int kOctaves = 27;
-constexpr size_t kLatencyBuckets = kStepsPerOctave * kOctaves + 1;
-constexpr double kBaseNs = 1000.0;  // 1 µs
-
-double LatencyBucketBoundNs(size_t i) {
-  return kBaseNs * std::exp2(static_cast<double>(i + 1) / kStepsPerOctave);
+// A Duration's bucket; negative durations count as zero.
+size_t BucketOf(Duration d) {
+  return HistBucketIndex(static_cast<uint64_t>(std::max<int64_t>(d.nanos(), 0)));
 }
 
 }  // namespace
 
-LatencyHistogram::LatencyHistogram() : buckets_(kLatencyBuckets, 0) {}
-
-size_t LatencyHistogram::BucketFor(Duration d) const {
-  const double ns = static_cast<double>(std::max<int64_t>(d.nanos(), 0));
-  if (ns < kBaseNs) {
-    return 0;
+LatencyHistogram::LatencyHistogram(std::vector<uint64_t> bins, int64_t sum_ns)
+    : buckets_(std::move(bins)), sum_ns_(sum_ns) {
+  PFS_CHECK(buckets_.size() == kHistBuckets);
+  size_t first = kHistBuckets;
+  size_t last = 0;
+  for (size_t i = 0; i < kHistBuckets; ++i) {
+    if (buckets_[i] != 0) {
+      count_ += buckets_[i];
+      first = std::min(first, i);
+      last = i;
+    }
   }
-  const double octaves = std::log2(ns / kBaseNs);
-  const auto idx = static_cast<size_t>(octaves * kStepsPerOctave);
-  return std::min(idx, buckets_.size() - 1);
+  if (count_ > 0) {
+    const uint64_t low = first == 0 ? 0 : HistBucketHigh(first - 1) + 1;
+    min_ = Duration::Nanos(static_cast<int64_t>(low));
+    max_ = Duration::Nanos(static_cast<int64_t>(HistBucketHigh(last)));
+  }
 }
 
 Duration LatencyHistogram::BucketHigh(size_t i) const {
-  if (i == buckets_.size() - 1) {
-    return max_;
-  }
-  return Duration::Nanos(static_cast<int64_t>(LatencyBucketBoundNs(i)));
+  return std::min(Duration::Nanos(static_cast<int64_t>(HistBucketHigh(i))), max_);
 }
 
 void LatencyHistogram::Record(Duration d) {
   if (count_ == 0) {
     min_ = max_ = d;
+    if (buckets_.empty()) {
+      buckets_.assign(kHistBuckets, 0);
+    }
   } else {
     min_ = std::min(min_, d);
     max_ = std::max(max_, d);
   }
   ++count_;
   sum_ns_ += d.nanos();
-  ++buckets_[BucketFor(d)];
+  ++buckets_[BucketOf(d)];
 }
 
 Duration LatencyHistogram::mean() const {
@@ -180,25 +229,17 @@ Duration LatencyHistogram::Percentile(double p) const {
   if (count_ == 0) {
     return Duration();
   }
-  p = std::clamp(p, 0.0, 1.0);
-  const double target = p * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (static_cast<double>(seen) >= target) {
-      return std::min(BucketHigh(i), max_);
-    }
-  }
-  return max_;
+  const uint64_t ns = HistPercentile(buckets_, p);
+  return std::min(Duration::Nanos(static_cast<int64_t>(ns)), max_);
 }
 
 double LatencyHistogram::FractionBelow(Duration d) const {
   if (count_ == 0) {
     return 0.0;
   }
-  const size_t limit = BucketFor(d);
+  const size_t limit = BucketOf(d);
   uint64_t seen = 0;
-  for (size_t i = 0; i <= limit && i < buckets_.size(); ++i) {
+  for (size_t i = 0; i <= limit; ++i) {
     seen += buckets_[i];
   }
   return static_cast<double>(seen) / static_cast<double>(count_);
@@ -231,30 +272,35 @@ std::string LatencyHistogram::Summary() const {
   return buf;
 }
 
-void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ns_ = 0;
-  min_ = Duration();
-  max_ = Duration();
-}
+void LatencyHistogram::Reset() { *this = LatencyHistogram(); }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
   if (other.count_ == 0) {
     return;
   }
   if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    *this = other;
+    return;
   }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+  for (size_t i = 0; i < kHistBuckets; ++i) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
   sum_ns_ += other.sum_ns_;
+}
+
+LatencyHistogram LatencyHistogram::Since(const LatencyHistogram& earlier) const {
+  if (earlier.count_ == 0) {
+    return *this;
+  }
+  PFS_CHECK_MSG(earlier.count_ <= count_, "Since() needs an older snapshot of this one");
+  std::vector<uint64_t> bins = buckets_;
+  for (size_t i = 0; i < kHistBuckets; ++i) {
+    bins[i] -= earlier.buckets_[i];
+  }
+  return LatencyHistogram(std::move(bins), sum_ns_ - earlier.sum_ns_);
 }
 
 }  // namespace pfs

@@ -246,8 +246,10 @@ struct VolumeKindFamily {
         capacity_sectors;
     // Assembles the volume named `name` over `slices`. Intermediate devices
     // the top volume references (per-member partition wrappers) are appended
-    // to `parts`, which the caller keeps alive alongside the result.
-    std::function<std::unique_ptr<Volume>(Scheduler* sched, const std::string& name,
+    // to `parts`, which the caller keeps alive alongside the result; every
+    // volume, parts included ("<name>.m<j>"), counts into `metrics`.
+    std::function<std::unique_ptr<Volume>(Scheduler* sched, MetricRegistry* metrics,
+                                          const std::string& name,
                                           const std::vector<VolumeSliceRef>& slices,
                                           const VolumeSpec& spec, uint32_t sector_bytes,
                                           std::vector<std::unique_ptr<Volume>>* parts)>

@@ -270,10 +270,34 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   sys.config_ = config;
   sys.group_ = std::make_unique<SchedulerGroup>(static_cast<size_t>(nshards),
                                                 config.virtual_clock(), config.seed);
+  // The metric registry, sized to the shard count: every component below
+  // counts its events into it. Scheduler counters are exposed as callbacks
+  // over their (relaxed) atomics — no extra writes on the hot loop.
+  sys.metrics_ = std::make_unique<MetricRegistry>(static_cast<size_t>(nshards),
+                                                  config.metrics.prefix);
+  MetricRegistry* reg = sys.metrics_.get();
   for (int s = 0; s < nshards; ++s) {
-    auto sched_stats = std::make_unique<SchedStats>(sys.shard_scheduler(s));
-    sys.stats_.Register(sched_stats.get(), sys.shard_scheduler(s));
+    Scheduler* sched = sys.shard_scheduler(s);
+    auto sched_stats = std::make_unique<SchedStats>(sched);
+    sys.stats_.Register(sched_stats.get(), sched);
     sys.sched_stats_.push_back(std::move(sched_stats));
+    char labels[32];
+    std::snprintf(labels, sizeof(labels), "shard=\"%d\"", s);
+    reg->AddCallback("sched_steps_total", "Coroutine resumes", MetricKind::kCounter,
+                     labels,
+                     [sched] { return static_cast<double>(sched->context_switches()); });
+    reg->AddCallback("sched_posts_total", "Cross-shard posts received",
+                     MetricKind::kCounter, labels,
+                     [sched] { return static_cast<double>(sched->posts_received()); });
+    reg->AddCallback("sched_cross_posts_total", "Cross-shard posts sent",
+                     MetricKind::kCounter, labels,
+                     [sched] { return static_cast<double>(sched->cross_posts_sent()); });
+    reg->AddCallback("sched_mailbox_drains_total", "Mailbox drain passes",
+                     MetricKind::kCounter, labels,
+                     [sched] { return static_cast<double>(sched->mailbox_drains()); });
+    reg->AddCallback("sched_idle_seconds_total", "Real time spent waiting for work",
+                     MetricKind::kCounter, labels,
+                     [sched] { return static_cast<double>(sched->idle_nanos()) * 1e-9; });
   }
 
   // Drivers: the only place where the two backends diverge structurally.
@@ -290,9 +314,8 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
         const std::string name = std::string("d") + std::to_string(disk_index);
         auto disk = std::make_unique<DiskModel>(bus_sched, name, config.disk_params, bus.get());
         disk->Start();
-        auto driver =
-            std::make_unique<SimDiskDriver>(bus_sched, name, disk.get(), bus.get(),
-                                            queue_policy);
+        auto driver = std::make_unique<SimDiskDriver>(bus_sched, reg, name, disk.get(),
+                                                      bus.get(), queue_policy);
         driver->Start();
         sys.stats_.Register(disk.get(), bus_sched);
         sys.stats_.Register(driver.get(), bus_sched);
@@ -311,7 +334,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
       Scheduler* disk_sched = sys.shard_scheduler(disk_owners[static_cast<size_t>(i)]);
       PFS_ASSIGN_OR_RETURN(
           std::unique_ptr<FileBackedDriver> driver,
-          FileBackedDriver::Create(disk_sched, std::string("d") + std::to_string(i),
+          FileBackedDriver::Create(disk_sched, reg, std::string("d") + std::to_string(i),
                                    config.disk_image_path(i), config.image_bytes,
                                    sys.executor_.get(), queue_policy));
       driver->Start();
@@ -331,7 +354,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   cache_config.async_flush = config.async_flush;
   for (int s = 0; s < nshards; ++s) {
     auto cache = std::make_unique<BufferCache>(
-        sys.shard_scheduler(s), cache_config,
+        sys.shard_scheduler(s), reg, cache_config,
         (*ReplacementRegistry::Find(config.replacement))(config.seed +
                                                          static_cast<uint64_t>(s)),
         (*FlushPolicyRegistry::Find(config.flush_policy))(
@@ -362,7 +385,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     sys.stats_.Register(sys.trace_sink_.get());
   }
   if (config.trace.sample_ms > 0) {
-    sys.sampler_ = std::make_unique<StatsSampler>(sys.group_.get(), &sys.stats_,
+    sys.sampler_ = std::make_unique<StatsSampler>(sys.group_.get(), &sys.stats_, reg,
                                                   Duration::Millis(config.trace.sample_ms));
     if (!config.trace.file.empty()) {
       // Stream samples incrementally (fsync every 8) so an interrupted run
@@ -377,7 +400,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   // file systems on 10 disks); explicit volume specs compose slices into
   // concat/striped/mirror devices. A slice whose disk belongs to another
   // shard gets a CrossShardDevice proxy.
-  sys.client_ = std::make_unique<LocalClient>(sys.scheduler());
+  sys.client_ = std::make_unique<LocalClient>(sys.scheduler(), reg);
   sys.client_->set_trace_recorder(sys.tracer_.get());
   for (int f = 0; f < config.num_filesystems; ++f) {
     const VolumePlan& plan = plans[static_cast<size_t>(f)];
@@ -399,8 +422,8 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     }
     const VolumeKindFamily::Value& kind = *VolumeKindRegistry::Find(plan.spec.kind);
     std::unique_ptr<Volume> top =
-        kind.assemble(fsched, vol_name, slices, plan.spec, sys.drivers_[0]->sector_bytes(),
-                      &sys.volume_parts_);
+        kind.assemble(fsched, reg, vol_name, slices, plan.spec,
+                      sys.drivers_[0]->sector_bytes(), &sys.volume_parts_);
     sys.stats_.Register(top.get(), fsched);
     BlockDev dev(top.get(), kDefaultBlockSize);
     sys.fs_volumes_.push_back(std::move(top));
@@ -430,7 +453,8 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     RebuildDaemon::Options options;
     options.bw_kbps = config.rebuild_bw_kbps;
     options.copy_real_data = !config.simulated();
-    sys.rebuild_daemons_[f] = std::make_unique<RebuildDaemon>(fsched, mirror, options);
+    sys.rebuild_daemons_[f] =
+        std::make_unique<RebuildDaemon>(fsched, reg, mirror, options);
     sys.stats_.Register(sys.rebuild_daemons_[f].get(), fsched);
   }
   if (!config.faults.empty()) {
@@ -451,7 +475,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
         continue;
       }
       auto injector = std::make_unique<FaultInjector>(
-          sys.shard_scheduler(s), std::move(per_shard[static_cast<size_t>(s)]));
+          sys.shard_scheduler(s), reg, std::move(per_shard[static_cast<size_t>(s)]));
       if (nshards > 1) {
         injector->set_stat_suffix(".shard" + std::to_string(s));
       }
@@ -460,56 +484,6 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     }
   }
 
-  // Live metrics plane: one registry sized to the shard count, every
-  // component bound to it. Scheduler counters are exposed as callbacks over
-  // their (relaxed) atomics — no extra writes on the hot loop.
-  if (config.metrics.enabled) {
-    sys.metrics_ = std::make_unique<MetricRegistry>(static_cast<size_t>(nshards),
-                                                    config.metrics.prefix);
-    MetricRegistry* reg = sys.metrics_.get();
-    for (int s = 0; s < nshards; ++s) {
-      Scheduler* sched = sys.shard_scheduler(s);
-      char labels[32];
-      std::snprintf(labels, sizeof(labels), "shard=\"%d\"", s);
-      reg->AddCallback("sched_steps_total", "Coroutine resumes", MetricKind::kCounter, labels,
-                       [sched] { return static_cast<double>(sched->context_switches()); });
-      reg->AddCallback("sched_posts_total", "Cross-shard posts received", MetricKind::kCounter,
-                       labels,
-                       [sched] { return static_cast<double>(sched->posts_received()); });
-      reg->AddCallback("sched_cross_posts_total", "Cross-shard posts sent",
-                       MetricKind::kCounter, labels,
-                       [sched] { return static_cast<double>(sched->cross_posts_sent()); });
-      reg->AddCallback("sched_mailbox_drains_total", "Mailbox drain passes",
-                       MetricKind::kCounter, labels,
-                       [sched] { return static_cast<double>(sched->mailbox_drains()); });
-      reg->AddCallback("sched_idle_seconds_total", "Real time spent waiting for work",
-                       MetricKind::kCounter, labels,
-                       [sched] { return static_cast<double>(sched->idle_nanos()) * 1e-9; });
-    }
-    for (auto& driver : sys.drivers_) {
-      driver->BindMetrics(reg);
-    }
-    for (size_t s = 0; s < sys.caches_.size(); ++s) {
-      sys.caches_[s]->BindMetrics(reg, static_cast<uint32_t>(s));
-    }
-    for (auto& volume : sys.fs_volumes_) {
-      volume->BindMetrics(reg);
-    }
-    for (auto& rebuild : sys.rebuild_daemons_) {
-      if (rebuild != nullptr) {
-        rebuild->BindMetrics(reg);
-      }
-    }
-    for (size_t s = 0; s < sys.injectors_.size(); ++s) {
-      if (sys.injectors_[s] != nullptr) {
-        sys.injectors_[s]->BindMetrics(reg, static_cast<uint32_t>(s));
-      }
-    }
-    sys.client_->BindMetrics(reg);
-    if (sys.sampler_ != nullptr) {
-      sys.sampler_->set_metrics(reg);
-    }
-  }
   return system;
 }
 
@@ -593,7 +567,7 @@ Status System::Setup() {
   if (sampler_ != nullptr) {
     sampler_->Start();
   }
-  if (metrics_ != nullptr) {
+  if (config_.metrics.enabled) {
     PFS_RETURN_IF_ERROR(StartMetricsHttp());
   }
   return OkStatus();

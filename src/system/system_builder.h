@@ -153,8 +153,8 @@ class System {
   // scheduler is still alive.
   Status ExportObservability();
 
-  // The live metrics plane (config.metrics.*). Both null when
-  // metrics.enabled is off; the HTTP server exists only after Setup().
+  // The metric registry every component counts into; never null. The HTTP
+  // server exists only with metrics.enabled, after Setup().
   MetricRegistry* metrics() { return metrics_.get(); }
   MetricsHttpServer* metrics_http() { return metrics_http_.get(); }
   // The bound scrape port (resolves metrics.port == 0), 0 when no server.
@@ -173,7 +173,10 @@ class System {
   Task<> StatzRefresher(Duration period);
 
   SystemConfig config_;
-  // Precedes every component so the loops are destroyed last.
+  // Components keep raw pointers to their registry metrics, so the registry
+  // is built before and destroyed after all of them.
+  std::unique_ptr<MetricRegistry> metrics_;
+  // Precedes every component so the loops outlive them.
   std::unique_ptr<SchedulerGroup> group_;
   std::unique_ptr<IoExecutor> executor_;  // file-backed only
   std::vector<std::unique_ptr<ScsiBus>> busses_;
@@ -203,12 +206,11 @@ class System {
   std::vector<int> fs_shard_;  // one per file system
   std::vector<std::unique_ptr<SchedStats>> sched_stats_;  // one per shard
   StatsRegistry stats_;
-  // Live metrics plane. Declared last on purpose: the HTTP server's scrape
-  // thread reads the registry (and, via callbacks, scheduler atomics), so it
-  // must be joined — and the registry freed — before anything above dies.
-  std::unique_ptr<MetricRegistry> metrics_;
   mutable std::mutex statz_mu_;
   std::string statz_json_;  // last gathered ReportJson (see StatzRefresher)
+  // Declared last on purpose: the HTTP server's scrape thread reads the
+  // registry (and, via callbacks, scheduler atomics) and statz_json_, so it
+  // must be joined before anything above dies.
   std::unique_ptr<MetricsHttpServer> metrics_http_;
 };
 

@@ -49,9 +49,19 @@ Task<> FragmentIo(Scheduler* sched, Volume* volume, bool is_write, const Volume:
 
 }  // namespace
 
-Volume::Volume(Scheduler* sched, std::string name, std::vector<BlockDevice*> members)
+Volume::Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+               std::vector<BlockDevice*> members)
     : sched_(sched), name_(std::move(name)), members_(std::move(members)) {
   PFS_CHECK_MSG(!members_.empty(), "volume needs at least one member");
+  const std::string label = "volume=\"" + name_ + "\"";
+  requests_ = metrics->Counter("volume_requests_total", "Requests completed", label);
+  latency_ = metrics->Histogram("volume_request_seconds",
+                                "Whole-request latency at the volume layer", label, 1e-9);
+  for (size_t i = 0; i < members_.size(); ++i) {
+    member_latency_.push_back(metrics->Histogram(
+        "volume_fragment_seconds", "Per-member fragment service latency",
+        label + ",member=\"" + std::to_string(i) + "\"", 1e-9));
+  }
   BindHomeShard(sched_);  // all entry paths assert via OpBegin()
   sector_bytes_ = members_[0]->sector_bytes();
   for (const BlockDevice* m : members_) {
@@ -148,7 +158,6 @@ Task<Status> Volume::RunFragments(bool is_write, std::span<std::byte> out,
                                   const std::vector<Fragment>& fragments,
                                   std::vector<Status>* per_fragment) {
   const TimePoint op_begin = OpBegin();
-  requests_.Inc();
   // Alloc-free fan-out tracking; members beyond 64 share the last bit (the
   // histogram clamps far earlier anyway).
   uint64_t seen = 0;
@@ -220,33 +229,12 @@ Task<Status> Volume::RunFragments(bool is_write, std::span<std::byte> out,
 
 void Volume::OpFinish(TimePoint begin, uint64_t count) {
   const TimePoint end = sched_->Now();
-  latency_.Record(end - begin);
-  if (m_latency_ != nullptr) {
-    m_requests_->Inc();
-    m_latency_->RecordDuration(end - begin);
-  }
+  requests_->Inc();
+  latency_->RecordDuration(end - begin);
   const Thread* self = sched_->current_thread();
   if (self != nullptr && self->trace.active()) {
     RecordSpan(self->trace, TraceStage::kVolume, self->id(), begin, end, count);
   }
-}
-
-void Volume::BindMetrics(MetricRegistry* registry) {
-  const std::string label = "volume=\"" + name_ + "\"";
-  m_requests_ = registry->Counter("volume_requests_total", "Requests entering this volume",
-                                  label);
-  m_latency_ = registry->Histogram("volume_request_seconds",
-                                   "Whole-request latency at the volume layer", label, 1e-9);
-  m_member_latency_.resize(members_.size());
-  for (size_t i = 0; i < members_.size(); ++i) {
-    m_member_latency_[i] = registry->Histogram(
-        "volume_fragment_seconds", "Per-member fragment service latency",
-        label + ",member=\"" + std::to_string(i) + "\"", 1e-9);
-  }
-}
-
-void Volume::RecordFragmentLatency(size_t member, TimePoint begin) {
-  m_member_latency_[member]->RecordDuration(sched_->Now() - begin);
 }
 
 std::string Volume::StatReport(bool with_histograms) const {
@@ -255,11 +243,11 @@ std::string Volume::StatReport(bool with_histograms) const {
                 "kind=%s members=%zu sectors=%llu requests=%llu split=%llu "
                 "coalesced=%llu bounce=%lluB\nfan-out: %s\nlatency: %s\n",
                 kind(), members_.size(), static_cast<unsigned long long>(total_sectors()),
-                static_cast<unsigned long long>(requests_.value()),
+                static_cast<unsigned long long>(requests()),
                 static_cast<unsigned long long>(split_requests_.value()),
                 static_cast<unsigned long long>(coalesced_.value()),
                 static_cast<unsigned long long>(bounce_bytes_.value()),
-                fanout_.Summary().c_str(), latency_.Summary().c_str());
+                fanout_.Summary().c_str(), latency().Summary().c_str());
   std::string out(buf);
   for (size_t i = 0; i < members_.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "member %zu: reads=%llu writes=%llu\n", i,
@@ -287,44 +275,39 @@ std::string Volume::StatJson() const {
   std::snprintf(buf, sizeof(buf),
                 "],\"requests\":%llu,\"split_requests\":%llu,\"coalesced\":%llu,"
                 "\"bounce_bytes\":%llu,\"fanout_mean\":%.3f,",
-                static_cast<unsigned long long>(requests_.value()),
+                static_cast<unsigned long long>(requests()),
                 static_cast<unsigned long long>(split_requests_.value()),
                 static_cast<unsigned long long>(coalesced_.value()),
                 static_cast<unsigned long long>(bounce_bytes_.value()), fanout_.mean());
   out += buf;
-  // When bound to the metrics registry, the percentile object comes from the
-  // cumulative HDR histogram — the same source a /metrics scrape reads — so
-  // the two always agree. Unbound systems keep the legacy interval histogram.
-  if (m_latency_ != nullptr) {
-    out += m_latency_->LatencyMsJsonObject("latency_ms");
-  } else {
-    std::snprintf(buf, sizeof(buf),
-                  "\"latency_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
-                  latency_.mean().ToMillisF(), latency_.Percentile(0.5).ToMillisF(),
-                  latency_.Percentile(0.95).ToMillisF(),
-                  latency_.Percentile(0.99).ToMillisF());
-    out += buf;
-  }
+  // The cumulative registry histogram: the same source a /metrics scrape
+  // reads, so the two always agree.
+  out += latency_->LatencyMsJsonObject("latency_ms");
   out += "}";
   return out;
 }
 
 void Volume::StatResetInterval() {
   fanout_.Reset();
-  latency_.Reset();
+  latency_start_ = latency_->Snapshot();
 }
 
 // -- SingleDiskVolume --------------------------------------------------------
 
-SingleDiskVolume::SingleDiskVolume(Scheduler* sched, std::string name, BlockDevice* backing,
+SingleDiskVolume::SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics,
+                                   std::string name, BlockDevice* backing,
                                    uint64_t start_sector, uint64_t nsectors)
-    : Volume(sched, std::move(name), {backing}), start_(start_sector), nsectors_(nsectors) {
+    : Volume(sched, metrics, std::move(name), {backing}),
+      start_(start_sector),
+      nsectors_(nsectors) {
   PFS_CHECK_MSG(start_ + nsectors_ <= backing->total_sectors(),
                 "partition slice beyond the end of the backing device");
 }
 
-SingleDiskVolume::SingleDiskVolume(Scheduler* sched, std::string name, BlockDevice* backing)
-    : SingleDiskVolume(sched, std::move(name), backing, 0, backing->total_sectors()) {}
+SingleDiskVolume::SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics,
+                                   std::string name, BlockDevice* backing)
+    : SingleDiskVolume(sched, metrics, std::move(name), backing, 0,
+                       backing->total_sectors()) {}
 
 // The hottest path in the system (every cache miss and flush of the default
 // configuration, and every fragment of a composite volume): no allocations,
@@ -333,7 +316,6 @@ Task<Status> SingleDiskVolume::Read(uint64_t sector, uint32_t count,
                                     std::span<std::byte> out) {
   PFS_CHECK(sector + count <= nsectors_);
   const TimePoint op_begin = OpBegin();
-  requests_.Inc();
   member_reads_[0].Inc();
   fanout_.Record(1);
   const Status status = co_await members_[0]->Read(start_ + sector, count, out);
@@ -346,7 +328,6 @@ Task<Status> SingleDiskVolume::Write(uint64_t sector, uint32_t count,
                                      std::span<const std::byte> in) {
   PFS_CHECK(sector + count <= nsectors_);
   const TimePoint op_begin = OpBegin();
-  requests_.Inc();
   member_writes_[0].Inc();
   fanout_.Record(1);
   const Status status = co_await members_[0]->Write(start_ + sector, count, in);
@@ -376,9 +357,9 @@ uint64_t ConcatVolume::CapacitySectors(const std::vector<uint64_t>& member_secto
   return total;
 }
 
-ConcatVolume::ConcatVolume(Scheduler* sched, std::string name,
+ConcatVolume::ConcatVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
                            std::vector<BlockDevice*> members)
-    : Volume(sched, std::move(name), std::move(members)) {
+    : Volume(sched, metrics, std::move(name), std::move(members)) {
   for (const BlockDevice* m : members_) {
     member_start_.push_back(total_);
     total_ += m->total_sectors();  // the running sum IS CapacitySectors()
@@ -430,10 +411,11 @@ uint64_t StripedVolume::CapacitySectors(const std::vector<uint64_t>& member_sect
   return units_per_member * member_sectors.size() * stripe_unit_sectors;
 }
 
-StripedVolume::StripedVolume(Scheduler* sched, std::string name,
+StripedVolume::StripedVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
                              std::vector<BlockDevice*> members,
                              uint32_t stripe_unit_sectors)
-    : Volume(sched, std::move(name), std::move(members)), unit_(stripe_unit_sectors) {
+    : Volume(sched, metrics, std::move(name), std::move(members)),
+      unit_(stripe_unit_sectors) {
   PFS_CHECK_MSG(unit_ > 0, "stripe unit must be at least one sector");
   total_ = CapacitySectors(MemberSectors(members_), unit_);
   PFS_CHECK_MSG(total_ > 0, "stripe unit larger than the smallest member");
@@ -484,9 +466,13 @@ uint64_t MirrorVolume::CapacitySectors(const std::vector<uint64_t>& member_secto
   return min_sectors;
 }
 
-MirrorVolume::MirrorVolume(Scheduler* sched, std::string name,
+MirrorVolume::MirrorVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
                            std::vector<BlockDevice*> members)
-    : Volume(sched, std::move(name), std::move(members)), failed_(members_.size(), false) {
+    : Volume(sched, metrics, std::move(name), std::move(members)),
+      debt_bytes_(metrics->Gauge("volume_rebuild_debt_bytes",
+                                 "Outstanding mirror rebuild debt in bytes",
+                                 "volume=\"" + name_ + "\"")),
+      failed_(members_.size(), false) {
   total_ = CapacitySectors(MemberSectors(members_));
   member_missed_.resize(members_.size());
   debt_.resize(members_.size());
@@ -565,16 +551,7 @@ void MirrorVolume::AddDebt(size_t i, uint64_t sector, uint32_t count) {
 }
 
 void MirrorVolume::UpdateDebtGauge() {
-  if (m_debt_bytes_ != nullptr) {
-    m_debt_bytes_->Set(static_cast<int64_t>(rebuild_debt_bytes()));
-  }
-}
-
-void MirrorVolume::BindMetrics(MetricRegistry* registry) {
-  Volume::BindMetrics(registry);
-  m_debt_bytes_ = registry->Gauge("volume_rebuild_debt_bytes",
-                                  "Outstanding mirror rebuild debt in bytes",
-                                  "volume=\"" + name_ + "\"");
+  debt_bytes_->Set(static_cast<int64_t>(rebuild_debt_bytes()));
 }
 
 uint64_t MirrorVolume::debt_sectors(size_t i) const {
@@ -667,7 +644,6 @@ std::vector<size_t> MirrorVolume::ReadOrder() {
 Task<Status> MirrorVolume::Read(uint64_t sector, uint32_t count, std::span<std::byte> out) {
   PFS_CHECK(sector + count <= total_);
   const TimePoint op_begin = OpBegin();
-  requests_.Inc();
   const std::vector<size_t> order = ReadOrder();
   if (order.empty()) {
     fanout_.Record(0);
@@ -713,8 +689,8 @@ Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
     }
   }
   if (fragments.empty()) {
-    requests_.Inc();
     fanout_.Record(0);
+    OpFinish(OpBegin(), count);
     co_return Status(ErrorCode::kIoError, "mirror " + name_ + ": no live members");
   }
   // While this write is in flight, the skipped members' debt for it is not
@@ -808,14 +784,15 @@ namespace {
 // Wraps each slice in a per-member partition volume ("<name>.m<j>"), keeping
 // the wrappers alive in `parts` and returning the raw member devices a
 // composite volume composes.
-std::vector<BlockDevice*> WrapSlices(Scheduler* sched, const std::string& name,
+std::vector<BlockDevice*> WrapSlices(Scheduler* sched, MetricRegistry* metrics,
+                                     const std::string& name,
                                      const std::vector<VolumeSliceRef>& slices,
                                      std::vector<std::unique_ptr<Volume>>* parts) {
   std::vector<BlockDevice*> members;
   for (size_t j = 0; j < slices.size(); ++j) {
-    auto part = std::make_unique<SingleDiskVolume>(sched, name + ".m" + std::to_string(j),
-                                                   slices[j].backing, slices[j].start_sector,
-                                                   slices[j].nsectors);
+    auto part = std::make_unique<SingleDiskVolume>(
+        sched, metrics, name + ".m" + std::to_string(j), slices[j].backing,
+        slices[j].start_sector, slices[j].nsectors);
     members.push_back(part.get());
     parts->push_back(std::move(part));
   }
@@ -846,11 +823,13 @@ void RegisterBuiltinVolumeKinds() {
                                  const std::string&) -> Result<uint64_t> {
       return member_sectors[0];
     };
-    single.assemble = [](Scheduler* sched, const std::string& name,
+    single.assemble = [](Scheduler* sched, MetricRegistry* metrics,
+                         const std::string& name,
                          const std::vector<VolumeSliceRef>& slices, const VolumeSpec&,
                          uint32_t, std::vector<std::unique_ptr<Volume>>*) {
       return std::unique_ptr<Volume>(std::make_unique<SingleDiskVolume>(
-          sched, name, slices[0].backing, slices[0].start_sector, slices[0].nsectors));
+          sched, metrics, name, slices[0].backing, slices[0].start_sector,
+          slices[0].nsectors));
     };
     VolumeKindRegistry::Register("single", std::move(single));
   }
@@ -861,11 +840,12 @@ void RegisterBuiltinVolumeKinds() {
                                  const std::string&) -> Result<uint64_t> {
       return ConcatVolume::CapacitySectors(member_sectors);
     };
-    concat.assemble = [](Scheduler* sched, const std::string& name,
+    concat.assemble = [](Scheduler* sched, MetricRegistry* metrics,
+                         const std::string& name,
                          const std::vector<VolumeSliceRef>& slices, const VolumeSpec&,
                          uint32_t, std::vector<std::unique_ptr<Volume>>* parts) {
       return std::unique_ptr<Volume>(std::make_unique<ConcatVolume>(
-          sched, name, WrapSlices(sched, name, slices, parts)));
+          sched, metrics, name, WrapSlices(sched, metrics, name, slices, parts)));
     };
     VolumeKindRegistry::Register("concat", std::move(concat));
   }
@@ -901,11 +881,13 @@ void RegisterBuiltinVolumeKinds() {
       }
       return capacity;
     };
-    striped.assemble = [](Scheduler* sched, const std::string& name,
-                          const std::vector<VolumeSliceRef>& slices, const VolumeSpec& spec,
+    striped.assemble = [](Scheduler* sched, MetricRegistry* metrics,
+                          const std::string& name,
+                          const std::vector<VolumeSliceRef>& slices,
+                          const VolumeSpec& spec,
                           uint32_t sector_bytes, std::vector<std::unique_ptr<Volume>>* parts) {
       return std::unique_ptr<Volume>(std::make_unique<StripedVolume>(
-          sched, name, WrapSlices(sched, name, slices, parts),
+          sched, metrics, name, WrapSlices(sched, metrics, name, slices, parts),
           StripeUnitSectors(spec, sector_bytes)));
     };
     VolumeKindRegistry::Register("striped", std::move(striped));
@@ -942,11 +924,13 @@ void RegisterBuiltinVolumeKinds() {
                                  const std::string&) -> Result<uint64_t> {
       return MirrorVolume::CapacitySectors(member_sectors);
     };
-    mirror.assemble = [](Scheduler* sched, const std::string& name,
-                         const std::vector<VolumeSliceRef>& slices, const VolumeSpec& spec,
+    mirror.assemble = [](Scheduler* sched, MetricRegistry* metrics,
+                         const std::string& name,
+                         const std::vector<VolumeSliceRef>& slices,
+                         const VolumeSpec& spec,
                          uint32_t, std::vector<std::unique_ptr<Volume>>* parts) {
       auto volume = std::make_unique<MirrorVolume>(
-          sched, name, WrapSlices(sched, name, slices, parts));
+          sched, metrics, name, WrapSlices(sched, metrics, name, slices, parts));
       for (int m : spec.failed_members) {
         // Failing a member out (no rebuild debt yet) always succeeds.
         PFS_CHECK(volume->SetMemberFailed(static_cast<size_t>(m), true).ok());

@@ -11,7 +11,8 @@
 //                     fall back to the others when a member is failed
 //
 // Every volume is a StatSource: per-member request counts, fan-out width
-// per request, and (for mirrors) the read balance across members.
+// per request, and (for mirrors) the read balance across members. Request
+// counts and latencies live in the system's MetricRegistry.
 #ifndef PFS_VOLUME_VOLUME_H_
 #define PFS_VOLUME_VOLUME_H_
 
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
 #include "stats/histogram.h"
@@ -29,18 +31,17 @@
 
 namespace pfs {
 
-class MetricRegistry;
-class CounterMetric;
-class GaugeMetric;
-class HistogramMetric;
-
 // Volumes are shard-affine (ShardAffine): the constructor pins them to the
 // scheduler they are built on, and every Read/Write entry path asserts the
 // caller runs on that loop (foreign shards reach a volume only through a
 // CrossShardDevice proxy or CallOn).
 class Volume : public BlockDevice, public StatSource, public ShardAffine {
  public:
-  Volume(Scheduler* sched, std::string name, std::vector<BlockDevice*> members);
+  // Registers the request counter, the request-latency histogram and one
+  // fragment-latency histogram per member in `metrics`, labelled
+  // {volume="<name>"}.
+  Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+         std::vector<BlockDevice*> members);
 
   virtual const char* kind() const = 0;
   const std::string& name() const { return name_; }
@@ -55,28 +56,20 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   std::string StatJson() const override;
   void StatResetInterval() override;
 
-  uint64_t requests() const { return requests_.value(); }
-  const LatencyHistogram& latency() const { return latency_; }
+  // Completed requests.
+  uint64_t requests() const { return requests_->Total(); }
+  // Whole-request latency since the last StatResetInterval.
+  LatencyHistogram latency() const { return latency_->Snapshot().Since(latency_start_); }
   uint64_t member_reads(size_t i) const { return member_reads_[i].value(); }
   uint64_t member_writes(size_t i) const { return member_writes_[i].value(); }
   const Histogram& fanout_width() const { return fanout_; }
   uint64_t coalesced_fragments() const { return coalesced_.value(); }
   uint64_t bounce_bytes() const { return bounce_bytes_.value(); }
 
-  // Live metrics plane: creates this volume's registry metrics (request
-  // counter, request-latency histogram, per-member fragment-latency
-  // histograms) and switches the latency_ms object in StatJson to the
-  // registry histogram, so scrape output and StatJson agree by construction.
-  // Call during assembly, before the run; legacy counters keep recording
-  // either way. MirrorVolume adds its rebuild-debt gauge on top.
-  virtual void BindMetrics(MetricRegistry* registry);
-
-  // Per-member fragment latency when bound (no-op otherwise). Public because
-  // the fan-out workers (free coroutines) call it with their own stamps.
+  // Per-member fragment latency. Public because the fan-out workers (free
+  // coroutines) call it with their own stamps.
   void NoteFragmentDone(size_t member, TimePoint begin) {
-    if (!m_member_latency_.empty()) {
-      RecordFragmentLatency(member, begin);
-    }
+    member_latency_[member]->RecordDuration(sched_->Now() - begin);
   }
 
   // Fragment coalescing (on by default): merge adjacent same-member pieces
@@ -136,9 +129,9 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
                             std::vector<Status>* per_fragment = nullptr);
 
   // Request bracket shared by every entry path (RunFragments and the
-  // Read/Write overrides that bypass it): the shard-affinity assertion,
-  // per-request latency, and a volume.request span when the calling thread
-  // carries a TraceContext. Not RAII on purpose — the end stamp must be
+  // Read/Write overrides that bypass it): the shard-affinity assertion, the
+  // request count and latency, and a volume.request span when the calling
+  // thread carries a TraceContext. Not RAII on purpose — the end stamp must be
   // taken before co_return, not whenever the coroutine frame happens to be
   // destroyed.
   TimePoint OpBegin() const {
@@ -152,15 +145,14 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   std::vector<BlockDevice*> members_;
   uint32_t sector_bytes_;
 
-  void RecordFragmentLatency(size_t member, TimePoint begin);
+  // Requests, counted once each at completion (OpFinish), and their
+  // whole-request latency; latency_start_ is latency_ at the last
+  // StatResetInterval.
+  CounterMetric* requests_;
+  HistogramMetric* latency_;
+  LatencyHistogram latency_start_;
+  std::vector<HistogramMetric*> member_latency_;  // fragment latency, per member
 
-  // Registry metrics, null/empty until BindMetrics; written next to the
-  // legacy counters so unbound systems lose nothing.
-  CounterMetric* m_requests_ = nullptr;
-  HistogramMetric* m_latency_ = nullptr;
-  std::vector<HistogramMetric*> m_member_latency_;  // one per member
-
-  Counter requests_;
   Counter split_requests_;  // requests split across distinct address ranges
   Counter coalesced_;       // fragments merged away by coalescing
   Counter bounce_bytes_;    // bytes gathered/scattered through bounce buffers
@@ -168,7 +160,6 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   std::vector<Counter> member_reads_;
   std::vector<Counter> member_writes_;
   Histogram fanout_{0, 16, 16};  // distinct members touched per request
-  LatencyHistogram latency_;     // whole-request latency at this volume
 };
 
 // Adapter over a partition slice [start_sector, start_sector + nsectors) of
@@ -177,10 +168,11 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
 // whole disk or any other volume.
 class SingleDiskVolume final : public Volume {
  public:
-  SingleDiskVolume(Scheduler* sched, std::string name, BlockDevice* backing,
-                   uint64_t start_sector, uint64_t nsectors);
+  SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+                   BlockDevice* backing, uint64_t start_sector, uint64_t nsectors);
   // The whole backing device.
-  SingleDiskVolume(Scheduler* sched, std::string name, BlockDevice* backing);
+  SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+                   BlockDevice* backing);
 
   const char* kind() const override { return "single"; }
   Task<Status> Read(uint64_t sector, uint32_t count, std::span<std::byte> out) override;
@@ -196,7 +188,8 @@ class SingleDiskVolume final : public Volume {
 // Members appended end to end; requests crossing a member boundary are split.
 class ConcatVolume final : public Volume {
  public:
-  ConcatVolume(Scheduler* sched, std::string name, std::vector<BlockDevice*> members);
+  ConcatVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+               std::vector<BlockDevice*> members);
 
   // Capacity of a concat over members of these sizes — the constructor and
   // SystemBuilder's volume planner share this one formula.
@@ -220,8 +213,8 @@ class ConcatVolume final : public Volume {
 // u / n; capacity is bounded by the smallest member (whole units only).
 class StripedVolume final : public Volume {
  public:
-  StripedVolume(Scheduler* sched, std::string name, std::vector<BlockDevice*> members,
-                uint32_t stripe_unit_sectors);
+  StripedVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+                std::vector<BlockDevice*> members, uint32_t stripe_unit_sectors);
 
   // Whole stripes only, bounded by the smallest member; 0 when one stripe
   // unit exceeds the smallest member (the planner rejects, the constructor
@@ -260,7 +253,10 @@ class StripedVolume final : public Volume {
 // any replica persisted) — replicas never diverge silently.
 class MirrorVolume final : public Volume {
  public:
-  MirrorVolume(Scheduler* sched, std::string name, std::vector<BlockDevice*> members);
+  // Adds a rebuild-debt gauge to the base metrics, updated at every debt
+  // mutation so a scrape sees the outstanding debt live.
+  MirrorVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
+               std::vector<BlockDevice*> members);
 
   static uint64_t CapacitySectors(const std::vector<uint64_t>& member_sectors);
 
@@ -317,10 +313,6 @@ class MirrorVolume final : public Volume {
   std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
-  // Base metrics plus the rebuild-debt gauge (updated at every debt
-  // mutation, so a scrape sees the outstanding debt live).
-  void BindMetrics(MetricRegistry* registry) override;
-
  private:
   // Live members, shortest queue first; `rr_` rotates equal-depth choices.
   std::vector<size_t> ReadOrder();
@@ -331,11 +323,11 @@ class MirrorVolume final : public Volume {
   void MarkMemberFailed(size_t i);
   // Merges [sector, sector + count) into member i's debt extents.
   void AddDebt(size_t i, uint64_t sector, uint32_t count);
-  // Refreshes the live rebuild-debt gauge after a debt mutation (no-op
-  // unbound). Runs on the owning shard, like every debt mutation.
+  // Refreshes the live rebuild-debt gauge after a debt mutation. Runs on
+  // the owning shard, like every debt mutation.
   void UpdateDebtGauge();
 
-  GaugeMetric* m_debt_bytes_ = nullptr;
+  GaugeMetric* debt_bytes_;
 
   std::vector<bool> failed_;
   uint64_t total_ = 0;

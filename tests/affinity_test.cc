@@ -53,11 +53,12 @@ class MemDevice final : public BlockDevice {
   std::vector<std::byte> data_;
 };
 
-std::unique_ptr<BufferCache> MakeCache(Scheduler* sched) {
+std::unique_ptr<BufferCache> MakeCache(Scheduler* sched, MetricRegistry* metrics) {
   BufferCache::Config config;
   config.block_size = 4096;
   config.capacity_bytes = 8 * 4096;
-  return std::make_unique<BufferCache>(sched, config, std::make_unique<LruReplacement>(),
+  return std::make_unique<BufferCache>(sched, metrics, config,
+                                       std::make_unique<LruReplacement>(),
                                        std::make_unique<UpsPolicy>());
 }
 
@@ -67,8 +68,9 @@ TEST(AffinityDeathTest, WrongShardVolumeReadAborts) {
   EXPECT_DEATH(
       {
         SchedulerGroup group(2, /*virtual_clock=*/true, 1);
+        MetricRegistry metrics(group.size(), "pfs");
         MemDevice disk(64);
-        SingleDiskVolume vol(group.shard(0), "v", &disk, /*start_sector=*/0,
+        SingleDiskVolume vol(group.shard(0), &metrics, "v", &disk, /*start_sector=*/0,
                              /*nsectors=*/64);
         group.shard(1)->Spawn("wrong-shard-read",
                               [](Volume* v, std::span<std::byte> buf) -> Task<> {
@@ -84,7 +86,8 @@ TEST(AffinityDeathTest, WrongShardCacheAccessAborts) {
   EXPECT_DEATH(
       {
         SchedulerGroup group(2, /*virtual_clock=*/true, 1);
-        auto cache = MakeCache(group.shard(0));
+        MetricRegistry metrics(group.size(), "pfs");
+        auto cache = MakeCache(group.shard(0), &metrics);
         group.shard(1)->Spawn("wrong-shard-get",
                               [](BufferCache* c) -> Task<> {
                                 (void)co_await c->GetBlock(BlockId{1, 1, 0},
@@ -98,9 +101,10 @@ TEST(AffinityDeathTest, WrongShardCacheAccessAborts) {
 TEST(AffinityTest, CallOnRoundTripPasses) {
   SetAffinityChecksForTesting(true);
   SchedulerGroup group(2, /*virtual_clock=*/true, 1);
+  MetricRegistry metrics(group.size(), "pfs");
   MemDevice disk(64);
   // Volume pinned to shard 1; shard 0 reaches it the sanctioned way.
-  SingleDiskVolume vol(group.shard(1), "v", &disk, 0, 64);
+  SingleDiskVolume vol(group.shard(1), &metrics, "v", &disk, 0, 64);
   std::vector<std::byte> out(kSector);
   Status status(ErrorCode::kAborted);
   group.shard(0)->Spawn(
@@ -117,8 +121,9 @@ TEST(AffinityTest, CallOnRoundTripPasses) {
 TEST(AffinityTest, SameShardAccessPasses) {
   SetAffinityChecksForTesting(true);
   SchedulerGroup group(2, /*virtual_clock=*/true, 1);
+  MetricRegistry metrics(group.size(), "pfs");
   MemDevice disk(64);
-  SingleDiskVolume vol(group.shard(0), "v", &disk, 0, 64);
+  SingleDiskVolume vol(group.shard(0), &metrics, "v", &disk, 0, 64);
   std::vector<std::byte> out(kSector);
   Status status(ErrorCode::kAborted);
   group.shard(0)->Spawn("same-shard",
@@ -136,8 +141,9 @@ TEST(AffinityTest, DisabledChecksTolerateWrongShardAccess) {
   // physically safe here.)
   SetAffinityChecksForTesting(false);
   SchedulerGroup group(2, /*virtual_clock=*/true, 1);
+  MetricRegistry metrics(group.size(), "pfs");
   MemDevice disk(64);
-  SingleDiskVolume vol(group.shard(0), "v", &disk, 0, 64);
+  SingleDiskVolume vol(group.shard(0), &metrics, "v", &disk, 0, 64);
   std::vector<std::byte> out(kSector);
   Status status(ErrorCode::kAborted);
   group.shard(1)->Spawn("tolerated",

@@ -63,7 +63,7 @@ struct CacheFixture {
     if (flush == nullptr) {
       flush = std::make_unique<UpsPolicy>();
     }
-    cache = std::make_unique<BufferCache>(sched.get(), config, std::move(repl),
+    cache = std::make_unique<BufferCache>(sched.get(), &metrics, config, std::move(repl),
                                           std::move(flush));
     cache->RegisterHandler(1, handler.get());
     cache->Start();
@@ -78,6 +78,7 @@ struct CacheFixture {
 
   static BlockId Id(uint64_t ino, uint64_t blk) { return BlockId{1, ino, blk}; }
 
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<FakeHandler> handler;
   std::unique_ptr<BufferCache> cache;

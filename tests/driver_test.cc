@@ -31,10 +31,12 @@ struct SimFixture {
     bus = std::make_unique<ScsiBus>(sched.get(), "scsi0", bus_params);
     disk = std::make_unique<DiskModel>(sched.get(), "d0", params, bus.get());
     disk->Start();
-    driver = std::make_unique<SimDiskDriver>(sched.get(), "d0", disk.get(), bus.get(), policy);
+    driver = std::make_unique<SimDiskDriver>(sched.get(), &metrics, "d0", disk.get(),
+                                             bus.get(), policy);
     driver->Start();
   }
 
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<ScsiBus> bus;
   std::unique_ptr<DiskModel> disk;
@@ -232,8 +234,10 @@ Task<> WriteThenRead(DiskDriver* d, bool* ok) {
 
 TEST_F(FileDriverTest, RoundTripsBytes) {
   auto sched = Scheduler::CreateVirtual();
+  MetricRegistry metrics(1, "pfs");
   IoExecutor executor(2);
-  auto driver_or = FileBackedDriver::Create(sched.get(), "real0", path_, 1 * kMiB, &executor);
+  auto driver_or = FileBackedDriver::Create(sched.get(), &metrics, "real0", path_,
+                                            1 * kMiB, &executor);
   ASSERT_TRUE(driver_or.ok());
   auto driver = std::move(driver_or).value();
   driver->Start();
@@ -249,8 +253,10 @@ TEST_F(FileDriverTest, PersistsAcrossReopen) {
   IoExecutor executor(2);
   {
     auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
     auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), "real0", path_, 1 * kMiB, &executor))
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "real0", path_,
+                                           1 * kMiB, &executor))
             .value();
     driver->Start();
     bool ok = false;
@@ -264,8 +270,10 @@ TEST_F(FileDriverTest, PersistsAcrossReopen) {
   }
   {
     auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
     auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), "real0", path_, 1 * kMiB, &executor))
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "real0", path_,
+                                           1 * kMiB, &executor))
             .value();
     driver->Start();
     bool ok = false;
@@ -281,9 +289,11 @@ TEST_F(FileDriverTest, PersistsAcrossReopen) {
 
 TEST_F(FileDriverTest, DrainsTheQueueIntoBatches) {
   auto sched = Scheduler::CreateVirtual();
+  MetricRegistry metrics(1, "pfs");
   IoExecutor executor(2);
   auto driver =
-      std::move(FileBackedDriver::Create(sched.get(), "real0", path_, 1 * kMiB, &executor))
+      std::move(FileBackedDriver::Create(sched.get(), &metrics, "real0", path_, 1 * kMiB,
+                                         &executor))
           .value();
   driver->Start();
 
@@ -305,7 +315,9 @@ TEST_F(FileDriverTest, DrainsTheQueueIntoBatches) {
   // While one batch was at the engine the rest of the requests queued up, so
   // at least one later dispatch carried several requests.
   EXPECT_LT(driver->batches(), static_cast<uint64_t>(kOps));
-  EXPECT_GE(driver->batch_size_hist().max(), 2.0);
+  const HistogramMetric* batch_size =
+      metrics.Histogram("disk_batch_size", "", "disk=\"real0\"");
+  EXPECT_GE(batch_size->Percentile(1.0), 2u);
 
   const std::string json = driver->StatJson();
   EXPECT_NE(json.find("\"batches\":"), std::string::npos) << json;
@@ -425,8 +437,10 @@ TEST_F(FileDriverTest, EngineReportsWriteErrors) {
 
 TEST_F(FileDriverTest, CreateFailsOnBadPath) {
   auto sched = Scheduler::CreateVirtual();
+  MetricRegistry metrics(1, "pfs");
   IoExecutor executor(1);
-  auto driver_or = FileBackedDriver::Create(sched.get(), "bad", "/nonexistent-dir/x.img",
+  auto driver_or = FileBackedDriver::Create(sched.get(), &metrics, "bad",
+                                            "/nonexistent-dir/x.img",
                                             1 * kMiB, &executor);
   EXPECT_FALSE(driver_or.ok());
   EXPECT_EQ(driver_or.code(), ErrorCode::kIoError);

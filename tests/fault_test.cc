@@ -266,9 +266,10 @@ TEST(FaultValidateTest, BuilderRejectsBadSchedules) {
 
 TEST(MirrorDebtTest, ExtentsMergeAndPopInChunks) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(sched.get(), 64);
   MemDevice b(sched.get(), 64);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_TRUE(vol.SetMemberFailed(0, true).ok());
 
   // Three writes: two adjacent (merge into [0, 8)), one separate ([16, 20)).
@@ -301,9 +302,10 @@ TEST(MirrorDebtTest, ExtentsMergeAndPopInChunks) {
 
 TEST(MirrorDebtTest, RefusalsAndAvailabilityReachTheStats) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(sched.get(), 64);
   MemDevice b(sched.get(), 64);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   a.delay = Duration::Millis(1);
   b.delay = Duration::Millis(1);
 
@@ -330,9 +332,10 @@ TEST(MirrorDebtTest, RefusalsAndAvailabilityReachTheStats) {
 
 TEST(MirrorDebtTest, SetMemberFailedRacesInFlightIo) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(sched.get(), 64);
   MemDevice b(sched.get(), 64);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   a.delay = Duration::Millis(10);
   b.delay = Duration::Millis(10);
 
@@ -381,9 +384,10 @@ TEST(MirrorDebtTest, ReinstateRefusedWhileASkippingWriteIsInFlight) {
   // back in would lose the write's debt (recorded only at completion) and
   // serve stale data — the reinstate must be refused until the write lands.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(sched.get(), 64);
   MemDevice b(sched.get(), 64);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   b.delay = Duration::Millis(10);
   ASSERT_TRUE(vol.SetMemberFailed(0, true).ok());
 
@@ -418,9 +422,10 @@ TEST(MirrorDebtTest, ReinstateRefusedWhileASkippingWriteIsInFlight) {
 
 TEST(RebuildDaemonTest, DrainsDebtCopiesBytesAndReinstates) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(sched.get(), 64);
   MemDevice b(sched.get(), 64);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
 
   auto data = Pattern(8, 3);
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 8, data)).ok());
@@ -434,7 +439,7 @@ TEST(RebuildDaemonTest, DrainsDebtCopiesBytesAndReinstates) {
   options.bw_kbps = 64;
   options.chunk_sectors = 2;
   options.copy_real_data = true;
-  RebuildDaemon daemon(sched.get(), &vol, options);
+  RebuildDaemon daemon(sched.get(), &metrics, &vol, options);
   daemon.Start();
   daemon.RequestRebuild(0);
   EXPECT_FALSE(daemon.idle());
@@ -467,14 +472,15 @@ TEST(RebuildDaemonTest, DrainsDebtCopiesBytesAndReinstates) {
 
 TEST(RebuildDaemonTest, AbortedCopyKeepsTheMemberFailedAndTheDebt) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(sched.get(), 64);
   MemDevice b(sched.get(), 64);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_TRUE(vol.SetMemberFailed(0, true).ok());
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 4, Pattern(4))).ok());
 
   a.fail = true;  // the returning member refuses the copy writes
-  RebuildDaemon daemon(sched.get(), &vol, RebuildDaemon::Options{0, 8, true});
+  RebuildDaemon daemon(sched.get(), &metrics, &vol, RebuildDaemon::Options{0, 8, true});
   daemon.Start();
   daemon.RequestRebuild(0);
   sched->Spawn("waiter", [](Scheduler* s, RebuildDaemon* d) -> Task<> {

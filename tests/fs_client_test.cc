@@ -31,7 +31,8 @@ struct ServerFixture {
     disk = std::make_unique<DiskModel>(sched.get(), "d0", DiskParams::SyntheticTest(),
                                        bus.get());
     disk->Start();
-    driver = std::make_unique<SimDiskDriver>(sched.get(), "d0", disk.get(), bus.get());
+    driver = std::make_unique<SimDiskDriver>(sched.get(), &metrics, "d0", disk.get(),
+                                             bus.get());
     driver->Start();
 
     LfsConfig lfs_config;
@@ -39,19 +40,20 @@ struct ServerFixture {
     lfs_config.segment_blocks = 16;
     lfs_config.max_inodes = 256;
     lfs_config.enable_cleaner = true;
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), "v0", driver.get(), 0,
+    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
+                                                driver.get(), 0,
                                                 512 * (4096 / driver->sector_bytes()));
     layout = std::make_unique<LfsLayout>(sched.get(), BlockDev(volume.get(), 4096),
                                          lfs_config, MakeCleanerPolicy("greedy"));
 
     BufferCache::Config cache_config;
     cache_config.capacity_bytes = 32 * 4096;
-    cache = std::make_unique<BufferCache>(sched.get(), cache_config,
+    cache = std::make_unique<BufferCache>(sched.get(), &metrics, cache_config,
                                           std::make_unique<LruReplacement>(),
                                           std::move(flush_policy));
     mover = std::make_unique<SimDataMover>(sched.get(), HostModel{});
     fs = std::make_unique<FileSystem>(sched.get(), layout.get(), cache.get(), mover.get());
-    client = std::make_unique<LocalClient>(sched.get());
+    client = std::make_unique<LocalClient>(sched.get(), &metrics);
     client->AddMount("fs0", fs.get());
 
     Status format(ErrorCode::kAborted);
@@ -73,6 +75,7 @@ struct ServerFixture {
     return result;
   }
 
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<ScsiBus> bus;
   std::unique_ptr<DiskModel> disk;

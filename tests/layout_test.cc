@@ -133,9 +133,11 @@ struct LfsSimFixture {
     disk = std::make_unique<DiskModel>(sched.get(), "d0", DiskParams::SyntheticTest(),
                                        bus.get());
     disk->Start();
-    driver = std::make_unique<SimDiskDriver>(sched.get(), "d0", disk.get(), bus.get());
+    driver = std::make_unique<SimDiskDriver>(sched.get(), &metrics, "d0", disk.get(),
+                                             bus.get());
     driver->Start();
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), "v0", driver.get());
+    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
+                                                driver.get());
     layout = std::make_unique<LfsLayout>(sched.get(), BlockDev(volume.get(), 4096), config,
                                          MakeCleanerPolicy("greedy"));
   }
@@ -179,6 +181,7 @@ struct LfsSimFixture {
     return result;
   }
 
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<ScsiBus> bus;
   std::unique_ptr<DiskModel> disk;
@@ -395,11 +398,13 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
 
   {
     auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
     auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), "d0", path_, 4 * kMiB, &executor))
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+                                           &executor))
             .value();
     driver->Start();
-    SingleDiskVolume volume(sched.get(), "v0", driver.get());
+    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
     LfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig(),
                      MakeCleanerPolicy("greedy"));
     Status status(ErrorCode::kAborted);
@@ -441,11 +446,13 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
 
   {
     auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
     auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), "d0", path_, 4 * kMiB, &executor))
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+                                           &executor))
             .value();
     driver->Start();
-    SingleDiskVolume volume(sched.get(), "v0", driver.get());
+    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
     LfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig(),
                      MakeCleanerPolicy("greedy"));
     Status status(ErrorCode::kAborted);
@@ -484,18 +491,21 @@ struct FfsSimFixture {
     disk = std::make_unique<DiskModel>(sched.get(), "d0", DiskParams::SyntheticTest(),
                                        bus.get());
     disk->Start();
-    driver = std::make_unique<SimDiskDriver>(sched.get(), "d0", disk.get(), bus.get());
+    driver = std::make_unique<SimDiskDriver>(sched.get(), &metrics, "d0", disk.get(),
+                                             bus.get());
     driver->Start();
     FfsConfig config;
     config.fs_id = 2;
     config.blocks_per_group = 128;
     config.inodes_per_group = 32;
     // A 512-block slice of the disk, entering through the volume layer.
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), "v0", driver.get(), 0,
+    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
+                                                driver.get(), 0,
                                                 512 * (4096 / driver->sector_bytes()));
     layout = std::make_unique<FfsLayout>(sched.get(), BlockDev(volume.get(), 4096), config);
   }
 
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<ScsiBus> bus;
   std::unique_ptr<DiskModel> disk;
@@ -589,17 +599,20 @@ struct GuessFixture {
     disk = std::make_unique<DiskModel>(sched.get(), "d0", DiskParams::SyntheticTest(),
                                        bus.get());
     disk->Start();
-    driver = std::make_unique<SimDiskDriver>(sched.get(), "d0", disk.get(), bus.get());
+    driver = std::make_unique<SimDiskDriver>(sched.get(), &metrics, "d0", disk.get(),
+                                             bus.get());
     driver->Start();
     GuessingConfig config;
     config.fs_id = 3;
     config.seed = 5;
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), "v0", driver.get(), 0,
+    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
+                                                driver.get(), 0,
                                                 512 * (4096 / driver->sector_bytes()));
     layout = std::make_unique<GuessingLayout>(sched.get(), BlockDev(volume.get(), 4096),
                                               config);
   }
 
+  MetricRegistry metrics{1, "pfs"};
   std::unique_ptr<Scheduler> sched;
   std::unique_ptr<ScsiBus> bus;
   std::unique_ptr<DiskModel> disk;

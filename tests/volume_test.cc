@@ -81,8 +81,10 @@ std::vector<std::byte> Pattern(uint32_t sectors, uint8_t salt = 0) {
 
 TEST(SingleDiskVolumeTest, SliceOffsetsIntoBacking) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice disk(64);
-  SingleDiskVolume vol(sched.get(), "v", &disk, /*start_sector=*/16, /*nsectors=*/32);
+  SingleDiskVolume vol(sched.get(), &metrics, "v", &disk, /*start_sector=*/16,
+                       /*nsectors=*/32);
   EXPECT_EQ(vol.total_sectors(), 32u);
 
   auto data = Pattern(4);
@@ -98,9 +100,10 @@ TEST(SingleDiskVolumeTest, SliceOffsetsIntoBacking) {
 
 TEST(ConcatVolumeTest, SplitsAcrossTheMemberBoundary) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(8);
   MemDevice b(8);
-  ConcatVolume vol(sched.get(), "v", {&a, &b});
+  ConcatVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_EQ(vol.total_sectors(), 16u);
 
   // Sectors 6..10 straddle the boundary: 2 on `a`, 2 on `b`.
@@ -121,10 +124,11 @@ TEST(ConcatVolumeTest, SplitsAcrossTheMemberBoundary) {
 
 TEST(StripedVolumeTest, MapSectorRoundRobinsUnits) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
   MemDevice c(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b, &c}, /*stripe_unit_sectors=*/4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b, &c}, /*stripe_unit_sectors=*/4);
   EXPECT_EQ(vol.total_sectors(), 48u);
   EXPECT_EQ(vol.MapSector(0), (std::pair<size_t, uint64_t>{0, 0}));
   EXPECT_EQ(vol.MapSector(3), (std::pair<size_t, uint64_t>{0, 3}));
@@ -136,9 +140,10 @@ TEST(StripedVolumeTest, MapSectorRoundRobinsUnits) {
 
 TEST(StripedVolumeTest, WriteReadRoundTripAndPlacement) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
 
   // One request covering the whole volume: every sector lands where
   // MapSector says, and reading it back restores the pattern.
@@ -163,18 +168,20 @@ TEST(StripedVolumeTest, WriteReadRoundTripAndPlacement) {
 TEST(StripedVolumeTest, EmptySpansSimulatedMode) {
   // The simulated backend passes empty spans; splitting must not touch them.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
   EXPECT_TRUE(RunIo(sched.get(), vol.Write(0, 24, {})).ok());
   EXPECT_TRUE(RunIo(sched.get(), vol.Read(2, 9, {})).ok());
 }
 
 TEST(MirrorVolumeTest, WritesAllMembersReadsBalance) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   EXPECT_EQ(vol.total_sectors(), 16u);
 
   auto data = Pattern(4, 9);
@@ -197,9 +204,10 @@ TEST(MirrorVolumeTest, WritesAllMembersReadsBalance) {
 
 TEST(MirrorVolumeTest, ReadsPreferTheShortestQueue) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 2, Pattern(2))).ok());
 
   a.hint = 5;  // member 0 busy
@@ -213,9 +221,10 @@ TEST(MirrorVolumeTest, ReadsPreferTheShortestQueue) {
 
 TEST(MirrorVolumeTest, DegradedReadsAndRebuildDebt) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   auto data = Pattern(4, 5);
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 4, data)).ok());
 
@@ -264,9 +273,10 @@ TEST(MirrorVolumeTest, FallsBackWhenAMemberErrorsUnmarked) {
   // A member that fails without being marked (returns kIoError) is retried
   // on the survivors.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 2, Pattern(2, 4))).ok());
 
   a.fail = true;
@@ -291,9 +301,10 @@ TEST(MirrorVolumeTest, AllMembersErroringDoesNotBrickTheVolume) {
   // whole mirror failed: nothing diverged (no member took the write), so
   // the volume recovers as soon as the members do.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 2, Pattern(2, 1))).ok());
 
   a.fail = true;
@@ -317,9 +328,10 @@ TEST(MirrorVolumeTest, WriteErrorFailsTheMemberOutInsteadOfDiverging) {
   // mirror degraded: otherwise later reads alternate between old and new
   // data depending on which member they pick.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  MirrorVolume vol(sched.get(), "v", {&a, &b});
+  MirrorVolume vol(sched.get(), &metrics, "v", {&a, &b});
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 2, Pattern(2, 1))).ok());
 
   b.fail = true;  // transient error, not marked by anyone
@@ -343,9 +355,10 @@ TEST(VolumeFanoutTest, TransientWorkersAreReclaimed) {
   // Fan-out workers are transient scheduler threads: a long run of split
   // requests must not grow the scheduler's thread table per fragment.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(64);
   MemDevice b(64);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
 
   constexpr int kOps = 50;
   for (int i = 0; i < kOps; ++i) {
@@ -362,9 +375,10 @@ TEST(StripedVolumeTest, MapCoalescesAdjacentUnitsPerMember) {
   // Each member's units are member-contiguous, so coalescing folds the 4
   // fragments into 2 — one per member — with caller-buffer segments.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
 
   auto fragments = vol.Map(0, 16);
   ASSERT_EQ(fragments.size(), 2u);
@@ -386,9 +400,10 @@ TEST(StripedVolumeTest, MapCoalescesAdjacentUnitsPerMember) {
 
 TEST(StripedVolumeTest, MapSingleSectorStaysSingleFragment) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
 
   auto fragments = vol.Map(5, 1);
   ASSERT_EQ(fragments.size(), 1u);
@@ -403,10 +418,11 @@ TEST(StripedVolumeTest, MapWrapsAcrossAllMembersAtExactUnitMultiples) {
   // 12 sectors over 3 members at 2-sector units = 6 units, exactly 2 per
   // member; every member's pair of units merges into one fragment.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
   MemDevice c(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b, &c}, 2);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b, &c}, 2);
 
   auto fragments = vol.Map(0, 12);
   ASSERT_EQ(fragments.size(), 3u);
@@ -423,9 +439,10 @@ TEST(StripedVolumeTest, MapWrapsAcrossAllMembersAtExactUnitMultiples) {
 
 TEST(StripedVolumeTest, CoalescingSendsOneRequestPerMember) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
 
   // 16 sectors = 2 units per member: one gathered write per member, one
   // scattered read per member, and the pattern survives the bounce buffer.
@@ -451,12 +468,13 @@ TEST(StripedVolumeTest, CoalescingSendsOneRequestPerMember) {
 
 TEST(StripedVolumeTest, CoalescingOffMatchesCoalescingOn) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume on(sched.get(), "on", {&a, &b}, 4);
+  StripedVolume on(sched.get(), &metrics, "on", {&a, &b}, 4);
   MemDevice c(16);
   MemDevice d(16);
-  StripedVolume off(sched.get(), "off", {&c, &d}, 4);
+  StripedVolume off(sched.get(), &metrics, "off", {&c, &d}, 4);
   off.set_coalesce(false);
 
   auto data = Pattern(16, 13);
@@ -488,9 +506,10 @@ TEST(StripedVolumeTest, CoalescedEmptySpansSkipTheBounce) {
   // Simulated mode: empty caller spans coalesce (fewer member requests) but
   // never allocate a bounce buffer — no real bytes move.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 16, {})).ok());
   EXPECT_EQ(a.writes, 1);
   EXPECT_EQ(b.writes, 1);
@@ -502,9 +521,10 @@ TEST(ConcatVolumeTest, MapDoesNotMergeAcrossMembers) {
   // Concat fragments on different members stay separate; within one member a
   // run is already contiguous, so nothing needs merging either.
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(8);
   MemDevice b(8);
-  ConcatVolume vol(sched.get(), "v", {&a, &b});
+  ConcatVolume vol(sched.get(), &metrics, "v", {&a, &b});
   auto fragments = vol.Map(6, 4);
   ASSERT_EQ(fragments.size(), 2u);
   EXPECT_EQ(fragments[0].member, 0u);
@@ -516,9 +536,10 @@ TEST(ConcatVolumeTest, MapDoesNotMergeAcrossMembers) {
 
 TEST(VolumeStatsTest, ReportAndJson) {
   auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
   MemDevice a(16);
   MemDevice b(16);
-  StripedVolume vol(sched.get(), "v", {&a, &b}, 4);
+  StripedVolume vol(sched.get(), &metrics, "v", {&a, &b}, 4);
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 16, Pattern(16))).ok());
 
   EXPECT_EQ(vol.stat_name(), "volume.v");
