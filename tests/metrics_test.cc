@@ -292,6 +292,43 @@ TEST_F(MetricsSystemTest, ShardedCountersEqualExactOpCountsOnBothBackends) {
   }
 }
 
+// The 1-in-64 client latency sample depends only on the system's own op
+// sequence: two identical systems built one after another on this thread
+// record identical client histograms (a tick shared across systems would
+// start the second run's sampling where the first one stopped).
+TEST_F(MetricsSystemTest, IdenticalSystemsSampleIdenticalClientLatencies) {
+  std::vector<std::vector<uint64_t>> runs;
+  for (int run = 0; run < 2; ++run) {
+    SystemConfig config = StripedShardedConfig(image_);
+    config.backend = BackendKind::kSimulated;
+    auto built = SystemBuilder::Build(config);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    System& sys = **built;
+    ASSERT_TRUE(sys.Setup().ok());
+    Status status(ErrorCode::kAborted);
+    sys.scheduler()->Spawn("test.workload", [](System* s, int n, Status* out) -> Task<> {
+      *out = co_await CountedWorkload(s, n);
+    }(&sys, 100, &status));
+    sys.RunToCompletion();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+
+    std::vector<uint64_t> samples;
+    for (const char* op : {"open", "read", "write", "fsync", "sync_all"}) {
+      const std::string label = std::string("op=\"") + op + "\"";
+      const HistogramMetric* h =
+          sys.metrics()->Histogram("client_op_seconds", "", label, 1e-9);
+      samples.push_back(h->Count());
+      for (uint64_t bin : h->Bins()) {
+        samples.push_back(bin);
+      }
+    }
+    const std::string read = "op=\"read\"";
+    EXPECT_GT(sys.metrics()->Histogram("client_op_seconds", "", read, 1e-9)->Count(), 0u);
+    runs.push_back(std::move(samples));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
+}
+
 // -- Scraping over a live socket --------------------------------------------
 
 // Blocking one-shot HTTP GET against 127.0.0.1:port; empty string on error.
