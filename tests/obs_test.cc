@@ -12,7 +12,7 @@
 //  - spawned threads inherit the spawner's trace context,
 //  - the StatsSampler snapshots a time series without resetting intervals,
 //  - StatResetInterval clears interval histograms but keeps cumulative
-//    counters, on volumes and drivers alike.
+//    counters and the cumulative StatJson, on volumes and drivers alike.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -415,6 +415,16 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
 
 // -- satellite 3: StatResetInterval semantics --------------------------------
 
+// latency_ms.mean of one StatJson object; -1 when it does not parse.
+double LatencyMeanMs(const std::string& stat_json) {
+  auto parsed = ParseJson(stat_json);
+  if (!parsed.ok()) {
+    return -1;
+  }
+  const JsonValue* mean = parsed->FindPath("latency_ms.mean");
+  return mean != nullptr ? mean->number_value : -1;
+}
+
 TEST_F(ObsSystemTest, ResetIntervalClearsHistogramsKeepsCumulativeCounters) {
   auto sys = BuildAndRun(TracedConfig(BackendKind::kSimulated));
   ASSERT_TRUE(sys.ok()) << sys.status().ToString();
@@ -429,8 +439,16 @@ TEST_F(ObsSystemTest, ResetIntervalClearsHistogramsKeepsCumulativeCounters) {
   ASSERT_GT(volume->latency().count(), 0u);
   ASSERT_GT(driver->io_latency().count(), 0u);
   ASSERT_GT(driver->queue_wait().count(), 0u);
+  const double vol_mean_ms = LatencyMeanMs(volume->StatJson());
+  const double drv_mean_ms = LatencyMeanMs(driver->StatJson());
 
   s.stats().ResetIntervalAll();
+
+  // StatJson is cumulative: an interval reset leaves its latency means alone.
+  EXPECT_GT(vol_mean_ms, 0.0);
+  EXPECT_GT(drv_mean_ms, 0.0);
+  EXPECT_EQ(LatencyMeanMs(volume->StatJson()), vol_mean_ms);
+  EXPECT_EQ(LatencyMeanMs(driver->StatJson()), drv_mean_ms);
 
   // Interval state (latency/queue-wait histograms) restarts from zero...
   EXPECT_EQ(volume->latency().count(), 0u);
