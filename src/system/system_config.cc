@@ -519,7 +519,7 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
       {.key = "trace.ring_capacity", .type = kUint, .field = FIELD(c.trace.ring_capacity),
        .max = UINT32_MAX, .doc = "Spans per OS-thread ring buffer"},
       {.key = "metrics.enabled", .type = kBool, .field = FIELD(c.metrics.enabled),
-       .doc = "Live metric registry and the /metrics, /healthz, /statz listener"},
+       .doc = "Serve the registry: /metrics, /healthz, /statz listener"},
       {.key = "metrics.port", .type = kUint, .field = FIELD(c.metrics.port), .max = 65535,
        .doc = "Listener port on 127.0.0.1; 0 = ephemeral"},
       {.key = "metrics.prefix", .type = kString, .field = FIELD(c.metrics.prefix),

@@ -157,10 +157,10 @@ struct SystemConfig {
   };
   TraceConfig trace;
 
-  // Live metrics plane: the sharded MetricRegistry plus the HTTP scrape
-  // listener (/metrics, /healthz, /statz on 127.0.0.1).
+  // Live metrics plane. Every system counts into a sharded MetricRegistry;
+  // `enabled` serves it over HTTP (/metrics, /healthz, /statz on 127.0.0.1).
   struct MetricsConfig {
-    bool enabled = false;  // build the registry, bind components, start HTTP
+    bool enabled = false;  // start the HTTP listener and the /statz refresher
     uint32_t port = 0;     // TCP port; 0 = ephemeral (resolved after bind)
     // Prepended to every metric family name ("pfs" -> "pfs_cache_hits_total");
     // parse-checked against [a-zA-Z_][a-zA-Z0-9_]*.

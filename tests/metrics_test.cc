@@ -1,8 +1,9 @@
 // Tests for the live metrics plane (obs/metrics, obs/metrics_http): the HDR
 // bucket scheme, per-shard cell aggregation under a real sharded scheduler,
 // registry dedup and exposition formats, end-to-end counter exactness in a
-// sharded striped system on both backends, and scraping the HTTP endpoint
-// over a real socket while the workload is running.
+// sharded striped system on both backends, identical client latency samples
+// from identical systems, and scraping the HTTP endpoint over a real socket
+// while the workload is running.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -275,9 +276,8 @@ TEST_F(MetricsSystemTest, ShardedCountersEqualExactOpCountsOnBothBackends) {
     EXPECT_EQ(reg->Counter("client_ops_total", "", "op=\"read\"")->Total(),
               static_cast<uint64_t>(ops));
     EXPECT_EQ(reg->Counter("client_ops_total", "", "op=\"sync_all\"")->Total(), 1u);
-    // Per-shard cache counters agree with each cache's own legacy counters:
-    // both count the same events, and the registry instance is labeled with
-    // the owning shard.
+    // Per-shard cache counters: each registry instance is labelled with the
+    // shard that owns the cache, so it is what that cache's accessors read.
     uint64_t traffic = 0;
     for (int s = 0; s < sys.shard_count(); ++s) {
       const std::string label = "shard=\"" + std::to_string(s) + "\"";
