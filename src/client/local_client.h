@@ -165,7 +165,7 @@ class LocalClient final : public ClientInterface {
     Thread* self = nullptr;      // null: tracing off for this op
     Scheduler* sched = nullptr;  // the executing shard's loop
     ClientOp op = ClientOp::kOpen;
-    bool timed = false;         // this op's latency lands in the histogram
+    bool timed = false;          // this op's latency lands in the histogram
     TraceContext saved;
     TimePoint begin;
   };
