@@ -76,7 +76,8 @@ class CacheBlock {
   // DataMover charges copy time instead of moving bytes.
   std::span<std::byte> data;
 
-  IntrusiveListNode lru_node;  // exactly one of: free / clean / dirty list
+  IntrusiveListNode lru_node;   // exactly one of: free / clean / dirty list
+  IntrusiveListNode file_node;  // its file's list, while in the block map
 
   // Broadcast whenever this block's I/O completes (fill or flush).
   Event ready;

@@ -66,10 +66,34 @@ void BufferCache::Start() {
 
 void BufferCache::SetFileHint(uint32_t fs_id, uint64_t ino, FileCacheHint hint) {
   PFS_ASSERT_SHARD();
-  if (hint == FileCacheHint::kNormal) {
-    file_hints_.erase({fs_id, ino});
-  } else {
-    file_hints_[{fs_id, ino}] = hint;
+  if (hint != FileCacheHint::kNormal) {
+    files_[{fs_id, ino}].hint = hint;
+    return;
+  }
+  auto file = files_.find({fs_id, ino});
+  if (file != files_.end()) {
+    file->second.hint = hint;
+    if (file->second.blocks.empty()) {
+      files_.erase(file);
+    }
+  }
+}
+
+BufferCache::FileRecord& BufferCache::IndexBlock(CacheBlock* block) {
+  const bool inserted = map_.emplace(block->id, block).second;
+  PFS_CHECK(inserted);
+  FileRecord& file = files_[{block->id.fs_id, block->id.ino}];
+  file.blocks.PushBack(*block);
+  return file;
+}
+
+void BufferCache::UnindexBlock(CacheBlock* block) {
+  map_.erase(block->id);
+  auto file = files_.find({block->id.fs_id, block->id.ino});
+  PFS_CHECK_MSG(file != files_.end(), "cached block without a file record");
+  file->second.blocks.Remove(*block);
+  if (file->second.blocks.empty() && file->second.hint == FileCacheHint::kNormal) {
+    files_.erase(file);
   }
 }
 
@@ -115,9 +139,7 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
     block->last_access = sched_->Now();
     block->prev_access = TimePoint();
     block->doomed = false;
-    auto hint_it = file_hints_.find({id.fs_id, id.ino});
-    block->hint = hint_it == file_hints_.end() ? FileCacheHint::kNormal : hint_it->second;
-    map_.emplace(id, block);
+    block->hint = IndexBlock(block).hint;
     replacement_->OnInsert(block);
 
     if (mode == GetMode::kOverwrite) {
@@ -147,7 +169,7 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
     block->io_in_progress = false;
     --block->pin_count;
     if (!status.ok()) {
-      map_.erase(block->id);
+      UnindexBlock(block);
       FreeBlock(block);
       block->ready.Broadcast();
       co_return status;
@@ -167,7 +189,7 @@ Task<Result<CacheBlock*>> BufferCache::AllocateSlot() {
     }
     if (CacheBlock* victim = replacement_->PickVictim(clean_); victim != nullptr) {
       evictions_->Inc();
-      map_.erase(victim->id);
+      UnindexBlock(victim);
       clean_.Remove(*victim);
       victim->state = BlockState::kFree;
       co_return victim;
@@ -193,9 +215,9 @@ Task<Result<CacheBlock*>> BufferCache::AllocateSlot() {
 
 void BufferCache::FreeBlock(CacheBlock* block) {
   PFS_CHECK(block->pin_count == 0);
-  if (block->lru_node.linked()) {
-    // Caller already detached list membership where needed; only free-list
-    // insertion happens here.
+  if (block->lru_node.linked() || block->file_node.linked()) {
+    // Caller already detached list membership and unindexed the block; only
+    // free-list insertion happens here.
     PFS_UNREACHABLE();
   }
   block->state = BlockState::kFree;
@@ -247,7 +269,7 @@ void BufferCache::Release(CacheBlock* block) {
     } else if (block->state == BlockState::kClean) {
       clean_.Remove(*block);
     }
-    map_.erase(block->id);
+    UnindexBlock(block);
     FreeBlock(block);
     return;
   }
@@ -310,7 +332,7 @@ Task<Status> BufferCache::FlushBlockSet(uint32_t fs_id, uint64_t ino,
       } else if (b->state == BlockState::kClean) {
         clean_.Remove(*b);
       }
-      map_.erase(b->id);
+      UnindexBlock(b);
       FreeBlock(b);
     }
   }
@@ -328,10 +350,13 @@ void BufferCache::TransitionToClean(CacheBlock* block) {
 Task<Status> BufferCache::FlushFile(uint32_t fs_id, uint64_t ino) {
   PFS_ASSERT_SHARD();
   std::vector<CacheBlock*> victims;
-  for (CacheBlock& b : dirty_) {
-    if (b.id.fs_id == fs_id && b.id.ino == ino && !b.io_in_progress && !b.doomed &&
-        b.pin_count == 0) {
-      victims.push_back(&b);
+  if (auto file = files_.find({fs_id, ino}); file != files_.end()) {
+    // Collection order is free: FlushBlockSet sorts by block_no.
+    for (CacheBlock& b : file->second.blocks) {
+      if (b.state == BlockState::kDirty && !b.io_in_progress && !b.doomed &&
+          b.pin_count == 0) {
+        victims.push_back(&b);
+      }
     }
   }
   if (victims.empty()) {
@@ -377,12 +402,17 @@ Task<Status> BufferCache::SyncAll() {
 
 void BufferCache::InvalidateFile(uint32_t fs_id, uint64_t ino, uint64_t from_block) {
   PFS_ASSERT_SHARD();
+  auto file = files_.find({fs_id, ino});
+  if (file == files_.end()) {
+    return;
+  }
   std::vector<CacheBlock*> victims;
-  for (auto& [id, block] : map_) {
-    if (id.fs_id == fs_id && id.ino == ino && id.block_no >= from_block) {
-      victims.push_back(block);
+  for (CacheBlock& b : file->second.blocks) {
+    if (b.id.block_no >= from_block) {
+      victims.push_back(&b);
     }
   }
+  // Unindexing the file's last block erases its record: `file` is dead below.
   for (CacheBlock* b : victims) {
     if (b->pin_count > 0 || b->io_in_progress) {
       b->doomed = true;  // freed on last release / flush completion
@@ -395,7 +425,7 @@ void BufferCache::InvalidateFile(uint32_t fs_id, uint64_t ino, uint64_t from_blo
     } else if (b->state == BlockState::kClean) {
       clean_.Remove(*b);
     }
-    map_.erase(b->id);
+    UnindexBlock(b);
     FreeBlock(b);
   }
 }

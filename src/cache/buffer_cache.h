@@ -12,7 +12,6 @@
 #ifndef PFS_CACHE_BUFFER_CACHE_H_
 #define PFS_CACHE_BUFFER_CACHE_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -100,7 +99,8 @@ class BufferCache : public StatSource, public ShardAffine {
 
   // -- Write-back ----------------------------------------------------------
 
-  // Flushes every unpinned dirty block of the file (whole-file flush).
+  // Flushes every unpinned dirty block of the file (whole-file flush). Walks
+  // only the file's own cached blocks, never the whole dirty list.
   Task<Status> FlushFile(uint32_t fs_id, uint64_t ino);
 
   // Flushes one block.
@@ -116,7 +116,8 @@ class BufferCache : public StatSource, public ShardAffine {
 
   // Drops all blocks of `ino` with block_no >= from_block. Dirty data dies
   // in memory — this is the overwrite absorption that write-saving policies
-  // bank on. Pinned blocks are doomed and freed on release.
+  // bank on. Pinned blocks are doomed and freed on release. Costs the file's
+  // cached blocks, not the cache's: every unlink and truncate calls it.
   void InvalidateFile(uint32_t fs_id, uint64_t ino, uint64_t from_block = 0);
 
   // -- Introspection (policies, tests, stats plug-ins) ----------------------
@@ -160,6 +161,26 @@ class BufferCache : public StatSource, public ShardAffine {
   uint64_t evictions() const { return evictions_->Total(); }
 
  private:
+  // A file's identity in the cache: a BlockId without the block number.
+  struct FileId {
+    uint32_t fs_id = 0;
+    uint64_t ino = 0;
+    bool operator==(const FileId&) const = default;
+  };
+  struct FileIdHash {
+    size_t operator()(const FileId& f) const { return BlockIdHash()({f.fs_id, f.ino, 0}); }
+  };
+  // What the cache knows about one file: its blocks in map_ (linked through
+  // CacheBlock::file_node) and its hint. Kept while either is non-trivial.
+  struct FileRecord {
+    IntrusiveList<CacheBlock, &CacheBlock::file_node> blocks;
+    FileCacheHint hint = FileCacheHint::kNormal;
+  };
+
+  // The one way into and out of map_, keeping each file's list in step.
+  FileRecord& IndexBlock(CacheBlock* block);
+  void UnindexBlock(CacheBlock* block);
+
   Task<Result<CacheBlock*>> AllocateSlot();
   void FreeBlock(CacheBlock* block);          // -> free list, identity cleared
   void Touch(CacheBlock* block);              // MRU + policy hooks
@@ -181,8 +202,10 @@ class BufferCache : public StatSource, public ShardAffine {
   BlockLruList clean_;
   BlockLruList dirty_;  // ordered by first-dirtied time (front = oldest)
 
+  // Node-based: a list's sentinel points at itself, so records never move.
+  std::unordered_map<FileId, FileRecord, FileIdHash> files_;
+
   std::unordered_map<uint32_t, BlockIoHandler*> handlers_;
-  std::map<std::pair<uint32_t, uint64_t>, FileCacheHint> file_hints_;
 
   Event cleaned_;
   Event space_available_;  // signalled when free/clean blocks appear

@@ -4,7 +4,9 @@
 // (free / clean / dirty) and moves blocks between lists on every access, so
 // membership changes must be O(1) with zero allocation. This was one of the
 // paper's §5.2 lessons: naive list maintenance dominated simulator run time.
-// bench/ablation_lru_maintenance measures the difference.
+// bench/ablation_lru_maintenance measures the difference. A cached block
+// also sits on a second list, through a second node: its file's, so unlink,
+// truncate and whole-file flush visit that file's blocks, not the cache's.
 //
 // Usage:
 //   struct Block { IntrusiveListNode node; ... };

@@ -78,14 +78,20 @@ void LfsLayout::DecLive(uint64_t addr) {
   }
 }
 
-uint32_t LfsLayout::free_segments() const {
-  uint32_t n = 0;
-  for (const SegmentInfo& s : segments_) {
-    if (s.state == SegmentState::kFree) {
-      ++n;
-    }
+void LfsLayout::SetSegmentState(uint32_t seg, SegmentState state) {
+  SegmentState& current = segments_[seg].state;
+  if (current == SegmentState::kFree) {
+    --free_segments_;
   }
-  return n;
+  if (state == SegmentState::kFree) {
+    ++free_segments_;
+  }
+  current = state;
+}
+
+void LfsLayout::ResetSegmentTable() {
+  segments_.assign(geo_.nsegments, SegmentInfo{});
+  free_segments_ = geo_.nsegments;
 }
 
 uint64_t LfsLayout::FreeBlocksEstimate() const {
@@ -102,7 +108,8 @@ double LfsLayout::WriteCost() const {
 }
 
 Result<uint32_t> LfsLayout::FindFreeSegment() {
-  for (uint32_t i = 0; i < geo_.nsegments; ++i) {
+  // The count is exact, so a full log needs no walk.
+  for (uint32_t i = 0; free_segments_ > 0 && i < geo_.nsegments; ++i) {
     const uint32_t seg = (cur_seg_ + 1 + i) % geo_.nsegments;
     if (segments_[seg].state == SegmentState::kFree) {
       return seg;
@@ -133,12 +140,12 @@ Task<Status> LfsLayout::CloseCurrentSegment() {
                                 geo_.usable_blocks;
   PFS_CO_RETURN_IF_ERROR(co_await dev_.Write(summary_addr, payload));
   log_blocks_written_.Inc();
-  segments_[cur_seg_].state = SegmentState::kFull;
+  SetSegmentState(cur_seg_, SegmentState::kFull);
 
   PFS_CO_ASSIGN_OR_RETURN(const uint32_t next, FindFreeSegment());
   cur_seg_ = next;
   cur_off_ = 0;
-  segments_[next].state = SegmentState::kActive;
+  SetSegmentState(next, SegmentState::kActive);
   segments_[next].live_blocks = 0;
   summaries_[next].clear();
   summary_loaded_.insert(next);
@@ -498,7 +505,7 @@ Task<Status> LfsLayout::TruncateBlocks(uint64_t ino, uint64_t from_block) {
 Task<Status> LfsLayout::Format() {
   PFS_ASSERT_SHARD();
   imap_.assign(config_.max_inodes, kNullAddr);
-  segments_.assign(geo_.nsegments, SegmentInfo{});
+  ResetSegmentTable();
   summaries_.assign(geo_.nsegments, {});
   summary_loaded_.clear();
   inode_cache_.clear();
@@ -508,7 +515,7 @@ Task<Status> LfsLayout::Format() {
   next_ino_hint_ = 1;
   cur_seg_ = 0;
   cur_off_ = 0;
-  segments_[0].state = SegmentState::kActive;
+  SetSegmentState(0, SegmentState::kActive);
   summary_loaded_.insert(0);
   mounted_ = true;
 
@@ -589,10 +596,12 @@ Status LfsLayout::DeserializeCheckpoint(std::span<const std::byte> bytes) {
   for (uint64_t& addr : imap_) {
     PFS_ASSIGN_OR_RETURN(addr, d.TakeU64());
   }
-  segments_.assign(geo_.nsegments, SegmentInfo{});
-  for (SegmentInfo& seg : segments_) {
+  // Recounts the free segments from the loaded states.
+  ResetSegmentTable();
+  for (uint32_t i = 0; i < geo_.nsegments; ++i) {
+    SegmentInfo& seg = segments_[i];
     PFS_ASSIGN_OR_RETURN(const uint8_t state, d.TakeU8());
-    seg.state = static_cast<SegmentState>(state);
+    SetSegmentState(i, static_cast<SegmentState>(state));
     PFS_ASSIGN_OR_RETURN(seg.live_blocks, d.TakeU32());
     PFS_ASSIGN_OR_RETURN(seg.write_seq, d.TakeU64());
   }
@@ -873,7 +882,7 @@ Task<Status> LfsLayout::CleanSegment(uint32_t seg) {
     blocks_relocated_.Inc();
   }
 
-  segments_[seg].state = SegmentState::kFree;
+  SetSegmentState(seg, SegmentState::kFree);
   segments_[seg].live_blocks = 0;
   summaries_[seg].clear();
   segments_cleaned_.Inc();

@@ -95,7 +95,8 @@ class LfsLayout final : public StorageLayout, public StatSource {
   std::string StatReport(bool with_histograms) const override;
 
   // Introspection for tests/benches.
-  uint32_t free_segments() const;
+  uint32_t free_segments() const { return free_segments_; }
+  const std::vector<SegmentInfo>& segment_table() const { return segments_; }
   uint64_t log_blocks_written() const { return log_blocks_written_.value(); }
   uint64_t segments_cleaned() const { return segments_cleaned_.value(); }
   uint64_t blocks_relocated() const { return blocks_relocated_.value(); }
@@ -131,6 +132,11 @@ class LfsLayout final : public StorageLayout, public StatSource {
                                                   bool for_cleaner);
   Task<Status> CloseCurrentSegment();
   Result<uint32_t> FindFreeSegment();
+  // Every change of a segment's state goes through here, so free_segments_
+  // stays exact without walking the table.
+  void SetSegmentState(uint32_t seg, SegmentState state);
+  // An all-free table of geo_.nsegments segments.
+  void ResetSegmentTable();
   void DecLive(uint64_t addr);
   uint64_t SegmentOf(uint64_t addr) const;
 
@@ -172,6 +178,7 @@ class LfsLayout final : public StorageLayout, public StatSource {
   // IFILE state.
   std::vector<uint64_t> imap_;  // ino -> inode log address (kNullAddr = free)
   std::vector<SegmentInfo> segments_;
+  uint32_t free_segments_ = 0;  // segments_ entries in state kFree
   std::vector<std::vector<SummaryEntry>> summaries_;  // per segment, in memory
   std::unordered_set<uint32_t> summary_loaded_;
   uint64_t checkpoint_seq_ = 0;
