@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -61,6 +62,17 @@ std::string JsonKey(const std::string& name, const std::string& labels) {
   }
   key.push_back('}');
   return key;
+}
+
+// p50, p95 and p99 of `h`, from one Bins() copy and one walk of it; all 0
+// without copying the bins when `count` (h.Count()) is 0.
+std::array<uint64_t, 3> TailQuantiles(const HistogramMetric& h, uint64_t count) {
+  static constexpr std::array<double, 3> kQs = {0.50, 0.95, 0.99};
+  std::array<uint64_t, 3> out{};
+  if (count != 0) {
+    HistPercentiles(h.Bins(), kQs, out);
+  }
+  return out;
 }
 
 }  // namespace
@@ -154,13 +166,12 @@ LatencyHistogram HistogramMetric::Snapshot() const {
 std::string HistogramMetric::LatencyMsJsonObject(const std::string& key) const {
   // Samples are nanoseconds (scale 1e-9 to seconds); StatJson reports ms.
   const double to_ms = scale_ * 1e3;
-  const std::vector<uint64_t> bins = Bins();
+  const std::array<uint64_t, 3> q = TailQuantiles(*this, Count());
   char buf[192];
   snprintf(buf, sizeof(buf),
            "\"%s\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}", key.c_str(),
-           Mean() * to_ms, static_cast<double>(HistPercentile(bins, 0.50)) * to_ms,
-           static_cast<double>(HistPercentile(bins, 0.95)) * to_ms,
-           static_cast<double>(HistPercentile(bins, 0.99)) * to_ms);
+           Mean() * to_ms, static_cast<double>(q[0]) * to_ms,
+           static_cast<double>(q[1]) * to_ms, static_cast<double>(q[2]) * to_ms);
   return buf;
 }
 
@@ -313,15 +324,19 @@ std::string MetricRegistry::JsonSnapshot() const {
         AppendNumber(&out, static_cast<double>(inst->gauge->Total()));
       } else {
         const HistogramMetric& h = *inst->histogram;
-        const std::vector<uint64_t> bins = h.Bins();
+        const uint64_t count = h.Count();
+        if (count == 0) {
+          out.append(R"({"count":0,"sum":0,"mean":0,"p50":0,"p95":0,"p99":0})");
+          continue;
+        }
+        const std::array<uint64_t, 3> q = TailQuantiles(h, count);
         snprintf(buf, sizeof(buf),
                  "{\"count\":%llu,\"sum\":%.9g,\"mean\":%.9g,\"p50\":%.9g,\"p95\":%.9g,"
                  "\"p99\":%.9g}",
-                 static_cast<unsigned long long>(h.Count()),
+                 static_cast<unsigned long long>(count),
                  static_cast<double>(h.Sum()) * h.scale(), h.Mean() * h.scale(),
-                 static_cast<double>(HistPercentile(bins, 0.50)) * h.scale(),
-                 static_cast<double>(HistPercentile(bins, 0.95)) * h.scale(),
-                 static_cast<double>(HistPercentile(bins, 0.99)) * h.scale());
+                 static_cast<double>(q[0]) * h.scale(), static_cast<double>(q[1]) * h.scale(),
+                 static_cast<double>(q[2]) * h.scale());
         out.append(buf);
       }
     }

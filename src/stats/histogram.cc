@@ -149,26 +149,38 @@ uint64_t HistBucketHigh(size_t i) {
 }
 
 uint64_t HistPercentile(std::span<const uint64_t> bins, double q) {
+  uint64_t out = 0;
+  HistPercentiles(bins, std::span<const double>(&q, 1), std::span<uint64_t>(&out, 1));
+  return out;
+}
+
+void HistPercentiles(std::span<const uint64_t> bins, std::span<const double> qs,
+                     std::span<uint64_t> out) {
+  PFS_CHECK(out.size() == qs.size());
   uint64_t total = 0;
   for (uint64_t b : bins) {
     total += b;
   }
   if (total == 0) {
-    return 0;
+    std::fill(out.begin(), out.end(), 0);
+    return;
   }
-  // Nearest rank: the ceil(q*total)-th sample (1-based). Truncating instead
-  // would bias one sample low — worst at small counts, where p99 of two
-  // samples would report the smaller one.
-  const uint64_t rank = std::clamp<uint64_t>(
-      static_cast<uint64_t>(std::ceil(q * static_cast<double>(total))), 1, total);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < bins.size(); ++i) {
-    seen += bins[i];
-    if (seen >= rank) {
-      return HistBucketHigh(i);
+  // One walk: bins[0..i] hold `seen` samples, and i only moves forward
+  // because the ranks ascend with qs.
+  size_t i = 0;
+  uint64_t seen = bins[0];
+  for (size_t k = 0; k < qs.size(); ++k) {
+    PFS_CHECK(k == 0 || qs[k - 1] <= qs[k]);
+    // Nearest rank: the ceil(q*total)-th sample (1-based). Truncating
+    // instead would bias one sample low — worst at small counts, where p99
+    // of two samples would report the smaller one.
+    const uint64_t rank = std::clamp<uint64_t>(
+        static_cast<uint64_t>(std::ceil(qs[k] * static_cast<double>(total))), 1, total);
+    while (seen < rank && i + 1 < bins.size()) {
+      seen += bins[++i];
     }
+    out[k] = HistBucketHigh(i);
   }
-  return HistBucketHigh(bins.size() - 1);
 }
 
 namespace {

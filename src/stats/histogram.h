@@ -85,6 +85,10 @@ uint64_t HistBucketHigh(size_t i);
 // ceil(q * total)-th sample, clamped into [1, total]; 0 when empty. Error is
 // at most one bucket width, and the answer never undershoots the exact one.
 uint64_t HistPercentile(std::span<const uint64_t> bins, double q);
+// HistPercentile for each of `qs` (ascending) into `out` (as many entries),
+// from one walk of `bins`. HistPercentile is its one-quantile case.
+void HistPercentiles(std::span<const uint64_t> bins, std::span<const double> qs,
+                     std::span<uint64_t> out);
 
 // Latency distribution over Durations, recorded in nanoseconds into the HDR
 // buckets above: a 300 µs cache hit and a 170 ms queueing delay both land in

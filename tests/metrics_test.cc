@@ -175,6 +175,50 @@ TEST(MetricRegistryTest, JsonSnapshotIsFlatObject) {
   EXPECT_NE(json.find("\"pfs_lat_seconds\":{\"count\":1"), std::string::npos) << json;
 }
 
+// JsonSnapshot and LatencyMsJsonObject take p50/p95/p99 from one walk of the
+// bins and skip the bins of an empty histogram; both must still print what
+// three HistPercentile calls give.
+TEST(MetricRegistryTest, RenderedQuantilesMatchHistPercentile) {
+  MetricRegistry reg(1, "pfs");
+  HistogramMetric* empty = reg.Histogram("empty_seconds", "test", "", 1e-9);
+  HistogramMetric* one = reg.Histogram("one_seconds", "test", "", 1e-9);
+  HistogramMetric* spread = reg.Histogram("spread_seconds", "test", "", 1e-9);
+  one->Record(1234567);
+  for (uint64_t i = 1; i <= 2000; ++i) {
+    spread->Record(i * i * 37);
+  }
+  const std::string json = reg.JsonSnapshot();
+  for (const auto& [name, h] : {std::pair{"pfs_empty_seconds", empty},
+                                std::pair{"pfs_one_seconds", one},
+                                std::pair{"pfs_spread_seconds", spread}}) {
+    const std::vector<uint64_t> bins = h->Bins();
+    const double p50 = static_cast<double>(HistPercentile(bins, 0.50));
+    const double p95 = static_cast<double>(HistPercentile(bins, 0.95));
+    const double p99 = static_cast<double>(HistPercentile(bins, 0.99));
+    char want[256];
+    snprintf(want, sizeof(want),
+             "\"%s\":{\"count\":%llu,\"sum\":%.9g,\"mean\":%.9g,\"p50\":%.9g,\"p95\":%.9g,"
+             "\"p99\":%.9g}",
+             name, static_cast<unsigned long long>(h->Count()),
+             static_cast<double>(h->Sum()) * 1e-9, h->Mean() * 1e-9, p50 * 1e-9, p95 * 1e-9,
+             p99 * 1e-9);
+    EXPECT_NE(json.find(want), std::string::npos) << want << "\n" << json;
+    snprintf(want, sizeof(want), "\"k\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
+             h->Mean() * 1e-6, p50 * 1e-6, p95 * 1e-6, p99 * 1e-6);
+    EXPECT_EQ(h->LatencyMsJsonObject("k"), want);
+  }
+  EXPECT_LT(spread->Percentile(0.50), spread->Percentile(0.95));  // the spread shows
+
+  // The multi-quantile walk agrees with one HistPercentile per quantile.
+  const std::vector<uint64_t> bins = spread->Bins();
+  const std::vector<double> qs = {0.0, 0.25, 0.5, 0.5, 0.9, 0.95, 0.99, 1.0};
+  std::vector<uint64_t> got(qs.size());
+  HistPercentiles(bins, qs, got);
+  for (size_t k = 0; k < qs.size(); ++k) {
+    EXPECT_EQ(got[k], HistPercentile(bins, qs[k])) << "q=" << qs[k];
+  }
+}
+
 TEST(MetricRegistryTest, ValidMetricPrefixRule) {
   EXPECT_TRUE(ValidMetricPrefix("pfs"));
   EXPECT_TRUE(ValidMetricPrefix("_x9"));
