@@ -196,6 +196,11 @@ Status ValidateStack(const SystemConfig& config) {
   if (config.num_filesystems < 1) {
     return Invalid("num_filesystems: at least one file system is required");
   }
+  if (config.num_filesystems > kMaxFilesystems) {
+    // Before CheckShardSpecs, which sizes a vector by the count.
+    return Invalid("num_filesystems: at most " + std::to_string(kMaxFilesystems) +
+                   " file systems, got " + std::to_string(config.num_filesystems));
+  }
   const LayoutFamily::Value* layout = LayoutRegistry::Find(config.layout);
   if (layout == nullptr) {
     return LayoutRegistry::UnknownNameError("layout", config.layout);

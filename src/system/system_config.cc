@@ -440,7 +440,7 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
        .section = "topology",
        .doc = "Disks on each bus; the file-backed backend sums them"},
       {.key = "topology.num_filesystems", .type = kUint,
-       .field = FIELD(c.num_filesystems), .max = INT32_MAX,
+       .field = FIELD(c.num_filesystems), .max = kMaxFilesystems,
        .doc = "File systems; by default each gets one disk, round-robin"},
       {.key = "topology.disk_model", .type = kName, .field = FIELD(c.disk_params),
        .names = &kRegistered<DiskModelRegistry>, .doc = "Simulated disk mechanism"},

@@ -203,6 +203,10 @@ struct SystemConfig {
 
 // The largest accepted "system.shards" value.
 inline constexpr int kMaxShards = 64;
+// The largest accepted "topology.num_filesystems" value: far above any
+// shipped scenario (Allspice has 14), and small enough that validation's
+// per-file-system allocations stay small.
+inline constexpr int kMaxFilesystems = 4096;
 
 // -- scenario keys -------------------------------------------------------------
 // Every scenario key is one row of one table, ScenarioKeys(): the key, the

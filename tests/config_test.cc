@@ -340,6 +340,33 @@ TEST(ConfigParseTest, RejectsOutOfRangeIntegers) {
                    .ok());
 }
 
+TEST(ConfigParseTest, BoundsFileSystemCount) {
+  // Validation sizes vectors by topology.num_filesystems: with two shards the
+  // shard checks build one VolumeSpec per file system, so a count of two
+  // billion asked for about 170 GB. The key's cap rejects it at its line.
+  auto huge =
+      SystemConfig::Parse("system.shards = 2\ntopology.num_filesystems = 2000000000\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(huge.status().message().find("line 2"), std::string::npos)
+      << huge.status().ToString();
+  EXPECT_NE(huge.status().message().find("max " + std::to_string(kMaxFilesystems)),
+            std::string::npos)
+      << huge.status().ToString();
+  auto at_cap = SystemConfig::Parse("topology.num_filesystems = " +
+                                    std::to_string(kMaxFilesystems) + "\n");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_filesystems, kMaxFilesystems);
+
+  // A config built in code meets the same cap in Validate.
+  SystemConfig config = SystemConfig::AllspiceSim();
+  config.shards = 2;
+  config.num_filesystems = kMaxFilesystems + 1;
+  const Status status = SystemBuilder::Validate(config);
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("num_filesystems"), std::string::npos) << status.ToString();
+}
+
 TEST(ConfigParseTest, RejectsOverflowingByteCounts) {
   auto overflow = SystemConfig::Parse("seed = 1\ncache.bytes = 17179869185GiB\n");
   ASSERT_FALSE(overflow.ok());
