@@ -2,8 +2,10 @@
 // and the flush (persistency) policies the paper experiments with.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cache/buffer_cache.h"
@@ -27,6 +29,10 @@ class FakeHandler : public BlockIoHandler {
     ++fills;
     filled.push_back(id);
     co_await sched_->Sleep(Duration::Millis(1));
+    if (fail_next_fill) {
+      fail_next_fill = false;
+      co_return Status(ErrorCode::kIoError, "injected fill failure");
+    }
     co_return OkStatus();
   }
 
@@ -41,6 +47,7 @@ class FakeHandler : public BlockIoHandler {
     co_return OkStatus();
   }
 
+  bool fail_next_fill = false;
   int fills = 0;
   int write_calls = 0;
   size_t blocks_written = 0;
@@ -336,6 +343,284 @@ TEST(BufferCacheTest, SyncAllReturnsAfterRandomOverwrites) {
   EXPECT_EQ(f.cache->dirty_count(), 0u);
 }
 
+// LRU that records every victim it hands the cache, so a model of the cache
+// can follow evictions exactly.
+class RecordingLru final : public ReplacementPolicy {
+ public:
+  const char* name() const override { return "recording-lru"; }
+  CacheBlock* PickVictim(BlockLruList& clean) override {
+    CacheBlock* victim = lru_.PickVictim(clean);
+    if (victim != nullptr) {
+      victims.push_back(victim->id);
+    }
+    return victim;
+  }
+
+  std::vector<BlockId> victims;
+
+ private:
+  LruReplacement lru_;
+};
+
+// A seeded random sequence of GetBlock (read and overwrite), MarkDirty,
+// Release, FlushFile and InvalidateFile over three files in an 8-block cache,
+// checked against a model of each file's cached and dirty blocks. The model
+// learns evictions from the replacement policy; everything else it predicts.
+// Dirty blocks are capped below the cache size, so allocation always finds a
+// clean or free block and the UPS policy never flushes on its own.
+class CacheModelRun {
+ public:
+  static constexpr uint64_t kFiles = 3;
+  static constexpr uint64_t kBlocksPerFile = 6;
+  static constexpr size_t kMaxDirty = 4;
+
+  CacheModelRun(CacheFixture* f, RecordingLru* lru, uint64_t seed)
+      : f_(f), lru_(lru), rng_(seed) {}
+
+  Task<> Run(int steps) {
+    for (int step = 0; step < steps; ++step) {
+      const uint64_t op = rng_.NextBelow(100);
+      if (op < 45) {
+        co_await Access(/*fail_fill=*/false);
+      } else if (op < 52) {
+        co_await Access(/*fail_fill=*/true);
+      } else if (op < 62) {
+        ReleaseHeld();
+      } else if (op < 74) {
+        co_await Flush();
+      } else if (op < 90) {
+        Invalidate();
+      } else {
+        co_await InvalidateDuringFlush();
+      }
+    }
+    ReleaseHeld();
+    for (uint64_t ino = 1; ino <= kFiles; ++ino) {
+      co_await Flush(ino);
+    }
+    for (uint64_t ino = 1; ino <= kFiles; ++ino) {
+      Invalidate(ino, 0);
+    }
+  }
+
+  // How often each case the test must cover came up.
+  int evictions = 0;
+  int failed_fills = 0;
+  int pinned_invalidations = 0;     // doomed, freed on release
+  int in_flight_invalidations = 0;  // doomed, freed at flush completion
+
+ private:
+  using Key = std::pair<uint64_t, uint64_t>;  // (ino, block_no)
+  struct ModelBlock {
+    bool dirty = false;
+    bool doomed = false;
+    bool in_flight = false;
+  };
+
+  static BlockId Id(const Key& key) { return CacheFixture::Id(key.first, key.second); }
+  bool Held(const Key& key) const { return held_ != nullptr && key == held_key_; }
+
+  size_t DirtyCount() const {
+    size_t n = 0;
+    for (const auto& [key, m] : blocks_) {
+      n += m.dirty ? 1 : 0;
+    }
+    return n;
+  }
+
+  void Check(const char* after) {
+    BufferCache& cache = *f_->cache;
+    EXPECT_EQ(cache.hits(), hits_) << after;
+    EXPECT_EQ(cache.misses(), misses_) << after;
+    EXPECT_EQ(cache.blocks_flushed(), flushed_) << after;
+    EXPECT_EQ(cache.absorbed_dirty_blocks(), absorbed_) << after;
+    EXPECT_EQ(cache.dirty_count(), DirtyCount()) << after;
+    EXPECT_EQ(cache.clean_count() + cache.dirty_count(), blocks_.size()) << after;
+  }
+
+  // Drops the blocks the cache just evicted; each must have been clean,
+  // unpinned and live.
+  void FollowEvictions() {
+    for (const BlockId& id : lru_->victims) {
+      const Key key{id.ino, id.block_no};
+      auto it = blocks_.find(key);
+      EXPECT_TRUE(it != blocks_.end() && !it->second.dirty && !it->second.doomed &&
+                  !Held(key))
+          << "evicted ino " << id.ino << " block " << id.block_no;
+      if (it != blocks_.end()) {
+        blocks_.erase(it);
+      }
+      ++evictions;
+    }
+    lru_->victims.clear();
+  }
+
+  // A block the sequence may look up: never the held one, and never a
+  // doomed one, which still answers lookups until it is freed.
+  Key PickKey(bool uncached) {
+    for (;;) {
+      const Key key{1 + rng_.NextBelow(kFiles), rng_.NextBelow(kBlocksPerFile)};
+      auto it = blocks_.find(key);
+      if (Held(key) || (it != blocks_.end() && (it->second.doomed || uncached))) {
+        continue;
+      }
+      return key;
+    }
+  }
+
+  Task<> Access(bool fail_fill) {
+    const Key key = PickKey(/*uncached=*/fail_fill);
+    const bool cached = blocks_.contains(key);
+    const GetMode mode =
+        fail_fill || rng_.NextBelow(2) == 0 ? GetMode::kRead : GetMode::kOverwrite;
+    f_->handler->fail_next_fill = fail_fill;
+    Result<CacheBlock*> block = co_await f_->cache->GetBlock(Id(key), mode);
+    ++(cached ? hits_ : misses_);
+    FollowEvictions();
+    if (fail_fill) {
+      EXPECT_FALSE(block.ok());
+      ++failed_fills;
+      co_return;
+    }
+    if (!block.ok()) {
+      ADD_FAILURE() << block.status().ToString();
+      co_return;
+    }
+    ModelBlock& m = blocks_[key];
+    if (DirtyCount() < kMaxDirty && rng_.NextBelow(2) == 0) {
+      EXPECT_TRUE((co_await f_->cache->MarkDirty(*block)).ok());
+      m.dirty = true;
+    }
+    if (held_ == nullptr && rng_.NextBelow(3) == 0) {
+      held_ = *block;
+      held_key_ = key;
+    } else {
+      f_->cache->Release(*block);
+    }
+  }
+
+  void ReleaseHeld() {
+    if (held_ == nullptr) {
+      return;
+    }
+    f_->cache->Release(held_);
+    held_ = nullptr;
+    auto it = blocks_.find(held_key_);
+    if (it->second.doomed) {
+      absorbed_ += it->second.dirty ? 1 : 0;
+      blocks_.erase(it);
+    }
+  }
+
+  Task<> Flush() { co_await Flush(1 + rng_.NextBelow(kFiles)); }
+
+  Task<> Flush(uint64_t ino) {
+    for (auto& [key, m] : blocks_) {
+      if (key.first == ino && m.dirty && !m.doomed && !Held(key)) {
+        m.dirty = false;
+        ++flushed_;
+      }
+    }
+    EXPECT_TRUE((co_await f_->cache->FlushFile(1, ino)).ok());
+    Check("FlushFile");
+  }
+
+  void Invalidate() {
+    // Aim at the held block half the time, so pinned blocks get doomed.
+    if (held_ != nullptr && rng_.NextBelow(2) == 0) {
+      Invalidate(held_key_.first, rng_.NextBelow(held_key_.second + 1));
+    } else {
+      Invalidate(1 + rng_.NextBelow(kFiles), rng_.NextBelow(kBlocksPerFile));
+    }
+  }
+
+  void Invalidate(uint64_t ino, uint64_t from_block) {
+    f_->cache->InvalidateFile(1, ino, from_block);
+    for (auto it = blocks_.begin(); it != blocks_.end();) {
+      ModelBlock& m = it->second;
+      if (it->first.first != ino || it->first.second < from_block) {
+        ++it;
+      } else if (Held(it->first) || m.in_flight) {
+        if (!m.doomed) {
+          ++(m.in_flight ? in_flight_invalidations : pinned_invalidations);
+        }
+        m.doomed = true;
+        ++it;
+      } else {
+        absorbed_ += m.dirty ? 1 : 0;
+        it = blocks_.erase(it);
+      }
+    }
+    Check("InvalidateFile");
+  }
+
+  // Starts FlushFile on a second thread, invalidates part of the file while
+  // its write is in flight (the handler takes 2 ms), then lets it finish.
+  Task<> InvalidateDuringFlush() {
+    const uint64_t ino = 1 + rng_.NextBelow(kFiles);
+    std::vector<Key> flight;
+    for (auto& [key, m] : blocks_) {
+      if (key.first == ino && m.dirty && !m.doomed && !Held(key)) {
+        m.in_flight = true;
+        flight.push_back(key);
+      }
+    }
+    Status flush_status(ErrorCode::kAborted);
+    Scheduler* sched = f_->sched.get();
+    sched->Spawn("flush", [](BufferCache* cache, uint64_t i, Status* out) -> Task<> {
+      *out = co_await cache->FlushFile(1, i);
+    }(f_->cache.get(), ino, &flush_status));
+    co_await sched->Sleep(Duration::Millis(1));
+    Invalidate(ino, rng_.NextBelow(2) == 0 ? 0 : rng_.NextBelow(kBlocksPerFile));
+    co_await sched->Sleep(Duration::Millis(3));
+    EXPECT_TRUE(flush_status.ok()) << flush_status.ToString();
+    for (const Key& key : flight) {
+      ModelBlock& m = blocks_[key];
+      m.in_flight = false;
+      if (m.doomed) {
+        ++absorbed_;  // still dirty: the write's result was dropped
+        blocks_.erase(key);
+      } else {
+        m.dirty = false;
+        ++flushed_;
+      }
+    }
+    Check("FlushFile completion");
+  }
+
+  CacheFixture* f_;
+  RecordingLru* lru_;
+  Rng rng_;
+  std::map<Key, ModelBlock> blocks_;
+  CacheBlock* held_ = nullptr;  // pinned across steps
+  Key held_key_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t flushed_ = 0;
+  uint64_t absorbed_ = 0;
+};
+
+TEST(BufferCacheTest, RandomOpsMatchPerFileModel) {
+  for (uint64_t seed : {1, 2, 3}) {
+    auto lru = std::make_unique<RecordingLru>();
+    RecordingLru* victims = lru.get();
+    CacheFixture f(CacheFixture::DefaultConfig(), std::move(lru));
+    CacheModelRun run(&f, victims, seed);
+    bool done = false;
+    f.sched->Spawn("model", [](CacheModelRun* r, bool* finished) -> Task<> {
+      co_await r->Run(400);
+      *finished = true;
+    }(&run, &done));
+    f.sched->Run();
+    ASSERT_TRUE(done) << "seed " << seed;
+    EXPECT_EQ(f.cache->free_count(), f.cache->total_blocks()) << "seed " << seed;
+    EXPECT_GT(run.evictions, 0) << "seed " << seed;
+    EXPECT_GT(run.failed_fills, 0) << "seed " << seed;
+    EXPECT_GT(run.pinned_invalidations, 0) << "seed " << seed;
+    EXPECT_GT(run.in_flight_invalidations, 0) << "seed " << seed;
+  }
+}
+
 TEST(FlushPolicyTest, WriteDelayFlushesAfterMaxAge) {
   WriteDelayPolicy::Options opts;
   opts.max_age = Duration::Seconds(30);
@@ -440,6 +725,10 @@ TEST(ReplacementTest, EvictFirstHintEvictsStreamBlocksFirst) {
   f.cache->SetFileHint(1, 99, FileCacheHint::kEvictFirst);
   Status s;
   f.sched->Spawn("t", [](CacheFixture* fx, Status* out) -> Task<> {
+    // The hint outlives the file's cached blocks: dropping them all must not
+    // forget it.
+    co_await TouchBlock(fx->cache.get(), CacheFixture::Id(99, 0), GetMode::kRead, false, out);
+    fx->cache->InvalidateFile(1, 99);
     // 4 normal blocks, then 4 stream blocks, then 1 more normal block: the
     // stream blocks must be evicted before the normal ones.
     for (uint64_t i = 0; i < 4; ++i) {

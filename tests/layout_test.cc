@@ -480,6 +480,104 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
   }
 }
 
+// Free segments by a walk of the segment table: the reference the layout's
+// running count must match.
+uint32_t CountFreeSegments(const LfsLayout& layout) {
+  uint32_t n = 0;
+  for (const SegmentInfo& seg : layout.segment_table()) {
+    n += seg.state == SegmentState::kFree ? 1 : 0;
+  }
+  return n;
+}
+
+TEST_F(LfsRealTest, FreeSegmentCountMatchesTableThroughCleaningAndRemount) {
+  IoExecutor executor(2);
+  LfsConfig config = RealConfig();
+  config.enable_cleaner = true;
+  config.cleaner_low = 4;
+  config.cleaner_high = 8;
+  uint32_t free_at_unmount = 0;
+
+  {
+    auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
+    auto driver =
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+                                           &executor))
+            .value();
+    driver->Start();
+    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
+    LfsLayout layout(sched.get(), BlockDev(&volume, 4096), config,
+                     MakeCleanerPolicy("greedy"));
+    uint64_t ino = 0;
+    Status status(ErrorCode::kAborted);
+    sched->Spawn("fmt", [](LfsLayout* l, uint64_t* out_ino, Status* out) -> Task<> {
+      *out = co_await l->Format();
+      if (!out->ok()) {
+        co_return;
+      }
+      auto ino_or = co_await l->AllocInode(FileType::kRegular);
+      *out = ino_or.status();
+      *out_ino = ino_or.ok() ? *ino_or : 0;
+    }(&layout, &ino, &status));
+    sched->Run();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    const uint32_t formatted = layout.free_segments();
+    EXPECT_EQ(formatted, layout.segment_table().size() - 1);  // segment 0 is the log head
+    EXPECT_EQ(formatted, CountFreeSegments(layout));
+    layout.Start();  // cleaner daemon
+
+    // Overwriting 8 blocks round after round closes a segment every other
+    // round and wraps the 4 MiB log, so the cleaner has to free segments.
+    std::vector<std::unique_ptr<CacheBlock>> owned;
+    std::vector<CacheBlock*> blocks;
+    for (uint64_t b = 0; b < 8; ++b) {
+      owned.push_back(std::make_unique<CacheBlock>(sched.get()));
+      owned.back()->id = BlockId{1, ino, b};
+      blocks.push_back(owned.back().get());
+    }
+    bool closed_segments = false;
+    for (int round = 0; round < 300 && layout.segments_cleaned() < 3; ++round) {
+      sched->Spawn("w", [](LfsLayout* l, uint64_t i, std::vector<CacheBlock*> p,
+                           Status* out) -> Task<> {
+        *out = co_await l->WriteFileBlocks(i, p);
+      }(&layout, ino, blocks, &status));
+      sched->Run();
+      ASSERT_TRUE(status.ok()) << "round " << round << ": " << status.ToString();
+      closed_segments = closed_segments || layout.free_segments() < formatted;
+      ASSERT_EQ(layout.free_segments(), CountFreeSegments(layout)) << "round " << round;
+    }
+    EXPECT_TRUE(closed_segments);
+    EXPECT_GE(layout.segments_cleaned(), 3u);
+
+    sched->Spawn("unmount", [](LfsLayout* l, Status* out) -> Task<> {
+      *out = co_await l->Unmount();
+    }(&layout, &status));
+    sched->Run();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    free_at_unmount = layout.free_segments();
+    EXPECT_EQ(free_at_unmount, CountFreeSegments(layout));
+  }
+
+  // A fresh layout object knows nothing but what the checkpoint says.
+  auto sched = Scheduler::CreateVirtual();
+  MetricRegistry metrics(1, "pfs");
+  auto driver = std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_,
+                                                   4 * kMiB, &executor))
+                    .value();
+  driver->Start();
+  SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
+  LfsLayout layout(sched.get(), BlockDev(&volume, 4096), config, MakeCleanerPolicy("greedy"));
+  Status status(ErrorCode::kAborted);
+  sched->Spawn("mount", [](LfsLayout* l, Status* out) -> Task<> {
+    *out = co_await l->Mount();
+  }(&layout, &status));
+  sched->Run();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(layout.free_segments(), free_at_unmount);
+  EXPECT_EQ(layout.free_segments(), CountFreeSegments(layout));
+}
+
 // -- FFS ------------------------------------------------------------------------
 
 struct FfsSimFixture {
