@@ -325,10 +325,6 @@ std::string MetricRegistry::JsonSnapshot() const {
       } else {
         const HistogramMetric& h = *inst->histogram;
         const uint64_t count = h.Count();
-        if (count == 0) {
-          out.append(R"({"count":0,"sum":0,"mean":0,"p50":0,"p95":0,"p99":0})");
-          continue;
-        }
         const std::array<uint64_t, 3> q = TailQuantiles(h, count);
         snprintf(buf, sizeof(buf),
                  "{\"count\":%llu,\"sum\":%.9g,\"mean\":%.9g,\"p50\":%.9g,\"p95\":%.9g,"
