@@ -506,7 +506,7 @@ class CacheModelRun {
     f_->cache->Release(held_);
     held_ = nullptr;
     auto it = blocks_.find(held_key_);
-    if (it->second.doomed) {
+    if (it != blocks_.end() && it->second.doomed) {
       absorbed_ += it->second.dirty ? 1 : 0;
       blocks_.erase(it);
     }
