@@ -527,8 +527,9 @@ TEST_F(LfsRealTest, FreeSegmentCountMatchesTableThroughCleaningAndRemount) {
     EXPECT_EQ(formatted, CountFreeSegments(layout));
     layout.Start();  // cleaner daemon
 
-    // Overwriting 8 blocks round after round closes a segment every other
-    // round and wraps the 4 MiB log, so the cleaner has to free segments.
+    // Each round appends 8 data blocks plus the file's metadata, closing a
+    // 15-block segment every round or two; the rounds wrap the 4 MiB log,
+    // so the cleaner has to free segments.
     std::vector<std::unique_ptr<CacheBlock>> owned;
     std::vector<CacheBlock*> blocks;
     for (uint64_t b = 0; b < 8; ++b) {
