@@ -687,6 +687,122 @@ TEST(FfsLayoutTest, FreeInodeReturnsBlocks) {
   EXPECT_EQ(f.layout->FreeBlocksEstimate(), free_initial);
 }
 
+// -- real-mode (file-backed) FFS ----------------------------------------------
+
+class FfsRealTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = testing::TempDir() + "/pfs_ffs_real.img";
+    std::remove(path_.c_str());
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  static FfsConfig RealConfig() {
+    FfsConfig c;
+    c.fs_id = 1;
+    c.blocks_per_group = 256;
+    c.inodes_per_group = 32;
+    c.materialize_metadata = true;
+    return c;
+  }
+
+  std::string path_;
+};
+
+// The remounted layout starts with empty caches, so its ReadInode reads the
+// inode-table slot and its ReadFileBlock reads block-map chunk 1 from disk.
+TEST_F(FfsRealTest, PersistsAcrossRemount) {
+  IoExecutor executor(2);
+  constexpr uint64_t kFileBlock = 600;  // past chunk 0's 512 entries
+  uint64_t ino = 0;
+  std::vector<std::byte> payload(4096);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::byte>((i * 13 + 5) & 0xff);
+  }
+
+  {
+    auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
+    auto driver =
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+                                           &executor))
+            .value();
+    driver->Start();
+    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
+    FfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig());
+    Status status(ErrorCode::kAborted);
+    sched->Spawn("run", [](FfsLayout* l, uint64_t* out_ino, Status* out) -> Task<> {
+      *out = co_await l->Format();
+      if (!out->ok()) {
+        co_return;
+      }
+      auto ino_or = co_await l->AllocInode(FileType::kRegular);
+      if (!ino_or.ok()) {
+        *out = ino_or.status();
+        co_return;
+      }
+      *out_ino = *ino_or;
+      auto inode_or = co_await l->ReadInode(*out_ino);
+      Inode inode = *inode_or;
+      inode.size = (kFileBlock + 1) * 4096;
+      *out = co_await l->WriteInode(inode);
+    }(&layout, &ino, &status));
+    sched->Run();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+
+    auto block = std::make_unique<CacheBlock>(sched.get());
+    block->id = BlockId{1, ino, kFileBlock};
+    block->data = payload;
+    Status wstatus(ErrorCode::kAborted);
+    std::vector<CacheBlock*> ptrs{block.get()};
+    sched->Spawn("w", [](FfsLayout* l, uint64_t i, std::vector<CacheBlock*> p,
+                         Status* out) -> Task<> {
+      *out = co_await l->WriteFileBlocks(i, p);
+      if (out->ok()) {
+        *out = co_await l->Unmount();
+      }
+    }(&layout, ino, ptrs, &wstatus));
+    sched->Run();
+    ASSERT_TRUE(wstatus.ok()) << wstatus.ToString();
+  }
+
+  {
+    auto sched = Scheduler::CreateVirtual();
+    MetricRegistry metrics(1, "pfs");
+    auto driver =
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+                                           &executor))
+            .value();
+    driver->Start();
+    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
+    FfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig());
+    Status status(ErrorCode::kAborted);
+    std::vector<std::byte> read_back(4096);
+    Inode inode;
+    sched->Spawn("run", [](FfsLayout* l, uint64_t i, uint64_t file_block,
+                           std::span<std::byte> out_data, Inode* out_inode,
+                           Status* out) -> Task<> {
+      *out = co_await l->Mount();
+      if (!out->ok()) {
+        co_return;
+      }
+      auto inode_or = co_await l->ReadInode(i);
+      if (!inode_or.ok()) {
+        *out = inode_or.status();
+        co_return;
+      }
+      *out_inode = *inode_or;
+      *out = co_await l->ReadFileBlock(i, file_block, out_data);
+    }(&layout, ino, kFileBlock, read_back, &inode, &status));
+    sched->Run();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(inode.size, (kFileBlock + 1) * 4096);
+    EXPECT_EQ(inode.type, FileType::kRegular);
+    EXPECT_NE(inode.bmap[1], kNullAddr);
+    EXPECT_EQ(read_back, payload);
+  }
+}
+
 // -- guessing -------------------------------------------------------------------
 
 struct GuessFixture {
