@@ -11,7 +11,7 @@ constexpr uint64_t kFfsMagic = 0x5046534646533131ULL;  // "PFSFFS11"
 }
 
 FfsLayout::FfsLayout(Scheduler* sched, BlockDev dev, FfsConfig config)
-    : sched_(sched), dev_(std::move(dev)), config_(config) {
+    : MappedLayout(sched, std::move(dev), config.materialize_metadata), config_(config) {
   PFS_CHECK(config_.block_size == dev_.block_size());
   inodes_per_block_ = config_.block_size / static_cast<uint32_t>(Inode::kDiskSize);
   itable_blocks_ = CeilDiv(config_.inodes_per_group, inodes_per_block_);
@@ -20,10 +20,10 @@ FfsLayout::FfsLayout(Scheduler* sched, BlockDev dev, FfsConfig config)
   PFS_CHECK_MSG(ngroups_ >= 1, "partition too small for FFS");
 }
 
-uint64_t FfsLayout::InodeTableBlock(uint64_t ino) const {
-  const uint32_t group = GroupOfIno(ino);
-  const uint32_t index = static_cast<uint32_t>((ino - 1) % config_.inodes_per_group);
-  return GroupBase(group) + 2 + index / inodes_per_block_;
+MappedLayout::InodeSlot FfsLayout::SlotOf(uint64_t ino) const {
+  const uint32_t index = IndexInGroup(ino);
+  return InodeSlot{GroupBase(GroupOfIno(ino)) + 2 + index / inodes_per_block_,
+                   (index % inodes_per_block_) * Inode::kDiskSize};
 }
 
 Task<Status> FfsLayout::Format() {
@@ -34,8 +34,7 @@ Task<Status> FfsLayout::Format() {
     g.block_used.assign(DataBlocksPerGroup(), false);
   }
   free_blocks_ = static_cast<uint64_t>(ngroups_) * DataBlocksPerGroup();
-  inode_cache_.clear();
-  bmap_cache_.clear();
+  DropCaches();
   next_group_hint_ = 0;
   mounted_ = true;
 
@@ -114,11 +113,7 @@ Task<Status> FfsLayout::Sync() {
   PFS_ASSERT_SHARD();
   PFS_CHECK(mounted_);
   // Inode attribute write-back.
-  for (auto& [ino, inode] : inode_cache_) {
-    (void)inode;
-    PFS_CO_RETURN_IF_ERROR(co_await PersistDirtyChunks(ino));
-    PFS_CO_RETURN_IF_ERROR(co_await PersistInode(ino));
-  }
+  PFS_CO_RETURN_IF_ERROR(co_await PersistCachedInodes());
   // Bitmap write-back.
   for (uint32_t g = 0; g < ngroups_; ++g) {
     if (!groups_[g].dirty) {
@@ -172,63 +167,39 @@ Task<Result<uint64_t>> FfsLayout::AllocInode(FileType type) {
       group.dirty = true;
       next_group_hint_ = (g + 1) % ngroups_;  // spread directories/files
       const uint64_t ino = 1 + static_cast<uint64_t>(g) * config_.inodes_per_group + i;
-      Inode inode;
-      inode.ino = ino;
-      inode.type = type;
-      inode.nlink = 1;
-      inode.mtime_ns = sched_->Now().nanos();
-      inode_cache_[ino] = inode;
-      bmap_cache_.emplace(ino, BlockMap(config_.block_size));
+      CacheNewInode(ino, type);
       co_return ino;
     }
   }
   co_return Status(ErrorCode::kNoSpace, "no free inodes");
 }
 
-Task<Result<Inode*>> FfsLayout::GetInode(uint64_t ino) {
+Result<MappedLayout::InodeSlot> FfsLayout::LocateInode(uint64_t ino) const {
   if (ino == 0 || GroupOfIno(ino) >= ngroups_) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad inode number");
+    return Status(ErrorCode::kInvalidArgument, "bad inode number");
   }
-  auto it = inode_cache_.find(ino);
-  if (it != inode_cache_.end()) {
-    co_return &it->second;
+  if (!groups_[GroupOfIno(ino)].inode_used[IndexInGroup(ino)]) {
+    return Status(ErrorCode::kNotFound, "inode not allocated");
   }
-  const uint32_t g = GroupOfIno(ino);
-  const uint32_t index = static_cast<uint32_t>((ino - 1) % config_.inodes_per_group);
-  if (!groups_[g].inode_used[index]) {
-    co_return Status(ErrorCode::kNotFound, "inode not allocated");
-  }
-  PFS_CHECK_MSG(config_.materialize_metadata, "simulator inode cache lost an inode");
-  std::vector<std::byte> buf(config_.block_size);
-  PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(InodeTableBlock(ino), buf));
-  const size_t offset = (index % inodes_per_block_) * Inode::kDiskSize;
-  Deserializer d(std::span<const std::byte>(buf).subspan(offset, Inode::kDiskSize));
-  PFS_CO_ASSIGN_OR_RETURN(Inode inode, Inode::Deserialize(&d));
-  if (inode.ino != ino) {
-    co_return Status(ErrorCode::kCorrupt, "inode slot mismatch");
-  }
-  auto [pos, inserted] = inode_cache_.emplace(ino, inode);
-  PFS_CHECK(inserted);
-  co_return &pos->second;
+  return SlotOf(ino);
 }
 
 Task<Status> FfsLayout::PersistInode(uint64_t ino) {
   PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
   inode_writes_.Inc();
+  const InodeSlot slot = SlotOf(ino);
   if (!config_.materialize_metadata) {
     // Charge the read-modify-write of the table block.
-    PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(InodeTableBlock(ino), {}));
-    co_return co_await dev_.Write(InodeTableBlock(ino), {});
+    PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(slot.block, {}));
+    co_return co_await dev_.Write(slot.block, {});
   }
   std::vector<std::byte> buf(config_.block_size);
-  PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(InodeTableBlock(ino), buf));
-  const uint32_t index = static_cast<uint32_t>((ino - 1) % config_.inodes_per_group);
+  PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(slot.block, buf));
   std::vector<std::byte> encoded;
   Serializer s(&encoded);
   inode->Serialize(&s);
-  std::memcpy(buf.data() + (index % inodes_per_block_) * Inode::kDiskSize, encoded.data(),
-              Inode::kDiskSize);
-  co_return co_await dev_.Write(InodeTableBlock(ino), buf);
+  std::memcpy(buf.data() + slot.offset, encoded.data(), Inode::kDiskSize);
+  co_return co_await dev_.Write(slot.block, buf);
 }
 
 Result<uint64_t> FfsLayout::AllocDataBlock(uint32_t preferred_group) {
@@ -248,7 +219,7 @@ Result<uint64_t> FfsLayout::AllocDataBlock(uint32_t preferred_group) {
   return Status(ErrorCode::kNoSpace, "no free data blocks");
 }
 
-void FfsLayout::FreeDataBlock(uint64_t addr) {
+void FfsLayout::ReleaseBlock(uint64_t addr) {
   const uint32_t g = static_cast<uint32_t>((addr - 1) / config_.blocks_per_group);
   const uint64_t index = addr - DataBase(g);
   PFS_CHECK(index < DataBlocksPerGroup());
@@ -259,34 +230,19 @@ void FfsLayout::FreeDataBlock(uint64_t addr) {
   ++free_blocks_;
 }
 
-Task<Status> FfsLayout::LoadBmapChunk(uint64_t ino, BlockMap* bmap, size_t chunk) {
-  if (chunk >= Inode::kBmapChunks) {
-    co_return Status(ErrorCode::kOutOfRange, "file block beyond maximum size");
-  }
-  if (bmap->ChunkLoaded(chunk)) {
-    co_return OkStatus();
-  }
-  PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  const uint64_t addr = inode->bmap[chunk];
-  if (addr == kNullAddr) {
-    co_return OkStatus();
-  }
-  PFS_CHECK_MSG(config_.materialize_metadata, "simulator bmap cache lost a chunk");
-  std::vector<std::byte> buf(config_.block_size);
-  PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(addr, buf));
-  Deserializer d(buf);
-  co_return bmap->DeserializeChunk(chunk, &d);
+void FfsLayout::ReleaseInodeSlot(uint64_t ino) {
+  Group& group = groups_[GroupOfIno(ino)];
+  const uint32_t index = IndexInGroup(ino);
+  PFS_CHECK(group.inode_used[index]);
+  group.inode_used[index] = false;
+  group.dirty = true;
 }
 
 Task<Status> FfsLayout::PersistDirtyChunks(uint64_t ino) {
   PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  auto bmap_it = bmap_cache_.find(ino);
-  if (bmap_it == bmap_cache_.end()) {
-    co_return OkStatus();
-  }
-  BlockMap& bmap = bmap_it->second;
-  for (size_t chunk = 0; chunk < bmap.chunk_count(); ++chunk) {
-    if (!bmap.ChunkDirty(chunk)) {
+  BlockMap* bmap = GetBmap(ino);
+  for (size_t chunk = 0; chunk < bmap->chunk_count(); ++chunk) {
+    if (!bmap->ChunkDirty(chunk)) {
       continue;
     }
     if (inode->bmap[chunk] == kNullAddr) {
@@ -296,150 +252,39 @@ Task<Status> FfsLayout::PersistDirtyChunks(uint64_t ino) {
     std::span<const std::byte> payload;
     if (config_.materialize_metadata) {
       Serializer s(&buf);
-      bmap.SerializeChunk(chunk, &s);
+      bmap->SerializeChunk(chunk, &s);
       buf.resize(config_.block_size);
       payload = buf;
     }
     PFS_CO_RETURN_IF_ERROR(co_await dev_.Write(inode->bmap[chunk], payload));
     blocks_written_.Inc();
-    bmap.MarkChunkClean(chunk);
+    bmap->MarkChunkClean(chunk);
   }
   co_return OkStatus();
 }
 
-Task<Result<Inode>> FfsLayout::ReadInode(uint64_t ino) {
-  PFS_ASSERT_SHARD();
-  PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  co_return *inode;
-}
-
-Task<Status> FfsLayout::WriteInode(const Inode& inode) {
-  PFS_ASSERT_SHARD();
-  auto it = inode_cache_.find(inode.ino);
-  if (it == inode_cache_.end()) {
-    co_return Status(ErrorCode::kNotFound, "WriteInode of unknown inode");
-  }
-  const auto bmap_ptrs = it->second.bmap;
-  it->second = inode;
-  it->second.bmap = bmap_ptrs;
-  co_return OkStatus();
-}
-
-Task<Status> FfsLayout::FreeInodeNow(uint64_t ino) {
-  PFS_CO_RETURN_IF_ERROR(co_await TruncateBlocks(ino, 0));
-  const uint32_t g = GroupOfIno(ino);
-  const uint32_t index = static_cast<uint32_t>((ino - 1) % config_.inodes_per_group);
-  PFS_CHECK(groups_[g].inode_used[index]);
-  groups_[g].inode_used[index] = false;
-  groups_[g].dirty = true;
-  inode_cache_.erase(ino);
-  bmap_cache_.erase(ino);
-  co_return OkStatus();
-}
-
-Task<Status> FfsLayout::FreeInode(uint64_t ino) {
-  PFS_ASSERT_SHARD();
-  if (busy_inos_.contains(ino)) {
-    free_pending_.insert(ino);  // mid-flush; free when the write retires
-    co_return OkStatus();
-  }
-  co_return co_await FreeInodeNow(ino);
-}
-
-Task<Status> FfsLayout::EndInoWrite(uint64_t ino) {
-  auto it = busy_inos_.find(ino);
-  PFS_CHECK(it != busy_inos_.end() && it->second > 0);
-  if (--it->second == 0) {
-    busy_inos_.erase(it);
-    if (free_pending_.erase(ino) > 0) {
-      co_return co_await FreeInodeNow(ino);
-    }
-  }
-  co_return OkStatus();
-}
-
-Task<Status> FfsLayout::ReadFileBlock(uint64_t ino, uint64_t file_block,
-                                      std::span<std::byte> out) {
-  PFS_ASSERT_SHARD();
-  auto bmap_it = bmap_cache_.find(ino);
-  if (bmap_it == bmap_cache_.end()) {
-    bmap_it = bmap_cache_.emplace(ino, BlockMap(config_.block_size)).first;
-  }
-  BlockMap& bmap = bmap_it->second;
-  PFS_CO_RETURN_IF_ERROR(
-      co_await LoadBmapChunk(ino, &bmap, file_block / bmap.entries_per_chunk()));
-  const uint64_t addr = bmap.Get(file_block);
-  if (addr == kNullAddr) {
-    if (!out.empty()) {
-      std::memset(out.data(), 0, out.size());
-    }
-    co_return OkStatus();
-  }
-  blocks_read_.Inc();
-  co_return co_await dev_.Read(addr, out);
-}
-
-Task<Status> FfsLayout::WriteFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) {
-  PFS_ASSERT_SHARD();
-  if (blocks.empty()) {
-    co_return OkStatus();
-  }
-  ++busy_inos_[ino];
-  const Status status = co_await WriteFileBlocksImpl(ino, blocks);
-  PFS_CO_RETURN_IF_ERROR(co_await EndInoWrite(ino));
-  co_return status;
-}
-
-Task<Status> FfsLayout::WriteFileBlocksImpl(uint64_t ino, std::span<CacheBlock* const> blocks) {
-  auto bmap_it = bmap_cache_.find(ino);
-  if (bmap_it == bmap_cache_.end()) {
-    bmap_it = bmap_cache_.emplace(ino, BlockMap(config_.block_size)).first;
-  }
-  BlockMap& bmap = bmap_it->second;
+Task<Status> FfsLayout::PlaceFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) {
+  BlockMap* bmap = GetBmap(ino);
   const uint32_t group = GroupOfIno(ino);
   for (const CacheBlock* b : blocks) {
     PFS_CHECK(b->id.ino == ino);
-    const size_t chunk = b->id.block_no / bmap.entries_per_chunk();
-    PFS_CO_RETURN_IF_ERROR(co_await LoadBmapChunk(ino, &bmap, chunk));
-    uint64_t addr = bmap.Get(b->id.block_no);
+    PFS_CO_RETURN_IF_ERROR(
+        co_await LoadChunk(ino, bmap, b->id.block_no / bmap->entries_per_chunk()));
+    uint64_t addr = bmap->Get(b->id.block_no);
     if (addr == kNullAddr) {
       PFS_CO_ASSIGN_OR_RETURN(addr, AllocDataBlock(group));
-      bmap.Set(b->id.block_no, addr);
+      bmap->Set(b->id.block_no, addr);
     }
     PFS_CO_RETURN_IF_ERROR(
         co_await dev_.Write(addr, std::span<const std::byte>(b->data.data(), b->data.size())));
     blocks_written_.Inc();
   }
-  PFS_CO_RETURN_IF_ERROR(co_await PersistDirtyChunks(ino));
-  co_return co_await PersistInode(ino);
+  co_return OkStatus();
 }
 
-Task<Status> FfsLayout::TruncateBlocks(uint64_t ino, uint64_t from_block) {
-  PFS_ASSERT_SHARD();
-  PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  auto bmap_it = bmap_cache_.find(ino);
-  if (bmap_it == bmap_cache_.end()) {
-    bmap_it = bmap_cache_.emplace(ino, BlockMap(config_.block_size)).first;
-  }
-  BlockMap& bmap = bmap_it->second;
-  for (size_t chunk = from_block / bmap.entries_per_chunk(); chunk < Inode::kBmapChunks;
-       ++chunk) {
-    if (inode->bmap[chunk] != kNullAddr) {
-      PFS_CO_RETURN_IF_ERROR(co_await LoadBmapChunk(ino, &bmap, chunk));
-    }
-  }
-  for (uint64_t addr : bmap.TruncateFrom(from_block)) {
-    FreeDataBlock(addr);
-  }
-  const size_t first_dead_chunk = CeilDiv(from_block, bmap.entries_per_chunk());
-  for (size_t chunk = first_dead_chunk; chunk < Inode::kBmapChunks; ++chunk) {
-    if (inode->bmap[chunk] != kNullAddr) {
-      FreeDataBlock(inode->bmap[chunk]);
-      inode->bmap[chunk] = kNullAddr;
-      bmap.MarkChunkClean(chunk);
-    }
-  }
-  co_return OkStatus();
+Task<Status> FfsLayout::PersistFile(uint64_t ino) {
+  PFS_CO_RETURN_IF_ERROR(co_await PersistDirtyChunks(ino));
+  co_return co_await PersistInode(ino);
 }
 
 std::string FfsLayout::StatReport(bool with_histograms) const {
@@ -450,7 +295,7 @@ std::string FfsLayout::StatReport(bool with_histograms) const {
                 "inode-writes=%llu\n",
                 ngroups_, static_cast<unsigned long long>(free_blocks_),
                 static_cast<unsigned long long>(blocks_written_.value()),
-                static_cast<unsigned long long>(blocks_read_.value()),
+                static_cast<unsigned long long>(file_blocks_read()),
                 static_cast<unsigned long long>(inode_writes_.value()));
   return buf;
 }

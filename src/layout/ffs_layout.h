@@ -1,9 +1,9 @@
 // FFS-lite: an update-in-place cylinder-group layout, the second concrete
 // storage layout (paper §2: "To implement other storage-layouts (such as a
 // Unix FFS ...) a new derived storage-layout class needs to be written").
-// It shares the inode/block-map machinery with the LFS, differing in
-// allocation: bitmapped blocks and a fixed inode table per group, data
-// written back in place.
+// It shares the inode/block-map machinery with the LFS (MappedLayout),
+// differing in allocation: bitmapped blocks and a fixed inode table per
+// group, data written back in place.
 //
 // On-disk format (blocks within the partition):
 //   0                         superblock
@@ -15,13 +15,9 @@
 #define PFS_LAYOUT_FFS_LAYOUT_H_
 
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "layout/block_map.h"
-#include "layout/storage_layout.h"
-#include "sched/scheduler.h"
+#include "layout/mapped_layout.h"
 #include "stats/histogram.h"
 #include "stats/registry.h"
 
@@ -35,7 +31,7 @@ struct FfsConfig {
   bool materialize_metadata = false;
 };
 
-class FfsLayout final : public StorageLayout, public StatSource {
+class FfsLayout final : public MappedLayout, public StatSource {
  public:
   FfsLayout(Scheduler* sched, BlockDev dev, FfsConfig config);
 
@@ -54,13 +50,6 @@ class FfsLayout final : public StorageLayout, public StatSource {
   Task<Status> Sync() override;
   uint64_t root_ino() const override { return root_ino_; }
   Task<Result<uint64_t>> AllocInode(FileType type) override;
-  Task<Result<Inode>> ReadInode(uint64_t ino) override;
-  Task<Status> WriteInode(const Inode& inode) override;
-  Task<Status> FreeInode(uint64_t ino) override;
-  Task<Status> ReadFileBlock(uint64_t ino, uint64_t file_block,
-                             std::span<std::byte> out) override;
-  Task<Status> WriteFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) override;
-  Task<Status> TruncateBlocks(uint64_t ino, uint64_t from_block) override;
   uint64_t TotalBlocks() const override { return dev_.nblocks(); }
   uint64_t FreeBlocksEstimate() const override { return free_blocks_; }
 
@@ -81,25 +70,30 @@ class FfsLayout final : public StorageLayout, public StatSource {
   uint32_t GroupOfIno(uint64_t ino) const {
     return static_cast<uint32_t>((ino - 1) / config_.inodes_per_group);
   }
+  uint32_t IndexInGroup(uint64_t ino) const {
+    return static_cast<uint32_t>((ino - 1) % config_.inodes_per_group);
+  }
   uint64_t GroupBase(uint32_t group) const {
     return 1 + static_cast<uint64_t>(group) * config_.blocks_per_group;
   }
   uint64_t DataBase(uint32_t group) const { return GroupBase(group) + 2 + itable_blocks_; }
   uint32_t DataBlocksPerGroup() const { return config_.blocks_per_group - 2 - itable_blocks_; }
-  uint64_t InodeTableBlock(uint64_t ino) const;
+  // The inode's slot in its group's inode table (valid ino only).
+  InodeSlot SlotOf(uint64_t ino) const;
+
+  // -- MappedLayout hooks --
+  Result<InodeSlot> LocateInode(uint64_t ino) const override;
+  // Clears the block's bit in its group's bitmap.
+  void ReleaseBlock(uint64_t addr) override;
+  void ReleaseInodeSlot(uint64_t ino) override;
+  // Allocates on first write (in the inode's group), then writes in place.
+  Task<Status> PlaceFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) override;
+  Task<Status> PersistFile(uint64_t ino) override;
 
   Result<uint64_t> AllocDataBlock(uint32_t preferred_group);
-  Task<Status> WriteFileBlocksImpl(uint64_t ino, std::span<CacheBlock* const> blocks);
-  Task<Status> FreeInodeNow(uint64_t ino);
-  Task<Status> EndInoWrite(uint64_t ino);
-  void FreeDataBlock(uint64_t addr);
-  Task<Status> LoadBmapChunk(uint64_t ino, BlockMap* bmap, size_t chunk);
-  Task<Result<Inode*>> GetInode(uint64_t ino);
   Task<Status> PersistInode(uint64_t ino);
   Task<Status> PersistDirtyChunks(uint64_t ino);
 
-  Scheduler* sched_;
-  BlockDev dev_;
   FfsConfig config_;
   uint32_t ngroups_ = 0;
   uint32_t itable_blocks_ = 0;
@@ -107,16 +101,10 @@ class FfsLayout final : public StorageLayout, public StatSource {
   uint64_t free_blocks_ = 0;
   uint64_t root_ino_ = 0;
   uint32_t next_group_hint_ = 0;
-  bool mounted_ = false;
 
   std::vector<Group> groups_;
-  std::unordered_map<uint64_t, Inode> inode_cache_;
-  std::unordered_map<uint64_t, BlockMap> bmap_cache_;
-  std::unordered_map<uint64_t, int> busy_inos_;
-  std::unordered_set<uint64_t> free_pending_;
 
   Counter blocks_written_;
-  Counter blocks_read_;
   Counter inode_writes_;
 };
 

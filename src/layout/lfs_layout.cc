@@ -29,8 +29,7 @@ uint64_t CheckpointBlocksFor(const LfsConfig& config, uint64_t est_segments) {
 
 LfsLayout::LfsLayout(Scheduler* sched, BlockDev dev, LfsConfig config,
                      std::unique_ptr<CleanerPolicy> cleaner_policy)
-    : sched_(sched),
-      dev_(std::move(dev)),
+    : MappedLayout(sched, std::move(dev), config.materialize_metadata),
       config_(config),
       cleaner_policy_(std::move(cleaner_policy)),
       log_mutex_(sched),
@@ -227,64 +226,26 @@ Task<Result<std::vector<uint64_t>>> LfsLayout::AppendItems(std::span<const LogIt
 
 // -- metadata helpers --------------------------------------------------------
 
-Task<Result<Inode*>> LfsLayout::GetInode(uint64_t ino) {
+Result<MappedLayout::InodeSlot> LfsLayout::LocateInode(uint64_t ino) const {
   if (ino == 0 || ino >= imap_.size()) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad inode number");
+    return Status(ErrorCode::kInvalidArgument, "bad inode number");
   }
-  auto it = inode_cache_.find(ino);
-  if (it != inode_cache_.end()) {
-    co_return &it->second;
+  if (imap_[ino] == kNullAddr) {
+    return Status(ErrorCode::kNotFound, "inode not allocated");
   }
-  const uint64_t addr = imap_[ino];
-  if (addr == kNullAddr) {
-    co_return Status(ErrorCode::kNotFound, "inode not allocated");
-  }
-  PFS_CHECK_MSG(config_.materialize_metadata,
-                "simulator inode cache lost an allocated inode");
-  std::vector<std::byte> buf(config_.block_size);
-  PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(addr, buf));
-  Deserializer d(buf);
-  PFS_CO_ASSIGN_OR_RETURN(Inode inode, Inode::Deserialize(&d));
-  if (inode.ino != ino) {
-    co_return Status(ErrorCode::kCorrupt, "inode block mismatch");
-  }
-  auto [pos, inserted] = inode_cache_.emplace(ino, inode);
-  PFS_CHECK(inserted);
-  co_return &pos->second;
+  return InodeSlot{imap_[ino], 0};
 }
 
-Task<Result<BlockMap*>> LfsLayout::GetBmap(uint64_t ino) {
-  auto it = bmap_cache_.find(ino);
-  if (it != bmap_cache_.end()) {
-    co_return &it->second;
+void LfsLayout::ReleaseInodeSlot(uint64_t ino) {
+  if (imap_[ino] != kNullAddr) {
+    DecLive(imap_[ino]);
+    imap_[ino] = kNullAddr;
   }
-  auto [pos, inserted] = bmap_cache_.emplace(ino, BlockMap(config_.block_size));
-  PFS_CHECK(inserted);
-  co_return &pos->second;
-}
-
-Task<Status> LfsLayout::EnsureChunkLoaded(uint64_t ino, BlockMap* bmap, size_t chunk) {
-  if (chunk >= Inode::kBmapChunks) {
-    co_return Status(ErrorCode::kOutOfRange, "file block beyond maximum size");
-  }
-  if (bmap->ChunkLoaded(chunk)) {
-    co_return OkStatus();
-  }
-  PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  const uint64_t addr = inode->bmap[chunk];
-  if (addr == kNullAddr) {
-    co_return OkStatus();  // all holes
-  }
-  PFS_CHECK_MSG(config_.materialize_metadata, "simulator bmap cache lost a chunk");
-  std::vector<std::byte> buf(config_.block_size);
-  PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(addr, buf));
-  Deserializer d(buf);
-  co_return bmap->DeserializeChunk(chunk, &d);
 }
 
 Task<Status> LfsLayout::PersistFileMetadata(uint64_t ino, bool for_cleaner) {
   PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  PFS_CO_ASSIGN_OR_RETURN(BlockMap * bmap, co_await GetBmap(ino));
+  BlockMap* bmap = GetBmap(ino);
 
   // Dirty block-map chunks first, so the inode we append points at them.
   std::vector<size_t> dirty_chunks;
@@ -345,112 +306,23 @@ Task<Result<uint64_t>> LfsLayout::AllocInode(FileType type) {
   PFS_CHECK(mounted_);
   for (uint64_t i = 0; i < imap_.size(); ++i) {
     const uint64_t ino = 1 + (next_ino_hint_ - 1 + i) % (imap_.size() - 1);
-    if (imap_[ino] == kNullAddr && !inode_cache_.contains(ino)) {
+    if (imap_[ino] == kNullAddr && !InodeCached(ino)) {
       next_ino_hint_ = ino + 1;
-      Inode inode;
-      inode.ino = ino;
-      inode.type = type;
-      inode.nlink = 1;
-      inode.mtime_ns = sched_->Now().nanos();
-      inode_cache_.emplace(ino, inode);
-      bmap_cache_.emplace(ino, BlockMap(config_.block_size));
+      CacheNewInode(ino, type);
       co_return ino;
     }
   }
   co_return Status(ErrorCode::kNoSpace, "inode table full");
 }
 
-Task<Result<Inode>> LfsLayout::ReadInode(uint64_t ino) {
-  PFS_ASSERT_SHARD();
-  PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  co_return *inode;
-}
-
-Task<Status> LfsLayout::WriteInode(const Inode& inode) {
-  PFS_ASSERT_SHARD();
-  PFS_CHECK(mounted_);
-  auto it = inode_cache_.find(inode.ino);
-  if (it == inode_cache_.end()) {
-    co_return Status(ErrorCode::kNotFound, "WriteInode of unknown inode");
-  }
-  // Preserve the layout-owned block-map pointers; callers update attributes.
-  const auto bmap_ptrs = it->second.bmap;
-  it->second = inode;
-  it->second.bmap = bmap_ptrs;
-  co_return OkStatus();
-}
-
-Task<Status> LfsLayout::FreeInodeNow(uint64_t ino) {
-  PFS_CO_RETURN_IF_ERROR(co_await TruncateBlocks(ino, 0));
-  if (imap_[ino] != kNullAddr) {
-    DecLive(imap_[ino]);
-    imap_[ino] = kNullAddr;
-  }
-  inode_cache_.erase(ino);
-  bmap_cache_.erase(ino);
-  co_return OkStatus();
-}
-
-Task<Status> LfsLayout::FreeInode(uint64_t ino) {
-  PFS_ASSERT_SHARD();
-  if (busy_inos_.contains(ino)) {
-    // A flush for this file is suspended mid-append and holds pointers into
-    // the inode/bmap caches. Defer the free until it retires (Unix unlink
-    // semantics at the layout level).
-    free_pending_.insert(ino);
-    co_return OkStatus();
-  }
-  co_return co_await FreeInodeNow(ino);
-}
-
-Task<Status> LfsLayout::EndInoWrite(uint64_t ino) {
-  auto it = busy_inos_.find(ino);
-  PFS_CHECK(it != busy_inos_.end() && it->second > 0);
-  if (--it->second == 0) {
-    busy_inos_.erase(it);
-    if (free_pending_.erase(ino) > 0) {
-      co_return co_await FreeInodeNow(ino);
-    }
-  }
-  co_return OkStatus();
-}
-
-Task<Status> LfsLayout::ReadFileBlock(uint64_t ino, uint64_t file_block,
-                                      std::span<std::byte> out) {
-  PFS_ASSERT_SHARD();
-  PFS_CO_ASSIGN_OR_RETURN(BlockMap * bmap, co_await GetBmap(ino));
-  PFS_CO_RETURN_IF_ERROR(
-      co_await EnsureChunkLoaded(ino, bmap, file_block / bmap->entries_per_chunk()));
-  const uint64_t addr = bmap->Get(file_block);
-  if (addr == kNullAddr) {
-    // Hole: reads as zeroes, no I/O.
-    if (!out.empty()) {
-      std::memset(out.data(), 0, out.size());
-    }
-    co_return OkStatus();
-  }
-  co_return co_await dev_.Read(addr, out);
-}
-
-Task<Status> LfsLayout::WriteFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) {
-  PFS_ASSERT_SHARD();
-  if (blocks.empty()) {
-    co_return OkStatus();
-  }
-  BeginInoWrite(ino);
-  const Status status = co_await WriteFileBlocksImpl(ino, blocks);
-  PFS_CO_RETURN_IF_ERROR(co_await EndInoWrite(ino));
-  co_return status;
-}
-
-Task<Status> LfsLayout::WriteFileBlocksImpl(uint64_t ino, std::span<CacheBlock* const> blocks) {
-  PFS_CO_ASSIGN_OR_RETURN(BlockMap * bmap, co_await GetBmap(ino));
+Task<Status> LfsLayout::PlaceFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) {
+  BlockMap* bmap = GetBmap(ino);
   std::vector<LogItem> items;
   items.reserve(blocks.size());
   for (const CacheBlock* b : blocks) {
     PFS_CHECK(b->id.ino == ino);
     PFS_CO_RETURN_IF_ERROR(
-        co_await EnsureChunkLoaded(ino, bmap, b->id.block_no / bmap->entries_per_chunk()));
+        co_await LoadChunk(ino, bmap, b->id.block_no / bmap->entries_per_chunk()));
     items.push_back(LogItem{LogKind::kData, ino, b->id.block_no,
                             std::span<const std::byte>(b->data.data(), b->data.size())});
   }
@@ -463,7 +335,6 @@ Task<Status> LfsLayout::WriteFileBlocksImpl(uint64_t ino, std::span<CacheBlock* 
     }
   }
   data_blocks_written_.Inc(blocks.size());
-  PFS_CO_RETURN_IF_ERROR(co_await PersistFileMetadata(ino, /*for_cleaner=*/false));
   co_return OkStatus();
 }
 
@@ -474,32 +345,6 @@ Task<Status> LfsLayout::PersistFileMetadataGuarded(uint64_t ino, bool for_cleane
   co_return status;
 }
 
-Task<Status> LfsLayout::TruncateBlocks(uint64_t ino, uint64_t from_block) {
-  PFS_ASSERT_SHARD();
-  PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
-  PFS_CO_ASSIGN_OR_RETURN(BlockMap * bmap, co_await GetBmap(ino));
-  // Load every chunk that may contain mappings to free.
-  for (size_t chunk = from_block / bmap->entries_per_chunk(); chunk < Inode::kBmapChunks;
-       ++chunk) {
-    if (inode->bmap[chunk] != kNullAddr) {
-      PFS_CO_RETURN_IF_ERROR(co_await EnsureChunkLoaded(ino, bmap, chunk));
-    }
-  }
-  for (uint64_t addr : bmap->TruncateFrom(from_block)) {
-    DecLive(addr);
-  }
-  // Chunks entirely above the new end lose their on-disk block too.
-  const size_t first_dead_chunk = CeilDiv(from_block, bmap->entries_per_chunk());
-  for (size_t chunk = first_dead_chunk; chunk < Inode::kBmapChunks; ++chunk) {
-    if (inode->bmap[chunk] != kNullAddr) {
-      DecLive(inode->bmap[chunk]);
-      inode->bmap[chunk] = kNullAddr;
-      bmap->MarkChunkClean(chunk);
-    }
-  }
-  co_return OkStatus();
-}
-
 // -- lifecycle ----------------------------------------------------------------
 
 Task<Status> LfsLayout::Format() {
@@ -508,8 +353,7 @@ Task<Status> LfsLayout::Format() {
   ResetSegmentTable();
   summaries_.assign(geo_.nsegments, {});
   summary_loaded_.clear();
-  inode_cache_.clear();
-  bmap_cache_.clear();
+  DropCaches();
   checkpoint_seq_ = 0;
   write_seq_ = 0;
   next_ino_hint_ = 1;
@@ -692,17 +536,7 @@ Task<Status> LfsLayout::Sync() {
   PFS_ASSERT_SHARD();
   PFS_CHECK(mounted_);
   // Persist every inode whose cached attributes may be newer than the log.
-  std::vector<uint64_t> inos;
-  inos.reserve(inode_cache_.size());
-  for (const auto& [ino, inode] : inode_cache_) {
-    inos.push_back(ino);
-  }
-  for (uint64_t ino : inos) {
-    if (!inode_cache_.contains(ino)) {
-      continue;  // freed while an earlier iteration's append was in flight
-    }
-    PFS_CO_RETURN_IF_ERROR(co_await PersistFileMetadataGuarded(ino, false));
-  }
+  PFS_CO_RETURN_IF_ERROR(co_await PersistCachedInodes());
   co_return co_await WriteCheckpoint();
 }
 
@@ -792,13 +626,9 @@ Task<bool> LfsLayout::IsLive(const SummaryEntry& entry, uint64_t addr) {
       if (!inode_or.ok()) {
         co_return false;
       }
-      auto bmap_or = co_await GetBmap(entry.ino);
-      if (!bmap_or.ok()) {
-        co_return false;
-      }
-      BlockMap* bmap = *bmap_or;
-      const Status chunk_status = co_await EnsureChunkLoaded(
-          entry.ino, bmap, entry.aux / bmap->entries_per_chunk());
+      BlockMap* bmap = GetBmap(entry.ino);
+      const Status chunk_status =
+          co_await LoadChunk(entry.ino, bmap, entry.aux / bmap->entries_per_chunk());
       if (!chunk_status.ok()) {
         co_return false;
       }
@@ -842,25 +672,20 @@ Task<Status> LfsLayout::CleanSegment(uint32_t seg) {
                            std::span<const std::byte>(read_span.data(), read_span.size())};
         PFS_CO_ASSIGN_OR_RETURN(std::vector<uint64_t> new_addrs,
                                 co_await AppendItems(std::span(&item, 1), true));
-        auto bmap_or = co_await GetBmap(entry.ino);
-        if (bmap_or.ok()) {
-          const uint64_t old = (*bmap_or)->Set(entry.aux, new_addrs[0]);
-          if (old != kNullAddr) {
-            DecLive(old);
-          }
+        const uint64_t old = GetBmap(entry.ino)->Set(entry.aux, new_addrs[0]);
+        if (old != kNullAddr) {
+          DecLive(old);
         }
         blocks_relocated_.Inc();
         break;
       }
       case LogKind::kBmapChunk: {
         // Mark the chunk dirty so PersistFileMetadata rewrites it.
-        auto bmap_or = co_await GetBmap(entry.ino);
-        if (bmap_or.ok()) {
-          const Status chunk_status = co_await EnsureChunkLoaded(
-              entry.ino, *bmap_or, static_cast<size_t>(entry.aux));
-          if (chunk_status.ok() && (*bmap_or)->ChunkLoaded(entry.aux)) {
-            (*bmap_or)->MarkChunkDirty(entry.aux);
-          }
+        BlockMap* bmap = GetBmap(entry.ino);
+        const Status chunk_status =
+            co_await LoadChunk(entry.ino, bmap, static_cast<size_t>(entry.aux));
+        if (chunk_status.ok() && bmap->ChunkLoaded(entry.aux)) {
+          bmap->MarkChunkDirty(entry.aux);
         }
         metadata_files.push_back(entry.ino);
         break;

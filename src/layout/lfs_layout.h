@@ -17,20 +17,21 @@
 // The simulator instantiation keeps all metadata in memory and issues the
 // same I/O with empty buffers — helper components account for the time data
 // movement would take (paper §2).
+//
+// The inode and block-map caches, chunk loading, deferred frees and
+// truncation are MappedLayout's; this class decides only what is LFS: inodes
+// found through the imap, released blocks counted out of their segment's
+// live total, and every write appended to the log.
 #ifndef PFS_LAYOUT_LFS_LAYOUT_H_
 #define PFS_LAYOUT_LFS_LAYOUT_H_
 
-#include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "layout/block_map.h"
 #include "layout/cleaner.h"
-#include "layout/storage_layout.h"
-#include "sched/scheduler.h"
+#include "layout/mapped_layout.h"
 #include "sched/sync.h"
 #include "stats/histogram.h"
 #include "stats/registry.h"
@@ -54,7 +55,7 @@ struct LfsConfig {
   bool materialize_metadata = false;
 };
 
-class LfsLayout final : public StorageLayout, public StatSource {
+class LfsLayout final : public MappedLayout, public StatSource {
  public:
   LfsLayout(Scheduler* sched, BlockDev dev, LfsConfig config,
             std::unique_ptr<CleanerPolicy> cleaner_policy);
@@ -75,15 +76,6 @@ class LfsLayout final : public StorageLayout, public StatSource {
   Task<Status> Sync() override;
   uint64_t root_ino() const override { return root_ino_; }
   Task<Result<uint64_t>> AllocInode(FileType type) override;
-  Task<Result<Inode>> ReadInode(uint64_t ino) override;
-  Task<Status> WriteInode(const Inode& inode) override;
-  // Frees immediately, or defers until in-flight writes for `ino` complete
-  // (an unlinked file may still be mid-flush; see busy_inos_).
-  Task<Status> FreeInode(uint64_t ino) override;
-  Task<Status> ReadFileBlock(uint64_t ino, uint64_t file_block,
-                             std::span<std::byte> out) override;
-  Task<Status> WriteFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) override;
-  Task<Status> TruncateBlocks(uint64_t ino, uint64_t from_block) override;
   uint64_t TotalBlocks() const override { return dev_.nblocks(); }
   uint64_t FreeBlocksEstimate() const override;
 
@@ -140,20 +132,20 @@ class LfsLayout final : public StorageLayout, public StatSource {
   void DecLive(uint64_t addr);
   uint64_t SegmentOf(uint64_t addr) const;
 
-  // -- metadata helpers --
-  Task<Result<Inode*>> GetInode(uint64_t ino);
-  Task<Result<BlockMap*>> GetBmap(uint64_t ino);
-  Task<Status> EnsureChunkLoaded(uint64_t ino, BlockMap* bmap, size_t chunk);
+  // -- MappedLayout hooks --
+  // An inode fills its own log block, at its imap address.
+  Result<InodeSlot> LocateInode(uint64_t ino) const override;
+  void ReleaseBlock(uint64_t addr) override { DecLive(addr); }
+  void ReleaseInodeSlot(uint64_t ino) override;
+  Task<Status> PlaceFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) override;
+  Task<Status> PersistFile(uint64_t ino) override {
+    return PersistFileMetadata(ino, /*for_cleaner=*/false);
+  }
+
   // Appends dirty bmap chunks + the inode for `ino` to the log.
   Task<Status> PersistFileMetadata(uint64_t ino, bool for_cleaner);
+  // The cleaner's rewrite of one file's metadata, under the busy bracket.
   Task<Status> PersistFileMetadataGuarded(uint64_t ino, bool for_cleaner);
-  Task<Status> WriteFileBlocksImpl(uint64_t ino, std::span<CacheBlock* const> blocks);
-  Task<Status> FreeInodeNow(uint64_t ino);
-  // In-flight write tracking: raw Inode*/BlockMap* pointers live across
-  // suspension points inside the write paths, so the maps they point into
-  // must not lose those entries until the writes retire.
-  void BeginInoWrite(uint64_t ino) { ++busy_inos_[ino]; }
-  Task<Status> EndInoWrite(uint64_t ino);
 
   // -- checkpoint --
   Task<Status> WriteCheckpoint();
@@ -167,12 +159,9 @@ class LfsLayout final : public StorageLayout, public StatSource {
   Task<Status> LoadSummaryIfNeeded(uint32_t seg);
   Task<bool> IsLive(const SummaryEntry& entry, uint64_t addr);
 
-  Scheduler* sched_;
-  BlockDev dev_;
   LfsConfig config_;
   std::unique_ptr<CleanerPolicy> cleaner_policy_;
   Geometry geo_{};
-  bool mounted_ = false;
   bool cleaner_started_ = false;
 
   // IFILE state.
@@ -192,12 +181,6 @@ class LfsLayout final : public StorageLayout, public StatSource {
   Mutex log_mutex_;
   Event segments_freed_;   // cleaner -> blocked writers
   Event cleaner_wakeup_;
-
-  // In-memory caches (complete in simulator mode; write-through in real mode).
-  std::unordered_map<uint64_t, Inode> inode_cache_;
-  std::unordered_map<uint64_t, BlockMap> bmap_cache_;
-  std::unordered_map<uint64_t, int> busy_inos_;     // in-flight write counts
-  std::unordered_set<uint64_t> free_pending_;       // unlinked while busy
 
   // Stats.
   Counter log_blocks_written_;

@@ -6,8 +6,10 @@
 // virtual method."
 //
 // Implementations: LfsLayout (segmented log-structured, the paper's
-// production layout), FfsLayout (cylinder-group update-in-place baseline),
-// GuessingLayout (the simulator's educated-guess mode).
+// production layout) and FfsLayout (cylinder-group update-in-place
+// baseline) derive from MappedLayout, which holds the inode and block-map
+// machinery they share; GuessingLayout (the simulator's educated-guess mode)
+// keeps no block map and derives from this class directly.
 #ifndef PFS_LAYOUT_STORAGE_LAYOUT_H_
 #define PFS_LAYOUT_STORAGE_LAYOUT_H_
 

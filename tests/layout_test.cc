@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <type_traits>
 
 #include "bus/scsi_bus.h"
 #include "disk/disk_model.h"
@@ -801,6 +802,76 @@ TEST_F(FfsRealTest, PersistsAcrossRemount) {
     EXPECT_NE(inode.bmap[1], kNullAddr);
     EXPECT_EQ(read_back, payload);
   }
+}
+
+// -- both block-mapped layouts ---------------------------------------------------
+
+template <typename Fixture>
+class MappedLayoutTest : public ::testing::Test {};
+
+struct MappedLayoutNames {
+  template <typename Fixture>
+  static std::string GetName(int) {
+    return std::is_same_v<Fixture, LfsSimFixture> ? "lfs" : "ffs";
+  }
+};
+
+using MappedFixtures = ::testing::Types<LfsSimFixture, FfsSimFixture>;
+TYPED_TEST_SUITE(MappedLayoutTest, MappedFixtures, MappedLayoutNames);
+
+// A client unlinks files while SyncAll is persisting them: Sync is suspended
+// on disk I/O for one inode when all the others are freed. The walk must
+// skip the freed inodes and defer the free of the one it is persisting.
+TYPED_TEST(MappedLayoutTest, UnlinkDuringSync) {
+  TypeParam f;
+  Status fmt(ErrorCode::kAborted);
+  f.sched->Spawn("fmt", FormatTask(f.layout.get(), &fmt));
+  f.sched->Run();
+  ASSERT_TRUE(fmt.ok()) << fmt.ToString();
+
+  std::vector<uint64_t> inos;
+  f.sched->Spawn("alloc", [](StorageLayout* l, std::vector<uint64_t>* out) -> Task<> {
+    for (int i = 0; i < 20; ++i) {
+      auto ino_or = co_await l->AllocInode(FileType::kRegular);
+      if (ino_or.ok()) {
+        out->push_back(*ino_or);
+      }
+    }
+  }(f.layout.get(), &inos));
+  f.sched->Run();
+  ASSERT_EQ(inos.size(), 20u);
+
+  Status sync(ErrorCode::kAborted);
+  Status unlink(ErrorCode::kAborted);
+  f.sched->Spawn("sync", [](StorageLayout* l, Status* out) -> Task<> {
+    *out = co_await l->Sync();
+  }(f.layout.get(), &sync));
+  f.sched->Spawn("unlink", [](Scheduler* s, StorageLayout* l, std::vector<uint64_t> victims,
+                              Status* out) -> Task<> {
+    co_await s->Sleep(Duration::Micros(1));  // Sync is now waiting on the disk
+    *out = OkStatus();
+    for (uint64_t ino : victims) {
+      const Status status = co_await l->FreeInode(ino);
+      if (!status.ok()) {
+        *out = status;
+        co_return;
+      }
+    }
+  }(f.sched.get(), f.layout.get(), inos, &unlink));
+  f.sched->Run();
+  EXPECT_TRUE(sync.ok()) << sync.ToString();
+  EXPECT_TRUE(unlink.ok()) << unlink.ToString();
+
+  std::vector<ErrorCode> codes;
+  f.sched->Spawn("read", [](StorageLayout* l, std::vector<uint64_t> freed,
+                            std::vector<ErrorCode>* out) -> Task<> {
+    for (uint64_t ino : freed) {
+      auto inode_or = co_await l->ReadInode(ino);
+      out->push_back(inode_or.ok() ? ErrorCode::kOk : inode_or.status().code());
+    }
+  }(f.layout.get(), inos, &codes));
+  f.sched->Run();
+  EXPECT_EQ(codes, std::vector<ErrorCode>(inos.size(), ErrorCode::kNotFound));
 }
 
 // -- guessing -------------------------------------------------------------------
