@@ -157,21 +157,4 @@ std::string StatsSampler::SeriesJson() const {
   return out;
 }
 
-Status StatsSampler::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status(ErrorCode::kIoError, "open " + path + ": " + std::strerror(errno));
-  }
-  bool ok = true;
-  for (const SamplePoint& sample : samples_) {
-    const std::string line = LineJson(sample) + "\n";
-    ok = ok && std::fwrite(line.data(), 1, line.size(), f) == line.size();
-  }
-  const int close_rc = std::fclose(f);
-  if (!ok || close_rc != 0) {
-    return Status(ErrorCode::kIoError, "write " + path);
-  }
-  return OkStatus();
-}
-
 }  // namespace pfs

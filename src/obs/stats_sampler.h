@@ -66,7 +66,6 @@ class StatsSampler {
   // Streams samples to `path` as NDJSON on a writer thread, syncing every
   // `flush_every` samples (and on destruction). Call before Start().
   Status OpenOutput(const std::string& path, size_t flush_every);
-  bool streaming() const { return out_ != nullptr; }
 
   // Spawns the sampling daemon (transient: neither keeps Run() alive nor
   // leaves a finished record); it takes one snapshot every interval.
@@ -76,9 +75,6 @@ class StatsSampler {
 
   // `[{"t_ms":<clock ms>,"stats":<ReportJson()>,"metrics":<snapshot>}, ...]`
   std::string SeriesJson() const;
-  // One `{"t_ms":...,"stats":...,"metrics":...}` line per sample (NDJSON,
-  // the same shape OpenOutput streams).
-  Status WriteFile(const std::string& path) const;
 
  private:
   Task<> Loop();

@@ -394,7 +394,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
                                                   Duration::Millis(config.trace.sample_ms));
     if (!config.trace.file.empty()) {
       // Stream samples incrementally (fsync every 8) so an interrupted run
-      // keeps its curve; ExportObservability skips the end-of-run rewrite.
+      // keeps its curve.
       PFS_RETURN_IF_ERROR(
           sys.sampler_->OpenOutput(TraceSamplesPath(config.trace.file), /*flush_every=*/8));
     }
@@ -635,9 +635,6 @@ Task<> System::StatzRefresher(Duration period) {
 Status System::ExportObservability() {
   if (trace_sink_ != nullptr && !config_.trace.file.empty()) {
     PFS_RETURN_IF_ERROR(trace_sink_->WriteChromeTrace(config_.trace.file));
-    if (sampler_ != nullptr && !sampler_->streaming()) {
-      PFS_RETURN_IF_ERROR(sampler_->WriteFile(TraceSamplesPath(config_.trace.file)));
-    }
   }
   return OkStatus();
 }

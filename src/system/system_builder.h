@@ -147,9 +147,9 @@ class System {
   TraceSink* trace_sink() { return trace_sink_.get(); }
   StatsSampler* stats_sampler() { return sampler_.get(); }
 
-  // Flushes the trace to config.trace.file as Chrome trace_event JSON and
-  // the sampled time-series next to it (TraceSamplesPath). No-op for the
-  // parts that are not configured. Call after the workload, while the
+  // Flushes the trace to config.trace.file as Chrome trace_event JSON; the
+  // sampled time series already streams next to it (TraceSamplesPath). No-op
+  // when tracing is not configured. Call after the workload, while the
   // scheduler is still alive.
   Status ExportObservability();
 

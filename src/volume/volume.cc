@@ -799,14 +799,6 @@ std::vector<BlockDevice*> WrapSlices(Scheduler* sched, MetricRegistry* metrics,
   return members;
 }
 
-std::vector<uint64_t> SliceSectors(const std::vector<VolumeSliceRef>& slices) {
-  std::vector<uint64_t> sectors;
-  for (const VolumeSliceRef& s : slices) {
-    sectors.push_back(s.nsectors);
-  }
-  return sectors;
-}
-
 uint32_t StripeUnitSectors(const VolumeSpec& spec, uint32_t sector_bytes) {
   return static_cast<uint32_t>(spec.stripe_unit_kb * kKiB / sector_bytes);
 }
