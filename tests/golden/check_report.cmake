@@ -4,7 +4,12 @@
 # scenario_<name> test per tests/golden/<name>.json:
 #
 #   cmake -DRUNNER=<run_scenario> -DSCENARIO=<file.scenario> \
-#         -DGOLDEN=<tests/golden/name.json> -DOUT=<report.json> -P check_report.cmake
+#         -DGOLDEN=<tests/golden/name.json> -DOUT=<report.json> \
+#         [-DPYTHON=<python3>] -P check_report.cmake
+#
+# On a mismatch, with PYTHON set, tools/report_diff.py lists every JSON leaf
+# whose value moved (golden -> this run). The byte comparison alone decides
+# pass or fail.
 #
 # After an intended behaviour change, regenerate the golden file with
 #   run_scenario examples/scenarios/<name>.scenario --ops 1000 \
@@ -17,5 +22,9 @@ endif()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${OUT}
                 RESULT_VARIABLE diff_rc)
 if(NOT diff_rc EQUAL 0)
+  if(PYTHON)
+    execute_process(COMMAND ${PYTHON} ${CMAKE_CURRENT_LIST_DIR}/../../tools/report_diff.py
+                            ${GOLDEN} ${OUT})
+  endif()
   message(FATAL_ERROR "ReportJson differs from ${GOLDEN}; this run wrote ${OUT}")
 endif()
