@@ -146,13 +146,6 @@ Task<Status> FfsLayout::Sync() {
   co_return OkStatus();
 }
 
-Task<Status> FfsLayout::Unmount() {
-  PFS_ASSERT_SHARD();
-  PFS_CO_RETURN_IF_ERROR(co_await Sync());
-  mounted_ = false;
-  co_return OkStatus();
-}
-
 Task<Result<uint64_t>> FfsLayout::AllocInode(FileType type) {
   PFS_ASSERT_SHARD();
   PFS_CHECK(mounted_);

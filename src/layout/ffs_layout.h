@@ -46,7 +46,6 @@ class FfsLayout final : public MappedLayout, public StatSource {
   uint32_t block_size() const override { return config_.block_size; }
   Task<Status> Format() override;
   Task<Status> Mount() override;
-  Task<Status> Unmount() override;
   Task<Status> Sync() override;
   uint64_t root_ino() const override { return root_ino_; }
   Task<Result<uint64_t>> AllocInode(FileType type) override;

@@ -338,9 +338,9 @@ Task<Status> LfsLayout::PlaceFileBlocks(uint64_t ino, std::span<CacheBlock* cons
   co_return OkStatus();
 }
 
-Task<Status> LfsLayout::PersistFileMetadataGuarded(uint64_t ino, bool for_cleaner) {
+Task<Status> LfsLayout::RewriteFileMetadata(uint64_t ino) {
   BeginInoWrite(ino);
-  const Status status = co_await PersistFileMetadata(ino, for_cleaner);
+  const Status status = co_await PersistFileMetadata(ino, /*for_cleaner=*/true);
   PFS_CO_RETURN_IF_ERROR(co_await EndInoWrite(ino));
   co_return status;
 }
@@ -540,13 +540,6 @@ Task<Status> LfsLayout::Sync() {
   co_return co_await WriteCheckpoint();
 }
 
-Task<Status> LfsLayout::Unmount() {
-  PFS_ASSERT_SHARD();
-  PFS_CO_RETURN_IF_ERROR(co_await Sync());
-  mounted_ = false;
-  co_return OkStatus();
-}
-
 // -- cleaner ------------------------------------------------------------------
 
 void LfsLayout::Start() {
@@ -700,7 +693,7 @@ Task<Status> LfsLayout::CleanSegment(uint32_t seg) {
   metadata_files.erase(std::unique(metadata_files.begin(), metadata_files.end()),
                        metadata_files.end());
   for (uint64_t ino : metadata_files) {
-    const Status status = co_await PersistFileMetadataGuarded(ino, /*for_cleaner=*/true);
+    const Status status = co_await RewriteFileMetadata(ino);
     if (!status.ok() && status.code() != ErrorCode::kNotFound) {
       co_return status;
     }

@@ -72,7 +72,6 @@ class LfsLayout final : public MappedLayout, public StatSource {
   uint32_t block_size() const override { return config_.block_size; }
   Task<Status> Format() override;
   Task<Status> Mount() override;
-  Task<Status> Unmount() override;
   Task<Status> Sync() override;
   uint64_t root_ino() const override { return root_ino_; }
   Task<Result<uint64_t>> AllocInode(FileType type) override;
@@ -144,8 +143,9 @@ class LfsLayout final : public MappedLayout, public StatSource {
 
   // Appends dirty bmap chunks + the inode for `ino` to the log.
   Task<Status> PersistFileMetadata(uint64_t ino, bool for_cleaner);
-  // The cleaner's rewrite of one file's metadata, under the busy bracket.
-  Task<Status> PersistFileMetadataGuarded(uint64_t ino, bool for_cleaner);
+  // The cleaner's rewrite of one file's metadata (appended with
+  // for_cleaner), under the busy bracket.
+  Task<Status> RewriteFileMetadata(uint64_t ino);
 
   // -- checkpoint --
   Task<Status> WriteCheckpoint();

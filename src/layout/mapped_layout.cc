@@ -111,6 +111,13 @@ Task<Status> MappedLayout::FreeInodeNow(uint64_t ino) {
 
 // -- StorageLayout interface ------------------------------------------------------
 
+Task<Status> MappedLayout::Unmount() {
+  PFS_ASSERT_SHARD();
+  PFS_CO_RETURN_IF_ERROR(co_await Sync());
+  mounted_ = false;
+  co_return OkStatus();
+}
+
 Task<Result<Inode>> MappedLayout::ReadInode(uint64_t ino) {
   PFS_ASSERT_SHARD();
   PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));

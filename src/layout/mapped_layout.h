@@ -25,6 +25,7 @@ namespace pfs {
 
 class MappedLayout : public StorageLayout {
  public:
+  Task<Status> Unmount() final;  // Sync, then unmounted
   Task<Result<Inode>> ReadInode(uint64_t ino) final;
   Task<Status> WriteInode(const Inode& inode) final;
   // Frees immediately, or defers until in-flight writes for `ino` complete
