@@ -389,7 +389,13 @@ class LfsRealTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(LfsRealTest, PersistsAcrossRemount) {
+// Formats a materialized layout on a file-backed image, allocates a file,
+// writes `file_block` with a byte pattern and unmounts. A fresh layout then
+// mounts the image with empty caches, so its ReadInode and ReadFileBlock read
+// the inode and the block-map chunk back from disk.
+template <typename Layout, typename MakeLayout>
+void CheckPersistsAcrossRemount(const std::string& path, uint64_t file_block,
+                                MakeLayout make_layout) {
   IoExecutor executor(2);
   uint64_t ino = 0;
   std::vector<std::byte> payload(4096);
@@ -401,15 +407,15 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
     auto sched = Scheduler::CreateVirtual();
     MetricRegistry metrics(1, "pfs");
     auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path, 4 * kMiB,
                                            &executor))
             .value();
     driver->Start();
     SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
-    LfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig(),
-                     MakeCleanerPolicy("greedy"));
+    std::unique_ptr<Layout> layout = make_layout(sched.get(), BlockDev(&volume, 4096));
     Status status(ErrorCode::kAborted);
-    sched->Spawn("run", [](LfsLayout* l, uint64_t* out_ino, Status* out) -> Task<> {
+    sched->Spawn("run", [](Layout* l, uint64_t size, uint64_t* out_ino,
+                           Status* out) -> Task<> {
       *out = co_await l->Format();
       if (!out->ok()) {
         co_return;
@@ -422,25 +428,25 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
       *out_ino = *ino_or;
       auto inode_or = co_await l->ReadInode(*out_ino);
       Inode inode = *inode_or;
-      inode.size = 4096;
+      inode.size = size;
       *out = co_await l->WriteInode(inode);
-    }(&layout, &ino, &status));
+    }(layout.get(), (file_block + 1) * 4096, &ino, &status));
     sched->Run();
     ASSERT_TRUE(status.ok()) << status.ToString();
 
     // Write one data block with real bytes.
     auto block = std::make_unique<CacheBlock>(sched.get());
-    block->id = BlockId{1, ino, 0};
+    block->id = BlockId{1, ino, file_block};
     block->data = payload;
     Status wstatus(ErrorCode::kAborted);
     std::vector<CacheBlock*> ptrs{block.get()};
-    sched->Spawn("w", [](LfsLayout* l, uint64_t i, std::vector<CacheBlock*> p,
+    sched->Spawn("w", [](Layout* l, uint64_t i, std::vector<CacheBlock*> p,
                          Status* out) -> Task<> {
       *out = co_await l->WriteFileBlocks(i, p);
       if (out->ok()) {
         *out = co_await l->Unmount();
       }
-    }(&layout, ino, ptrs, &wstatus));
+    }(layout.get(), ino, ptrs, &wstatus));
     sched->Run();
     ASSERT_TRUE(wstatus.ok()) << wstatus.ToString();
   }
@@ -449,17 +455,16 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
     auto sched = Scheduler::CreateVirtual();
     MetricRegistry metrics(1, "pfs");
     auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
+        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path, 4 * kMiB,
                                            &executor))
             .value();
     driver->Start();
     SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
-    LfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig(),
-                     MakeCleanerPolicy("greedy"));
+    std::unique_ptr<Layout> layout = make_layout(sched.get(), BlockDev(&volume, 4096));
     Status status(ErrorCode::kAborted);
     std::vector<std::byte> read_back(4096);
     Inode inode;
-    sched->Spawn("run", [](LfsLayout* l, uint64_t i, std::span<std::byte> out_data,
+    sched->Spawn("run", [](Layout* l, uint64_t i, uint64_t b, std::span<std::byte> out_data,
                            Inode* out_inode, Status* out) -> Task<> {
       *out = co_await l->Mount();
       if (!out->ok()) {
@@ -471,14 +476,22 @@ TEST_F(LfsRealTest, PersistsAcrossRemount) {
         co_return;
       }
       *out_inode = *inode_or;
-      *out = co_await l->ReadFileBlock(i, 0, out_data);
-    }(&layout, ino, read_back, &inode, &status));
+      *out = co_await l->ReadFileBlock(i, b, out_data);
+    }(layout.get(), ino, file_block, read_back, &inode, &status));
     sched->Run();
     ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(inode.size, 4096u);
+    EXPECT_EQ(inode.size, (file_block + 1) * 4096);
     EXPECT_EQ(inode.type, FileType::kRegular);
+    EXPECT_NE(inode.bmap[file_block / 512], kNullAddr);  // 512 entries per chunk
     EXPECT_EQ(read_back, payload);
   }
+}
+
+TEST_F(LfsRealTest, PersistsAcrossRemount) {
+  CheckPersistsAcrossRemount<LfsLayout>(path_, 0, [](Scheduler* sched, BlockDev dev) {
+    return std::make_unique<LfsLayout>(sched, std::move(dev), RealConfig(),
+                                       MakeCleanerPolicy("greedy"));
+  });
 }
 
 // Free segments by a walk of the segment table: the reference the layout's
@@ -710,98 +723,11 @@ class FfsRealTest : public ::testing::Test {
   std::string path_;
 };
 
-// The remounted layout starts with empty caches, so its ReadInode reads the
-// inode-table slot and its ReadFileBlock reads block-map chunk 1 from disk.
+// File block 600 lies in block-map chunk 1.
 TEST_F(FfsRealTest, PersistsAcrossRemount) {
-  IoExecutor executor(2);
-  constexpr uint64_t kFileBlock = 600;  // past chunk 0's 512 entries
-  uint64_t ino = 0;
-  std::vector<std::byte> payload(4096);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::byte>((i * 13 + 5) & 0xff);
-  }
-
-  {
-    auto sched = Scheduler::CreateVirtual();
-    MetricRegistry metrics(1, "pfs");
-    auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
-                                           &executor))
-            .value();
-    driver->Start();
-    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
-    FfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig());
-    Status status(ErrorCode::kAborted);
-    sched->Spawn("run", [](FfsLayout* l, uint64_t* out_ino, Status* out) -> Task<> {
-      *out = co_await l->Format();
-      if (!out->ok()) {
-        co_return;
-      }
-      auto ino_or = co_await l->AllocInode(FileType::kRegular);
-      if (!ino_or.ok()) {
-        *out = ino_or.status();
-        co_return;
-      }
-      *out_ino = *ino_or;
-      auto inode_or = co_await l->ReadInode(*out_ino);
-      Inode inode = *inode_or;
-      inode.size = (kFileBlock + 1) * 4096;
-      *out = co_await l->WriteInode(inode);
-    }(&layout, &ino, &status));
-    sched->Run();
-    ASSERT_TRUE(status.ok()) << status.ToString();
-
-    auto block = std::make_unique<CacheBlock>(sched.get());
-    block->id = BlockId{1, ino, kFileBlock};
-    block->data = payload;
-    Status wstatus(ErrorCode::kAborted);
-    std::vector<CacheBlock*> ptrs{block.get()};
-    sched->Spawn("w", [](FfsLayout* l, uint64_t i, std::vector<CacheBlock*> p,
-                         Status* out) -> Task<> {
-      *out = co_await l->WriteFileBlocks(i, p);
-      if (out->ok()) {
-        *out = co_await l->Unmount();
-      }
-    }(&layout, ino, ptrs, &wstatus));
-    sched->Run();
-    ASSERT_TRUE(wstatus.ok()) << wstatus.ToString();
-  }
-
-  {
-    auto sched = Scheduler::CreateVirtual();
-    MetricRegistry metrics(1, "pfs");
-    auto driver =
-        std::move(FileBackedDriver::Create(sched.get(), &metrics, "d0", path_, 4 * kMiB,
-                                           &executor))
-            .value();
-    driver->Start();
-    SingleDiskVolume volume(sched.get(), &metrics, "v0", driver.get());
-    FfsLayout layout(sched.get(), BlockDev(&volume, 4096), RealConfig());
-    Status status(ErrorCode::kAborted);
-    std::vector<std::byte> read_back(4096);
-    Inode inode;
-    sched->Spawn("run", [](FfsLayout* l, uint64_t i, uint64_t file_block,
-                           std::span<std::byte> out_data, Inode* out_inode,
-                           Status* out) -> Task<> {
-      *out = co_await l->Mount();
-      if (!out->ok()) {
-        co_return;
-      }
-      auto inode_or = co_await l->ReadInode(i);
-      if (!inode_or.ok()) {
-        *out = inode_or.status();
-        co_return;
-      }
-      *out_inode = *inode_or;
-      *out = co_await l->ReadFileBlock(i, file_block, out_data);
-    }(&layout, ino, kFileBlock, read_back, &inode, &status));
-    sched->Run();
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    EXPECT_EQ(inode.size, (kFileBlock + 1) * 4096);
-    EXPECT_EQ(inode.type, FileType::kRegular);
-    EXPECT_NE(inode.bmap[1], kNullAddr);
-    EXPECT_EQ(read_back, payload);
-  }
+  CheckPersistsAcrossRemount<FfsLayout>(path_, 600, [](Scheduler* sched, BlockDev dev) {
+    return std::make_unique<FfsLayout>(sched, std::move(dev), RealConfig());
+  });
 }
 
 // -- both block-mapped layouts ---------------------------------------------------
