@@ -92,7 +92,7 @@ def main(argv):
     if argv == ["--self-test"]:
         return self_test()
     if len(argv) != 2:
-        print(__doc__.split("Usage:")[1].split("Exit")[0].strip(), file=sys.stderr)
+        print("usage: report_diff.py GOLDEN RUN | --self-test", file=sys.stderr)
         return 2
     try:
         golden, run = load(argv[0]), load(argv[1])
