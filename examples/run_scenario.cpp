@@ -17,7 +17,11 @@
 //
 // --trace FILE force-enables request tracing regardless of the scenario's
 // trace.* keys and exports the run as Chrome trace_event JSON to FILE (plus
-// the sampled stats time series to FILE's "-samples" sibling).
+// the sampled stats time series to FILE's "-samples" sibling). Recording
+// spans leaves a simulated run as it is (the scenario_*_traced tests check
+// the report), but unless the scenario sets trace.sample_ms, --trace also
+// starts the stats sampler at 20 ms, and on the virtual clock the sampler is
+// one more coroutine, so a --trace run is not step-for-step the run without.
 //
 // --metrics PORT serves the live metrics plane on PORT (0 = ask the kernel):
 // it forces metrics.enabled, which starts the HTTP listener (/metrics,
@@ -241,9 +245,8 @@ int main(int argc, char** argv) {
     std::printf("  metrics: port=%u scrapes=%llu\n", sys.metrics_port(),
                 static_cast<unsigned long long>(sys.metrics()->scrapes()));
   }
-  if (TraceSink* sink = sys.trace_sink(); sink != nullptr) {
-    sink->Drain();
-    std::printf("  trace: %zu span(s)", sink->span_count());
+  if (const TraceRecorder* tracer = sys.tracer(); tracer != nullptr) {
+    std::printf("  trace: %zu span(s)", tracer->span_count());
     if (Status status = sys.ExportObservability(); !status.ok()) {
       std::fprintf(stderr, "\ntrace export failed: %s\n", status.ToString().c_str());
       return 1;

@@ -13,8 +13,8 @@
 //
 // Histograms are HDR-style log-bucketed fixed bins (stats/histogram.h): 8
 // sub-buckets per power of two (<= 12.5% relative bucket width) over the full
-// uint64 range, no sampling and no ring to overflow — unlike the bounded
-// trace-span rings, the percentile error is bounded by bucket width alone.
+// uint64 range, with no sampling, so the percentile error is bounded by
+// bucket width alone.
 //
 // Every System builds a registry, and the components count their events
 // only here: the latency_ms / queue_wait_ms / fill_ms percentile objects in

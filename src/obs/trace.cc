@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "core/check.h"
-
 namespace pfs {
 
 const char* TraceStageName(TraceStage stage) {
@@ -29,114 +27,61 @@ const char* TraceStageName(TraceStage stage) {
 }
 
 namespace {
-// Process-unique recorder ids key the thread-local ring cache: a stale cache
-// entry can never be revived by a new recorder allocated at the same address.
+// Process-unique recorder ids key the thread-local buffer cache: a stale
+// cache entry can never be revived by a new recorder allocated at the same
+// address.
 std::atomic<uint64_t> g_next_recorder_instance{1};
 }  // namespace
 
-TraceRecorder::TraceRecorder(Scheduler* sched, size_t ring_capacity)
-    : sched_(sched),
-      capacity_(ring_capacity),
-      instance_id_(g_next_recorder_instance.fetch_add(1, std::memory_order_relaxed)) {
-  PFS_CHECK(sched != nullptr);
-  PFS_CHECK(ring_capacity > 0);
-}
+TraceRecorder::TraceRecorder()
+    : instance_id_(g_next_recorder_instance.fetch_add(1, std::memory_order_relaxed)) {}
 
-TraceRecorder::Ring* TraceRecorder::LocalRing() {
+TraceRecorder::Buffer* TraceRecorder::LocalBuffer() {
   struct Cache {
     uint64_t instance = 0;
-    Ring* ring = nullptr;
+    Buffer* buffer = nullptr;
   };
   thread_local Cache cache;
   if (cache.instance != instance_id_) {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings_.push_back(std::make_unique<Ring>(capacity_));
-    cache = Cache{instance_id_, rings_.back().get()};
+    std::lock_guard<std::mutex> lock(buffers_mu_);
+    buffers_.push_back(std::make_unique<Buffer>());
+    cache = Cache{instance_id_, buffers_.back().get()};
   }
-  return cache.ring;
+  return cache.buffer;
 }
 
 void TraceRecorder::Record(const TraceSpan& span) {
-  Ring* ring = LocalRing();
-  std::lock_guard<std::mutex> lock(ring->mu);
-  ++ring->recorded;
-  if (ring->size == ring->slots.size()) {
-    ++ring->dropped;  // overwrite the oldest span
-  } else {
-    ++ring->size;
-  }
-  ring->slots[ring->next] = span;
-  ring->next = (ring->next + 1) % ring->slots.size();
+  Buffer* buffer = LocalBuffer();
+  std::lock_guard<std::mutex> lock(buffer->mu);
+  buffer->spans.push_back(span);
 }
 
-void TraceRecorder::Drain(std::vector<TraceSpan>* out) {
-  std::lock_guard<std::mutex> rings_lock(rings_mu_);
-  for (auto& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    const size_t cap = ring->slots.size();
-    size_t idx = (ring->next + cap - ring->size) % cap;  // oldest
-    for (size_t i = 0; i < ring->size; ++i) {
-      out->push_back(ring->slots[idx]);
-      idx = (idx + 1) % cap;
-    }
-    ring->size = 0;
+std::vector<TraceSpan> TraceRecorder::Spans() const {
+  std::vector<TraceSpan> out;
+  std::lock_guard<std::mutex> buffers_lock(buffers_mu_);
+  for (const auto& buffer : buffers_) {
+    std::lock_guard<std::mutex> lock(buffer->mu);
+    out.insert(out.end(), buffer->spans.begin(), buffer->spans.end());
   }
+  return out;
 }
 
-uint64_t TraceRecorder::recorded() const {
-  std::lock_guard<std::mutex> rings_lock(rings_mu_);
-  uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->recorded;
+size_t TraceRecorder::span_count() const {
+  size_t total = 0;
+  std::lock_guard<std::mutex> buffers_lock(buffers_mu_);
+  for (const auto& buffer : buffers_) {
+    std::lock_guard<std::mutex> lock(buffer->mu);
+    total += buffer->spans.size();
   }
   return total;
 }
 
-uint64_t TraceRecorder::dropped() const {
-  std::lock_guard<std::mutex> rings_lock(rings_mu_);
-  uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->dropped;
-  }
-  return total;
-}
-
-TraceSink::TraceSink(TraceRecorder* recorder) : recorder_(recorder) {
-  PFS_CHECK(recorder != nullptr);
-}
-
-void TraceSink::Start(Duration drain_interval) {
-  PFS_CHECK_MSG(!started_, "TraceSink started twice");
-  started_ = true;
-  recorder_->scheduler()->SpawnTransientDaemon("obs.trace_sink", DrainLoop(drain_interval));
-}
-
-Task<> TraceSink::DrainLoop(Duration interval) {
-  for (;;) {
-    co_await recorder_->scheduler()->Sleep(interval);
-    Drain();
-  }
-}
-
-void TraceSink::Drain() {
-  const size_t first_new = spans_.size();
-  recorder_->Drain(&spans_);
-  for (size_t i = first_new; i < spans_.size(); ++i) {
-    const TraceSpan& span = spans_[i];
-    const auto stage = static_cast<size_t>(span.stage);
-    ++stage_counts_[stage];
-    stage_latency_[stage].Record(Duration::Nanos(span.end_ns - span.begin_ns));
-  }
-}
-
-std::string TraceSink::ChromeTraceJson() {
-  Drain();
+std::string TraceRecorder::ChromeTraceJson() const {
+  const std::vector<TraceSpan> spans = Spans();
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[256];
-  for (size_t i = 0; i < spans_.size(); ++i) {
-    const TraceSpan& span = spans_[i];
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const TraceSpan& span = spans[i];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"%s\",\"cat\":\"pfs\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
                   "\"pid\":1,\"tid\":%llu,\"args\":{\"trace_id\":%llu,\"arg\":%llu}}",
@@ -152,7 +97,7 @@ std::string TraceSink::ChromeTraceJson() {
   return out;
 }
 
-Status TraceSink::WriteChromeTrace(const std::string& path) {
+Status TraceRecorder::WriteChromeTrace(const std::string& path) const {
   const std::string json = ChromeTraceJson();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -164,57 +109,6 @@ Status TraceSink::WriteChromeTrace(const std::string& path) {
     return Status(ErrorCode::kIoError, "write " + path);
   }
   return OkStatus();
-}
-
-std::string TraceSink::StatReport(bool with_histograms) const {
-  std::string out = "trace sink:\n";
-  char line[256];
-  std::snprintf(line, sizeof(line), "  spans buffered: %zu  recorded: %llu  dropped: %llu\n",
-                spans_.size(), static_cast<unsigned long long>(recorder_->recorded()),
-                static_cast<unsigned long long>(recorder_->dropped()));
-  out += line;
-  for (size_t i = 0; i < kTraceStageCount; ++i) {
-    if (stage_counts_[i] == 0) {
-      continue;
-    }
-    std::snprintf(line, sizeof(line), "  %-16s %s\n",
-                  TraceStageName(static_cast<TraceStage>(i)), stage_latency_[i].Summary().c_str());
-    out += line;
-    if (with_histograms) {
-      for (const auto& point : stage_latency_[i].Cdf()) {
-        std::snprintf(line, sizeof(line), "    <= %10.3f ms: %5.1f%%\n", point.millis,
-                      point.fraction * 100.0);
-        out += line;
-      }
-    }
-  }
-  return out;
-}
-
-std::string TraceSink::StatJson() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "{\"spans\":%zu,\"recorded\":%llu,\"dropped\":%llu,\"stages\":{",
-                spans_.size(), static_cast<unsigned long long>(recorder_->recorded()),
-                static_cast<unsigned long long>(recorder_->dropped()));
-  std::string out = buf;
-  bool first = true;
-  for (size_t i = 0; i < kTraceStageCount; ++i) {
-    if (stage_counts_[i] == 0) {
-      continue;
-    }
-    const LatencyHistogram& h = stage_latency_[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"count\":%llu,\"mean_ms\":%.6f,\"p50_ms\":%.6f,\"p95_ms\":%.6f,"
-                  "\"p99_ms\":%.6f}",
-                  first ? "" : ",", TraceStageName(static_cast<TraceStage>(i)),
-                  static_cast<unsigned long long>(stage_counts_[i]), h.mean().ToMillisF(),
-                  h.Percentile(0.50).ToMillisF(), h.Percentile(0.95).ToMillisF(),
-                  h.Percentile(0.99).ToMillisF());
-    out += buf;
-    first = false;
-  }
-  out += "}}";
-  return out;
 }
 
 std::string TraceSamplesPath(const std::string& trace_file) {

@@ -5,9 +5,12 @@
 // volume fan-out fragments inherit the identity of the request that spawned
 // them — and on each IoRequest handed to a driver. Instrumented stages record
 // completed spans (enter/exit timestamps on whichever clock the system runs
-// on) into per-OS-thread ring buffers owned by a TraceRecorder; a TraceSink
-// drains the rings into per-stage latency histograms and a Chrome
-// `trace_event` JSON export (open in chrome://tracing or Perfetto).
+// on) into a TraceRecorder, which keeps every span and writes them out as a
+// Chrome `trace_event` JSON export (open in chrome://tracing or Perfetto).
+// Recording starts no scheduler thread, so a traced simulation is the same
+// run as the untraced one. Stage latencies live in the metric registry
+// (client_op_seconds, cache_fill_seconds, volume_request_seconds,
+// volume_fragment_seconds, disk_queue_wait_seconds), not here.
 //
 // Overhead when tracing is off: one branch per stage (the thread's context
 // has a null recorder), nothing else.
@@ -23,9 +26,7 @@
 
 #include "core/status.h"
 #include "obs/trace_context.h"
-#include "sched/scheduler.h"
-#include "stats/histogram.h"
-#include "stats/registry.h"
+#include "sched/time.h"
 
 namespace pfs {
 
@@ -52,20 +53,17 @@ struct TraceSpan {
   TraceStage stage = TraceStage::kClient;
 };
 
-// Owns the span rings. Recording takes one uncontended mutex on a ring
-// private to the calling OS thread (file-backed completions re-enter the
-// scheduler via Post(), so in practice every span is recorded on the
-// scheduler's OS thread); a full ring overwrites its oldest span and counts
-// the drop rather than blocking or growing.
+// Owns every recorded span. Each OS thread that records appends to its own
+// growable buffer behind an uncontended mutex (file-backed completions
+// re-enter the scheduler via Post(), so in practice every span is recorded
+// on a scheduler's OS thread). Nothing is overwritten or dropped: a buffer
+// lives, and grows, as long as the recorder.
 class TraceRecorder {
  public:
-  TraceRecorder(Scheduler* sched, size_t ring_capacity);
+  TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  Scheduler* scheduler() const { return sched_; }
-  size_t ring_capacity() const { return capacity_; }
 
   // A fresh trace id bound to this recorder; call at the root of an
   // operation and place the result on the current thread.
@@ -75,33 +73,29 @@ class TraceRecorder {
 
   void Record(const TraceSpan& span);
 
-  // Moves every buffered span out (oldest-first within each ring),
-  // appending to `*out`.
-  void Drain(std::vector<TraceSpan>* out);
+  // A copy of every span: buffer by buffer in the order the OS threads
+  // first recorded, each buffer in record order.
+  std::vector<TraceSpan> Spans() const;
+  size_t span_count() const;
 
-  uint64_t recorded() const;
-  uint64_t dropped() const;
+  // The Chrome trace_event document: one complete ("X") event per span, in
+  // Spans() order.
+  std::string ChromeTraceJson() const;
+  Status WriteChromeTrace(const std::string& path) const;
 
  private:
-  struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
+  struct Buffer {
     std::mutex mu;
-    std::vector<TraceSpan> slots;
-    size_t next = 0;  // insertion cursor
-    size_t size = 0;  // occupied slots
-    uint64_t recorded = 0;
-    uint64_t dropped = 0;
+    std::vector<TraceSpan> spans;
   };
 
-  Ring* LocalRing();
+  Buffer* LocalBuffer();
 
-  Scheduler* sched_;
-  size_t capacity_;
-  uint64_t instance_id_;  // process-unique: keys the thread-local ring cache
+  uint64_t instance_id_;  // process-unique: keys the thread-local buffer cache
   std::atomic<uint64_t> next_id_{1};
 
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  mutable std::mutex buffers_mu_;
+  std::vector<std::unique_ptr<Buffer>> buffers_;
 };
 
 // Records a completed span against `ctx`. Callers check `ctx.active()` first
@@ -110,49 +104,6 @@ inline void RecordSpan(const TraceContext& ctx, TraceStage stage, uint64_t tid, 
                        TimePoint end, uint64_t arg) {
   ctx.recorder->Record(TraceSpan{ctx.id, tid, begin.nanos(), end.nanos(), arg, stage});
 }
-
-// Drains a recorder into per-stage latency histograms (queue wait vs.
-// service time per tier, surfaced as p50/p95/p99 in StatJson) and an event
-// list exported as Chrome trace_event JSON.
-class TraceSink : public StatSource {
- public:
-  explicit TraceSink(TraceRecorder* recorder);
-
-  // Spawns the periodic drain daemon (transient: it neither keeps Run()
-  // alive nor leaves a finished record). Without Start(), Drain() on demand
-  // still works.
-  void Start(Duration drain_interval);
-
-  // Pulls buffered spans out of the recorder into the sink.
-  void Drain();
-
-  // Drain + serialize the Chrome trace_event document.
-  std::string ChromeTraceJson();
-  Status WriteChromeTrace(const std::string& path);
-
-  size_t span_count() const { return spans_.size(); }
-  uint64_t spans_for_stage(TraceStage stage) const {
-    return stage_counts_[static_cast<size_t>(stage)];
-  }
-  const LatencyHistogram& stage_latency(TraceStage stage) const {
-    return stage_latency_[static_cast<size_t>(stage)];
-  }
-  const std::vector<TraceSpan>& spans() const { return spans_; }
-
-  // StatSource
-  std::string stat_name() const override { return "trace"; }
-  std::string StatReport(bool with_histograms) const override;
-  std::string StatJson() const override;
-
- private:
-  Task<> DrainLoop(Duration interval);
-
-  TraceRecorder* recorder_;
-  std::vector<TraceSpan> spans_;
-  LatencyHistogram stage_latency_[kTraceStageCount];
-  uint64_t stage_counts_[kTraceStageCount] = {};
-  bool started_ = false;
-};
 
 // "trace.json" -> "trace-samples.json": where the StatsSampler time series
 // lands next to a chrome-trace export.

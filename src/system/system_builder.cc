@@ -237,9 +237,6 @@ Status ValidateStack(const SystemConfig& config) {
   if (DiskBlocks(config) == 0) {
     return Invalid("disk geometry: block size is not a multiple of the sector size");
   }
-  if (config.trace.enabled && config.trace.ring_capacity == 0) {
-    return Invalid("trace.ring_capacity: tracing needs at least one span slot");
-  }
   if (auto fault_error = CheckFaultSpecs(config); fault_error.has_value()) {
     return Invalid("faults[" + std::to_string(fault_error->fault) + "]." +
                    fault_error->field + ": " + fault_error->message);
@@ -379,15 +376,12 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
     }
   }
 
-  // Observability: the recorder hands out trace ids at the client roots, the
-  // sink drains the per-thread rings into histograms + an exportable trace,
-  // and the sampler snapshots the whole registry on a period (hopping to
-  // each shard for its shard-affine sources when sharded).
+  // Observability: the recorder hands out trace ids at the client roots and
+  // keeps every span for the export, and the sampler snapshots the whole
+  // registry on a period (hopping to each shard for its shard-affine sources
+  // when sharded).
   if (config.trace.enabled) {
-    sys.tracer_ =
-        std::make_unique<TraceRecorder>(sys.scheduler(), config.trace.ring_capacity);
-    sys.trace_sink_ = std::make_unique<TraceSink>(sys.tracer_.get());
-    sys.stats_.Register(sys.trace_sink_.get());
+    sys.tracer_ = std::make_unique<TraceRecorder>();
   }
   if (config.trace.sample_ms > 0) {
     sys.sampler_ = std::make_unique<StatsSampler>(sys.group_.get(), &sys.stats_, reg,
@@ -563,12 +557,6 @@ Status System::Setup() {
       injector->Start();
     }
   }
-  if (trace_sink_ != nullptr) {
-    // Drain on the sampling period when one is set, else often enough that
-    // a default ring never wraps under ordinary load.
-    const uint32_t drain_ms = config_.trace.sample_ms > 0 ? config_.trace.sample_ms : 100;
-    trace_sink_->Start(Duration::Millis(drain_ms));
-  }
   if (sampler_ != nullptr) {
     sampler_->Start();
   }
@@ -633,8 +621,8 @@ Task<> System::StatzRefresher(Duration period) {
 }
 
 Status System::ExportObservability() {
-  if (trace_sink_ != nullptr && !config_.trace.file.empty()) {
-    PFS_RETURN_IF_ERROR(trace_sink_->WriteChromeTrace(config_.trace.file));
+  if (tracer_ != nullptr && !config_.trace.file.empty()) {
+    return tracer_->WriteChromeTrace(config_.trace.file);
   }
   return OkStatus();
 }

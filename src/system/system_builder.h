@@ -140,17 +140,16 @@ class System {
 
   std::string StatReport(bool with_histograms) { return stats_.ReportAll(with_histograms); }
 
-  // The observability subsystem (config.trace.*). All three are null when
-  // the corresponding knob is off: tracer/sink need trace.enabled, the
-  // sampler needs trace.sample_ms > 0.
+  // The observability subsystem (config.trace.*). Both are null when the
+  // corresponding knob is off: the tracer needs trace.enabled, the sampler
+  // needs trace.sample_ms > 0.
   TraceRecorder* tracer() { return tracer_.get(); }
-  TraceSink* trace_sink() { return trace_sink_.get(); }
   StatsSampler* stats_sampler() { return sampler_.get(); }
 
-  // Flushes the trace to config.trace.file as Chrome trace_event JSON; the
-  // sampled time series already streams next to it (TraceSamplesPath). No-op
-  // when tracing is not configured. Call after the workload, while the
-  // scheduler is still alive.
+  // Writes the tracer's spans to config.trace.file as Chrome trace_event
+  // JSON; the sampled time series already streams next to it
+  // (TraceSamplesPath). No-op when tracing is not configured. Call after the
+  // workload.
   Status ExportObservability();
 
   // The metric registry every component counts into; never null. The HTTP
@@ -196,10 +195,8 @@ class System {
   // injectors reference the daemons and the volumes, so both come after.
   std::vector<std::unique_ptr<RebuildDaemon>> rebuild_daemons_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;  // one per shard, may be null
-  // Tracing rides the scheduler's threads and the request path; the sink
-  // drains the recorder's rings, so recorder outlives sink.
+  // Spans ride the scheduler's threads and the request path into the tracer.
   std::unique_ptr<TraceRecorder> tracer_;
-  std::unique_ptr<TraceSink> trace_sink_;
   std::unique_ptr<StatsSampler> sampler_;
   std::unique_ptr<LocalClient> client_;
   std::vector<std::string> mount_names_;

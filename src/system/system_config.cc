@@ -511,13 +511,11 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
 
       {.key = "trace.enabled", .type = kBool, .field = FIELD(c.trace.enabled),
        .section = "observability",
-       .doc = "Request tracing: spans, trace stats, Chrome export"},
+       .doc = "Request tracing: spans and their Chrome export"},
       {.key = "trace.file", .type = kString, .field = FIELD(c.trace.file),
        .doc = "Chrome trace_event export path (empty: no export)"},
       {.key = "trace.sample_ms", .type = kUint, .field = FIELD(c.trace.sample_ms),
        .max = UINT32_MAX, .doc = "StatsSampler period; 0 = no sampling"},
-      {.key = "trace.ring_capacity", .type = kUint, .field = FIELD(c.trace.ring_capacity),
-       .max = UINT32_MAX, .doc = "Spans per OS-thread ring buffer"},
       {.key = "metrics.enabled", .type = kBool, .field = FIELD(c.metrics.enabled),
        .doc = "Serve the registry: /metrics, /healthz, /statz listener"},
       {.key = "metrics.port", .type = kUint, .field = FIELD(c.metrics.port), .max = 65535,

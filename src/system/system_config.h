@@ -150,10 +150,9 @@ struct SystemConfig {
 
   // -- observability -------------------------------------------------------
   struct TraceConfig {
-    bool enabled = false;   // request tracing (spans, TraceSink, "trace" stats)
-    std::string file;       // chrome trace_event export path ("" = no export)
+    bool enabled = false;    // request tracing: spans into a TraceRecorder
+    std::string file;        // chrome trace_event export path ("" = no export)
     uint32_t sample_ms = 0;  // StatsSampler period; 0 = no time-series sampling
-    uint32_t ring_capacity = 65536;  // spans per OS-thread ring buffer
   };
   TraceConfig trace;
 

@@ -8,7 +8,8 @@
 //  - a traced run produces spans for every pipeline stage, with every span
 //    tied to a client root trace id, and exports a parseable Chrome trace,
 //  - tracing off means no recorder is built and nothing records,
-//  - the span ring overwrites its oldest entry and counts drops,
+//  - the recorder keeps every span from every OS thread, in record order
+//    per thread,
 //  - spawned threads inherit the spawner's trace context,
 //  - the StatsSampler snapshots a time series without resetting intervals,
 //  - StatResetInterval clears interval histograms but keeps cumulative
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client_interface.h"
@@ -185,14 +187,12 @@ void ExpectAllJsonParses(System* sys) {
 TEST_F(ObsSystemTest, EveryStatSourceJsonParsesSimulated) {
   auto sys = BuildAndRun(TracedConfig(BackendKind::kSimulated));
   ASSERT_TRUE(sys.ok()) << sys.status().ToString();
-  (*sys)->trace_sink()->Drain();
   ExpectAllJsonParses(sys->get());
 }
 
 TEST_F(ObsSystemTest, EveryStatSourceJsonParsesFileBacked) {
   auto sys = BuildAndRun(TracedConfig(BackendKind::kFileBacked));
   ASSERT_TRUE(sys.ok()) << sys.status().ToString();
-  (*sys)->trace_sink()->Drain();
   ExpectAllJsonParses(sys->get());
 }
 
@@ -225,54 +225,46 @@ TEST_F(ObsSystemTest, PercentileFieldsPresentInEveryTier) {
   for (const char* path : {"fill_ms.mean", "fill_ms.p50", "fill_ms.p95", "fill_ms.p99"}) {
     ASSERT_NE(cache->FindPath(path), nullptr) << path;
   }
-
-  // The sink's own stage histograms surface the same way.
-  s.trace_sink()->Drain();
-  auto trace = ParseJson(s.trace_sink()->StatJson());
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  const JsonValue* stages = trace->Find("stages");
-  ASSERT_NE(stages, nullptr);
-  const JsonValue* client_stage = stages->Find("client.op");
-  ASSERT_NE(client_stage, nullptr);
-  for (const char* field : {"count", "mean_ms", "p50_ms", "p95_ms", "p99_ms"}) {
-    ASSERT_NE(client_stage->Find(field), nullptr) << field;
-  }
 }
 
 // -- the tentpole: end-to-end spans ------------------------------------------
 
 void ExpectFullPipelineTraced(System* sys) {
-  TraceSink* sink = sys->trace_sink();
-  ASSERT_NE(sink, nullptr);
-  sink->Drain();
+  const TraceRecorder* tracer = sys->tracer();
+  ASSERT_NE(tracer, nullptr);
+  const std::vector<TraceSpan> spans = tracer->Spans();
+  size_t stage_spans[kTraceStageCount] = {};
+  for (const TraceSpan& span : spans) {
+    ++stage_spans[static_cast<size_t>(span.stage)];
+  }
   for (TraceStage stage :
        {TraceStage::kClient, TraceStage::kCacheFill, TraceStage::kVolume, TraceStage::kFragment,
         TraceStage::kDriverQueue, TraceStage::kDriverIo, TraceStage::kDriverBatch}) {
-    EXPECT_GT(sink->spans_for_stage(stage), 0u) << TraceStageName(stage);
+    EXPECT_GT(stage_spans[static_cast<size_t>(stage)], 0u) << TraceStageName(stage);
   }
 
   // Every span belongs to a known client root, and time never runs backwards
   // inside a span.
   std::set<uint64_t> roots;
-  for (const TraceSpan& span : sink->spans()) {
+  for (const TraceSpan& span : spans) {
     if (span.stage == TraceStage::kClient) {
       roots.insert(span.trace_id);
     }
   }
   EXPECT_FALSE(roots.empty());
-  for (const TraceSpan& span : sink->spans()) {
+  for (const TraceSpan& span : spans) {
     EXPECT_NE(span.trace_id, 0u);
     EXPECT_TRUE(roots.count(span.trace_id)) << TraceStageName(span.stage);
     EXPECT_GE(span.end_ns, span.begin_ns);
   }
 
   // The export is one parseable Chrome trace_event document.
-  auto doc = ParseJson(sink->ChromeTraceJson());
+  auto doc = ParseJson(tracer->ChromeTraceJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  EXPECT_EQ(events->array.size(), sink->span_count());
+  EXPECT_EQ(events->array.size(), tracer->span_count());
   for (const JsonValue& event : events->array) {
     EXPECT_EQ(event.Find("ph")->string_value, "X");
     EXPECT_GE(event.Find("dur")->number_value, 0.0);
@@ -298,17 +290,7 @@ TEST_F(ObsSystemTest, DisabledBuildsNoTracer) {
   auto sys = BuildAndRun(config);
   ASSERT_TRUE(sys.ok()) << sys.status().ToString();
   EXPECT_EQ((*sys)->tracer(), nullptr);
-  EXPECT_EQ((*sys)->trace_sink(), nullptr);
   EXPECT_EQ((*sys)->stats_sampler(), nullptr);
-}
-
-TEST(ObsValidateTest, RejectsZeroRingCapacity) {
-  SystemConfig config = SmallConfig();
-  config.trace.enabled = true;
-  config.trace.ring_capacity = 0;
-  EXPECT_FALSE(SystemBuilder::Validate(config).ok());
-  config.trace.enabled = false;
-  EXPECT_TRUE(SystemBuilder::Validate(config).ok());
 }
 
 // -- trace.* scenario keys round-trip ----------------------------------------
@@ -318,14 +300,12 @@ TEST(ObsConfigTest, TraceKeysRoundTrip) {
   config.trace.enabled = true;
   config.trace.file = "/tmp/some trace.json";
   config.trace.sample_ms = 250;
-  config.trace.ring_capacity = 512;
   auto reparsed = SystemConfig::Parse(config.ToString());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(config.ToString(), reparsed->ToString());
   EXPECT_TRUE(reparsed->trace.enabled);
   EXPECT_EQ(reparsed->trace.file, config.trace.file);
   EXPECT_EQ(reparsed->trace.sample_ms, 250u);
-  EXPECT_EQ(reparsed->trace.ring_capacity, 512u);
 }
 
 TEST(ObsConfigTest, SamplesPathDerivation) {
@@ -336,32 +316,50 @@ TEST(ObsConfigTest, SamplesPathDerivation) {
 
 // -- recorder mechanics ------------------------------------------------------
 
-TEST(TraceRecorderTest, RingOverwritesOldestAndCountsDrops) {
-  auto sched = Scheduler::CreateVirtual(1);
-  TraceRecorder recorder(sched.get(), 4);
-  TraceContext ctx = recorder.StartTrace();
-  for (int i = 0; i < 10; ++i) {
-    RecordSpan(ctx, TraceStage::kClient, 1, TimePoint::FromNanos(i), TimePoint::FromNanos(i + 1),
-               static_cast<uint64_t>(i));
+TEST(TraceRecorderTest, KeepsEverySpanFromEveryOsThreadInOrder) {
+  // The test thread and a second OS thread record at the same time; nothing
+  // may be dropped or reordered.
+  constexpr uint64_t kPerThread = 2000;
+  TraceRecorder recorder;
+  auto record = [&recorder](uint64_t tid) {
+    TraceContext ctx = recorder.StartTrace();
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      RecordSpan(ctx, TraceStage::kClient, tid, TimePoint::FromNanos(static_cast<int64_t>(i)),
+                 TimePoint::FromNanos(static_cast<int64_t>(i + 1)), i);
+    }
+  };
+  std::thread other(record, 2);
+  record(1);
+  other.join();
+
+  EXPECT_EQ(recorder.span_count(), 2 * kPerThread);
+  const std::vector<TraceSpan> spans = recorder.Spans();
+  ASSERT_EQ(spans.size(), 2 * kPerThread);
+  uint64_t next_arg[3] = {};  // by tid
+  for (const TraceSpan& span : spans) {
+    ASSERT_TRUE(span.tid == 1 || span.tid == 2) << span.tid;
+    EXPECT_EQ(span.arg, next_arg[span.tid]) << "tid " << span.tid;
+    next_arg[span.tid] = span.arg + 1;
   }
-  EXPECT_EQ(recorder.recorded(), 10u);
-  EXPECT_EQ(recorder.dropped(), 6u);
-  std::vector<TraceSpan> spans;
-  recorder.Drain(&spans);
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest-first among the survivors: spans 6..9.
+  EXPECT_EQ(next_arg[1], kPerThread);
+  EXPECT_EQ(next_arg[2], kPerThread);
+
+  // The export carries every span, in the same order.
+  auto doc = ParseJson(recorder.ChromeTraceJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const JsonValue* events = doc->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), spans.size());
   for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].arg, 6 + i);
+    EXPECT_EQ(events->array[i].Find("tid")->number_value, static_cast<double>(spans[i].tid));
+    EXPECT_EQ(events->array[i].FindPath("args.arg")->number_value,
+              static_cast<double>(spans[i].arg));
   }
-  // Drained means gone.
-  spans.clear();
-  recorder.Drain(&spans);
-  EXPECT_TRUE(spans.empty());
 }
 
 TEST(TraceRecorderTest, SpawnedThreadsInheritContext) {
   auto sched = Scheduler::CreateVirtual(1);
-  TraceRecorder recorder(sched.get(), 64);
+  TraceRecorder recorder;
   uint64_t child_saw = 0;
   sched->Spawn("test.parent", [](Scheduler* s, TraceRecorder* r, uint64_t* out) -> Task<> {
     s->current_thread()->trace = r->StartTrace();
