@@ -34,6 +34,9 @@ int main(int argc, char** argv) {
   SimulationOptions options;
   options.collect_interval_reports = false;
 
+  // §5.3: the paper migrated UPS-backed write saving into the production PFS.
+  const std::string paper_pick = "ups";
+  double paper_pick_mean = 0;
   double best_mean = 1e100;
   std::string best_policy;
   for (const char* policy : {"write-delay", "nvram-partial", "nvram-whole", "ups"}) {
@@ -53,9 +56,16 @@ int main(int argc, char** argv) {
       best_mean = mean_ms;
       best_policy = policy;
     }
+    if (policy == paper_pick) {
+      paper_pick_mean = mean_ms;
+    }
   }
+  const char* agreement = best_policy == paper_pick       ? "agrees with"
+                          : paper_pick_mean == best_mean ? "ties with"
+                                                         : "differs from";
   std::printf("\nverdict: migrate '%s' into the on-line PFS (mean %.3f ms)\n",
               best_policy.c_str(), best_mean);
-  std::printf("(the paper reached the same conclusion for UPS-backed write saving, §5.3)\n");
+  std::printf("paper's pick (§5.3): '%s', mean %.3f ms here; %s the measured pick\n",
+              paper_pick.c_str(), paper_pick_mean, agreement);
   return 0;
 }
