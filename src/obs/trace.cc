@@ -66,16 +66,6 @@ std::vector<TraceSpan> TraceRecorder::Spans() const {
   return out;
 }
 
-size_t TraceRecorder::span_count() const {
-  size_t total = 0;
-  std::lock_guard<std::mutex> buffers_lock(buffers_mu_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> lock(buffer->mu);
-    total += buffer->spans.size();
-  }
-  return total;
-}
-
 std::string TraceRecorder::ChromeTraceJson() const {
   const std::vector<TraceSpan> spans = Spans();
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -76,7 +76,7 @@ class TraceRecorder {
   // A copy of every span: buffer by buffer in the order the OS threads
   // first recorded, each buffer in record order.
   std::vector<TraceSpan> Spans() const;
-  size_t span_count() const;
+  size_t span_count() const { return Spans().size(); }
 
   // The Chrome trace_event document: one complete ("X") event per span, in
   // Spans() order.
