@@ -32,6 +32,7 @@ class ScsiBus final : public Connection, public StatSource {
   // StatSource
   std::string stat_name() const override { return "bus." + name_; }
   std::string StatReport(bool with_histograms) const override;
+  std::string StatJson() const override;
   void StatResetInterval() override;
 
   const std::string& name() const { return name_; }

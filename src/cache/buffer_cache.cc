@@ -475,13 +475,13 @@ std::string BufferCache::StatReport(bool with_histograms) const {
 }
 
 std::string BufferCache::StatJson() const {
-  char buf[512];
+  char buf[640];
   std::snprintf(buf, sizeof(buf),
-                "{\"blocks\":%zu,\"free\":%zu,\"clean\":%zu,\"dirty\":%zu,"
+                "{\"flush_policy\":\"%s\",\"replacement\":\"%s\",\"blocks\":%zu,\"free\":%zu,\"clean\":%zu,\"dirty\":%zu,"
                 "\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.4f,\"fills\":%llu,"
                 "\"evictions\":%llu,\"blocks_flushed\":%llu,\"files_flushed\":%llu,"
                 "\"absorbed\":%llu,",
-                pool_.size(), free_.size(), clean_.size(), dirty_.size(),
+                flush_policy_->name().c_str(), replacement_->name(), pool_.size(), free_.size(), clean_.size(), dirty_.size(),
                 static_cast<unsigned long long>(hits()),
                 static_cast<unsigned long long>(misses()), HitRate(),
                 static_cast<unsigned long long>(fills_->Total()),

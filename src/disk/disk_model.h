@@ -70,6 +70,7 @@ class DiskModel : public StatSource {
   // StatSource
   std::string stat_name() const override { return "disk." + name_; }
   std::string StatReport(bool with_histograms) const override;
+  std::string StatJson() const override;
   void StatResetInterval() override;
 
   // Exposed counters for tests and experiment harnesses.

@@ -262,16 +262,18 @@ std::string QueueingDiskDriver::StatJson() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"policy\":\"%s\",\"ops\":%llu,\"reads\":%llu,\"writes\":%llu,"
-                "\"batches\":%llu,\"reqs_per_batch\":%.3f,",
+                "\"queued\":%zu,\"batches\":%llu,\"reqs_per_batch\":%.3f,",
                 QueueSchedPolicyName(policy_),
                 static_cast<unsigned long long>(ops_completed()),
                 static_cast<unsigned long long>(reads_->Total()),
-                static_cast<unsigned long long>(writes_->Total()),
+                static_cast<unsigned long long>(writes_->Total()), queue_.size(),
                 static_cast<unsigned long long>(batches()), batch_size_->Mean());
   std::string out(buf);
   out += latency_->LatencyMsJsonObject("latency_ms");
   out += ",";
   out += queue_wait_->LatencyMsJsonObject("queue_wait_ms");
+  out += ",";
+  out += queue_len_.JsonObject("queue_length");
   out += "}";
   return out;
 }

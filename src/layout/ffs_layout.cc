@@ -293,6 +293,18 @@ std::string FfsLayout::StatReport(bool with_histograms) const {
   return buf;
 }
 
+std::string FfsLayout::StatJson() const {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "{\"groups\":%u,\"free_blocks\":%llu,\"blocks_written\":%llu,"
+                "\"blocks_read\":%llu,\"inode_writes\":%llu}",
+                ngroups_, static_cast<unsigned long long>(free_blocks_),
+                static_cast<unsigned long long>(blocks_written_.value()),
+                static_cast<unsigned long long>(file_blocks_read()),
+                static_cast<unsigned long long>(inode_writes_.value()));
+  return buf;
+}
+
 void RegisterFfsLayout() {
   LayoutRegistry::Register(
       "ffs", {[](LayoutContext ctx) -> std::unique_ptr<StorageLayout> {

@@ -733,6 +733,21 @@ std::string LfsLayout::StatReport(bool with_histograms) const {
   return out;
 }
 
+std::string LfsLayout::StatJson() const {
+  char buf[384];
+  std::snprintf(buf, sizeof(buf),
+                "{\"cleaner\":\"%s\",\"segments\":%u,\"free\":%u,\"frontier_segment\":%u,"
+                "\"frontier_offset\":%u,\"log_blocks\":%llu,\"data_blocks\":%llu,"
+                "\"write_cost\":%.4f,\"cleaned\":%llu,\"relocated\":%llu,\"cleaner_reads\":%llu}",
+                cleaner_policy_->name(), geo_.nsegments, free_segments(), cur_seg_, cur_off_,
+                static_cast<unsigned long long>(log_blocks_written_.value()),
+                static_cast<unsigned long long>(data_blocks_written_.value()), WriteCost(),
+                static_cast<unsigned long long>(segments_cleaned_.value()),
+                static_cast<unsigned long long>(blocks_relocated_.value()),
+                static_cast<unsigned long long>(cleaner_reads_.value()));
+  return buf;
+}
+
 namespace {
 
 LfsConfig LfsConfigFrom(const SystemConfig& config, int fs_index) {

@@ -84,6 +84,7 @@ class LfsLayout final : public MappedLayout, public StatSource {
   // StatSource
   std::string stat_name() const override;
   std::string StatReport(bool with_histograms) const override;
+  std::string StatJson() const override;
 
   // Introspection for tests/benches.
   uint32_t free_segments() const { return free_segments_; }

@@ -59,13 +59,14 @@ std::string SchedStats::StatJson() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"shard\":%u,\"steps\":%llu,\"posts_received\":%llu,"
                 "\"cross_posts_sent\":%llu,\"mailbox_drains\":%llu,"
-                "\"mailbox_depth\":{\"p50\":%.0f,\"p99\":%.0f},\"idle_ms\":%.3f}",
+                "\"mailbox_depth\":{\"p50\":%.0f,\"p99\":%.0f},\"idle_ms\":%.3f,\"live\":%zu}",
                 sched_->shard_index(),
                 static_cast<unsigned long long>(sched_->context_switches()),
                 static_cast<unsigned long long>(sched_->posts_received()),
                 static_cast<unsigned long long>(sched_->cross_posts_sent()),
                 static_cast<unsigned long long>(sched_->mailbox_drains()), DepthPercentile(0.5),
-                DepthPercentile(0.99), static_cast<double>(sched_->idle_nanos()) / 1e6);
+                DepthPercentile(0.99), static_cast<double>(sched_->idle_nanos()) / 1e6,
+                sched_->live_thread_count());
   return buf;
 }
 

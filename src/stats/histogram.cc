@@ -97,6 +97,13 @@ std::string Histogram::BucketDump() const {
   return out;
 }
 
+std::string Histogram::JsonObject(const std::string& key) const {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf), "\"%s\":{\"mean\":%.3f,\"max\":%.3f}", key.c_str(), mean(),
+                max());
+  return buf;
+}
+
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;
@@ -281,6 +288,14 @@ std::string LatencyHistogram::Summary() const {
                 static_cast<unsigned long long>(count_), mean().ToMillisF(),
                 Percentile(0.50).ToMillisF(), Percentile(0.95).ToMillisF(),
                 Percentile(0.99).ToMillisF(), max().ToMillisF());
+  return buf;
+}
+
+std::string LatencyHistogram::MsJsonObject(const std::string& key) const {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "\"%s\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
+                key.c_str(), mean().ToMillisF(), Percentile(0.50).ToMillisF(),
+                Percentile(0.95).ToMillisF(), Percentile(0.99).ToMillisF());
   return buf;
 }
 

@@ -50,6 +50,10 @@ class Histogram {
   void Reset();
   void Merge(const Histogram& other);
 
+  // "\"<key>\":{\"mean\":…,\"max\":…}", the shape every StatJson gives a
+  // linear histogram.
+  std::string JsonObject(const std::string& key) const;
+
  private:
   double BucketLow(size_t i) const;
   double BucketHigh(size_t i) const;
@@ -123,6 +127,11 @@ class LatencyHistogram {
   std::vector<CdfPoint> Cdf() const;
 
   std::string Summary() const;
+
+  // The four-field latency object every StatJson uses
+  // ("\"<key>\":{\"mean\":…,\"p50\":…,\"p95\":…,\"p99\":…}", milliseconds),
+  // with the percentiles of Percentile().
+  std::string MsJsonObject(const std::string& key) const;
 
   void Reset();
   void Merge(const LatencyHistogram& other);

@@ -164,18 +164,12 @@ std::string TraceReplayer::StatReport(bool with_histograms) const {
 }
 
 std::string TraceReplayer::StatJson() const {
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "{\"ops\":%llu,\"errors\":%llu,"
-                "\"overall_ms\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f},"
-                "\"reads_ms\":{\"mean\":%.4f},\"writes_ms\":{\"mean\":%.4f},"
-                "\"metadata_ms\":{\"mean\":%.4f}}",
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "{\"ops\":%llu,\"errors\":%llu,",
                 static_cast<unsigned long long>(ops_.value()),
-                static_cast<unsigned long long>(errors_.value()),
-                overall_.mean().ToMillisF(), overall_.Percentile(0.5).ToMillisF(),
-                overall_.Percentile(0.95).ToMillisF(), reads_.mean().ToMillisF(),
-                writes_.mean().ToMillisF(), meta_.mean().ToMillisF());
-  return buf;
+                static_cast<unsigned long long>(errors_.value()));
+  return buf + overall_.MsJsonObject("overall_ms") + "," + reads_.MsJsonObject("reads_ms") +
+         "," + writes_.MsJsonObject("writes_ms") + "," + meta_.MsJsonObject("metadata_ms") + "}";
 }
 
 void TraceReplayer::StatResetInterval() { interval_.Reset(); }

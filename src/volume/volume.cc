@@ -263,9 +263,9 @@ std::string Volume::StatReport(bool with_histograms) const {
 
 std::string Volume::StatJson() const {
   char buf[256];
-  std::string out = "{\"kind\":\"";
-  out += kind();
-  out += "\",\"members\":[";
+  std::snprintf(buf, sizeof(buf), "{\"kind\":\"%s\",\"sectors\":%llu,\"members\":[", kind(),
+                static_cast<unsigned long long>(total_sectors()));
+  std::string out(buf);
   for (size_t i = 0; i < members_.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%s{\"reads\":%llu,\"writes\":%llu}", i == 0 ? "" : ",",
                   static_cast<unsigned long long>(member_reads_[i].value()),
@@ -274,11 +274,12 @@ std::string Volume::StatJson() const {
   }
   std::snprintf(buf, sizeof(buf),
                 "],\"requests\":%llu,\"split_requests\":%llu,\"coalesced\":%llu,"
-                "\"bounce_bytes\":%llu,\"fanout_mean\":%.3f,",
+                "\"bounce_bytes\":%llu,\"fanout_mean\":%.3f,\"fanout_max\":%.3f,",
                 static_cast<unsigned long long>(requests()),
                 static_cast<unsigned long long>(split_requests_.value()),
                 static_cast<unsigned long long>(coalesced_.value()),
-                static_cast<unsigned long long>(bounce_bytes_.value()), fanout_.mean());
+                static_cast<unsigned long long>(bounce_bytes_.value()), fanout_.mean(),
+                fanout_.max());
   out += buf;
   // The cumulative registry histogram: the same source a /metrics scrape
   // reads, so the two always agree.
