@@ -65,6 +65,7 @@ int main() {
     std::fprintf(stderr, "stream failed: %s\n", result.ToString().c_str());
     return 1;
   }
-  std::printf("\n%s", server.cache()->StatReport(false).c_str());
+  std::printf("\n== %s ==\n%s\n", server.cache()->stat_name().c_str(),
+              server.cache()->StatJson().c_str());
   return 0;
 }

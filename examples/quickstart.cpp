@@ -84,6 +84,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "quickstart failed: %s\n", result.ToString().c_str());
     return 1;
   }
-  std::printf("\n-- component statistics --\n%s", server.StatReport(false).c_str());
+  std::printf("\n-- component statistics --\n%s", server.stats().ReportAll().c_str());
   return 0;
 }

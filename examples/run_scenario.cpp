@@ -10,6 +10,10 @@
 // --list-keys prints every scenario key (its values, default, and doc) from
 // the key table SystemConfig::Parse reads, and exits.
 //
+// --stats prints StatsRegistry::ReportAll() once the workload has finished:
+// each stat source as a "== <name> ==" line followed by its StatJson on one
+// line, the same objects --report-json writes.
+//
 // --report-json FILE writes the run's StatsRegistry::ReportJson() to FILE
 // once the workload has finished. On the virtual clock the report is a pure
 // function of the scenario and the flags, so tests/golden/ keeps one per
@@ -213,7 +217,7 @@ int main(int argc, char** argv) {
               (sys.scheduler()->Now() - TimePoint()).ToMillisF(),
               config.virtual_clock() ? "virtual" : "real");
   if (FaultInjector* injector = sys.fault_injector(); injector != nullptr) {
-    std::printf("  fault: %s", injector->StatReport(false).c_str());
+    std::printf("  fault: %s\n", injector->StatJson().c_str());
     for (int f = 0; f < sys.filesystem_count(); ++f) {
       if (auto* mirror = dynamic_cast<MirrorVolume*>(sys.volume(f)); mirror != nullptr) {
         std::printf("  %s: degraded=%.3fms repairs=%llu debt=%lluB rebuilt=%lluB\n",
@@ -226,7 +230,7 @@ int main(int argc, char** argv) {
     }
   }
   if (with_stats) {
-    std::printf("%s", sys.StatReport(false).c_str());
+    std::printf("%s", sys.stats().ReportAll().c_str());
   }
   bool report_written = true;
   if (!report_json_file.empty()) {

@@ -45,21 +45,6 @@ double ScsiBus::Utilization() const {
   return busy_time_.ToSecondsF() / elapsed.ToSecondsF();
 }
 
-std::string ScsiBus::StatReport(bool with_histograms) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "acquisitions=%llu bytes=%llu busy=%.3fs utilization=%.1f%%\nwait: %s\n",
-                static_cast<unsigned long long>(acquisitions_.value()),
-                static_cast<unsigned long long>(bytes_transferred_), busy_time_.ToSecondsF(),
-                Utilization() * 100.0, wait_time_us_.Summary().c_str());
-  std::string out(buf);
-  if (with_histograms) {
-    out += "wait histogram (us):\n";
-    out += wait_time_us_.BucketDump();
-  }
-  return out;
-}
-
 std::string ScsiBus::StatJson() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
@@ -69,7 +54,5 @@ std::string ScsiBus::StatJson() const {
                 Utilization());
   return buf + wait_time_us_.JsonObject("wait_us") + "}";
 }
-
-void ScsiBus::StatResetInterval() { wait_time_us_.Reset(); }
 
 }  // namespace pfs

@@ -31,9 +31,7 @@ class ScsiBus final : public Connection, public StatSource {
 
   // StatSource
   std::string stat_name() const override { return "bus." + name_; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
-  void StatResetInterval() override;
 
   const std::string& name() const { return name_; }
   uint64_t acquisitions() const { return acquisitions_.value(); }
@@ -53,7 +51,7 @@ class ScsiBus final : public Connection, public StatSource {
   uint64_t bytes_transferred_ = 0;
   Duration busy_time_;                 // time held (arbitration + transfers)
   TimePoint acquired_at_;
-  Histogram wait_time_us_{0, 50000, 100};  // arbitration wait, microseconds
+  Histogram wait_time_us_;             // arbitration wait, microseconds
 };
 
 }  // namespace pfs

@@ -248,8 +248,6 @@ Task<Status> BufferCache::MarkDirty(CacheBlock* block) {
     block->dirtied_at = sched_->Now();
     dirty_.PushBack(*block);
   }
-  dirty_fraction_.Record(static_cast<double>(dirty_.size()) /
-                         static_cast<double>(pool_.size()));
   co_return OkStatus();
 }
 
@@ -450,30 +448,6 @@ double BufferCache::HitRate() const {
   return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
 }
 
-std::string BufferCache::StatReport(bool with_histograms) const {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "policy=%s repl=%s blocks=%zu free=%zu clean=%zu dirty=%zu\n"
-                "hits=%llu misses=%llu hit-rate=%.1f%% fills=%llu evictions=%llu\n"
-                "blocks-flushed=%llu files-flushed=%llu absorbed-dirty=%llu\n",
-                flush_policy_->name().c_str(), replacement_->name(), pool_.size(),
-                free_.size(), clean_.size(), dirty_.size(),
-                static_cast<unsigned long long>(hits()),
-                static_cast<unsigned long long>(misses()), HitRate() * 100.0,
-                static_cast<unsigned long long>(fills_->Total()),
-                static_cast<unsigned long long>(evictions()),
-                static_cast<unsigned long long>(blocks_flushed()),
-                static_cast<unsigned long long>(files_flushed_.value()),
-                static_cast<unsigned long long>(absorbed_.value()));
-  std::string out(buf);
-  std::snprintf(buf, sizeof(buf), "fill latency: %s\n", fill_latency().Summary().c_str());
-  out += buf;
-  if (with_histograms) {
-    out += "dirty-fraction histogram:\n" + dirty_fraction_.BucketDump();
-  }
-  return out;
-}
-
 std::string BufferCache::StatJson() const {
   char buf[640];
   std::snprintf(buf, sizeof(buf),
@@ -493,11 +467,6 @@ std::string BufferCache::StatJson() const {
   out += fill_latency_->LatencyMsJsonObject("fill_ms");
   out += "}";
   return out;
-}
-
-void BufferCache::StatResetInterval() {
-  dirty_fraction_.Reset();
-  fill_start_ = fill_latency_->Snapshot();
 }
 
 }  // namespace pfs

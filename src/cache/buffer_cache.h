@@ -145,15 +145,11 @@ class BufferCache : public StatSource, public ShardAffine {
 
   // StatSource
   std::string stat_name() const override { return "cache" + stat_suffix_; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
-  void StatResetInterval() override;
 
   uint64_t hits() const { return hits_->Total(); }
-  // Miss-fill service times since the last StatResetInterval.
-  LatencyHistogram fill_latency() const {
-    return fill_latency_->Snapshot().Since(fill_start_);
-  }
+  // Miss-fill service times.
+  LatencyHistogram fill_latency() const { return fill_latency_->Snapshot(); }
   uint64_t misses() const { return misses_->Total(); }
   double HitRate() const;
   uint64_t blocks_flushed() const { return blocks_flushed_->Total(); }
@@ -217,10 +213,8 @@ class BufferCache : public StatSource, public ShardAffine {
   CounterMetric* evictions_;
   CounterMetric* blocks_flushed_;
   HistogramMetric* fill_latency_;  // miss-fill service time
-  LatencyHistogram fill_start_;    // fill_latency_ at the last StatResetInterval
   Counter files_flushed_;
   Counter absorbed_;
-  Histogram dirty_fraction_{0, 1.0, 50};  // sampled at each MarkDirty
 };
 
 }  // namespace pfs

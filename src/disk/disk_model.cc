@@ -250,29 +250,6 @@ Task<> DiskModel::Prefetch() {
   prefetches_.Inc();
 }
 
-std::string DiskModel::StatReport(bool with_histograms) const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "model=%s reads=%llu writes=%llu cache-hit-reads=%llu immediate-writes=%llu "
-      "destages=%llu prefetches=%llu\nservice: %s\nrotational-delay(ms): %s\nseek(ms): %s\n"
-      "queue-depth: %s\n",
-      params_.model_name.c_str(), static_cast<unsigned long long>(reads_.value()),
-      static_cast<unsigned long long>(writes_.value()),
-      static_cast<unsigned long long>(cache_hit_reads_.value()),
-      static_cast<unsigned long long>(immediate_writes_.value()),
-      static_cast<unsigned long long>(destages_.value()),
-      static_cast<unsigned long long>(prefetches_.value()), service_time_.Summary().c_str(),
-      rot_delay_ms_.Summary().c_str(), seek_ms_.Summary().c_str(),
-      queue_depth_.Summary().c_str());
-  std::string out(buf);
-  if (with_histograms) {
-    out += "rotational-delay histogram (ms):\n" + rot_delay_ms_.BucketDump();
-    out += "queue-depth histogram:\n" + queue_depth_.BucketDump();
-  }
-  return out;
-}
-
 std::string DiskModel::StatJson() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
@@ -287,12 +264,6 @@ std::string DiskModel::StatJson() const {
   return buf + service_time_.MsJsonObject("service_ms") + "," +
          rot_delay_ms_.JsonObject("rotational_delay_ms") + "," + seek_ms_.JsonObject("seek_ms") +
          "," + queue_depth_.JsonObject("queue_depth") + "}";
-}
-
-void DiskModel::StatResetInterval() {
-  rot_delay_ms_.Reset();
-  seek_ms_.Reset();
-  queue_depth_.Reset();
 }
 
 }  // namespace pfs

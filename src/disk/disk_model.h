@@ -69,9 +69,7 @@ class DiskModel : public StatSource {
 
   // StatSource
   std::string stat_name() const override { return "disk." + name_; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
-  void StatResetInterval() override;
 
   // Exposed counters for tests and experiment harnesses.
   uint64_t reads() const { return reads_.value(); }
@@ -133,9 +131,9 @@ class DiskModel : public StatSource {
   Counter immediate_writes_;
   Counter destages_;
   Counter prefetches_;
-  Histogram queue_depth_{0, 64, 64};
-  Histogram rot_delay_ms_{0, 20, 40};
-  Histogram seek_ms_{0, 30, 60};
+  Histogram queue_depth_;  // requests already queued at each Submit
+  Histogram rot_delay_ms_;
+  Histogram seek_ms_;
   LatencyHistogram service_time_;
 };
 

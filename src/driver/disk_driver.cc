@@ -238,26 +238,6 @@ Task<> QueueingDiskDriver::Worker() {
   }
 }
 
-std::string QueueingDiskDriver::StatReport(bool with_histograms) const {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "policy=%s ops=%llu reads=%llu writes=%llu queued=%zu "
-                "batches=%llu reqs/batch=%.2f\n"
-                "latency: %s\nqueue-wait: %s\nqueue-length: %s\n",
-                QueueSchedPolicyName(policy_),
-                static_cast<unsigned long long>(ops_completed()),
-                static_cast<unsigned long long>(reads_->Total()),
-                static_cast<unsigned long long>(writes_->Total()), queue_.size(),
-                static_cast<unsigned long long>(batches()), batch_size_->Mean(),
-                io_latency().Summary().c_str(), queue_wait().Summary().c_str(),
-                queue_len_.Summary().c_str());
-  std::string out(buf);
-  if (with_histograms) {
-    out += "queue-length histogram:\n" + queue_len_.BucketDump();
-  }
-  return out;
-}
-
 std::string QueueingDiskDriver::StatJson() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -276,12 +256,6 @@ std::string QueueingDiskDriver::StatJson() const {
   out += queue_len_.JsonObject("queue_length");
   out += "}";
   return out;
-}
-
-void QueueingDiskDriver::StatResetInterval() {
-  queue_len_.Reset();
-  queue_wait_start_ = queue_wait_->Snapshot();
-  latency_start_ = latency_->Snapshot();
 }
 
 }  // namespace pfs

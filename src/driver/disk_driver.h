@@ -62,19 +62,13 @@ class QueueingDiskDriver : public DiskDriver, public StatSource {
 
   // StatSource
   std::string stat_name() const override { return "driver." + name_; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
-  void StatResetInterval() override;
 
   uint64_t ops_completed() const { return latency_->Count(); }
   const Histogram& queue_length_hist() const { return queue_len_; }
-  // Request latency and queue wait since the last StatResetInterval.
-  LatencyHistogram io_latency() const {
-    return latency_->Snapshot().Since(latency_start_);
-  }
-  LatencyHistogram queue_wait() const {
-    return queue_wait_->Snapshot().Since(queue_wait_start_);
-  }
+  // Request latency and queue wait.
+  LatencyHistogram io_latency() const { return latency_->Snapshot(); }
+  LatencyHistogram queue_wait() const { return queue_wait_->Snapshot(); }
 
   uint64_t batches() const { return batches_->Total(); }
 
@@ -113,8 +107,7 @@ class QueueingDiskDriver : public DiskDriver, public StatSource {
   int sweep_direction_ = 1;     // for SCAN/LOOK
 
   // Batches are device dispatches (>= 1 request each); the latency
-  // histogram's count is the completed-ops count. The *_start_ snapshots
-  // are the histograms at the last StatResetInterval.
+  // histogram's count is the completed-ops count.
   CounterMetric* reads_;
   CounterMetric* writes_;
   CounterMetric* batches_;
@@ -122,9 +115,7 @@ class QueueingDiskDriver : public DiskDriver, public StatSource {
   HistogramMetric* batch_size_;
   HistogramMetric* queue_wait_;
   HistogramMetric* latency_;
-  LatencyHistogram queue_wait_start_;
-  LatencyHistogram latency_start_;
-  Histogram queue_len_{0, 128, 128};
+  Histogram queue_len_;  // requests already queued at each enqueue
 };
 
 }  // namespace pfs

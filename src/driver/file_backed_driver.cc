@@ -94,13 +94,6 @@ Task<> FileBackedDriver::DispatchBatch(std::span<IoRequest* const> batch) {
   co_await batch_done.Wait();
 }
 
-std::string FileBackedDriver::StatReport(bool with_histograms) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "engine=%s submit: %s\n", engine_name(),
-                submit_->Snapshot().Summary().c_str());
-  return QueueingDiskDriver::StatReport(with_histograms) + buf;
-}
-
 std::string FileBackedDriver::StatJson() const {
   std::string out = QueueingDiskDriver::StatJson();
   out.pop_back();  // extend the base object in place

@@ -39,7 +39,6 @@ class FileBackedDriver final : public QueueingDiskDriver {
   // The engine actually performing this driver's I/O ("threadpool", "uring").
   const char* engine_name() const { return executor_->engine()->name(); }
 
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
  protected:

@@ -86,18 +86,6 @@ bool FaultInjector::quiescent() const {
   return true;
 }
 
-std::string FaultInjector::StatReport(bool) const {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "events=%zu applied=%zu fails=%llu returns=%llu noops=%llu quiescent=%s\n",
-                events_.size(), applied_,
-                static_cast<unsigned long long>(fails_applied()),
-                static_cast<unsigned long long>(returns_applied()),
-                static_cast<unsigned long long>(noop_events()),
-                quiescent() ? "yes" : "no");
-  return buf;
-}
-
 std::string FaultInjector::StatJson() const {
   char buf[224];
   std::snprintf(buf, sizeof(buf),

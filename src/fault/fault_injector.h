@@ -69,7 +69,6 @@ class FaultInjector : public StatSource, public ShardAffine {
 
   // StatSource
   std::string stat_name() const override { return "fault.injector" + stat_suffix_; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
  private:

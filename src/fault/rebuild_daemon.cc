@@ -122,19 +122,6 @@ Task<> RebuildDaemon::RebuildMember(size_t member) {
   }
 }
 
-std::string RebuildDaemon::StatReport(bool) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "bw-cap=%ukbps requests=%llu completed=%llu aborted=%llu "
-                "rebuilt=%lluB busy=%.3fms\n",
-                options_.bw_kbps, static_cast<unsigned long long>(requests()),
-                static_cast<unsigned long long>(completed()),
-                static_cast<unsigned long long>(aborted()),
-                static_cast<unsigned long long>(copied_bytes_->Total()),
-                static_cast<double>(busy_ns_) / 1e6);
-  return buf;
-}
-
 std::string RebuildDaemon::StatJson() const {
   const uint64_t bytes = copied_bytes_->Total();
   const double busy_s = static_cast<double>(busy_ns_) / 1e9;

@@ -61,7 +61,6 @@ class RebuildDaemon : public StatSource, public ShardAffine {
 
   // StatSource
   std::string stat_name() const override { return "rebuild." + mirror_->name(); }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
  private:

@@ -280,19 +280,6 @@ Task<Status> FfsLayout::PersistFile(uint64_t ino) {
   co_return co_await PersistInode(ino);
 }
 
-std::string FfsLayout::StatReport(bool with_histograms) const {
-  (void)with_histograms;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "groups=%u free-blocks=%llu blocks-written=%llu blocks-read=%llu "
-                "inode-writes=%llu\n",
-                ngroups_, static_cast<unsigned long long>(free_blocks_),
-                static_cast<unsigned long long>(blocks_written_.value()),
-                static_cast<unsigned long long>(file_blocks_read()),
-                static_cast<unsigned long long>(inode_writes_.value()));
-  return buf;
-}
-
 std::string FfsLayout::StatJson() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),

@@ -54,7 +54,6 @@ class FfsLayout final : public MappedLayout, public StatSource {
 
   // StatSource
   std::string stat_name() const override { return "ffs.fs" + std::to_string(config_.fs_id); }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
   uint32_t group_count() const { return ngroups_; }

@@ -637,8 +637,6 @@ Task<Status> LfsLayout::CleanSegment(uint32_t seg) {
   const std::vector<SummaryEntry> entries = summaries_[seg];  // copy: stable view
   const uint64_t base =
       geo_.first_segment_block + static_cast<uint64_t>(seg) * config_.segment_blocks;
-  cleaned_utilization_.Record(static_cast<double>(segments_[seg].live_blocks) /
-                              static_cast<double>(geo_.usable_blocks));
 
   std::vector<std::byte> scratch;
   if (config_.materialize_metadata) {
@@ -712,25 +710,6 @@ Task<Status> LfsLayout::CleanSegment(uint32_t seg) {
 
 std::string LfsLayout::stat_name() const {
   return "lfs.fs" + std::to_string(config_.fs_id);
-}
-
-std::string LfsLayout::StatReport(bool with_histograms) const {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "cleaner=%s segments=%u free=%u frontier=%u/%u\n"
-                "log-blocks=%llu data-blocks=%llu write-cost=%.2f\n"
-                "cleaned=%llu relocated=%llu cleaner-reads=%llu\n",
-                cleaner_policy_->name(), geo_.nsegments, free_segments(), cur_seg_, cur_off_,
-                static_cast<unsigned long long>(log_blocks_written_.value()),
-                static_cast<unsigned long long>(data_blocks_written_.value()), WriteCost(),
-                static_cast<unsigned long long>(segments_cleaned_.value()),
-                static_cast<unsigned long long>(blocks_relocated_.value()),
-                static_cast<unsigned long long>(cleaner_reads_.value()));
-  std::string out(buf);
-  if (with_histograms) {
-    out += "cleaned-segment utilization:\n" + cleaned_utilization_.BucketDump();
-  }
-  return out;
 }
 
 std::string LfsLayout::StatJson() const {

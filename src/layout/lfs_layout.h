@@ -83,7 +83,6 @@ class LfsLayout final : public MappedLayout, public StatSource {
 
   // StatSource
   std::string stat_name() const override;
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
   // Introspection for tests/benches.
@@ -189,7 +188,6 @@ class LfsLayout final : public MappedLayout, public StatSource {
   Counter segments_cleaned_;
   Counter blocks_relocated_;
   Counter cleaner_reads_;
-  Histogram cleaned_utilization_{0, 1.0, 20};
 };
 
 }  // namespace pfs

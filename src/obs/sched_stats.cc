@@ -25,35 +25,6 @@ double SchedStats::DepthPercentile(double q) const {
   return static_cast<double>(1ull << (kMailboxDepthBuckets - 1));
 }
 
-std::string SchedStats::StatReport(bool with_histograms) const {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "shard=%u steps=%llu posts=%llu cross_posts_sent=%llu drains=%llu "
-                "depth_p50=%.0f depth_p99=%.0f idle=%.3fs live=%zu\n",
-                sched_->shard_index(),
-                static_cast<unsigned long long>(sched_->context_switches()),
-                static_cast<unsigned long long>(sched_->posts_received()),
-                static_cast<unsigned long long>(sched_->cross_posts_sent()),
-                static_cast<unsigned long long>(sched_->mailbox_drains()), DepthPercentile(0.5),
-                DepthPercentile(0.99), static_cast<double>(sched_->idle_nanos()) / 1e9,
-                sched_->live_thread_count());
-  std::string out(buf);
-  if (with_histograms) {
-    out += "drain-depth histogram (log2 buckets):\n";
-    for (size_t i = 0; i < kMailboxDepthBuckets; ++i) {
-      const uint64_t count = sched_->mailbox_depth_bucket(i);
-      if (count == 0) {
-        continue;
-      }
-      std::snprintf(buf, sizeof(buf), "  <=%llu: %llu\n",
-                    static_cast<unsigned long long>(1ull << i),
-                    static_cast<unsigned long long>(count));
-      out += buf;
-    }
-  }
-  return out;
-}
-
 std::string SchedStats::StatJson() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),

@@ -24,7 +24,6 @@ class SchedStats final : public StatSource {
   std::string stat_name() const override {
     return "sched.shard" + std::to_string(sched_->shard_index());
   }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
   Scheduler* scheduler() { return sched_; }

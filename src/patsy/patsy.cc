@@ -45,9 +45,7 @@ Result<SimulationResult> RunTraceSimulation(const PatsyConfig& config,
             char header[96];
             std::snprintf(header, sizeof(header), "-- interval report @ %.0f min --\n",
                           (srv->scheduler()->Now() - TimePoint()).ToSecondsF() / 60.0);
-            res->interval_reports.push_back(header +
-                                            srv->StatReport(opts->with_histograms));
-            srv->stats().ResetIntervalAll();
+            res->interval_reports.push_back(header + srv->stats().ReportAll());
           }
         }(&server, &result, &options, &reporter_state));
   }
@@ -70,7 +68,7 @@ Result<SimulationResult> RunTraceSimulation(const PatsyConfig& config,
   result.absorbed_dirty_blocks = server.cache()->absorbed_dirty_blocks();
   result.blocks_flushed = server.cache()->blocks_flushed();
   result.simulated_time = server.scheduler()->Now() - TimePoint();
-  result.final_report = server.StatReport(options.with_histograms);
+  result.final_report = server.stats().ReportAll();
   return result;
 }
 

@@ -56,8 +56,6 @@ class PatsyServer {
   }
   StorageLayout* layout(int fs_index) { return system_->layout(fs_index); }
 
-  std::string StatReport(bool with_histograms) { return system_->StatReport(with_histograms); }
-
  private:
   std::unique_ptr<System> system_;
 };
@@ -82,7 +80,6 @@ struct SimulationOptions {
   // time and of the overall simulation."
   Duration report_interval = Duration::Minutes(15);
   bool collect_interval_reports = true;
-  bool with_histograms = false;
   // Safety bound on simulated time (0 = none).
   Duration max_simulated_time;
 };

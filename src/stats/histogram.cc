@@ -9,12 +9,6 @@
 
 namespace pfs {
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), buckets_(buckets + 2, 0) {
-  PFS_CHECK(hi > lo);
-  PFS_CHECK(buckets > 0);
-}
-
 void Histogram::Record(double v) {
   if (count_ == 0) {
     min_ = max_ = v;
@@ -24,77 +18,6 @@ void Histogram::Record(double v) {
   }
   ++count_;
   sum_ += v;
-  size_t idx;
-  if (v < lo_) {
-    idx = 0;
-  } else if (v >= hi_) {
-    idx = buckets_.size() - 1;
-  } else {
-    idx = 1 + static_cast<size_t>((v - lo_) / width_);
-    idx = std::min(idx, buckets_.size() - 2);
-  }
-  ++buckets_[idx];
-}
-
-double Histogram::BucketLow(size_t i) const {
-  if (i == 0) {
-    return min_;
-  }
-  return lo_ + static_cast<double>(i - 1) * width_;
-}
-
-double Histogram::BucketHigh(size_t i) const {
-  if (i == 0) {
-    return lo_;
-  }
-  if (i == buckets_.size() - 1) {
-    return max_;
-  }
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  p = std::clamp(p, 0.0, 1.0);
-  const double target = p * static_cast<double>(count_);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    const uint64_t next = seen + buckets_[i];
-    if (static_cast<double>(next) >= target) {
-      const double within =
-          (target - static_cast<double>(seen)) / static_cast<double>(buckets_[i]);
-      return BucketLow(i) + within * (BucketHigh(i) - BucketLow(i));
-    }
-    seen = next;
-  }
-  return max_;
-}
-
-std::string Histogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "count=%llu mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f",
-                static_cast<unsigned long long>(count_), mean(), Percentile(0.50),
-                Percentile(0.95), Percentile(0.99), max());
-  return buf;
-}
-
-std::string Histogram::BucketDump() const {
-  std::string out;
-  char line[128];
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    std::snprintf(line, sizeof(line), "  [%10.3f, %10.3f): %llu\n", BucketLow(i), BucketHigh(i),
-                  static_cast<unsigned long long>(buckets_[i]));
-    out += line;
-  }
-  return out;
 }
 
 std::string Histogram::JsonObject(const std::string& key) const {
@@ -104,16 +27,7 @@ std::string Histogram::JsonObject(const std::string& key) const {
   return buf;
 }
 
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
 void Histogram::Merge(const Histogram& other) {
-  PFS_CHECK(buckets_.size() == other.buckets_.size());
   if (other.count_ == 0) {
     return;
   }
@@ -123,9 +37,6 @@ void Histogram::Merge(const Histogram& other) {
   } else {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
-  }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
   sum_ += other.sum_;
@@ -299,8 +210,6 @@ std::string LatencyHistogram::MsJsonObject(const std::string& key) const {
   return buf;
 }
 
-void LatencyHistogram::Reset() { *this = LatencyHistogram(); }
-
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
   if (other.count_ == 0) {
     return;
@@ -316,18 +225,6 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
   }
   count_ += other.count_;
   sum_ns_ += other.sum_ns_;
-}
-
-LatencyHistogram LatencyHistogram::Since(const LatencyHistogram& earlier) const {
-  if (earlier.count_ == 0) {
-    return *this;
-  }
-  PFS_CHECK_MSG(earlier.count_ <= count_, "Since() needs an older snapshot of this one");
-  std::vector<uint64_t> bins = buckets_;
-  for (size_t i = 0; i < kHistBuckets; ++i) {
-    bins[i] -= earlier.buckets_[i];
-  }
-  return LatencyHistogram(std::move(bins), sum_ns_ - earlier.sum_ns_);
 }
 
 }  // namespace pfs

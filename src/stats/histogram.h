@@ -1,7 +1,7 @@
 // Measurement containers for the plug-in statistics objects (paper §4):
-// counters, linear histograms (disk queue lengths, rotational delays) and
-// log-bucketed latency histograms that yield the cumulative-distribution
-// curves of Figures 2-4.
+// counters, running summaries of plain values (disk queue lengths,
+// rotational delays) and log-bucketed latency histograms that yield the
+// cumulative-distribution curves of Figures 2-4.
 #ifndef PFS_STATS_HISTOGRAM_H_
 #define PFS_STATS_HISTOGRAM_H_
 
@@ -25,12 +25,11 @@ class Counter {
   uint64_t value_ = 0;
 };
 
-// Linear-bucket histogram over doubles, with underflow/overflow buckets.
-// Used for queue depths, rotational delays, segment utilizations.
+// Running summary of doubles (queue depths, rotational delays, seek times,
+// fan-out widths): the count, sum, minimum and maximum of every value
+// recorded. It keeps no distribution.
 class Histogram {
  public:
-  Histogram(double lo, double hi, size_t buckets);
-
   void Record(double v);
 
   uint64_t count() const { return count_; }
@@ -38,30 +37,12 @@ class Histogram {
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
 
-  // Linear interpolation within the containing bucket; p in [0,1].
-  double Percentile(double p) const;
-
-  // "count=12 mean=3.4 p50=3 p95=8 max=11"
-  std::string Summary() const;
-
-  // Multi-line bucket dump (the paper's "with histograms" reporting mode).
-  std::string BucketDump() const;
-
-  void Reset();
   void Merge(const Histogram& other);
 
-  // "\"<key>\":{\"mean\":…,\"max\":…}", the shape every StatJson gives a
-  // linear histogram.
+  // "\"<key>\":{\"mean\":…,\"max\":…}", the shape every StatJson gives one.
   std::string JsonObject(const std::string& key) const;
 
  private:
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> buckets_;  // [0]=underflow, [n+1]=overflow
   uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
@@ -133,12 +114,7 @@ class LatencyHistogram {
   // with the percentiles of Percentile().
   std::string MsJsonObject(const std::string& key) const;
 
-  void Reset();
   void Merge(const LatencyHistogram& other);
-  // The samples recorded since `earlier`, an older snapshot of the same
-  // cumulative histogram: how interval reports are taken from registry
-  // histograms that never reset.
-  LatencyHistogram Since(const LatencyHistogram& earlier) const;
 
  private:
   // Bucket i's upper bound, clamped to max().

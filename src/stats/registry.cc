@@ -2,16 +2,10 @@
 
 namespace pfs {
 
-std::string StatsRegistry::ReportAll(bool with_histograms) const {
+std::string StatsRegistry::ReportAll() const {
   std::string out;
   for (const StatSource* source : sources_) {
-    out += "== ";
-    out += source->stat_name();
-    out += " ==\n";
-    out += source->StatReport(with_histograms);
-    if (!out.empty() && out.back() != '\n') {
-      out += '\n';
-    }
+    out += "== " + source->stat_name() + " ==\n" + source->StatJson() + "\n";
   }
   return out;
 }
@@ -42,12 +36,6 @@ std::string StatsRegistry::ReportJsonOwned(const Scheduler* owner,
     out += "\"" + sources_[i]->stat_name() + "\":" + sources_[i]->StatJson();
   }
   return out;
-}
-
-void StatsRegistry::ResetIntervalAll() {
-  for (StatSource* source : sources_) {
-    source->StatResetInterval();
-  }
 }
 
 }  // namespace pfs

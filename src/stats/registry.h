@@ -1,7 +1,8 @@
 // StatsRegistry: the paper's plug-in statistics architecture (§4). Framework
-// components register named StatSources; the simulator activates the ones an
-// experiment asks for and prints their reports every 15 simulated minutes and
-// at the end of the run.
+// components register named StatSources; the simulator prints their reports
+// every 15 simulated minutes and at the end of the run. A source has one
+// report, its StatJson, and every number in it is cumulative: a reader who
+// wants one interval takes the difference of two reports.
 #ifndef PFS_STATS_REGISTRY_H_
 #define PFS_STATS_REGISTRY_H_
 
@@ -18,18 +19,8 @@ class StatSource {
 
   virtual std::string stat_name() const = 0;
 
-  // One-paragraph report. `with_histograms` switches on the detailed bucket
-  // dumps (the paper's "standard statistics output with or without
-  // histograms").
-  virtual std::string StatReport(bool with_histograms) const = 0;
-
-  // Clears per-interval state after an interval report. Cumulative state may
-  // be kept; default is no-op.
-  virtual void StatResetInterval() {}
-
-  // One JSON object with the source's machine-readable numbers (the text
-  // report is for humans). Sources without one report an empty object.
-  virtual std::string StatJson() const { return "{}"; }
+  // One JSON object, on one line, with every number the source reports.
+  virtual std::string StatJson() const = 0;
 };
 
 class StatsRegistry {
@@ -43,11 +34,12 @@ class StatsRegistry {
     owners_.push_back(owner);
   }
 
-  std::string ReportAll(bool with_histograms) const;
+  // Each source as a "== <stat_name> ==" line followed by its StatJson() on
+  // one line: the report Patsy and `run_scenario --stats` print.
+  std::string ReportAll() const;
 
-  // `{"<stat_name>": <StatJson()>, ...}` — one JSON object over every
-  // registered source, so bench runs can append results to a BENCH_*.json
-  // file instead of scraping the text reports.
+  // `{"<stat_name>": <StatJson()>, ...}` — the same objects as one JSON
+  // document, so bench runs can append results to a BENCH_*.json file.
   std::string ReportJson() const;
 
   // The `"<stat_name>":<StatJson()>` fragments (comma-joined, no outer
@@ -55,8 +47,6 @@ class StatsRegistry {
   // `include_unowned` is set. The sharded sampler collects one fragment
   // string per shard and splices them into a single object.
   std::string ReportJsonOwned(const Scheduler* owner, bool include_unowned) const;
-
-  void ResetIntervalAll();
 
   const std::vector<StatSource*>& sources() const { return sources_; }
 

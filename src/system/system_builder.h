@@ -138,8 +138,6 @@ class System {
     return true;
   }
 
-  std::string StatReport(bool with_histograms) { return stats_.ReportAll(with_histograms); }
-
   // The observability subsystem (config.trace.*). Both are null when the
   // corresponding knob is off: the tracer needs trace.enabled, the sampler
   // needs trace.sample_ms > 0.

@@ -124,7 +124,6 @@ Task<> TraceReplayer::ClientThread(uint32_t client_id) {
     }
     ops_.Inc();
     overall_.Record(latency);
-    interval_.Record(latency);
     switch (r.op) {
       case TraceOp::kRead:
         reads_.Record(latency);
@@ -150,19 +149,6 @@ Task<> TraceReplayer::ClientThread(uint32_t client_id) {
   }
 }
 
-std::string TraceReplayer::StatReport(bool with_histograms) const {
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "ops=%llu errors=%llu\noverall: %s\ninterval: %s\nreads: %s\nwrites: %s\n",
-                static_cast<unsigned long long>(ops_.value()),
-                static_cast<unsigned long long>(errors_.value()), overall_.Summary().c_str(),
-                interval_.Summary().c_str(), reads_.Summary().c_str(),
-                writes_.Summary().c_str());
-  std::string out(buf);
-  (void)with_histograms;
-  return out;
-}
-
 std::string TraceReplayer::StatJson() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "{\"ops\":%llu,\"errors\":%llu,",
@@ -171,7 +157,5 @@ std::string TraceReplayer::StatJson() const {
   return buf + overall_.MsJsonObject("overall_ms") + "," + reads_.MsJsonObject("reads_ms") +
          "," + writes_.MsJsonObject("writes_ms") + "," + meta_.MsJsonObject("metadata_ms") + "}";
 }
-
-void TraceReplayer::StatResetInterval() { interval_.Reset(); }
 
 }  // namespace pfs

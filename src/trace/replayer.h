@@ -52,9 +52,7 @@ class TraceReplayer : public StatSource {
 
   // StatSource (the 15-minute interval reports read these).
   std::string stat_name() const override { return "replayer"; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
-  void StatResetInterval() override;
 
  private:
   Task<> ClientThread(uint32_t client_id);
@@ -71,7 +69,6 @@ class TraceReplayer : public StatSource {
   LatencyHistogram reads_;
   LatencyHistogram writes_;
   LatencyHistogram meta_;
-  LatencyHistogram interval_;  // reset every report interval
   Counter ops_;
   Counter errors_;
 };

@@ -237,30 +237,6 @@ void Volume::OpFinish(TimePoint begin, uint64_t count) {
   }
 }
 
-std::string Volume::StatReport(bool with_histograms) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "kind=%s members=%zu sectors=%llu requests=%llu split=%llu "
-                "coalesced=%llu bounce=%lluB\nfan-out: %s\nlatency: %s\n",
-                kind(), members_.size(), static_cast<unsigned long long>(total_sectors()),
-                static_cast<unsigned long long>(requests()),
-                static_cast<unsigned long long>(split_requests_.value()),
-                static_cast<unsigned long long>(coalesced_.value()),
-                static_cast<unsigned long long>(bounce_bytes_.value()),
-                fanout_.Summary().c_str(), latency().Summary().c_str());
-  std::string out(buf);
-  for (size_t i = 0; i < members_.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "member %zu: reads=%llu writes=%llu\n", i,
-                  static_cast<unsigned long long>(member_reads_[i].value()),
-                  static_cast<unsigned long long>(member_writes_[i].value()));
-    out += buf;
-  }
-  if (with_histograms) {
-    out += "fan-out histogram:\n" + fanout_.BucketDump();
-  }
-  return out;
-}
-
 std::string Volume::StatJson() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf), "{\"kind\":\"%s\",\"sectors\":%llu,\"members\":[", kind(),
@@ -286,11 +262,6 @@ std::string Volume::StatJson() const {
   out += latency_->LatencyMsJsonObject("latency_ms");
   out += "}";
   return out;
-}
-
-void Volume::StatResetInterval() {
-  fanout_.Reset();
-  latency_start_ = latency_->Snapshot();
 }
 
 // -- SingleDiskVolume --------------------------------------------------------
@@ -738,23 +709,6 @@ Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
     }
   }
   co_return OkStatus();
-}
-
-std::string MirrorVolume::StatReport(bool with_histograms) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "live=%zu/%zu missed-writes=%llu degraded-reads=%llu\n"
-                "degraded=%.3fms repairs=%llu mttr=%.3fms refused-reinstates=%llu "
-                "debt=%lluB rebuilt=%lluB\n",
-                live_member_count(), members_.size(),
-                static_cast<unsigned long long>(missed_writes_.value()),
-                static_cast<unsigned long long>(degraded_reads_.value()),
-                degraded_time().ToMillisF(), static_cast<unsigned long long>(repairs_),
-                mean_time_to_repair().ToMillisF(),
-                static_cast<unsigned long long>(reinstate_refusals_.value()),
-                static_cast<unsigned long long>(rebuild_debt_bytes()),
-                static_cast<unsigned long long>(rebuilt_sectors_.value() * sector_bytes_));
-  return Volume::StatReport(with_histograms) + buf;
 }
 
 std::string MirrorVolume::StatJson() const {

@@ -52,14 +52,12 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
 
   // StatSource
   std::string stat_name() const override { return "volume." + name_; }
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
-  void StatResetInterval() override;
 
   // Completed requests.
   uint64_t requests() const { return requests_->Total(); }
-  // Whole-request latency since the last StatResetInterval.
-  LatencyHistogram latency() const { return latency_->Snapshot().Since(latency_start_); }
+  // Whole-request latency.
+  LatencyHistogram latency() const { return latency_->Snapshot(); }
   uint64_t member_reads(size_t i) const { return member_reads_[i].value(); }
   uint64_t member_writes(size_t i) const { return member_writes_[i].value(); }
   const Histogram& fanout_width() const { return fanout_; }
@@ -146,11 +144,9 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   uint32_t sector_bytes_;
 
   // Requests, counted once each at completion (OpFinish), and their
-  // whole-request latency; latency_start_ is latency_ at the last
-  // StatResetInterval.
+  // whole-request latency.
   CounterMetric* requests_;
   HistogramMetric* latency_;
-  LatencyHistogram latency_start_;
   std::vector<HistogramMetric*> member_latency_;  // fragment latency, per member
 
   Counter split_requests_;  // requests split across distinct address ranges
@@ -159,7 +155,7 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   bool coalesce_ = true;
   std::vector<Counter> member_reads_;
   std::vector<Counter> member_writes_;
-  Histogram fanout_{0, 16, 16};  // distinct members touched per request
+  Histogram fanout_;  // distinct members touched per request
 };
 
 // Adapter over a partition slice [start_sector, start_sector + nsectors) of
@@ -310,7 +306,6 @@ class MirrorVolume final : public Volume {
   // Mean time to repair over completed reinstatements.
   Duration mean_time_to_repair() const;
 
-  std::string StatReport(bool with_histograms) const override;
   std::string StatJson() const override;
 
  private:

@@ -3,6 +3,7 @@
 
 #include "bus/connection.h"
 #include "bus/scsi_bus.h"
+#include "core/json.h"
 #include "sched/scheduler.h"
 
 namespace pfs {
@@ -80,14 +81,16 @@ TEST(ScsiBusTest, UtilizationReflectsBusyTime) {
   EXPECT_EQ(bus.busy_time(), Duration::Millis(1));
 }
 
-TEST(ScsiBusTest, StatReportMentionsTraffic) {
+TEST(ScsiBusTest, StatJsonMentionsTraffic) {
   auto sched = Scheduler::CreateVirtual();
   ScsiBus bus(sched.get(), "scsi0");
   int completed = 0;
   sched->Spawn("xfer", UseBus(sched.get(), &bus, 4096, &completed));
   sched->Run();
-  const std::string report = bus.StatReport(false);
-  EXPECT_NE(report.find("bytes=4096"), std::string::npos);
+  auto json = ParseJson(bus.StatJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("bytes")->number_value, 4096.0);
+  EXPECT_EQ(json->Find("acquisitions")->number_value, 1.0);
   EXPECT_EQ(bus.stat_name(), "bus.scsi0");
 }
 

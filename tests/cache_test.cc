@@ -12,6 +12,7 @@
 #include "cache/data_mover.h"
 #include "cache/flush_policy.h"
 #include "cache/replacement.h"
+#include "core/json.h"
 #include "core/random.h"
 #include "sched/scheduler.h"
 
@@ -804,11 +805,12 @@ TEST(DataMoverTest, RealMoverCopiesBytes) {
   EXPECT_EQ(sched->Now(), TimePoint());  // no artificial delay
 }
 
-TEST(BufferCacheTest, StatReportShowsPolicies) {
+TEST(BufferCacheTest, StatJsonShowsPolicies) {
   CacheFixture f;
-  const std::string report = f.cache->StatReport(false);
-  EXPECT_NE(report.find("policy=ups-write-saving"), std::string::npos);
-  EXPECT_NE(report.find("repl=LRU"), std::string::npos);
+  auto json = ParseJson(f.cache->StatJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("flush_policy")->string_value, "ups-write-saving");
+  EXPECT_EQ(json->Find("replacement")->string_value, "LRU");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "bus/scsi_bus.h"
+#include "core/json.h"
 #include "disk/disk_model.h"
 #include "disk/geometry.h"
 #include "disk/seek_model.h"
@@ -202,12 +203,14 @@ TEST(DiskModelTest, RotationalDelayBoundedByOneRevolution) {
   EXPECT_NEAR(rot.mean(), 7.5, 2.5);
 }
 
-TEST(DiskModelTest, StatReportListsActivity) {
+TEST(DiskModelTest, StatJsonListsActivity) {
   DiskFixture f;
   f.RunOne(IoOp::kRead, 512, 8);
-  const std::string report = f.disk->StatReport(true);
-  EXPECT_NE(report.find("model=HP97560"), std::string::npos);
-  EXPECT_NE(report.find("reads=1"), std::string::npos);
+  auto json = ParseJson(f.disk->StatJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("model")->string_value, "HP97560");
+  EXPECT_EQ(json->Find("reads")->number_value, 1.0);
+  EXPECT_GT(json->FindPath("service_ms.mean")->number_value, 0.0);
   EXPECT_EQ(f.disk->stat_name(), "disk.d0");
 }
 

@@ -10,6 +10,7 @@
 #include <numeric>
 
 #include "bus/scsi_bus.h"
+#include "core/json.h"
 #include "disk/disk_model.h"
 #include "driver/disk_driver.h"
 #include "driver/file_backed_driver.h"
@@ -178,12 +179,14 @@ TEST(SimDriverTest, ScanSweepsBothDirections) {
   EXPECT_EQ(probe.completion_order[4], 500u);
 }
 
-TEST(SimDriverTest, StatReportHasPolicy) {
+TEST(SimDriverTest, StatJsonHasPolicy) {
   SimFixture f;
   Status status;
   f.sched->Spawn("r", DoRead(f.driver.get(), 5000, &status));
   f.sched->Run();
-  EXPECT_NE(f.driver->StatReport(false).find("policy=C-LOOK"), std::string::npos);
+  auto json = ParseJson(f.driver->StatJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("policy")->string_value, "C-LOOK");
 }
 
 TEST(QueuePolicyNamesTest, AllNamed) {

@@ -95,6 +95,7 @@ TEST(PatsyTest, IntervalReportsAtFifteenMinutes) {
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->interval_reports.size(), 1u);
   EXPECT_NE(result->interval_reports[0].find("interval report"), std::string::npos);
+  EXPECT_NE(result->interval_reports[0].find("== cache ==\n{"), std::string::npos);
 }
 
 TEST(PatsyTest, GuessingLayoutReplays) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/json.h"
 #include "sched/scheduler.h"
 #include "volume/volume.h"
 
@@ -543,12 +544,12 @@ TEST(VolumeStatsTest, ReportAndJson) {
   ASSERT_TRUE(RunIo(sched.get(), vol.Write(0, 16, Pattern(16))).ok());
 
   EXPECT_EQ(vol.stat_name(), "volume.v");
-  const std::string report = vol.StatReport(false);
-  EXPECT_NE(report.find("kind=striped"), std::string::npos);
-  EXPECT_NE(report.find("member 1:"), std::string::npos);
-  const std::string json = vol.StatJson();
-  EXPECT_NE(json.find("\"kind\":\"striped\""), std::string::npos);
-  EXPECT_NE(json.find("\"split_requests\":1"), std::string::npos);
+  auto json = ParseJson(vol.StatJson());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_EQ(json->Find("kind")->string_value, "striped");
+  ASSERT_EQ(json->Find("members")->array.size(), 2u);
+  EXPECT_GT(json->Find("members")->array[1].Find("writes")->number_value, 0.0);
+  EXPECT_EQ(json->Find("split_requests")->number_value, 1.0);
 
   StatsRegistry registry;
   registry.Register(&vol);
