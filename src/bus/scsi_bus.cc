@@ -48,10 +48,11 @@ double ScsiBus::Utilization() const {
 std::string ScsiBus::StatJson() const {
   char buf[192];
   std::snprintf(buf, sizeof(buf),
-                "{\"acquisitions\":%llu,\"bytes\":%llu,\"busy_ms\":%.3f,\"utilization\":%.4f,",
+                "{\"acquisitions\":%llu,\"bytes\":%llu,\"busy_ms\":%.3f,"
+                "\"utilization\":%.4f,",
                 static_cast<unsigned long long>(acquisitions_.value()),
-                static_cast<unsigned long long>(bytes_transferred_), busy_time_.ToMillisF(),
-                Utilization());
+                static_cast<unsigned long long>(bytes_transferred_),
+                busy_time_.ToMillisF(), Utilization());
   return buf + wait_time_us_.JsonObject("wait_us") + "}";
 }
 

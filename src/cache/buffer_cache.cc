@@ -451,11 +451,13 @@ double BufferCache::HitRate() const {
 std::string BufferCache::StatJson() const {
   char buf[640];
   std::snprintf(buf, sizeof(buf),
-                "{\"flush_policy\":\"%s\",\"replacement\":\"%s\",\"blocks\":%zu,\"free\":%zu,\"clean\":%zu,\"dirty\":%zu,"
+                "{\"flush_policy\":\"%s\",\"replacement\":\"%s\",\"blocks\":%zu,"
+                "\"free\":%zu,\"clean\":%zu,\"dirty\":%zu,"
                 "\"hits\":%llu,\"misses\":%llu,\"hit_rate\":%.4f,\"fills\":%llu,"
                 "\"evictions\":%llu,\"blocks_flushed\":%llu,\"files_flushed\":%llu,"
                 "\"absorbed\":%llu,",
-                flush_policy_->name().c_str(), replacement_->name(), pool_.size(), free_.size(), clean_.size(), dirty_.size(),
+                flush_policy_->name().c_str(), replacement_->name(), pool_.size(),
+                free_.size(), clean_.size(), dirty_.size(),
                 static_cast<unsigned long long>(hits()),
                 static_cast<unsigned long long>(misses()), HitRate(),
                 static_cast<unsigned long long>(fills_->Total()),

@@ -253,17 +253,20 @@ Task<> DiskModel::Prefetch() {
 std::string DiskModel::StatJson() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
-                "{\"model\":\"%s\",\"reads\":%llu,\"writes\":%llu,\"cache_hit_reads\":%llu,"
-                "\"immediate_writes\":%llu,\"destages\":%llu,\"prefetches\":%llu,",
-                params_.model_name.c_str(), static_cast<unsigned long long>(reads_.value()),
+                "{\"model\":\"%s\",\"reads\":%llu,\"writes\":%llu,"
+                "\"cache_hit_reads\":%llu,\"immediate_writes\":%llu,\"destages\":%llu,"
+                "\"prefetches\":%llu,",
+                params_.model_name.c_str(),
+                static_cast<unsigned long long>(reads_.value()),
                 static_cast<unsigned long long>(writes_.value()),
                 static_cast<unsigned long long>(cache_hit_reads_.value()),
                 static_cast<unsigned long long>(immediate_writes_.value()),
                 static_cast<unsigned long long>(destages_.value()),
                 static_cast<unsigned long long>(prefetches_.value()));
   return buf + service_time_.MsJsonObject("service_ms") + "," +
-         rot_delay_ms_.JsonObject("rotational_delay_ms") + "," + seek_ms_.JsonObject("seek_ms") +
-         "," + queue_depth_.JsonObject("queue_depth") + "}";
+         rot_delay_ms_.JsonObject("rotational_delay_ms") + "," +
+         seek_ms_.JsonObject("seek_ms") + "," + queue_depth_.JsonObject("queue_depth") +
+         "}";
 }
 
 }  // namespace pfs

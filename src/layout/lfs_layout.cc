@@ -717,7 +717,8 @@ std::string LfsLayout::StatJson() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"cleaner\":\"%s\",\"segments\":%u,\"free\":%u,\"frontier_segment\":%u,"
                 "\"frontier_offset\":%u,\"log_blocks\":%llu,\"data_blocks\":%llu,"
-                "\"write_cost\":%.4f,\"cleaned\":%llu,\"relocated\":%llu,\"cleaner_reads\":%llu}",
+                "\"write_cost\":%.4f,\"cleaned\":%llu,\"relocated\":%llu,"
+                "\"cleaner_reads\":%llu}",
                 cleaner_policy_->name(), geo_.nsegments, free_segments(), cur_seg_, cur_off_,
                 static_cast<unsigned long long>(log_blocks_written_.value()),
                 static_cast<unsigned long long>(data_blocks_written_.value()), WriteCost(),

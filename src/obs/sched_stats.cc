@@ -30,7 +30,8 @@ std::string SchedStats::StatJson() const {
   std::snprintf(buf, sizeof(buf),
                 "{\"shard\":%u,\"steps\":%llu,\"posts_received\":%llu,"
                 "\"cross_posts_sent\":%llu,\"mailbox_drains\":%llu,"
-                "\"mailbox_depth\":{\"p50\":%.0f,\"p99\":%.0f},\"idle_ms\":%.3f,\"live\":%zu}",
+                "\"mailbox_depth\":{\"p50\":%.0f,\"p99\":%.0f},\"idle_ms\":%.3f,"
+                "\"live\":%zu}",
                 sched_->shard_index(),
                 static_cast<unsigned long long>(sched_->context_switches()),
                 static_cast<unsigned long long>(sched_->posts_received()),

@@ -22,8 +22,8 @@ void Histogram::Record(double v) {
 
 std::string Histogram::JsonObject(const std::string& key) const {
   char buf[128];
-  std::snprintf(buf, sizeof(buf), "\"%s\":{\"mean\":%.3f,\"max\":%.3f}", key.c_str(), mean(),
-                max());
+  std::snprintf(buf, sizeof(buf), "\"%s\":{\"mean\":%.3f,\"max\":%.3f}", key.c_str(),
+                mean(), max());
   return buf;
 }
 
@@ -204,7 +204,8 @@ std::string LatencyHistogram::Summary() const {
 
 std::string LatencyHistogram::MsJsonObject(const std::string& key) const {
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "\"%s\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
+  std::snprintf(buf, sizeof(buf),
+                "\"%s\":{\"mean\":%.4f,\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f}",
                 key.c_str(), mean().ToMillisF(), Percentile(0.50).ToMillisF(),
                 Percentile(0.95).ToMillisF(), Percentile(0.99).ToMillisF());
   return buf;

@@ -154,8 +154,9 @@ std::string TraceReplayer::StatJson() const {
   std::snprintf(buf, sizeof(buf), "{\"ops\":%llu,\"errors\":%llu,",
                 static_cast<unsigned long long>(ops_.value()),
                 static_cast<unsigned long long>(errors_.value()));
-  return buf + overall_.MsJsonObject("overall_ms") + "," + reads_.MsJsonObject("reads_ms") +
-         "," + writes_.MsJsonObject("writes_ms") + "," + meta_.MsJsonObject("metadata_ms") + "}";
+  return buf + overall_.MsJsonObject("overall_ms") + "," +
+         reads_.MsJsonObject("reads_ms") + "," + writes_.MsJsonObject("writes_ms") + "," +
+         meta_.MsJsonObject("metadata_ms") + "}";
 }
 
 }  // namespace pfs

@@ -239,8 +239,8 @@ void Volume::OpFinish(TimePoint begin, uint64_t count) {
 
 std::string Volume::StatJson() const {
   char buf[256];
-  std::snprintf(buf, sizeof(buf), "{\"kind\":\"%s\",\"sectors\":%llu,\"members\":[", kind(),
-                static_cast<unsigned long long>(total_sectors()));
+  std::snprintf(buf, sizeof(buf), "{\"kind\":\"%s\",\"sectors\":%llu,\"members\":[",
+                kind(), static_cast<unsigned long long>(total_sectors()));
   std::string out(buf);
   for (size_t i = 0; i < members_.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%s{\"reads\":%llu,\"writes\":%llu}", i == 0 ? "" : ",",

@@ -302,8 +302,8 @@ TEST_F(SystemTest, StripedVolumeFansOutOverTheMembers) {
   EXPECT_GT(system->drivers()[0]->ops_completed(), 0u);
   EXPECT_GT(system->drivers()[1]->ops_completed(), 0u);
   // And the volume reports as a stat source in the registry.
-  EXPECT_NE(system->stats().ReportAll().find("== volume.fs0 ==\n" + volume->StatJson() + "\n"),
-            std::string::npos);
+  const std::string section = "== volume.fs0 ==\n" + volume->StatJson() + "\n";
+  EXPECT_NE(system->stats().ReportAll().find(section), std::string::npos);
 }
 
 TEST_F(SystemTest, FileBackedStacksAllThreeLayouts) {
