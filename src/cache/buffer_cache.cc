@@ -142,7 +142,10 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
     block->hint = IndexBlock(block).hint;
     replacement_->OnInsert(block);
 
-    if (mode == GetMode::kOverwrite) {
+    if (mode != GetMode::kRead) {
+      if (mode == GetMode::kPastEof) {
+        std::ranges::fill(block->data, std::byte{0});
+      }
       block->state = BlockState::kClean;
       clean_.PushBack(*block);
       ++block->pin_count;

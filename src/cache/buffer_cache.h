@@ -45,6 +45,7 @@ class BlockIoHandler {
 enum class GetMode : uint8_t {
   kRead,       // caller needs current contents; fill from disk on miss
   kOverwrite,  // caller will overwrite the whole block; no fill needed
+  kPastEof,    // the block lies wholly past EOF: a miss reads as zeroes, no fill
 };
 
 // Shard-affine (ShardAffine): sharded systems build one cache per shard, and
@@ -82,7 +83,8 @@ class BufferCache : public StatSource, public ShardAffine {
   // -- Block access (the File layer's interface) ---------------------------
 
   // Returns the block pinned; callers must Release() it. kRead fills from
-  // disk on a miss; kOverwrite hands back an unfilled block.
+  // disk on a miss; kOverwrite hands back an unfilled block; kPastEof hands
+  // back a zeroed one, so no byte of the block's previous owner survives.
   Task<Result<CacheBlock*>> GetBlock(const BlockId& id, GetMode mode);
 
   // Admits the new dirty bytes against the flush policy (may block, e.g.

@@ -31,7 +31,9 @@ class DataMover : public ShardAffine {
   virtual ~DataMover() = default;
 
   // Moves `bytes` between a cache block and a client buffer. Either span may
-  // be empty in the simulator.
+  // be empty in the simulator. An empty source with a real destination (a
+  // write that carries no buffer, like the NFS front end's WRITE) moves
+  // zeroes.
   virtual Task<> Move(std::span<std::byte> dst, std::span<const std::byte> src,
                       uint64_t bytes) = 0;
 
@@ -69,11 +71,16 @@ class RealDataMover final : public DataMover {
   Task<> Move(std::span<std::byte> dst, std::span<const std::byte> src,
               uint64_t bytes) override {
     PFS_ASSERT_SHARD();
-    if (!dst.empty() && !src.empty() && bytes > 0) {
-      PFS_CHECK(dst.size() >= bytes && src.size() >= bytes);
+    if (dst.empty() || bytes == 0) {
+      co_return;
+    }
+    PFS_CHECK(dst.size() >= bytes);
+    if (src.empty()) {
+      std::memset(dst.data(), 0, bytes);
+    } else {
+      PFS_CHECK(src.size() >= bytes);
       std::memcpy(dst.data(), src.data(), bytes);
     }
-    co_return;
   }
 
   Task<> ChargeOpCost() override { co_return; }

@@ -50,11 +50,15 @@ Task<Result<uint64_t>> File::Write(uint64_t offset, uint64_t len,
     const uint32_t in_block = static_cast<uint32_t>(pos % bs);
     const uint64_t chunk = std::min<uint64_t>(len - done, bs - in_block);
 
-    // Whole-block overwrites (or writes wholly beyond current EOF) need no
-    // read-modify-write fill.
-    const bool full_block = in_block == 0 && chunk == bs;
-    const bool beyond_eof = pos >= RoundUp(inode_.size, bs);
-    const GetMode mode = (full_block || beyond_eof) ? GetMode::kOverwrite : GetMode::kRead;
+    // Whole-block overwrites need no read-modify-write fill, and neither do
+    // writes into a block wholly beyond the current EOF: the cache hands that
+    // block back zeroed, so the bytes this write does not cover read as zeroes.
+    GetMode mode = GetMode::kRead;
+    if (in_block == 0 && chunk == bs) {
+      mode = GetMode::kOverwrite;
+    } else if (pos >= RoundUp(inode_.size, bs)) {
+      mode = GetMode::kPastEof;
+    }
 
     PFS_CO_ASSIGN_OR_RETURN(
         CacheBlock * block,

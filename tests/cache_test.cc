@@ -2,6 +2,7 @@
 // and the flush (persistency) policies the paper experiments with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -803,6 +804,18 @@ TEST(DataMoverTest, RealMoverCopiesBytes) {
   sched->Run();
   EXPECT_EQ(dst, src);
   EXPECT_EQ(sched->Now(), TimePoint());  // no artificial delay
+}
+
+TEST(DataMoverTest, RealMoverMovesZeroesFromAnEmptySource) {
+  auto sched = Scheduler::CreateVirtual();
+  RealDataMover mover;
+  std::vector<std::byte> dst(64, std::byte{0x7});
+  sched->Spawn("t", [](DataMover* m, std::span<std::byte> d) -> Task<> {
+    co_await m->Move(d, {}, 48);
+  }(&mover, dst));
+  sched->Run();
+  EXPECT_EQ(std::count(dst.begin(), dst.begin() + 48, std::byte{0}), 48);
+  EXPECT_EQ(std::count(dst.begin() + 48, dst.end(), std::byte{0x7}), 16);
 }
 
 TEST(BufferCacheTest, StatJsonShowsPolicies) {

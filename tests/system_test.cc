@@ -356,6 +356,52 @@ TEST_F(SystemTest, OnlineServerRunsMultiDiskFfsTopology) {
   EXPECT_TRUE(server->Stop().ok());
 }
 
+// A cache block handed out for an overwrite keeps nothing of its previous
+// owner. The cache holds four blocks, so once /fs0/a's 16 KiB of 0xAA is on
+// disk, every block a new file writes is a recycled block of /fs0/a. The
+// bytes a write past EOF does not cover read as zeroes, and a write with an
+// empty buffer (the NFS front end's WRITE) writes zeroes.
+TEST_F(SystemTest, OverwrittenBlocksHoldNoBytesOfTheirPreviousFile) {
+  PfsServerConfig config;
+  config.image_path = image_;
+  config.image_bytes = 16 * kMiB;
+  config.cache_bytes = 16 * kKiB;
+  auto server_or = PfsServer::Start(config);
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  auto server = std::move(server_or).value();
+  std::vector<std::byte> partial(110, std::byte{0x55});
+  std::vector<std::byte> empty_write(4096, std::byte{0x55});
+  const Status status = server->Submit([&](ClientInterface* c) -> Task<Status> {
+    OpenOptions create;
+    create.create = true;
+    auto a = co_await c->Open("/fs0/a", create);
+    PFS_CO_RETURN_IF_ERROR(a.status());
+    const std::vector<std::byte> old_bytes(16 * kKiB, std::byte{0xAA});
+    PFS_CO_RETURN_IF_ERROR((co_await c->Write(*a, 0, old_bytes.size(), old_bytes)).status());
+    PFS_CO_RETURN_IF_ERROR(co_await c->Fsync(*a));
+
+    // Ten bytes at offset 100 of a new file: the block lies wholly past EOF.
+    auto b = co_await c->Open("/fs0/b", create);
+    PFS_CO_RETURN_IF_ERROR(b.status());
+    const std::vector<std::byte> ten(10, std::byte{0x11});
+    PFS_CO_RETURN_IF_ERROR((co_await c->Write(*b, 100, ten.size(), ten)).status());
+    PFS_CO_RETURN_IF_ERROR((co_await c->Read(*b, 0, partial.size(), partial)).status());
+    PFS_CO_RETURN_IF_ERROR(co_await c->Close(*b));
+
+    // A whole block written from an empty buffer.
+    auto e = co_await c->Open("/fs0/e", create);
+    PFS_CO_RETURN_IF_ERROR(e.status());
+    PFS_CO_RETURN_IF_ERROR((co_await c->Write(*e, 0, empty_write.size(), {})).status());
+    PFS_CO_RETURN_IF_ERROR((co_await c->Read(*e, 0, empty_write.size(), empty_write)).status());
+    co_return co_await c->Close(*e);
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(server->Stop().ok());
+  EXPECT_EQ(std::count(partial.begin(), partial.begin() + 100, std::byte{0}), 100);
+  EXPECT_EQ(std::count(partial.begin() + 100, partial.end(), std::byte{0x11}), 10);
+  EXPECT_EQ(std::count(empty_write.begin(), empty_write.end(), std::byte{0}), 4096);
+}
+
 // -- Sharded scheduler: determinism and backend equivalence ----------------
 
 TEST_F(SystemTest, ShardedRunsAreDeterministic) {
