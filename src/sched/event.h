@@ -9,11 +9,14 @@
 // is lost, so callers re-check their predicate in a loop. Notification is the
 // sticky variant for one-shot completions (I/O done, thread exited): a Wait
 // after Notify does not block.
+//
+// Neither allocates. A blocked thread waits on exactly one Event, so the
+// Event's FIFO of waiters is linked through the Thread records themselves.
 #ifndef PFS_SCHED_EVENT_H_
 #define PFS_SCHED_EVENT_H_
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 
 #include "core/check.h"
 
@@ -47,10 +50,10 @@ class Event {
   // Wakes the longest-waiting thread, if any (FIFO). No-op with no waiters.
   void Signal();
 
-  // Wakes all waiting threads.
+  // Wakes all waiting threads, in the order they started waiting.
   void Broadcast();
 
-  size_t waiter_count() const { return waiters_.size(); }
+  size_t waiter_count() const { return waiter_count_; }
 
  private:
   friend class Notification;
@@ -59,8 +62,14 @@ class Event {
   // Parks the current thread on this event; used by Awaiter and Notification.
   void BlockOn(std::coroutine_handle<> h);
 
+  // The waiter FIFO, linked through Thread::next_waiter_.
+  void PushWaiter(Thread* t);
+  Thread* PopWaiter();
+
   Scheduler* sched_;
-  std::deque<Thread*> waiters_;
+  Thread* head_ = nullptr;  // longest waiting
+  Thread* tail_ = nullptr;
+  size_t waiter_count_ = 0;
 };
 
 class Notification {

@@ -68,20 +68,35 @@ void Thread::Reuse(uint64_t id, std::string name, bool daemon, Task<> body) {
 
 void Event::BlockOn(std::coroutine_handle<> h) { sched_->BlockCurrentOn(h, this); }
 
-void Event::Signal() {
-  if (waiters_.empty()) {
-    return;
+void Event::PushWaiter(Thread* t) {
+  if (tail_ == nullptr) {
+    head_ = t;
+  } else {
+    tail_->next_waiter_ = t;
   }
-  Thread* t = waiters_.front();
-  waiters_.pop_front();
-  sched_->MakeRunnable(t);
+  tail_ = t;
+  ++waiter_count_;
+}
+
+Thread* Event::PopWaiter() {
+  Thread* t = head_;
+  head_ = std::exchange(t->next_waiter_, nullptr);
+  if (head_ == nullptr) {
+    tail_ = nullptr;
+  }
+  --waiter_count_;
+  return t;
+}
+
+void Event::Signal() {
+  if (head_ != nullptr) {
+    sched_->MakeRunnable(PopWaiter());
+  }
 }
 
 void Event::Broadcast() {
-  while (!waiters_.empty()) {
-    Thread* t = waiters_.front();
-    waiters_.pop_front();
-    sched_->MakeRunnable(t);
+  while (head_ != nullptr) {
+    sched_->MakeRunnable(PopWaiter());
   }
 }
 
@@ -233,7 +248,7 @@ void Scheduler::BlockCurrentOn(std::coroutine_handle<> h, Event* event) {
   PFS_CHECK_MSG(t != nullptr, "Event wait outside a scheduler thread");
   t->resume_point_ = h;
   t->state_ = ThreadState::kBlocked;
-  event->waiters_.push_back(t);
+  event->PushWaiter(t);
 }
 
 void Scheduler::MakeRunnable(Thread* t) {

@@ -101,6 +101,7 @@ class Thread {
   TraceContext trace;
 
  private:
+  friend class Event;
   friend class Scheduler;
 
   Thread(Scheduler* sched, uint64_t id, std::string name, bool daemon, Task<> body);
@@ -116,6 +117,7 @@ class Thread {
   std::coroutine_handle<> resume_point_;
   ThreadState state_ = ThreadState::kRunnable;
   TimePoint wake_time_;
+  Thread* next_waiter_ = nullptr;  // the next thread blocked on the same Event
   Notification done_;
 };
 
@@ -330,7 +332,7 @@ class Scheduler {
   Rng rng_;
   std::vector<std::unique_ptr<Thread>> threads_;
   // Finished transient records kept for reuse, so a per-request spawn
-  // allocates no Thread (nor the deque inside its done() event).
+  // allocates no Thread.
   std::vector<std::unique_ptr<Thread>> spare_threads_;
   std::vector<Thread*> runnable_;
   std::priority_queue<DelayEntry, std::vector<DelayEntry>, std::greater<DelayEntry>> delayed_;

@@ -185,6 +185,66 @@ TEST(EventTest, BroadcastWakesAll) {
   EXPECT_EQ(e.waiter_count(), 0u);
 }
 
+// Runs the thread that became runnable first, so the order in which an
+// Event makes its waiters runnable is the order in which they run.
+class FifoScheduler final : public Scheduler {
+ public:
+  FifoScheduler() : Scheduler(std::make_unique<VirtualClock>()) {}
+
+ protected:
+  size_t PickNext(size_t) override { return 0; }
+};
+
+// Starts waiting at time `at` (so waiters arrive in the order of `at`, not
+// of their spawns) and records `id` when woken.
+Task<> WaitFromThenRecord(Scheduler* s, Event* e, Duration at, int id,
+                          std::vector<int>* woke) {
+  co_await s->Sleep(at);
+  co_await e->Wait();
+  woke->push_back(id);
+}
+
+Task<> SignalThreeTimes(Scheduler* s, Event* e) {
+  co_await s->Sleep(Duration::Millis(10));
+  for (int i = 0; i < 3; ++i) {
+    e->Signal();
+    co_await s->Sleep(Duration::Millis(1));  // the woken thread records itself
+  }
+}
+
+Task<> BroadcastAt10ms(Scheduler* s, Event* e) {
+  co_await s->Sleep(Duration::Millis(10));
+  e->Broadcast();
+}
+
+// Every wake order in a run, and so every golden report, rests on this FIFO:
+// Signal wakes the longest waiter, and Broadcast makes the waiters runnable
+// in the order they arrived.
+TEST(EventTest, SignalWakesInArrivalOrder) {
+  auto sched = Scheduler::CreateVirtual();
+  Event e(sched.get());
+  std::vector<int> woke;
+  for (int id : {3, 1, 2}) {
+    sched->SpawnDaemon("w", WaitFromThenRecord(sched.get(), &e, Duration::Millis(id), id,
+                                               &woke));
+  }
+  sched->Spawn("signaler", SignalThreeTimes(sched.get(), &e));
+  sched->Run();
+  EXPECT_EQ(woke, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(e.waiter_count(), 0u);
+
+  FifoScheduler fifo;
+  Event b(&fifo);
+  std::vector<int> broadcast_woke;
+  for (int id : {3, 1, 2}) {
+    fifo.Spawn("w", WaitFromThenRecord(&fifo, &b, Duration::Millis(id), id, &broadcast_woke));
+  }
+  fifo.Spawn("broadcaster", BroadcastAt10ms(&fifo, &b));
+  fifo.Run();
+  EXPECT_EQ(broadcast_woke, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(b.waiter_count(), 0u);
+}
+
 TEST(EventTest, SignalWithNoWaitersIsLost) {
   auto sched = Scheduler::CreateVirtual();
   Event e(sched.get());
