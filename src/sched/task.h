@@ -7,16 +7,37 @@
 // symmetric transfer, so an entire call chain suspends and resumes as one
 // schedulable unit — exactly the paper's "independent file-system processes
 // [with] a separate thread of control inside the system".
+//
+// Every co_await of a Task creates a coroutine frame, so frames come from a
+// pool instead of the heap: each OS thread keeps one free list per 64-byte
+// size class. A frame freed on another OS thread joins that thread's lists,
+// so no list is ever shared and none needs a lock. Frames larger than the
+// largest class, and frames freed while the thread already caches its cap,
+// go to ::operator new and ::operator delete; a thread's cached frames are
+// released when it exits. Under AddressSanitizer the pool compiles out, so
+// every frame is a heap block and a use after free is reported.
 #ifndef PFS_SCHED_TASK_H_
 #define PFS_SCHED_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
 #include "core/check.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define PFS_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PFS_FRAME_POOL 0
+#endif
+#endif
+#ifndef PFS_FRAME_POOL
+#define PFS_FRAME_POOL 1
+#endif
 
 namespace pfs {
 
@@ -25,7 +46,17 @@ class Task;
 
 namespace internal {
 
+void* AllocateFrame(size_t size);
+void FreeFrame(void* frame, size_t size) noexcept;
+// Bytes of freed frames this OS thread holds for reuse (tests).
+size_t CachedFrameBytes();
+
 struct TaskPromiseBase {
+#if PFS_FRAME_POOL
+  static void* operator new(size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* frame, size_t size) noexcept { FreeFrame(frame, size); }
+#endif
+
   std::coroutine_handle<> continuation;
 
   std::suspend_always initial_suspend() noexcept { return {}; }

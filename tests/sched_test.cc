@@ -2,6 +2,7 @@
 // and real clocks, sync primitives, channels.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -767,6 +768,88 @@ TEST(SchedulerGroupTest, GroupOfOneMatchesStandaloneSchedule) {
   group.Run();
   EXPECT_EQ(a.size(), 32u);
   EXPECT_EQ(a, b);
+}
+
+// -- Coroutine frame pool (sched/task.h) -------------------------------------
+// Each case runs on a fresh OS thread, so it starts from an empty pool.
+
+Task<int> SmallFrame(int v) { co_return v; }
+
+// The array lives across a suspension point, so the frame holds all of it:
+// larger than the largest pooled class.
+Task<int> LargeFrame(Scheduler* s) {
+  std::array<char, 4096> big{};
+  big[0] = 1;
+  co_await s->Yield();
+  co_return big[0] + big[4095];
+}
+
+TEST(FramePoolTest, AFrameFreedOnAnotherOsThreadJoinsThatThreadsLists) {
+#if !PFS_FRAME_POOL
+  GTEST_SKIP() << "the frame pool compiles out under AddressSanitizer";
+#endif
+  size_t cached_here = 1;
+  size_t cached_there = 0;
+  void* frame = nullptr;
+  void* reused = nullptr;
+  std::thread([&] {
+    Task<int> task = SmallFrame(1);
+    frame = task.handle().address();
+    std::thread([&] {
+      task = Task<int>();  // freed here
+      cached_there = internal::CachedFrameBytes();
+      Task<int> again = SmallFrame(2);
+      reused = again.handle().address();
+    }).join();
+    cached_here = internal::CachedFrameBytes();
+  }).join();
+  EXPECT_GT(cached_there, 0u);
+  EXPECT_EQ(reused, frame);
+  EXPECT_EQ(cached_here, 0u);  // the allocating thread got nothing back
+}
+
+// Destroyed at its OS thread's exit after the pool has released the
+// thread's cached frames: it was constructed before the pool cached any.
+struct FrameFreedAtThreadExit {
+  Task<int> task;
+  size_t* cached_after = nullptr;
+  ~FrameFreedAtThreadExit() {
+    task = Task<int>();  // the pool is gone: straight to the heap
+    *cached_after = internal::CachedFrameBytes();
+  }
+};
+
+TEST(FramePoolTest, AThreadThatExitsReleasesItsCachedFrames) {
+#if !PFS_FRAME_POOL
+  GTEST_SKIP() << "the frame pool compiles out under AddressSanitizer";
+#endif
+  size_t cached_before_exit = 0;
+  size_t cached_after_exit = 1;
+  std::thread([&] {
+    thread_local FrameFreedAtThreadExit late;
+    late.cached_after = &cached_after_exit;
+    { Task<int> a = SmallFrame(1), b = SmallFrame(2), c = SmallFrame(3); }
+    late.task = SmallFrame(4);
+    cached_before_exit = internal::CachedFrameBytes();
+  }).join();
+  EXPECT_GT(cached_before_exit, 0u);
+  EXPECT_EQ(cached_after_exit, 0u);
+}
+
+TEST(FramePoolTest, AFrameLargerThanTheLargestClassBypassesThePool) {
+#if !PFS_FRAME_POOL
+  GTEST_SKIP() << "the frame pool compiles out under AddressSanitizer";
+#endif
+  size_t after_large = 1;
+  size_t after_small = 0;
+  std::thread([&] {
+    { Task<int> large = LargeFrame(nullptr); }
+    after_large = internal::CachedFrameBytes();
+    { Task<int> small = SmallFrame(1); }
+    after_small = internal::CachedFrameBytes();
+  }).join();
+  EXPECT_EQ(after_large, 0u);
+  EXPECT_GT(after_small, 0u);
 }
 
 }  // namespace
