@@ -78,6 +78,7 @@ class CacheBlock {
 
   IntrusiveListNode lru_node;   // exactly one of: free / clean / dirty list
   IntrusiveListNode file_node;  // its file's list, while in the block map
+  CacheBlock* next_in_bucket = nullptr;  // the block map's chain
 
   // Broadcast whenever this block's I/O completes (fill or flush).
   Event ready;

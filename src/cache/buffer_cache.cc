@@ -1,6 +1,8 @@
 #include "cache/buffer_cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "core/log.h"
 #include "obs/metrics.h"
@@ -36,6 +38,7 @@ BufferCache::BufferCache(Scheduler* sched, MetricRegistry* metrics, Config confi
   if (config_.allocate_memory) {
     arena_.resize(blocks * static_cast<size_t>(config_.block_size));
   }
+  buckets_.resize(std::bit_ceil(blocks));
   pool_.reserve(blocks);
   for (size_t i = 0; i < blocks; ++i) {
     auto block = std::make_unique<CacheBlock>(sched_);
@@ -79,16 +82,31 @@ void BufferCache::SetFileHint(uint32_t fs_id, uint64_t ino, FileCacheHint hint) 
   }
 }
 
+CacheBlock* BufferCache::FindBlock(const BlockId& id) const {
+  CacheBlock* block = buckets_[BucketOf(id)];
+  while (block != nullptr && block->id != id) {
+    block = block->next_in_bucket;
+  }
+  return block;
+}
+
 BufferCache::FileRecord& BufferCache::IndexBlock(CacheBlock* block) {
-  const bool inserted = map_.emplace(block->id, block).second;
-  PFS_CHECK(inserted);
+  PFS_CHECK(FindBlock(block->id) == nullptr);
+  CacheBlock*& head = buckets_[BucketOf(block->id)];
+  block->next_in_bucket = head;
+  head = block;
   FileRecord& file = files_[{block->id.fs_id, block->id.ino}];
   file.blocks.PushBack(*block);
   return file;
 }
 
 void BufferCache::UnindexBlock(CacheBlock* block) {
-  map_.erase(block->id);
+  CacheBlock** link = &buckets_[BucketOf(block->id)];
+  while (*link != block) {
+    PFS_CHECK_MSG(*link != nullptr, "unindexing a block that is not in the map");
+    link = &(*link)->next_in_bucket;
+  }
+  *link = std::exchange(block->next_in_bucket, nullptr);
   auto file = files_.find({block->id.fs_id, block->id.ino});
   PFS_CHECK_MSG(file != files_.end(), "cached block without a file record");
   file->second.blocks.Remove(*block);
@@ -112,9 +130,7 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
   PFS_ASSERT_SHARD();
   PFS_CHECK_MSG(started_, "GetBlock before Start");
   for (;;) {
-    auto it = map_.find(id);
-    if (it != map_.end()) {
-      CacheBlock* block = it->second;
+    if (CacheBlock* block = FindBlock(id); block != nullptr) {
       if (block->state == BlockState::kFilling) {
         // Another thread is filling this block; wait and re-check.
         co_await block->ready.Wait();
@@ -130,7 +146,7 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
     PFS_CO_ASSIGN_OR_RETURN(CacheBlock* block, co_await AllocateSlot());
     // AllocateSlot may have suspended; another thread may have inserted the
     // block meanwhile.
-    if (map_.contains(id)) {
+    if (FindBlock(id) != nullptr) {
       FreeBlock(block);
       continue;
     }

@@ -133,6 +133,8 @@ class BufferCache : public StatSource, public ShardAffine {
   uint64_t dirty_bytes() const { return dirty_.size() * config_.block_size; }
   const FlushPolicy& flush_policy() const { return *flush_policy_; }
   const ReplacementPolicy& replacement_policy() const { return *replacement_; }
+  // The block map's bucket i holds the ids with BlockIdHash() & (count - 1) == i.
+  size_t bucket_count() const { return buckets_.size(); }
 
   // Oldest dirty block not currently being written, or nullptr.
   CacheBlock* OldestFlushableDirty();
@@ -168,16 +170,22 @@ class BufferCache : public StatSource, public ShardAffine {
   struct FileIdHash {
     size_t operator()(const FileId& f) const { return BlockIdHash()({f.fs_id, f.ino, 0}); }
   };
-  // What the cache knows about one file: its blocks in map_ (linked through
-  // CacheBlock::file_node) and its hint. Kept while either is non-trivial.
+  // What the cache knows about one file: its blocks in the block map (linked
+  // through CacheBlock::file_node) and its hint. Kept while either is
+  // non-trivial.
   struct FileRecord {
     IntrusiveList<CacheBlock, &CacheBlock::file_node> blocks;
     FileCacheHint hint = FileCacheHint::kNormal;
   };
 
-  // The one way into and out of map_, keeping each file's list in step.
+  // The one way into and out of the block map, keeping each file's list in
+  // step.
   FileRecord& IndexBlock(CacheBlock* block);
   void UnindexBlock(CacheBlock* block);
+  CacheBlock* FindBlock(const BlockId& id) const;
+  size_t BucketOf(const BlockId& id) const {
+    return BlockIdHash()(id) & (buckets_.size() - 1);
+  }
 
   Task<Result<CacheBlock*>> AllocateSlot();
   void FreeBlock(CacheBlock* block);          // -> free list, identity cleared
@@ -195,7 +203,10 @@ class BufferCache : public StatSource, public ShardAffine {
 
   std::vector<std::byte> arena_;
   std::vector<std::unique_ptr<CacheBlock>> pool_;
-  std::unordered_map<BlockId, CacheBlock*, BlockIdHash> map_;
+  // The block map: a power-of-two bucket array sized once from the pool,
+  // chained through CacheBlock::next_in_bucket. It never rehashes and
+  // allocates nothing per insert.
+  std::vector<CacheBlock*> buckets_;
   BlockLruList free_;
   BlockLruList clean_;
   BlockLruList dirty_;  // ordered by first-dirtied time (front = oldest)

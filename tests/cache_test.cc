@@ -254,6 +254,53 @@ TEST(BufferCacheTest, TruncateInvalidatesTail) {
   EXPECT_EQ(f.cache->absorbed_dirty_blocks(), 3u);
 }
 
+Task<> TouchEach(BufferCache* cache, std::vector<BlockId> ids, Status* out) {
+  for (const BlockId& id : ids) {
+    co_await TouchBlock(cache, id, GetMode::kRead, false, out);
+    if (!out->ok()) {
+      co_return;
+    }
+  }
+}
+
+// The block map chains ids that share a bucket: each is found, erasing one
+// from the middle of its chain keeps its neighbours findable, and it can be
+// inserted again.
+TEST(BufferCacheTest, BlockMapChainsIdsThatShareABucket) {
+  CacheFixture f;
+  ASSERT_GE(f.cache->bucket_count(), f.cache->total_blocks());
+  const size_t mask = f.cache->bucket_count() - 1;
+  const size_t bucket = BlockIdHash()(CacheFixture::Id(100, 0)) & mask;
+  std::vector<BlockId> ids;  // block 0 of three files, all in one bucket
+  for (uint64_t ino = 100; ids.size() < 3; ++ino) {
+    if ((BlockIdHash()(CacheFixture::Id(ino, 0)) & mask) == bucket) {
+      ids.push_back(CacheFixture::Id(ino, 0));
+    }
+  }
+  Status s;
+  const auto touch = [&](std::vector<BlockId> which) {
+    f.sched->Spawn("t", TouchEach(f.cache.get(), std::move(which), &s));
+    f.sched->Run();
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  };
+  touch(ids);
+  EXPECT_EQ(f.handler->fills, 3);
+  touch(ids);
+  EXPECT_EQ(f.handler->fills, 3);
+  EXPECT_EQ(f.cache->hits(), 3u);
+
+  // Inserted at the head, so ids[1] is the middle of the chain.
+  f.cache->InvalidateFile(1, ids[1].ino);
+  touch({ids[0], ids[2]});
+  EXPECT_EQ(f.handler->fills, 3);
+  EXPECT_EQ(f.cache->hits(), 5u);
+  touch({ids[1]});
+  EXPECT_EQ(f.handler->fills, 4);
+  touch(ids);
+  EXPECT_EQ(f.handler->fills, 4);
+  EXPECT_EQ(f.cache->hits(), 8u);
+}
+
 TEST(BufferCacheTest, RedirtyDuringFlushStaysDirty) {
   CacheFixture f;
   Status s;
