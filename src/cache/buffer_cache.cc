@@ -36,14 +36,14 @@ BufferCache::BufferCache(Scheduler* sched, MetricRegistry* metrics, Config confi
   const size_t blocks = static_cast<size_t>(config_.capacity_bytes / config_.block_size);
   PFS_CHECK_MSG(blocks >= 4, "cache too small");
   if (config_.allocate_memory) {
-    arena_.resize(blocks * static_cast<size_t>(config_.block_size));
+    arena_ = std::make_unique_for_overwrite<std::byte[]>(blocks * config_.block_size);
   }
   buckets_.resize(std::bit_ceil(blocks));
   pool_.reserve(blocks);
   for (size_t i = 0; i < blocks; ++i) {
     auto block = std::make_unique<CacheBlock>(sched_);
     if (config_.allocate_memory) {
-      block->data = std::span<std::byte>(arena_.data() + i * config_.block_size,
+      block->data = std::span<std::byte>(arena_.get() + i * config_.block_size,
                                          config_.block_size);
     }
     free_.PushBack(*block);

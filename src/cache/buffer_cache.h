@@ -201,7 +201,9 @@ class BufferCache : public StatSource, public ShardAffine {
   bool started_ = false;
   std::string stat_suffix_;
 
-  std::vector<std::byte> arena_;
+  // Default-initialized: a page of the arena is committed when a fill, a
+  // write or a zeroing first touches it, not when the cache is built.
+  std::unique_ptr<std::byte[]> arena_;
   std::vector<std::unique_ptr<CacheBlock>> pool_;
   // The block map: a power-of-two bucket array sized once from the pool,
   // chained through CacheBlock::next_in_bucket. It never rehashes and
