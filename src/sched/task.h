@@ -30,12 +30,7 @@
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PFS_FRAME_POOL 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PFS_FRAME_POOL 0
-#endif
-#endif
-#ifndef PFS_FRAME_POOL
+#else
 #define PFS_FRAME_POOL 1
 #endif
 
@@ -54,7 +49,9 @@ size_t CachedFrameBytes();
 struct TaskPromiseBase {
 #if PFS_FRAME_POOL
   static void* operator new(size_t size) { return AllocateFrame(size); }
-  static void operator delete(void* frame, size_t size) noexcept { FreeFrame(frame, size); }
+  static void operator delete(void* frame, size_t size) noexcept {
+    FreeFrame(frame, size);
+  }
 #endif
 
   std::coroutine_handle<> continuation;

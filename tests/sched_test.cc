@@ -226,8 +226,8 @@ TEST(EventTest, SignalWakesInArrivalOrder) {
   Event e(sched.get());
   std::vector<int> woke;
   for (int id : {3, 1, 2}) {
-    sched->SpawnDaemon("w", WaitFromThenRecord(sched.get(), &e, Duration::Millis(id), id,
-                                               &woke));
+    const Duration at = Duration::Millis(id);
+    sched->SpawnDaemon("w", WaitFromThenRecord(sched.get(), &e, at, id, &woke));
   }
   sched->Spawn("signaler", SignalThreeTimes(sched.get(), &e));
   sched->Run();
@@ -236,13 +236,14 @@ TEST(EventTest, SignalWakesInArrivalOrder) {
 
   FifoScheduler fifo;
   Event b(&fifo);
-  std::vector<int> broadcast_woke;
+  woke.clear();
   for (int id : {3, 1, 2}) {
-    fifo.Spawn("w", WaitFromThenRecord(&fifo, &b, Duration::Millis(id), id, &broadcast_woke));
+    const Duration at = Duration::Millis(id);
+    fifo.Spawn("w", WaitFromThenRecord(&fifo, &b, at, id, &woke));
   }
   fifo.Spawn("broadcaster", BroadcastAt10ms(&fifo, &b));
   fifo.Run();
-  EXPECT_EQ(broadcast_woke, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(woke, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(b.waiter_count(), 0u);
 }
 
@@ -828,8 +829,11 @@ TEST(FramePoolTest, AThreadThatExitsReleasesItsCachedFrames) {
   std::thread([&] {
     thread_local FrameFreedAtThreadExit late;
     late.cached_after = &cached_after_exit;
-    { Task<int> a = SmallFrame(1), b = SmallFrame(2), c = SmallFrame(3); }
-    late.task = SmallFrame(4);
+    {
+      Task<int> a = SmallFrame(1);
+      Task<int> b = SmallFrame(2);
+    }
+    late.task = SmallFrame(3);
     cached_before_exit = internal::CachedFrameBytes();
   }).join();
   EXPECT_GT(cached_before_exit, 0u);
@@ -843,9 +847,11 @@ TEST(FramePoolTest, AFrameLargerThanTheLargestClassBypassesThePool) {
   size_t after_large = 1;
   size_t after_small = 0;
   std::thread([&] {
-    { Task<int> large = LargeFrame(nullptr); }
+    Task<int> large = LargeFrame(nullptr);
+    large = Task<int>();
     after_large = internal::CachedFrameBytes();
-    { Task<int> small = SmallFrame(1); }
+    Task<int> small = SmallFrame(1);
+    small = Task<int>();
     after_small = internal::CachedFrameBytes();
   }).join();
   EXPECT_EQ(after_large, 0u);

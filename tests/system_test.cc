@@ -377,22 +377,27 @@ TEST_F(SystemTest, OverwrittenBlocksHoldNoBytesOfTheirPreviousFile) {
     auto a = co_await c->Open("/fs0/a", create);
     PFS_CO_RETURN_IF_ERROR(a.status());
     const std::vector<std::byte> old_bytes(16 * kKiB, std::byte{0xAA});
-    PFS_CO_RETURN_IF_ERROR((co_await c->Write(*a, 0, old_bytes.size(), old_bytes)).status());
+    auto n = co_await c->Write(*a, 0, old_bytes.size(), old_bytes);
+    PFS_CO_RETURN_IF_ERROR(n.status());
     PFS_CO_RETURN_IF_ERROR(co_await c->Fsync(*a));
 
     // Ten bytes at offset 100 of a new file: the block lies wholly past EOF.
     auto b = co_await c->Open("/fs0/b", create);
     PFS_CO_RETURN_IF_ERROR(b.status());
     const std::vector<std::byte> ten(10, std::byte{0x11});
-    PFS_CO_RETURN_IF_ERROR((co_await c->Write(*b, 100, ten.size(), ten)).status());
-    PFS_CO_RETURN_IF_ERROR((co_await c->Read(*b, 0, partial.size(), partial)).status());
+    n = co_await c->Write(*b, 100, ten.size(), ten);
+    PFS_CO_RETURN_IF_ERROR(n.status());
+    n = co_await c->Read(*b, 0, partial.size(), partial);
+    PFS_CO_RETURN_IF_ERROR(n.status());
     PFS_CO_RETURN_IF_ERROR(co_await c->Close(*b));
 
     // A whole block written from an empty buffer.
     auto e = co_await c->Open("/fs0/e", create);
     PFS_CO_RETURN_IF_ERROR(e.status());
-    PFS_CO_RETURN_IF_ERROR((co_await c->Write(*e, 0, empty_write.size(), {})).status());
-    PFS_CO_RETURN_IF_ERROR((co_await c->Read(*e, 0, empty_write.size(), empty_write)).status());
+    n = co_await c->Write(*e, 0, empty_write.size(), {});
+    PFS_CO_RETURN_IF_ERROR(n.status());
+    n = co_await c->Read(*e, 0, empty_write.size(), empty_write);
+    PFS_CO_RETURN_IF_ERROR(n.status());
     co_return co_await c->Close(*e);
   });
   ASSERT_TRUE(status.ok()) << status.ToString();
