@@ -160,8 +160,9 @@ class XCall final : public MailboxNode {
 // the direct call it replaced. The home shard counts the round trip as an
 // external op, so its loop (and the lockstep barrier) will not declare
 // deadlock while the result is in flight on another shard. A hop allocates
-// only the body's coroutine frames: the call state and both mailbox hops
-// live in this frame, and the target reuses a reclaimed Thread record.
+// nothing after warm-up: the call state and both mailbox hops live in this
+// frame, the target reuses a reclaimed Thread record, and the body's frames
+// come from the frame pool (sched/task.h).
 template <typename T, typename Fn>
 Task<T> CallOn(Scheduler* home, Scheduler* target, Fn fn) {
   if (target == home || target == nullptr) {

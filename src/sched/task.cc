@@ -26,7 +26,7 @@ enum class PoolState : uint8_t { kUnused, kLive, kReleased };
 // during the thread's teardown, after ReleaseAtExit has run, can still see
 // that the pool is gone.
 struct FramePool {
-  FreeFrameNode* free[kFrameClasses];
+  FreeFrameNode* lists[kFrameClasses];
   size_t cached_bytes;
   PoolState state;
 };
@@ -37,8 +37,8 @@ constinit thread_local FramePool t_pool{};
 struct ReleaseAtExit {
   ~ReleaseAtExit() {
     for (size_t c = 0; c < kFrameClasses; ++c) {
-      while (FreeFrameNode* node = t_pool.free[c]) {
-        t_pool.free[c] = node->next;
+      while (FreeFrameNode* node = t_pool.lists[c]) {
+        t_pool.lists[c] = node->next;
         ::operator delete(node, (c + 1) * kFrameClassBytes);
       }
     }
@@ -57,8 +57,8 @@ void* AllocateFrame(size_t size) {
   if (c >= kFrameClasses) {
     return ::operator new(size);
   }
-  if (FreeFrameNode* node = t_pool.free[c]; node != nullptr) {
-    t_pool.free[c] = node->next;
+  if (FreeFrameNode* node = t_pool.lists[c]; node != nullptr) {
+    t_pool.lists[c] = node->next;
     t_pool.cached_bytes -= (c + 1) * kFrameClassBytes;
     return node;
   }
@@ -81,7 +81,7 @@ void FreeFrame(void* frame, size_t size) noexcept {
     ::operator delete(frame, bytes);
     return;
   }
-  t_pool.free[c] = new (frame) FreeFrameNode{t_pool.free[c]};
+  t_pool.lists[c] = new (frame) FreeFrameNode{t_pool.lists[c]};
   t_pool.cached_bytes += bytes;
 }
 
