@@ -78,7 +78,8 @@ class CacheBlock {
 
   IntrusiveListNode lru_node;   // exactly one of: free / clean / dirty list
   IntrusiveListNode file_node;  // its file's list, while in the block map
-  CacheBlock* next_in_bucket = nullptr;  // the block map's chain
+  // The next block in its block-map bucket.
+  CacheBlock* next_in_bucket = nullptr;
 
   // Broadcast whenever this block's I/O completes (fill or flush).
   Event ready;
