@@ -2,7 +2,7 @@
 // and signalling an Event or a Notification, a cache hit or an overwrite
 // through LocalClient, a cross-shard CallOn round trip, and a cache miss
 // that evicts allocate nothing. This binary replaces the global operator
-// new and delete with counting versions.
+// new and delete (scalar and array) with counting versions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,18 +22,28 @@
 #include "system/system_builder.h"
 
 namespace {
-std::atomic<int64_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+std::atomic<int64_t> g_allocations{0};
+
+// Out of line, so that no caller sees memory from `operator new` reach
+// `free` (or `malloc`'s reach `operator delete`) and warns of a mismatch.
+[[gnu::noinline]] void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void CountedFree(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace pfs {
 namespace {
