@@ -42,16 +42,31 @@ void IoExecutor::SubmitBatch(std::span<BatchIo> batch, std::function<void()> on_
 
 void IoExecutor::WorkerLoop() {
   for (;;) {
-    SpinUntil(MonotonicNanos() + kIdleSpinNanos, [this] {
-      return queued_.load(std::memory_order_acquire) > 0 || stop_.load();
-    });
+    // The spin window starts when this worker finishes a job. A job seen but
+    // taken by another worker first restarts it, so the worker parks only
+    // after a whole window passes with no job seen: a steady stream that two
+    // workers split keeps both of them spinning, and submitters wake nobody.
+    int64_t window_end = MonotonicNanos() + kIdleSpinNanos;
     Job job;
     {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (queue_.empty() && !stop_.load()) {
-        ++parked_;
-        cv_.wait(lk, [this] { return stop_.load() || !queue_.empty(); });
-        --parked_;
+      std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+      for (;;) {
+        const bool seen = SpinUntil(window_end, [this] {
+          return queued_.load(std::memory_order_acquire) > 0 || stop_.load();
+        });
+        lk.lock();
+        if (!queue_.empty() || stop_.load()) {
+          break;
+        }
+        if (!seen) {
+          ++parked_;
+          ++parks_;
+          cv_.wait(lk, [this] { return stop_.load() || !queue_.empty(); });
+          --parked_;
+          break;
+        }
+        lk.unlock();  // lost the job to another worker: spin on
+        window_end = MonotonicNanos() + kIdleSpinNanos;
       }
       if (queue_.empty()) {
         return;  // stopped and drained

@@ -7,9 +7,11 @@
 // engine submits the whole batch with one syscall. Either way the pool
 // thread blocks for the batch and then runs the single completion callback.
 //
-// An idle worker spins on the queue length for kIdleSpinNanos before it
-// parks, and a submitter notifies only when some worker is parked, so a
-// steady stream of batches costs one locked push each and no futex wakes.
+// A worker spins on the queue length after each job and parks only once a
+// whole kIdleSpinNanos window passes with no job seen; a job another worker
+// took first restarts the window. A submitter notifies only when some worker
+// is parked, so a steady stream of batches costs one locked push each and no
+// futex wakes.
 #ifndef PFS_DRIVER_IO_EXECUTOR_H_
 #define PFS_DRIVER_IO_EXECUTOR_H_
 
@@ -46,6 +48,8 @@ class IoExecutor {
   IoEngine* engine() const { return engine_.get(); }
 
  private:
+  friend class IoExecutorTestPeer;
+
   struct Job {
     std::span<BatchIo> batch;
     std::function<void()> on_complete;
@@ -59,6 +63,7 @@ class IoExecutor {
   std::deque<Job> queue_;
   std::atomic<size_t> queued_{0};  // queue_.size(), readable without mu_
   int parked_ = 0;                 // workers waiting on cv_; guarded by mu_
+  uint64_t parks_ = 0;             // times a worker parked; guarded by mu_
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
 };

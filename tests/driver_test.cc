@@ -5,9 +5,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <thread>
 
 #include "bus/scsi_bus.h"
 #include "core/json.h"
@@ -21,6 +24,16 @@
 #include "sched/scheduler.h"
 
 namespace pfs {
+
+// Reads the IoExecutor internals the public API deliberately leaves out.
+class IoExecutorTestPeer {
+ public:
+  static uint64_t Parks(IoExecutor& executor) {
+    std::lock_guard<std::mutex> lk(executor.mu_);
+    return executor.parks_;
+  }
+};
+
 namespace {
 
 struct SimFixture {
@@ -447,6 +460,37 @@ TEST_F(FileDriverTest, CreateFailsOnBadPath) {
                                             1 * kMiB, &executor);
   EXPECT_FALSE(driver_or.ok());
   EXPECT_EQ(driver_or.code(), ErrorCode::kIoError);
+}
+
+// A steady stream of batches that two workers split: the one that loses a
+// job to the other keeps spinning instead of parking, so submitters almost
+// never pay for a wake.
+TEST(IoExecutorTest, AWorkerThatLosesAJobKeepsSpinning) {
+  const std::string path = testing::TempDir() + "/pfs_executor_test.img";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, 4096), 0);
+  IoExecutor executor(2);
+  std::vector<std::byte> buf(512);
+  BatchIo desc;
+  desc.fd = fd;
+  desc.read_buf = buf;
+  std::atomic<bool> done{false};
+  constexpr int kJobs = 10'000;
+  const uint64_t parks_before = IoExecutorTestPeer::Parks(executor);
+  for (int i = 0; i < kJobs; ++i) {
+    done.store(false, std::memory_order_relaxed);
+    executor.SubmitBatch(std::span<BatchIo>(&desc, 1),
+                         [&done] { done.store(true, std::memory_order_release); });
+    while (!done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    ASSERT_TRUE(desc.result.ok()) << desc.result.ToString();
+  }
+  const uint64_t parks = IoExecutorTestPeer::Parks(executor) - parks_before;
+  EXPECT_LT(parks, static_cast<uint64_t>(kJobs / 100)) << parks << " parks";
+  ::close(fd);
+  std::remove(path.c_str());
 }
 
 }  // namespace
