@@ -207,14 +207,16 @@ Task<> QueueingDiskDriver::Worker() {
     // Drain up to MaxBatchSize requests in policy order into one dispatch:
     // each pick advances the head, so the batch follows the same sweep the
     // one-at-a-time loop would have taken.
+    // One stamp serves the whole batch: its requests are dispatched together.
     batch.clear();
+    const TimePoint batch_begin = sched_->Now();
     const size_t max_batch = std::max<size_t>(1, MaxBatchSize());
     while (!queue_.empty() && batch.size() < max_batch) {
       const size_t idx = PickNextIndex();
       IoRequest* req = queue_[idx];
       queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(idx));
       head_position_ = req->sector;
-      req->dispatch_time = sched_->Now();
+      req->dispatch_time = batch_begin;
       batch.push_back(req);
     }
     batches_->Inc();
@@ -229,7 +231,6 @@ Task<> QueueingDiskDriver::Worker() {
         break;
       }
     }
-    const TimePoint batch_begin = sched_->Now();
     co_await DispatchBatch(batch);
     if (batch_ctx.active()) {
       RecordSpan(batch_ctx, TraceStage::kDriverBatch, worker_tid, batch_begin, sched_->Now(),

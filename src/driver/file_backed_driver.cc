@@ -4,12 +4,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sched/mailbox.h"
 
 namespace pfs {
 
@@ -47,14 +47,15 @@ FileBackedDriver::~FileBackedDriver() {
 }
 
 Task<> FileBackedDriver::DispatchBatch(std::span<IoRequest* const> batch) {
+  PFS_CHECK_MSG(in_flight_.requests.empty(),
+                "file-backed driver dispatched a batch while one is in flight");
+  PFS_CHECK(!batch.empty() && batch.size() <= kMaxBatch);
   Scheduler* s = sched();
   s->BeginExternalOp();
-  // Descriptor storage lives in this frame; the frame outlives the engine
-  // (the final co_await resumes only after the completion Post ran).
-  std::vector<BatchIo> descs(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const IoRequest* req = batch[i];
-    BatchIo& desc = descs[i];
+    BatchIo& desc = in_flight_.descs[i];
+    desc = BatchIo{};
     desc.op = req->op;
     desc.fd = fd_;
     desc.offset = req->sector * kSectorBytes;
@@ -67,31 +68,38 @@ Task<> FileBackedDriver::DispatchBatch(std::span<IoRequest* const> batch) {
       desc.write_buf = req->write_buf.subspan(0, bytes);
     }
   }
+  // The worker's frame keeps `batch` alive, and this frame `batch_done`,
+  // until the completion node has run.
   Notification batch_done(s);
-  const auto t0 = std::chrono::steady_clock::now();
-  executor_->SubmitBatch(descs, [this, s, batch, &descs, &batch_done, t0] {
-    // Pool thread: the engine has filled every desc.result. Stamp the
-    // submit time here and deliver everything on the scheduler thread, so
-    // all request and histogram mutation stays single-threaded.
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    const auto ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    // Synchronous handoff: the submitting coroutine frame (which owns descs
-    // and batch_done) stays suspended on batch_done.Wait() below until this
-    // callback runs, so the by-ref captures cannot dangle.
-    // pfs-lint: allow(ref-capture-escape)
-    s->Post([this, s, batch, &descs, &batch_done, ns] {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch[i]->result = descs[i].result;
-        batch[i]->complete_time = s->Now();
-        batch[i]->done.Notify();
-      }
-      submit_->Record(ns);
-      batch_done.Notify();
-      s->EndExternalOp();
-    });
-  });
+  in_flight_.requests = batch;
+  in_flight_.done = &batch_done;
+  in_flight_.batch = std::span<BatchIo>(in_flight_.descs.data(), batch.size());
+  in_flight_.on_complete = &InFlight::EngineDone;
+  in_flight_.submit_ns = MonotonicNanos();
+  executor_->SubmitBatch(&in_flight_);
   co_await batch_done.Wait();
+}
+
+void FileBackedDriver::InFlight::EngineDone(IoExecutor::Job* job) {
+  // Stamp the submit time here and deliver everything on the scheduler
+  // thread, so all request and histogram mutation stays single-threaded.
+  auto* self = static_cast<InFlight*>(job);
+  self->elapsed_ns = static_cast<uint64_t>(MonotonicNanos() - self->submit_ns);
+  self->driver_->sched()->PostNode(self);  // last access: it may rerun at once
+}
+
+void FileBackedDriver::InFlight::Run() {
+  Scheduler* s = driver_->sched();
+  const TimePoint now = s->Now();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i]->result = std::move(descs[i].result);
+    requests[i]->complete_time = now;
+    requests[i]->done.Notify();
+  }
+  driver_->submit_->Record(elapsed_ns);
+  requests = {};
+  done->Notify();
+  s->EndExternalOp();
 }
 
 std::string FileBackedDriver::StatJson() const {

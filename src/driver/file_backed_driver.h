@@ -2,16 +2,25 @@
 // or raw-device) as back-end" with the same combined read-write queue and
 // C-LOOK policy as the simulated driver. Batches of queued requests are
 // submitted together through the IoExecutor's engine (preadv/pwritev pool
-// or io_uring); completions return to the scheduler via Post().
+// or io_uring); completions return to the scheduler via PostNode().
+//
+// A driver has at most one batch in flight (the queue's worker awaits each
+// dispatch before it drains the next), so the driver owns that batch: its
+// descriptors, its executor job and the mailbox node that carries the
+// completion back. The round trip to the pool allocates nothing.
 #ifndef PFS_DRIVER_FILE_BACKED_DRIVER_H_
 #define PFS_DRIVER_FILE_BACKED_DRIVER_H_
 
+#include <array>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/result.h"
 #include "driver/disk_driver.h"
 #include "driver/io_executor.h"
+#include "sched/event.h"
+#include "sched/mailbox.h"
 
 namespace pfs {
 
@@ -46,6 +55,31 @@ class FileBackedDriver final : public QueueingDiskDriver {
   size_t MaxBatchSize() const override { return kMaxBatch; }
 
  private:
+  // The batch in flight: the executor job the pool runs, then the mailbox
+  // node that brings its completion back to the scheduler thread.
+  class InFlight final : public IoExecutor::Job, public MailboxNode {
+   public:
+    explicit InFlight(FileBackedDriver* driver) : driver_(driver) {}
+
+    // Pool thread, once the engine is done: stamps the submit time and
+    // posts this node home.
+    static void EngineDone(IoExecutor::Job* job);
+
+    // Scheduler thread: copies the results, stamps and wakes the requests.
+    void Run() override;
+    // A torn-down mailbox: the node is the driver's, there is nothing to free.
+    void Drop() override {}
+
+    std::array<BatchIo, kMaxBatch> descs;
+    std::span<IoRequest* const> requests;  // empty while no batch is in flight
+    Notification* done = nullptr;          // in the dispatching frame
+    int64_t submit_ns = 0;                 // MonotonicNanos() at submit
+    uint64_t elapsed_ns = 0;               // submit to engine completion
+
+   private:
+    FileBackedDriver* const driver_;
+  };
+
   FileBackedDriver(Scheduler* sched, MetricRegistry* metrics, std::string name, int fd,
                    uint64_t total_sectors, IoExecutor* executor, QueueSchedPolicy policy);
 
@@ -55,6 +89,7 @@ class FileBackedDriver final : public QueueingDiskDriver {
   // Wall time from handing a batch to the executor to its engine completion
   // (pool wait + submission syscalls + device time), in nanoseconds.
   HistogramMetric* submit_;
+  InFlight in_flight_{this};
 };
 
 }  // namespace pfs

@@ -24,12 +24,14 @@ IoExecutor::~IoExecutor() {
   }
 }
 
-void IoExecutor::SubmitBatch(std::span<BatchIo> batch, std::function<void()> on_complete) {
+void IoExecutor::SubmitBatch(Job* job) {
+  job->next_ = nullptr;
   bool wake = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(Job{batch, std::move(on_complete)});
-    queued_.store(queue_.size(), std::memory_order_release);
+    (tail_ != nullptr ? tail_->next_ : head_) = job;
+    tail_ = job;
+    queued_.store(queued_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
     // A worker counted in parked_ checked the queue under mu_ before this
     // push and is (or is about to be) inside cv_.wait; one that is not
     // counted will see the job when it next takes mu_.
@@ -47,7 +49,7 @@ void IoExecutor::WorkerLoop() {
     // after a whole window passes with no job seen: a steady stream that two
     // workers split keeps both of them spinning, and submitters wake nobody.
     int64_t window_end = MonotonicNanos() + kIdleSpinNanos;
-    Job job;
+    Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
       for (;;) {
@@ -55,28 +57,31 @@ void IoExecutor::WorkerLoop() {
           return queued_.load(std::memory_order_acquire) > 0 || stop_.load();
         });
         lk.lock();
-        if (!queue_.empty() || stop_.load()) {
+        if (head_ != nullptr || stop_.load()) {
           break;
         }
         if (!seen) {
           ++parked_;
           ++parks_;
-          cv_.wait(lk, [this] { return stop_.load() || !queue_.empty(); });
+          cv_.wait(lk, [this] { return stop_.load() || head_ != nullptr; });
           --parked_;
           break;
         }
         lk.unlock();  // lost the job to another worker: spin on
         window_end = MonotonicNanos() + kIdleSpinNanos;
       }
-      if (queue_.empty()) {
+      if (head_ == nullptr) {
         return;  // stopped and drained
       }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      queued_.store(queue_.size(), std::memory_order_release);
+      job = head_;
+      head_ = job->next_;
+      if (head_ == nullptr) {
+        tail_ = nullptr;
+      }
+      queued_.store(queued_.load(std::memory_order_relaxed) - 1, std::memory_order_release);
     }
-    engine_->RunBatch(job.batch);
-    job.on_complete();
+    engine_->RunBatch(job->batch);
+    job->on_complete(job);  // may resubmit or free the job
   }
 }
 

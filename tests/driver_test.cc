@@ -462,6 +462,15 @@ TEST_F(FileDriverTest, CreateFailsOnBadPath) {
   EXPECT_EQ(driver_or.code(), ErrorCode::kIoError);
 }
 
+// The completion the executor tests submit with: sets the flag that the
+// job is embedded with.
+struct FlaggedJob : IoExecutor::Job {
+  std::atomic<bool> done{false};
+  static void Done(IoExecutor::Job* job) {
+    static_cast<FlaggedJob*>(job)->done.store(true, std::memory_order_release);
+  }
+};
+
 // A steady stream of batches that two workers split: the one that loses a
 // job to the other keeps spinning instead of parking, so submitters almost
 // never pay for a wake.
@@ -475,14 +484,15 @@ TEST(IoExecutorTest, AWorkerThatLosesAJobKeepsSpinning) {
   BatchIo desc;
   desc.fd = fd;
   desc.read_buf = buf;
-  std::atomic<bool> done{false};
+  FlaggedJob job;
+  job.batch = std::span<BatchIo>(&desc, 1);
+  job.on_complete = &FlaggedJob::Done;
   constexpr int kJobs = 10'000;
   const uint64_t parks_before = IoExecutorTestPeer::Parks(executor);
   for (int i = 0; i < kJobs; ++i) {
-    done.store(false, std::memory_order_relaxed);
-    executor.SubmitBatch(std::span<BatchIo>(&desc, 1),
-                         [&done] { done.store(true, std::memory_order_release); });
-    while (!done.load(std::memory_order_acquire)) {
+    job.done.store(false, std::memory_order_relaxed);
+    executor.SubmitBatch(&job);
+    while (!job.done.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
     ASSERT_TRUE(desc.result.ok()) << desc.result.ToString();
@@ -491,6 +501,47 @@ TEST(IoExecutorTest, AWorkerThatLosesAJobKeepsSpinning) {
   EXPECT_LT(parks, static_cast<uint64_t>(kJobs / 100)) << parks << " parks";
   ::close(fd);
   std::remove(path.c_str());
+}
+
+// With one worker the intrusive queue is a FIFO: jobs queued behind a
+// blocked one run in the order they were submitted.
+TEST(IoExecutorTest, RunsJobsInSubmissionOrder) {
+  struct OrderedJob : IoExecutor::Job {
+    std::atomic<bool>* gate;
+    std::vector<int>* order;  // appended to by the one pool thread only
+    int index;
+    std::atomic<bool> done{false};
+  };
+  constexpr int kJobs = 8;
+  std::atomic<bool> gate{false};
+  std::vector<int> order;
+  std::vector<OrderedJob> jobs(kJobs);
+  IoExecutor executor(1);
+  for (int i = 0; i < kJobs; ++i) {
+    OrderedJob& job = jobs[static_cast<size_t>(i)];
+    job.gate = &gate;
+    job.order = &order;
+    job.index = i;
+    job.on_complete = [](IoExecutor::Job* done) {
+      auto* self = static_cast<OrderedJob*>(done);
+      // The first job holds the worker until every other job is queued.
+      while (!self->gate->load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      self->order->push_back(self->index);
+      self->done.store(true, std::memory_order_release);
+    };
+    executor.SubmitBatch(&job);
+  }
+  gate.store(true, std::memory_order_release);
+  for (const OrderedJob& job : jobs) {
+    while (!job.done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  std::vector<int> expected(kJobs);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 }  // namespace
