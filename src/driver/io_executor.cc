@@ -32,6 +32,7 @@ void IoExecutor::SubmitBatch(Job* job) {
     (tail_ != nullptr ? tail_->next_ : head_) = job;
     tail_ = job;
     queued_.store(queued_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+    submits_.store(submits_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
     // A worker counted in parked_ checked the queue under mu_ before this
     // push and is (or is about to be) inside cv_.wait; one that is not
     // counted will see the job when it next takes mu_.
@@ -48,13 +49,18 @@ void IoExecutor::WorkerLoop() {
     // taken by another worker first restarts it, so the worker parks only
     // after a whole window passes with no job seen: a steady stream that two
     // workers split keeps both of them spinning, and submitters wake nobody.
+    // The submit count, not the queue length, is what tells a job was seen:
+    // the worker that just finished often takes the next job before the
+    // other one's next poll finds it queued.
     int64_t window_end = MonotonicNanos() + kIdleSpinNanos;
+    uint64_t submits = submits_.load(std::memory_order_acquire);
     Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
       for (;;) {
-        const bool seen = SpinUntil(window_end, [this] {
-          return queued_.load(std::memory_order_acquire) > 0 || stop_.load();
+        const bool seen = SpinUntil(window_end, [this, submits] {
+          return queued_.load(std::memory_order_acquire) > 0 ||
+                 submits_.load(std::memory_order_acquire) != submits || stop_.load();
         });
         lk.lock();
         if (head_ != nullptr || stop_.load()) {
@@ -67,6 +73,7 @@ void IoExecutor::WorkerLoop() {
           --parked_;
           break;
         }
+        submits = submits_.load(std::memory_order_relaxed);
         lk.unlock();  // lost the job to another worker: spin on
         window_end = MonotonicNanos() + kIdleSpinNanos;
       }

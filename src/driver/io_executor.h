@@ -69,6 +69,7 @@ class IoExecutor {
   Job* head_ = nullptr;  // FIFO of submitted jobs; guarded by mu_
   Job* tail_ = nullptr;
   std::atomic<size_t> queued_{0};  // jobs in the FIFO, readable without mu_
+  std::atomic<uint64_t> submits_{0};  // jobs ever submitted; written under mu_
   int parked_ = 0;                 // workers waiting on cv_; guarded by mu_
   uint64_t parks_ = 0;             // times a worker parked; guarded by mu_
   std::atomic<bool> stop_{false};
