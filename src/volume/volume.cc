@@ -26,21 +26,35 @@ struct FanoutJoin {
   FanoutJoin(Scheduler* sched, size_t n) : remaining(n), done(sched) {}
   size_t remaining;
   Event done;
+  // The failed fragment with the lowest index, whatever order they finish in.
+  size_t first_error_index = SIZE_MAX;
+  Status first_error;
 };
 
 // One member's share of a split request, run as its own scheduler thread so
 // the members seek and transfer concurrently. The worker inherits the
 // issuer's TraceContext at spawn, so its fragment span carries the right id.
-Task<> FragmentIo(Scheduler* sched, Volume* volume, bool is_write, const Volume::Fragment* f,
-                  std::span<std::byte> out, std::span<const std::byte> in, Status* result,
+Task<> FragmentIo(Scheduler* sched, Volume* volume, bool is_write,
+                  const Volume::FragmentList* fragments, size_t index,
+                  std::span<std::byte> out, std::span<const std::byte> in,
+                  Status* result,  // nullptr: the caller wants only the first error
                   FanoutJoin* join) {
   Thread* self = sched->current_thread();
   const bool traced = self != nullptr && self->trace.active();
+  const Volume::Fragment& f = (*fragments)[index];
   const TimePoint begin = sched->Now();
-  *result = co_await volume->IoFragment(is_write, *f, out, in);
-  volume->NoteFragmentDone(f->member, begin);
+  const Status status = co_await volume->IoFragment(is_write, *fragments, index, out, in);
+  const TimePoint end = sched->Now();
+  volume->NoteFragmentDone(f.member, begin, end);
   if (traced) {
-    RecordSpan(self->trace, TraceStage::kFragment, self->id(), begin, sched->Now(), f->count);
+    RecordSpan(self->trace, TraceStage::kFragment, self->id(), begin, end, f.count);
+  }
+  if (result != nullptr) {
+    *result = status;
+  }
+  if (!status.ok() && index < join->first_error_index) {
+    join->first_error_index = index;
+    join->first_error = status;
   }
   if (--join->remaining == 0) {
     join->done.Signal();
@@ -71,11 +85,12 @@ Volume::Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
   member_writes_.resize(members_.size());
 }
 
-Task<Status> Volume::IoFragment(bool is_write, const Fragment& f, std::span<std::byte> out,
-                                std::span<const std::byte> in) {
+Task<Status> Volume::IoFragment(bool is_write, const FragmentList& fragments, size_t i,
+                                std::span<std::byte> out, std::span<const std::byte> in) {
+  const Fragment& f = fragments[i];
   BlockDevice* member = members_[f.member];
   const uint64_t bytes = static_cast<uint64_t>(f.count) * sector_bytes_;
-  if (f.segments.empty()) {
+  if (f.segment_count == 0) {
     if (is_write) {
       co_return co_await member->Write(f.sector, f.count, SubSpan(in, f.byte_offset, bytes));
     }
@@ -94,7 +109,7 @@ Task<Status> Volume::IoFragment(bool is_write, const Fragment& f, std::span<std:
   bounce_bytes_.Inc(bytes);
   if (is_write) {
     uint64_t off = 0;
-    for (const FragmentSegment& seg : f.segments) {
+    for (const FragmentSegment& seg : fragments.segments(i)) {
       const uint64_t len = static_cast<uint64_t>(seg.count) * sector_bytes_;
       std::memcpy(bounce.data() + off, in.data() + seg.byte_offset, len);
       off += len;
@@ -104,7 +119,7 @@ Task<Status> Volume::IoFragment(bool is_write, const Fragment& f, std::span<std:
   const Status status = co_await member->Read(f.sector, f.count, bounce);
   if (status.ok()) {
     uint64_t off = 0;
-    for (const FragmentSegment& seg : f.segments) {
+    for (const FragmentSegment& seg : fragments.segments(i)) {
       const uint64_t len = static_cast<uint64_t>(seg.count) * sector_bytes_;
       std::memcpy(out.data() + seg.byte_offset, bounce.data() + off, len);
       off += len;
@@ -113,50 +128,68 @@ Task<Status> Volume::IoFragment(bool is_write, const Fragment& f, std::span<std:
   co_return status;
 }
 
-std::vector<Volume::Fragment> Volume::CoalesceFragments(std::vector<Fragment> fragments) {
-  if (!coalesce_ || fragments.size() < 2) {
-    return fragments;
+Volume::FragmentList Volume::CoalesceFragments(const Pieces& pieces) {
+  FragmentList out;
+  if (!coalesce_ || pieces.size() < 2) {
+    for (const Fragment& piece : pieces) {
+      out.fragments_.push_back(piece);
+    }
+    return out;
   }
-  std::vector<Fragment> out;
-  out.reserve(fragments.size());
-  // Where each member's growing fragment sits in `out`; merging only with
-  // the member's latest fragment keeps device order within the member.
-  std::vector<ptrdiff_t> last(members_.size(), -1);
-  for (Fragment& piece : fragments) {
-    const ptrdiff_t idx = last[piece.member];
-    if (idx >= 0 && out[static_cast<size_t>(idx)].sector +
-                            out[static_cast<size_t>(idx)].count == piece.sector) {
-      Fragment& f = out[static_cast<size_t>(idx)];
-      if (f.segments.empty() &&
-          f.byte_offset + static_cast<uint64_t>(f.count) * sector_bytes_ ==
-              piece.byte_offset) {
-        f.count += piece.count;  // contiguous in the caller's buffer too
-      } else {
-        if (f.segments.empty()) {
-          f.segments.push_back({f.byte_offset, f.count});
-        }
-        FragmentSegment& back = f.segments.back();
-        if (back.byte_offset + static_cast<uint64_t>(back.count) * sector_bytes_ ==
-            piece.byte_offset) {
-          back.count += piece.count;
-        } else {
-          f.segments.push_back({piece.byte_offset, piece.count});
-        }
-        f.count += piece.count;
-      }
+  // First the fragment each piece joins. Merging only with the member's
+  // latest fragment keeps device order within the member.
+  InlineVector<uint32_t, kInlinePieces> owner;
+  for (const Fragment& piece : pieces) {
+    size_t idx = out.size();
+    while (idx > 0 && out.fragments_[idx - 1].member != piece.member) {
+      --idx;
+    }
+    if (idx > 0 && out.fragments_[idx - 1].sector + out.fragments_[idx - 1].count ==
+                       piece.sector) {
+      out.fragments_[idx - 1].count += piece.count;
+      owner.push_back(static_cast<uint32_t>(idx - 1));
       coalesced_.Inc();
       continue;
     }
-    last[piece.member] = static_cast<ptrdiff_t>(out.size());
-    out.push_back(std::move(piece));
+    owner.push_back(static_cast<uint32_t>(out.size()));
+    out.fragments_.push_back(piece);
+  }
+  // Then each fragment's segments: the maximal runs of its pieces that touch
+  // in the caller's buffer. A fragment that is one run needs none.
+  for (uint32_t k = 0; k < out.size(); ++k) {
+    Fragment& f = out.fragments_[k];
+    const size_t first = out.segments_.size();
+    for (size_t i = 0; i < pieces.size(); ++i) {
+      if (owner[i] != k) {
+        continue;
+      }
+      const Fragment& piece = pieces[i];
+      if (out.segments_.size() > first) {
+        FragmentSegment& back = out.segments_.back();
+        if (back.byte_offset + static_cast<uint64_t>(back.count) * sector_bytes_ ==
+            piece.byte_offset) {
+          back.count += piece.count;
+          continue;
+        }
+      }
+      out.segments_.push_back({piece.byte_offset, piece.count});
+    }
+    const size_t runs = out.segments_.size() - first;
+    if (runs == 1) {
+      out.segments_.pop_back();
+    } else {
+      f.first_segment = static_cast<uint32_t>(first);
+      f.segment_count = static_cast<uint32_t>(runs);
+    }
   }
   return out;
 }
 
 Task<Status> Volume::RunFragments(bool is_write, std::span<std::byte> out,
                                   std::span<const std::byte> in,
-                                  const std::vector<Fragment>& fragments,
-                                  std::vector<Status>* per_fragment) {
+                                  const FragmentList& fragments,
+                                  std::span<Status> per_fragment) {
+  PFS_CHECK(per_fragment.empty() || per_fragment.size() == fragments.size());
   const TimePoint op_begin = OpBegin();
   // Alloc-free fan-out tracking; members beyond 64 share the last bit (the
   // histogram clamps far earlier anyway).
@@ -178,19 +211,21 @@ Task<Status> Volume::RunFragments(bool is_write, std::span<std::byte> out,
     co_return OkStatus();
   }
   if (fragments.size() == 1) {
-    const Status status = co_await IoFragment(is_write, fragments[0], out, in);
-    NoteFragmentDone(fragments[0].member, op_begin);
-    if (per_fragment != nullptr) {
-      per_fragment->assign(1, status);
+    const Status status = co_await IoFragment(is_write, fragments, 0, out, in);
+    // One stamp ends the fragment, its span and the request.
+    const TimePoint end = sched_->Now();
+    NoteFragmentDone(fragments[0].member, op_begin, end);
+    if (!per_fragment.empty()) {
+      per_fragment[0] = status;
     }
     const Thread* self = sched_->current_thread();
     if (self != nullptr && self->trace.active()) {
       // The lone fragment ran inline; give it its span here so single- and
       // multi-fragment requests look alike in the trace.
-      RecordSpan(self->trace, TraceStage::kFragment, self->id(), op_begin, sched_->Now(),
+      RecordSpan(self->trace, TraceStage::kFragment, self->id(), op_begin, end,
                  fragments[0].count);
     }
-    OpFinish(op_begin, total_count);
+    OpFinish(op_begin, end, total_count);
     co_return status;
   }
   // "Split" means partitioned into distinct address pieces — a mirror's
@@ -198,37 +233,28 @@ Task<Status> Volume::RunFragments(bool is_write, std::span<std::byte> out,
   // coalesced striped fragment can carry the same member-local sector and
   // count as its siblings, but its segment list marks it as a partition.
   for (size_t i = 0; i < fragments.size(); ++i) {
-    if (!fragments[i].segments.empty() ||
+    if (fragments[i].segment_count > 0 ||
         (i > 0 && (fragments[i].sector != fragments[0].sector ||
                    fragments[i].count != fragments[0].count))) {
       split_requests_.Inc();
       break;
     }
   }
-  std::vector<Status> results(fragments.size(), Status(ErrorCode::kAborted));
+  // The join keeps the first error in fragment order.
   FanoutJoin join(sched_, fragments.size());
   for (size_t i = 0; i < fragments.size(); ++i) {
-    sched_->SpawnTransient(name_ + ".io", FragmentIo(sched_, this, is_write, &fragments[i], out,
-                                                     in, &results[i], &join));
+    Status* result = per_fragment.empty() ? nullptr : &per_fragment[i];
+    sched_->SpawnTransient(name_ + ".io", FragmentIo(sched_, this, is_write, &fragments, i,
+                                                     out, in, result, &join));
   }
   while (join.remaining > 0) {
     co_await join.done.Wait();
   }
-  Status first_error = OkStatus();
-  for (const Status& s : results) {
-    if (!s.ok() && first_error.ok()) {
-      first_error = s;
-    }
-  }
-  if (per_fragment != nullptr) {
-    *per_fragment = std::move(results);
-  }
   OpFinish(op_begin, total_count);
-  co_return first_error;
+  co_return join.first_error;
 }
 
-void Volume::OpFinish(TimePoint begin, uint64_t count) {
-  const TimePoint end = sched_->Now();
+void Volume::OpFinish(TimePoint begin, TimePoint end, uint64_t count) {
   requests_->Inc();
   latency_->RecordDuration(end - begin);
   const Thread* self = sched_->current_thread();
@@ -291,8 +317,9 @@ Task<Status> SingleDiskVolume::Read(uint64_t sector, uint32_t count,
   member_reads_[0].Inc();
   fanout_.Record(1);
   const Status status = co_await members_[0]->Read(start_ + sector, count, out);
-  NoteFragmentDone(0, op_begin);
-  OpFinish(op_begin, count);
+  const TimePoint end = sched_->Now();
+  NoteFragmentDone(0, op_begin, end);
+  OpFinish(op_begin, end, count);
   co_return status;
 }
 
@@ -303,8 +330,9 @@ Task<Status> SingleDiskVolume::Write(uint64_t sector, uint32_t count,
   member_writes_[0].Inc();
   fanout_.Record(1);
   const Status status = co_await members_[0]->Write(start_ + sector, count, in);
-  NoteFragmentDone(0, op_begin);
-  OpFinish(op_begin, count);
+  const TimePoint end = sched_->Now();
+  NoteFragmentDone(0, op_begin, end);
+  OpFinish(op_begin, end, count);
   co_return status;
 }
 
@@ -338,9 +366,9 @@ ConcatVolume::ConcatVolume(Scheduler* sched, MetricRegistry* metrics, std::strin
   }
 }
 
-std::vector<Volume::Fragment> ConcatVolume::Map(uint64_t sector, uint32_t count) {
+Volume::FragmentList ConcatVolume::Map(uint64_t sector, uint32_t count) {
   PFS_CHECK(sector + count <= total_);
-  std::vector<Fragment> fragments;
+  Pieces pieces;
   size_t m = 0;
   while (m + 1 < members_.size() && member_start_[m + 1] <= sector) {
     ++m;
@@ -351,23 +379,23 @@ std::vector<Volume::Fragment> ConcatVolume::Map(uint64_t sector, uint32_t count)
     const uint64_t local = sector - member_start_[m];
     const uint64_t avail = members_[m]->total_sectors() - local;
     const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(remaining, avail));
-    fragments.push_back({m, local, n, byte_offset, {}});
+    pieces.push_back({m, local, n, byte_offset});
     sector += n;
     remaining -= n;
     byte_offset += static_cast<uint64_t>(n) * sector_bytes_;
     ++m;
   }
-  return CoalesceFragments(std::move(fragments));
+  return CoalesceFragments(pieces);
 }
 
 Task<Status> ConcatVolume::Read(uint64_t sector, uint32_t count, std::span<std::byte> out) {
-  const std::vector<Fragment> fragments = Map(sector, count);
+  const FragmentList fragments = Map(sector, count);
   co_return co_await RunFragments(false, out, {}, fragments);
 }
 
 Task<Status> ConcatVolume::Write(uint64_t sector, uint32_t count,
                                  std::span<const std::byte> in) {
-  const std::vector<Fragment> fragments = Map(sector, count);
+  const FragmentList fragments = Map(sector, count);
   co_return co_await RunFragments(true, {}, in, fragments);
 }
 
@@ -400,31 +428,31 @@ std::pair<size_t, uint64_t> StripedVolume::MapSector(uint64_t sector) const {
   return {member, member_unit * unit_ + sector % unit_};
 }
 
-std::vector<Volume::Fragment> StripedVolume::Map(uint64_t sector, uint32_t count) {
+Volume::FragmentList StripedVolume::Map(uint64_t sector, uint32_t count) {
   PFS_CHECK(sector + count <= total_);
-  std::vector<Fragment> fragments;
+  Pieces pieces;
   uint64_t byte_offset = 0;
   uint32_t remaining = count;
   while (remaining > 0) {
     const auto [member, member_sector] = MapSector(sector);
     const uint32_t in_unit = static_cast<uint32_t>(sector % unit_);
     const uint32_t n = std::min(remaining, unit_ - in_unit);
-    fragments.push_back({member, member_sector, n, byte_offset, {}});
+    pieces.push_back({member, member_sector, n, byte_offset});
     sector += n;
     remaining -= n;
     byte_offset += static_cast<uint64_t>(n) * sector_bytes_;
   }
-  return CoalesceFragments(std::move(fragments));
+  return CoalesceFragments(pieces);
 }
 
 Task<Status> StripedVolume::Read(uint64_t sector, uint32_t count, std::span<std::byte> out) {
-  const std::vector<Fragment> fragments = Map(sector, count);
+  const FragmentList fragments = Map(sector, count);
   co_return co_await RunFragments(false, out, {}, fragments);
 }
 
 Task<Status> StripedVolume::Write(uint64_t sector, uint32_t count,
                                   std::span<const std::byte> in) {
-  const std::vector<Fragment> fragments = Map(sector, count);
+  const FragmentList fragments = Map(sector, count);
   co_return co_await RunFragments(true, {}, in, fragments);
 }
 
@@ -651,11 +679,11 @@ Task<Status> MirrorVolume::Read(uint64_t sector, uint32_t count, std::span<std::
 Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
                                  std::span<const std::byte> in) {
   PFS_CHECK(sector + count <= total_);
-  std::vector<Fragment> fragments;
+  FragmentList fragments;
   std::vector<size_t> skipped;  // failed at issue: they will miss this write
   for (size_t m = 0; m < members_.size(); ++m) {
     if (!failed_[m]) {
-      fragments.push_back({m, sector, count, 0, {}});
+      fragments.Add(m, sector, count, 0);
     } else {
       skipped.push_back(m);
     }
@@ -674,8 +702,8 @@ Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
   // Per-fragment statuses, not just the first error: a member whose write
   // fails while a replica succeeds must leave the mirror degraded — treating
   // it as still live would let later reads return divergent data.
-  std::vector<Status> results;
-  const Status first_error = co_await RunFragments(true, {}, in, fragments, &results);
+  std::vector<Status> results(fragments.size());
+  const Status first_error = co_await RunFragments(true, {}, in, fragments, results);
   for (size_t m : skipped) {
     --inflight_missing_[m];
   }

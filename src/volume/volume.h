@@ -18,10 +18,12 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/inline_vector.h"
 #include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
@@ -64,10 +66,10 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   uint64_t coalesced_fragments() const { return coalesced_.value(); }
   uint64_t bounce_bytes() const { return bounce_bytes_.value(); }
 
-  // Per-member fragment latency. Public because the fan-out workers (free
-  // coroutines) call it with their own stamps.
-  void NoteFragmentDone(size_t member, TimePoint begin) {
-    member_latency_[member]->RecordDuration(sched_->Now() - begin);
+  // Per-member fragment latency, from `begin` to `end`. Public because the
+  // fan-out workers (free coroutines) call it with their own stamps.
+  void NoteFragmentDone(size_t member, TimePoint begin, TimePoint end) {
+    member_latency_[member]->RecordDuration(end - begin);
   }
 
   // Fragment coalescing (on by default): merge adjacent same-member pieces
@@ -87,44 +89,83 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   // One member-local piece of a logical request. `byte_offset` locates the
   // piece in the request's (possibly empty) data span. When coalescing
   // merged pieces whose buffer positions are not contiguous (striping
-  // interleaves members), `segments` lists the caller-buffer segments in
-  // device order and the I/O goes through a bounce buffer; empty `segments`
-  // means the piece is contiguous at `byte_offset`. Public for the
-  // address-mapping tests (like StripedVolume::MapSector).
+  // interleaves members), the fragment's segments (FragmentList::segments)
+  // list the caller-buffer segments in device order and the I/O goes
+  // through a bounce buffer; no segments means the piece is contiguous at
+  // `byte_offset`. Public for the address-mapping tests (like
+  // StripedVolume::MapSector).
   struct Fragment {
     size_t member;
     uint64_t sector;  // member-local address
     uint32_t count;
     uint64_t byte_offset;
-    std::vector<FragmentSegment> segments;
+    uint32_t first_segment = 0;  // into the owning FragmentList's segments
+    uint32_t segment_count = 0;
   };
 
-  // One fragment's member I/O: a plain member Read/Write for a contiguous
+  // Fragments a striped request of the shipped topologies maps to at most:
+  // one per member of an 8-disk stripe.
+  static constexpr size_t kInlineFragments = 8;
+  // Segments and uncoalesced pieces held inline: a whole 512 KiB LFS
+  // segment written through a 4-member stripe at 64 KiB units crosses at
+  // most 9 units.
+  static constexpr size_t kInlinePieces = 16;
+
+  // The fragments of one request, with their segments. Up to
+  // kInlineFragments fragments and kInlinePieces segments live inline, so
+  // mapping such a request allocates nothing; larger ones spill to the heap.
+  class FragmentList {
+   public:
+    size_t size() const { return fragments_.size(); }
+    bool empty() const { return fragments_.empty(); }
+    const Fragment& operator[](size_t i) const { return fragments_[i]; }
+    const Fragment* begin() const { return fragments_.begin(); }
+    const Fragment* end() const { return fragments_.end(); }
+    std::span<const FragmentSegment> segments(size_t i) const {
+      const Fragment& f = fragments_[i];
+      return {segments_.data() + f.first_segment, f.segment_count};
+    }
+
+    // Appends a fragment contiguous in the caller's buffer.
+    void Add(size_t member, uint64_t sector, uint32_t count, uint64_t byte_offset) {
+      fragments_.push_back(Fragment{member, sector, count, byte_offset});
+    }
+
+   private:
+    friend class Volume;
+    InlineVector<Fragment, kInlineFragments> fragments_;
+    InlineVector<FragmentSegment, kInlinePieces> segments_;
+  };
+
+  // Fragment `i` of `fragments`: a plain member Read/Write for a contiguous
   // fragment; a segmented one gathers (write) or scatters (read) through a
   // per-request bounce buffer, so the member still sees one contiguous
   // request. Empty caller spans skip the bounce (the simulated backend
-  // moves no bytes). Public for the coalescing tests; RunFragments' fan-out
-  // workers use it.
-  Task<Status> IoFragment(bool is_write, const Fragment& f, std::span<std::byte> out,
-                          std::span<const std::byte> in);
+  // moves no bytes). RunFragments' fan-out workers use it.
+  Task<Status> IoFragment(bool is_write, const FragmentList& fragments, size_t i,
+                          std::span<std::byte> out, std::span<const std::byte> in);
 
  protected:
-  // Merges adjacent same-member, member-contiguous pieces of `fragments`
-  // (which must be in caller-buffer order) and counts the merges. Pieces
-  // whose buffer positions touch merge in place; strided pieces accumulate
-  // segments for the bounce path. No-op when set_coalesce(false).
-  std::vector<Fragment> CoalesceFragments(std::vector<Fragment> fragments);
+  // The uncoalesced pieces of a request, in caller-buffer order.
+  using Pieces = InlineVector<Fragment, kInlinePieces>;
+
+  // Merges adjacent same-member, member-contiguous `pieces` (which must be in
+  // caller-buffer order) into the fragments of one request and counts the
+  // merges. Pieces whose buffer positions touch merge in place; strided
+  // pieces become the merged fragment's segments, for the bounce path.
+  // With set_coalesce(false) every piece stays a fragment of its own.
+  FragmentList CoalesceFragments(const Pieces& pieces);
 
   // Performs the fragments and joins: a lone fragment runs inline on the
   // calling thread; several are spawned as transient scheduler threads so
   // members work in parallel. Returns the first non-ok member status;
-  // `per_fragment` (optional) receives every fragment's own status, for
-  // callers whose policy is not first-error (the mirror fails members out
-  // individually). `fragments` must outlive the co_await (a caller local).
+  // `per_fragment` (empty, or one entry per fragment) receives every
+  // fragment's own status, for callers whose policy is not first-error (the
+  // mirror fails members out individually). `fragments` must outlive the
+  // co_await (a caller local).
   Task<Status> RunFragments(bool is_write, std::span<std::byte> out,
-                            std::span<const std::byte> in,
-                            const std::vector<Fragment>& fragments,
-                            std::vector<Status>* per_fragment = nullptr);
+                            std::span<const std::byte> in, const FragmentList& fragments,
+                            std::span<Status> per_fragment = {});
 
   // Request bracket shared by every entry path (RunFragments and the
   // Read/Write overrides that bypass it): the shard-affinity assertion, the
@@ -136,7 +177,9 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
     PFS_ASSERT_SHARD();
     return sched_->Now();
   }
-  void OpFinish(TimePoint begin, uint64_t count);
+  void OpFinish(TimePoint begin, uint64_t count) { OpFinish(begin, sched_->Now(), count); }
+  // With the end stamp the caller already took.
+  void OpFinish(TimePoint begin, TimePoint end, uint64_t count);
 
   Scheduler* sched_;
   std::string name_;
@@ -198,7 +241,7 @@ class ConcatVolume final : public Volume {
 
   // The member-local fragments a request maps (and, with coalescing on,
   // merges) to — exposed for the coalescing tests; Read/Write use it.
-  std::vector<Fragment> Map(uint64_t sector, uint32_t count);
+  FragmentList Map(uint64_t sector, uint32_t count);
 
  private:
   std::vector<uint64_t> member_start_;  // logical sector where member i begins
@@ -232,9 +275,9 @@ class StripedVolume final : public Volume {
   // The member-local fragments a request maps to: one per stripe-unit
   // crossing without coalescing; with it, merged so each member appears at
   // most once (consecutive logical units on a member are member-contiguous,
-  // their buffer positions strided — hence Fragment::segments). Exposed for
-  // the coalescing tests; Read/Write use it.
-  std::vector<Fragment> Map(uint64_t sector, uint32_t count);
+  // their buffer positions strided — hence FragmentList::segments). Exposed
+  // for the coalescing tests; Read/Write use it.
+  FragmentList Map(uint64_t sector, uint32_t count);
 
  private:
   uint32_t unit_;

@@ -386,17 +386,17 @@ TEST(StripedVolumeTest, MapCoalescesAdjacentUnitsPerMember) {
   EXPECT_EQ(fragments[0].member, 0u);
   EXPECT_EQ(fragments[0].sector, 0u);
   EXPECT_EQ(fragments[0].count, 8u);
-  ASSERT_EQ(fragments[0].segments.size(), 2u);
-  EXPECT_EQ(fragments[0].segments[0].byte_offset, 0u);
-  EXPECT_EQ(fragments[0].segments[0].count, 4u);
-  EXPECT_EQ(fragments[0].segments[1].byte_offset, 8 * kSector);  // unit 2
-  EXPECT_EQ(fragments[0].segments[1].count, 4u);
+  ASSERT_EQ(fragments.segments(0).size(), 2u);
+  EXPECT_EQ(fragments.segments(0)[0].byte_offset, 0u);
+  EXPECT_EQ(fragments.segments(0)[0].count, 4u);
+  EXPECT_EQ(fragments.segments(0)[1].byte_offset, 8 * kSector);  // unit 2
+  EXPECT_EQ(fragments.segments(0)[1].count, 4u);
   EXPECT_EQ(fragments[1].member, 1u);
   EXPECT_EQ(fragments[1].sector, 0u);
   EXPECT_EQ(fragments[1].count, 8u);
-  ASSERT_EQ(fragments[1].segments.size(), 2u);
-  EXPECT_EQ(fragments[1].segments[0].byte_offset, 4 * kSector);  // unit 1
-  EXPECT_EQ(fragments[1].segments[1].byte_offset, 12 * kSector);  // unit 3
+  ASSERT_EQ(fragments.segments(1).size(), 2u);
+  EXPECT_EQ(fragments.segments(1)[0].byte_offset, 4 * kSector);  // unit 1
+  EXPECT_EQ(fragments.segments(1)[1].byte_offset, 12 * kSector);  // unit 3
 }
 
 TEST(StripedVolumeTest, MapSingleSectorStaysSingleFragment) {
@@ -411,7 +411,7 @@ TEST(StripedVolumeTest, MapSingleSectorStaysSingleFragment) {
   EXPECT_EQ(fragments[0].member, 1u);
   EXPECT_EQ(fragments[0].sector, 1u);
   EXPECT_EQ(fragments[0].count, 1u);
-  EXPECT_TRUE(fragments[0].segments.empty());  // contiguous, no bounce needed
+  EXPECT_TRUE(fragments.segments(0).empty());  // contiguous, no bounce needed
   EXPECT_EQ(vol.coalesced_fragments(), 0u);
 }
 
@@ -431,9 +431,9 @@ TEST(StripedVolumeTest, MapWrapsAcrossAllMembersAtExactUnitMultiples) {
     EXPECT_EQ(fragments[m].member, m);
     EXPECT_EQ(fragments[m].sector, 0u);
     EXPECT_EQ(fragments[m].count, 4u);
-    ASSERT_EQ(fragments[m].segments.size(), 2u);
-    EXPECT_EQ(fragments[m].segments[0].byte_offset, m * 2 * kSector);
-    EXPECT_EQ(fragments[m].segments[1].byte_offset, (m + 3) * 2 * kSector);
+    ASSERT_EQ(fragments.segments(m).size(), 2u);
+    EXPECT_EQ(fragments.segments(m)[0].byte_offset, m * 2 * kSector);
+    EXPECT_EQ(fragments.segments(m)[1].byte_offset, (m + 3) * 2 * kSector);
   }
   EXPECT_EQ(vol.coalesced_fragments(), 3u);  // 6 fragments merged down to 3
 }
@@ -465,6 +465,41 @@ TEST(StripedVolumeTest, CoalescingSendsOneRequestPerMember) {
   EXPECT_EQ(back, data);
   EXPECT_GT(vol.coalesced_fragments(), 0u);
   EXPECT_EQ(vol.bounce_bytes(), 2u * 16 * kSector);  // both directions bounced
+}
+
+TEST(StripedVolumeTest, RequestsBeyondTheInlineStorageSpillAndRoundTrip) {
+  // 40 one-sector units over 2 members: 40 pieces, more than a FragmentList
+  // holds inline, coalesced into 2 fragments of 20 segments each (and, with
+  // coalescing off, 40 fragments). Both paths still move the right bytes.
+  auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
+  MemDevice a(32);
+  MemDevice b(32);
+  StripedVolume on(sched.get(), &metrics, "on", {&a, &b}, 1);
+  MemDevice c(32);
+  MemDevice d(32);
+  StripedVolume off(sched.get(), &metrics, "off", {&c, &d}, 1);
+  off.set_coalesce(false);
+  static_assert(40 > Volume::kInlinePieces && 40 > Volume::kInlineFragments);
+
+  const auto fragments = on.Map(0, 40);
+  ASSERT_EQ(fragments.size(), 2u);
+  ASSERT_EQ(fragments.segments(0).size(), 20u);
+  ASSERT_EQ(fragments.segments(1).size(), 20u);
+  EXPECT_EQ(fragments.segments(1)[19].byte_offset, 39 * kSector);
+  EXPECT_EQ(off.Map(0, 40).size(), 40u);
+
+  auto data = Pattern(40, 17);
+  ASSERT_TRUE(RunIo(sched.get(), on.Write(0, 40, data)).ok());
+  ASSERT_TRUE(RunIo(sched.get(), off.Write(0, 40, data)).ok());
+  EXPECT_EQ(a.writes + b.writes, 2);
+  EXPECT_EQ(c.writes + d.writes, 40);
+  std::vector<std::byte> back_on(40 * kSector);
+  std::vector<std::byte> back_off(40 * kSector);
+  ASSERT_TRUE(RunIo(sched.get(), on.Read(0, 40, back_on)).ok());
+  ASSERT_TRUE(RunIo(sched.get(), off.Read(0, 40, back_off)).ok());
+  EXPECT_EQ(back_on, data);
+  EXPECT_EQ(back_off, data);
 }
 
 TEST(StripedVolumeTest, CoalescingOffMatchesCoalescingOn) {
@@ -530,8 +565,8 @@ TEST(ConcatVolumeTest, MapDoesNotMergeAcrossMembers) {
   ASSERT_EQ(fragments.size(), 2u);
   EXPECT_EQ(fragments[0].member, 0u);
   EXPECT_EQ(fragments[1].member, 1u);
-  EXPECT_TRUE(fragments[0].segments.empty());
-  EXPECT_TRUE(fragments[1].segments.empty());
+  EXPECT_TRUE(fragments.segments(0).empty());
+  EXPECT_TRUE(fragments.segments(1).empty());
   EXPECT_EQ(vol.coalesced_fragments(), 0u);
 }
 
