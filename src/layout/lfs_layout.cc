@@ -1,6 +1,7 @@
 #include "layout/lfs_layout.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "core/log.h"
@@ -121,18 +122,18 @@ Task<Status> LfsLayout::CloseCurrentSegment() {
   // Serialize and write the summary block (last block of the segment), then
   // move the frontier to a fresh segment.
   const std::vector<SummaryEntry>& entries = summaries_[cur_seg_];
-  std::vector<std::byte> buf;
   std::span<const std::byte> payload;
   if (config_.materialize_metadata) {
-    Serializer s(&buf);
+    staging_.clear();
+    Serializer s(&staging_);
     s.PutU32(static_cast<uint32_t>(entries.size()));
     for (const SummaryEntry& e : entries) {
       s.PutU8(static_cast<uint8_t>(e.kind));
       s.PutU64(e.ino);
       s.PutU64(e.aux);
     }
-    buf.resize(config_.block_size);
-    payload = buf;
+    staging_.resize(config_.block_size);
+    payload = staging_;
   }
   const uint64_t summary_addr = geo_.first_segment_block +
                                 static_cast<uint64_t>(cur_seg_) * config_.segment_blocks +
@@ -146,16 +147,20 @@ Task<Status> LfsLayout::CloseCurrentSegment() {
   cur_off_ = 0;
   SetSegmentState(next, SegmentState::kActive);
   segments_[next].live_blocks = 0;
-  summaries_[next].clear();
-  summary_loaded_.insert(next);
+  StartSummary(next);
   co_return OkStatus();
 }
 
-Task<Result<std::vector<uint64_t>>> LfsLayout::AppendItems(std::span<const LogItem> items,
-                                                           bool for_cleaner) {
+void LfsLayout::StartSummary(uint32_t seg) {
+  summaries_[seg].clear();
+  summaries_[seg].reserve(geo_.usable_blocks);  // one allocation per segment
+  summary_loaded_.insert(seg);
+}
+
+Task<Status> LfsLayout::AppendItems(std::span<LogItem> items, bool for_cleaner) {
   PFS_CHECK(mounted_);
   if (items.empty()) {
-    co_return std::vector<uint64_t>{};
+    co_return OkStatus();
   }
   for (;;) {
     Mutex::Guard guard = co_await log_mutex_.Lock();
@@ -177,8 +182,6 @@ Task<Result<std::vector<uint64_t>>> LfsLayout::AppendItems(std::span<const LogIt
       continue;
     }
 
-    std::vector<uint64_t> addrs;
-    addrs.reserve(items.size());
     size_t done = 0;
     while (done < items.size()) {
       if (cur_off_ >= geo_.usable_blocks) {
@@ -190,24 +193,24 @@ Task<Result<std::vector<uint64_t>>> LfsLayout::AppendItems(std::span<const LogIt
       const uint64_t start_addr = geo_.first_segment_block +
                                   static_cast<uint64_t>(cur_seg_) * config_.segment_blocks +
                                   cur_off_;
-      std::vector<std::byte> staging;
       std::span<const std::byte> payload;
       if (config_.materialize_metadata) {
-        staging.assign(static_cast<size_t>(n) * config_.block_size, std::byte{0});
+        // Grows to a whole segment's usable blocks at most, once.
+        staging_.assign(static_cast<size_t>(n) * config_.block_size, std::byte{0});
         for (uint32_t i = 0; i < n; ++i) {
           const LogItem& item = items[done + i];
           if (!item.data.empty()) {
-            std::memcpy(staging.data() + static_cast<size_t>(i) * config_.block_size,
+            std::memcpy(staging_.data() + static_cast<size_t>(i) * config_.block_size,
                         item.data.data(),
                         std::min<size_t>(item.data.size(), config_.block_size));
           }
         }
-        payload = staging;
+        payload = staging_;
       }
       PFS_CO_RETURN_IF_ERROR(co_await dev_.WriteRun(start_addr, n, payload));
       for (uint32_t i = 0; i < n; ++i) {
-        const LogItem& item = items[done + i];
-        addrs.push_back(start_addr + i);
+        LogItem& item = items[done + i];
+        item.addr = start_addr + i;
         summaries_[cur_seg_].push_back(SummaryEntry{item.kind, item.ino, item.aux});
       }
       segments_[cur_seg_].live_blocks += n;
@@ -220,7 +223,7 @@ Task<Result<std::vector<uint64_t>>> LfsLayout::AppendItems(std::span<const LogIt
     if (config_.enable_cleaner && cleaner_started_ && free_segments() < config_.cleaner_low) {
       cleaner_wakeup_.Signal();
     }
-    co_return addrs;
+    co_return OkStatus();
   }
 }
 
@@ -246,56 +249,60 @@ void LfsLayout::ReleaseInodeSlot(uint64_t ino) {
 Task<Status> LfsLayout::PersistFileMetadata(uint64_t ino, bool for_cleaner) {
   PFS_CO_ASSIGN_OR_RETURN(Inode * inode, co_await GetInode(ino));
   BlockMap* bmap = GetBmap(ino);
+  PFS_CHECK(bmap->chunk_count() <= Inode::kBmapChunks);
+  // Two persists can be suspended at once, so each leases its own buffer.
+  VectorPool<std::byte>::Lease buf(&metadata_buffers_);
 
   // Dirty block-map chunks first, so the inode we append points at them.
-  std::vector<size_t> dirty_chunks;
+  // Each serializes into its own block of `buf`; the payloads are taken once
+  // the buffer stopped growing.
+  std::array<LogItem, Inode::kBmapChunks> items;
+  size_t nitems = 0;
   for (size_t chunk = 0; chunk < bmap->chunk_count(); ++chunk) {
-    if (bmap->ChunkDirty(chunk)) {
-      dirty_chunks.push_back(chunk);
+    if (!bmap->ChunkDirty(chunk)) {
+      continue;
     }
-  }
-  std::vector<std::vector<std::byte>> chunk_bufs;
-  std::vector<LogItem> items;
-  for (size_t chunk : dirty_chunks) {
-    std::span<const std::byte> payload;
     if (config_.materialize_metadata) {
-      chunk_bufs.emplace_back();
-      Serializer s(&chunk_bufs.back());
+      Serializer s(&*buf);
       bmap->SerializeChunk(chunk, &s);
-      chunk_bufs.back().resize(config_.block_size);
-      payload = chunk_bufs.back();
+      buf->resize((nitems + 1) * config_.block_size);
     }
-    items.push_back(LogItem{LogKind::kBmapChunk, ino, chunk, payload});
+    items[nitems++] = LogItem{LogKind::kBmapChunk, ino, chunk, {}};
   }
-  if (!items.empty()) {
-    PFS_CO_ASSIGN_OR_RETURN(std::vector<uint64_t> addrs,
-                            co_await AppendItems(items, for_cleaner));
-    for (size_t i = 0; i < dirty_chunks.size(); ++i) {
-      const size_t chunk = dirty_chunks[i];
+  if (nitems > 0) {
+    if (config_.materialize_metadata) {
+      for (size_t i = 0; i < nitems; ++i) {
+        items[i].data = std::span<const std::byte>(*buf).subspan(i * config_.block_size,
+                                                                 config_.block_size);
+      }
+    }
+    PFS_CO_RETURN_IF_ERROR(
+        co_await AppendItems(std::span(items.data(), nitems), for_cleaner));
+    for (size_t i = 0; i < nitems; ++i) {
+      const size_t chunk = items[i].aux;
       if (inode->bmap[chunk] != kNullAddr) {
         DecLive(inode->bmap[chunk]);
       }
-      inode->bmap[chunk] = addrs[i];
+      inode->bmap[chunk] = items[i].addr;
       bmap->MarkChunkClean(chunk);
     }
   }
 
   // Then the inode itself.
-  std::vector<std::byte> inode_buf;
   std::span<const std::byte> inode_payload;
   if (config_.materialize_metadata) {
-    Serializer s(&inode_buf);
+    buf->clear();
+    Serializer s(&*buf);
     inode->Serialize(&s);
-    inode_buf.resize(config_.block_size);
-    inode_payload = inode_buf;
+    buf->resize(config_.block_size);
+    inode_payload = *buf;
   }
-  const LogItem inode_item{LogKind::kInode, ino, 0, inode_payload};
-  PFS_CO_ASSIGN_OR_RETURN(std::vector<uint64_t> iaddrs,
-                          co_await AppendItems(std::span(&inode_item, 1), for_cleaner));
+  LogItem inode_item{LogKind::kInode, ino, 0, inode_payload};
+  PFS_CO_RETURN_IF_ERROR(co_await AppendItems(std::span(&inode_item, 1), for_cleaner));
   if (imap_[ino] != kNullAddr) {
     DecLive(imap_[ino]);
   }
-  imap_[ino] = iaddrs[0];
+  imap_[ino] = inode_item.addr;
   co_return OkStatus();
 }
 
@@ -317,19 +324,17 @@ Task<Result<uint64_t>> LfsLayout::AllocInode(FileType type) {
 
 Task<Status> LfsLayout::PlaceFileBlocks(uint64_t ino, std::span<CacheBlock* const> blocks) {
   BlockMap* bmap = GetBmap(ino);
-  std::vector<LogItem> items;
-  items.reserve(blocks.size());
+  VectorPool<LogItem>::Lease items(&item_lists_);
   for (const CacheBlock* b : blocks) {
     PFS_CHECK(b->id.ino == ino);
     PFS_CO_RETURN_IF_ERROR(
         co_await LoadChunk(ino, bmap, b->id.block_no / bmap->entries_per_chunk()));
-    items.push_back(LogItem{LogKind::kData, ino, b->id.block_no,
-                            std::span<const std::byte>(b->data.data(), b->data.size())});
+    items->push_back(LogItem{LogKind::kData, ino, b->id.block_no,
+                             std::span<const std::byte>(b->data.data(), b->data.size())});
   }
-  PFS_CO_ASSIGN_OR_RETURN(std::vector<uint64_t> addrs,
-                          co_await AppendItems(items, /*for_cleaner=*/false));
+  PFS_CO_RETURN_IF_ERROR(co_await AppendItems(*items, /*for_cleaner=*/false));
   for (size_t i = 0; i < blocks.size(); ++i) {
-    const uint64_t old = bmap->Set(blocks[i]->id.block_no, addrs[i]);
+    const uint64_t old = bmap->Set(blocks[i]->id.block_no, (*items)[i].addr);
     if (old != kNullAddr) {
       DecLive(old);
     }
@@ -360,7 +365,7 @@ Task<Status> LfsLayout::Format() {
   cur_seg_ = 0;
   cur_off_ = 0;
   SetSegmentState(0, SegmentState::kActive);
-  summary_loaded_.insert(0);
+  StartSummary(0);
   mounted_ = true;
 
   // Superblock.
@@ -659,11 +664,10 @@ Task<Status> LfsLayout::CleanSegment(uint32_t seg) {
             config_.materialize_metadata ? std::span<std::byte>(scratch) : std::span<std::byte>{};
         PFS_CO_RETURN_IF_ERROR(co_await dev_.Read(addr, read_span));
         cleaner_reads_.Inc();
-        const LogItem item{LogKind::kData, entry.ino, entry.aux,
-                           std::span<const std::byte>(read_span.data(), read_span.size())};
-        PFS_CO_ASSIGN_OR_RETURN(std::vector<uint64_t> new_addrs,
-                                co_await AppendItems(std::span(&item, 1), true));
-        const uint64_t old = GetBmap(entry.ino)->Set(entry.aux, new_addrs[0]);
+        LogItem item{LogKind::kData, entry.ino, entry.aux,
+                     std::span<const std::byte>(read_span.data(), read_span.size())};
+        PFS_CO_RETURN_IF_ERROR(co_await AppendItems(std::span(&item, 1), true));
+        const uint64_t old = GetBmap(entry.ino)->Set(entry.aux, item.addr);
         if (old != kNullAddr) {
           DecLive(old);
         }

@@ -30,6 +30,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/vector_pool.h"
 #include "layout/cleaner.h"
 #include "layout/mapped_layout.h"
 #include "sched/sync.h"
@@ -109,6 +110,7 @@ class LfsLayout final : public MappedLayout, public StatSource {
     uint64_t ino;
     uint64_t aux;
     std::span<const std::byte> data;  // empty in the simulator
+    uint64_t addr = kNullAddr;        // where AppendItems put it
   };
 
   struct Geometry {
@@ -119,9 +121,12 @@ class LfsLayout final : public MappedLayout, public StatSource {
   };
 
   // -- log machinery --
-  Task<Result<std::vector<uint64_t>>> AppendItems(std::span<const LogItem> items,
-                                                  bool for_cleaner);
+  // Appends `items` in order and sets each one's addr.
+  Task<Status> AppendItems(std::span<LogItem> items, bool for_cleaner);
   Task<Status> CloseCurrentSegment();
+  // Empties `seg`'s summary for a fresh run of appends, with room for a
+  // whole segment.
+  void StartSummary(uint32_t seg);
   Result<uint32_t> FindFreeSegment();
   // Every change of a segment's state goes through here, so free_segments_
   // stays exact without walking the table.
@@ -181,6 +186,13 @@ class LfsLayout final : public MappedLayout, public StatSource {
   Mutex log_mutex_;
   Event segments_freed_;   // cleaner -> blocked writers
   Event cleaner_wakeup_;
+
+  // Storage the log reuses, so that after warm-up an append or a metadata
+  // persist allocates nothing. staging_ holds one write run (at most a
+  // segment's usable blocks) or a summary block, under log_mutex_.
+  std::vector<std::byte> staging_;
+  VectorPool<std::byte> metadata_buffers_;  // PersistFileMetadata's blocks
+  VectorPool<LogItem> item_lists_;          // PlaceFileBlocks' items
 
   // Stats.
   Counter log_blocks_written_;
