@@ -64,6 +64,9 @@ class CacheBlock {
   // Incremented on every MarkDirty; a flush only cleans the block if the
   // version did not move while its write was in flight.
   uint64_t dirty_version = 0;
+  // The dirty_version the flush in flight writes (one flush at a time:
+  // io_in_progress keeps the block out of every other flush set).
+  uint64_t flushed_version = 0;
 
   TimePoint dirtied_at;     // first made dirty (age for the 30-s policy)
   TimePoint last_access;

@@ -150,9 +150,12 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
       FreeBlock(block);
       continue;
     }
+    // One stamp for the access and, on a fill, the fill's start: nothing
+    // between them suspends.
+    const TimePoint now = sched_->Now();
     block->id = id;
     block->access_count = 0;
-    block->last_access = sched_->Now();
+    block->last_access = now;
     block->prev_access = TimePoint();
     block->doomed = false;
     block->hint = IndexBlock(block).hint;
@@ -175,13 +178,14 @@ Task<Result<CacheBlock*>> BufferCache::GetBlock(const BlockId& id, GetMode mode)
     block->io_in_progress = true;
     ++block->pin_count;
     fills_->Inc();
-    const TimePoint fill_begin = sched_->Now();
+    const TimePoint fill_begin = now;
     const Status status = co_await handler_it->second->FillBlock(id, block);
-    fill_latency_->RecordDuration(sched_->Now() - fill_begin);
+    const TimePoint fill_end = sched_->Now();
+    fill_latency_->RecordDuration(fill_end - fill_begin);
     {
       const Thread* self = sched_->current_thread();
       if (self != nullptr && self->trace.active()) {
-        RecordSpan(self->trace, TraceStage::kCacheFill, self->id(), fill_begin, sched_->Now(),
+        RecordSpan(self->trace, TraceStage::kCacheFill, self->id(), fill_begin, fill_end,
                    config_.block_size);
       }
     }
@@ -311,32 +315,28 @@ CacheBlock* BufferCache::OldestFlushableDirty() {
 }
 
 Task<Status> BufferCache::FlushBlockSet(uint32_t fs_id, uint64_t ino,
-                                        std::vector<CacheBlock*> blocks) {
+                                        std::span<CacheBlock*> blocks) {
   if (blocks.empty()) {
     co_return OkStatus();
   }
   auto handler_it = handlers_.find(fs_id);
   PFS_CHECK_MSG(handler_it != handlers_.end(), "no handler for fs");
 
-  // Sort before capturing versions: versions[i] must describe blocks[i].
   std::sort(blocks.begin(), blocks.end(),
             [](const CacheBlock* a, const CacheBlock* b) {
               return a->id.block_no < b->id.block_no;
             });
-  std::vector<uint64_t> versions;
-  versions.reserve(blocks.size());
   for (CacheBlock* b : blocks) {
     ++b->pin_count;
     b->io_in_progress = true;
-    versions.push_back(b->dirty_version);
+    b->flushed_version = b->dirty_version;
   }
   const Status status = co_await handler_it->second->WriteBlocks(ino, blocks);
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    CacheBlock* b = blocks[i];
+  for (CacheBlock* b : blocks) {
     b->io_in_progress = false;
     --b->pin_count;
-    if (status.ok() && b->state == BlockState::kDirty && b->dirty_version == versions[i] &&
-        !b->doomed) {
+    if (status.ok() && b->state == BlockState::kDirty &&
+        b->dirty_version == b->flushed_version && !b->doomed) {
       TransitionToClean(b);
       blocks_flushed_->Inc();
     }
@@ -366,21 +366,22 @@ void BufferCache::TransitionToClean(CacheBlock* block) {
 
 Task<Status> BufferCache::FlushFile(uint32_t fs_id, uint64_t ino) {
   PFS_ASSERT_SHARD();
-  std::vector<CacheBlock*> victims;
+  // Leased: an fsync and the flusher can both be suspended in here.
+  VectorPool<CacheBlock*>::Lease victims(&flush_sets_);
   if (auto file = files_.find({fs_id, ino}); file != files_.end()) {
     // Collection order is free: FlushBlockSet sorts by block_no.
     for (CacheBlock& b : file->second.blocks) {
       if (b.state == BlockState::kDirty && !b.io_in_progress && !b.doomed &&
           b.pin_count == 0) {
-        victims.push_back(&b);
+        victims->push_back(&b);
       }
     }
   }
-  if (victims.empty()) {
+  if (victims->empty()) {
     co_return OkStatus();
   }
   files_flushed_.Inc();
-  co_return co_await FlushBlockSet(fs_id, ino, std::move(victims));
+  co_return co_await FlushBlockSet(fs_id, ino, *victims);
 }
 
 Task<Status> BufferCache::FlushBlock(CacheBlock* block) {
@@ -388,9 +389,8 @@ Task<Status> BufferCache::FlushBlock(CacheBlock* block) {
   if (block->state != BlockState::kDirty || block->io_in_progress || block->doomed) {
     co_return OkStatus();
   }
-  std::vector<CacheBlock*> one;
-  one.push_back(block);
-  co_return co_await FlushBlockSet(block->id.fs_id, block->id.ino, std::move(one));
+  CacheBlock* one[] = {block};
+  co_return co_await FlushBlockSet(block->id.fs_id, block->id.ino, one);
 }
 
 Task<Status> BufferCache::FlushOldest(bool whole_file) {

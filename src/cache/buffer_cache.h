@@ -22,6 +22,7 @@
 #include "cache/replacement.h"
 #include "core/result.h"
 #include "core/units.h"
+#include "core/vector_pool.h"
 #include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
@@ -191,7 +192,8 @@ class BufferCache : public StatSource, public ShardAffine {
   void FreeBlock(CacheBlock* block);          // -> free list, identity cleared
   void Touch(CacheBlock* block);              // MRU + policy hooks
   void TransitionToClean(CacheBlock* block);  // dirty list -> clean list
-  Task<Status> FlushBlockSet(uint32_t fs_id, uint64_t ino, std::vector<CacheBlock*> blocks);
+  // Sorts `blocks` by block number and writes them as one set.
+  Task<Status> FlushBlockSet(uint32_t fs_id, uint64_t ino, std::span<CacheBlock*> blocks);
   Task<> Flusher();  // async space-maker daemon
 
   Scheduler* sched_;
@@ -217,6 +219,7 @@ class BufferCache : public StatSource, public ShardAffine {
   std::unordered_map<FileId, FileRecord, FileIdHash> files_;
 
   std::unordered_map<uint32_t, BlockIoHandler*> handlers_;
+  VectorPool<CacheBlock*> flush_sets_;  // FlushFile's victims
 
   Event cleaned_;
   Event space_available_;  // signalled when free/clean blocks appear

@@ -8,24 +8,19 @@
 namespace pfs {
 namespace {
 
-// Splits "/mnt/a/b" into {"mnt", "a", "b"}; empty components collapse.
-std::vector<std::string> SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : path) {
-    if (c == '/') {
-      if (!cur.empty()) {
-        parts.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
+// The path component at or after `*pos`, moving `*pos` past it: "/mnt/a/b"
+// yields "mnt", "a", "b", then "". Empty components collapse.
+std::string_view NextComponent(std::string_view path, size_t* pos) {
+  size_t start = *pos;
+  while (start < path.size() && path[start] == '/') {
+    ++start;
   }
-  if (!cur.empty()) {
-    parts.push_back(std::move(cur));
+  size_t end = start;
+  while (end < path.size() && path[end] != '/') {
+    ++end;
   }
-  return parts;
+  *pos = end;
+  return path.substr(start, end - start);
 }
 
 }  // namespace
@@ -44,19 +39,13 @@ FileAttrs LocalClient::AttrsOf(const File& file) {
 }
 
 Scheduler* LocalClient::SchedForPath(const std::string& path) {
-  // Only the mount component matters; skip the full split's leaf work.
-  size_t start = 0;
-  while (start < path.size() && path[start] == '/') {
-    ++start;
-  }
-  size_t end = start;
-  while (end < path.size() && path[end] != '/') {
-    ++end;
-  }
-  if (end == start) {
+  // Only the mount component matters.
+  size_t pos = 0;
+  const std::string_view mount = NextComponent(path, &pos);
+  if (mount.empty()) {
     return nullptr;
   }
-  auto it = mounts_.find(path.substr(start, end - start));
+  auto it = mounts_.find(mount);
   if (it == mounts_.end()) {
     return nullptr;
   }
@@ -108,27 +97,35 @@ Task<R> LocalClient::RouteFd(Fd fd, bool close,
 }
 
 Task<Result<LocalClient::Resolved>> LocalClient::ResolveParent(const std::string& path) {
-  std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
+  // Walks the components in place: `name` is the one being resolved and
+  // `next` the one after it, so the leaf is the name with no next.
+  size_t pos = 0;
+  const std::string_view mount_name = NextComponent(path, &pos);
+  if (mount_name.empty()) {
     co_return Status(ErrorCode::kInvalidArgument, "empty path");
   }
-  auto mount_it = mounts_.find(parts[0]);
+  auto mount_it = mounts_.find(mount_name);
   if (mount_it == mounts_.end()) {
-    co_return Status(ErrorCode::kNotFound, "no mount " + parts[0]);
+    co_return Status(ErrorCode::kNotFound, "no mount " + std::string(mount_name));
   }
   Mount* mount = &mount_it->second;
-  if (parts.size() == 1) {
+  std::string_view name = NextComponent(path, &pos);
+  if (name.empty()) {
     co_return Resolved{mount, 0, ""};
   }
   uint64_t dir_ino = mount->fs->layout()->root_ino();
-  for (size_t i = 1; i + 1 < parts.size(); ++i) {
-    PFS_CO_ASSIGN_OR_RETURN(Directory * dir, co_await AcquireDir(mount, dir_ino, parts[i]));
-    auto entry_or = co_await dir->Lookup(parts[i]);
+  for (std::string_view next = NextComponent(path, &pos); !next.empty();
+       next = NextComponent(path, &pos)) {
+    // Named locals, not temporaries in the await expressions (GCC 12).
+    const std::string dir_name(name);
+    PFS_CO_ASSIGN_OR_RETURN(Directory * dir, co_await AcquireDir(mount, dir_ino, dir_name));
+    auto entry_or = co_await dir->Lookup(dir_name);
     (void)co_await mount->table->Release(dir_ino);
     PFS_CO_RETURN_IF_ERROR(entry_or.status());
     dir_ino = entry_or->ino;
+    name = next;
   }
-  co_return Resolved{mount, dir_ino, parts.back()};
+  co_return Resolved{mount, dir_ino, std::string(name)};
 }
 
 Task<Result<std::pair<LocalClient::Mount*, DirEntry>>> LocalClient::ResolveExisting(

@@ -187,7 +187,7 @@ class LocalClient final : public ClientInterface {
   };
   std::vector<SampleTick> shard_ticks_;
   std::atomic<uint32_t> outside_tick_{0};
-  std::map<std::string, Mount> mounts_;
+  std::map<std::string, Mount, std::less<>> mounts_;  // found by string_view
   // The fd table is shared across shards (any shard may open/close/use fds),
   // so it lives under a mutex; entries are copied out, never held across
   // suspension points.
