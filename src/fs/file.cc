@@ -38,7 +38,9 @@ Task<Result<uint64_t>> File::Write(uint64_t offset, uint64_t len,
   if (len == 0) {
     co_return 0;
   }
-  if (offset + len > Inode::MaxFileSize(fs_->block_size())) {
+  // Overflow-safe: offset + len may not fit in 64 bits.
+  const uint64_t max_size = Inode::MaxFileSize(fs_->block_size());
+  if (len > max_size || offset > max_size - len) {
     co_return Status(ErrorCode::kOutOfRange, "file too large");
   }
   const uint32_t bs = fs_->block_size();
@@ -86,6 +88,9 @@ Task<Result<uint64_t>> File::Write(uint64_t offset, uint64_t len,
 
 Task<Status> File::Truncate(uint64_t new_size) {
   const uint32_t bs = fs_->block_size();
+  if (new_size > Inode::MaxFileSize(bs)) {
+    co_return Status(ErrorCode::kOutOfRange, "file too large");
+  }
   if (new_size < inode_.size) {
     const uint64_t first_dead_block = CeilDiv(new_size, bs);
     // Dirty data above the cut dies in memory — the overwrite absorption the

@@ -13,6 +13,7 @@
 #include "driver/sim_disk_driver.h"
 #include "fs/file_system.h"
 #include "fs/multimedia_file.h"
+#include "layout/inode.h"
 #include "layout/lfs_layout.h"
 #include "sched/scheduler.h"
 #include "volume/volume.h"
@@ -332,6 +333,35 @@ TEST(ClientTest, TruncateShrinksAndAbsorbs) {
   });
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_GE(f.cache->absorbed_dirty_blocks(), 5u);
+}
+
+// A write whose end does not fit in 64 bits, and a truncate past the largest
+// file the block map can address, are refused and leave the size alone.
+TEST(ClientTest, WritesAndTruncatesPastTheMaximumFileSizeAreOutOfRange) {
+  ServerFixture f;
+  Status write_past(ErrorCode::kAborted);
+  Status truncate_past(ErrorCode::kAborted);
+  Status truncate_one_past(ErrorCode::kAborted);
+  uint64_t size_after = 0;
+  const Status s = f.RunScript([&](LocalClient* c, Status* out) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    auto fd = co_await c->Open("/fs0/big", create);
+    PFS_CHECK(fd.ok());
+    PFS_CHECK((co_await c->Write(*fd, 0, 4096, {})).ok());
+    write_past = (co_await c->Write(*fd, UINT64_MAX - 100, 200, {})).status();
+    truncate_past = co_await c->Truncate(*fd, UINT64_MAX);
+    truncate_one_past = co_await c->Truncate(*fd, Inode::MaxFileSize(4096) + 1);
+    auto attrs = co_await c->FStat(*fd);
+    PFS_CHECK(attrs.ok());
+    size_after = attrs->size;
+    *out = co_await c->Close(*fd);
+  });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(write_past.code(), ErrorCode::kOutOfRange) << write_past.ToString();
+  EXPECT_EQ(truncate_past.code(), ErrorCode::kOutOfRange) << truncate_past.ToString();
+  EXPECT_EQ(truncate_one_past.code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(size_after, 4096u);
 }
 
 TEST(ClientTest, SymlinkRoundTrip) {
