@@ -93,7 +93,6 @@ Task<Status> MappedLayout::EndInoWrite(uint64_t ino) {
   auto it = busy_inos_.find(ino);
   PFS_CHECK(it != busy_inos_.end() && it->second > 0);
   if (--it->second == 0) {
-    busy_inos_.erase(it);
     if (free_pending_.erase(ino) > 0) {
       co_return co_await FreeInodeNow(ino);
     }
@@ -106,6 +105,9 @@ Task<Status> MappedLayout::FreeInodeNow(uint64_t ino) {
   ReleaseInodeSlot(ino);
   inode_cache_.erase(ino);
   bmap_cache_.erase(ino);
+  if (auto it = busy_inos_.find(ino); it != busy_inos_.end() && it->second == 0) {
+    busy_inos_.erase(it);  // a write that began during the truncate keeps its count
+  }
   co_return OkStatus();
 }
 
@@ -140,7 +142,7 @@ Task<Status> MappedLayout::WriteInode(const Inode& inode) {
 
 Task<Status> MappedLayout::FreeInode(uint64_t ino) {
   PFS_ASSERT_SHARD();
-  if (busy_inos_.contains(ino)) {
+  if (InoBusy(ino)) {
     // A write or persist for this file is suspended on I/O and holds
     // pointers into the caches. Defer the free until it retires (Unix
     // unlink semantics at the layout level).

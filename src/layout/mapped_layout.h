@@ -84,6 +84,10 @@ class MappedLayout : public StorageLayout {
   // must not lose those entries until the writes retire.
   void BeginInoWrite(uint64_t ino) { ++busy_inos_[ino]; }
   Task<Status> EndInoWrite(uint64_t ino);
+  bool InoBusy(uint64_t ino) const {
+    auto it = busy_inos_.find(ino);
+    return it != busy_inos_.end() && it->second > 0;
+  }
   // File blocks ReadFileBlock fetched from the device (holes excluded).
   uint64_t file_blocks_read() const { return file_blocks_read_.value(); }
 
@@ -98,7 +102,9 @@ class MappedLayout : public StorageLayout {
   // Complete in simulator mode; write-through in real mode.
   std::unordered_map<uint64_t, Inode> inode_cache_;
   std::unordered_map<uint64_t, BlockMap> bmap_cache_;
-  std::unordered_map<uint64_t, int> busy_inos_;  // in-flight write counts
+  // In-flight write counts. An entry stays, at zero, until its inode is
+  // freed, so a steady stream of writes to a file inserts nothing.
+  std::unordered_map<uint64_t, int> busy_inos_;
   std::unordered_set<uint64_t> free_pending_;    // unlinked while busy
   Counter file_blocks_read_;
 };

@@ -1,14 +1,18 @@
 // Pins the allocation counts of the hot paths: after warm-up, waiting on
 // and signalling an Event or a Notification, a cache hit or an overwrite
-// through LocalClient, a cross-shard CallOn round trip, and a cache miss
-// that evicts allocate nothing. This binary replaces the global operator
-// new and delete (scalar and array) with counting versions.
+// through LocalClient, a cross-shard CallOn round trip, a cache miss that
+// evicts, and a file-backed round of read misses, overwrites and an fsync
+// through LFS allocate nothing. This binary replaces the global operator
+// new and delete (scalar and array) with counting versions; the count
+// covers every thread, the I/O pool's included.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "cache/buffer_cache.h"
@@ -52,11 +56,13 @@ constexpr int kRounds = 200;
 
 int64_t Allocations() { return g_allocations.load(std::memory_order_relaxed); }
 
-// Counts the allocations `rounds` calls of `round` make after one call of
-// warm-up (Thread records, frame-pool lists and vector capacity).
+// Counts the allocations `rounds` calls of `round` make after `warm_up`
+// calls (Thread records, frame-pool lists and vector capacity).
 template <typename Round>
-Task<> CountAfterWarmUp(Round round, int rounds, int64_t* allocations) {
-  co_await round();
+Task<> CountAfterWarmUp(Round round, int rounds, int64_t* allocations, int warm_up = 1) {
+  for (int i = 0; i < warm_up; ++i) {
+    co_await round();
+  }
   const int64_t before = Allocations();
   for (int i = 0; i < rounds; ++i) {
     co_await round();
@@ -200,6 +206,80 @@ TEST(AllocTest, CacheMissesThatEvictAllocateNothing) {
   EXPECT_EQ(allocations, 0);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.evictions(), cache.misses() - 8);
+}
+
+// Creates /fs0/cold with `blocks` blocks, syncing every eight so the small
+// cache never has to wait for its flusher.
+Task<> CreateColdFile(ClientInterface* c, uint64_t blocks, Fd* fd, Status* status) {
+  OpenOptions create;
+  create.create = true;
+  auto opened = co_await c->Open("/fs0/cold", create);
+  *status = opened.status();
+  if (!opened.ok()) {
+    co_return;
+  }
+  *fd = *opened;
+  std::vector<std::byte> data(8 * 4096, std::byte{0x5a});
+  for (uint64_t b = 0; b < blocks && status->ok(); b += 8) {
+    *status = (co_await c->Write(*fd, b * 4096, data.size(), data)).status();
+    if (status->ok()) {
+      *status = co_await c->Fsync(*fd);
+    }
+  }
+}
+
+// cold-mix in miniature: read misses that evict, 4 KiB overwrites and an
+// fsync, through LFS on a two-disk stripe of file-backed images, so every
+// round trips through the I/O pool. Each round appends three log blocks (a
+// data block, a block-map chunk, the inode); the 60 rounds stay inside one
+// 512-block segment, since a segment's summary is sized once, when the log
+// first moves into it.
+TEST(AllocTest, FileBackedMissesOverwritesAndFsyncAllocateNothing) {
+  PFS_SKIP_WITHOUT_FRAME_POOL();
+  const std::string image = testing::TempDir() + "/pfs_alloc_test.img";
+  SystemConfig config = SystemConfig::OnlineDefaults();
+  config.image_path = image;
+  config.image_bytes = 24 * kMiB;
+  config.disks_per_bus = {2};
+  VolumeSpec stripe;
+  stripe.kind = "striped";
+  stripe.members = {0, 1};
+  stripe.stripe_unit_kb = 64;
+  config.volumes = {stripe};
+  config.lfs_segment_blocks = 512;
+  config.cache_bytes = 16 * 4096;
+  auto system = SystemBuilder::Build(config);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  ASSERT_TRUE((*system)->Setup().ok());
+  ClientInterface* client = (*system)->client();
+  constexpr uint64_t kBlocks = 64;  // four times the cache
+  Fd fd = 0;
+  Status created(ErrorCode::kAborted);
+  (*system)->scheduler()->Spawn("create", CreateColdFile(client, kBlocks, &fd, &created));
+  (*system)->RunToCompletion();
+  ASSERT_TRUE(created.ok()) << created.ToString();
+
+  std::vector<std::byte> buffer(4096);
+  uint64_t next = 0;
+  int64_t allocations = -1;
+  auto round = [client, fd, &buffer, &next]() -> Task<> {
+    for (int i = 0; i < 4; ++i) {
+      const uint64_t at = (next++ * 17 % kBlocks) * 4096;
+      PFS_CHECK((co_await client->Read(fd, at, buffer.size(), buffer)).ok());
+    }
+    PFS_CHECK((co_await client->Write(fd, (next % kBlocks) * 4096, buffer.size(), buffer)).ok());
+    PFS_CHECK((co_await client->Fsync(fd)).ok());
+  };
+  // Ten rounds of warm-up, not one: the frame pool reaches the depth a round
+  // can need (the members' batches overlap in some rounds, not in others)
+  // only after several.
+  (*system)->scheduler()->Spawn("rounds", CountAfterWarmUp(round, 50, &allocations, 10));
+  (*system)->RunToCompletion();
+  EXPECT_EQ(allocations, 0);
+  EXPECT_GT((*system)->cache()->evictions(), 0u);
+  system->reset();
+  std::remove(image.c_str());
+  std::remove((image + ".1").c_str());
 }
 
 }  // namespace
