@@ -256,7 +256,7 @@ Task<Status> LfsLayout::PersistFileMetadata(uint64_t ino, bool for_cleaner) {
   // Dirty block-map chunks first, so the inode we append points at them.
   // Each serializes into its own block of `buf`; the payloads are taken once
   // the buffer stopped growing.
-  std::array<LogItem, Inode::kBmapChunks> items;
+  std::array<LogItem, Inode::kBmapChunks> items{};
   size_t nitems = 0;
   for (size_t chunk = 0; chunk < bmap->chunk_count(); ++chunk) {
     if (!bmap->ChunkDirty(chunk)) {
