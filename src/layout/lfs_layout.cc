@@ -195,7 +195,8 @@ Task<Status> LfsLayout::AppendItems(std::span<LogItem> items, bool for_cleaner) 
                                   cur_off_;
       std::span<const std::byte> payload;
       if (config_.materialize_metadata) {
-        // Grows to a whole segment's usable blocks at most, once.
+        // Reallocates only for a run longer than any before it, and a run
+        // is at most a segment's usable blocks.
         staging_.assign(static_cast<size_t>(n) * config_.block_size, std::byte{0});
         for (uint32_t i = 0; i < n; ++i) {
           const LogItem& item = items[done + i];
