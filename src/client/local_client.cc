@@ -118,7 +118,8 @@ Task<Result<LocalClient::Resolved>> LocalClient::ResolveParent(const std::string
        next = NextComponent(path, &pos)) {
     // Named locals, not temporaries in the await expressions (GCC 12).
     const std::string dir_name(name);
-    PFS_CO_ASSIGN_OR_RETURN(Directory * dir, co_await AcquireDir(mount, dir_ino, dir_name));
+    PFS_CO_ASSIGN_OR_RETURN(Directory * dir,
+                            co_await AcquireDir(mount, dir_ino, dir_name));
     auto entry_or = co_await dir->Lookup(dir_name);
     (void)co_await mount->table->Release(dir_ino);
     PFS_CO_RETURN_IF_ERROR(entry_or.status());

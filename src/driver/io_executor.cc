@@ -31,8 +31,10 @@ void IoExecutor::SubmitBatch(Job* job) {
     std::lock_guard<std::mutex> lk(mu_);
     (tail_ != nullptr ? tail_->next_ : head_) = job;
     tail_ = job;
-    queued_.store(queued_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
-    submits_.store(submits_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+    queued_.store(queued_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_release);
+    submits_.store(submits_.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
     // A worker counted in parked_ checked the queue under mu_ before this
     // push and is (or is about to be) inside cv_.wait; one that is not
     // counted will see the job when it next takes mu_.
@@ -85,7 +87,8 @@ void IoExecutor::WorkerLoop() {
       if (head_ == nullptr) {
         tail_ = nullptr;
       }
-      queued_.store(queued_.load(std::memory_order_relaxed) - 1, std::memory_order_release);
+      queued_.store(queued_.load(std::memory_order_relaxed) - 1,
+                    std::memory_order_release);
     }
     engine_->RunBatch(job->batch);
     job->on_complete(job);  // may resubmit or free the job

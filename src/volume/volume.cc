@@ -244,8 +244,8 @@ Task<Status> Volume::RunFragments(bool is_write, std::span<std::byte> out,
   FanoutJoin join(sched_, fragments.size());
   for (size_t i = 0; i < fragments.size(); ++i) {
     Status* result = per_fragment.empty() ? nullptr : &per_fragment[i];
-    sched_->SpawnTransient(name_ + ".io", FragmentIo(sched_, this, is_write, &fragments, i,
-                                                     out, in, result, &join));
+    sched_->SpawnTransient(name_ + ".io", FragmentIo(sched_, this, is_write, &fragments,
+                                                     i, out, in, result, &join));
   }
   while (join.remaining > 0) {
     co_await join.done.Wait();

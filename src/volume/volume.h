@@ -177,7 +177,9 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
     PFS_ASSERT_SHARD();
     return sched_->Now();
   }
-  void OpFinish(TimePoint begin, uint64_t count) { OpFinish(begin, sched_->Now(), count); }
+  void OpFinish(TimePoint begin, uint64_t count) {
+    OpFinish(begin, sched_->Now(), count);
+  }
   // With the end stamp the caller already took.
   void OpFinish(TimePoint begin, TimePoint end, uint64_t count);
 

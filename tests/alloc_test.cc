@@ -267,7 +267,8 @@ TEST(AllocTest, FileBackedMissesOverwritesAndFsyncAllocateNothing) {
       const uint64_t at = (next++ * 17 % kBlocks) * 4096;
       PFS_CHECK((co_await client->Read(fd, at, buffer.size(), buffer)).ok());
     }
-    PFS_CHECK((co_await client->Write(fd, (next % kBlocks) * 4096, buffer.size(), buffer)).ok());
+    const uint64_t overwrite_at = (next % kBlocks) * 4096;
+    PFS_CHECK((co_await client->Write(fd, overwrite_at, buffer.size(), buffer)).ok());
     PFS_CHECK((co_await client->Fsync(fd)).ok());
   };
   // Ten rounds of warm-up, not one: the frame pool reaches the depth a round
