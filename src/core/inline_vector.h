@@ -22,8 +22,6 @@ class InlineVector {
 
   T* data() { return spill_.empty() ? inline_.data() : spill_.data(); }
   const T* data() const { return spill_.empty() ? inline_.data() : spill_.data(); }
-  T* begin() { return data(); }
-  T* end() { return data() + size_; }
   const T* begin() const { return data(); }
   const T* end() const { return data() + size_; }
   T& operator[](size_t i) { return data()[i]; }
