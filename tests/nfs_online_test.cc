@@ -112,6 +112,52 @@ TEST(NfsTest, ErrorsCrossTheWire) {
   EXPECT_EQ(code, ErrorCode::kNotFound);
 }
 
+TEST(NfsTest, WritesAndTruncatesPastTheMaximumFileSizeAreOutOfRange) {
+  // Offsets and sizes cross the wire as raw u64s: a write whose end wraps
+  // and a truncate past the largest file are refused, the file keeps its
+  // size, and the server keeps answering and can still write everything back.
+  PatsyConfig config;
+  config.disks_per_bus = {1};
+  config.num_filesystems = 1;
+  config.flush_policy = "ups";
+  PatsyServer server(config);
+  ASSERT_TRUE(server.Setup().ok());
+  NfsLoopback loopback(server.scheduler(), 16);
+  NfsServer nfs(server.scheduler(), server.client(), &loopback, 1);
+  nfs.Start();
+  NfsClient client(server.scheduler(), &loopback);
+
+  struct Outcome {
+    Status write_past{ErrorCode::kAborted};
+    Status truncate_past{ErrorCode::kAborted};
+    uint64_t size_after = 0;
+    Status closed{ErrorCode::kAborted};
+    Status synced{ErrorCode::kAborted};
+  } outcome;
+  server.scheduler()->Spawn("nfs.range", [](NfsClient* c, Outcome* out) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    auto fd = co_await c->Open("/fs0/big", create);
+    PFS_CHECK(fd.ok());
+    PFS_CHECK((co_await c->Write(*fd, 0, 4096, {})).ok());
+    out->write_past = (co_await c->Write(*fd, UINT64_MAX - 100, 200, {})).status();
+    out->truncate_past = co_await c->Truncate(*fd, UINT64_MAX);
+    auto attrs = co_await c->FStat(*fd);
+    PFS_CHECK(attrs.ok());
+    out->size_after = attrs->size;
+    out->closed = co_await c->Close(*fd);
+    out->synced = co_await c->SyncAll();
+  }(&client, &outcome));
+  server.scheduler()->Run();
+  EXPECT_EQ(outcome.write_past.code(), ErrorCode::kOutOfRange)
+      << outcome.write_past.ToString();
+  EXPECT_EQ(outcome.truncate_past.code(), ErrorCode::kOutOfRange)
+      << outcome.truncate_past.ToString();
+  EXPECT_EQ(outcome.size_after, 4096u);
+  EXPECT_TRUE(outcome.closed.ok()) << outcome.closed.ToString();
+  EXPECT_TRUE(outcome.synced.ok()) << outcome.synced.ToString();
+}
+
 class OnlineTest : public ::testing::Test {
  protected:
   void SetUp() override {
