@@ -1,10 +1,10 @@
 #include "sched/affinity.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "core/check.h"
 #include "stats/registry.h"
 
 namespace pfs {
@@ -51,13 +51,12 @@ void ShardAffine::ReportAffinityViolation(const char* file, int line,
     name = source->stat_name();
   }
   const Thread* thread = current->current_thread();
-  std::fprintf(stderr,
-               "PFS_ASSERT_SHARD failed at %s:%d: \"%s\" is pinned to shard %u but was "
-               "entered from shard %u (thread \"%s\"); cross-shard access must go through "
-               "Post/CallOn/CrossShardDevice\n",
-               file, line, name.c_str(), affinity_home_->shard_index(),
-               current->shard_index(), thread != nullptr ? thread->name().c_str() : "<posted fn>");
-  std::abort();
+  CheckFailed(
+      "PFS_ASSERT_SHARD failed at %s:%d: \"%s\" is pinned to shard %u but was "
+      "entered from shard %u (thread \"%s\"); cross-shard access must go through "
+      "Post/CallOn/CrossShardDevice\n",
+      file, line, name.c_str(), affinity_home_->shard_index(), current->shard_index(),
+      thread != nullptr ? thread->name().c_str() : "<posted fn>");
 }
 
 }  // namespace pfs

@@ -1,10 +1,16 @@
-// Unit tests for src/core: Status/Result, serialization, RNG, intrusive list.
+// Unit tests for src/core: Status/Result, serialization, RNG, intrusive list,
+// failed checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "core/intrusive_list.h"
 #include "core/random.h"
 #include "core/result.h"
@@ -343,6 +349,25 @@ TEST(UnitsTest, Arithmetic) {
   EXPECT_EQ(CeilDiv(9, 3), 3u);
   EXPECT_EQ(RoundUp(10, 4), 12u);
   EXPECT_EQ(RoundUp(8, 4), 8u);
+}
+
+TEST(CheckDeathTest, AFailedCheckKeepsWhatStdoutBuffered) {
+  // stdout pointed at a file is fully buffered, as when a bench's output is
+  // redirected; abort() alone would throw the buffered line away.
+  const std::string path = testing::TempDir() + "pfs_check_stdout.txt";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        PFS_CHECK(std::freopen(path.c_str(), "w", stdout) != nullptr);
+        std::printf("printed before the check\n");
+        PFS_CHECK(path.empty());
+      },
+      "PFS_CHECK failed at .*: path.empty\\(\\)");
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "printed before the check\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace
