@@ -1,17 +1,16 @@
 // IOPS ceiling of the batched file-backed I/O path: random 4 KiB reads
 // through a striped volume over N FileBackedDrivers, swept over queue depth
-// (concurrent reader coroutines), submission engine (threadpool vs uring),
-// and member count. Requests queue at the drivers, the C-LOOK worker drains
-// up to 32 per dispatch into one engine batch, and the engine submits the
-// batch with one io_uring_enter (or a vectored preadv) instead of one
-// syscall per request — the sweep shows where each engine's ceiling sits
-// and how reqs/batch grows with queue depth.
+// (concurrent reader coroutines) and member count. Requests queue at the
+// drivers, and the C-LOOK worker drains up to 32 per dispatch into one
+// engine batch, so the I/O pool takes one job per batch instead of one per
+// request — the sweep shows where the ceiling sits and how reqs/batch grows
+// with queue depth.
 //
 // Wall-clock IOPS depend on the host; the portable claim is the efficiency
 // column: reqs/batch > 1 whenever the queue is deeper than one.
 //
 // --json appends one line per point to BENCH_iops_ceiling.json (including
-// driver 0's StatJson: batches, reqs_per_batch, engine, submit_us percentiles).
+// driver 0's StatJson: batches, reqs_per_batch, submit_us percentiles).
 // --config <scenario> overrides io_threads / queue policy / image size.
 #include <cstdio>
 #include <unistd.h>
@@ -35,16 +34,14 @@ constexpr uint32_t kStripeUnitSectors = 8;
 struct PointResult {
   double iops = 0;
   double reqs_per_batch = 0;
-  std::string engine;       // what actually ran (uring may fall back)
   std::string driver_json;  // driver 0
 };
 
-Result<PointResult> RunPoint(const std::string& engine_name, int members, int qd,
-                             int total_ops, const SystemConfig& base) {
+Result<PointResult> RunPoint(int members, int qd, int total_ops,
+                             const SystemConfig& base) {
   auto sched = Scheduler::CreateReal(static_cast<uint64_t>(members * 1000 + qd));
   MetricRegistry metrics(1, "pfs");
-  auto engine = (*IoEngineRegistry::Find(engine_name))();
-  IoExecutor executor(base.io_threads, std::move(engine));
+  IoExecutor executor(base.io_threads);
   const QueueSchedPolicy policy = *QueuePolicyRegistry::Find(base.queue_policy);
 
   const std::string prefix = "/tmp/pfs_iops_" + std::to_string(::getpid()) + "_";
@@ -117,7 +114,6 @@ Result<PointResult> RunPoint(const std::string& engine_name, int members, int qd
   point.reqs_per_batch = total_batches > 0
                              ? static_cast<double>(total_reqs) / static_cast<double>(total_batches)
                              : 0;
-  point.engine = executor.engine()->name();
   point.driver_json = drivers[0]->StatJson();
   for (const std::string& path : paths) {
     std::remove(path.c_str());
@@ -132,36 +128,29 @@ int main(int argc, char** argv) {
   SystemConfig base = bench::BaseScenario(argc, argv);
   const int total_ops = static_cast<int>(2048 * bench::GetScale());
 
-  std::printf("# Random 4 KiB read IOPS vs queue depth, engine, member count\n");
+  std::printf("# Random 4 KiB read IOPS vs queue depth, member count\n");
   std::printf("# %d ops per point, %d io thread(s), %s queue policy\n", total_ops,
               base.io_threads, base.queue_policy.c_str());
-  std::printf("%-12s %-8s %-4s %12s %12s\n", "engine", "members", "qd", "IOPS",
-              "reqs/batch");
+  std::printf("%-8s %-4s %12s %12s\n", "members", "qd", "IOPS", "reqs/batch");
 
-  for (const std::string& engine : {std::string("threadpool"), std::string("uring")}) {
-    for (int members : {1, 4, 8}) {
-      for (int qd : {1, 4, 16, 32}) {
-        auto point = RunPoint(engine, members, qd, total_ops, base);
-        if (!point.ok()) {
-          std::printf("ERROR engine=%s members=%d qd=%d: %s\n", engine.c_str(), members,
-                      qd, point.status().ToString().c_str());
-          return 1;
-        }
-        // Label the row with the requested engine; the JSON carries both the
-        // requested name and what actually ran (uring falls back to the
-        // thread pool on kernels without io_uring).
-        std::printf("%-12s %-8d %-4d %12.0f %12.2f\n", point->engine.c_str(), members,
-                    qd, point->iops, point->reqs_per_batch);
-        if (json.enabled()) {
-          char line[1024];
-          std::snprintf(line, sizeof(line),
-                        "{\"bench\":\"iops_ceiling\",\"requested_engine\":\"%s\","
-                        "\"engine\":\"%s\",\"members\":%d,\"qd\":%d,\"iops\":%.1f,"
-                        "\"reqs_per_batch\":%.3f,\"driver\":%s}",
-                        engine.c_str(), point->engine.c_str(), members, qd, point->iops,
-                        point->reqs_per_batch, point->driver_json.c_str());
-          json.Append(line);
-        }
+  for (int members : {1, 4, 8}) {
+    for (int qd : {1, 4, 16, 32}) {
+      auto point = RunPoint(members, qd, total_ops, base);
+      if (!point.ok()) {
+        std::printf("ERROR members=%d qd=%d: %s\n", members, qd,
+                    point.status().ToString().c_str());
+        return 1;
+      }
+      std::printf("%-8d %-4d %12.0f %12.2f\n", members, qd, point->iops,
+                  point->reqs_per_batch);
+      if (json.enabled()) {
+        char line[1024];
+        std::snprintf(line, sizeof(line),
+                      "{\"bench\":\"iops_ceiling\",\"members\":%d,\"qd\":%d,"
+                      "\"iops\":%.1f,\"reqs_per_batch\":%.3f,\"driver\":%s}",
+                      members, qd, point->iops, point->reqs_per_batch,
+                      point->driver_json.c_str());
+        json.Append(line);
       }
     }
   }

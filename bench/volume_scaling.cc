@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   // page cache), so no monotonicity requirement — the portable claim is the
   // efficiency counters: one batched engine submission covers several
   // queued requests (driver reqs/batch), fragments coalesce per member.
-  std::printf("\n# File-backed sweep (uring engine where available)\n");
+  std::printf("\n# File-backed sweep\n");
   std::printf("%-8s %14s\n", "members", "read MB/s");
   std::vector<std::byte> buf(static_cast<size_t>(kRunBlocks) * kDefaultBlockSize);
   const std::string image =
@@ -153,7 +153,6 @@ int main(int argc, char** argv) {
     config.disks_per_bus = {members};
     config.image_path = image;
     config.image_bytes = 96 * kMiB;
-    config.io_engine = "uring";  // registry falls back to threadpool if absent
     auto point = StripedReadMBps(config, kFbRuns, buf);
     for (int i = 0; i < config.total_disks(); ++i) {
       std::remove(config.disk_image_path(i).c_str());

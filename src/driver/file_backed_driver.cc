@@ -108,9 +108,8 @@ std::string FileBackedDriver::StatJson() const {
   const std::vector<uint64_t> bins = submit_->Bins();
   char buf[192];
   std::snprintf(buf, sizeof(buf),
-                ",\"engine\":\"%s\",\"submit_us\":{\"mean\":%.1f,\"p50\":%.1f,\"p95\":%.1f,"
-                "\"p99\":%.1f}}",
-                engine_name(), submit_->Mean() / 1e3,
+                ",\"submit_us\":{\"mean\":%.1f,\"p50\":%.1f,\"p95\":%.1f,\"p99\":%.1f}}",
+                submit_->Mean() / 1e3,
                 static_cast<double>(HistPercentile(bins, 0.5)) / 1e3,
                 static_cast<double>(HistPercentile(bins, 0.95)) / 1e3,
                 static_cast<double>(HistPercentile(bins, 0.99)) / 1e3);

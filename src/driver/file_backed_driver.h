@@ -1,8 +1,8 @@
 // The production disk-driver (paper §3): "uses a Unix-file (ordinary file,
 // or raw-device) as back-end" with the same combined read-write queue and
 // C-LOOK policy as the simulated driver. Batches of queued requests are
-// submitted together through the IoExecutor's engine (preadv/pwritev pool
-// or io_uring); completions return to the scheduler via PostNode().
+// submitted together through the IoExecutor's engine (preadv/pwritev on a
+// pool thread); completions return to the scheduler via PostNode().
 //
 // A driver has at most one batch in flight (the queue's worker awaits each
 // dispatch before it drains the next), so the driver owns that batch: its
@@ -44,9 +44,6 @@ class FileBackedDriver final : public QueueingDiskDriver {
 
   uint64_t total_sectors() const override { return total_sectors_; }
   uint32_t sector_bytes() const override { return kSectorBytes; }
-
-  // The engine actually performing this driver's I/O ("threadpool", "uring").
-  const char* engine_name() const { return executor_->engine()->name(); }
 
   std::string StatJson() const override;
 

@@ -3,20 +3,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "system/component_registry.h"
-
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#define PFS_HAS_IO_URING 1
-#else
-#define PFS_HAS_IO_URING 0
-#endif
 
 namespace pfs {
 namespace {
@@ -33,13 +24,12 @@ Status ErrnoStatus(const char* what) {
   return Status(ErrorCode::kIoError, std::string(what) + ": " + std::strerror(errno));
 }
 
-// The one full-transfer loop every path bottoms out in: continues a short
-// transfer from where it stopped, retries EINTR, and turns a zero-byte read
-// (EOF inside the image) into an error instead of partial data. `skip` is
-// how many leading bytes a previous attempt already moved.
-Status FullTransfer(const BatchIo& desc, uint64_t skip) {
+// One descriptor through pread/pwrite: continues a short transfer from
+// where it stopped, retries EINTR, and turns a zero-byte read (EOF inside
+// the image) into an error instead of partial data.
+Status FullTransfer(const BatchIo& desc) {
   const uint64_t total = ByteLen(desc);
-  uint64_t done = skip;
+  uint64_t done = 0;
   while (done < total) {
     ssize_t n;
     if (desc.op == IoOp::kRead) {
@@ -115,9 +105,9 @@ void RunVectored(std::span<BatchIo> run) {
   }
 }
 
-// Shared by ThreadPoolIoEngine and every fallback path: performs the batch
-// synchronously, vectoring contiguous same-op runs.
-void RunBatchSync(std::span<BatchIo> batch) {
+}  // namespace
+
+void IoEngine::RunBatch(std::span<BatchIo> batch) {
   size_t i = 0;
   while (i < batch.size()) {
     size_t j = i + 1;
@@ -128,7 +118,7 @@ void RunBatchSync(std::span<BatchIo> batch) {
       ++j;
     }
     if (j - i == 1) {
-      batch[i].result = FullTransfer(batch[i], 0);
+      batch[i].result = FullTransfer(batch[i]);
     } else {
       RunVectored(batch.subspan(i, j - i));
     }
@@ -136,243 +126,8 @@ void RunBatchSync(std::span<BatchIo> batch) {
   }
 }
 
-}  // namespace
-
-void ThreadPoolIoEngine::RunBatch(std::span<BatchIo> batch) { RunBatchSync(batch); }
-
-// -- UringIoEngine -----------------------------------------------------------
-
-#if PFS_HAS_IO_URING
-
-namespace {
-
-int SysIoUringSetup(unsigned entries, io_uring_params* params) {
-  return static_cast<int>(::syscall(__NR_io_uring_setup, entries, params));
-}
-
-int SysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete, unsigned flags) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_enter, fd, to_submit, min_complete, flags, nullptr, 0));
-}
-
-}  // namespace
-
-// One mmap'd submission/completion ring pair. Single-threaded use (the
-// engine's pool hands a ring to exactly one batch at a time); the atomics
-// below order our accesses against the kernel's, not other user threads.
-struct UringIoEngine::Ring {
-  int fd = -1;
-  io_uring_params params{};
-  void* sq_ptr = MAP_FAILED;
-  size_t sq_len = 0;
-  void* cq_ptr = MAP_FAILED;
-  size_t cq_len = 0;
-  io_uring_sqe* sqes = static_cast<io_uring_sqe*>(MAP_FAILED);
-  size_t sqes_len = 0;
-
-  unsigned* sq_head = nullptr;
-  unsigned* sq_tail = nullptr;
-  unsigned* sq_mask = nullptr;
-  unsigned* sq_array = nullptr;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned* cq_mask = nullptr;
-  io_uring_cqe* cqes = nullptr;
-
-  ~Ring() {
-    if (sqes != MAP_FAILED) {
-      ::munmap(sqes, sqes_len);
-    }
-    if (cq_ptr != MAP_FAILED && cq_ptr != sq_ptr) {
-      ::munmap(cq_ptr, cq_len);
-    }
-    if (sq_ptr != MAP_FAILED) {
-      ::munmap(sq_ptr, sq_len);
-    }
-    if (fd >= 0) {
-      ::close(fd);
-    }
-  }
-
-  static std::unique_ptr<Ring> Create(unsigned entries) {
-    auto ring = std::make_unique<Ring>();
-    ring->fd = SysIoUringSetup(entries, &ring->params);
-    if (ring->fd < 0) {
-      return nullptr;
-    }
-    const io_uring_params& p = ring->params;
-    ring->sq_len = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    ring->cq_len = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-    const bool single = (p.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single) {
-      ring->sq_len = ring->cq_len = std::max(ring->sq_len, ring->cq_len);
-    }
-    ring->sq_ptr = ::mmap(nullptr, ring->sq_len, PROT_READ | PROT_WRITE,
-                          MAP_SHARED | MAP_POPULATE, ring->fd, IORING_OFF_SQ_RING);
-    if (ring->sq_ptr == MAP_FAILED) {
-      return nullptr;
-    }
-    ring->cq_ptr = single
-                       ? ring->sq_ptr
-                       : ::mmap(nullptr, ring->cq_len, PROT_READ | PROT_WRITE,
-                                MAP_SHARED | MAP_POPULATE, ring->fd, IORING_OFF_CQ_RING);
-    if (ring->cq_ptr == MAP_FAILED) {
-      return nullptr;
-    }
-    ring->sqes_len = p.sq_entries * sizeof(io_uring_sqe);
-    ring->sqes = static_cast<io_uring_sqe*>(::mmap(nullptr, ring->sqes_len,
-                                                   PROT_READ | PROT_WRITE,
-                                                   MAP_SHARED | MAP_POPULATE, ring->fd,
-                                                   IORING_OFF_SQES));
-    if (ring->sqes == static_cast<io_uring_sqe*>(MAP_FAILED)) {
-      return nullptr;
-    }
-    auto* sq = static_cast<unsigned char*>(ring->sq_ptr);
-    auto* cq = static_cast<unsigned char*>(ring->cq_ptr);
-    ring->sq_head = reinterpret_cast<unsigned*>(sq + p.sq_off.head);
-    ring->sq_tail = reinterpret_cast<unsigned*>(sq + p.sq_off.tail);
-    ring->sq_mask = reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    ring->sq_array = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    ring->cq_head = reinterpret_cast<unsigned*>(cq + p.cq_off.head);
-    ring->cq_tail = reinterpret_cast<unsigned*>(cq + p.cq_off.tail);
-    ring->cq_mask = reinterpret_cast<unsigned*>(cq + p.cq_off.ring_mask);
-    ring->cqes = reinterpret_cast<io_uring_cqe*>(cq + p.cq_off.cqes);
-    return ring;
-  }
-};
-
-bool UringIoEngine::Available() {
-  static const bool available = [] {
-    io_uring_params params{};
-    const int fd = SysIoUringSetup(4, &params);
-    if (fd < 0) {
-      return false;
-    }
-    ::close(fd);
-    return true;
-  }();
-  return available;
-}
-
-UringIoEngine::UringIoEngine() = default;
-UringIoEngine::~UringIoEngine() = default;
-
-UringIoEngine::Ring* UringIoEngine::AcquireRing() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!free_rings_.empty()) {
-    Ring* ring = free_rings_.back();
-    free_rings_.pop_back();
-    return ring;
-  }
-  std::unique_ptr<Ring> ring = Ring::Create(kRingEntries);
-  if (ring == nullptr) {
-    return nullptr;  // caller falls back to the synchronous path
-  }
-  rings_.push_back(std::move(ring));
-  return rings_.back().get();
-}
-
-void UringIoEngine::ReleaseRing(Ring* ring) {
-  std::lock_guard<std::mutex> lock(mu_);
-  free_rings_.push_back(ring);
-}
-
-void UringIoEngine::RunBatch(std::span<BatchIo> batch) {
-  Ring* ring = AcquireRing();
-  if (ring == nullptr) {
-    RunBatchSync(batch);
-    return;
-  }
-  const unsigned entries = ring->params.sq_entries;
-  const unsigned sq_mask = *ring->sq_mask;
-  const unsigned cq_mask = *ring->cq_mask;
-  size_t next = 0;  // next descriptor to submit
-  while (next < batch.size()) {
-    const size_t chunk = std::min<size_t>(batch.size() - next, entries);
-    unsigned tail = *ring->sq_tail;
-    for (size_t k = 0; k < chunk; ++k) {
-      const BatchIo& desc = batch[next + k];
-      const unsigned idx = tail & sq_mask;
-      io_uring_sqe* sqe = &ring->sqes[idx];
-      std::memset(sqe, 0, sizeof(*sqe));
-      sqe->opcode = desc.op == IoOp::kRead ? IORING_OP_READ : IORING_OP_WRITE;
-      sqe->fd = desc.fd;
-      sqe->off = desc.offset;
-      sqe->addr = desc.op == IoOp::kRead
-                      ? reinterpret_cast<uint64_t>(desc.read_buf.data())
-                      : reinterpret_cast<uint64_t>(desc.write_buf.data());
-      sqe->len = static_cast<unsigned>(ByteLen(desc));
-      sqe->user_data = next + k;
-      ring->sq_array[idx] = idx;
-      ++tail;
-    }
-    __atomic_store_n(ring->sq_tail, tail, __ATOMIC_RELEASE);
-    // One syscall submits and waits for the whole chunk.
-    unsigned reaped = 0;
-    int ret = SysIoUringEnter(ring->fd, static_cast<unsigned>(chunk),
-                              static_cast<unsigned>(chunk), IORING_ENTER_GETEVENTS);
-    while (reaped < chunk) {
-      if (ret < 0 && errno != EINTR) {
-        // Submission itself failed: the chunk's descriptors fall back.
-        for (size_t k = 0; k < chunk; ++k) {
-          BatchIo& desc = batch[next + k];
-          desc.result = FullTransfer(desc, 0);
-        }
-        reaped = static_cast<unsigned>(chunk);
-        break;
-      }
-      unsigned head = *ring->cq_head;
-      const unsigned cq_tail = __atomic_load_n(ring->cq_tail, __ATOMIC_ACQUIRE);
-      while (head != cq_tail && reaped < chunk) {
-        const io_uring_cqe* cqe = &ring->cqes[head & cq_mask];
-        BatchIo& desc = batch[cqe->user_data];
-        const uint64_t want = ByteLen(desc);
-        if (cqe->res >= 0 && static_cast<uint64_t>(cqe->res) == want) {
-          desc.result = OkStatus();
-        } else {
-          // Error or short completion: the portable loop finishes (or
-          // produces the definitive Status for) the remainder.
-          const uint64_t moved = cqe->res > 0 ? static_cast<uint64_t>(cqe->res) : 0;
-          desc.result = FullTransfer(desc, moved);
-        }
-        ++head;
-        ++reaped;
-      }
-      __atomic_store_n(ring->cq_head, head, __ATOMIC_RELEASE);
-      if (reaped < chunk) {
-        ret = SysIoUringEnter(ring->fd, 0, chunk - reaped, IORING_ENTER_GETEVENTS);
-      }
-    }
-    next += chunk;
-  }
-  ReleaseRing(ring);
-}
-
-#else  // !PFS_HAS_IO_URING
-
-struct UringIoEngine::Ring {};
-
-bool UringIoEngine::Available() { return false; }
-UringIoEngine::UringIoEngine() = default;
-UringIoEngine::~UringIoEngine() = default;
-UringIoEngine::Ring* UringIoEngine::AcquireRing() { return nullptr; }
-void UringIoEngine::ReleaseRing(Ring*) {}
-void UringIoEngine::RunBatch(std::span<BatchIo> batch) { RunBatchSync(batch); }
-
-#endif  // PFS_HAS_IO_URING
-
 void RegisterBuiltinIoEngines() {
-  IoEngineRegistry::Register("threadpool", [] {
-    return std::unique_ptr<IoEngine>(std::make_unique<ThreadPoolIoEngine>());
-  });
-  IoEngineRegistry::Register("uring", []() -> std::unique_ptr<IoEngine> {
-    if (UringIoEngine::Available()) {
-      return std::make_unique<UringIoEngine>();
-    }
-    // Kernel (or sandbox) refuses io_uring: degrade to the portable engine.
-    // The driver's stats report the engine actually in use.
-    return std::make_unique<ThreadPoolIoEngine>();
-  });
+  IoEngineRegistry::Register("threadpool", [] { return std::make_unique<IoEngine>(); });
 }
 
 }  // namespace pfs

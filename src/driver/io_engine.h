@@ -1,20 +1,10 @@
-// I/O engines: how a batch of file reads/writes reaches the kernel on
-// behalf of the on-line (file-backed) driver stack.
+// The I/O engine: how a batch of file reads/writes reaches the kernel on
+// behalf of the on-line (file-backed) driver stack. Contiguous same-op runs
+// of a batch go through one preadv/pwritev; everything else through plain
+// pread/pwrite.
 //
-//   ThreadPoolIoEngine  portable: preadv/pwritev per contiguous run of the
-//                       batch, plain pread/pwrite otherwise — always
-//                       available, and the behavioral baseline
-//   UringIoEngine       Linux io_uring via raw syscalls (no liburing): the
-//                       whole batch is submitted with one io_uring_enter and
-//                       reaped in one pass, so an N-request batch costs one
-//                       syscall instead of N
-//
-// Engines are registered by name in IoEngineRegistry ("threadpool",
-// "uring") and resolved at SystemBuilder time from the scenario's
-// `system.io_engine` key, like every other component family. The "uring"
-// factory probes the kernel at creation and falls back to the thread-pool
-// engine when io_uring is unavailable (old kernel, seccomp, RLIMIT) — the
-// driver's StatJson reports the engine actually in use.
+// The engine is registered by name in IoEngineRegistry ("threadpool") and
+// the scenario's `system.io_engine` key must name it.
 //
 // Every transfer loops until the full count is moved: a short read/write is
 // continued from where it stopped, EINTR retries, and a zero-byte read
@@ -24,10 +14,7 @@
 #define PFS_DRIVER_IO_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <vector>
 
 #include "core/status.h"
 #include "disk/io_request.h"
@@ -46,62 +33,15 @@ struct BatchIo {
 };
 
 // A blocking batch performer. RunBatch is invoked from IoExecutor pool
-// threads; implementations must be safe to call concurrently.
+// threads; the engine holds no state, so concurrent calls are safe.
 class IoEngine {
  public:
-  virtual ~IoEngine() = default;
-
-  // The registry name of the engine actually performing I/O (a "uring"
-  // request that fell back reports "threadpool").
-  virtual const char* name() const = 0;
-
   // Performs every descriptor, blocking until all complete; each
   // descriptor's `result` is filled before returning.
-  virtual void RunBatch(std::span<BatchIo> batch) = 0;
+  void RunBatch(std::span<BatchIo> batch);
 };
 
-// Portable engine: contiguous same-op runs of the batch go through one
-// preadv/pwritev; everything else through pread/pwrite. All paths loop to
-// full transfer.
-class ThreadPoolIoEngine final : public IoEngine {
- public:
-  const char* name() const override { return "threadpool"; }
-  void RunBatch(std::span<BatchIo> batch) override;
-};
-
-// io_uring engine (Linux). One ring per concurrently-running batch, drawn
-// from a lazily-grown pool, so IoExecutor pool threads never serialize on a
-// shared ring. Short completions are finished with the portable
-// full-transfer loop (they are rare; correctness over elegance).
-class UringIoEngine final : public IoEngine {
- public:
-  // Ring capacity per batch submission; larger batches are submitted in
-  // chunks of this size.
-  static constexpr unsigned kRingEntries = 64;
-
-  // True when the running kernel accepts io_uring_setup (compile-time
-  // support alone is not enough: seccomp or sysctl may refuse it).
-  static bool Available();
-
-  UringIoEngine();
-  ~UringIoEngine() override;
-
-  const char* name() const override { return "uring"; }
-  void RunBatch(std::span<BatchIo> batch) override;
-
- private:
-  struct Ring;  // one mmap'd SQ/CQ pair (io_engine.cc)
-
-  Ring* AcquireRing();
-  void ReleaseRing(Ring* ring);
-
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;  // all created rings
-  std::vector<Ring*> free_rings_;             // currently unused
-};
-
-// Registers "threadpool" and "uring" in IoEngineRegistry (the "uring"
-// factory degrades to ThreadPoolIoEngine when Available() is false).
+// Registers "threadpool" in IoEngineRegistry.
 void RegisterBuiltinIoEngines();
 
 }  // namespace pfs

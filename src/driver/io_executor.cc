@@ -4,9 +4,7 @@
 
 namespace pfs {
 
-IoExecutor::IoExecutor(int num_threads, std::unique_ptr<IoEngine> engine)
-    : engine_(engine != nullptr ? std::move(engine)
-                                : std::make_unique<ThreadPoolIoEngine>()) {
+IoExecutor::IoExecutor(int num_threads) {
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -90,7 +88,7 @@ void IoExecutor::WorkerLoop() {
       queued_.store(queued_.load(std::memory_order_relaxed) - 1,
                     std::memory_order_release);
     }
-    engine_->RunBatch(job->batch);
+    engine_.RunBatch(job->batch);
     job->on_complete(job);  // may resubmit or free the job
   }
 }

@@ -2,10 +2,9 @@
 // on behalf of the on-line system, keeping the cooperative scheduler thread
 // responsive. Completions are delivered back via Scheduler::PostNode.
 //
-// Batches go through a pluggable IoEngine (io_engine.h): the portable
-// thread-pool engine issues preadv/pwritev on the pool thread; the io_uring
-// engine submits the whole batch with one syscall. Either way the pool
-// thread blocks for the batch and then runs the job's completion function.
+// Batches go through the IoEngine (io_engine.h), which issues
+// preadv/pwritev on the pool thread: the pool thread blocks for the batch
+// and then runs the job's completion function.
 //
 // The queue is intrusive: a Job is a node the submitter owns (the
 // file-backed driver keeps one per driver, next to its descriptors), so a
@@ -21,7 +20,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -46,8 +44,7 @@ class IoExecutor {
     Job* next_ = nullptr;  // queue link, guarded by mu_
   };
 
-  // `engine` performs the batches; nullptr selects ThreadPoolIoEngine.
-  explicit IoExecutor(int num_threads = 2, std::unique_ptr<IoEngine> engine = nullptr);
+  explicit IoExecutor(int num_threads = 2);
   ~IoExecutor();
 
   IoExecutor(const IoExecutor&) = delete;
@@ -56,14 +53,12 @@ class IoExecutor {
   // Queues `job` behind every job submitted before it. Allocates nothing.
   void SubmitBatch(Job* job);
 
-  IoEngine* engine() const { return engine_.get(); }
-
  private:
   friend class IoExecutorTestPeer;
 
   void WorkerLoop();
 
-  std::unique_ptr<IoEngine> engine_;
+  IoEngine engine_;
   std::mutex mu_;
   std::condition_variable cv_;
   Job* head_ = nullptr;  // FIFO of submitted jobs; guarded by mu_

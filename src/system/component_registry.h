@@ -269,9 +269,10 @@ struct QueuePolicyFamily {
 using QueuePolicyRegistry = ComponentRegistry<QueuePolicyFamily>;
 
 // ---------------------------------------------------------------------------
-// I/O engines ("threadpool", "uring"): how the file-backed driver's batches
-// reach the kernel (io_engine.h). Factories, so every System owns its own
-// engine instance (the uring engine holds kernel rings).
+// The I/O engine ("threadpool"): how the file-backed driver's batches reach
+// the kernel (io_engine.h). Its one entry is the only name
+// `system.io_engine` accepts; pfsbench's device probe makes its engine
+// through the factory.
 // ---------------------------------------------------------------------------
 
 struct IoEngineFamily {

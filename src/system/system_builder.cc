@@ -227,9 +227,6 @@ Status ValidateStack(const SystemConfig& config) {
     if (config.image_path.empty()) {
       return Invalid("image_path: required for the file-backed backend");
     }
-    if (config.io_threads < 1) {
-      return Invalid("io_threads: the file-backed backend needs at least one");
-    }
     if (!IoEngineRegistry::Contains(config.io_engine)) {
       return IoEngineRegistry::UnknownNameError("io_engine", config.io_engine);
     }
@@ -329,8 +326,7 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
       sys.busses_.push_back(std::move(bus));
     }
   } else {
-    auto engine = (*IoEngineRegistry::Find(config.io_engine))();
-    sys.executor_ = std::make_unique<IoExecutor>(config.io_threads, std::move(engine));
+    sys.executor_ = std::make_unique<IoExecutor>(config.io_threads);
     const int total_disks = config.total_disks();
     for (int i = 0; i < total_disks; ++i) {
       Scheduler* disk_sched = sys.shard_scheduler(disk_owners[static_cast<size_t>(i)]);

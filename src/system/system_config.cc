@@ -277,7 +277,7 @@ std::string FamilyFields(const Family& family) {
 // A written key's row, and the family member it names (0 for a plain key).
 Result<std::pair<const ScenarioKey*, size_t>> MatchKey(const std::string& key) {
   for (const ScenarioKey& row : ScenarioKeys()) {
-    if (key == row.key || key == row.alias) {
+    if (key == row.key) {
       return std::pair(&row, size_t{0});
     }
   }
@@ -320,8 +320,12 @@ Status SetField(const ScenarioKey& row, const FieldRef& field, const std::string
                 const std::string& value) {
   uint64_t n = 0;
   if (row.type == KeyType::kBytes || row.type == KeyType::kUint) {
-    PFS_ASSIGN_OR_RETURN(n, row.type == KeyType::kBytes ? ParseBytes(value)
-                                                        : ParseUint(value, row.max));
+    const Result<uint64_t> parsed =
+        row.type == KeyType::kBytes ? ParseBytes(value) : ParseUint(value, row.max);
+    if (!parsed.ok()) {
+      return Invalid(key + ": " + parsed.status().message());
+    }
+    n = *parsed;
     if (n < row.min) {
       return Invalid(key + ": " + row.below_min);
     }
@@ -480,8 +484,9 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
        .doc = "Size of each disk image"},
       {.key = "image.format", .type = kBool, .field = FIELD(c.format),
        .doc = "Format the images (false: mount existing ones)"},
-      {.key = "system.io_threads", .type = kUint, .field = FIELD(c.io_threads),
-       .max = INT32_MAX, .alias = "image.io_threads", .doc = "Blocking-syscall threads"},
+      {.key = "system.io_threads", .type = kUint, .field = FIELD(c.io_threads), .min = 1,
+       .max = kMaxIoThreads, .below_min = "at least one I/O thread is required",
+       .doc = "Blocking-syscall threads"},
       {.key = "system.io_engine", .type = kName, .field = FIELD(c.io_engine),
        .names = &kRegistered<IoEngineRegistry>, .doc = "Batch submission engine"},
 
@@ -588,10 +593,7 @@ Result<SystemConfig> SystemConfig::Parse(const std::string& text) {
       return LineError(line_no, "empty key");
     }
     const auto match = MatchKey(key);
-    // "image.io_threads" is the legacy spelling of "system.io_threads"; fold
-    // them together so a scenario can't set the same knob twice.
-    const bool alias = match.ok() && key == match->first->alias;
-    if (!seen_keys.insert(alias ? match->first->key : key).second) {
+    if (!seen_keys.insert(key).second) {
       return LineError(line_no, "duplicate key \"" + key + "\"");
     }
     if (!match.ok()) {
@@ -714,9 +716,6 @@ std::string ScenarioKeyReference() {
     out += "\n" + std::string(row.key) + " = " + values;
     if (FamilyOf(row) == nullptr) {
       out += "  [default: " + PrintField(row, row.field(defaults, 0)).value_or("") + "]";
-    }
-    if (*row.alias != '\0') {
-      out += "  (alias: " + std::string(row.alias) + ")";
     }
     out += "\n    " + std::string(row.doc) + "\n";
   }

@@ -130,9 +130,8 @@ struct SystemConfig {
   uint64_t image_bytes = 64 * kMiB;  // per disk
   bool format = true;                // format vs mount existing images
   int io_threads = 2;                // blocking-syscall pool size
-  // Batch submission engine for file-backed I/O: "threadpool" (portable
-  // preadv/pwritev) or "uring" (io_uring; falls back to threadpool when the
-  // kernel lacks it). Registry-checked at parse time.
+  // Batch submission engine for file-backed I/O; "threadpool" (preadv/
+  // pwritev on the pool threads) is the one registered name.
   std::string io_engine = "threadpool";
 
   // -- storage layout: "lfs" (paper default), "ffs", or "guessing" ---------
@@ -202,6 +201,9 @@ struct SystemConfig {
 
 // The largest accepted "system.shards" value.
 inline constexpr int kMaxShards = 64;
+// The largest accepted "system.io_threads" value: each is an OS thread that
+// building a file-backed system starts.
+inline constexpr int kMaxIoThreads = 64;
 // The largest accepted "topology.num_filesystems" value: far above any
 // shipped scenario (Allspice has 14), and small enough that validation's
 // per-file-system allocations stay small.
@@ -251,7 +253,6 @@ struct ScenarioKey {
   // kString: a rule on the value, returning the full rejection.
   Status (*rule)(const std::string& key, const std::string& value) = nullptr;
   bool optional = false;     // ToString leaves out an empty list or a negative int
-  const char* alias = "";    // a legacy spelling Parse also accepts
   const char* section = "";  // ToString opens a "# <section>" block here
   const char* doc = "";
 };

@@ -64,7 +64,6 @@ TEST(ConfigRoundTripTest, EveryFieldSurvives) {
   config.image_bytes = 24 * kMiB + 512;
   config.format = false;
   config.io_threads = 7;
-  config.io_engine = "uring";
   config.layout = "ffs";
   config.cleaner = "cost-benefit";
   config.lfs_segment_blocks = 64;
@@ -285,33 +284,57 @@ TEST(ConfigParseTest, RejectsUnknownComponentNamesListingAlternatives) {
 
   auto engine = SystemConfig::Parse("system.io_engine = epoll\n");
   ASSERT_FALSE(engine.ok());
-  for (const char* registered : {"threadpool", "uring"}) {
-    EXPECT_NE(engine.status().message().find(registered), std::string::npos)
-        << engine.status().ToString();
-  }
+  EXPECT_NE(engine.status().message().find("threadpool"), std::string::npos)
+      << engine.status().ToString();
   EXPECT_NE(engine.status().message().find("line 1"), std::string::npos);
 }
 
-TEST(ConfigParseTest, IoKeysRoundTripAndAliasIsDetectedAsDuplicate) {
-  // The canonical spelling round-trips through ToString.
-  auto parsed = SystemConfig::Parse("system.io_threads = 5\nsystem.io_engine = uring\n");
+TEST(ConfigParseTest, IoKeysRoundTripAndTheOldSpellingIsUnknown) {
+  auto parsed =
+      SystemConfig::Parse("system.io_threads = 5\nsystem.io_engine = threadpool\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->io_threads, 5);
-  EXPECT_EQ(parsed->io_engine, "uring");
+  EXPECT_EQ(parsed->io_engine, "threadpool");
   EXPECT_NE(parsed->ToString().find("system.io_threads = 5"), std::string::npos);
-  EXPECT_NE(parsed->ToString().find("system.io_engine = uring"), std::string::npos);
+  EXPECT_NE(parsed->ToString().find("system.io_engine = threadpool"), std::string::npos);
 
-  // The legacy spelling still parses...
   auto legacy = SystemConfig::Parse("image.io_threads = 3\n");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->io_threads, 3);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_NE(legacy.status().message().find("line 1: unknown key \"image.io_threads\""),
+            std::string::npos)
+      << legacy.status().ToString();
+}
 
-  // ...but setting the same knob under both names is a duplicate-key error.
-  auto dup = SystemConfig::Parse("system.io_threads = 3\nimage.io_threads = 4\n");
-  ASSERT_FALSE(dup.ok());
-  EXPECT_NE(dup.status().message().find("duplicate"), std::string::npos)
-      << dup.status().ToString();
-  EXPECT_NE(dup.status().message().find("line 2"), std::string::npos);
+TEST(ConfigParseTest, BoundsIoThreads) {
+  // Every I/O thread is an OS thread the file-backed system starts when it
+  // is built, so the key's range is checked at its line.
+  auto above = SystemConfig::Parse("system.io_threads = 65\n");
+  ASSERT_FALSE(above.ok());
+  EXPECT_NE(above.status().message().find("line 1: system.io_threads"), std::string::npos)
+      << above.status().ToString();
+  EXPECT_NE(above.status().message().find("max 64"), std::string::npos)
+      << above.status().ToString();
+  auto zero = SystemConfig::Parse("system.io_threads = 0\n");
+  ASSERT_FALSE(zero.ok());
+  EXPECT_NE(zero.status().message().find("line 1: system.io_threads"), std::string::npos)
+      << zero.status().ToString();
+  auto at_cap = SystemConfig::Parse("system.io_threads = 64\n");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->io_threads, 64);
+
+  // A config built in code fails Build before it assembles anything: no
+  // image is created, so no I/O thread has started either.
+  SystemConfig config = SystemConfig::OnlineDefaults();
+  config.image_path = "/tmp/pfs_config_io_threads.img";
+  std::filesystem::remove(config.image_path);
+  for (const int threads : {65, 0}) {
+    config.io_threads = threads;
+    auto built = SystemBuilder::Build(config);
+    ASSERT_FALSE(built.ok()) << threads;
+    EXPECT_NE(built.status().message().find("system.io_threads"), std::string::npos)
+        << built.status().ToString();
+    EXPECT_FALSE(std::filesystem::exists(config.image_path)) << threads;
+  }
 }
 
 TEST(ConfigParseTest, RejectsMalformedInput) {
@@ -333,7 +356,7 @@ TEST(ConfigParseTest, RejectsOutOfRangeIntegers) {
   // Values the target field cannot hold must be errors, never silent
   // truncations (4294967297 would wrap num_filesystems to 1).
   EXPECT_FALSE(SystemConfig::Parse("topology.num_filesystems = 4294967297\n").ok());
-  EXPECT_FALSE(SystemConfig::Parse("image.io_threads = 99999999999\n").ok());
+  EXPECT_FALSE(SystemConfig::Parse("system.io_threads = 99999999999\n").ok());
   EXPECT_FALSE(SystemConfig::Parse("layout.max_inodes = 4294967296\n").ok());
   EXPECT_FALSE(SystemConfig::Parse("volume0.kind = striped\nvolume0.members = 0, 1\n"
                                    "volume0.stripe_unit_kb = 4294967296\n")
@@ -408,7 +431,6 @@ TEST(ConfigParseTest, KeyReferenceListsEveryKey) {
     EXPECT_NE(reference.find(std::string("\n") + row.key + " = "), std::string::npos)
         << row.key;
   }
-  EXPECT_NE(reference.find("(alias: image.io_threads)"), std::string::npos);
 }
 
 TEST(ConfigParseTest, ScenarioArgsFlagHandling) {

@@ -338,14 +338,13 @@ TEST_F(FileDriverTest, DrainsTheQueueIntoBatches) {
   const std::string json = driver->StatJson();
   EXPECT_NE(json.find("\"batches\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"reqs_per_batch\":"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"engine\":\"threadpool\""), std::string::npos) << json;
-  EXPECT_STREQ(driver->engine_name(), "threadpool");
 }
 
-// Runs one write-then-read byte pattern through an engine directly (no
-// scheduler): the blocking RunBatch contract.
-void EngineRoundTrip(IoEngine* engine, const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+TEST_F(FileDriverTest, EngineRoundTrips) {
+  // One write-then-read byte pattern through the engine directly (no
+  // scheduler): the blocking RunBatch contract.
+  IoEngine engine;
+  const int fd = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
   ASSERT_GE(fd, 0);
   ASSERT_EQ(::ftruncate(fd, 64 * 1024), 0);
 
@@ -363,7 +362,7 @@ void EngineRoundTrip(IoEngine* engine, const std::string& path) {
   writes[1].fd = fd;
   writes[1].offset = 4096;  // contiguous with the first: vectored path
   writes[1].write_buf = b;
-  engine->RunBatch(writes);
+  engine.RunBatch(writes);
   EXPECT_TRUE(writes[0].result.ok()) << writes[0].result.ToString();
   EXPECT_TRUE(writes[1].result.ok()) << writes[1].result.ToString();
 
@@ -375,25 +374,12 @@ void EngineRoundTrip(IoEngine* engine, const std::string& path) {
   reads[1].fd = fd;
   reads[1].offset = 0;
   reads[1].read_buf = back_a;
-  engine->RunBatch(reads);
+  engine.RunBatch(reads);
   EXPECT_TRUE(reads[0].result.ok()) << reads[0].result.ToString();
   EXPECT_TRUE(reads[1].result.ok()) << reads[1].result.ToString();
   EXPECT_EQ(back_a, a);
   EXPECT_EQ(back_b, b);
   ::close(fd);
-}
-
-TEST_F(FileDriverTest, ThreadPoolEngineRoundTrips) {
-  ThreadPoolIoEngine engine;
-  EngineRoundTrip(&engine, path_);
-}
-
-TEST_F(FileDriverTest, UringEngineRoundTrips) {
-  if (!UringIoEngine::Available()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel";
-  }
-  UringIoEngine engine;
-  EngineRoundTrip(&engine, path_);
 }
 
 TEST_F(FileDriverTest, EngineFailsReadsPastEofInsteadOfShortening) {
@@ -409,20 +395,11 @@ TEST_F(FileDriverTest, EngineFailsReadsPastEofInsteadOfShortening) {
   desc.fd = fd;
   desc.offset = 0;
   desc.read_buf = buf;
-  ThreadPoolIoEngine engine;
+  IoEngine engine;
   engine.RunBatch({&desc, 1});
   EXPECT_FALSE(desc.result.ok());
   EXPECT_NE(desc.result.ToString().find("EOF"), std::string::npos)
       << desc.result.ToString();
-
-  if (UringIoEngine::Available()) {
-    desc.result = OkStatus();
-    UringIoEngine uring;
-    uring.RunBatch({&desc, 1});
-    EXPECT_FALSE(desc.result.ok());
-    EXPECT_NE(desc.result.ToString().find("EOF"), std::string::npos)
-        << desc.result.ToString();
-  }
   ::close(fd);
 }
 
@@ -444,7 +421,7 @@ TEST_F(FileDriverTest, EngineReportsWriteErrors) {
     d.write_buf = buf;
   }
   descs[1].offset = 512;
-  ThreadPoolIoEngine engine;
+  IoEngine engine;
   engine.RunBatch(descs);
   EXPECT_FALSE(descs[0].result.ok());
   EXPECT_FALSE(descs[1].result.ok());

@@ -188,7 +188,8 @@ TEST_F(SystemTest, SameConfigSameResultsOnBothBackends) {
 TEST_F(SystemTest, StripedAndMirroredVolumesSameResultsOnBothBackends) {
   // fs0 striped over both disks, fs1 mirrored over both: the workload's
   // logical results must not depend on the backend — the volume layer is
-  // below the cache, so the same splitting code runs in both stacks.
+  // below the cache, so the same splitting code runs in both stacks — nor
+  // on whether the file-backed volumes coalesce fragments into batches.
   SystemConfig config = SmallConfig();
   config.image_path = image_;
   config.image_bytes = 16 * kMiB;
@@ -208,54 +209,16 @@ TEST_F(SystemTest, StripedAndMirroredVolumesSameResultsOnBothBackends) {
   config.backend = BackendKind::kFileBacked;
   auto real = RunOn(config);
   ASSERT_TRUE(real.ok()) << real.status().ToString();
+  auto uncoalesced = RunOn(config, /*coalesce=*/false);
+  ASSERT_TRUE(uncoalesced.ok()) << uncoalesced.status().ToString();
 
   EXPECT_EQ(sim->entries, real->entries);
   EXPECT_EQ(sim->sizes, real->sizes);
   EXPECT_EQ(sim->ops_ok, real->ops_ok);
   EXPECT_EQ(sim->entries, (std::vector<std::string>{"f2", "f3", "f4", "f5", "g1"}));
-}
-
-TEST_F(SystemTest, BothEnginesAndCoalescingModesSameResults) {
-  // The batched path must be invisible to the file system: file-backed
-  // striped runs under the threadpool engine, the uring engine (falling back
-  // where unavailable), and with coalescing disabled all produce the same
-  // logical results as each other and as the simulation.
-  SystemConfig config = SmallConfig();
-  config.image_path = image_;
-  config.image_bytes = 16 * kMiB;
-  VolumeSpec striped;
-  striped.kind = "striped";
-  striped.members = {0, 1};
-  striped.stripe_unit_kb = 16;
-  VolumeSpec mirror;
-  mirror.kind = "mirror";
-  mirror.members = {0, 1};
-  config.volumes = {striped, mirror};
-
-  config.backend = BackendKind::kSimulated;
-  auto sim = RunOn(config);
-  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-
-  config.backend = BackendKind::kFileBacked;
-  config.io_engine = "threadpool";
-  auto pool = RunOn(config);
-  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-
-  auto pool_uncoalesced = RunOn(config, /*coalesce=*/false);
-  ASSERT_TRUE(pool_uncoalesced.ok()) << pool_uncoalesced.status().ToString();
-
-  config.io_engine = "uring";
-  auto uring = RunOn(config);
-  ASSERT_TRUE(uring.ok()) << uring.status().ToString();
-
-  EXPECT_EQ(sim->entries, pool->entries);
-  EXPECT_EQ(sim->sizes, pool->sizes);
-  EXPECT_EQ(pool->entries, pool_uncoalesced->entries);
-  EXPECT_EQ(pool->sizes, pool_uncoalesced->sizes);
-  EXPECT_EQ(pool->ops_ok, pool_uncoalesced->ops_ok);
-  EXPECT_EQ(pool->entries, uring->entries);
-  EXPECT_EQ(pool->sizes, uring->sizes);
-  EXPECT_EQ(pool->ops_ok, uring->ops_ok);
+  EXPECT_EQ(real->entries, uncoalesced->entries);
+  EXPECT_EQ(real->sizes, uncoalesced->sizes);
+  EXPECT_EQ(real->ops_ok, uncoalesced->ops_ok);
 }
 
 TEST_F(SystemTest, StripedVolumeFansOutOverTheMembers) {
