@@ -322,8 +322,8 @@ TEST(ConfigParseTest, BoundsIoThreads) {
   ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
   EXPECT_EQ(at_cap->io_threads, 64);
 
-  // A config built in code fails Build before it assembles anything: no
-  // image is created, so no I/O thread has started either.
+  // A config built in code fails in Build's validation, which runs before
+  // the I/O pool starts: the error names the key and no image is created.
   SystemConfig config = SystemConfig::OnlineDefaults();
   config.image_path = "/tmp/pfs_config_io_threads.img";
   std::filesystem::remove(config.image_path);
