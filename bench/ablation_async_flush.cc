@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   std::printf("# Ablation: synchronous vs asynchronous cache flush (trace 1b, UPS policy)\n");
   WorkloadParams params = WorkloadParams::SpriteLike("1b", scale);
   SimulationOptions options;
-  options.collect_interval_reports = false;
   options.max_simulated_time = params.duration + Duration::Minutes(2);
 
   for (const bool async : {false, true}) {

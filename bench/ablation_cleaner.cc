@@ -16,9 +16,6 @@ int main(int argc, char** argv) {
   WorkloadParams params = WorkloadParams::SpriteLike("2b", scale);
   params.p_rewrite_session = 0.55;  // hammer the overwrite path
   params.p_read_session = 0.25;
-  SimulationOptions options;
-  options.collect_interval_reports = false;
-
   std::printf("%-14s %12s %12s %14s %14s\n", "cleaner", "mean-ms", "p95-ms",
               "segs-cleaned", "write-cost");
   for (const char* cleaner : {"greedy", "cost-benefit"}) {

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
   BurstWorkloadParams burst;
   burst.duration = Duration::SecondsF(120.0 * scale);
   SimulationOptions options;
-  options.collect_interval_reports = false;
   options.max_simulated_time = burst.duration + Duration::Minutes(2);
 
   std::printf("%-14s %14s %14s %14s %12s\n", "nvram", "write-mean-ms", "write-p99-ms",

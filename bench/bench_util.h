@@ -105,7 +105,6 @@ inline Result<SimulationResult> RunPolicy(const std::string& trace_name,
                                           SystemConfig base = SystemConfig::AllspiceSim()) {
   WorkloadParams params = WorkloadParams::SpriteLike(trace_name, scale);
   SimulationOptions options;
-  options.collect_interval_reports = false;
   // Bound the run: a saturated configuration (cache permanently all-dirty)
   // must still terminate and report the latencies it measured.
   options.max_simulated_time = params.duration + Duration::Minutes(2);

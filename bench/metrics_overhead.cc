@@ -6,11 +6,11 @@
 // single-writer stores per op (client op counter + cache hit counter) and the
 // 1-in-64 sampled clock read for the latency histogram — unsampled, two
 // ~30 ns real-clock reads would dominate a ~350 ns cache-hit read. What
-// metrics.enabled adds is the HTTP listener and the /statz refresher, which
-// gathers every shard's ReportJson twice a second; the claim gated in the
-// baseline is that these cost <= 2% of the "off" IOPS. Scraping sums the
-// per-shard cells from a foreign thread and must not disturb the writers
-// beyond cache traffic.
+// metrics.enabled adds is the HTTP listener and the stats sampler, which
+// gathers every shard's ReportJson twice a second for /statz; the claim
+// gated in the baseline is that these cost <= 2% of the "off" IOPS.
+// Scraping sums the per-shard cells from a foreign thread and must not
+// disturb the writers beyond cache traffic.
 //
 // Each mode runs kRepeats times and reports the best run: the quantity under
 // test is the added per-op work, not host scheduling noise, so the minimum

@@ -132,9 +132,7 @@ int main(int argc, char** argv) {
     config.num_filesystems = 1;
     config.cache_bytes = kCacheBytes;
     config.flush_policy = policy;
-    SimulationOptions options;
-    options.collect_interval_reports = false;
-    auto sim = RunTraceSimulation(config, SmallWorkload(), options);
+    auto sim = RunTraceSimulation(config, SmallWorkload());
     if (!sim.ok()) {
       std::printf("patsy error: %s\n", sim.status().ToString().c_str());
       return 1;

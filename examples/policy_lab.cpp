@@ -31,9 +31,6 @@ int main(int argc, char** argv) {
               "flushed", "absorbed");
 
   const WorkloadParams params = WorkloadParams::SpriteLike(trace_name, scale);
-  SimulationOptions options;
-  options.collect_interval_reports = false;
-
   // §5.3: the paper migrated UPS-backed write saving into the production PFS.
   const std::string paper_pick = "ups";
   double paper_pick_mean = 0;
@@ -42,7 +39,7 @@ int main(int argc, char** argv) {
   for (const char* policy : {"write-delay", "nvram-partial", "nvram-whole", "ups"}) {
     PatsyConfig config = base;
     config.flush_policy = policy;
-    auto result = RunTraceSimulation(config, GenerateWorkload(params), options);
+    auto result = RunTraceSimulation(config, GenerateWorkload(params));
     if (!result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", policy, result.status().ToString().c_str());
       return 1;

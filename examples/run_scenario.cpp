@@ -29,8 +29,9 @@
 //
 // --metrics PORT serves the live metrics plane on PORT (0 = ask the kernel):
 // it forces metrics.enabled, which starts the HTTP listener (/metrics,
-// /healthz, /statz) and the /statz refresher. The metric registry counts with
-// or without it; on the virtual clock the refresher is one more coroutine on
+// /healthz, /statz) and the stats sampler whose latest report /statz serves
+// (every trace.sample_ms, else every 500 ms). The metric registry counts with
+// or without it; on the virtual clock the sampler is one more coroutine on
 // shard 0, so a run with --metrics is not step-for-step the run without.
 // Whenever the listener runs, the bound port is printed (and flushed) right
 // after setup as "metrics: http://127.0.0.1:<port>/metrics", so a scraper

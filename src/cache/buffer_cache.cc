@@ -449,7 +449,12 @@ void BufferCache::InvalidateFile(uint32_t fs_id, uint64_t ino, uint64_t from_blo
 
 Task<> BufferCache::Flusher() {
   for (;;) {
-    co_await flusher_wakeup_.Wait();
+    // Park only while there is no pressure: a writer's Signal with no waiter
+    // is lost (it may run before this daemon's first step), so the predicate,
+    // not the wakeup, decides.
+    while (free_.size() + clean_.size() >= config_.flusher_target_blocks) {
+      co_await flusher_wakeup_.Wait();
+    }
     // Flush until the allocation pressure is relieved.
     while (free_.size() + clean_.size() < config_.flusher_target_blocks) {
       const Status status = co_await flush_policy_->MakeSpace();

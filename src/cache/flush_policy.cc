@@ -1,7 +1,6 @@
 #include "cache/flush_policy.h"
 
 #include "cache/buffer_cache.h"
-#include "core/check.h"
 #include "system/component_registry.h"
 
 namespace pfs {
@@ -20,26 +19,22 @@ void WriteDelayPolicy::Attach(BufferCache* cache) {
 Task<> WriteDelayPolicy::Scanner() {
   Scheduler* sched = cache_->scheduler();
   for (;;) {
-    co_await sched->Sleep(options_.scan_interval);
+    co_await sched->Sleep(kScanInterval);
     // Flush every file whose oldest dirty block exceeded the age limit
     // (paper §2: "when it detects that there exists a dirty block older than
     // 30 seconds, it flushes the file associated to the oldest block").
     for (;;) {
       CacheBlock* oldest = cache_->OldestFlushableDirty();
-      if (oldest == nullptr || sched->Now() - oldest->dirtied_at < options_.max_age) {
+      if (oldest == nullptr || sched->Now() - oldest->dirtied_at < kMaxAge) {
         break;
       }
-      if (options_.whole_file) {
-        (void)co_await cache_->FlushFile(oldest->id.fs_id, oldest->id.ino);
-      } else {
-        (void)co_await cache_->FlushBlock(oldest);
-      }
+      (void)co_await cache_->FlushFile(oldest->id.fs_id, oldest->id.ino);
     }
   }
 }
 
 Task<Status> UpsPolicy::MakeSpace() {
-  co_return co_await cache_->FlushOldest(options_.whole_file);
+  co_return co_await cache_->FlushOldest(/*whole_file=*/false);
 }
 
 Task<Status> NvramPolicy::AdmitDirty(uint64_t bytes) {
@@ -72,12 +67,6 @@ void RegisterBuiltinFlushPolicies() {
   FlushPolicyRegistry::Register("nvram-partial", [](const FlushPolicyOptions& options) {
     return std::make_unique<NvramPolicy>(NvramPolicy::Options{options.nvram_bytes, false});
   });
-}
-
-std::unique_ptr<FlushPolicy> MakeFlushPolicy(const std::string& name) {
-  const auto* factory = FlushPolicyRegistry::Find(name);
-  PFS_CHECK_MSG(factory != nullptr, "unknown flush policy");
-  return (*factory)(FlushPolicyOptions{});
 }
 
 }  // namespace pfs

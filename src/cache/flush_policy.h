@@ -17,7 +17,6 @@
 #define PFS_CACHE_FLUSH_POLICY_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "core/status.h"
@@ -57,40 +56,22 @@ class FlushPolicy {
 
 class WriteDelayPolicy final : public FlushPolicy {
  public:
-  struct Options {
-    Duration max_age = Duration::Seconds(30);
-    Duration scan_interval = Duration::Seconds(5);
-    bool whole_file = true;  // flush the file owning the over-age block
-  };
-
-  WriteDelayPolicy() = default;
-  explicit WriteDelayPolicy(Options options) : options_(options) {}
-
   std::string name() const override { return "write-delay-30s"; }
   void Attach(BufferCache* cache) override;
 
  private:
-  Task<> Scanner();
+  static constexpr Duration kMaxAge = Duration::Seconds(30);
+  static constexpr Duration kScanInterval = Duration::Seconds(5);
 
-  Options options_;
+  Task<> Scanner();
 };
 
+// Flushes the single oldest dirty block: the paper's UPS experiment uses the
+// naive single-block flush, and trace 5 shows its cost.
 class UpsPolicy final : public FlushPolicy {
  public:
-  struct Options {
-    // The paper's UPS experiment uses the naive single-block flush; trace 5
-    // shows its cost.
-    bool whole_file = false;
-  };
-
-  UpsPolicy() = default;
-  explicit UpsPolicy(Options options) : options_(options) {}
-
   std::string name() const override { return "ups-write-saving"; }
   Task<Status> MakeSpace() override;
-
- private:
-  Options options_;
 };
 
 class NvramPolicy final : public FlushPolicy {
@@ -115,9 +96,6 @@ class NvramPolicy final : public FlushPolicy {
  private:
   Options options_;
 };
-
-// Factory by name: "write-delay", "ups", "nvram-whole", "nvram-partial".
-std::unique_ptr<FlushPolicy> MakeFlushPolicy(const std::string& name);
 
 }  // namespace pfs
 

@@ -28,7 +28,7 @@ const char* QueueSchedPolicyName(QueueSchedPolicy p) {
 }
 
 namespace {
-// The one list both the parser and the error message enumerate.
+// Every policy, in the order the registry lists them.
 constexpr QueueSchedPolicy kAllQueueSchedPolicies[] = {
     QueueSchedPolicy::kFcfs, QueueSchedPolicy::kSstf,  QueueSchedPolicy::kScan,
     QueueSchedPolicy::kCscan, QueueSchedPolicy::kLook, QueueSchedPolicy::kClook};
@@ -39,16 +39,6 @@ void RegisterBuiltinQueuePolicies() {
     QueuePolicyRegistry::Register(QueueSchedPolicyName(p), p);
   }
 }
-
-std::optional<QueueSchedPolicy> QueueSchedPolicyFromName(std::string_view name) {
-  const QueueSchedPolicy* policy = QueuePolicyRegistry::Find(name);
-  if (policy == nullptr) {
-    return std::nullopt;
-  }
-  return *policy;
-}
-
-std::string QueueSchedPolicyNames() { return QueuePolicyRegistry::NameList(); }
 
 QueueingDiskDriver::QueueingDiskDriver(Scheduler* sched, MetricRegistry* metrics,
                                        std::string name, QueueSchedPolicy policy)

@@ -9,9 +9,7 @@
 #ifndef PFS_DRIVER_DISK_DRIVER_H_
 #define PFS_DRIVER_DISK_DRIVER_H_
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "disk/io_request.h"
@@ -28,21 +26,15 @@ namespace pfs {
 // the disk itself, so SCAN behaves as LOOK and C-SCAN as C-LOOK here.
 enum class QueueSchedPolicy : uint8_t { kFcfs, kSstf, kScan, kCscan, kLook, kClook };
 
+// The registry name of `p`; QueuePolicyRegistry resolves names back.
 const char* QueueSchedPolicyName(QueueSchedPolicy p);
-// Inverse of QueueSchedPolicyName; nullopt for unknown names.
-std::optional<QueueSchedPolicy> QueueSchedPolicyFromName(std::string_view name);
-// "FCFS, SSTF, SCAN, C-SCAN, LOOK, C-LOOK" — for validation error messages.
-std::string QueueSchedPolicyNames();
-
-// A disk driver is the volume layer's leaf device: it satisfies the
-// BlockDevice contract directly, so layouts (through volumes) never see
-// which driver backs them.
-class DiskDriver : public BlockDevice {};
 
 // Base driver: owns the I/O queue and its scheduling policy; derived classes
 // implement Dispatch() for their device. One request is outstanding at the
-// device at a time (the device's own cache provides overlap).
-class QueueingDiskDriver : public DiskDriver, public StatSource {
+// device at a time (the device's own cache provides overlap). A driver is
+// the volume layer's leaf device: it satisfies the BlockDevice contract
+// directly, so layouts (through volumes) never see which driver backs them.
+class QueueingDiskDriver : public BlockDevice, public StatSource {
  public:
   // Counts requests, dispatches, queue waits and latencies in `metrics`
   // under a {disk="<name>"} label.

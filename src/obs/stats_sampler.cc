@@ -107,54 +107,37 @@ void StatsSampler::Start() {
   group_->shard(0)->SpawnTransientDaemon("obs.stats_sampler", Loop());
 }
 
+std::string StatsSampler::Latest() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return latest_;
+}
+
 Task<> StatsSampler::Loop() {
   Scheduler* home = group_->shard(0);
   for (;;) {
-    co_await home->Sleep(interval_);
     const double t_ms = static_cast<double>(home->Now().nanos()) / 1e6;
     std::string stats_json = co_await GatherReportJson(group_, stats_);
     PushSample(t_ms, std::move(stats_json));
+    co_await home->Sleep(interval_);
   }
 }
 
 void StatsSampler::PushSample(double t_ms, std::string stats_json) {
-  SamplePoint sample;
-  sample.t_ms = t_ms;
-  sample.stats_json = std::move(stats_json);
-  sample.metrics_json = metrics_->JsonSnapshot();
   if (out_ != nullptr) {
-    // Hand the rendered line to the writer thread; file I/O (and the
-    // periodic sync) must not run on the scheduler thread.
+    // The metric snapshot is rendered only for the stream. File I/O (and the
+    // periodic sync) runs on the writer thread, never on the scheduler thread.
+    char head[64];
+    std::snprintf(head, sizeof(head), "{\"t_ms\":%.3f,\"stats\":", t_ms);
+    std::string line =
+        head + stats_json + ",\"metrics\":" + metrics_->JsonSnapshot() + "}\n";
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pending_.push_back(LineJson(sample) + "\n");
+      pending_.push_back(std::move(line));
     }
     cv_.notify_one();
   }
-  samples_.push_back(std::move(sample));
-}
-
-std::string StatsSampler::LineJson(const SamplePoint& sample) const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{\"t_ms\":%.3f,\"stats\":", sample.t_ms);
-  std::string out(buf);
-  out += sample.stats_json;
-  out += ",\"metrics\":";
-  out += sample.metrics_json;
-  out += "}";
-  return out;
-}
-
-std::string StatsSampler::SeriesJson() const {
-  std::string out = "[";
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += LineJson(samples_[i]);
-  }
-  out += "]";
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  latest_ = std::move(stats_json);
 }
 
 }  // namespace pfs

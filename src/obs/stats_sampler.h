@@ -1,15 +1,15 @@
-// StatsSampler: a transient daemon that snapshots StatsRegistry::ReportJson()
-// and the MetricRegistry every N ms into a time-series, so runs emit
-// latency/throughput *curves* instead of one end-of-run scalar. Snapshots are
-// cumulative (StatJson never resets); consumers difference adjacent samples
-// to get rates.
+// StatsSampler: the one periodic observer. A transient daemon on shard 0
+// gathers StatsRegistry::ReportJson() every N ms and keeps the latest
+// snapshot, which /statz serves. Snapshots are cumulative (StatJson never
+// resets); consumers difference two of them to get rates.
 //
 // With OpenOutput() the series also streams to disk incrementally: each
-// sample appends one NDJSON line and the file is sync'd every `flush_every`
-// samples, so a crashed or killed run keeps everything but the tail. The
-// stream-and-sync work runs on a dedicated writer thread — fsync on the
-// sampling coroutine would stall the shard's scheduler loop and distort the
-// very latencies being sampled — so the sampler only enqueues lines.
+// sample appends one NDJSON line, with the MetricRegistry next to the stats,
+// and the file is sync'd every `flush_every` samples, so a crashed or killed
+// run keeps everything but the tail. The stream-and-sync work runs on a
+// dedicated writer thread — fsync on the sampling coroutine would stall the
+// shard's scheduler loop and distort the very latencies being sampled — so
+// the sampler only enqueues lines.
 //
 // Snapshots are gathered shard by shard (GatherReportJson), so each shard's
 // shard-affine sources are read on their own loop.
@@ -25,7 +25,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/status.h"
 #include "sched/scheduler.h"
@@ -36,13 +35,6 @@ namespace pfs {
 class SchedulerGroup;
 class MetricRegistry;
 
-// One snapshot: the clock stamp plus the JSON fragments gathered at it.
-struct SamplePoint {
-  double t_ms;
-  std::string stats_json;
-  std::string metrics_json;
-};
-
 // ReportJson() of `stats`, read shard by shard on the owning loops: every
 // shard's shard-affine sources via a CallOn round trip to that shard, the
 // unowned sources with shard 0, so each source appears exactly once. Await
@@ -52,7 +44,7 @@ Task<std::string> GatherReportJson(SchedulerGroup* group, StatsRegistry* stats);
 
 class StatsSampler {
  public:
-  // Samples on `group`'s shard 0; every sample carries a "metrics" object
+  // Samples on `group`'s shard 0; a streamed line carries a "metrics" object
   // (MetricRegistry::JsonSnapshot()) next to "stats".
   StatsSampler(SchedulerGroup* group, StatsRegistry* stats, MetricRegistry* metrics,
                Duration interval);
@@ -68,18 +60,15 @@ class StatsSampler {
   Status OpenOutput(const std::string& path, size_t flush_every);
 
   // Spawns the sampling daemon (transient: neither keeps Run() alive nor
-  // leaves a finished record); it takes one snapshot every interval.
+  // leaves a finished record). It gathers at once, then once every interval.
   void Start();
 
-  size_t sample_count() const { return samples_.size(); }
-
-  // `[{"t_ms":<clock ms>,"stats":<ReportJson()>,"metrics":<snapshot>}, ...]`
-  std::string SeriesJson() const;
+  // The latest gathered ReportJson(); empty until the first gather lands.
+  // Safe from any thread.
+  std::string Latest() const;
 
  private:
   Task<> Loop();
-  // "{"t_ms":...,"stats":<json>,"metrics":<snapshot>}" for one sample.
-  std::string LineJson(const SamplePoint& sample) const;
   void PushSample(double t_ms, std::string stats_json);
   // Writer-thread body: drains `pending_` into `out_`, syncing every
   // `flush_every_` lines, plus once more on shutdown.
@@ -89,20 +78,20 @@ class StatsSampler {
   StatsRegistry* stats_;
   MetricRegistry* metrics_;
   Duration interval_;
-
-  std::vector<SamplePoint> samples_;
   bool started_ = false;
 
-  // Incremental NDJSON stream (OpenOutput). `out_` is touched only by the
-  // writer thread once it starts; the sampling coroutine just enqueues
-  // rendered lines under `mu_`.
+  // Incremental NDJSON stream (OpenOutput): `out_` is touched only by the
+  // writer thread once it starts.
   std::FILE* out_ = nullptr;
   size_t flush_every_ = 1;
-  std::thread writer_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  // Guards the latest snapshot, which the /statz thread reads, and the
+  // writer queue, into which the sampling coroutine enqueues rendered lines.
+  mutable std::mutex mu_;
+  std::string latest_;
   std::deque<std::string> pending_;
   bool writer_stop_ = false;
+  std::condition_variable cv_;
+  std::thread writer_;
 };
 
 }  // namespace pfs

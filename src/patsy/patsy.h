@@ -2,8 +2,11 @@
 // simulator (paper §4). PatsyServer is a thin facade over SystemBuilder that
 // pins the simulated backend (simulated drivers, disks, SCSI busses, virtual
 // clock) under the shared components; RunTraceSimulation replays a trace
-// against it and gathers the overall and 15-minute-interval measurements the
-// paper reports.
+// against it and gathers the overall measurements the paper reports. The
+// paper's reports "every 15 minutes of simulation time" come from the stats
+// sampler: set trace.sample_ms = 900000 and trace.file, and every 15
+// simulated minutes one cumulative report streams to trace.file's
+// "-samples" sibling (obs/stats_sampler.h).
 //
 // The default topology is the rebuilt Sprite "Allspice" server of §5.1:
 // three SCSI busses, ten HP 97560 disks, fourteen file systems (two of them
@@ -71,15 +74,9 @@ struct SimulationResult {
   uint64_t absorbed_dirty_blocks = 0;
   uint64_t blocks_flushed = 0;
   Duration simulated_time;
-  std::vector<std::string> interval_reports;  // every 15 simulated minutes
-  std::string final_report;
 };
 
 struct SimulationOptions {
-  // Paper §4: "The measurements are shown every 15 minutes of simulation
-  // time and of the overall simulation."
-  Duration report_interval = Duration::Minutes(15);
-  bool collect_interval_reports = true;
   // Safety bound on simulated time (0 = none).
   Duration max_simulated_time;
 };

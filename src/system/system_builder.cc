@@ -375,14 +375,15 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
   // Observability: the recorder hands out trace ids at the client roots and
   // keeps every span for the export, and the sampler snapshots the whole
   // registry on a period (hopping to each shard for its shard-affine sources
-  // when sharded).
+  // when sharded) for the sample stream and /statz.
   if (config.trace.enabled) {
     sys.tracer_ = std::make_unique<TraceRecorder>();
   }
-  if (config.trace.sample_ms > 0) {
+  if (config.trace.sample_ms > 0 || config.metrics.enabled) {
+    const uint32_t period_ms = config.trace.sample_ms > 0 ? config.trace.sample_ms : 500;
     sys.sampler_ = std::make_unique<StatsSampler>(sys.group_.get(), &sys.stats_, reg,
-                                                  Duration::Millis(config.trace.sample_ms));
-    if (!config.trace.file.empty()) {
+                                                  Duration::Millis(period_ms));
+    if (config.trace.sample_ms > 0 && !config.trace.file.empty()) {
       // Stream samples incrementally (fsync every 8) so an interrupted run
       // keeps its curve.
       PFS_RETURN_IF_ERROR(
@@ -483,6 +484,11 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
 }
 
 System::~System() {
+  // The I/O pool goes first: Run() returns once only daemons remain, so a
+  // flusher's batch may still be in flight, and its completion node lives in
+  // a driver destroyed below. Joined here, the completion lands in a mailbox
+  // that DestroyAllThreads empties while the driver is alive.
+  executor_.reset();
   // Suspended threads (daemons, or clients cut off by a bounded run) hold
   // references into the components destroyed below; release their frames
   // while everything is still alive. Shard threads are already joined by the
@@ -553,11 +559,11 @@ Status System::Setup() {
       injector->Start();
     }
   }
-  if (sampler_ != nullptr) {
-    sampler_->Start();
-  }
   if (config_.metrics.enabled) {
     PFS_RETURN_IF_ERROR(StartMetricsHttp());
+  }
+  if (sampler_ != nullptr) {
+    sampler_->Start();
   }
   return OkStatus();
 }
@@ -590,30 +596,17 @@ Status System::StartMetricsHttp() {
     *content_type = "application/json";
     return true;
   });
+  // The sampler's latest report: the handler never posts into (or races
+  // with) the schedulers.
   metrics_http_->Handle("/statz", [this](std::string* body, std::string* content_type) {
-    std::lock_guard<std::mutex> lock(statz_mu_);
-    if (statz_json_.empty()) {
-      return false;  // first refresh has not landed yet -> 503
+    *body = sampler_->Latest();
+    if (body->empty()) {
+      return false;  // the first gather has not landed yet -> 503
     }
-    *body = statz_json_;
     *content_type = "application/json";
     return true;
   });
-  PFS_RETURN_IF_ERROR(metrics_http_->Start());
-  const uint32_t period_ms = config_.trace.sample_ms > 0 ? config_.trace.sample_ms : 500;
-  scheduler()->SpawnTransientDaemon("obs.statz", StatzRefresher(Duration::Millis(period_ms)));
-  return OkStatus();
-}
-
-Task<> System::StatzRefresher(Duration period) {
-  for (;;) {
-    std::string json = co_await GatherReportJson(group_.get(), &stats_);
-    {
-      std::lock_guard<std::mutex> lock(statz_mu_);
-      statz_json_ = std::move(json);
-    }
-    co_await scheduler()->Sleep(period);
-  }
+  return metrics_http_->Start();
 }
 
 Status System::ExportObservability() {

@@ -15,7 +15,6 @@
 #define PFS_SYSTEM_SYSTEM_BUILDER_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -85,8 +84,11 @@ class System {
   void RequestStop() { group_->RequestStop(); }
   // Closes every shard: further Post() calls become checked errors instead
   // of silently enqueueing work that will never run. Call after the final
-  // Run()/RunToCompletion() has returned.
+  // Run()/RunToCompletion() has returned. Joins the I/O pool first: a batch
+  // still in flight (Run() returns once only daemons remain) posts its
+  // completion before the loops close.
   void CloseSchedulers() {
+    executor_.reset();
     for (int s = 0; s < shard_count(); ++s) {
       shard_scheduler(s)->Close();
     }
@@ -139,8 +141,11 @@ class System {
   }
 
   // The observability subsystem (config.trace.*). Both are null when the
-  // corresponding knob is off: the tracer needs trace.enabled, the sampler
-  // needs trace.sample_ms > 0.
+  // corresponding knob is off: the tracer needs trace.enabled. The sampler,
+  // the one periodic observer, needs trace.sample_ms > 0 or metrics.enabled;
+  // it gathers every sample_ms (else every 500 ms), keeps the latest report
+  // for /statz, and streams each one next to trace.file when both
+  // trace.sample_ms and trace.file are set.
   TraceRecorder* tracer() { return tracer_.get(); }
   StatsSampler* stats_sampler() { return sampler_.get(); }
 
@@ -151,7 +156,8 @@ class System {
   Status ExportObservability();
 
   // The metric registry every component counts into; never null. The HTTP
-  // server exists only with metrics.enabled, after Setup().
+  // server exists only with metrics.enabled, after Setup(); its /statz
+  // returns 503 until the sampler's first gather lands.
   MetricRegistry* metrics() { return metrics_.get(); }
   MetricsHttpServer* metrics_http() { return metrics_http_.get(); }
   // The bound scrape port (resolves metrics.port == 0), 0 when no server.
@@ -164,10 +170,6 @@ class System {
   System() = default;
 
   Status StartMetricsHttp();
-  // Refreshes the /statz cache on `period` by gathering ReportJson on the
-  // owning shards; the HTTP handler only ever reads the cached copy, so no
-  // scrape can post into (or race with) the schedulers.
-  Task<> StatzRefresher(Duration period);
 
   SystemConfig config_;
   // Components keep raw pointers to their registry metrics, so the registry
@@ -201,11 +203,9 @@ class System {
   std::vector<int> fs_shard_;  // one per file system
   std::vector<std::unique_ptr<SchedStats>> sched_stats_;  // one per shard
   StatsRegistry stats_;
-  mutable std::mutex statz_mu_;
-  std::string statz_json_;  // last gathered ReportJson (see StatzRefresher)
   // Declared last on purpose: the HTTP server's scrape thread reads the
-  // registry (and, via callbacks, scheduler atomics) and statz_json_, so it
-  // must be joined before anything above dies.
+  // registry (and, via callbacks, scheduler atomics) and the sampler's
+  // latest report, so it must be joined before anything above dies.
   std::unique_ptr<MetricsHttpServer> metrics_http_;
 };
 

@@ -520,7 +520,9 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
       {.key = "trace.file", .type = kString, .field = FIELD(c.trace.file),
        .doc = "Chrome trace_event export path (empty: no export)"},
       {.key = "trace.sample_ms", .type = kUint, .field = FIELD(c.trace.sample_ms),
-       .max = UINT32_MAX, .doc = "StatsSampler period; 0 = no sampling"},
+       .max = UINT32_MAX,
+       .doc = "StatsSampler period (sample stream and /statz); 0 = no stream, "
+              "/statz every 500 ms"},
       {.key = "metrics.enabled", .type = kBool, .field = FIELD(c.metrics.enabled),
        .doc = "Serve the registry: /metrics, /healthz, /statz listener"},
       {.key = "metrics.port", .type = kUint, .field = FIELD(c.metrics.port), .max = 65535,
@@ -543,12 +545,14 @@ const std::vector<ScenarioKey>& ScenarioKeys() {
 #undef FIELD
 
 Status CheckScenarioKeys(const SystemConfig& config) {
-  // Re-reads every key that has a rule from its printed value, so a config
-  // built in code meets the rules a scenario line does.
+  // Re-reads every key that has a rule or a bound from its printed value, so
+  // a config built in code meets the rules a scenario line does (a
+  // metrics.port of 70000 would otherwise bind port 4464).
   SystemConfig fields = config;  // row accessors take a mutable config
   SystemConfig scratch;
   for (const ScenarioKey& row : ScenarioKeys()) {
-    if (FamilyOf(row) == nullptr && (row.min > 0 || row.rule != nullptr)) {
+    if (FamilyOf(row) == nullptr &&
+        (row.min > 0 || row.max < UINT64_MAX || row.rule != nullptr)) {
       PFS_RETURN_IF_ERROR(SetField(row, row.field(scratch, 0), row.key,
                                    *PrintField(row, row.field(fields, 0))));
     }

@@ -151,14 +151,14 @@ struct SystemConfig {
   struct TraceConfig {
     bool enabled = false;    // request tracing: spans into a TraceRecorder
     std::string file;        // chrome trace_event export path ("" = no export)
-    uint32_t sample_ms = 0;  // StatsSampler period; 0 = no time-series sampling
+    uint32_t sample_ms = 0;  // StatsSampler period; 0 = no sample stream
   };
   TraceConfig trace;
 
   // Live metrics plane. Every system counts into a sharded MetricRegistry;
   // `enabled` serves it over HTTP (/metrics, /healthz, /statz on 127.0.0.1).
   struct MetricsConfig {
-    bool enabled = false;  // start the HTTP listener and the /statz refresher
+    bool enabled = false;  // start the HTTP listener and the StatsSampler
     uint32_t port = 0;     // TCP port; 0 = ephemeral (resolved after bind)
     // Prepended to every metric family name ("pfs" -> "pfs_cache_hits_total");
     // parse-checked against [a-zA-Z_][a-zA-Z0-9_]*.

@@ -50,7 +50,7 @@ class TraceReplayer : public StatSource {
   uint64_t ops_completed() const { return ops_.value(); }
   uint64_t errors() const { return errors_.value(); }
 
-  // StatSource (the 15-minute interval reports read these).
+  // StatSource (reports and stats samples read these).
   std::string stat_name() const override { return "replayer"; }
   std::string StatJson() const override;
 

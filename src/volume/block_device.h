@@ -1,6 +1,6 @@
 // The abstract block device the storage layouts are written against (the
 // volume layer's contract). A BlockDevice is a flat array of sectors with
-// asynchronous read/write; a DiskDriver partition slice satisfies it
+// asynchronous read/write; a disk driver's partition slice satisfies it
 // (SingleDiskVolume), and so do multi-disk compositions (ConcatVolume,
 // StripedVolume, MirrorVolume). Because volumes sit below the buffer cache
 // and above the drivers, the same volume code serves the simulator and the

@@ -16,6 +16,7 @@
 #include "core/json.h"
 #include "core/random.h"
 #include "sched/scheduler.h"
+#include "system/component_registry.h"
 
 namespace pfs {
 namespace {
@@ -671,11 +672,9 @@ TEST(BufferCacheTest, RandomOpsMatchPerFileModel) {
 }
 
 TEST(FlushPolicyTest, WriteDelayFlushesAfterMaxAge) {
-  WriteDelayPolicy::Options opts;
-  opts.max_age = Duration::Seconds(30);
-  opts.scan_interval = Duration::Seconds(5);
+  // The scanner runs every 5 s and flushes blocks older than 30 s.
   CacheFixture f(CacheFixture::DefaultConfig(), nullptr,
-                 std::make_unique<WriteDelayPolicy>(opts));
+                 std::make_unique<WriteDelayPolicy>());
   Status s;
   f.sched->Spawn("t", [](CacheFixture* fx, Status* out) -> Task<> {
     co_await TouchBlock(fx->cache.get(), CacheFixture::Id(1, 0), GetMode::kOverwrite, true,
@@ -744,10 +743,13 @@ TEST(FlushPolicyTest, NvramWholeFileFlushWritesFileAtOnce) {
 }
 
 TEST(FlushPolicyTest, FactoryNames) {
-  EXPECT_EQ(MakeFlushPolicy("write-delay")->name(), "write-delay-30s");
-  EXPECT_EQ(MakeFlushPolicy("ups")->name(), "ups-write-saving");
-  EXPECT_EQ(MakeFlushPolicy("nvram-whole")->name(), "nvram-whole-file");
-  EXPECT_EQ(MakeFlushPolicy("nvram-partial")->name(), "nvram-partial-file");
+  const auto name = [](const char* registered) {
+    return (*FlushPolicyRegistry::Find(registered))(FlushPolicyOptions{})->name();
+  };
+  EXPECT_EQ(name("write-delay"), "write-delay-30s");
+  EXPECT_EQ(name("ups"), "ups-write-saving");
+  EXPECT_EQ(name("nvram-whole"), "nvram-whole-file");
+  EXPECT_EQ(name("nvram-partial"), "nvram-partial-file");
 }
 
 TEST(BufferCacheTest, AsyncFlushRelievesAllocator) {

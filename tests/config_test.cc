@@ -425,6 +425,25 @@ TEST(ConfigParseTest, RejectsZeroMemoryBandwidth) {
   EXPECT_FALSE(SystemBuilder::Build(config).ok());
 }
 
+// Keys bounded only by a maximum: a config built in code meets the bound
+// in Validate, as a scenario line does in Parse. Unchecked, a port of 70000
+// would bind port 4464.
+TEST(ConfigParseTest, ValidateAppliesMaximumOnlyBounds) {
+  SystemConfig port;
+  port.metrics.port = 70000;
+  Status status = SystemBuilder::Validate(port);
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("metrics.port"), std::string::npos)
+      << status.ToString();
+
+  SystemConfig cpu;
+  cpu.host.per_op_cpu = Duration::Nanos(-5);
+  status = SystemBuilder::Validate(cpu);
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("host.per_op_cpu_ns"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(ConfigParseTest, KeyReferenceListsEveryKey) {
   const std::string reference = ScenarioKeyReference();
   for (const ScenarioKey& row : ScenarioKeys()) {

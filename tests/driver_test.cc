@@ -22,6 +22,7 @@
 #include "driver/sim_disk_driver.h"
 #include "core/units.h"
 #include "sched/scheduler.h"
+#include "system/component_registry.h"
 
 namespace pfs {
 
@@ -57,11 +58,11 @@ struct SimFixture {
   std::unique_ptr<SimDiskDriver> driver;
 };
 
-Task<> DoRead(DiskDriver* d, uint64_t sector, Status* out) {
+Task<> DoRead(BlockDevice* d, uint64_t sector, Status* out) {
   *out = co_await d->Read(sector, 8, {});
 }
 
-Task<> DoWrite(DiskDriver* d, uint64_t sector, Status* out) {
+Task<> DoWrite(BlockDevice* d, uint64_t sector, Status* out) {
   *out = co_await d->Write(sector, 8, {});
 }
 
@@ -113,7 +114,7 @@ struct OrderProbe {
   std::vector<uint64_t> completion_order;
 };
 
-Task<> OrderedRead(DiskDriver* d, uint64_t sector, OrderProbe* probe) {
+Task<> OrderedRead(BlockDevice* d, uint64_t sector, OrderProbe* probe) {
   const Status s = co_await d->Read(sector, 8, {});
   PFS_CHECK(s.ok());
   probe->completion_order.push_back(sector);
@@ -158,7 +159,7 @@ TEST(SimDriverTest, SstfPicksNearest) {
   EXPECT_EQ(probe.completion_order[3], 3900u);
 }
 
-Task<> SequentialReads(DiskDriver* d, std::vector<uint64_t> sectors, OrderProbe* probe) {
+Task<> SequentialReads(BlockDevice* d, std::vector<uint64_t> sectors, OrderProbe* probe) {
   for (uint64_t s : sectors) {
     co_await OrderedRead(d, s, probe);
   }
@@ -215,13 +216,13 @@ TEST(QueuePolicyNamesTest, NamesRoundTripThroughParse) {
   for (QueueSchedPolicy p :
        {QueueSchedPolicy::kFcfs, QueueSchedPolicy::kSstf, QueueSchedPolicy::kScan,
         QueueSchedPolicy::kCscan, QueueSchedPolicy::kLook, QueueSchedPolicy::kClook}) {
-    const auto parsed = QueueSchedPolicyFromName(QueueSchedPolicyName(p));
-    ASSERT_TRUE(parsed.has_value()) << QueueSchedPolicyName(p);
+    const QueueSchedPolicy* parsed = QueuePolicyRegistry::Find(QueueSchedPolicyName(p));
+    ASSERT_NE(parsed, nullptr) << QueueSchedPolicyName(p);
     EXPECT_EQ(*parsed, p);
   }
-  EXPECT_FALSE(QueueSchedPolicyFromName("clook").has_value());  // case-sensitive
-  EXPECT_FALSE(QueueSchedPolicyFromName("").has_value());
-  EXPECT_NE(QueueSchedPolicyNames().find("C-SCAN"), std::string::npos);
+  EXPECT_EQ(QueuePolicyRegistry::Find("clook"), nullptr);  // case-sensitive
+  EXPECT_EQ(QueuePolicyRegistry::Find(""), nullptr);
+  EXPECT_NE(QueuePolicyRegistry::NameList().find("C-SCAN"), std::string::npos);
 }
 
 class FileDriverTest : public ::testing::Test {
@@ -235,7 +236,7 @@ class FileDriverTest : public ::testing::Test {
   std::string path_;
 };
 
-Task<> WriteThenRead(DiskDriver* d, bool* ok) {
+Task<> WriteThenRead(BlockDevice* d, bool* ok) {
   std::vector<std::byte> out(4096);
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<std::byte>(i & 0xff);
@@ -276,7 +277,7 @@ TEST_F(FileDriverTest, PersistsAcrossReopen) {
             .value();
     driver->Start();
     bool ok = false;
-    sched->Spawn("w", [](DiskDriver* d, bool* done) -> Task<> {
+    sched->Spawn("w", [](BlockDevice* d, bool* done) -> Task<> {
       std::vector<std::byte> buf(512, std::byte{0x5a});
       Status s = co_await d->Write(3, 1, buf);
       *done = s.ok();
@@ -293,7 +294,7 @@ TEST_F(FileDriverTest, PersistsAcrossReopen) {
             .value();
     driver->Start();
     bool ok = false;
-    sched->Spawn("r", [](DiskDriver* d, bool* done) -> Task<> {
+    sched->Spawn("r", [](BlockDevice* d, bool* done) -> Task<> {
       std::vector<std::byte> buf(512);
       Status s = co_await d->Read(3, 1, buf);
       *done = s.ok() && buf[0] == std::byte{0x5a} && buf[511] == std::byte{0x5a};
@@ -317,7 +318,7 @@ TEST_F(FileDriverTest, DrainsTheQueueIntoBatches) {
   std::vector<Status> statuses(kOps, Status(ErrorCode::kAborted));
   std::vector<std::vector<std::byte>> bufs(kOps, std::vector<std::byte>(4096));
   for (int i = 0; i < kOps; ++i) {
-    sched->Spawn("r", [](DiskDriver* d, uint64_t sector, std::span<std::byte> buf,
+    sched->Spawn("r", [](BlockDevice* d, uint64_t sector, std::span<std::byte> buf,
                          Status* out) -> Task<> {
       *out = co_await d->Read(sector, 8, buf);
     }(driver.get(), static_cast<uint64_t>(i) * 8, bufs[static_cast<size_t>(i)],

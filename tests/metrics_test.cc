@@ -2,8 +2,8 @@
 // bucket scheme, per-shard cell aggregation under a real sharded scheduler,
 // registry dedup and exposition formats, end-to-end counter exactness in a
 // sharded striped system on both backends, identical client latency samples
-// from identical systems, and scraping the HTTP endpoint over a real socket
-// while the workload is running.
+// from identical systems, scraping the HTTP endpoint over a real socket
+// while the workload is running, and /statz serving every stat source.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,10 +14,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/json.h"
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
 #include "sched/affinity.h"
@@ -469,6 +471,44 @@ TEST_F(MetricsSystemTest, ScrapeDuringActiveLoadIsAffinitySafe) {
   const std::string stats = sys.stats().ReportJson();
   EXPECT_NE(stats.find("\"latency_ms\""), std::string::npos);
   EXPECT_NE(stats.find("\"fill_ms\""), std::string::npos);
+}
+
+// /statz serves the stats sampler's latest gather, read shard by shard: one
+// object with a member per stat source, exactly the sources ReportJson()
+// lists.
+TEST_F(MetricsSystemTest, StatzServesEveryStatSourceOnFileBacked) {
+  SystemConfig config = StripedShardedConfig(image_);
+  config.backend = BackendKind::kFileBacked;
+  auto built = SystemBuilder::Build(config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  System& sys = **built;
+  ASSERT_TRUE(sys.Setup().ok());
+  ASSERT_NE(sys.stats_sampler(), nullptr);
+  Status status(ErrorCode::kAborted);
+  sys.scheduler()->Spawn("test.workload", [](System* s, int n, Status* out) -> Task<> {
+    *out = co_await CountedWorkload(s, n);
+  }(&sys, 64, &status));
+  sys.RunToCompletion();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  const std::string response = HttpGet(sys.metrics_port(), "/statz");
+  ASSERT_NE(response.find(" 200 "), std::string::npos) << response;
+  auto statz = ParseJson(Body(response));
+  ASSERT_TRUE(statz.ok()) << statz.status().ToString();
+  ASSERT_TRUE(statz->is_object());
+  auto report = ParseJson(sys.stats().ReportJson());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const auto names = [](const JsonValue& doc) {
+    std::set<std::string> out;
+    for (const auto& member : doc.object) {
+      out.insert(member.first);
+    }
+    return out;
+  };
+  EXPECT_EQ(statz->object.size(), report->object.size());
+  EXPECT_EQ(names(*statz), names(*report));
+  EXPECT_EQ(names(*statz).count("sched.shard0"), 1u);
+  EXPECT_EQ(names(*statz).count("cache.shard0"), 1u);
 }
 
 TEST(MetricsHttpTest, UnknownPathIs404AndStopIsIdempotent) {

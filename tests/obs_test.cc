@@ -11,12 +11,13 @@
 //  - the recorder keeps every span from every OS thread, in record order
 //    per thread,
 //  - spawned threads inherit the spawner's trace context,
-//  - the StatsSampler snapshots a time series,
+//  - the StatsSampler streams a time series that outlives its system,
 //  - every count and latency a report reads is cumulative: a second workload
 //    raises them, on volumes and drivers alike.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -381,34 +382,53 @@ TEST(TraceRecorderTest, SpawnedThreadsInheritContext) {
 // -- StatsSampler ------------------------------------------------------------
 
 TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
-  auto sys = BuildAndRun(TracedConfig(BackendKind::kSimulated));
-  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
-  StatsSampler* sampler = (*sys)->stats_sampler();
-  ASSERT_NE(sampler, nullptr);
-  // The virtual-clock workload spans many 5 ms sampling periods.
-  EXPECT_GT(sampler->sample_count(), 1u);
-  auto series = ParseJson(sampler->SeriesJson());
-  ASSERT_TRUE(series.ok()) << series.status().ToString();
-  ASSERT_TRUE(series->is_array());
-  ASSERT_EQ(series->array.size(), sampler->sample_count());
-  double last_t = -1.0;
-  for (const JsonValue& sample : series->array) {
-    const JsonValue* t = sample.Find("t_ms");
+  SystemConfig config = TracedConfig(BackendKind::kSimulated);
+  config.trace.file = testing::TempDir() + "/pfs_obs_sampler.json";
+  config.trace.sample_ms = 50;  // each streamed line renders every metric
+  const std::string samples_path = TraceSamplesPath(config.trace.file);
+  {
+    auto sys = BuildAndRun(config);
+    ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+    ASSERT_NE((*sys)->stats_sampler(), nullptr);
+    EXPECT_FALSE((*sys)->stats_sampler()->Latest().empty());
+  }
+  // Read back after the system is gone: its destructor syncs the tail.
+  std::vector<JsonValue> series;
+  {
+    std::ifstream in(samples_path);
+    ASSERT_TRUE(in.good()) << samples_path;
+    for (std::string line; std::getline(in, line);) {
+      auto sample = ParseJson(line);
+      ASSERT_TRUE(sample.ok()) << sample.status().ToString() << "\n" << line;
+      series.push_back(std::move(*sample));
+    }
+  }
+  std::remove(samples_path.c_str());
+  // The virtual-clock workload spans many sampling periods; the first
+  // sample is gathered at once, the rest one period apart.
+  ASSERT_GT(series.size(), 1u);
+  for (size_t i = 0; i < series.size(); ++i) {
+    const JsonValue* t = series[i].Find("t_ms");
     ASSERT_NE(t, nullptr);
-    EXPECT_GE(t->number_value, last_t);  // time series is ordered
-    last_t = t->number_value;
-    const JsonValue* stats = sample.Find("stats");
-    ASSERT_NE(stats, nullptr);
-    EXPECT_TRUE(stats->is_object());
+    if (i > 0) {
+      const double step = t->number_value - series[i - 1].Find("t_ms")->number_value;
+      EXPECT_NEAR(step, 50.0, 1e-3);
+    }
+    ASSERT_NE(series[i].Find("stats"), nullptr);
+    EXPECT_TRUE(series[i].Find("stats")->is_object());
+    ASSERT_NE(series[i].Find("metrics"), nullptr);
+    EXPECT_TRUE(series[i].Find("metrics")->is_object());
   }
   // Snapshots are cumulative: the last sample's volume request count covers
   // the whole run, not one interval. (Stat names contain dots, so chain
   // Find() instead of FindPath().)
-  const JsonValue* vol = series->array.back().Find("stats")->Find("volume.fs0");
+  const JsonValue* vol = series.back().Find("stats")->Find("volume.fs0");
   ASSERT_NE(vol, nullptr);
   const JsonValue* requests = vol->Find("requests");
   ASSERT_NE(requests, nullptr);
   EXPECT_GT(requests->number_value, 0.0);
+  const JsonValue* first = series.front().Find("stats")->Find("volume.fs0");
+  EXPECT_GE(requests->number_value, first->Find("requests")->number_value);
 }
 
 // -- cumulative reports ------------------------------------------------------

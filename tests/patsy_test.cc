@@ -2,6 +2,10 @@
 // trace replay, policy behaviour end to end.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
+#include "core/json.h"
 #include "patsy/patsy.h"
 #include "workload/generator.h"
 
@@ -71,31 +75,66 @@ TEST(PatsyTest, NvramBoundsDirtyData) {
   EXPECT_EQ(result->errors, 0u);
 }
 
-TEST(PatsyTest, IntervalReportsAtFifteenMinutes) {
+// Paper §4 shows the measurements "every 15 minutes of simulation time":
+// with trace.sample_ms = 900000 the stats sampler streams one cumulative
+// report per 15 simulated minutes next to trace.file.
+TEST(PatsyTest, SamplerReportsEveryFifteenMinutes) {
   PatsyConfig config = SmallConfig("ups");
+  config.trace.sample_ms = 900000;
+  config.trace.file = testing::TempDir() + "/pfs_patsy_reports.json";
+  const std::string samples_path = TraceSamplesPath(config.trace.file);
   WorkloadParams params = WorkloadParams::SpriteLike("1a", 0.02);
   params.num_filesystems = 4;
   params.clients = 2;
-  // Stretch the trace beyond 15 simulated minutes with a final idle stat.
+  // Stretch the trace beyond 30 simulated minutes with a final stat of the
+  // first created file.
   auto records = GenerateWorkload(params);
   TraceRecord tail;
-  tail.time_us = Duration::Minutes(16).micros();
+  tail.time_us = Duration::Minutes(31).micros();
   tail.client = 0;
   tail.op = TraceOp::kStat;
-  tail.path = records.empty() ? "/fs0/f0" : records.back().path;
-  // Ensure the path exists: stat the first created file instead.
   for (const auto& r : records) {
     if (r.op == TraceOp::kOpen && r.create) {
       tail.path = r.path;
       break;
     }
   }
+  ASSERT_FALSE(tail.path.empty());
   records.push_back(tail);
   auto result = RunTraceSimulation(config, std::move(records));
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->interval_reports.size(), 1u);
-  EXPECT_NE(result->interval_reports[0].find("interval report"), std::string::npos);
-  EXPECT_NE(result->interval_reports[0].find("== cache ==\n{"), std::string::npos);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::vector<JsonValue> reports;
+  {
+    std::ifstream in(samples_path);
+    ASSERT_TRUE(in.good()) << samples_path;
+    for (std::string line; std::getline(in, line);) {
+      auto report = ParseJson(line);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      reports.push_back(std::move(*report));
+    }
+  }
+  std::remove(samples_path.c_str());
+  // One at the start, then at 15 and 30 minutes; the run ends at 31.
+  ASSERT_EQ(reports.size(), 3u);
+  double last_ops = 0;
+  for (size_t i = 0; i < reports.size(); ++i) {
+    if (i > 0) {
+      EXPECT_NEAR(reports[i].Find("t_ms")->number_value -
+                      reports[i - 1].Find("t_ms")->number_value,
+                  900000.0, 1e-3);
+    }
+    const JsonValue* stats = reports[i].Find("stats");
+    ASSERT_NE(stats, nullptr);
+    ASSERT_NE(stats->Find("cache"), nullptr);
+    const JsonValue* replayer = stats->Find("replayer");
+    ASSERT_NE(replayer, nullptr);
+    // Cumulative: the count never drops between reports.
+    EXPECT_GE(replayer->Find("ops")->number_value, last_ops);
+    last_ops = replayer->Find("ops")->number_value;
+  }
+  EXPECT_GT(last_ops, 0.0);
+  EXPECT_LE(last_ops, static_cast<double>(result->ops));
 }
 
 TEST(PatsyTest, GuessingLayoutReplays) {

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client_interface.h"
@@ -317,6 +321,64 @@ TEST_F(SystemTest, OnlineServerRunsMultiDiskFfsTopology) {
   });
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(server->Stop().ok());
+}
+
+// A write larger than an async-flushed cache returns. The writer fills the
+// 16 blocks and signals the flusher, possibly before the flusher daemon's
+// first step; an Event signal with no waiter is lost, so the flusher decides
+// by the free and clean counts, not by the wakeup. A watchdog stops the
+// loop, so a lost wakeup fails the test instead of hanging it; it is an OS
+// thread, since one more coroutine would change the scheduler's random
+// picks. The system is destroyed as soon as the run returns, while the
+// flusher's last batch may still be in flight: under ASan that checks the
+// batch cannot complete into a freed driver.
+TEST_F(SystemTest, AsyncFlushedWriteLargerThanTheCacheReturns) {
+  SystemConfig config = SystemConfig::OnlineDefaults();
+  config.image_path = image_;
+  config.cache_bytes = 16 * kDefaultBlockSize;
+  config.flush_policy = "ups";
+  config.async_flush = true;
+  auto built = SystemBuilder::Build(config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  System& sys = **built;
+  ASSERT_TRUE(sys.Setup().ok());
+
+  constexpr uint64_t kBytes = 64 * kDefaultBlockSize;
+  Result<uint64_t> wrote = Status(ErrorCode::kAborted);
+  sys.scheduler()->Spawn("test.writer", [](System* s, Result<uint64_t>* out) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    auto fd = co_await s->client()->Open("/fs0/big", create);
+    if (!fd.ok()) {
+      *out = fd.status();
+      co_return;
+    }
+    *out = co_await s->client()->Write(*fd, 0, kBytes, {});
+  }(&sys, &wrote));
+  std::mutex mu;
+  std::condition_variable cv;
+  System* running = &sys;  // guarded by mu; null once the run has returned
+  bool stopped = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    const auto returned = [&] { return running == nullptr; };
+    if (!cv.wait_for(lock, std::chrono::seconds(10), returned)) {
+      stopped = true;
+      running->RequestStop();
+    }
+  });
+  sys.RunToCompletion();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    running = nullptr;
+  }
+  cv.notify_one();
+  built->reset();
+  watchdog.join();
+
+  EXPECT_FALSE(stopped) << "the write hung: the flusher missed its wakeup";
+  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
+  EXPECT_EQ(*wrote, kBytes);
 }
 
 // A cache block handed out for an overwrite keeps nothing of its previous

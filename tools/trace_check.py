@@ -14,10 +14,16 @@ Checks that an exported trace is structurally sound, not just parseable:
 
 Usage:
   python3 tools/trace_check.py trace.json [--require STAGE]...
+  python3 tools/trace_check.py --samples trace-samples.json
+  python3 tools/trace_check.py --self-test
 
 Each --require STAGE (repeatable) additionally demands at least one span of
 that stage, e.g. --require client.op --require volume.fragment makes sure a
 striped scenario actually exercised the fan-out path.
+
+--samples checks the stats sampler's NDJSON stream written next to a trace
+instead: at least one line, every line one JSON object with a numeric t_ms,
+a "stats" object and a "metrics" object, and t_ms never decreasing.
 
 Exit status: 0 = valid, 1 = any violation (all violations are listed).
 """
@@ -116,12 +122,84 @@ def check_required(events, required):
     return errors, counts
 
 
+def check_samples(lines):
+    errors = []
+    last_t = None
+    for n, line in enumerate(lines, 1):
+        try:
+            sample = json.loads(line)
+        except ValueError as e:
+            errors.append("line %d: %s" % (n, e))
+            continue
+        if not isinstance(sample, dict):
+            errors.append("line %d: not a JSON object" % n)
+            continue
+        t = sample.get("t_ms")
+        if not isinstance(t, (int, float)) or isinstance(t, bool):
+            errors.append("line %d: t_ms=%r, want a number" % (n, t))
+        else:
+            if last_t is not None and t < last_t:
+                errors.append("line %d: t_ms %r is before the previous line's %r"
+                              % (n, t, last_t))
+            last_t = t
+        for key in ("stats", "metrics"):
+            if not isinstance(sample.get(key), dict):
+                errors.append("line %d: %s missing or not an object" % (n, key))
+    if not lines:
+        errors.append("no samples")
+    return errors
+
+
+def self_test():
+    good = '{"t_ms":0.000,"stats":{"cache":{}},"metrics":{}}'
+    cases = [
+        ([good, good.replace("0.000", "5.000")], 0),
+        ([good.replace("0.000", "5.000"), good], 1),   # time runs backwards
+        (['{"t_ms":1,"stats":{}}'], 1),                 # no metrics
+        (['{"t_ms":"1","stats":{},"metrics":{}}'], 1),  # t_ms not a number
+        ([good, '{"t_ms":1,'], 1),                      # torn line
+        ([], 1),
+    ]
+    failed = [(lines, want) for lines, want in cases
+              if len(check_samples(lines)) != want]
+    if failed:
+        print("trace_check self-test FAILED: %r" % failed)
+        return 1
+    print("trace_check self-test passed")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("trace", help="Chrome trace_event JSON file")
+    parser.add_argument("trace", nargs="?",
+                        help="Chrome trace_event JSON file (with --samples: an NDJSON "
+                             "sample stream)")
     parser.add_argument("--require", action="append", default=[], metavar="STAGE",
                         help="demand at least one span of STAGE (repeatable)")
+    parser.add_argument("--samples", action="store_true",
+                        help="check a stats sample stream instead of a trace")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the sample checks against fixed cases")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.trace is None:
+        parser.error("a file to check is required")
+
+    if args.samples:
+        try:
+            with open(args.trace) as f:
+                lines = f.read().splitlines()
+        except OSError as e:
+            print("FAIL: %s: %s" % (args.trace, e), file=sys.stderr)
+            return 1
+        errors = check_samples(lines)
+        for err in errors[:50]:
+            print("FAIL:", err, file=sys.stderr)
+        if errors:
+            return 1
+        print("%s: %d sample(s): valid" % (args.trace, len(lines)))
+        return 0
 
     try:
         with open(args.trace) as f:
