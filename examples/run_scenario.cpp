@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
     }
     if (!config.trace.file.empty()) {
       std::printf(" -> %s", config.trace.file.c_str());
-      if (sys.stats_sampler() != nullptr) {
+      if (config.trace.sample_ms > 0) {  // the sampler streams next to the trace
         std::printf(" (+%s)", TraceSamplesPath(config.trace.file).c_str());
       }
     }

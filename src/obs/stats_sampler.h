@@ -53,8 +53,6 @@ class StatsSampler {
   StatsSampler(const StatsSampler&) = delete;
   StatsSampler& operator=(const StatsSampler&) = delete;
 
-  Duration interval() const { return interval_; }
-
   // Streams samples to `path` as NDJSON on a writer thread, syncing every
   // `flush_every` samples (and on destruction). Call before Start().
   Status OpenOutput(const std::string& path, size_t flush_every);
