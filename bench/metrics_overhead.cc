@@ -14,7 +14,9 @@
 //
 // Each mode runs kRepeats times and reports the best run: the quantity under
 // test is the added per-op work, not host scheduling noise, so the minimum
-// interference run is the honest comparison.
+// interference run is the honest comparison. The repeats run in rounds of
+// off, on and scraped, so a drift in the host's speed over the bench reaches
+// every mode alike instead of favouring whichever mode ran last.
 //
 // --json appends one line per mode to BENCH_metrics_overhead.json including
 // the ratio to the disabled baseline and the scrape count served.
@@ -179,18 +181,6 @@ Result<PointResult> RunPoint(bool metrics_on, bool scrape, int ops_per_fs,
   return point;
 }
 
-Result<PointResult> BestOf(bool metrics_on, bool scrape, int ops_per_fs,
-                           const SystemConfig& base) {
-  PointResult best;
-  for (int r = 0; r < kRepeats; ++r) {
-    PFS_ASSIGN_OR_RETURN(PointResult point, RunPoint(metrics_on, scrape, ops_per_fs, base));
-    if (point.iops > best.iops) {
-      best = point;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -212,29 +202,38 @@ int main(int argc, char** argv) {
     bool scrape;
   };
   const Mode modes[] = {{"off", false, false}, {"on", true, false}, {"scraped", true, true}};
-  double off_iops = 0;
-  for (const Mode& mode : modes) {
-    auto point = BestOf(mode.on, mode.scrape, ops_per_fs, base);
-    if (!point.ok()) {
-      std::printf("ERROR mode=%s: %s\n", mode.name, point.status().ToString().c_str());
-      return 1;
+  constexpr size_t kModes = sizeof(modes) / sizeof(modes[0]);
+  PointResult best[kModes];
+  for (int r = 0; r < kRepeats; ++r) {
+    for (size_t m = 0; m < kModes; ++m) {
+      auto point = RunPoint(modes[m].on, modes[m].scrape, ops_per_fs, base);
+      if (!point.ok()) {
+        std::printf("ERROR mode=%s: %s\n", modes[m].name,
+                    point.status().ToString().c_str());
+        return 1;
+      }
+      if (point->iops > best[m].iops) {
+        best[m] = std::move(*point);
+      }
     }
-    if (!mode.on) {
-      off_iops = point->iops;
-    }
-    const double ratio = off_iops > 0 ? point->iops / off_iops : 0;
-    std::printf("%-10s %12.0f %10.3f %8.3f %8llu\n", mode.name, point->iops,
-                point->seconds, ratio, static_cast<unsigned long long>(point->scrapes));
+  }
+  const double off_iops = best[0].iops;
+  for (size_t m = 0; m < kModes; ++m) {
+    const Mode& mode = modes[m];
+    const PointResult& point = best[m];
+    const double ratio = off_iops > 0 ? point.iops / off_iops : 0;
+    std::printf("%-10s %12.0f %10.3f %8.3f %8llu\n", mode.name, point.iops, point.seconds,
+                ratio, static_cast<unsigned long long>(point.scrapes));
     if (json.enabled()) {
       char line[768];
       std::snprintf(line, sizeof(line),
                     "{\"bench\":\"metrics_overhead\",\"mode\":\"%s\",\"iops\":%.1f,"
                     "\"seconds\":%.3f,\"ratio\":%.4f,\"scrapes\":%llu,\"host_cores\":%u"
                     "%s%s}",
-                    mode.name, point->iops, point->seconds, ratio,
-                    static_cast<unsigned long long>(point->scrapes), host_cores,
-                    point->client_json.empty() ? "" : ",\"client\":",
-                    point->client_json.c_str());
+                    mode.name, point.iops, point.seconds, ratio,
+                    static_cast<unsigned long long>(point.scrapes), host_cores,
+                    point.client_json.empty() ? "" : ",\"client\":",
+                    point.client_json.c_str());
       json.Append(line);
     }
   }

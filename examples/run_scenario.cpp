@@ -24,8 +24,9 @@
 // the sampled stats time series to FILE's "-samples" sibling). Recording
 // spans leaves a simulated run as it is (the scenario_*_traced tests check
 // the report), but unless the scenario sets trace.sample_ms, --trace also
-// starts the stats sampler at 20 ms, and on the virtual clock the sampler is
-// one more coroutine, so a --trace run is not step-for-step the run without.
+// starts the stats sampler at kTraceSampleMs, and on the virtual clock the
+// sampler is one more coroutine, so a --trace run is not step-for-step the
+// run without.
 //
 // --metrics PORT serves the live metrics plane on PORT (0 = ask the kernel):
 // it forces metrics.enabled, which starts the HTTP listener (/metrics,
@@ -48,6 +49,11 @@
 using namespace pfs;
 
 namespace {
+
+// The --trace sample period when the scenario sets none. Every line renders
+// all stat sources and metrics (about 16 KB), and a traced CI run covers
+// minutes of simulated time; the stream also gets a line at the run's end.
+constexpr uint32_t kTraceSampleMs = 1000;
 
 // A small mixed workload over every mount: create, write, read back, close,
 // and an occasional unlink, so layouts, cache, volumes, and drivers all see
@@ -164,7 +170,7 @@ int main(int argc, char** argv) {
     config.trace.enabled = true;
     config.trace.file = trace_file;
     if (config.trace.sample_ms == 0) {
-      config.trace.sample_ms = 20;  // time-series samples ride along by default
+      config.trace.sample_ms = kTraceSampleMs;  // time-series samples ride along
     }
   }
   if (with_metrics) {

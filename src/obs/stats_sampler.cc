@@ -112,13 +112,18 @@ std::string StatsSampler::Latest() const {
   return latest_;
 }
 
+void StatsSampler::SampleStopped() { PushSample(NowMs(), stats_->ReportJson()); }
+
+double StatsSampler::NowMs() const {
+  return static_cast<double>(group_->shard(0)->Now().nanos()) / 1e6;
+}
+
 Task<> StatsSampler::Loop() {
-  Scheduler* home = group_->shard(0);
   for (;;) {
-    const double t_ms = static_cast<double>(home->Now().nanos()) / 1e6;
+    const double t_ms = NowMs();
     std::string stats_json = co_await GatherReportJson(group_, stats_);
     PushSample(t_ms, std::move(stats_json));
-    co_await home->Sleep(interval_);
+    co_await group_->shard(0)->Sleep(interval_);
   }
 }
 

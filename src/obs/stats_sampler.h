@@ -61,12 +61,19 @@ class StatsSampler {
   // leaves a finished record). It gathers at once, then once every interval.
   void Start();
 
+  // Gathers once more, from StatsRegistry::ReportJson() on the calling
+  // thread, and streams the result. Call only while every loop is stopped:
+  // at the end of a run, so the stream ends there and not at the last
+  // periodic gather.
+  void SampleStopped();
+
   // The latest gathered ReportJson(); empty until the first gather lands.
   // Safe from any thread.
   std::string Latest() const;
 
  private:
   Task<> Loop();
+  double NowMs() const;
   void PushSample(double t_ms, std::string stats_json);
   // Writer-thread body: drains `pending_` into `out_`, syncing every
   // `flush_every_` lines, plus once more on shutdown.

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "core/log.h"
@@ -403,76 +405,123 @@ void Scheduler::Unpark() {
   park_cv_.notify_one();
 }
 
-void Scheduler::Run() {
+void Scheduler::Run() { RunUntil(std::nullopt); }
+
+void Scheduler::RunFor(Duration d) { RunUntil(Now() + d); }
+
+void Scheduler::RunUntil(std::optional<TimePoint> deadline) {
+  if (is_virtual()) {
+    Scheduler* self = this;
+    RunLockstep(std::span<Scheduler* const>(&self, 1), deadline);
+    return;
+  }
   for (;;) {
     DrainPosted();
     WakeExpired();
-    if (stop_.load()) {
+    if (stop_.load() || (deadline && Now() >= *deadline)) {
       return;
     }
     if (!runnable_.empty()) {
       RunOne();
       continue;
     }
-    if (!NonDaemonAlive() && !keep_alive_) {
+    if (!deadline && !NonDaemonAlive() && !keep_alive_) {
       return;  // only daemon housekeeping remains
     }
-    if (!delayed_.empty()) {
-      const TimePoint next = delayed_.top().wake;
-      if (is_virtual()) {
-        clock_->AdvanceTo(next);
-      } else {
-        WaitRealUntil(next);
-      }
-      continue;
+    if (!delayed_.empty() && (!deadline || delayed_.top().wake <= *deadline)) {
+      WaitRealUntil(delayed_.top().wake);
+    } else if (deadline && pending_external_.load() == 0) {
+      WaitRealUntil(*deadline);  // may wake early for Post(); the loop re-checks
+    } else {
+      WaitRealForever();  // an I/O completion or a request is posted, or a stop
     }
-    // No runnable, no delayed. If I/O is in flight on another OS thread its
-    // completion Post() is coming; block for it (virtual clock included —
-    // simulated time simply does not advance while we wait).
-    if (pending_external_.load() > 0) {
-      WaitRealForever();
-      continue;
-    }
-    // Otherwise, in a simulator this is a deadlock: blocked threads that
-    // nothing can ever wake.
-    if (is_virtual()) {
-      DumpThreads();
-      PFS_CHECK_MSG(false, "scheduler deadlock: threads blocked with no timer pending");
-    }
-    WaitRealForever();
   }
 }
 
-void Scheduler::RunFor(Duration d) {
-  const TimePoint deadline = Now() + d;
-  for (;;) {
-    DrainPosted();
-    WakeExpired();
-    if (stop_.load() || Now() >= deadline) {
-      return;
+bool Scheduler::AnyStopped(std::span<Scheduler* const> shards) {
+  return std::any_of(shards.begin(), shards.end(),
+                     [](const Scheduler* s) { return s->stop_.load(); });
+}
+
+void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
+                            std::optional<TimePoint> deadline) {
+  const auto any_posted = [shards] {
+    return std::any_of(shards.begin(), shards.end(),
+                       [](const Scheduler* s) { return s->HasPosted(); });
+  };
+  const auto advance_all = [shards](TimePoint t) {
+    // Every clock jumps to the same instant, so cross-shard timestamps stay
+    // comparable and a timer fires at the same step on whichever shard.
+    for (Scheduler* s : shards) {
+      s->clock_->AdvanceTo(t);
     }
-    if (!runnable_.empty()) {
-      RunOne();
+  };
+  for (;;) {
+    // Phase 1: every shard, in index order, runs to quiescence at the current
+    // instant, and the sweep repeats while a later shard has posted back to
+    // an earlier one. Virtual time stands still within the phase. Threads
+    // due exactly at the deadline wake but run only in a later phase.
+    const bool due = deadline && shards[0]->Now() >= *deadline;
+    bool posted = true;
+    while (posted) {
+      for (Scheduler* s : shards) {
+        for (;;) {
+          s->DrainPosted();
+          s->WakeExpired();
+          if (due || s->stop_.load() || s->runnable_.empty()) {
+            break;
+          }
+          s->RunOne();
+        }
+      }
+      if (due || AnyStopped(shards)) {
+        return;
+      }
+      posted = any_posted();
+    }
+    // Phase 2: every shard is quiescent; jump the clocks to the earliest
+    // timer, or wait for work from another OS thread.
+    bool alive = false;
+    bool keep_alive = false;
+    int64_t external = 0;
+    std::optional<TimePoint> next;
+    for (const Scheduler* s : shards) {
+      alive = alive || s->NonDaemonAlive();
+      keep_alive = keep_alive || s->keep_alive_;
+      external += s->pending_external_.load();
+      if (!s->delayed_.empty() && (!next || s->delayed_.top().wake < *next)) {
+        next = s->delayed_.top().wake;
+      }
+    }
+    if (!deadline && !alive && !keep_alive) {
+      return;  // only daemon housekeeping remains, everywhere
+    }
+    if (next && (!deadline || *next <= *deadline)) {
+      advance_all(*next);
       continue;
     }
-    if (!delayed_.empty() && delayed_.top().wake <= deadline) {
-      if (is_virtual()) {
-        clock_->AdvanceTo(delayed_.top().wake);
+    // In-flight I/O (its completion Post() is coming) or a server's loop
+    // (kept alive for requests): wait for a post or a stop. Simulated time
+    // does not advance meanwhile. A lone loop parks on its own condition
+    // variable, since an unattached shard never notifies a group; several
+    // loops wait on the group's, which their posts and stops notify.
+    if (external > 0 || (!deadline && keep_alive)) {
+      if (shards.size() == 1) {
+        shards[0]->WaitRealForever();
       } else {
-        WaitRealUntil(delayed_.top().wake);
+        shards[0]->group_->WaitUntil([&] { return AnyStopped(shards) || any_posted(); });
       }
       continue;
     }
-    if (pending_external_.load() > 0) {
-      WaitRealForever();  // an I/O completion Post() is on its way
-      continue;
-    }
-    // No work left before the deadline; run the clock out.
-    if (is_virtual()) {
-      clock_->AdvanceTo(deadline);
+    if (deadline) {
+      advance_all(*deadline);  // no work left before the deadline
       return;
     }
-    WaitRealUntil(deadline);  // may wake early for Post(); loop re-checks
+    // Blocked threads that nothing can ever wake.
+    for (const Scheduler* s : shards) {
+      s->DumpThreads();
+    }
+    PFS_CHECK_MSG(false, "scheduler deadlock: threads blocked with no timer pending");
   }
 }
 
@@ -480,7 +529,7 @@ void Scheduler::RequestStop() {
   stop_.store(true);
   Unpark();
   if (group_ != nullptr) {
-    group_->NotifyPosted();  // the monitor and the lockstep loop watch AnyStop()
+    group_->NotifyPosted();  // the monitor and the lockstep loop wait for stops
   }
 }
 
@@ -522,13 +571,6 @@ void Scheduler::EndExternalOp() {
   pending_external_.fetch_sub(1);
   if (group_ != nullptr) {
     group_->NoteWorkDone();
-    if (is_virtual()) {
-      // The lockstep loop may be parked on "all external ops finished" even
-      // while other group work keeps the counter above zero — wake it
-      // explicitly so that predicate gets re-evaluated. The real-clock
-      // monitor only cares about stop and work_ == 0 (NoteWorkDone).
-      group_->NotifyPosted();
-    }
   }
 }
 

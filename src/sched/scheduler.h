@@ -16,7 +16,9 @@
 #include <coroutine>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -170,10 +172,16 @@ class Scheduler {
 
   // Runs until no non-daemon work remains (or RequestStop). With
   // set_keep_alive(true) — the on-line server mode — Run() only returns on
-  // RequestStop and otherwise blocks waiting for Post()ed work.
+  // RequestStop and otherwise blocks waiting for Post()ed work. On the
+  // virtual clock this is the lockstep loop over this one scheduler, the
+  // loop a SchedulerGroup runs over its shards; on the real clock it is the
+  // real-clock loop, which each real-clock shard also runs.
   void Run();
 
-  // Runs for at most `d` of (virtual or real) time.
+  // Runs for `d` of (virtual or real) time, or until RequestStop, running
+  // daemons too once the non-daemon work is done. On the virtual clock the
+  // clock ends at the deadline; a thread due exactly then is woken but runs
+  // only in a later Run()/RunFor().
   void RunFor(Duration d);
 
   // Thread-safe: requests Run() to return at the next scheduling point.
@@ -304,6 +312,17 @@ class Scheduler {
   void YieldCurrent(std::coroutine_handle<> h);
   void BlockCurrentOn(std::coroutine_handle<> h, Event* event);
   void MakeRunnable(Thread* t);
+
+  // Run() and RunFor(): without a deadline, until no non-daemon work
+  // remains; with one, until the deadline.
+  void RunUntil(std::optional<TimePoint> deadline);
+  // The virtual-clock loop over `shards` (a standalone scheduler, or a
+  // group's shards on one OS thread). Each time step runs every shard, in
+  // index order, to quiescence at the current instant, then advances every
+  // clock to the earliest timer; the same seed gives the same steps.
+  static void RunLockstep(std::span<Scheduler* const> shards,
+                          std::optional<TimePoint> deadline);
+  static bool AnyStopped(std::span<Scheduler* const> shards);
 
   void RunOne();
   void WakeExpired();

@@ -17,6 +17,7 @@ SchedulerGroup::SchedulerGroup(size_t shards, bool virtual_clock, uint64_t seed)
   PFS_CHECK_MSG(shards >= 1, "SchedulerGroup needs at least one shard");
   const int64_t epoch = virtual_clock ? 0 : RealClock::SteadyEpochNow();
   shards_.reserve(shards);
+  loops_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
     std::unique_ptr<Clock> clock;
     if (virtual_clock) {
@@ -32,6 +33,7 @@ SchedulerGroup::SchedulerGroup(size_t shards, bool virtual_clock, uint64_t seed)
     if (shards > 1) {
       s->AttachToGroup(this, static_cast<uint32_t>(i));
     }
+    loops_.push_back(s.get());
     shards_.push_back(std::move(s));
   }
 }
@@ -48,23 +50,24 @@ void SchedulerGroup::DropAllPosted() {
   }
 }
 
-// A group of one has nothing to coordinate: its loop runs on the calling
-// thread, exactly as a standalone Scheduler would.
+// On the virtual clock every shape — one shard or several — is the one
+// lockstep loop on the calling thread. On the real clock a lone shard runs
+// its loop on the calling thread, and several run on one OS thread each.
 void SchedulerGroup::Run() {
-  if (shards_.size() == 1) {
+  if (shards_[0]->is_virtual()) {
+    Scheduler::RunLockstep(loops_, std::nullopt);
+  } else if (shards_.size() == 1) {
     shards_[0]->Run();
-  } else if (shards_[0]->is_virtual()) {
-    RunLockstep();
   } else {
     RunThreaded(/*bounded=*/false, Duration());
   }
 }
 
 void SchedulerGroup::RunFor(Duration d) {
-  if (shards_.size() == 1) {
+  if (shards_[0]->is_virtual()) {
+    Scheduler::RunLockstep(loops_, shards_[0]->Now() + d);
+  } else if (shards_.size() == 1) {
     shards_[0]->RunFor(d);
-  } else if (shards_[0]->is_virtual()) {
-    RunLockstepFor(d);
   } else {
     RunThreaded(/*bounded=*/true, d);
   }
@@ -92,159 +95,6 @@ void SchedulerGroup::NotifyPosted() {
   cv_.notify_all();
 }
 
-bool SchedulerGroup::AnyStop() const {
-  for (const auto& s : shards_) {
-    if (s->stop_.load()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SchedulerGroup::AnyPosted() const {
-  for (const auto& s : shards_) {
-    if (s->HasPosted()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SchedulerGroup::AnyKeepAlive() const {
-  for (const auto& s : shards_) {
-    if (s->keep_alive_) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SchedulerGroup::AnyNonDaemonAlive() const {
-  for (const auto& s : shards_) {
-    if (s->NonDaemonAlive()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool SchedulerGroup::MinWake(TimePoint* out) const {
-  bool have = false;
-  for (const auto& s : shards_) {
-    if (!s->delayed_.empty()) {
-      const TimePoint w = s->delayed_.top().wake;
-      if (!have || w < *out) {
-        *out = w;
-        have = true;
-      }
-    }
-  }
-  return have;
-}
-
-void SchedulerGroup::AdvanceAll(TimePoint t) {
-  // Every shard's virtual clock advances to the same instant, so cross-shard
-  // timestamps stay comparable and WakeExpired fires identically no matter
-  // which shard hosts the timer.
-  for (auto& s : shards_) {
-    s->clock_->AdvanceTo(t);
-  }
-}
-
-int64_t SchedulerGroup::TotalPendingExternal() const {
-  int64_t n = 0;
-  for (const auto& s : shards_) {
-    n += s->pending_external_.load();
-  }
-  return n;
-}
-
-void SchedulerGroup::WaitForCrossShardWork(bool for_external) {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return AnyStop() || AnyPosted() || (for_external && TotalPendingExternal() == 0);
-  });
-}
-
-void SchedulerGroup::Sweep() {
-  bool again = true;
-  while (again) {
-    again = false;
-    for (auto& s : shards_) {
-      for (;;) {
-        s->DrainPosted();
-        s->WakeExpired();
-        if (s->stop_.load() || s->runnable_.empty()) {
-          break;
-        }
-        s->RunOne();
-      }
-    }
-    if (AnyStop()) {
-      return;
-    }
-    // A later shard may have posted back to an earlier one; re-sweep until
-    // every mailbox is empty so phase 2 sees true quiescence.
-    again = AnyPosted();
-  }
-}
-
-void SchedulerGroup::RunLockstep() {
-  for (;;) {
-    Sweep();
-    if (AnyStop()) {
-      return;
-    }
-    if (!AnyNonDaemonAlive() && !AnyKeepAlive()) {
-      return;  // only daemon housekeeping remains, everywhere
-    }
-    TimePoint next;
-    if (MinWake(&next)) {
-      AdvanceAll(next);
-      continue;
-    }
-    const bool external = TotalPendingExternal() > 0;
-    if (external || AnyKeepAlive()) {
-      WaitForCrossShardWork(external);
-      continue;
-    }
-    for (auto& s : shards_) {
-      s->DumpThreads();
-    }
-    PFS_CHECK_MSG(false, "scheduler group deadlock: all shards blocked with no timer pending");
-  }
-}
-
-void SchedulerGroup::RunLockstepFor(Duration d) {
-  const TimePoint deadline = shards_[0]->Now() + d;
-  for (;;) {
-    Sweep();
-    if (AnyStop() || shards_[0]->Now() >= deadline) {
-      return;
-    }
-    TimePoint next;
-    if (MinWake(&next) && next <= deadline) {
-      AdvanceAll(next);
-      if (shards_[0]->Now() >= deadline) {
-        // Mirror Scheduler::RunFor: threads due exactly at the deadline wake
-        // (become runnable) but only run in a later Run()/RunFor() phase.
-        for (auto& s : shards_) {
-          s->DrainPosted();
-          s->WakeExpired();
-        }
-        return;
-      }
-      continue;
-    }
-    if (TotalPendingExternal() > 0) {
-      WaitForCrossShardWork(/*for_external=*/true);
-      continue;
-    }
-    AdvanceAll(deadline);
-    return;
-  }
-}
-
 void SchedulerGroup::RunThreaded(bool bounded, Duration d) {
   std::vector<bool> prev_keep_alive(shards_.size());
   bool server_mode = false;
@@ -270,7 +120,7 @@ void SchedulerGroup::RunThreaded(bool bounded, Duration d) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::nanoseconds(d.nanos());
     std::unique_lock<std::mutex> lk(mu_);
-    while (!AnyStop() && (server_mode || work_.load() != 0)) {
+    while (!Scheduler::AnyStopped(loops_) && (server_mode || work_.load() != 0)) {
       if (bounded) {
         if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
           break;

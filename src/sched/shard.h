@@ -2,20 +2,22 @@
 // core, so independent filesystems/volume trees dispatch in true parallel.
 //
 // Execution model by clock type:
-//   * Virtual clock (Patsy): shards step in deterministic lockstep on ONE OS
-//     thread. Each outer round runs every shard, in shard-index order, to
-//     quiescence at the shared current time, re-sweeping while cross-shard
-//     posts are still in flight (two-phase: run-to-quiescence, then advance
-//     every shard's clock to the global minimum next-event time). Same seed +
-//     same config => identical interleaving, exactly like the single-loop
-//     scheduler.
-//   * Real clock (on-line PFS, benches): each shard runs free on its own OS
-//     thread. A group-level work counter (live non-daemon threads + queued
-//     posts + pending external ops, across all shards) tells the monitor when
-//     everything has drained; it then stops and joins the shard threads.
-//   * A group of one coordinates nothing: its shard keeps out of the group
-//     accounting below, and Run/RunFor run its loop on the calling thread,
-//     exactly like a standalone Scheduler.
+//   * Virtual clock (Patsy): the shards step in deterministic lockstep on ONE
+//     OS thread, through the one loop that also steps a standalone
+//     Scheduler (Scheduler::RunLockstep). Each time step runs every shard,
+//     in shard-index order, to quiescence at the shared current time,
+//     re-sweeping while cross-shard posts are still in flight, then advances
+//     every shard's clock to the global minimum next-event time. Same seed +
+//     same config => identical interleaving; a group of one steps exactly as
+//     a standalone Scheduler with the same seed.
+//   * Real clock (on-line PFS, benches): each shard runs the real-clock
+//     Scheduler loop free on its own OS thread. A group-level work counter
+//     (live non-daemon threads + queued posts + pending external ops, across
+//     all shards) tells the monitor when everything has drained; it then
+//     stops and joins the shard threads. A group of one runs its shard's
+//     loop on the calling thread.
+//   * A lone shard keeps out of the group accounting below: with nothing to
+//     coordinate, it has no shared counter to bump and waits on its own park.
 //
 // Cross-shard interaction goes exclusively through Scheduler::Post (each
 // shard's MPSC mailbox): Events/Notifications are shard-local, so a coroutine
@@ -54,13 +56,13 @@ class SchedulerGroup {
   Scheduler* shard(size_t i) { return shards_[i].get(); }
 
   // Runs until no non-daemon work remains on any shard (or RequestStop).
-  // Virtual clock: deterministic lockstep. Real clock: one OS thread per
-  // shard. One shard: that shard's own Run() on the calling thread. May be
-  // called again after it returns (e.g. setup phase, then the workload) —
-  // threaded runs reset the shards' stop flags on exit.
+  // Virtual clock: deterministic lockstep on the calling thread. Real clock:
+  // one OS thread per shard, or the one shard's loop on the calling thread.
+  // May be called again after it returns (e.g. setup phase, then the
+  // workload) — threaded runs reset the shards' stop flags on exit.
   void Run();
 
-  // Runs for at most `d` of (virtual or wall) time.
+  // Runs for `d` of (virtual or wall) time, as Scheduler::RunFor does.
   void RunFor(Duration d);
 
   // Thread-safe: stops every shard at its next scheduling point.
@@ -85,29 +87,22 @@ class SchedulerGroup {
   // Wakes the virtual-clock lockstep loop (parked waiting for cross-shard
   // work or I/O completions) and the real-clock monitor (for a stop).
   void NotifyPosted();
+  // Parks the lockstep loop until `ready()` holds; NotifyPosted wakes it.
+  template <typename Pred>
+  void WaitUntil(Pred ready) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, ready);
+  }
   // Teardown: frees every shard's queued posts (they will never run).
   void DropAllPosted();
 
  private:
   friend class SchedulerGroupTestPeer;
 
-  void RunLockstep();
-  void RunLockstepFor(Duration d);
   void RunThreaded(bool bounded, Duration d);
 
-  // One phase-1 pass: every shard, in index order, runs to quiescence at the
-  // current time; repeats while any mailbox is non-empty.
-  void Sweep();
-  bool AnyStop() const;
-  bool AnyPosted() const;
-  bool AnyKeepAlive() const;
-  bool AnyNonDaemonAlive() const;
-  bool MinWake(TimePoint* out) const;
-  void AdvanceAll(TimePoint t);
-  int64_t TotalPendingExternal() const;
-  void WaitForCrossShardWork(bool for_external);
-
   std::vector<std::unique_ptr<Scheduler>> shards_;
+  std::vector<Scheduler*> loops_;  // the same shards, as the lockstep loop's span
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<int64_t> work_{0};

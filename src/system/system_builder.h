@@ -75,11 +75,19 @@ class System {
   // StatSource; read after the shard threads have quiesced.
   SchedStats* sched_stats(int s) { return sched_stats_[static_cast<size_t>(s)].get(); }
 
-  // Drives every shard to quiescence: deterministic lockstep on the virtual
-  // clock, one OS thread per shard on the real clock. With shards == 1 these
-  // are exactly Scheduler::Run()/RunFor().
-  void RunToCompletion() { group_->Run(); }
-  void RunForDuration(Duration d) { group_->RunFor(d); }
+  // Drives every shard to quiescence (or for `d`): deterministic lockstep
+  // on the virtual clock, the loop a standalone Scheduler runs, so a
+  // one-shard run steps as Scheduler::Run()/RunFor() would; one OS thread
+  // per shard on the real clock. A sampler then gathers once more, so its
+  // stream ends at the end of the run.
+  void RunToCompletion() {
+    group_->Run();
+    SampleRunEnd();
+  }
+  void RunForDuration(Duration d) {
+    group_->RunFor(d);
+    SampleRunEnd();
+  }
   // Stops every shard's loop (thread-safe: callable from any OS thread).
   void RequestStop() { group_->RequestStop(); }
   // Closes every shard: further Post() calls become checked errors instead
@@ -170,6 +178,11 @@ class System {
   System() = default;
 
   Status StartMetricsHttp();
+  void SampleRunEnd() {
+    if (sampler_ != nullptr) {
+      sampler_->SampleStopped();  // every loop has stopped: no hop needed
+    }
+  }
 
   SystemConfig config_;
   // Components keep raw pointers to their registry metrics, so the registry

@@ -142,7 +142,7 @@ Result<std::unique_ptr<System>> BuildAndRun(const SystemConfig& config) {
   system->scheduler()->Spawn("test.workload", [](System* sys, Status* st) -> Task<> {
     *st = co_await SmallWorkload(sys->client());
   }(system.get(), &status));
-  system->scheduler()->Run();
+  system->RunToCompletion();
   PFS_RETURN_IF_ERROR(status);
   return system;
 }
@@ -386,11 +386,13 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
   config.trace.file = testing::TempDir() + "/pfs_obs_sampler.json";
   config.trace.sample_ms = 50;  // each streamed line renders every metric
   const std::string samples_path = TraceSamplesPath(config.trace.file);
+  uint64_t run_requests = 0;
   {
     auto sys = BuildAndRun(config);
     ASSERT_TRUE(sys.ok()) << sys.status().ToString();
     ASSERT_NE((*sys)->stats_sampler(), nullptr);
     EXPECT_FALSE((*sys)->stats_sampler()->Latest().empty());
+    run_requests = (*sys)->volume(0)->requests();
   }
   // Read back after the system is gone: its destructor syncs the tail.
   std::vector<JsonValue> series;
@@ -405,14 +407,20 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
   }
   std::remove(samples_path.c_str());
   // The virtual-clock workload spans many sampling periods; the first
-  // sample is gathered at once, the rest one period apart.
-  ASSERT_GT(series.size(), 1u);
+  // sample is gathered at once, the rest one period apart, and the last one
+  // when the run ends, at most a period after the one before.
+  ASSERT_GT(series.size(), 2u);
   for (size_t i = 0; i < series.size(); ++i) {
     const JsonValue* t = series[i].Find("t_ms");
     ASSERT_NE(t, nullptr);
     if (i > 0) {
       const double step = t->number_value - series[i - 1].Find("t_ms")->number_value;
-      EXPECT_NEAR(step, 50.0, 1e-3);
+      if (i + 1 < series.size()) {
+        EXPECT_NEAR(step, 50.0, 1e-3);
+      } else {
+        EXPECT_GE(step, 0.0);
+        EXPECT_LE(step, 50.0 + 1e-3);
+      }
     }
     ASSERT_NE(series[i].Find("stats"), nullptr);
     EXPECT_TRUE(series[i].Find("stats")->is_object());
@@ -427,6 +435,7 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
   const JsonValue* requests = vol->Find("requests");
   ASSERT_NE(requests, nullptr);
   EXPECT_GT(requests->number_value, 0.0);
+  EXPECT_EQ(requests->number_value, static_cast<double>(run_requests));
   const JsonValue* first = series.front().Find("stats")->Find("volume.fs0");
   EXPECT_GE(requests->number_value, first->Find("requests")->number_value);
 }

@@ -115,11 +115,12 @@ TEST(PatsyTest, SamplerReportsEveryFifteenMinutes) {
     }
   }
   std::remove(samples_path.c_str());
-  // One at the start, then at 15 and 30 minutes; the run ends at 31.
-  ASSERT_EQ(reports.size(), 3u);
+  // One at the start, then at 15 and 30 minutes, and one more when the run
+  // ends, after the stat at 31.
+  ASSERT_EQ(reports.size(), 4u);
   double last_ops = 0;
   for (size_t i = 0; i < reports.size(); ++i) {
-    if (i > 0) {
+    if (i > 0 && i < 3) {
       EXPECT_NEAR(reports[i].Find("t_ms")->number_value -
                       reports[i - 1].Find("t_ms")->number_value,
                   900000.0, 1e-3);
@@ -133,8 +134,14 @@ TEST(PatsyTest, SamplerReportsEveryFifteenMinutes) {
     EXPECT_GE(replayer->Find("ops")->number_value, last_ops);
     last_ops = replayer->Find("ops")->number_value;
   }
+  // The last line is the whole run: it ends with the run, and counts every
+  // replayed op.
+  EXPECT_NEAR(reports[3].Find("t_ms")->number_value, result->simulated_time.ToMillisF(),
+              1e-3);
+  EXPECT_GE(reports[3].Find("t_ms")->number_value,
+            static_cast<double>(Duration::Minutes(31).millis()));
   EXPECT_GT(last_ops, 0.0);
-  EXPECT_LE(last_ops, static_cast<double>(result->ops));
+  EXPECT_EQ(last_ops, static_cast<double>(result->ops));
 }
 
 TEST(PatsyTest, GuessingLayoutReplays) {

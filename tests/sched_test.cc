@@ -744,31 +744,141 @@ TEST(SchedulerGroupTest, ThreadedCallOnsWakeTheMonitorOnlyAtQuiescence) {
   EXPECT_LE(SchedulerGroupTestPeer::MonitorWakeups(group), 4u);
 }
 
-TEST(SchedulerGroupTest, GroupOfOneMatchesStandaloneSchedule) {
-  // shards = 1 must reproduce the single-scheduler world exactly: the same
-  // seed yields the same interleaving as a standalone Scheduler.
-  const auto spawn_all = [](Scheduler* sched, std::vector<int>* order) {
-    for (int id = 0; id < 4; ++id) {
-      sched->Spawn("t" + std::to_string(id),
-                   [](Scheduler* s, int me, std::vector<int>* log) -> Task<> {
-                     for (int i = 0; i < 8; ++i) {
-                       log->push_back(me);
-                       co_await s->Yield();
-                     }
-                   }(sched, id, order));
+// Logs `me` at each of `steps` steps; even ids yield between steps and odd
+// ids sleep, so the schedule mixes random picks with clock jumps.
+Task<> LogSteps(Scheduler* s, int me, int steps, std::vector<int>* log) {
+  for (int i = 0; i < steps; ++i) {
+    log->push_back(me);
+    if (me % 2 == 0) {
+      co_await s->Yield();
+    } else {
+      co_await s->Sleep(Duration::Micros(100 * me + i));
     }
-  };
-  std::vector<int> a;
-  auto standalone = Scheduler::CreateVirtual(12345);
-  spawn_all(standalone.get(), &a);
-  standalone->Run();
+  }
+}
 
-  std::vector<int> b;
-  SchedulerGroup group(1, /*virtual_clock=*/true, 12345);
-  spawn_all(group.shard(0), &b);
-  group.Run();
-  EXPECT_EQ(a.size(), 32u);
-  EXPECT_EQ(a, b);
+// One schedule, phase by phase.
+struct PhaseLog {
+  std::vector<int> order;
+  std::vector<int64_t> now_ns;  // Now() after each phase
+  ThreadState due_after_run_for = ThreadState::kFinished;
+};
+
+// Drives `loop` (a Scheduler or a SchedulerGroup) whose work all lives on
+// `home` through Run(), a RunFor() whose deadline equals a thread's wake
+// time, Run() again and a RunFor() with nothing left to do.
+template <typename Loop>
+PhaseLog DrivePhases(Loop* loop, Scheduler* home) {
+  PhaseLog out;
+  for (int id = 0; id < 4; ++id) {
+    home->Spawn("t" + std::to_string(id), LogSteps(home, id, 8, &out.order));
+  }
+  loop->Run();
+  out.now_ns.push_back(home->Now().nanos());
+  Thread* due =
+      home->Spawn("due", SleepAndRecord(home, &out.order, 99, Duration::Millis(3)));
+  loop->RunFor(Duration::Millis(3));
+  out.now_ns.push_back(home->Now().nanos());
+  out.due_after_run_for = due->state();
+  out.order.push_back(-1);  // "due" must log after this mark
+  loop->Run();
+  out.now_ns.push_back(home->Now().nanos());
+  loop->RunFor(Duration::Millis(7));
+  out.now_ns.push_back(home->Now().nanos());
+  return out;
+}
+
+TEST(SchedulerGroupTest, GroupOfOneMatchesStandaloneSchedule) {
+  // Every virtual-clock shape steps through one lockstep loop: a standalone
+  // scheduler, a group of one and a two-shard group whose work all lives on
+  // shard 0 (seeded like the standalone) interleave identically and stop
+  // their clocks at the same instants, phase by phase.
+  auto standalone = Scheduler::CreateVirtual(12345);
+  const PhaseLog a = DrivePhases(standalone.get(), standalone.get());
+  SchedulerGroup one(1, /*virtual_clock=*/true, 12345);
+  const PhaseLog b = DrivePhases(&one, one.shard(0));
+  SchedulerGroup two(2, /*virtual_clock=*/true, 12345);
+  const PhaseLog c = DrivePhases(&two, two.shard(0));
+
+  ASSERT_EQ(a.order.size(), 34u);  // 4 threads x 8 steps, the mark, "due"
+  // A thread due exactly at a RunFor deadline is woken but not run; it runs
+  // in the next phase, and that phase moves no clock.
+  EXPECT_EQ(a.due_after_run_for, ThreadState::kRunnable);
+  EXPECT_EQ(a.order[32], -1);
+  EXPECT_EQ(a.order[33], 99);
+  ASSERT_EQ(a.now_ns.size(), 4u);
+  EXPECT_EQ(a.now_ns[1] - a.now_ns[0], Duration::Millis(3).nanos());
+  EXPECT_EQ(a.now_ns[2], a.now_ns[1]);
+  // With nothing left to run, RunFor runs the clock out to its deadline.
+  EXPECT_EQ(a.now_ns[3] - a.now_ns[2], Duration::Millis(7).nanos());
+  for (const PhaseLog* other : {&b, &c}) {
+    EXPECT_EQ(other->order, a.order);
+    EXPECT_EQ(other->now_ns, a.now_ns);
+    EXPECT_EQ(other->due_after_run_for, a.due_after_run_for);
+  }
+  EXPECT_EQ(two.shard(1)->Now(), two.shard(0)->Now());
+}
+
+Task<> BlockForever(Scheduler* s) {
+  Notification never(s);
+  co_await never.Wait();
+}
+
+TEST(SchedulerDeathTest, BlockedThreadAbortsAsDeadlockOnEveryVirtualShape) {
+  // Nothing runnable, no timer, no I/O in flight, and a non-daemon thread
+  // still blocked: nothing can ever wake it, so the run aborts.
+  EXPECT_DEATH(
+      {
+        auto sched = Scheduler::CreateVirtual();
+        sched->Spawn("stuck", BlockForever(sched.get()));
+        sched->Run();
+      },
+      "scheduler deadlock");
+  for (size_t shards : {1, 2}) {
+    EXPECT_DEATH(
+        {
+          SchedulerGroup group(shards, /*virtual_clock=*/true, 1);
+          Scheduler* last = group.shard(shards - 1);
+          last->Spawn("stuck", BlockForever(last));
+          group.Run();
+        },
+        "scheduler deadlock")
+        << shards << " shard(s)";
+  }
+}
+
+// Posts, from another OS thread, a function to `target` that stops `loop`;
+// returns how often it ran.
+template <typename Loop>
+int RunUntilAPostStopsIt(Loop* loop, Scheduler* target) {
+  int ran = 0;
+  std::thread poster([&] {
+    // Far longer than the spin window: the loop is parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    target->Post([&] {
+      ++ran;
+      loop->RequestStop();
+    });
+  });
+  loop->Run();
+  poster.join();
+  return ran;
+}
+
+TEST(SchedulerGroupTest, VirtualKeepAliveRunWithNothingPendingWaitsForAPost) {
+  // A kept-alive virtual-clock loop with no thread, timer or I/O in flight
+  // is an idle server, not a deadlock: it waits, on every shape, for a post.
+  auto standalone = Scheduler::CreateVirtual();
+  standalone->set_keep_alive(true);
+  EXPECT_EQ(RunUntilAPostStopsIt(standalone.get(), standalone.get()), 1);
+  EXPECT_EQ(standalone->Now(), TimePoint());
+
+  for (size_t shards : {1, 2}) {
+    SchedulerGroup group(shards, /*virtual_clock=*/true, 1);
+    group.shard(0)->set_keep_alive(true);
+    EXPECT_EQ(RunUntilAPostStopsIt(&group, group.shard(shards - 1)), 1) << shards;
+    EXPECT_EQ(group.shard(0)->Now(), TimePoint());
+  }
 }
 
 // -- Coroutine frame pool (sched/task.h) -------------------------------------
