@@ -112,18 +112,18 @@ std::string StatsSampler::Latest() const {
   return latest_;
 }
 
-void StatsSampler::SampleStopped() { PushSample(NowMs(), stats_->ReportJson()); }
-
-double StatsSampler::NowMs() const {
-  return static_cast<double>(group_->shard(0)->Now().nanos()) / 1e6;
+void StatsSampler::SampleStopped() {
+  PushSample(static_cast<double>(group_->shard(0)->Now().nanos()) / 1e6,
+             stats_->ReportJson());
 }
 
 Task<> StatsSampler::Loop() {
+  Scheduler* home = group_->shard(0);
   for (;;) {
-    const double t_ms = NowMs();
+    const double t_ms = static_cast<double>(home->Now().nanos()) / 1e6;
     std::string stats_json = co_await GatherReportJson(group_, stats_);
     PushSample(t_ms, std::move(stats_json));
-    co_await group_->shard(0)->Sleep(interval_);
+    co_await home->Sleep(interval_);
   }
 }
 

@@ -73,7 +73,6 @@ class StatsSampler {
 
  private:
   Task<> Loop();
-  double NowMs() const;
   void PushSample(double t_ms, std::string stats_json);
   // Writer-thread body: drains `pending_` into `out_`, syncing every
   // `flush_every_` lines, plus once more on shutdown.

@@ -438,17 +438,8 @@ void Scheduler::RunUntil(std::optional<TimePoint> deadline) {
   }
 }
 
-bool Scheduler::AnyStopped(std::span<Scheduler* const> shards) {
-  return std::any_of(shards.begin(), shards.end(),
-                     [](const Scheduler* s) { return s->stop_.load(); });
-}
-
 void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
                             std::optional<TimePoint> deadline) {
-  const auto any_posted = [shards] {
-    return std::any_of(shards.begin(), shards.end(),
-                       [](const Scheduler* s) { return s->HasPosted(); });
-  };
   const auto advance_all = [shards](TimePoint t) {
     // Every clock jumps to the same instant, so cross-shard timestamps stay
     // comparable and a timer fires at the same step on whichever shard.
@@ -459,8 +450,9 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
   for (;;) {
     // Phase 1: every shard, in index order, runs to quiescence at the current
     // instant, and the sweep repeats while a later shard has posted back to
-    // an earlier one. Virtual time stands still within the phase. Threads
-    // due exactly at the deadline wake but run only in a later phase.
+    // an earlier one. Virtual time stands still within the phase. At the
+    // deadline the phase only wakes the threads due then: they run in a
+    // later Run() or RunFor().
     const bool due = deadline && shards[0]->Now() >= *deadline;
     bool posted = true;
     while (posted) {
@@ -474,10 +466,16 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
           s->RunOne();
         }
       }
-      if (due || AnyStopped(shards)) {
+      posted = false;
+      for (const Scheduler* s : shards) {
+        if (s->stop_.load()) {
+          return;
+        }
+        posted = posted || s->HasPosted();
+      }
+      if (due) {
         return;
       }
-      posted = any_posted();
     }
     // Phase 2: every shard is quiescent; jump the clocks to the earliest
     // timer, or wait for work from another OS thread.
@@ -509,7 +507,10 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
       if (shards.size() == 1) {
         shards[0]->WaitRealForever();
       } else {
-        shards[0]->group_->WaitUntil([&] { return AnyStopped(shards) || any_posted(); });
+        shards[0]->group_->WaitUntil([shards] {
+          return std::any_of(shards.begin(), shards.end(),
+                             [](const Scheduler* s) { return s->HasWakeReason(); });
+        });
       }
       continue;
     }

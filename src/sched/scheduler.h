@@ -322,7 +322,6 @@ class Scheduler {
   // clock to the earliest timer; the same seed gives the same steps.
   static void RunLockstep(std::span<Scheduler* const> shards,
                           std::optional<TimePoint> deadline);
-  static bool AnyStopped(std::span<Scheduler* const> shards);
 
   void RunOne();
   void WakeExpired();

@@ -95,6 +95,15 @@ void SchedulerGroup::NotifyPosted() {
   cv_.notify_all();
 }
 
+bool SchedulerGroup::AnyStop() const {
+  for (const auto& s : shards_) {
+    if (s->stop_.load()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void SchedulerGroup::RunThreaded(bool bounded, Duration d) {
   std::vector<bool> prev_keep_alive(shards_.size());
   bool server_mode = false;
@@ -120,7 +129,7 @@ void SchedulerGroup::RunThreaded(bool bounded, Duration d) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::nanoseconds(d.nanos());
     std::unique_lock<std::mutex> lk(mu_);
-    while (!Scheduler::AnyStopped(loops_) && (server_mode || work_.load() != 0)) {
+    while (!AnyStop() && (server_mode || work_.load() != 0)) {
       if (bounded) {
         if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
           break;

@@ -100,6 +100,7 @@ class SchedulerGroup {
   friend class SchedulerGroupTestPeer;
 
   void RunThreaded(bool bounded, Duration d);
+  bool AnyStop() const;
 
   std::vector<std::unique_ptr<Scheduler>> shards_;
   std::vector<Scheduler*> loops_;  // the same shards, as the lockstep loop's span
