@@ -449,41 +449,29 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
   };
   for (;;) {
     // Phase 1: every shard, in index order, runs to quiescence at the current
-    // instant, and the sweep repeats while a later shard has posted back to
-    // an earlier one. Virtual time stands still within the phase. At the
-    // deadline the phase only wakes the threads due then: they run in a
-    // later Run() or RunFor().
+    // instant. Virtual time stands still within the phase. At the deadline
+    // the phase only wakes the threads due then: they run in a later Run()
+    // or RunFor().
     const bool due = deadline && shards[0]->Now() >= *deadline;
-    bool posted = true;
-    while (posted) {
-      for (Scheduler* s : shards) {
-        for (;;) {
-          s->DrainPosted();
-          s->WakeExpired();
-          if (due || s->stop_.load() || s->runnable_.empty()) {
-            break;
-          }
-          s->RunOne();
+    for (Scheduler* s : shards) {
+      for (;;) {
+        s->DrainPosted();
+        s->WakeExpired();
+        if (due || s->stop_.load() || s->runnable_.empty()) {
+          break;
         }
-      }
-      posted = false;
-      for (const Scheduler* s : shards) {
-        if (s->stop_.load()) {
-          return;
-        }
-        posted = posted || s->HasPosted();
-      }
-      if (due) {
-        return;
+        s->RunOne();
       }
     }
-    // Phase 2: every shard is quiescent; jump the clocks to the earliest
-    // timer, or wait for work from another OS thread.
+    bool stopped = false;
+    bool posted = false;
     bool alive = false;
     bool keep_alive = false;
     int64_t external = 0;
     std::optional<TimePoint> next;
     for (const Scheduler* s : shards) {
+      stopped = stopped || s->stop_.load();
+      posted = posted || s->HasPosted();
       alive = alive || s->NonDaemonAlive();
       keep_alive = keep_alive || s->keep_alive_;
       external += s->pending_external_.load();
@@ -491,6 +479,14 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
         next = s->delayed_.top().wake;
       }
     }
+    if (stopped || due) {
+      return;
+    }
+    if (posted) {
+      continue;  // a later shard posted to an earlier one: sweep this instant again
+    }
+    // Phase 2: every shard is quiescent; jump the clocks to the earliest
+    // timer, or wait for work from another OS thread.
     if (!deadline && !alive && !keep_alive) {
       return;  // only daemon housekeeping remains, everywhere
     }
