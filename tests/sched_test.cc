@@ -802,7 +802,7 @@ TEST(SchedulerGroupTest, GroupOfOneMatchesStandaloneSchedule) {
 
   ASSERT_EQ(a.order.size(), 34u);  // 4 threads x 8 steps, the mark, "due"
   // A thread due exactly at a RunFor deadline is woken but not run; it runs
-  // in the next phase, and that phase moves no clock.
+  // in the next Run(), which moves no clock.
   EXPECT_EQ(a.due_after_run_for, ThreadState::kRunnable);
   EXPECT_EQ(a.order[32], -1);
   EXPECT_EQ(a.order[33], 99);
