@@ -12,23 +12,37 @@
 
 namespace pfs {
 
+namespace {
+
+// Shard `i`'s members of the report: its shard-affine sources, plus the
+// unowned ones with shard 0, so each source appears exactly once.
+std::string ShardMembers(SchedulerGroup* group, StatsRegistry* stats, size_t i) {
+  return stats->ReportJsonOwned(group->shard(i), /*include_unowned=*/i == 0);
+}
+
+// Appends one shard's members to the object `out` is building.
+void AppendMembers(std::string* out, const std::string& members) {
+  if (members.empty()) {
+    return;
+  }
+  if (out->size() > 1) {
+    *out += ",";
+  }
+  *out += members;
+}
+
+}  // namespace
+
 Task<std::string> GatherReportJson(SchedulerGroup* group, StatsRegistry* stats) {
-  Scheduler* home = group->shard(0);
   std::string out = "{";
   for (size_t i = 0; i < group->size(); ++i) {
-    Scheduler* shard = group->shard(i);
     // Named thunk, not a temporary: GCC 12 double-destroys non-trivial
     // temporaries passed as coroutine arguments in an await full-expression.
-    auto body = [stats, shard, home]() -> Task<std::string> {
-      co_return stats->ReportJsonOwned(shard, /*include_unowned=*/shard == home);
+    auto body = [group, stats, i]() -> Task<std::string> {
+      co_return ShardMembers(group, stats, i);
     };
-    std::string frag = co_await CallOn<std::string>(home, shard, body);
-    if (!frag.empty()) {
-      if (out.size() > 1) {
-        out += ",";
-      }
-      out += frag;
-    }
+    std::string members = co_await CallOn<std::string>(group->shard(0), group->shard(i), body);
+    AppendMembers(&out, members);
   }
   out += "}";
   co_return out;
@@ -113,8 +127,14 @@ std::string StatsSampler::Latest() const {
 }
 
 void StatsSampler::SampleStopped() {
-  PushSample(static_cast<double>(group_->shard(0)->Now().nanos()) / 1e6,
-             stats_->ReportJson());
+  // GatherReportJson's composition, read in place: with every loop stopped
+  // no source needs its owner's thread.
+  std::string out = "{";
+  for (size_t i = 0; i < group_->size(); ++i) {
+    AppendMembers(&out, ShardMembers(group_, stats_, i));
+  }
+  out += "}";
+  PushSample(static_cast<double>(group_->shard(0)->Now().nanos()) / 1e6, std::move(out));
 }
 
 Task<> StatsSampler::Loop() {

@@ -12,7 +12,8 @@
 // the sampler only enqueues lines.
 //
 // Snapshots are gathered shard by shard (GatherReportJson), so each shard's
-// shard-affine sources are read on their own loop.
+// shard-affine sources are read on their own loop; the end-of-run gather
+// (SampleStopped) reads them in the same order, in place.
 //
 // Deliberately NOT a StatSource: registering it would recurse through
 // ReportJson().
@@ -61,10 +62,10 @@ class StatsSampler {
   // leaves a finished record). It gathers at once, then once every interval.
   void Start();
 
-  // Gathers once more, from StatsRegistry::ReportJson() on the calling
-  // thread, and streams the result. Call only while every loop is stopped:
-  // at the end of a run, so the stream ends there and not at the last
-  // periodic gather.
+  // Gathers once more on the calling thread, shard by shard as
+  // GatherReportJson does but with no hop, and streams the result. Call only
+  // while every loop is stopped: at the end of a run, so the stream ends
+  // there and not at the last periodic gather.
   void SampleStopped();
 
   // The latest gathered ReportJson(); empty until the first gather lands.
