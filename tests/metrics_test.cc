@@ -12,9 +12,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -473,9 +474,11 @@ TEST_F(MetricsSystemTest, ScrapeDuringActiveLoadIsAffinitySafe) {
   EXPECT_NE(stats.find("\"fill_ms\""), std::string::npos);
 }
 
-// /statz serves the stats sampler's latest gather, read shard by shard: one
-// object with a member per stat source, exactly the sources ReportJson()
-// lists.
+// /statz serves the stats sampler's latest gather. Fetched while the run is
+// alive, that is a periodic gather, read shard by shard through CallOn hops:
+// one object with a member per stat source, exactly the sources ReportJson()
+// lists. Fetched after the run, it is the end-of-run gather, which lists the
+// same members in the same order.
 TEST_F(MetricsSystemTest, StatzServesEveryStatSourceOnFileBacked) {
   SystemConfig config = StripedShardedConfig(image_);
   config.backend = BackendKind::kFileBacked;
@@ -484,31 +487,65 @@ TEST_F(MetricsSystemTest, StatzServesEveryStatSourceOnFileBacked) {
   System& sys = **built;
   ASSERT_TRUE(sys.Setup().ok());
   ASSERT_NE(sys.stats_sampler(), nullptr);
+  const uint16_t port = sys.metrics_port();
+  ASSERT_NE(port, 0);
+
+  // The workload holds the run open until the mid-run fetch has landed, so
+  // that fetch cannot read the end-of-run gather.
+  std::atomic<bool> fetched{false};
+  std::string live;
+  std::thread fetcher([&] {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (std::chrono::steady_clock::now() < give_up) {
+      const std::string response = HttpGet(port, "/statz");
+      if (response.find(" 200 ") != std::string::npos) {  // 503 until the first gather
+        live = Body(response);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    fetched.store(true);
+  });
   Status status(ErrorCode::kAborted);
-  sys.scheduler()->Spawn("test.workload", [](System* s, int n, Status* out) -> Task<> {
-    *out = co_await CountedWorkload(s, n);
-  }(&sys, 64, &status));
+  sys.scheduler()->Spawn(
+      "test.workload",
+      [](System* s, int n, const std::atomic<bool>* fetched, Status* out) -> Task<> {
+        *out = co_await CountedWorkload(s, n);
+        while (!fetched->load()) {
+          co_await s->scheduler()->Sleep(Duration::Millis(1));
+        }
+      }(&sys, 64, &fetched, &status));
   sys.RunToCompletion();
+  fetcher.join();
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  const std::string response = HttpGet(sys.metrics_port(), "/statz");
-  ASSERT_NE(response.find(" 200 "), std::string::npos) << response;
-  auto statz = ParseJson(Body(response));
-  ASSERT_TRUE(statz.ok()) << statz.status().ToString();
-  ASSERT_TRUE(statz->is_object());
-  auto report = ParseJson(sys.stats().ReportJson());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const auto names = [](const JsonValue& doc) {
-    std::set<std::string> out;
-    for (const auto& member : doc.object) {
-      out.insert(member.first);
+  const auto names = [](const std::string& json) {
+    std::vector<std::string> out;
+    auto doc = ParseJson(json);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+    if (doc.ok()) {
+      EXPECT_TRUE(doc->is_object());
+      for (const auto& member : doc->object) {
+        out.push_back(member.first);
+      }
     }
     return out;
   };
-  EXPECT_EQ(statz->object.size(), report->object.size());
-  EXPECT_EQ(names(*statz), names(*report));
-  EXPECT_EQ(names(*statz).count("sched.shard0"), 1u);
-  EXPECT_EQ(names(*statz).count("cache.shard0"), 1u);
+  const auto sorted = [](std::vector<std::string> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const std::vector<std::string> periodic = names(live);
+  const std::vector<std::string> report = names(sys.stats().ReportJson());
+  ASSERT_FALSE(periodic.empty()) << "no /statz answer while the run was alive";
+  EXPECT_EQ(periodic.size(), report.size());
+  EXPECT_EQ(sorted(periodic), sorted(report));
+  EXPECT_EQ(std::count(periodic.begin(), periodic.end(), "sched.shard0"), 1);
+  EXPECT_EQ(std::count(periodic.begin(), periodic.end(), "cache.shard0"), 1);
+
+  const std::string response = HttpGet(port, "/statz");
+  ASSERT_NE(response.find(" 200 "), std::string::npos) << response;
+  EXPECT_EQ(names(Body(response)), periodic);
 }
 
 TEST(MetricsHttpTest, UnknownPathIs404AndStopIsIdempotent) {

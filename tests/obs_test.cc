@@ -387,14 +387,16 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
   config.trace.sample_ms = 50;  // each streamed line renders every metric
   const std::string samples_path = TraceSamplesPath(config.trace.file);
   uint64_t run_requests = 0;
+  std::string latest;
   {
     auto sys = BuildAndRun(config);
     ASSERT_TRUE(sys.ok()) << sys.status().ToString();
     ASSERT_NE((*sys)->stats_sampler(), nullptr);
-    EXPECT_FALSE((*sys)->stats_sampler()->Latest().empty());
+    latest = (*sys)->stats_sampler()->Latest();
     run_requests = (*sys)->volume(0)->requests();
   }
   // Read back after the system is gone: its destructor syncs the tail.
+  std::vector<std::string> lines;
   std::vector<JsonValue> series;
   {
     std::ifstream in(samples_path);
@@ -403,6 +405,7 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
       auto sample = ParseJson(line);
       ASSERT_TRUE(sample.ok()) << sample.status().ToString() << "\n" << line;
       series.push_back(std::move(*sample));
+      lines.push_back(std::move(line));
     }
   }
   std::remove(samples_path.c_str());
@@ -438,6 +441,22 @@ TEST_F(ObsSystemTest, SamplerSnapshotsTimeSeries) {
   EXPECT_EQ(requests->number_value, static_cast<double>(run_requests));
   const JsonValue* first = series.front().Find("stats")->Find("volume.fs0");
   EXPECT_GE(requests->number_value, first->Find("requests")->number_value);
+  // After the run the sampler's latest snapshot is the end-of-run gather, the
+  // stream's last line; the periodic gathers before it list the same
+  // sources in the same order.
+  ASSERT_FALSE(latest.empty());
+  EXPECT_NE(lines.back().find("\"stats\":" + latest + ",\"metrics\":"), std::string::npos);
+  const auto names = [](const JsonValue& sample) {
+    std::vector<std::string> out;
+    for (const auto& member : sample.Find("stats")->object) {
+      out.push_back(member.first);
+    }
+    return out;
+  };
+  EXPECT_FALSE(names(series.back()).empty());
+  for (size_t i = 0; i + 1 < series.size(); ++i) {
+    EXPECT_EQ(names(series[i]), names(series.back())) << "line " << i;
+  }
 }
 
 // -- cumulative reports ------------------------------------------------------
