@@ -466,15 +466,11 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
     bool stopped = false;
     bool posted = false;
     bool alive = false;
-    bool keep_alive = false;
-    int64_t external = 0;
     std::optional<TimePoint> next;
     for (const Scheduler* s : shards) {
       stopped = stopped || s->stop_.load();
       posted = posted || s->HasPosted();
       alive = alive || s->NonDaemonAlive();
-      keep_alive = keep_alive || s->keep_alive_;
-      external += s->pending_external_.load();
       if (!s->delayed_.empty() && (!next || s->delayed_.top().wake < *next)) {
         next = s->delayed_.top().wake;
       }
@@ -486,8 +482,15 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
       continue;  // a later shard posted to an earlier one: sweep this instant again
     }
     // Phase 2: every shard is quiescent; jump the clocks to the earliest
-    // timer, or wait for work from another OS thread.
-    if (!deadline && !alive && !keep_alive) {
+    // timer, or wait for work from another OS thread. The keep-alive flags
+    // and in-flight counts are read only on the branches that need them.
+    const auto any = [shards](auto pred) {
+      return std::any_of(shards.begin(), shards.end(), pred);
+    };
+    const auto kept_alive = [&any] {
+      return any([](const Scheduler* s) { return s->keep_alive_; });
+    };
+    if (!deadline && !alive && !kept_alive()) {
       return;  // only daemon housekeeping remains, everywhere
     }
     if (next && (!deadline || *next <= *deadline)) {
@@ -499,7 +502,8 @@ void Scheduler::RunLockstep(std::span<Scheduler* const> shards,
     // does not advance meanwhile. A lone loop parks on its own condition
     // variable, since an unattached shard never notifies a group; several
     // loops wait on the group's, which their posts and stops notify.
-    if (external > 0 || (!deadline && keep_alive)) {
+    if (any([](const Scheduler* s) { return s->pending_external_.load() > 0; }) ||
+        (!deadline && kept_alive())) {
       if (shards.size() == 1) {
         shards[0]->WaitRealForever();
       } else {
