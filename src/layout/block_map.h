@@ -3,6 +3,11 @@
 // layout blocks; the inode records each chunk's disk address. Both the LFS
 // and the FFS layouts use this structure, differing only in where chunk
 // blocks land on disk.
+//
+// In memory a chunk holds only the prefix of its array up to its highest
+// mapped block, so a small file's map costs a few words, not a block; the
+// slots past the prefix are holes, and a serialized chunk is always one
+// full block.
 #ifndef PFS_LAYOUT_BLOCK_MAP_H_
 #define PFS_LAYOUT_BLOCK_MAP_H_
 
@@ -28,27 +33,35 @@ class BlockMap {
   // Disk address of a file block, or kNullAddr for a hole.
   uint64_t Get(uint64_t file_block) const {
     const size_t chunk = ChunkOf(file_block);
-    if (chunk >= chunks_.size() || chunks_[chunk].entries.empty()) {
+    if (chunk >= chunks_.size()) {
       return kNullAddr;
     }
-    return chunks_[chunk].entries[file_block % entries_per_chunk_];
+    const std::vector<uint64_t>& entries = chunks_[chunk].entries;
+    const size_t slot = SlotOf(file_block);
+    return slot < entries.size() ? entries[slot] : kNullAddr;
   }
 
-  // Sets the mapping; marks the chunk dirty. Returns the previous address.
+  // Sets the mapping; loads the chunk, and marks it dirty when the address
+  // changes. Returns the previous address.
   uint64_t Set(uint64_t file_block, uint64_t addr) {
     const size_t chunk = ChunkOf(file_block);
     PFS_CHECK_MSG(chunk < max_chunks(), "file exceeds maximum mappable size");
     if (chunk >= chunks_.size()) {
       chunks_.resize(chunk + 1);
     }
-    if (chunks_[chunk].entries.empty()) {
-      chunks_[chunk].entries.assign(entries_per_chunk_, kNullAddr);
+    Chunk& c = chunks_[chunk];
+    c.loaded = true;
+    const size_t slot = SlotOf(file_block);
+    if (slot >= c.entries.size()) {
+      if (addr == kNullAddr) {
+        return kNullAddr;  // already a hole
+      }
+      Extend(&c.entries, slot + 1);
     }
-    uint64_t& slot = chunks_[chunk].entries[file_block % entries_per_chunk_];
-    const uint64_t old = slot;
+    const uint64_t old = c.entries[slot];
     if (old != addr) {
-      slot = addr;
-      chunks_[chunk].dirty = true;
+      c.entries[slot] = addr;
+      c.dirty = true;
     }
     return old;
   }
@@ -59,7 +72,11 @@ class BlockMap {
 
   size_t chunk_count() const { return chunks_.size(); }
   bool ChunkLoaded(size_t chunk) const {
-    return chunk < chunks_.size() && !chunks_[chunk].entries.empty();
+    return chunk < chunks_.size() && chunks_[chunk].loaded;
+  }
+  // Slots the chunk holds in memory: its prefix.
+  size_t ChunkPrefix(size_t chunk) const {
+    return chunk < chunks_.size() ? chunks_[chunk].entries.size() : 0;
   }
   bool ChunkDirty(size_t chunk) const {
     return chunk < chunks_.size() && chunks_[chunk].dirty;
@@ -77,7 +94,9 @@ class BlockMap {
     chunks_[chunk].dirty = true;
   }
 
-  // Serialization of one chunk to/from exactly one layout block.
+  // Serialization of one chunk to/from exactly one layout block. The holes
+  // past a chunk's prefix serialize as kNullAddr, and deserializing keeps
+  // the prefix up to the last mapped slot.
   void SerializeChunk(size_t chunk, Serializer* out) const;
   Status DeserializeChunk(size_t chunk, Deserializer* in);
 
@@ -86,13 +105,20 @@ class BlockMap {
 
  private:
   struct Chunk {
-    std::vector<uint64_t> entries;  // empty = not loaded / all holes
+    std::vector<uint64_t> entries;  // the prefix; every slot past it is a hole
+    bool loaded = false;            // set, or read from its block
     bool dirty = false;
   };
 
   size_t ChunkOf(uint64_t file_block) const {
     return static_cast<size_t>(file_block / entries_per_chunk_);
   }
+  size_t SlotOf(uint64_t file_block) const {
+    return static_cast<size_t>(file_block % entries_per_chunk_);
+  }
+  // Grows a prefix to `size` slots with holes, doubling its capacity up to
+  // a full chunk.
+  void Extend(std::vector<uint64_t>* entries, size_t size) const;
 
   uint64_t entries_per_chunk_;
   uint32_t block_size_;

@@ -1,6 +1,8 @@
 #include "trace/replayer.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 
 namespace pfs {
 
@@ -12,14 +14,21 @@ TraceReplayer::TraceReplayer(Scheduler* sched, ClientInterface* client, Options 
 
 void TraceReplayer::AddRecords(std::vector<TraceRecord> records) {
   SynthesizeMissingTimes(&records);
-  for (TraceRecord& r : records) {
-    per_client_[r.client].push_back(std::move(r));
+  const size_t first = records_.size();
+  if (records_.empty()) {
+    records_ = std::move(records);
+  } else {
+    records_.insert(records_.end(), std::make_move_iterator(records.begin()),
+                    std::make_move_iterator(records.end()));
   }
-  for (auto& [id, recs] : per_client_) {
-    std::stable_sort(recs.begin(), recs.end(),
-                     [](const TraceRecord& a, const TraceRecord& b) {
-                       return a.time_us < b.time_us;
-                     });
+  PFS_CHECK(records_.size() <= UINT32_MAX);
+  for (size_t i = first; i < records_.size(); ++i) {
+    per_client_[records_[i].client].push_back(static_cast<uint32_t>(i));
+  }
+  for (auto& [id, order] : per_client_) {
+    std::stable_sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+      return records_[a].time_us < records_[b].time_us;
+    });
   }
 }
 
@@ -31,7 +40,7 @@ void TraceReplayer::Start() {
 
 Task<Result<Fd>> TraceReplayer::FdFor(uint32_t client_id, const std::string& path,
                                       bool create) {
-  const auto key = std::make_pair(client_id, path);
+  const FdKey key(client_id, path);
   auto it = open_fds_.find(key);
   if (it != open_fds_.end()) {
     co_return it->second;
@@ -46,7 +55,7 @@ Task<Result<Fd>> TraceReplayer::FdFor(uint32_t client_id, const std::string& pat
     fd_or = co_await client_->Open(path, options);
   }
   PFS_CO_RETURN_IF_ERROR(fd_or.status());
-  open_fds_[key] = *fd_or;
+  open_fds_.insert_or_assign(key, *fd_or);
   co_return *fd_or;
 }
 
@@ -57,8 +66,7 @@ Task<Status> TraceReplayer::Dispatch(uint32_t client_id, const TraceRecord& r) {
       co_return fd_or.status();
     }
     case TraceOp::kClose: {
-      const auto key = std::make_pair(client_id, r.path);
-      auto it = open_fds_.find(key);
+      auto it = open_fds_.find(FdKey(client_id, r.path));
       if (it == open_fds_.end()) {
         co_return OkStatus();  // close without open: tolerated
       }
@@ -82,11 +90,11 @@ Task<Status> TraceReplayer::Dispatch(uint32_t client_id, const TraceRecord& r) {
     }
     case TraceOp::kUnlink: {
       // Close our own handle first, as trace grouping implies.
-      const auto key = std::make_pair(client_id, r.path);
-      auto it = open_fds_.find(key);
+      auto it = open_fds_.find(FdKey(client_id, r.path));
       if (it != open_fds_.end()) {
-        (void)co_await client_->Close(it->second);
+        const Fd fd = it->second;
         open_fds_.erase(it);
+        (void)co_await client_->Close(fd);
       }
       co_return co_await client_->Unlink(r.path);
     }
@@ -105,9 +113,10 @@ Task<Status> TraceReplayer::Dispatch(uint32_t client_id, const TraceRecord& r) {
 }
 
 Task<> TraceReplayer::ClientThread(uint32_t client_id) {
-  const std::vector<TraceRecord>& records = per_client_[client_id];
+  const std::vector<uint32_t>& order = per_client_[client_id];
   const TimePoint start = sched_->Now();
-  for (const TraceRecord& r : records) {
+  for (const uint32_t index : order) {
+    const TraceRecord& r = records_[index];
     if (options_.respect_timing && r.time_us > 0) {
       const TimePoint due = start + Duration::Micros(r.time_us);
       if (due > sched_->Now()) {
@@ -136,16 +145,13 @@ Task<> TraceReplayer::ClientThread(uint32_t client_id) {
         break;
     }
   }
-  // Close whatever the trace left open for this client.
-  std::vector<std::pair<uint32_t, std::string>> keys;
-  for (const auto& [key, fd] : open_fds_) {
-    if (key.first == client_id) {
-      keys.push_back(key);
-    }
-  }
-  for (const auto& key : keys) {
-    (void)co_await client_->Close(open_fds_[key]);
-    open_fds_.erase(key);
+  // Close whatever the trace left open for this client, in path order.
+  for (auto it = open_fds_.lower_bound(FdKey(client_id, {}));
+       it != open_fds_.end() && it->first.first == client_id;
+       it = open_fds_.lower_bound(FdKey(client_id, {}))) {
+    const Fd fd = it->second;
+    open_fds_.erase(it);
+    (void)co_await client_->Close(fd);
   }
 }
 

@@ -13,6 +13,8 @@
 #define PFS_TRACE_REPLAYER_H_
 
 #include <map>
+#include <memory_resource>
+#include <string_view>
 #include <vector>
 
 #include "client/client_interface.h"
@@ -34,8 +36,10 @@ class TraceReplayer : public StatSource {
   TraceReplayer(Scheduler* sched, ClientInterface* client);
   TraceReplayer(Scheduler* sched, ClientInterface* client, Options options);
 
-  // Takes the full record stream; records are partitioned by client id and
-  // sorted by time within each client. Synthesizes unknown times first.
+  // Takes the record stream and holds it, without copying, for the replay.
+  // Synthesizes unknown times first; each client then replays its records
+  // in time order, ties in input order. A second call appends. Call before
+  // Start().
   void AddRecords(std::vector<TraceRecord> records);
 
   // Spawns one (non-daemon) thread per trace client; Scheduler::Run()
@@ -57,13 +61,22 @@ class TraceReplayer : public StatSource {
  private:
   Task<> ClientThread(uint32_t client_id);
   Task<Status> Dispatch(uint32_t client_id, const TraceRecord& record);
+  // `path` is a held record's: the fd table keeps a view of it.
   Task<Result<Fd>> FdFor(uint32_t client_id, const std::string& path, bool create);
+
+  // Open fds by client and path. The path views a held record, and the
+  // map's nodes return to `fd_nodes_` on close, so a replay allocates only
+  // for the most fds it ever holds open at once.
+  using FdKey = std::pair<uint32_t, std::string_view>;
 
   Scheduler* sched_;
   ClientInterface* client_;
   Options options_;
-  std::map<uint32_t, std::vector<TraceRecord>> per_client_;
-  std::map<std::pair<uint32_t, std::string>, Fd> open_fds_;
+  std::vector<TraceRecord> records_;
+  // Each client's indices into records_, in replay order.
+  std::map<uint32_t, std::vector<uint32_t>> per_client_;
+  std::pmr::unsynchronized_pool_resource fd_nodes_;
+  std::pmr::map<FdKey, Fd> open_fds_{&fd_nodes_};
 
   LatencyHistogram overall_;
   LatencyHistogram reads_;

@@ -1,9 +1,12 @@
 #include "trace/trace.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory_resource>
 #include <sstream>
+#include <string_view>
 
 #include "core/check.h"
 
@@ -245,29 +248,37 @@ Result<std::vector<TraceRecord>> CodaTraceReader::ReadFile(const std::string& pa
 }
 
 void SynthesizeMissingTimes(std::vector<TraceRecord>* records) {
-  // For each client+path session, collect indices of unknown-time records
-  // between the open and its close and space them equidistantly.
+  // Each open client+path session chains the indices of its unknown-time
+  // records through `next`, in record order; its close spaces them
+  // equidistantly. Session keys view the records' paths, and the map's
+  // nodes return to `nodes` when a session closes.
+  constexpr size_t kNone = SIZE_MAX;
   struct Session {
     int64_t open_time = 0;
-    std::vector<size_t> unknown;
+    size_t first = kNone;  // first and last unknown-time record
+    size_t last = kNone;
+    int64_t unknown = 0;
   };
-  std::map<std::pair<uint32_t, std::string>, Session> open_sessions;
+  std::pmr::unsynchronized_pool_resource nodes;
+  std::pmr::map<std::pair<uint32_t, std::string_view>, Session> open_sessions(&nodes);
+  std::vector<size_t> next;  // sized at the first unknown-time record in a session
   for (size_t i = 0; i < records->size(); ++i) {
     TraceRecord& r = (*records)[i];
-    const auto key = std::make_pair(r.client, r.path);
+    const std::pair<uint32_t, std::string_view> key(r.client, r.path);
     switch (r.op) {
       case TraceOp::kOpen:
-        open_sessions[key] = Session{r.time_us, {}};
+        open_sessions.insert_or_assign(key, Session{r.time_us});
         break;
       case TraceOp::kClose: {
         auto it = open_sessions.find(key);
         if (it != open_sessions.end()) {
           const Session& session = it->second;
           const int64_t span = r.time_us - session.open_time;
-          const auto n = static_cast<int64_t>(session.unknown.size());
-          for (int64_t k = 0; k < n; ++k) {
-            (*records)[session.unknown[static_cast<size_t>(k)]].time_us =
-                session.open_time + span * (k + 1) / (n + 1);
+          int64_t k = 0;
+          for (size_t u = session.first; u != kNone; u = next[u]) {
+            ++k;
+            (*records)[u].time_us =
+                session.open_time + span * k / (session.unknown + 1);
           }
           open_sessions.erase(it);
         }
@@ -277,7 +288,13 @@ void SynthesizeMissingTimes(std::vector<TraceRecord>* records) {
         if (r.time_us < 0) {
           auto it = open_sessions.find(key);
           if (it != open_sessions.end()) {
-            it->second.unknown.push_back(i);
+            Session& session = it->second;
+            if (next.empty()) {
+              next.assign(records->size(), kNone);
+            }
+            (session.first == kNone ? session.first : next[session.last]) = i;
+            session.last = i;
+            ++session.unknown;
           } else {
             r.time_us = 0;  // no enclosing session: best effort
           }

@@ -88,6 +88,99 @@ TEST(BlockMapTest, ChunkSerializeRoundTrip) {
   EXPECT_EQ(b.Get(100), kNullAddr);
 }
 
+TEST(BlockMapTest, ShortPrefixSerializesToAFullWidthChunk) {
+  BlockMap bmap(4096);
+  for (uint64_t b = 0; b < 4; ++b) {
+    bmap.Set(b, 100 + b);
+  }
+  EXPECT_EQ(bmap.ChunkPrefix(0), 4u);
+  std::vector<std::byte> held;
+  Serializer s(&held);
+  bmap.SerializeChunk(0, &s);
+
+  std::vector<std::byte> full;
+  Serializer f(&full);
+  for (uint64_t i = 0; i < 512; ++i) {
+    f.PutU64(i < 4 ? 100 + i : kNullAddr);
+  }
+  ASSERT_EQ(full.size(), 4096u);
+  EXPECT_EQ(held, full);
+}
+
+TEST(BlockMapTest, SettingAHolePastThePrefixChangesNothing) {
+  BlockMap bmap(4096);
+  bmap.Set(2, 7);
+  bmap.MarkChunkClean(0);
+  EXPECT_EQ(bmap.Set(300, kNullAddr), kNullAddr);
+  EXPECT_EQ(bmap.ChunkPrefix(0), 3u);
+  EXPECT_FALSE(bmap.ChunkDirty(0));
+  EXPECT_EQ(bmap.Get(300), kNullAddr);
+
+  // On a chunk never set, it loads the chunk with an empty prefix, as a
+  // full-width chunk of holes was before.
+  EXPECT_EQ(bmap.Set(700, kNullAddr), kNullAddr);
+  EXPECT_TRUE(bmap.ChunkLoaded(1));
+  EXPECT_EQ(bmap.ChunkPrefix(1), 0u);
+  EXPECT_FALSE(bmap.ChunkDirty(1));
+}
+
+TEST(BlockMapTest, DeserializingAllHolesLoadsAnEmptyChunk) {
+  std::vector<std::byte> holes;
+  Serializer s(&holes);
+  for (int i = 0; i < 512; ++i) {
+    s.PutU64(kNullAddr);
+  }
+  BlockMap bmap(4096);
+  Deserializer d(holes);
+  ASSERT_TRUE(bmap.DeserializeChunk(0, &d).ok());
+  EXPECT_TRUE(bmap.ChunkLoaded(0));
+  EXPECT_FALSE(bmap.ChunkDirty(0));
+  EXPECT_EQ(bmap.ChunkPrefix(0), 0u);
+  for (uint64_t b = 0; b < 512; ++b) {
+    EXPECT_EQ(bmap.Get(b), kNullAddr) << b;
+  }
+}
+
+TEST(BlockMapTest, DeserializingTrimsTrailingHoles) {
+  BlockMap a(4096);
+  a.Set(1, 11);
+  a.Set(9, 22);
+  a.Set(9, kNullAddr);  // the prefix keeps its hole tail until reloaded
+  std::vector<std::byte> buf;
+  Serializer s(&buf);
+  a.SerializeChunk(0, &s);
+
+  BlockMap b(4096);
+  Deserializer d(buf);
+  ASSERT_TRUE(b.DeserializeChunk(0, &d).ok());
+  EXPECT_EQ(b.ChunkPrefix(0), 2u);
+  EXPECT_EQ(b.Get(1), 11u);
+  EXPECT_EQ(b.Get(9), kNullAddr);
+}
+
+TEST(BlockMapTest, TruncateInsideThePrefixFreesTheMappedTail) {
+  BlockMap bmap(4096);
+  bmap.Set(0, 10);
+  bmap.Set(2, 12);
+  bmap.Set(3, 13);
+  bmap.Set(5, 15);
+  bmap.MarkChunkClean(0);
+  const std::vector<uint64_t> freed = bmap.TruncateFrom(3);
+  EXPECT_EQ(freed, (std::vector<uint64_t>{13, 15}));
+  EXPECT_TRUE(bmap.ChunkDirty(0));
+  EXPECT_EQ(bmap.ChunkPrefix(0), 3u);
+  EXPECT_EQ(bmap.Get(0), 10u);
+  EXPECT_EQ(bmap.Get(2), 12u);
+  EXPECT_EQ(bmap.Get(3), kNullAddr);
+  EXPECT_EQ(bmap.Get(5), kNullAddr);
+  EXPECT_EQ(bmap.AllAddresses(), (std::vector<uint64_t>{10, 12}));
+
+  // Nothing mapped at or past the cut: nothing freed, the chunk stays clean.
+  bmap.MarkChunkClean(0);
+  EXPECT_TRUE(bmap.TruncateFrom(100).empty());
+  EXPECT_FALSE(bmap.ChunkDirty(0));
+}
+
 TEST(BlockMapTest, MaxFileSize) {
   EXPECT_EQ(Inode::MaxFileSize(4096), 12ull * 512 * 4096);  // 24 MiB
 }

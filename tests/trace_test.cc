@@ -2,6 +2,10 @@
 // generator distributional properties, and the replayer's stress mode.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/random.h"
+#include "online/recording_client.h"
 #include "system/system_builder.h"
 #include "trace/replayer.h"
 #include "trace/trace.h"
@@ -159,6 +163,126 @@ TEST(SynthesisTest, OrphanUnknownTimesClampToZero) {
   records.push_back(r);
   SynthesizeMissingTimes(&records);
   EXPECT_EQ(records[0].time_us, 0);
+}
+
+// The map-based synthesis SynthesizeMissingTimes replaced, kept as the
+// oracle: a map keyed by a copied client+path, with a vector of unknown-time
+// indices per open session.
+void OracleSynthesizeMissingTimes(std::vector<TraceRecord>* records) {
+  struct Session {
+    int64_t open_time = 0;
+    std::vector<size_t> unknown;
+  };
+  std::map<std::pair<uint32_t, std::string>, Session> open_sessions;
+  for (size_t i = 0; i < records->size(); ++i) {
+    TraceRecord& r = (*records)[i];
+    const auto key = std::make_pair(r.client, r.path);
+    switch (r.op) {
+      case TraceOp::kOpen:
+        open_sessions[key] = Session{r.time_us, {}};
+        break;
+      case TraceOp::kClose: {
+        auto it = open_sessions.find(key);
+        if (it != open_sessions.end()) {
+          const Session& session = it->second;
+          const int64_t span = r.time_us - session.open_time;
+          const auto n = static_cast<int64_t>(session.unknown.size());
+          for (int64_t k = 0; k < n; ++k) {
+            (*records)[session.unknown[static_cast<size_t>(k)]].time_us =
+                session.open_time + span * (k + 1) / (n + 1);
+          }
+          open_sessions.erase(it);
+        }
+        break;
+      }
+      default:
+        if (r.time_us < 0) {
+          auto it = open_sessions.find(key);
+          if (it != open_sessions.end()) {
+            it->second.unknown.push_back(i);
+          } else {
+            r.time_us = 0;
+          }
+        }
+        break;
+    }
+  }
+}
+
+void ExpectSynthesisMatchesOracle(const std::vector<TraceRecord>& trace,
+                                  const std::string& name) {
+  std::vector<TraceRecord> expected = trace;
+  OracleSynthesizeMissingTimes(&expected);
+  std::vector<TraceRecord> actual = trace;
+  SynthesizeMissingTimes(&actual);
+  ASSERT_EQ(actual.size(), expected.size()) << name;
+  size_t changed = 0;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i].time_us, expected[i].time_us) << name << " record " << i;
+    changed += actual[i].time_us != trace[i].time_us ? 1 : 0;
+  }
+  EXPECT_GT(changed, 0u) << name << ": the trace had no time to synthesize";
+}
+
+TEST(SynthesisTest, MatchesTheMapOracleOnGeneratorTraces) {
+  for (const char* name : {"1a", "1b", "5"}) {
+    WorkloadParams params = WorkloadParams::SpriteLike(name, 0.05);
+    ExpectSynthesisMatchesOracle(GenerateWorkload(params), name);
+  }
+  BurstWorkloadParams burst;
+  burst.duration = Duration::Seconds(60);
+  ExpectSynthesisMatchesOracle(GenerateBurstWorkload(burst), "burst");
+}
+
+// Random interleavings of three clients on four paths. Sessions overlap
+// across clients and paths; some are reopened without a close, some closes
+// have no open, and opens, closes and other ops may have unknown times too.
+TEST(SynthesisTest, MatchesTheMapOracleOnRandomInterleavings) {
+  const TraceOp kOps[] = {TraceOp::kOpen,  TraceOp::kClose,  TraceOp::kRead,
+                          TraceOp::kWrite, TraceOp::kStat,   TraceOp::kUnlink,
+                          TraceOp::kTruncate};
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    std::vector<TraceRecord> trace;
+    int64_t now_us = 0;
+    for (int i = 0; i < 400; ++i) {
+      TraceRecord r;
+      r.client = static_cast<uint32_t>(rng.NextBelow(3));
+      r.path = "/fs0/f" + std::to_string(rng.NextBelow(4));
+      r.op = kOps[rng.NextBelow(std::size(kOps))];
+      now_us += rng.NextInRange(0, 5000);
+      // Unknown-time reads and writes are the common case; any op may be.
+      const bool io = r.op == TraceOp::kRead || r.op == TraceOp::kWrite;
+      r.time_us = rng.NextBool(io ? 0.7 : 0.1) ? -rng.NextInRange(1, 3) : now_us;
+      trace.push_back(std::move(r));
+    }
+    ExpectSynthesisMatchesOracle(trace, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SynthesisTest, AReopenWithoutACloseStartsANewSession) {
+  auto record = [](TraceOp op, int64_t time_us) {
+    TraceRecord r;
+    r.client = 1;
+    r.op = op;
+    r.path = "/fs0/f";
+    r.time_us = time_us;
+    return r;
+  };
+  std::vector<TraceRecord> records = {
+      record(TraceOp::kOpen, 100),  record(TraceOp::kRead, -1),
+      record(TraceOp::kOpen, 1000), record(TraceOp::kRead, -1),
+      record(TraceOp::kClose, 2000), record(TraceOp::kClose, 3000),
+      record(TraceOp::kRead, -1)};
+  std::vector<TraceRecord> expected = records;
+  OracleSynthesizeMissingTimes(&expected);
+  SynthesizeMissingTimes(&records);
+  EXPECT_EQ(records[1].time_us, -1);    // dropped with the first session
+  EXPECT_EQ(records[3].time_us, 1500);  // midway through the second
+  EXPECT_EQ(records[6].time_us, 0);     // after a close with no open session
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].time_us, expected[i].time_us) << i;
+  }
 }
 
 TEST(GeneratorTest, DeterministicForSeed) {
@@ -345,6 +469,65 @@ TEST(ReplayerStressTest, StatJsonCarriesTheCounters) {
   EXPECT_EQ(json.find("{\"ops\":"), 0u);
   EXPECT_NE(json.find("\"overall_ms\""), std::string::npos);
   EXPECT_NE(json.find(std::to_string(replayer.ops_completed())), std::string::npos);
+}
+
+// -- replay order -------------------------------------------------------------
+
+TraceRecord MkdirAt(uint32_t client, int64_t time_us, const std::string& name) {
+  TraceRecord r;
+  r.time_us = time_us;
+  r.client = client;
+  r.op = TraceOp::kMkdir;
+  r.path = "/fs0/" + name;
+  return r;
+}
+
+// Replays `batches` (one AddRecords call each) on a small simulated system
+// and returns the paths in the order the client saw them.
+std::vector<std::string> ReplayOrder(std::vector<std::vector<TraceRecord>> batches) {
+  SystemConfig config;
+  config.disks_per_bus = {1};
+  config.num_filesystems = 1;
+  config.cache_bytes = 2 * kMiB;
+  config.lfs_segment_blocks = 64;
+  config.max_inodes = 1024;
+  auto system = std::move(SystemBuilder::Build(config)).value();
+  PFS_CHECK(system->Setup().ok());
+  RecordingClient recorder(system->scheduler(), system->client());
+  TraceReplayer replayer(system->scheduler(), &recorder);
+  for (std::vector<TraceRecord>& batch : batches) {
+    replayer.AddRecords(std::move(batch));
+  }
+  replayer.Start();
+  system->scheduler()->Run();
+  PFS_CHECK(replayer.errors() == 0);
+  std::vector<std::string> order;
+  for (const TraceRecord& r : recorder.records()) {
+    order.push_back(r.path.substr(5));
+  }
+  return order;
+}
+
+using Order = std::vector<std::string>;
+
+TEST(ReplayerTest, EqualTimestampsReplayInInputOrder) {
+  EXPECT_EQ(ReplayOrder({{MkdirAt(0, 100, "c"), MkdirAt(0, 100, "a"), MkdirAt(0, 100, "b"),
+                          MkdirAt(0, 100, "d")}}),
+            (Order{"c", "a", "b", "d"}));
+}
+
+TEST(ReplayerTest, InputOutOfTimeOrderReplaysInTimeOrder) {
+  EXPECT_EQ(ReplayOrder({{MkdirAt(0, 300, "c"), MkdirAt(0, 100, "a"), MkdirAt(0, 200, "b"),
+                          MkdirAt(0, 100, "a2")}}),
+            (Order{"a", "a2", "b", "c"}));
+}
+
+TEST(ReplayerTest, ASecondAddRecordsAppends) {
+  // Client 1's records in the second batch merge into its order by time;
+  // a tie with the first batch replays the first batch's record first.
+  const Order order = ReplayOrder({{MkdirAt(1, 100, "x"), MkdirAt(1, 300, "z")},
+                                   {MkdirAt(1, 50, "w"), MkdirAt(1, 100, "y")}});
+  EXPECT_EQ(order, (Order{"w", "x", "y", "z"}));
 }
 
 }  // namespace
