@@ -5,9 +5,12 @@
 namespace pfs {
 
 void BlockMap::Extend(std::vector<uint64_t>* entries, size_t size) const {
+  // A first prefix of four slots holds a typical small file in one
+  // allocation (Sprite-like files average about four blocks).
+  constexpr size_t kFirstSlots = 4;
   if (size > entries->capacity()) {
-    entries->reserve(std::min<size_t>(std::max(size, 2 * entries->capacity()),
-                                      entries_per_chunk_));
+    entries->reserve(std::min<size_t>(
+        std::max({size, 2 * entries->capacity(), kFirstSlots}), entries_per_chunk_));
   }
   entries->resize(size, kNullAddr);
 }

@@ -116,8 +116,8 @@ class BlockMap {
   size_t SlotOf(uint64_t file_block) const {
     return static_cast<size_t>(file_block % entries_per_chunk_);
   }
-  // Grows a prefix to `size` slots with holes, doubling its capacity up to
-  // a full chunk.
+  // Grows a prefix to `size` slots with holes, doubling its capacity (at
+  // least four slots) up to a full chunk.
   void Extend(std::vector<uint64_t>* entries, size_t size) const;
 
   uint64_t entries_per_chunk_;

@@ -64,9 +64,7 @@ class TraceReplayer : public StatSource {
   // `path` is a held record's: the fd table keeps a view of it.
   Task<Result<Fd>> FdFor(uint32_t client_id, const std::string& path, bool create);
 
-  // Open fds by client and path. The path views a held record, and the
-  // map's nodes return to `fd_nodes_` on close, so a replay allocates only
-  // for the most fds it ever holds open at once.
+  // A client and a path that views a held record.
   using FdKey = std::pair<uint32_t, std::string_view>;
 
   Scheduler* sched_;
@@ -75,6 +73,8 @@ class TraceReplayer : public StatSource {
   std::vector<TraceRecord> records_;
   // Each client's indices into records_, in replay order.
   std::map<uint32_t, std::vector<uint32_t>> per_client_;
+  // Open fds. A close returns the map's node to `fd_nodes_`, so a replay
+  // allocates only for the most fds it ever holds open at once.
   std::pmr::unsynchronized_pool_resource fd_nodes_;
   std::pmr::map<FdKey, Fd> open_fds_{&fd_nodes_};
 

@@ -292,7 +292,11 @@ void SynthesizeMissingTimes(std::vector<TraceRecord>* records) {
             if (next.empty()) {
               next.assign(records->size(), kNone);
             }
-            (session.first == kNone ? session.first : next[session.last]) = i;
+            if (session.first == kNone) {
+              session.first = i;
+            } else {
+              next[session.last] = i;
+            }
             session.last = i;
             ++session.unknown;
           } else {

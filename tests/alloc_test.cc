@@ -324,7 +324,7 @@ Task<> MeasureSecondFile(ClientInterface* c, Status* status, int64_t* bytes) {
 
 // A small file's block map holds only its mapped prefix: 4 slots, not the
 // 512-slot (4 KiB) chunk that every file used to allocate. Measured on a
-// simulated LFS (RelWithDebInfo, GCC 12): 743 bytes for the whole create,
+// simulated LFS (RelWithDebInfo, GCC 12): 719 bytes for the whole create,
 // write, fsync and close, against 4,783 with full-width chunks. The bound
 // is about twice the measured value.
 TEST(AllocTest, CreatingASmallFileAllocatesLittle) {
