@@ -1,7 +1,9 @@
-// Unit tests for src/trace and src/workload: formats, synthesis rule,
-// generator distributional properties, and the replayer's stress mode.
+// Unit tests for src/trace and src/workload: formats, synthesis rule (against
+// the map-based oracle it replaced), generator distributional properties, and
+// the replayer's stress mode and replay order.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 
 #include "core/random.h"
@@ -511,14 +513,14 @@ std::vector<std::string> ReplayOrder(std::vector<std::vector<TraceRecord>> batch
 using Order = std::vector<std::string>;
 
 TEST(ReplayerTest, EqualTimestampsReplayInInputOrder) {
-  EXPECT_EQ(ReplayOrder({{MkdirAt(0, 100, "c"), MkdirAt(0, 100, "a"), MkdirAt(0, 100, "b"),
-                          MkdirAt(0, 100, "d")}}),
+  EXPECT_EQ(ReplayOrder({{MkdirAt(0, 100, "c"), MkdirAt(0, 100, "a"),
+                          MkdirAt(0, 100, "b"), MkdirAt(0, 100, "d")}}),
             (Order{"c", "a", "b", "d"}));
 }
 
 TEST(ReplayerTest, InputOutOfTimeOrderReplaysInTimeOrder) {
-  EXPECT_EQ(ReplayOrder({{MkdirAt(0, 300, "c"), MkdirAt(0, 100, "a"), MkdirAt(0, 200, "b"),
-                          MkdirAt(0, 100, "a2")}}),
+  EXPECT_EQ(ReplayOrder({{MkdirAt(0, 300, "c"), MkdirAt(0, 100, "a"),
+                          MkdirAt(0, 200, "b"), MkdirAt(0, 100, "a2")}}),
             (Order{"a", "a2", "b", "c"}));
 }
 
