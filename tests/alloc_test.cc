@@ -308,8 +308,8 @@ Task<> CreateFourBlockFile(ClientInterface* c, const std::string& path, Status* 
   }
 }
 
-// Creates one file to warm up, then measures the bytes that creating a
-// second one allocates.
+// Creates one file to warm up (frame pools, first-use capacity), then
+// measures the bytes that creating a second one allocates.
 Task<> MeasureSecondFile(ClientInterface* c, Status* status, int64_t* bytes) {
   const std::string warm = "/fs0/warm";
   co_await CreateFourBlockFile(c, warm, status);
@@ -322,11 +322,10 @@ Task<> MeasureSecondFile(ClientInterface* c, Status* status, int64_t* bytes) {
   *bytes = AllocatedBytes() - before;
 }
 
-// A small file's block map holds only its mapped prefix: 4 slots, not the
-// 512-slot (4 KiB) chunk that every file used to allocate. Measured on a
-// simulated LFS (RelWithDebInfo, GCC 12): 719 bytes for the whole create,
-// write, fsync and close, against 4,783 with full-width chunks. The bound
-// is about twice the measured value.
+// A small file's block map holds only its mapped prefix, 4 slots, so the
+// whole create, write, fsync and close of a four-block file on a simulated
+// LFS allocates 719 bytes (RelWithDebInfo, GCC 12). The bound is about
+// twice that, and far below the 4,096 bytes one full-width chunk takes.
 TEST(AllocTest, CreatingASmallFileAllocatesLittle) {
   PFS_SKIP_WITHOUT_FRAME_POOL();
   SystemConfig config;
@@ -339,8 +338,6 @@ TEST(AllocTest, CreatingASmallFileAllocatesLittle) {
                                 MeasureSecondFile((*system)->client(), &status, &bytes));
   (*system)->RunToCompletion();
   ASSERT_TRUE(status.ok()) << status.ToString();
-  std::printf("creating a four-block file allocated %lld bytes\n",
-              static_cast<long long>(bytes));
   EXPECT_LT(bytes, 1536);
 }
 

@@ -116,8 +116,8 @@ TEST(BlockMapTest, SettingAHolePastThePrefixChangesNothing) {
   EXPECT_FALSE(bmap.ChunkDirty(0));
   EXPECT_EQ(bmap.Get(300), kNullAddr);
 
-  // On a chunk never set, it loads the chunk with an empty prefix, as a
-  // full-width chunk of holes was before.
+  // On a chunk never set it still loads the chunk, with an empty prefix, so
+  // a later LoadChunk does not read it from its block.
   EXPECT_EQ(bmap.Set(700, kNullAddr), kNullAddr);
   EXPECT_TRUE(bmap.ChunkLoaded(1));
   EXPECT_EQ(bmap.ChunkPrefix(1), 0u);
