@@ -47,7 +47,7 @@ Result<PointResult> RunPoint(int members, int qd, int total_ops,
   const std::string prefix = "/tmp/pfs_iops_" + std::to_string(::getpid()) + "_";
   const uint64_t image_bytes = 16 * kMiB;
   std::vector<std::unique_ptr<FileBackedDriver>> drivers;
-  std::vector<BlockDevice*> member_devs;
+  std::vector<VolumeSliceRef> member_devs;
   std::vector<std::string> paths;
   for (int i = 0; i < members; ++i) {
     paths.push_back(prefix + std::to_string(i) + ".img");

@@ -33,17 +33,6 @@ class Connection {
   virtual Duration TransferTime(uint64_t bytes) const = 0;
 };
 
-// Pass-through connection for the on-line system: a real host moves bytes
-// over a real channel whose cost is already included in measured I/O time,
-// so the framework charges nothing extra.
-class NullConnection final : public Connection {
- public:
-  Task<> Acquire() override { co_return; }
-  void Release() override {}
-  Task<> Transfer(uint64_t) override { co_return; }
-  Duration TransferTime(uint64_t) const override { return Duration(); }
-};
-
 }  // namespace pfs
 
 #endif  // PFS_BUS_CONNECTION_H_

@@ -33,8 +33,6 @@ class Serializer {
   // Length-prefixed (u16) byte string.
   void PutString(std::string_view s);
 
-  void PutBytes(std::span<const std::byte> bytes) { Append(bytes.data(), bytes.size()); }
-
   size_t size() const { return out_->size(); }
 
  private:

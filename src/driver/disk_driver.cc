@@ -174,19 +174,6 @@ size_t QueueingDiskDriver::PickNextIndex() {
   return 0;
 }
 
-Task<> QueueingDiskDriver::Dispatch(IoRequest*) {
-  // Only reachable through the default DispatchBatch loop: the subclass
-  // overrode neither dispatch hook.
-  PFS_CHECK_MSG(false, "driver overrides neither Dispatch nor DispatchBatch");
-  co_return;
-}
-
-Task<> QueueingDiskDriver::DispatchBatch(std::span<IoRequest* const> batch) {
-  for (IoRequest* req : batch) {
-    co_await Dispatch(req);
-  }
-}
-
 Task<> QueueingDiskDriver::Worker() {
   const uint64_t worker_tid = sched_->current_thread()->id();
   std::vector<IoRequest*> batch;

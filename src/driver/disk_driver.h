@@ -30,10 +30,10 @@ enum class QueueSchedPolicy : uint8_t { kFcfs, kSstf, kScan, kCscan, kLook, kClo
 const char* QueueSchedPolicyName(QueueSchedPolicy p);
 
 // Base driver: owns the I/O queue and its scheduling policy; derived classes
-// implement Dispatch() for their device. One request is outstanding at the
-// device at a time (the device's own cache provides overlap). A driver is
-// the volume layer's leaf device: it satisfies the BlockDevice contract
-// directly, so layouts (through volumes) never see which driver backs them.
+// implement DispatchBatch() for their device. One batch is outstanding at
+// the device at a time. A driver is the volume layer's leaf device: it
+// satisfies the BlockDevice contract directly, so layouts (through volumes)
+// never see which driver backs them.
 class QueueingDiskDriver : public BlockDevice, public StatSource {
  public:
   // Counts requests, dispatches, queue waits and latencies in `metrics`
@@ -67,16 +67,10 @@ class QueueingDiskDriver : public BlockDevice, public StatSource {
  protected:
   Scheduler* sched() { return sched_; }
 
-  // Performs `req` on the device and returns when it completed (req->result
-  // and req->complete_time filled in). Subclasses override this or
-  // DispatchBatch; the defaults delegate to each other, so overriding
-  // neither CHECK-fails on first dispatch.
-  virtual Task<> Dispatch(IoRequest* req);
-
-  // Performs a policy-ordered batch of requests and returns when every one
-  // completed. The default dispatches them one at a time; batching drivers
-  // (FileBackedDriver) override it to submit the whole batch at once.
-  virtual Task<> DispatchBatch(std::span<IoRequest* const> batch);
+  // Performs a policy-ordered batch of at most MaxBatchSize() requests on
+  // the device and returns when every one completed (each request's result
+  // and complete_time filled in).
+  virtual Task<> DispatchBatch(std::span<IoRequest* const> batch) = 0;
 
   // How many queued requests one dispatch may drain (1 = no batching). The
   // picks stay policy-ordered: each drain continues the sweep from the

@@ -2,7 +2,8 @@
 
 namespace pfs {
 
-Task<> SimDiskDriver::Dispatch(IoRequest* req) {
+Task<> SimDiskDriver::DispatchBatch(std::span<IoRequest* const> batch) {
+  IoRequest* req = batch[0];
   // Command phase (and data-out phase for writes) on the shared connection.
   uint64_t out_bytes = kCommandBytes;
   if (req->op == IoOp::kWrite) {

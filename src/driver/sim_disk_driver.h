@@ -1,5 +1,5 @@
 // Simulated disk-driver (paper §4): same interface as the real driver; the
-// difference is internal. Dispatch acquires the host/disk connection,
+// difference is internal. A dispatch acquires the host/disk connection,
 // simulates sending the command (plus data for writes), releases the
 // connection, activates the request on the simulated disk, and waits for the
 // disk to respond. "The system itself does not know it is communicating with
@@ -28,7 +28,9 @@ class SimDiskDriver final : public QueueingDiskDriver {
   uint32_t sector_bytes() const override { return disk_->params().geometry.sector_bytes; }
 
  protected:
-  Task<> Dispatch(IoRequest* req) override;
+  // A batch of one: MaxBatchSize() stays 1, so one request is outstanding
+  // at the disk at a time (its own cache provides the overlap).
+  Task<> DispatchBatch(std::span<IoRequest* const> batch) override;
 
  private:
   // SCSI command block size for the command phase.

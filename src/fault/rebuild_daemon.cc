@@ -80,10 +80,10 @@ Task<> RebuildDaemon::RebuildMember(size_t member) {
         options_.copy_real_data ? std::span<std::byte>(buffer_).first(bytes)
                                 : std::span<std::byte>{};
     // Read through the mirror itself (live members, shortest queue — the
-    // normal volume path), write to the returning member's own device.
+    // normal volume path), write to the returning member's own slice.
     Status status = co_await mirror_->Read(sector, count, span);
     if (status.ok()) {
-      status = co_await mirror_->member(member)->Write(sector, count, span);
+      status = co_await mirror_->WriteMember(member, sector, count, span);
     }
     if (!status.ok()) {
       mirror_->PushDebtExtent(member, sector, count);

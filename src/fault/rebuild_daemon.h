@@ -2,7 +2,7 @@
 // returns (a "return" fault event, or any caller's RequestRebuild), the
 // daemon replays the mirror's accumulated rebuild debt as copy I/O through
 // the normal volume path — reads fan out to the live members, the repaired
-// ranges are written to the returning member's own device — so rebuild
+// ranges are written to the returning member's own slice — so rebuild
 // traffic queues behind and contends with foreground requests exactly as it
 // would on real hardware. A bandwidth cap (SystemConfig::rebuild_bw_kbps)
 // throttles the copy loop on the system clock, virtual or real; once the

@@ -15,23 +15,6 @@ void BlockMap::Extend(std::vector<uint64_t>* entries, size_t size) const {
   entries->resize(size, kNullAddr);
 }
 
-std::vector<uint64_t> BlockMap::TruncateFrom(uint64_t from_block) {
-  std::vector<uint64_t> freed;
-  for (size_t chunk = ChunkOf(from_block); chunk < chunks_.size(); ++chunk) {
-    Chunk& c = chunks_[chunk];
-    const uint64_t chunk_base = chunk * entries_per_chunk_;
-    const size_t first = from_block > chunk_base ? SlotOf(from_block) : 0;
-    for (size_t i = first; i < c.entries.size(); ++i) {
-      if (c.entries[i] != kNullAddr) {
-        freed.push_back(c.entries[i]);
-        c.dirty = true;
-      }
-    }
-    c.entries.resize(std::min(first, c.entries.size()));
-  }
-  return freed;
-}
-
 void BlockMap::SerializeChunk(size_t chunk, Serializer* out) const {
   PFS_CHECK(ChunkLoaded(chunk));
   const std::vector<uint64_t>& entries = chunks_[chunk].entries;

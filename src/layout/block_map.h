@@ -11,6 +11,7 @@
 #ifndef PFS_LAYOUT_BLOCK_MAP_H_
 #define PFS_LAYOUT_BLOCK_MAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -66,9 +67,23 @@ class BlockMap {
     return old;
   }
 
-  // Drops mappings at and above `from_block`, returning the freed addresses
-  // (for segment-usage / bitmap accounting).
-  std::vector<uint64_t> TruncateFrom(uint64_t from_block);
+  // Drops mappings at and above `from_block`, handing each freed address to
+  // `release(addr)` as it is found (for segment-usage / bitmap accounting).
+  template <typename Release>
+  void TruncateFrom(uint64_t from_block, Release&& release) {
+    for (size_t chunk = ChunkOf(from_block); chunk < chunks_.size(); ++chunk) {
+      Chunk& c = chunks_[chunk];
+      const uint64_t chunk_base = chunk * entries_per_chunk_;
+      const size_t first = from_block > chunk_base ? SlotOf(from_block) : 0;
+      for (size_t i = first; i < c.entries.size(); ++i) {
+        if (c.entries[i] != kNullAddr) {
+          release(c.entries[i]);
+          c.dirty = true;
+        }
+      }
+      c.entries.resize(std::min(first, c.entries.size()));
+    }
+  }
 
   size_t chunk_count() const { return chunks_.size(); }
   bool ChunkLoaded(size_t chunk) const {

@@ -194,9 +194,7 @@ Task<Status> MappedLayout::TruncateBlocks(uint64_t ino, uint64_t from_block) {
       PFS_CO_RETURN_IF_ERROR(co_await LoadChunk(ino, bmap, chunk));
     }
   }
-  for (uint64_t addr : bmap->TruncateFrom(from_block)) {
-    ReleaseBlock(addr);
-  }
+  bmap->TruncateFrom(from_block, [this](uint64_t addr) { ReleaseBlock(addr); });
   // Chunks entirely above the new end lose their on-disk block too.
   const size_t first_dead_chunk = CeilDiv(from_block, bmap->entries_per_chunk());
   for (size_t chunk = first_dead_chunk; chunk < Inode::kBmapChunks; ++chunk) {

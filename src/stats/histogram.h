@@ -19,7 +19,6 @@ class Counter {
  public:
   void Inc(uint64_t k = 1) { value_ += k; }
   uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
 
  private:
   uint64_t value_ = 0;

@@ -216,14 +216,6 @@ using FlushPolicyRegistry = ComponentRegistry<FlushPolicyFamily>;
 // Volume kinds ("single", "concat", "striped", "mirror").
 // ---------------------------------------------------------------------------
 
-// One member slice a volume composes: a partition [start_sector,
-// start_sector + nsectors) of a backing device (normally a disk driver).
-struct VolumeSliceRef {
-  BlockDevice* backing;
-  uint64_t start_sector;
-  uint64_t nsectors;
-};
-
 struct VolumeKindFamily {
   static constexpr const char* kFamily = "volume kind";
   struct Value {
@@ -244,15 +236,12 @@ struct VolumeKindFamily {
                                    const VolumeSpec& spec, uint32_t sector_bytes,
                                    const std::string& field)>
         capacity_sectors;
-    // Assembles the volume named `name` over `slices`. Intermediate devices
-    // the top volume references (per-member partition wrappers) are appended
-    // to `parts`, which the caller keeps alive alongside the result; every
-    // volume, parts included ("<name>.m<j>"), counts into `metrics`.
+    // Assembles the volume named `name` whose members are `slices` (normally
+    // disk-driver partitions); it counts into `metrics` under its own name.
     std::function<std::unique_ptr<Volume>(Scheduler* sched, MetricRegistry* metrics,
                                           const std::string& name,
                                           const std::vector<VolumeSliceRef>& slices,
-                                          const VolumeSpec& spec, uint32_t sector_bytes,
-                                          std::vector<std::unique_ptr<Volume>>* parts)>
+                                          const VolumeSpec& spec, uint32_t sector_bytes)>
         assemble;
   };
 };

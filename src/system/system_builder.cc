@@ -417,9 +417,8 @@ Result<std::unique_ptr<System>> SystemBuilder::Build(const SystemConfig& config)
       slices.push_back(VolumeSliceRef{backing, s.start_sector, s.nsectors});
     }
     const VolumeKindFamily::Value& kind = *VolumeKindRegistry::Find(plan.spec.kind);
-    std::unique_ptr<Volume> top =
-        kind.assemble(fsched, reg, vol_name, slices, plan.spec,
-                      sys.drivers_[0]->sector_bytes(), &sys.volume_parts_);
+    std::unique_ptr<Volume> top = kind.assemble(fsched, reg, vol_name, slices, plan.spec,
+                                                sys.drivers_[0]->sector_bytes());
     sys.stats_.Register(top.get(), fsched);
     BlockDev dev(top.get(), kDefaultBlockSize);
     sys.fs_volumes_.push_back(std::move(top));

@@ -195,11 +195,10 @@ class System {
   std::vector<std::unique_ptr<DiskModel>> disks_;
   std::vector<std::unique_ptr<QueueingDiskDriver>> drivers_;
   // Declaration order is destruction-safety order: layouts reference the
-  // fs volumes, composite volumes reference their member slices, and every
-  // slice references a driver (possibly through a cross-shard proxy).
+  // fs volumes, and every volume's member slices reference a driver
+  // (possibly through a cross-shard proxy).
   std::vector<std::unique_ptr<CrossShardDevice>> cross_devices_;
-  std::vector<std::unique_ptr<Volume>> volume_parts_;  // member slices of composites
-  std::vector<std::unique_ptr<Volume>> fs_volumes_;    // one per file system
+  std::vector<std::unique_ptr<Volume>> fs_volumes_;  // one per file system
   std::vector<std::unique_ptr<StorageLayout>> layouts_;
   std::vector<std::unique_ptr<BufferCache>> caches_;  // one per shard
   std::vector<std::unique_ptr<DataMover>> movers_;    // one per shard

@@ -64,7 +64,7 @@ Task<> FragmentIo(Scheduler* sched, Volume* volume, bool is_write,
 }  // namespace
 
 Volume::Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-               std::vector<BlockDevice*> members)
+               std::vector<VolumeSliceRef> members)
     : sched_(sched), name_(std::move(name)), members_(std::move(members)) {
   PFS_CHECK_MSG(!members_.empty(), "volume needs at least one member");
   const std::string label = "volume=\"" + name_ + "\"";
@@ -77,9 +77,12 @@ Volume::Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
         label + ",member=\"" + std::to_string(i) + "\"", 1e-9));
   }
   BindHomeShard(sched_);  // all entry paths assert via OpBegin()
-  sector_bytes_ = members_[0]->sector_bytes();
-  for (const BlockDevice* m : members_) {
-    PFS_CHECK_MSG(m->sector_bytes() == sector_bytes_, "volume members disagree on sector size");
+  sector_bytes_ = members_[0].device->sector_bytes();
+  for (const VolumeSliceRef& m : members_) {
+    PFS_CHECK_MSG(m.device->sector_bytes() == sector_bytes_,
+                  "volume members disagree on sector size");
+    PFS_CHECK_MSG(m.start_sector + m.nsectors <= m.device->total_sectors(),
+                  "partition slice beyond the end of the backing device");
   }
   member_reads_.resize(members_.size());
   member_writes_.resize(members_.size());
@@ -88,22 +91,23 @@ Volume::Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
 Task<Status> Volume::IoFragment(bool is_write, const FragmentList& fragments, size_t i,
                                 std::span<std::byte> out, std::span<const std::byte> in) {
   const Fragment& f = fragments[i];
-  BlockDevice* member = members_[f.member];
   const uint64_t bytes = static_cast<uint64_t>(f.count) * sector_bytes_;
   if (f.segment_count == 0) {
     if (is_write) {
-      co_return co_await member->Write(f.sector, f.count, SubSpan(in, f.byte_offset, bytes));
+      co_return co_await WriteMember(f.member, f.sector, f.count,
+                                     SubSpan(in, f.byte_offset, bytes));
     }
-    co_return co_await member->Read(f.sector, f.count, SubSpan(out, f.byte_offset, bytes));
+    co_return co_await ReadMember(f.member, f.sector, f.count,
+                                  SubSpan(out, f.byte_offset, bytes));
   }
   // Scattered caller-buffer segments (striping interleaves members in the
   // logical address space). With no data to move — the simulated backend —
   // the merged request just goes down with an empty span.
   if (is_write ? in.empty() : out.empty()) {
     if (is_write) {
-      co_return co_await member->Write(f.sector, f.count, {});
+      co_return co_await WriteMember(f.member, f.sector, f.count, {});
     }
-    co_return co_await member->Read(f.sector, f.count, {});
+    co_return co_await ReadMember(f.member, f.sector, f.count, {});
   }
   std::vector<std::byte> bounce(static_cast<size_t>(bytes));
   bounce_bytes_.Inc(bytes);
@@ -114,9 +118,9 @@ Task<Status> Volume::IoFragment(bool is_write, const FragmentList& fragments, si
       std::memcpy(bounce.data() + off, in.data() + seg.byte_offset, len);
       off += len;
     }
-    co_return co_await member->Write(f.sector, f.count, bounce);
+    co_return co_await WriteMember(f.member, f.sector, f.count, bounce);
   }
-  const Status status = co_await member->Read(f.sector, f.count, bounce);
+  const Status status = co_await ReadMember(f.member, f.sector, f.count, bounce);
   if (status.ok()) {
     uint64_t off = 0;
     for (const FragmentSegment& seg : fragments.segments(i)) {
@@ -293,30 +297,17 @@ std::string Volume::StatJson() const {
 // -- SingleDiskVolume --------------------------------------------------------
 
 SingleDiskVolume::SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics,
-                                   std::string name, BlockDevice* backing,
-                                   uint64_t start_sector, uint64_t nsectors)
-    : Volume(sched, metrics, std::move(name), {backing}),
-      start_(start_sector),
-      nsectors_(nsectors) {
-  PFS_CHECK_MSG(start_ + nsectors_ <= backing->total_sectors(),
-                "partition slice beyond the end of the backing device");
-}
-
-SingleDiskVolume::SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics,
-                                   std::string name, BlockDevice* backing)
-    : SingleDiskVolume(sched, metrics, std::move(name), backing, 0,
-                       backing->total_sectors()) {}
+                                   std::string name, VolumeSliceRef slice)
+    : Volume(sched, metrics, std::move(name), {slice}) {}
 
 // The hottest path in the system (every cache miss and flush of the default
-// configuration, and every fragment of a composite volume): no allocations,
-// just the offset and the counters.
+// configuration): no allocations, just the offset and the counters.
 Task<Status> SingleDiskVolume::Read(uint64_t sector, uint32_t count,
                                     std::span<std::byte> out) {
-  PFS_CHECK(sector + count <= nsectors_);
   const TimePoint op_begin = OpBegin();
   member_reads_[0].Inc();
   fanout_.Record(1);
-  const Status status = co_await members_[0]->Read(start_ + sector, count, out);
+  const Status status = co_await ReadMember(0, sector, count, out);
   const TimePoint end = sched_->Now();
   NoteFragmentDone(0, op_begin, end);
   OpFinish(op_begin, end, count);
@@ -325,11 +316,10 @@ Task<Status> SingleDiskVolume::Read(uint64_t sector, uint32_t count,
 
 Task<Status> SingleDiskVolume::Write(uint64_t sector, uint32_t count,
                                      std::span<const std::byte> in) {
-  PFS_CHECK(sector + count <= nsectors_);
   const TimePoint op_begin = OpBegin();
   member_writes_[0].Inc();
   fanout_.Record(1);
-  const Status status = co_await members_[0]->Write(start_ + sector, count, in);
+  const Status status = co_await WriteMember(0, sector, count, in);
   const TimePoint end = sched_->Now();
   NoteFragmentDone(0, op_begin, end);
   OpFinish(op_begin, end, count);
@@ -339,11 +329,11 @@ Task<Status> SingleDiskVolume::Write(uint64_t sector, uint32_t count,
 // -- ConcatVolume ------------------------------------------------------------
 
 namespace {
-std::vector<uint64_t> MemberSectors(const std::vector<BlockDevice*>& members) {
+std::vector<uint64_t> MemberSectors(const std::vector<VolumeSliceRef>& members) {
   std::vector<uint64_t> sizes;
   sizes.reserve(members.size());
-  for (const BlockDevice* m : members) {
-    sizes.push_back(m->total_sectors());
+  for (const VolumeSliceRef& m : members) {
+    sizes.push_back(m.nsectors);
   }
   return sizes;
 }
@@ -358,11 +348,11 @@ uint64_t ConcatVolume::CapacitySectors(const std::vector<uint64_t>& member_secto
 }
 
 ConcatVolume::ConcatVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-                           std::vector<BlockDevice*> members)
+                           std::vector<VolumeSliceRef> members)
     : Volume(sched, metrics, std::move(name), std::move(members)) {
-  for (const BlockDevice* m : members_) {
+  for (const VolumeSliceRef& m : members_) {
     member_start_.push_back(total_);
-    total_ += m->total_sectors();  // the running sum IS CapacitySectors()
+    total_ += m.nsectors;  // the running sum IS CapacitySectors()
   }
 }
 
@@ -377,7 +367,7 @@ Volume::FragmentList ConcatVolume::Map(uint64_t sector, uint32_t count) {
   uint32_t remaining = count;
   while (remaining > 0) {
     const uint64_t local = sector - member_start_[m];
-    const uint64_t avail = members_[m]->total_sectors() - local;
+    const uint64_t avail = members_[m].nsectors - local;
     const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(remaining, avail));
     pieces.push_back({m, local, n, byte_offset});
     sector += n;
@@ -412,7 +402,7 @@ uint64_t StripedVolume::CapacitySectors(const std::vector<uint64_t>& member_sect
 }
 
 StripedVolume::StripedVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-                             std::vector<BlockDevice*> members,
+                             std::vector<VolumeSliceRef> members,
                              uint32_t stripe_unit_sectors)
     : Volume(sched, metrics, std::move(name), std::move(members)),
       unit_(stripe_unit_sectors) {
@@ -467,7 +457,7 @@ uint64_t MirrorVolume::CapacitySectors(const std::vector<uint64_t>& member_secto
 }
 
 MirrorVolume::MirrorVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-                           std::vector<BlockDevice*> members)
+                           std::vector<VolumeSliceRef> members)
     : Volume(sched, metrics, std::move(name), std::move(members)),
       debt_bytes_(metrics->Gauge("volume_rebuild_debt_bytes",
                                  "Outstanding mirror rebuild debt in bytes",
@@ -625,13 +615,13 @@ std::vector<size_t> MirrorVolume::ReadOrder() {
     return live;
   }
   std::stable_sort(live.begin(), live.end(), [this](size_t a, size_t b) {
-    return members_[a]->QueueDepthHint() < members_[b]->QueueDepthHint();
+    return members_[a].device->QueueDepthHint() < members_[b].device->QueueDepthHint();
   });
   // Rotate the equal-shortest prefix so members with identical queues share
   // the read load instead of member 0 taking everything.
-  const size_t d0 = members_[live[0]]->QueueDepthHint();
+  const size_t d0 = members_[live[0]].device->QueueDepthHint();
   size_t ties = 1;
-  while (ties < live.size() && members_[live[ties]]->QueueDepthHint() == d0) {
+  while (ties < live.size() && members_[live[ties]].device->QueueDepthHint() == d0) {
     ++ties;
   }
   if (ties > 1) {
@@ -656,7 +646,7 @@ Task<Status> MirrorVolume::Read(uint64_t sector, uint32_t count, std::span<std::
   Status last = OkStatus();
   for (size_t i = 0; i < order.size(); ++i) {
     member_reads_[order[i]].Inc();
-    last = co_await members_[order[i]]->Read(sector, count, out);
+    last = co_await ReadMember(order[i], sector, count, out);
     if (last.ok()) {
       // Members whose attempts errored are failed out now that a survivor
       // proved the data is available — otherwise a dead member's empty
@@ -764,24 +754,6 @@ std::string MirrorVolume::StatJson() const {
 
 namespace {
 
-// Wraps each slice in a per-member partition volume ("<name>.m<j>"), keeping
-// the wrappers alive in `parts` and returning the raw member devices a
-// composite volume composes.
-std::vector<BlockDevice*> WrapSlices(Scheduler* sched, MetricRegistry* metrics,
-                                     const std::string& name,
-                                     const std::vector<VolumeSliceRef>& slices,
-                                     std::vector<std::unique_ptr<Volume>>* parts) {
-  std::vector<BlockDevice*> members;
-  for (size_t j = 0; j < slices.size(); ++j) {
-    auto part = std::make_unique<SingleDiskVolume>(
-        sched, metrics, name + ".m" + std::to_string(j), slices[j].backing,
-        slices[j].start_sector, slices[j].nsectors);
-    members.push_back(part.get());
-    parts->push_back(std::move(part));
-  }
-  return members;
-}
-
 uint32_t StripeUnitSectors(const VolumeSpec& spec, uint32_t sector_bytes) {
   return static_cast<uint32_t>(spec.stripe_unit_kb * kKiB / sector_bytes);
 }
@@ -801,10 +773,9 @@ void RegisterBuiltinVolumeKinds() {
     single.assemble = [](Scheduler* sched, MetricRegistry* metrics,
                          const std::string& name,
                          const std::vector<VolumeSliceRef>& slices, const VolumeSpec&,
-                         uint32_t, std::vector<std::unique_ptr<Volume>>*) {
-      return std::unique_ptr<Volume>(std::make_unique<SingleDiskVolume>(
-          sched, metrics, name, slices[0].backing, slices[0].start_sector,
-          slices[0].nsectors));
+                         uint32_t) {
+      return std::unique_ptr<Volume>(
+          std::make_unique<SingleDiskVolume>(sched, metrics, name, slices[0]));
     };
     VolumeKindRegistry::Register("single", std::move(single));
   }
@@ -818,9 +789,9 @@ void RegisterBuiltinVolumeKinds() {
     concat.assemble = [](Scheduler* sched, MetricRegistry* metrics,
                          const std::string& name,
                          const std::vector<VolumeSliceRef>& slices, const VolumeSpec&,
-                         uint32_t, std::vector<std::unique_ptr<Volume>>* parts) {
-      return std::unique_ptr<Volume>(std::make_unique<ConcatVolume>(
-          sched, metrics, name, WrapSlices(sched, metrics, name, slices, parts)));
+                         uint32_t) {
+      return std::unique_ptr<Volume>(
+          std::make_unique<ConcatVolume>(sched, metrics, name, slices));
     };
     VolumeKindRegistry::Register("concat", std::move(concat));
   }
@@ -859,11 +830,9 @@ void RegisterBuiltinVolumeKinds() {
     striped.assemble = [](Scheduler* sched, MetricRegistry* metrics,
                           const std::string& name,
                           const std::vector<VolumeSliceRef>& slices,
-                          const VolumeSpec& spec,
-                          uint32_t sector_bytes, std::vector<std::unique_ptr<Volume>>* parts) {
+                          const VolumeSpec& spec, uint32_t sector_bytes) {
       return std::unique_ptr<Volume>(std::make_unique<StripedVolume>(
-          sched, metrics, name, WrapSlices(sched, metrics, name, slices, parts),
-          StripeUnitSectors(spec, sector_bytes)));
+          sched, metrics, name, slices, StripeUnitSectors(spec, sector_bytes)));
     };
     VolumeKindRegistry::Register("striped", std::move(striped));
   }
@@ -902,10 +871,8 @@ void RegisterBuiltinVolumeKinds() {
     mirror.assemble = [](Scheduler* sched, MetricRegistry* metrics,
                          const std::string& name,
                          const std::vector<VolumeSliceRef>& slices,
-                         const VolumeSpec& spec,
-                         uint32_t, std::vector<std::unique_ptr<Volume>>* parts) {
-      auto volume = std::make_unique<MirrorVolume>(
-          sched, metrics, name, WrapSlices(sched, metrics, name, slices, parts));
+                         const VolumeSpec& spec, uint32_t) {
+      auto volume = std::make_unique<MirrorVolume>(sched, metrics, name, slices);
       for (int m : spec.failed_members) {
         // Failing a member out (no rebuild debt yet) always succeeds.
         PFS_CHECK(volume->SetMemberFailed(static_cast<size_t>(m), true).ok());

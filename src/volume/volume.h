@@ -2,13 +2,18 @@
 // disk drivers.
 //
 //   SingleDiskVolume  one partition slice of one device (the seed behavior)
-//   ConcatVolume      member address spaces appended end to end
+//   ConcatVolume      member slices appended end to end
 //   StripedVolume     RAID-0: fixed stripe units round-robin over members;
 //                     requests are split at unit boundaries and fanned out
 //                     to the members in parallel via the scheduler
 //   MirrorVolume      RAID-1: writes go to every live member in parallel,
 //                     reads pick the live member with the shortest queue and
 //                     fall back to the others when a member is failed
+//
+// A volume's members are its slices: each is a partition of a device (a
+// disk driver, or its cross-shard proxy), and a volume addresses it
+// directly, so a fragment is counted, timed and traced once, by the volume
+// that issued it.
 //
 // Every volume is a StatSource: per-member request counts, fan-out width
 // per request, and (for mirrors) the read balance across members. Request
@@ -33,6 +38,19 @@
 
 namespace pfs {
 
+// One member slice a volume composes: the partition [start_sector,
+// start_sector + nsectors) of a device. A bare device converts to its whole
+// extent, so `{&a, &b}` lists two whole disks.
+struct VolumeSliceRef {
+  VolumeSliceRef(BlockDevice* d, uint64_t start, uint64_t n)
+      : device(d), start_sector(start), nsectors(n) {}
+  VolumeSliceRef(BlockDevice* d) : VolumeSliceRef(d, 0, d->total_sectors()) {}
+
+  BlockDevice* device;
+  uint64_t start_sector;
+  uint64_t nsectors;
+};
+
 // Volumes are shard-affine (ShardAffine): the constructor pins them to the
 // scheduler they are built on, and every Read/Write entry path asserts the
 // caller runs on that loop (foreign shards reach a volume only through a
@@ -43,12 +61,27 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   // fragment-latency histogram per member in `metrics`, labelled
   // {volume="<name>"}.
   Volume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-         std::vector<BlockDevice*> members);
+         std::vector<VolumeSliceRef> members);
 
   virtual const char* kind() const = 0;
   const std::string& name() const { return name_; }
   size_t member_count() const { return members_.size(); }
-  BlockDevice* member(size_t i) { return members_[i]; }
+
+  // Member i's slice at a member-local address: the slice start added, the
+  // slice bound checked. Nothing is counted, timed or traced here: the
+  // caller accounts for the I/O (a volume request, or a rebuild copy).
+  Task<Status> ReadMember(size_t i, uint64_t sector, uint32_t count,
+                          std::span<std::byte> out) {
+    const VolumeSliceRef& slice = members_[i];
+    PFS_CHECK(sector + count <= slice.nsectors);
+    return slice.device->Read(slice.start_sector + sector, count, out);
+  }
+  Task<Status> WriteMember(size_t i, uint64_t sector, uint32_t count,
+                           std::span<const std::byte> in) {
+    const VolumeSliceRef& slice = members_[i];
+    PFS_CHECK(sector + count <= slice.nsectors);
+    return slice.device->Write(slice.start_sector + sector, count, in);
+  }
 
   uint32_t sector_bytes() const override { return sector_bytes_; }
 
@@ -185,7 +218,7 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
 
   Scheduler* sched_;
   std::string name_;
-  std::vector<BlockDevice*> members_;
+  std::vector<VolumeSliceRef> members_;
   uint32_t sector_bytes_;
 
   // Requests, counted once each at completion (OpFinish), and their
@@ -203,34 +236,26 @@ class Volume : public BlockDevice, public StatSource, public ShardAffine {
   Histogram fanout_;  // distinct members touched per request
 };
 
-// Adapter over a partition slice [start_sector, start_sector + nsectors) of
-// one backing device — how today's per-disk partitions enter the volume
-// layer. A disk driver is itself a BlockDevice, so the backing may be a
-// whole disk or any other volume.
+// One partition slice of one device — how today's per-disk partitions enter
+// the volume layer. A disk driver is itself a BlockDevice, so the slice may
+// be of a whole disk or of any other volume.
 class SingleDiskVolume final : public Volume {
  public:
   SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-                   BlockDevice* backing, uint64_t start_sector, uint64_t nsectors);
-  // The whole backing device.
-  SingleDiskVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-                   BlockDevice* backing);
+                   VolumeSliceRef slice);
 
   const char* kind() const override { return "single"; }
   Task<Status> Read(uint64_t sector, uint32_t count, std::span<std::byte> out) override;
   Task<Status> Write(uint64_t sector, uint32_t count, std::span<const std::byte> in) override;
-  uint64_t total_sectors() const override { return nsectors_; }
-  size_t QueueDepthHint() const override { return members_[0]->QueueDepthHint(); }
-
- private:
-  uint64_t start_;
-  uint64_t nsectors_;
+  uint64_t total_sectors() const override { return members_[0].nsectors; }
+  size_t QueueDepthHint() const override { return members_[0].device->QueueDepthHint(); }
 };
 
 // Members appended end to end; requests crossing a member boundary are split.
 class ConcatVolume final : public Volume {
  public:
   ConcatVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-               std::vector<BlockDevice*> members);
+               std::vector<VolumeSliceRef> members);
 
   // Capacity of a concat over members of these sizes — the constructor and
   // SystemBuilder's volume planner share this one formula.
@@ -255,7 +280,7 @@ class ConcatVolume final : public Volume {
 class StripedVolume final : public Volume {
  public:
   StripedVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-                std::vector<BlockDevice*> members, uint32_t stripe_unit_sectors);
+                std::vector<VolumeSliceRef> members, uint32_t stripe_unit_sectors);
 
   // Whole stripes only, bounded by the smallest member; 0 when one stripe
   // unit exceeds the smallest member (the planner rejects, the constructor
@@ -297,7 +322,7 @@ class MirrorVolume final : public Volume {
   // Adds a rebuild-debt gauge to the base metrics, updated at every debt
   // mutation so a scrape sees the outstanding debt live.
   MirrorVolume(Scheduler* sched, MetricRegistry* metrics, std::string name,
-               std::vector<BlockDevice*> members);
+               std::vector<VolumeSliceRef> members);
 
   static uint64_t CapacitySectors(const std::vector<uint64_t>& member_sectors);
 

@@ -70,8 +70,8 @@ TEST(AffinityDeathTest, WrongShardVolumeReadAborts) {
         SchedulerGroup group(2, /*virtual_clock=*/true, 1);
         MetricRegistry metrics(group.size(), "pfs");
         MemDevice disk(64);
-        SingleDiskVolume vol(group.shard(0), &metrics, "v", &disk, /*start_sector=*/0,
-                             /*nsectors=*/64);
+        SingleDiskVolume vol(group.shard(0), &metrics, "v",
+                             {&disk, /*start_sector=*/0, /*nsectors=*/64});
         group.shard(1)->Spawn("wrong-shard-read",
                               [](Volume* v, std::span<std::byte> buf) -> Task<> {
                                 (void)co_await v->Read(0, 1, buf);
@@ -104,7 +104,7 @@ TEST(AffinityTest, CallOnRoundTripPasses) {
   MetricRegistry metrics(group.size(), "pfs");
   MemDevice disk(64);
   // Volume pinned to shard 1; shard 0 reaches it the sanctioned way.
-  SingleDiskVolume vol(group.shard(1), &metrics, "v", &disk, 0, 64);
+  SingleDiskVolume vol(group.shard(1), &metrics, "v", {&disk, 0, 64});
   std::vector<std::byte> out(kSector);
   Status status(ErrorCode::kAborted);
   group.shard(0)->Spawn(
@@ -123,7 +123,7 @@ TEST(AffinityTest, SameShardAccessPasses) {
   SchedulerGroup group(2, /*virtual_clock=*/true, 1);
   MetricRegistry metrics(group.size(), "pfs");
   MemDevice disk(64);
-  SingleDiskVolume vol(group.shard(0), &metrics, "v", &disk, 0, 64);
+  SingleDiskVolume vol(group.shard(0), &metrics, "v", {&disk, 0, 64});
   std::vector<std::byte> out(kSector);
   Status status(ErrorCode::kAborted);
   group.shard(0)->Spawn("same-shard",
@@ -143,7 +143,7 @@ TEST(AffinityTest, DisabledChecksTolerateWrongShardAccess) {
   SchedulerGroup group(2, /*virtual_clock=*/true, 1);
   MetricRegistry metrics(group.size(), "pfs");
   MemDevice disk(64);
-  SingleDiskVolume vol(group.shard(0), &metrics, "v", &disk, 0, 64);
+  SingleDiskVolume vol(group.shard(0), &metrics, "v", {&disk, 0, 64});
   std::vector<std::byte> out(kSector);
   Status status(ErrorCode::kAborted);
   group.shard(1)->Spawn("tolerated",

@@ -116,21 +116,5 @@ TEST(ScsiBusTest, DisconnectReconnectInterleavesPhases) {
   EXPECT_EQ(sched->Now(), TimePoint() + Duration::Millis(2));
 }
 
-TEST(NullConnectionTest, IsFree) {
-  auto sched = Scheduler::CreateVirtual();
-  NullConnection conn;
-  EXPECT_EQ(conn.TransferTime(1 << 20), Duration());
-  int completed = 0;
-  sched->Spawn("xfer", [](Connection* c, int* done) -> Task<> {
-    co_await c->Acquire();
-    co_await c->Transfer(1 << 20);
-    c->Release();
-    ++(*done);
-  }(&conn, &completed));
-  sched->Run();
-  EXPECT_EQ(completed, 1);
-  EXPECT_EQ(sched->Now(), TimePoint());
-}
-
 }  // namespace
 }  // namespace pfs

@@ -2,16 +2,20 @@
 // parse and validation errors (line-numbered, with registered alternatives),
 // round-tripping of the fault<i>.* scenario keys, MirrorVolume rebuild-debt
 // extents and availability accounting, SetMemberFailed racing in-flight
-// mirror I/O, the RebuildDaemon's drain-and-reinstate loop, and the
-// FaultInjector end to end on both backends.
+// mirror I/O, the RebuildDaemon's drain-and-reinstate loop (down to the
+// slice offsets its writes land at), and the FaultInjector end to end on
+// both backends.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "client/client_interface.h"
+#include "driver/file_backed_driver.h"
+#include "driver/io_executor.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_schedule.h"
 #include "fault/rebuild_daemon.h"
@@ -506,6 +510,65 @@ TEST(RebuildDaemonTest, AbortedCopyKeepsTheMemberFailedAndTheDebt) {
   sched->Run();
   EXPECT_EQ(daemon.completed(), 1u);
   EXPECT_FALSE(vol.member_failed(0));
+}
+
+TEST(RebuildDaemonTest, RebuildWritesLandAtTheReturningMembersSliceOffset) {
+  // Two mirrors share two file-backed disks, half each, so the second
+  // mirror's slices start mid-disk. A rebuild write that dropped the slice
+  // start would land in the first mirror's half of disk 1.
+  const std::string base = testing::TempDir() + "/pfs_rebuild_slice_test.img";
+  constexpr uint64_t kDiskBytes = 1 * kMiB;
+  constexpr uint64_t kHalf = kDiskBytes / kSector / 2;
+  constexpr uint64_t kAt = 24;  // member-local sector of the rebuilt write
+  auto sched = Scheduler::CreateVirtual(1);
+  MetricRegistry metrics(1, "pfs");
+  IoExecutor executor(1);
+  std::vector<std::unique_ptr<FileBackedDriver>> disks;
+  for (int d = 0; d < 2; ++d) {
+    const std::string path = base + "." + std::to_string(d);
+    std::remove(path.c_str());
+    auto driver = FileBackedDriver::Create(sched.get(), &metrics, "d" + std::to_string(d),
+                                           path, kDiskBytes, &executor);
+    ASSERT_TRUE(driver.ok()) << driver.status().ToString();
+    (*driver)->Start();
+    disks.push_back(std::move(driver).value());
+  }
+  MirrorVolume first(sched.get(), &metrics, "m0",
+                     {{disks[0].get(), 0, kHalf}, {disks[1].get(), 0, kHalf}});
+  MirrorVolume second(sched.get(), &metrics, "m1",
+                      {{disks[0].get(), kHalf, kHalf}, {disks[1].get(), kHalf, kHalf}});
+
+  const std::vector<std::byte> kept = Pattern(8, 1);
+  ASSERT_TRUE(RunIo(sched.get(), first.Write(kAt, 8, kept)).ok());
+  ASSERT_TRUE(second.SetMemberFailed(1, true).ok());
+  const std::vector<std::byte> fresh = Pattern(8, 9);
+  ASSERT_TRUE(RunIo(sched.get(), second.Write(kAt, 8, fresh)).ok());
+  ASSERT_EQ(second.debt_sectors(1), 8u);
+
+  RebuildDaemon daemon(sched.get(), &metrics, &second, RebuildDaemon::Options{0, 8, true});
+  daemon.Start();
+  daemon.RequestRebuild(1);
+  sched->Spawn("waiter", [](Scheduler* s, RebuildDaemon* d) -> Task<> {
+    while (!d->idle()) {
+      co_await s->Sleep(Duration::Millis(1));
+    }
+  }(sched.get(), &daemon));
+  sched->Run();
+  EXPECT_EQ(daemon.completed(), 1u);
+  EXPECT_FALSE(second.member_failed(1));
+
+  // Disk 1, read below the volumes: the second mirror's slice holds the
+  // rebuilt bytes and the first mirror's slice still holds its own.
+  std::vector<std::byte> back(8 * kSector);
+  ASSERT_TRUE(RunIo(sched.get(), disks[1]->Read(kHalf + kAt, 8, back)).ok());
+  EXPECT_EQ(back, fresh);
+  ASSERT_TRUE(RunIo(sched.get(), disks[1]->Read(kAt, 8, back)).ok());
+  EXPECT_EQ(back, kept);
+
+  disks.clear();
+  for (int d = 0; d < 2; ++d) {
+    std::remove((base + "." + std::to_string(d)).c_str());
+  }
 }
 
 // -- FaultInjector through the assembled system ------------------------------

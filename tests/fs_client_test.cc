@@ -41,9 +41,9 @@ struct ServerFixture {
     lfs_config.segment_blocks = 16;
     lfs_config.max_inodes = 256;
     lfs_config.enable_cleaner = true;
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
-                                                driver.get(), 0,
-                                                512 * (4096 / driver->sector_bytes()));
+    volume = std::make_unique<SingleDiskVolume>(
+        sched.get(), &metrics, "v0",
+        VolumeSliceRef(driver.get(), 0, 512 * (4096 / driver->sector_bytes())));
     layout = std::make_unique<LfsLayout>(sched.get(), BlockDev(volume.get(), 4096),
                                          lfs_config, MakeCleanerPolicy("greedy"));
 

@@ -64,7 +64,8 @@ TEST(BlockMapTest, SetGetAndTruncate) {
   EXPECT_EQ(bmap.Set(5, 2000), 1000u);  // returns old address
   bmap.Set(600, 3000);                  // second chunk (512 entries per chunk)
   EXPECT_EQ(bmap.chunk_count(), 2u);
-  auto freed = bmap.TruncateFrom(6);
+  std::vector<uint64_t> freed;
+  bmap.TruncateFrom(6, [&freed](uint64_t addr) { freed.push_back(addr); });
   ASSERT_EQ(freed.size(), 1u);
   EXPECT_EQ(freed[0], 3000u);
   EXPECT_EQ(bmap.Get(5), 2000u);
@@ -165,7 +166,8 @@ TEST(BlockMapTest, TruncateInsideThePrefixFreesTheMappedTail) {
   bmap.Set(3, 13);
   bmap.Set(5, 15);
   bmap.MarkChunkClean(0);
-  const std::vector<uint64_t> freed = bmap.TruncateFrom(3);
+  std::vector<uint64_t> freed;
+  bmap.TruncateFrom(3, [&freed](uint64_t addr) { freed.push_back(addr); });
   EXPECT_EQ(freed, (std::vector<uint64_t>{13, 15}));
   EXPECT_TRUE(bmap.ChunkDirty(0));
   EXPECT_EQ(bmap.ChunkPrefix(0), 3u);
@@ -177,7 +179,9 @@ TEST(BlockMapTest, TruncateInsideThePrefixFreesTheMappedTail) {
 
   // Nothing mapped at or past the cut: nothing freed, the chunk stays clean.
   bmap.MarkChunkClean(0);
-  EXPECT_TRUE(bmap.TruncateFrom(100).empty());
+  freed.clear();
+  bmap.TruncateFrom(100, [&freed](uint64_t addr) { freed.push_back(addr); });
+  EXPECT_TRUE(freed.empty());
   EXPECT_FALSE(bmap.ChunkDirty(0));
 }
 
@@ -705,9 +709,9 @@ struct FfsSimFixture {
     config.blocks_per_group = 128;
     config.inodes_per_group = 32;
     // A 512-block slice of the disk, entering through the volume layer.
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
-                                                driver.get(), 0,
-                                                512 * (4096 / driver->sector_bytes()));
+    volume = std::make_unique<SingleDiskVolume>(
+        sched.get(), &metrics, "v0",
+        VolumeSliceRef(driver.get(), 0, 512 * (4096 / driver->sector_bytes())));
     layout = std::make_unique<FfsLayout>(sched.get(), BlockDev(volume.get(), 4096), config);
   }
 
@@ -910,9 +914,9 @@ struct GuessFixture {
     GuessingConfig config;
     config.fs_id = 3;
     config.seed = 5;
-    volume = std::make_unique<SingleDiskVolume>(sched.get(), &metrics, "v0",
-                                                driver.get(), 0,
-                                                512 * (4096 / driver->sector_bytes()));
+    volume = std::make_unique<SingleDiskVolume>(
+        sched.get(), &metrics, "v0",
+        VolumeSliceRef(driver.get(), 0, 512 * (4096 / driver->sector_bytes())));
     layout = std::make_unique<GuessingLayout>(sched.get(), BlockDev(volume.get(), 4096),
                                               config);
   }

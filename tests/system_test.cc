@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "client/client_interface.h"
+#include "obs/trace.h"
 #include "online/pfs_server.h"
 #include "system/system_builder.h"
 
@@ -225,7 +226,8 @@ TEST_F(SystemTest, StripedAndMirroredVolumesSameResultsOnBothBackends) {
   EXPECT_EQ(real->ops_ok, uncoalesced->ops_ok);
 }
 
-TEST_F(SystemTest, StripedVolumeFansOutOverTheMembers) {
+// One-file-system striped system over both disks (16 KiB units).
+SystemConfig StripedConfig() {
   SystemConfig config = SmallConfig();
   config.backend = BackendKind::kSimulated;
   config.num_filesystems = 1;
@@ -234,8 +236,11 @@ TEST_F(SystemTest, StripedVolumeFansOutOverTheMembers) {
   striped.members = {0, 1};
   striped.stripe_unit_kb = 16;
   config.volumes = {striped};
+  return config;
+}
 
-  auto system_or = SystemBuilder::Build(config);
+TEST_F(SystemTest, StripedVolumeFansOutOverTheMembers) {
+  auto system_or = SystemBuilder::Build(StripedConfig());
   ASSERT_TRUE(system_or.ok()) << system_or.status().ToString();
   std::unique_ptr<System> system = std::move(system_or).value();
   ASSERT_TRUE(system->Setup().ok());
@@ -271,6 +276,55 @@ TEST_F(SystemTest, StripedVolumeFansOutOverTheMembers) {
   // And the volume reports as a stat source in the registry.
   const std::string section = "== volume.fs0 ==\n" + volume->StatJson() + "\n";
   EXPECT_NE(system->stats().ReportAll().find(section), std::string::npos);
+}
+
+TEST_F(SystemTest, StripedReadTracesOneRequestAndOneFragmentPerMember) {
+  // A composite volume's members are its slices: the fragments it fans out
+  // reach the drivers directly, so one read of two stripe units is one
+  // volume.request span and one volume.fragment span per member, with no
+  // nested per-member request.
+  SystemConfig config = StripedConfig();
+  config.trace.enabled = true;
+  auto system_or = SystemBuilder::Build(config);
+  ASSERT_TRUE(system_or.ok()) << system_or.status().ToString();
+  std::unique_ptr<System> system = std::move(system_or).value();
+  ASSERT_TRUE(system->Setup().ok());
+  Status status(ErrorCode::kAborted);
+  uint64_t trace_id = 0;
+  system->scheduler()->Spawn("traced-read", [](System* sys, Status* st,
+                                               uint64_t* id) -> Task<> {
+    Thread* self = sys->scheduler()->current_thread();
+    self->trace = sys->tracer()->StartTrace();
+    *id = self->trace.id;
+    Volume* volume = sys->volume(0);
+    const uint32_t unit = 16 * kKiB / volume->sector_bytes();
+    *st = co_await volume->Read(0, 2 * unit, {});
+    self->trace = TraceContext{};
+  }(system.get(), &status, &trace_id));
+  system->scheduler()->Run();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  size_t requests = 0;
+  size_t fragments = 0;
+  for (const TraceSpan& span : system->tracer()->Spans()) {
+    if (span.trace_id != trace_id) {
+      continue;
+    }
+    requests += span.stage == TraceStage::kVolume ? 1 : 0;
+    fragments += span.stage == TraceStage::kFragment ? 1 : 0;
+  }
+  EXPECT_EQ(requests, 1u);
+  EXPECT_EQ(fragments, 2u);
+}
+
+TEST_F(SystemTest, StripedVolumeRegistersNoPerMemberVolumes) {
+  // The striped volume is the only volume over its slices: its metrics
+  // carry its own name and no "<fs>.m<j>" series exists.
+  auto system_or = SystemBuilder::Build(StripedConfig());
+  ASSERT_TRUE(system_or.ok()) << system_or.status().ToString();
+  const std::string text = (*system_or)->metrics()->PrometheusText();
+  EXPECT_NE(text.find("volume=\"fs0\""), std::string::npos);
+  EXPECT_EQ(text.find("volume=\"fs0.m"), std::string::npos);
 }
 
 TEST_F(SystemTest, FileBackedStacksAllThreeLayouts) {

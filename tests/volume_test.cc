@@ -84,8 +84,8 @@ TEST(SingleDiskVolumeTest, SliceOffsetsIntoBacking) {
   auto sched = Scheduler::CreateVirtual(1);
   MetricRegistry metrics(1, "pfs");
   MemDevice disk(64);
-  SingleDiskVolume vol(sched.get(), &metrics, "v", &disk, /*start_sector=*/16,
-                       /*nsectors=*/32);
+  SingleDiskVolume vol(sched.get(), &metrics, "v", {&disk, /*start_sector=*/16,
+                                                    /*nsectors=*/32});
   EXPECT_EQ(vol.total_sectors(), 32u);
 
   auto data = Pattern(4);

@@ -13,16 +13,22 @@ Checks that a scrape is structurally sound, not just greppable:
     non-decreasing with increasing `le`, the mandatory `le="+Inf"` bucket is
     present, and `_sum`/`_count` exist with `_count` equal to the +Inf bucket;
   * with a second scrape file, counter monotonicity: no counter series moves
-    backwards between the first and second scrape.
+    backwards between the first and second scrape;
+  * with --statz FILE (a saved /statz body), one name per component: every
+    `volume` label value names a `volume.<v>` stat source and every `disk`
+    label value a `driver.<d>` source, so /metrics and /statz join on the
+    same key.
 
 Usage:
   python3 tools/metrics_check.py scrape1.txt [scrape2.txt] [--prefix pfs]
+                                 [--statz statz.json]
   python3 tools/metrics_check.py --self-test
 
 Exit status: 0 = valid, 1 = any violation (all violations are listed).
 """
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -32,6 +38,9 @@ LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 LINE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*)\})?\s+(\S+)(\s+\S+)?$")
 
 HIST_SUFFIXES = ("_bucket", "_sum", "_count")
+
+# Component labels and the /statz source-name prefix each one must join.
+STATZ_SOURCES = {"volume": "volume.", "disk": "driver."}
 
 
 def parse_value(text):
@@ -189,6 +198,21 @@ def check_monotonic(first, second):
     return errors
 
 
+def check_statz(samples, statz, label):
+    """Every component label value must name a stat source in the /statz
+    body: volume="v" needs "volume.v", disk="d" needs "driver.d"."""
+    errors = []
+    missing = set()
+    for (_, labels) in samples:
+        for lm in LABEL_RE.finditer(labels):
+            prefix = STATZ_SOURCES.get(lm.group(1))
+            if prefix is not None and prefix + lm.group(2) not in statz:
+                missing.add((lm.group(1), lm.group(2), prefix + lm.group(2)))
+    for key, value, source in sorted(missing):
+        errors.append('%s: %s="%s" names no /statz source %s' % (label, key, value, source))
+    return errors
+
+
 GOOD_SCRAPE_1 = """\
 # HELP pfs_cache_hits_total Buffer cache hits.
 # TYPE pfs_cache_hits_total counter
@@ -208,6 +232,24 @@ pfs_client_op_seconds_count{op="read"} 9
 
 GOOD_SCRAPE_2 = GOOD_SCRAPE_1.replace(
     'pfs_cache_hits_total{shard="0"} 10', 'pfs_cache_hits_total{shard="0"} 25')
+
+# A /statz body and scrapes that do (and do not) join it on component names.
+# "disk.d2" is the disk model's source: a disk label joins the driver's.
+GOOD_STATZ = {"driver.d0": {}, "driver.d1": {}, "volume.fs0": {}, "disk.d2": {}}
+
+STATZ_SCRAPE = """\
+# HELP pfs_volume_requests_total Requests completed
+# TYPE pfs_volume_requests_total counter
+pfs_volume_requests_total{volume="fs0"} 7
+# HELP pfs_disk_reads_total Read requests submitted
+# TYPE pfs_disk_reads_total counter
+pfs_disk_reads_total{disk="d0"} 3
+pfs_disk_reads_total{disk="d1"} 4
+"""
+
+BAD_STATZ_SCRAPE = STATZ_SCRAPE + (
+    'pfs_volume_requests_total{volume="fs0.m0"} 7\n'
+    'pfs_disk_reads_total{disk="d2"} 1\n')
 
 BAD_SCRAPES = [
     # Sample with no # TYPE announcement.
@@ -271,10 +313,23 @@ def self_test():
         _, errors = check_file(text, name, "pfs")
         if not any(re.search(want, e) for e in errors):
             failures.append("%s: expected /%s/, got %s" % (name, want, errors))
+    (_, samples, _, _), errors = check_file(STATZ_SCRAPE, "statz-good", "pfs")
+    errors += check_statz(samples, GOOD_STATZ, "statz-good")
+    if errors:
+        failures.append("scrape joining /statz flagged: %s" % errors)
+    (_, samples, _, _), _ = check_file(BAD_STATZ_SCRAPE, "statz-bad", "pfs")
+    errors = check_statz(samples, GOOD_STATZ, "statz-bad")
+    for want in ('volume="fs0.m0" names no /statz source volume.fs0.m0',
+                 'disk="d2" names no /statz source driver.d2'):
+        if not any(want in e for e in errors):
+            failures.append("statz-bad: expected %r, got %s" % (want, errors))
+    if len(errors) != 2:
+        failures.append("statz-bad: expected 2 violations, got %s" % errors)
     for f in failures:
         print("FAIL:", f, file=sys.stderr)
     if not failures:
-        print("self-test: %d bad fixtures + 2 good fixtures: ok" % len(BAD_SCRAPES))
+        print("self-test: %d bad fixtures + 2 good fixtures + 2 /statz fixtures: ok"
+              % len(BAD_SCRAPES))
     return 1 if failures else 0
 
 
@@ -285,6 +340,9 @@ def main():
                              "counter monotonicity between them")
     parser.add_argument("--prefix", default="pfs",
                         help="required metric-name prefix (default: pfs)")
+    parser.add_argument("--statz", metavar="FILE",
+                        help="a saved /statz body: every volume and disk label "
+                             "must name one of its stat sources")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in fixtures and exit")
     args = parser.parse_args()
@@ -293,6 +351,15 @@ def main():
         return self_test()
     if not 1 <= len(args.scrapes) <= 2:
         parser.error("expected one or two scrape files (or --self-test)")
+
+    statz = None
+    if args.statz:
+        try:
+            with open(args.statz) as f:
+                statz = json.load(f)
+        except (OSError, ValueError) as e:
+            print("FAIL: %s: %s" % (args.statz, e), file=sys.stderr)
+            return 1
 
     errors = []
     parsed = []
@@ -307,6 +374,8 @@ def main():
         parsed.append(result)
         errors += file_errors
         types, samples, _, _ = result
+        if statz is not None:
+            errors += check_statz(samples, statz, path)
         print("%s: %d famil%s, %d series" % (path, len(types),
                                              "y" if len(types) == 1 else "ies",
                                              len(samples)))
