@@ -1,6 +1,8 @@
 #include "client/local_client.h"
 
 #include <algorithm>
+#include <limits>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,10 +25,19 @@ std::string_view NextComponent(std::string_view path, size_t* pos) {
   return path.substr(start, end - start);
 }
 
+Status BadFd() { return Status(ErrorCode::kInvalidArgument, "bad fd"); }
+
 }  // namespace
 
 void LocalClient::AddMount(const std::string& name, FileSystem* fs) {
   PFS_CHECK(fs != nullptr);
+  Scheduler* shard = fs->scheduler();
+  PFS_CHECK_MSG(shard->shard_index() < fd_tables_.size(),
+                "mount on a shard the metric registry does not count");
+  FdTable& table = fd_tables_[shard->shard_index()];
+  PFS_CHECK_MSG(table.home_shard() == nullptr || table.home_shard() == shard,
+                "two loops share a shard index");
+  table.BindHomeShard(shard, "client fd table");
   Mount mount;
   mount.fs = fs;
   mount.table = std::make_unique<FileTable>(fs);
@@ -52,48 +63,85 @@ Scheduler* LocalClient::SchedForPath(const std::string& path) {
   return it->second.fs->scheduler();
 }
 
-bool LocalClient::LookupFd(Fd fd, OpenFile* out, bool close) {
-  std::lock_guard<std::mutex> lk(fd_mu_);
-  auto it = open_files_.find(fd);
-  if (it == open_files_.end()) {
-    return false;
-  }
-  *out = it->second;
-  if (close) {
-    open_files_.erase(it);
-  }
-  return true;
+LocalClient::FdRef LocalClient::DecodeFd(Fd fd) const {
+  // 32-bit unsigned: the fd fits, and the one division (quotient and
+  // remainder together) is the cheaper one.
+  const uint32_t n = static_cast<uint32_t>(fd - kFirstFd);
+  const uint32_t shards = static_cast<uint32_t>(fd_tables_.size());
+  return FdRef{n % shards, n / shards};
 }
 
-// The one routing path. The thunk is a *named local*, never a temporary in
-// the co_await expression: GCC 12 mishandles non-trivial temporaries passed
-// as coroutine arguments inside an await full-expression (the capture copies
-// end up double-destroyed, corrupting the frame).
+Scheduler* LocalClient::SchedForFd(Fd fd) const {
+  if (fd < kFirstFd) {
+    return nullptr;
+  }
+  return fd_tables_[DecodeFd(fd).shard].home_shard();
+}
+
+std::optional<Fd> LocalClient::EncodeFd(size_t slot, size_t shard, size_t shards) {
+  constexpr size_t kMaxFd = std::numeric_limits<Fd>::max();
+  if (slot > (kMaxFd - kFirstFd - shard) / shards) {
+    return std::nullopt;
+  }
+  return static_cast<Fd>(kFirstFd + slot * shards + shard);
+}
+
+Result<Fd> LocalClient::TakeFd(const OpenFile& open) {
+  const size_t shard = open.mount->fs->scheduler()->shard_index();
+  FdTable& table = fd_tables_[shard];
+  PFS_ASSERT_SHARD_OF(&table);
+  if (!table.free_slots.empty()) {
+    const uint32_t slot = table.free_slots.back();
+    table.free_slots.pop_back();
+    table.slots[slot] = open;
+    return *EncodeFd(slot, shard, fd_tables_.size());
+  }
+  const std::optional<Fd> fd = EncodeFd(table.slots.size(), shard, fd_tables_.size());
+  if (!fd) {
+    return Status(ErrorCode::kNoSpace, "fd table full");
+  }
+  table.slots.push_back(open);
+  return *fd;
+}
+
+LocalClient::OpenFile* LocalClient::FindOpen(Fd fd) {
+  if (fd < kFirstFd) {
+    return nullptr;
+  }
+  const FdRef ref = DecodeFd(fd);
+  FdTable& table = fd_tables_[ref.shard];
+  PFS_ASSERT_SHARD_OF(&table);
+  if (ref.slot >= table.slots.size() || table.slots[ref.slot].mount == nullptr) {
+    return nullptr;
+  }
+  return &table.slots[ref.slot];
+}
+
+void LocalClient::FreeFd(Fd fd) {
+  const FdRef ref = DecodeFd(fd);
+  FdTable& table = fd_tables_[ref.shard];
+  table.slots[ref.slot] = OpenFile{};
+  table.free_slots.push_back(ref.slot);
+}
+
+// The one routing path. Not a coroutine: a same-shard call is the body's
+// own task, and a cross-shard one is CallOn's, so routing adds no frame.
+// The bodies take their parameters by value, so that task owns its
+// arguments. Spans in `args` stay valid across a hop: the caller suspends on
+// its home shard until the remote body is done with the buffer.
 template <typename R, typename... Params, typename... Args>
 Task<R> LocalClient::Route(Scheduler* target, Task<R> (LocalClient::*local)(Params...),
                            Args... args) {
-  LocalClient* self = this;
-  auto body = [self, local, ...args = std::move(args)]() {
-    return (self->*local)(args...);
-  };
+  static_assert((!std::is_reference_v<Params> && ...),
+                "a routed body must own its arguments: take them by value");
   Scheduler* home = Scheduler::Current();
   if (target == nullptr || home == nullptr || target == home) {
-    co_return co_await body();
+    return (this->*local)(std::move(args)...);
   }
-  co_return co_await CallOn<R>(home, target, body);
-}
-
-template <typename R, typename... Params, typename... Args>
-Task<R> LocalClient::RouteFd(Fd fd, bool close,
-                             Task<R> (LocalClient::*local)(OpenFile, Params...),
-                             Args... args) {
-  OpenFile open;
-  if (!LookupFd(fd, &open, close)) {
-    co_return Status(ErrorCode::kInvalidArgument, "bad fd");
-  }
-  // Spans in `args` stay valid across a hop: this coroutine suspends on its
-  // home shard until the remote body is done with the buffer.
-  co_return co_await Route(open.mount->fs->scheduler(), local, open, args...);
+  auto body = [self = this, local, ... args = std::move(args)]() mutable {
+    return (self->*local)(std::move(args)...);
+  };
+  return CallOn<R>(home, target, std::move(body));
 }
 
 Task<Result<LocalClient::Resolved>> LocalClient::ResolveParent(const std::string& path) {
@@ -145,7 +193,7 @@ Task<Result<std::pair<LocalClient::Mount*, DirEntry>>> LocalClient::ResolveExist
 }
 
 LocalClient::LocalClient(Scheduler* sched, MetricRegistry* metrics)
-    : sched_(sched), shard_ticks_(metrics->shards()) {
+    : sched_(sched), shard_ticks_(metrics->shards()), fd_tables_(metrics->shards()) {
   static constexpr const char* kOpNames[kClientOpCount] = {"open", "read", "write", "fsync",
                                                            "sync_all"};
   for (size_t i = 0; i < kClientOpCount; ++i) {
@@ -215,29 +263,29 @@ Task<Result<Fd>> LocalClient::Open(const std::string& path, OpenOptions options)
 }
 
 Task<Status> LocalClient::Close(Fd fd) {
-  return RouteFd(fd, /*close=*/true, &LocalClient::CloseLocal);
+  return Route(SchedForFd(fd), &LocalClient::CloseLocal, fd);
 }
 
 Task<Result<uint64_t>> LocalClient::Read(Fd fd, uint64_t offset, uint64_t len,
                                          std::span<std::byte> out) {
-  return RouteFd(fd, /*close=*/false, &LocalClient::ReadLocal, offset, len, out);
+  return Route(SchedForFd(fd), &LocalClient::ReadLocal, fd, offset, len, out);
 }
 
 Task<Result<uint64_t>> LocalClient::Write(Fd fd, uint64_t offset, uint64_t len,
                                           std::span<const std::byte> in) {
-  return RouteFd(fd, /*close=*/false, &LocalClient::WriteLocal, offset, len, in);
+  return Route(SchedForFd(fd), &LocalClient::WriteLocal, fd, offset, len, in);
 }
 
 Task<Status> LocalClient::Truncate(Fd fd, uint64_t new_size) {
-  return RouteFd(fd, /*close=*/false, &LocalClient::TruncateLocal, new_size);
+  return Route(SchedForFd(fd), &LocalClient::TruncateLocal, fd, new_size);
 }
 
 Task<Status> LocalClient::Fsync(Fd fd) {
-  return RouteFd(fd, /*close=*/false, &LocalClient::FsyncLocal);
+  return Route(SchedForFd(fd), &LocalClient::FsyncLocal, fd);
 }
 
 Task<Result<FileAttrs>> LocalClient::FStat(Fd fd) {
-  return RouteFd(fd, /*close=*/false, &LocalClient::FStatLocal);
+  return Route(SchedForFd(fd), &LocalClient::FStatLocal, fd);
 }
 
 Task<Result<FileAttrs>> LocalClient::Stat(const std::string& path) {
@@ -284,7 +332,7 @@ Task<Result<std::string>> LocalClient::ReadLink(const std::string& path) {
 // Shard-local bodies.
 // ---------------------------------------------------------------------------
 
-Task<Result<Fd>> LocalClient::OpenLocal(const std::string& path, OpenOptions options) {
+Task<Result<Fd>> LocalClient::OpenLocal(std::string path, OpenOptions options) {
   const OpTrace t = TraceBegin(ClientOp::kOpen);
   Result<Fd> result = co_await OpenImpl(path, options);
   TraceEnd(t, 0);
@@ -325,64 +373,82 @@ Task<Result<Fd>> LocalClient::OpenImpl(const std::string& path, OpenOptions opti
     r.mount->fs->cache()->SetFileHint(r.mount->fs->fs_id(), ino, options.cache_hint);
   }
   PFS_CO_ASSIGN_OR_RETURN(File * file, co_await r.mount->table->Acquire(ino));
-  (void)file;
-  Fd fd;
-  {
-    std::lock_guard<std::mutex> lk(fd_mu_);
-    fd = next_fd_++;
-    open_files_[fd] = OpenFile{r.mount, ino};
+  Result<Fd> fd = TakeFd(OpenFile{r.mount, ino, file});
+  if (!fd.ok()) {
+    (void)co_await r.mount->table->Release(ino);
   }
   co_return fd;
 }
 
-Task<Status> LocalClient::CloseLocal(OpenFile open) {
-  co_return co_await open.mount->table->Release(open.ino);
+Task<Status> LocalClient::CloseLocal(Fd fd) {
+  const OpenFile* open = FindOpen(fd);
+  if (open == nullptr) {
+    co_return BadFd();
+  }
+  const OpenFile closed = *open;
+  FreeFd(fd);
+  co_return co_await closed.mount->table->Release(closed.ino);
 }
 
-Task<Result<uint64_t>> LocalClient::ReadLocal(OpenFile open, uint64_t offset, uint64_t len,
+Task<Result<uint64_t>> LocalClient::ReadLocal(Fd fd, uint64_t offset, uint64_t len,
                                               std::span<std::byte> out) {
-  File* file = open.mount->table->Get(open.ino);
-  PFS_CHECK(file != nullptr);
+  const OpenFile* open = FindOpen(fd);
+  if (open == nullptr) {
+    co_return BadFd();
+  }
+  File* file = open->file;
+  DataMover* mover = open->mount->fs->mover();
   const OpTrace t = TraceBegin(ClientOp::kRead);
-  co_await open.mount->fs->mover()->ChargeOpCost();
+  co_await mover->ChargeOpCost();
   Result<uint64_t> result = co_await file->Read(offset, len, out);
   TraceEnd(t, len);
   co_return result;
 }
 
-Task<Result<uint64_t>> LocalClient::WriteLocal(OpenFile open, uint64_t offset, uint64_t len,
+Task<Result<uint64_t>> LocalClient::WriteLocal(Fd fd, uint64_t offset, uint64_t len,
                                                std::span<const std::byte> in) {
-  File* file = open.mount->table->Get(open.ino);
-  PFS_CHECK(file != nullptr);
+  const OpenFile* open = FindOpen(fd);
+  if (open == nullptr) {
+    co_return BadFd();
+  }
+  File* file = open->file;
+  DataMover* mover = open->mount->fs->mover();
   const OpTrace t = TraceBegin(ClientOp::kWrite);
-  co_await open.mount->fs->mover()->ChargeOpCost();
+  co_await mover->ChargeOpCost();
   Result<uint64_t> result = co_await file->Write(offset, len, in);
   TraceEnd(t, len);
   co_return result;
 }
 
-Task<Status> LocalClient::TruncateLocal(OpenFile open, uint64_t new_size) {
-  File* file = open.mount->table->Get(open.ino);
-  PFS_CHECK(file != nullptr);
-  co_return co_await file->Truncate(new_size);
+Task<Status> LocalClient::TruncateLocal(Fd fd, uint64_t new_size) {
+  const OpenFile* open = FindOpen(fd);
+  if (open == nullptr) {
+    co_return BadFd();
+  }
+  co_return co_await open->file->Truncate(new_size);
 }
 
-Task<Status> LocalClient::FsyncLocal(OpenFile open) {
-  File* file = open.mount->table->Get(open.ino);
-  PFS_CHECK(file != nullptr);
+Task<Status> LocalClient::FsyncLocal(Fd fd) {
+  const OpenFile* open = FindOpen(fd);
+  if (open == nullptr) {
+    co_return BadFd();
+  }
+  File* file = open->file;
   const OpTrace t = TraceBegin(ClientOp::kFsync);
   Status status = co_await file->Flush();
   TraceEnd(t, 0);
   co_return status;
 }
 
-Task<Result<FileAttrs>> LocalClient::FStatLocal(OpenFile open) {
-  File* file = open.mount->table->Get(open.ino);
-  PFS_CHECK(file != nullptr);
-  co_return AttrsOf(*file);
+Task<Result<FileAttrs>> LocalClient::FStatLocal(Fd fd) {
+  const OpenFile* open = FindOpen(fd);
+  if (open == nullptr) {
+    co_return BadFd();
+  }
+  co_return AttrsOf(*open->file);
 }
 
-Task<Result<FileAttrs>> LocalClient::StatLocal(const std::string& path) {
+Task<Result<FileAttrs>> LocalClient::StatLocal(std::string path) {
   PFS_CO_ASSIGN_OR_RETURN(auto resolved, co_await ResolveExisting(path));
   auto [mount, entry] = resolved;
   PFS_CO_ASSIGN_OR_RETURN(File * file, co_await mount->table->Acquire(entry.ino));
@@ -411,7 +477,7 @@ Task<Status> LocalClient::FreeUnlinked(Mount* mount, uint64_t ino) {
   co_return co_await mount->fs->layout()->FreeInode(ino);
 }
 
-Task<Status> LocalClient::UnlinkLocal(const std::string& path) {
+Task<Status> LocalClient::UnlinkLocal(std::string path) {
   PFS_CO_ASSIGN_OR_RETURN(Resolved r, co_await ResolveParent(path));
   if (r.leaf.empty()) {
     co_return Status(ErrorCode::kIsDirectory, "cannot unlink a mount root");
@@ -431,7 +497,7 @@ Task<Status> LocalClient::UnlinkLocal(const std::string& path) {
   co_return co_await FreeUnlinked(r.mount, entry_or->ino);
 }
 
-Task<Status> LocalClient::MkdirLocal(const std::string& path) {
+Task<Status> LocalClient::MkdirLocal(std::string path) {
   PFS_CO_ASSIGN_OR_RETURN(Resolved r, co_await ResolveParent(path));
   if (r.leaf.empty()) {
     co_return Status(ErrorCode::kExists, path);
@@ -451,7 +517,7 @@ Task<Status> LocalClient::MkdirLocal(const std::string& path) {
   co_return add;
 }
 
-Task<Status> LocalClient::RmdirLocal(const std::string& path) {
+Task<Status> LocalClient::RmdirLocal(std::string path) {
   PFS_CO_ASSIGN_OR_RETURN(Resolved r, co_await ResolveParent(path));
   if (r.leaf.empty()) {
     co_return Status(ErrorCode::kInvalidArgument, "cannot remove a mount root");
@@ -484,7 +550,7 @@ Task<Status> LocalClient::RmdirLocal(const std::string& path) {
   co_return co_await r.mount->fs->layout()->FreeInode(entry_or->ino);
 }
 
-Task<Status> LocalClient::RenameLocal(const std::string& from, const std::string& to) {
+Task<Status> LocalClient::RenameLocal(std::string from, std::string to) {
   PFS_CO_ASSIGN_OR_RETURN(Resolved rf, co_await ResolveParent(from));
   PFS_CO_ASSIGN_OR_RETURN(Resolved rt, co_await ResolveParent(to));
   if (rf.leaf.empty() || rt.leaf.empty() || rf.mount != rt.mount) {
@@ -536,7 +602,7 @@ Task<Status> LocalClient::RenameLocal(const std::string& from, const std::string
   co_return OkStatus();
 }
 
-Task<Result<std::vector<DirEntry>>> LocalClient::ReadDirLocal(const std::string& path) {
+Task<Result<std::vector<DirEntry>>> LocalClient::ReadDirLocal(std::string path) {
   PFS_CO_ASSIGN_OR_RETURN(auto resolved, co_await ResolveExisting(path));
   auto [mount, entry] = resolved;
   if (entry.type != FileType::kDirectory) {
@@ -548,21 +614,21 @@ Task<Result<std::vector<DirEntry>>> LocalClient::ReadDirLocal(const std::string&
   co_return list_or;
 }
 
-Task<Status> LocalClient::SymlinkAtLocal(const std::string& path, const std::string& target) {
+Task<Status> LocalClient::SymlinkAtLocal(std::string path, std::string target) {
   OpenOptions options;
   options.create = true;
   options.create_type = FileType::kSymlink;
   // Same shard as `path`, so the nested Open/Close routers collapse inline.
   PFS_CO_ASSIGN_OR_RETURN(const Fd fd, co_await Open(path, options));
-  OpenFile open;
-  PFS_CHECK(LookupFd(fd, &open));
-  auto* link = static_cast<Symlink*>(open.mount->table->Get(open.ino));
+  const OpenFile* open = FindOpen(fd);
+  PFS_CHECK(open != nullptr);
+  auto* link = static_cast<Symlink*>(open->file);
   const Status status = co_await link->SetTarget(target);
   PFS_CO_RETURN_IF_ERROR(co_await Close(fd));
   co_return status;
 }
 
-Task<Result<std::string>> LocalClient::ReadLinkLocal(const std::string& path) {
+Task<Result<std::string>> LocalClient::ReadLinkLocal(std::string path) {
   PFS_CO_ASSIGN_OR_RETURN(auto resolved, co_await ResolveExisting(path));
   auto [mount, entry] = resolved;
   if (entry.type != FileType::kSymlink) {

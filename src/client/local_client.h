@@ -10,15 +10,17 @@
 // Sharding: every mounted file system is pinned to one scheduler shard. An
 // operation invoked from another shard hops to the owner with CallOn and
 // runs its *Local body there; same-shard calls collapse to plain inline
-// awaits, so a single-shard system behaves exactly as before. The fd table
-// is the one piece of genuinely shared state and sits under a mutex.
+// awaits, so a single-shard system behaves exactly as before. Each shard
+// owns the fds of the files opened on it: an fd names its shard's table, so
+// an fd call is routed by its fd as a path call is by its mount, and only
+// that shard's loop reads or writes the table. No lock is shared.
 #ifndef PFS_CLIENT_LOCAL_CLIENT_H_
 #define PFS_CLIENT_LOCAL_CLIENT_H_
 
 #include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "fs/file_table.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
+#include "sched/affinity.h"
 #include "sched/shard.h"
 
 namespace pfs {
@@ -68,12 +71,9 @@ class LocalClient final : public ClientInterface {
   Task<Result<std::string>> ReadLink(const std::string& path) override;
   Task<Status> SyncAll() override;
 
-  size_t open_file_count() const {
-    std::lock_guard<std::mutex> lk(fd_mu_);
-    return open_files_.size();
-  }
-
  private:
+  friend class LocalClientTestPeer;
+
   struct Mount {
     FileSystem* fs;
     std::unique_ptr<FileTable> table;
@@ -85,9 +85,28 @@ class LocalClient final : public ClientInterface {
     std::string leaf;        // final path component ("" for fs root)
   };
 
+  // One open file: its mount, its inode and the File its open's
+  // FileTable::Acquire pinned. A null mount marks a free slot.
   struct OpenFile {
-    Mount* mount;
-    uint64_t ino;
+    Mount* mount = nullptr;
+    uint64_t ino = 0;
+    File* file = nullptr;
+  };
+
+  // One shard's fds: slot s of shard k's table is fd 3 + s * shards + k.
+  // Only shard k's loop reads or writes it, which the affinity checks
+  // assert; its home is null while no mount lives on the shard. A closed
+  // slot is the next one reused, so warm opens allocate nothing. Aligned so
+  // that two shards' tables share no cache line.
+  struct alignas(64) FdTable : ShardAffine {
+    std::vector<OpenFile> slots;
+    std::vector<uint32_t> free_slots;  // closed slots, the last closed on top
+  };
+  static constexpr Fd kFirstFd = 3;  // 0-2 are never issued
+  // The table and slot an fd of at least kFirstFd names.
+  struct FdRef {
+    uint32_t shard;
+    uint32_t slot;
   };
 
   // Splits "/mnt/a/b" and walks directories to the parent of the leaf.
@@ -109,41 +128,49 @@ class LocalClient final : public ClientInterface {
   // (nullptr for unknown mounts: the local body reports the NotFound).
   // mounts_ is immutable once running, so this reads it lock-free.
   Scheduler* SchedForPath(const std::string& path);
-  // Copies the fd's entry out under the fd-table mutex; `close` also drops
-  // it from the table.
-  bool LookupFd(Fd fd, OpenFile* out, bool close = false);
+  // The shard owning `fd`'s table (nullptr for an fd below 3 or one naming
+  // a shard with no mount: the local body reports the bad fd). The homes
+  // are fixed once running, so this reads them lock-free.
+  Scheduler* SchedForFd(Fd fd) const;
+  FdRef DecodeFd(Fd fd) const;
+  // The fd of `shard`'s slot `slot`, or nullopt past the largest Fd.
+  static std::optional<Fd> EncodeFd(size_t slot, size_t shard, size_t shards);
+  // Run on the mount's shard: takes a slot in its table for `open`.
+  Result<Fd> TakeFd(const OpenFile& open);
+  // Run on `fd`'s shard: its open file, or nullptr when `fd` is not open.
+  // The pointer is into the table, so copy what is needed before a
+  // suspension point (an open there may grow the table).
+  OpenFile* FindOpen(Fd fd);
+  // Run on `fd`'s shard, for an open `fd`: frees its slot for reuse.
+  void FreeFd(Fd fd);
   // Runs (this->*local)(args...) on `target`'s loop: inline when the caller
   // already runs there (or there is nowhere sensible to hop), else through a
   // CallOn round trip. The arguments are copied into the call, so they may
-  // name the caller's temporaries.
+  // name the caller's temporaries; the bodies therefore take them by value.
   template <typename R, typename... Params, typename... Args>
   Task<R> Route(Scheduler* target, Task<R> (LocalClient::*local)(Params...),
                 Args... args);
-  // The fd ops' path: look `fd` up (closing it when `close`), then Route
-  // `local` to the file's shard with the entry as its first argument.
-  template <typename R, typename... Params, typename... Args>
-  Task<R> RouteFd(Fd fd, bool close, Task<R> (LocalClient::*local)(OpenFile, Params...),
-                  Args... args);
 
   // -- shard-local op bodies (run on the mount's shard) ---------------------
-  Task<Result<Fd>> OpenLocal(const std::string& path, OpenOptions options);
+  Task<Result<Fd>> OpenLocal(std::string path, OpenOptions options);
   Task<Result<Fd>> OpenImpl(const std::string& path, OpenOptions options);
-  Task<Status> CloseLocal(OpenFile open);
-  Task<Result<uint64_t>> ReadLocal(OpenFile open, uint64_t offset, uint64_t len,
+  // The fd bodies run on `fd`'s shard and look its slot up there.
+  Task<Status> CloseLocal(Fd fd);
+  Task<Result<uint64_t>> ReadLocal(Fd fd, uint64_t offset, uint64_t len,
                                    std::span<std::byte> out);
-  Task<Result<uint64_t>> WriteLocal(OpenFile open, uint64_t offset, uint64_t len,
+  Task<Result<uint64_t>> WriteLocal(Fd fd, uint64_t offset, uint64_t len,
                                     std::span<const std::byte> in);
-  Task<Status> TruncateLocal(OpenFile open, uint64_t new_size);
-  Task<Status> FsyncLocal(OpenFile open);
-  Task<Result<FileAttrs>> FStatLocal(OpenFile open);
-  Task<Result<FileAttrs>> StatLocal(const std::string& path);
-  Task<Status> UnlinkLocal(const std::string& path);
-  Task<Status> MkdirLocal(const std::string& path);
-  Task<Status> RmdirLocal(const std::string& path);
-  Task<Status> RenameLocal(const std::string& from, const std::string& to);
-  Task<Result<std::vector<DirEntry>>> ReadDirLocal(const std::string& path);
-  Task<Status> SymlinkAtLocal(const std::string& path, const std::string& target);
-  Task<Result<std::string>> ReadLinkLocal(const std::string& path);
+  Task<Status> TruncateLocal(Fd fd, uint64_t new_size);
+  Task<Status> FsyncLocal(Fd fd);
+  Task<Result<FileAttrs>> FStatLocal(Fd fd);
+  Task<Result<FileAttrs>> StatLocal(std::string path);
+  Task<Status> UnlinkLocal(std::string path);
+  Task<Status> MkdirLocal(std::string path);
+  Task<Status> RmdirLocal(std::string path);
+  Task<Status> RenameLocal(std::string from, std::string to);
+  Task<Result<std::vector<DirEntry>>> ReadDirLocal(std::string path);
+  Task<Status> SymlinkAtLocal(std::string path, std::string target);
+  Task<Result<std::string>> ReadLinkLocal(std::string path);
   // Syncs the caches and layouts of the mounts living on `shard`, in mount
   // order, deduping shared caches.
   Task<Status> SyncShard(Scheduler* shard);
@@ -188,12 +215,7 @@ class LocalClient final : public ClientInterface {
   std::vector<SampleTick> shard_ticks_;
   std::atomic<uint32_t> outside_tick_{0};
   std::map<std::string, Mount, std::less<>> mounts_;  // found by string_view
-  // The fd table is shared across shards (any shard may open/close/use fds),
-  // so it lives under a mutex; entries are copied out, never held across
-  // suspension points.
-  mutable std::mutex fd_mu_;
-  std::map<Fd, OpenFile> open_files_;
-  Fd next_fd_ = 3;
+  std::vector<FdTable> fd_tables_;  // indexed by shard
 };
 
 }  // namespace pfs

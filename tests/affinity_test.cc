@@ -12,12 +12,22 @@
 #include "cache/buffer_cache.h"
 #include "cache/flush_policy.h"
 #include "cache/replacement.h"
+#include "client/local_client.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
 #include "sched/shard.h"
+#include "system/system_builder.h"
 #include "volume/volume.h"
 
 namespace pfs {
+
+// Reaches the per-shard fd table lookup that the fd calls run on the fd's
+// shard, so a test can make it from the wrong one.
+class LocalClientTestPeer {
+ public:
+  static bool IsOpen(LocalClient* client, Fd fd) { return client->FindOpen(fd) != nullptr; }
+};
+
 namespace {
 
 #ifdef PFS_ENABLE_AFFINITY_CHECKS
@@ -96,6 +106,31 @@ TEST(AffinityDeathTest, WrongShardCacheAccessAborts) {
         group.Run();
       },
       "pinned to shard 0 but was entered from shard 1");
+}
+
+TEST(AffinityDeathTest, WrongShardFdTableAccessAborts) {
+  // fs1 lives on shard 1, so the fd that shard 0 opens there names shard
+  // 1's table. The open hops to shard 1 and passes; looking the fd up from
+  // shard 0 touches that table from the wrong loop.
+  SetAffinityChecksForTesting(true);
+  EXPECT_DEATH(
+      {
+        SystemConfig config;
+        config.disks_per_bus = {2};
+        config.num_filesystems = 2;
+        config.shards = 2;
+        auto system = SystemBuilder::Build(config);
+        PFS_CHECK(system.ok() && (*system)->Setup().ok());
+        (*system)->scheduler()->Spawn("wrong-shard-fd", [](LocalClient* c) -> Task<> {
+          OpenOptions create;
+          create.create = true;
+          auto fd = co_await c->Open("/fs1/f", create);
+          PFS_CHECK(fd.ok());
+          (void)LocalClientTestPeer::IsOpen(c, *fd);
+        }((*system)->client()));
+        (*system)->RunToCompletion();
+      },
+      "\"client fd table\" is pinned to shard 1 but was entered from shard 0");
 }
 
 TEST(AffinityTest, CallOnRoundTripPasses) {

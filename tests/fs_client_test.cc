@@ -2,7 +2,10 @@
 // (LFS layout, buffer cache, simulated driver/disk/bus, virtual clock).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -454,6 +457,109 @@ TEST(ClientTest, CacheHitsAreFastMissesPayDiskTime) {
   // Warm read: CPU + copy only (sub-millisecond). Cold read: disk latency.
   EXPECT_LT(warm, Duration::Millis(1));
   EXPECT_GT(cold, Duration::Millis(1));
+}
+
+// Every fd call a bad fd can reach, as one status: the first that is not
+// kInvalidArgument, or ok when all six were.
+Task<Status> EveryFdCallRejects(LocalClient* c, Fd fd) {
+  Status statuses[6];
+  statuses[0] = (co_await c->Read(fd, 0, 4096, {})).status();
+  statuses[1] = (co_await c->Write(fd, 0, 4096, {})).status();
+  statuses[2] = co_await c->Truncate(fd, 0);
+  statuses[3] = co_await c->Fsync(fd);
+  statuses[4] = (co_await c->FStat(fd)).status();
+  statuses[5] = co_await c->Close(fd);
+  for (const Status& status : statuses) {
+    if (status.code() != ErrorCode::kInvalidArgument) {
+      co_return Status(ErrorCode::kCorrupt, "fd " + std::to_string(fd) + ": " +
+                                                 status.ToString());
+    }
+  }
+  co_return OkStatus();
+}
+
+TEST(ClientTest, BadFdsAreInvalidAndLeaveTheClientWorking) {
+  // A registry of two shards gives the client two fd tables; fs0 lives on
+  // shard 0, so an fd that names shard 1 names a table with no mount.
+  ServerFixture f;
+  MetricRegistry two_shards(2, "pfs");
+  LocalClient client(f.sched.get(), &two_shards);
+  client.AddMount("fs0", f.fs.get());
+  Status s(ErrorCode::kAborted);
+  f.sched->Spawn("bad-fds", [](LocalClient* c, Status* out) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    auto good = co_await c->Open("/fs0/good", create);
+    PFS_CHECK(good.ok());
+    PFS_CHECK((co_await c->Write(*good, 0, 4096, {})).ok());
+    auto closed = co_await c->Open("/fs0/good", OpenOptions{});
+    PFS_CHECK(closed.ok());
+    PFS_CHECK((co_await c->Close(*closed)).ok());
+    // Below 3; never issued (shard 0's slot 100); closed; naming shard 1.
+    const Fd bad[] = {-1, 0, 1, 2, *good + 2 * 100, *closed, *good + 1};
+    for (const Fd fd : bad) {
+      *out = co_await EveryFdCallRejects(c, fd);
+      if (!out->ok()) {
+        co_return;
+      }
+      // The good fd still works after each.
+      auto read = co_await c->Read(*good, 0, 4096, {});
+      PFS_CHECK(read.ok() && *read == 4096);
+    }
+    *out = co_await c->Close(*good);
+  }(&client, &s));
+  f.sched->Run();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(ClientTest, AClosedFdsSlotIsReused) {
+  ServerFixture f;
+  std::vector<Fd> fds;
+  Status s(ErrorCode::kAborted);
+  f.sched->Spawn("churn", [](LocalClient* c, std::vector<Fd>* out_fds, Status* out) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    for (int i = 0; i < 10000; ++i) {
+      auto fd = co_await c->Open("/fs0/churn", create);
+      if (!fd.ok()) {
+        *out = fd.status();
+        co_return;
+      }
+      out_fds->push_back(*fd);
+      *out = co_await c->Close(*fd);
+      if (!out->ok()) {
+        co_return;
+      }
+    }
+  }(f.client.get(), &fds, &s));
+  f.sched->Run();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(fds.size(), 10000u);
+  EXPECT_EQ(std::count(fds.begin(), fds.end(), fds[0]), 10000);
+}
+
+}  // namespace
+
+class LocalClientTestPeer {
+ public:
+  static std::optional<Fd> EncodeFd(size_t slot, size_t shard, size_t shards) {
+    return LocalClient::EncodeFd(slot, shard, shards);
+  }
+};
+
+namespace {
+
+TEST(ClientTest, FdsPastTheLargestFdAreNotIssued) {
+  constexpr Fd kMax = std::numeric_limits<Fd>::max();
+  // One shard: slot s is fd 3 + s.
+  EXPECT_EQ(LocalClientTestPeer::EncodeFd(0, 0, 1), 3);
+  EXPECT_EQ(LocalClientTestPeer::EncodeFd(kMax - 3, 0, 1), kMax);
+  EXPECT_EQ(LocalClientTestPeer::EncodeFd(size_t{kMax} - 2, 0, 1), std::nullopt);
+  // Four shards: shard 3's last slot is the largest fd that fits.
+  const size_t last = (size_t{kMax} - 3 - 3) / 4;
+  EXPECT_EQ(LocalClientTestPeer::EncodeFd(last, 3, 4), static_cast<Fd>(3 + last * 4 + 3));
+  EXPECT_EQ(LocalClientTestPeer::EncodeFd(last + 1, 3, 4), std::nullopt);
+  EXPECT_EQ(LocalClientTestPeer::EncodeFd(last + 1, 0, 4), static_cast<Fd>(3 + (last + 1) * 4));
 }
 
 }  // namespace

@@ -158,6 +158,58 @@ TEST(NfsTest, WritesAndTruncatesPastTheMaximumFileSizeAreOutOfRange) {
   EXPECT_TRUE(outcome.synced.ok()) << outcome.synced.ToString();
 }
 
+// The server answers a bad fd with kInvalidArgument and keeps serving: fds
+// below 3, one never issued, a closed one, and one naming shard 1, where no
+// file system is mounted.
+TEST(NfsTest, BadFdsAreInvalidAndLeaveTheServerWorking) {
+  PatsyConfig config;
+  config.disks_per_bus = {1};
+  config.num_filesystems = 1;
+  config.flush_policy = "ups";
+  config.shards = 2;
+  PatsyServer server(config);
+  ASSERT_TRUE(server.Setup().ok());
+  NfsLoopback loopback(server.scheduler(), 16);
+  NfsServer nfs(server.scheduler(), server.client(), &loopback, 1);
+  nfs.Start();
+  NfsClient client(server.scheduler(), &loopback);
+
+  Status result(ErrorCode::kAborted);
+  server.scheduler()->Spawn("nfs.badfd", [](NfsClient* c, Status* out) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    auto good = co_await c->Open("/fs0/good", create);
+    PFS_CHECK(good.ok());
+    PFS_CHECK((co_await c->Write(*good, 0, 4096, {})).ok());
+    auto closed = co_await c->Open("/fs0/good", OpenOptions{});
+    PFS_CHECK(closed.ok());
+    PFS_CHECK((co_await c->Close(*closed)).ok());
+    // Below 3; never issued (shard 0's slot 100); closed; naming shard 1.
+    const Fd bad[] = {-1, 0, 1, 2, *good + 2 * 100, *closed, *good + 1};
+    for (const Fd fd : bad) {
+      Status statuses[6];
+      statuses[0] = (co_await c->Read(fd, 0, 4096, {})).status();
+      statuses[1] = (co_await c->Write(fd, 0, 4096, {})).status();
+      statuses[2] = co_await c->Truncate(fd, 0);
+      statuses[3] = co_await c->Fsync(fd);
+      statuses[4] = (co_await c->FStat(fd)).status();
+      statuses[5] = co_await c->Close(fd);
+      for (const Status& status : statuses) {
+        if (status.code() != ErrorCode::kInvalidArgument) {
+          *out = Status(ErrorCode::kCorrupt,
+                        "fd " + std::to_string(fd) + ": " + status.ToString());
+          co_return;
+        }
+      }
+      auto read = co_await c->Read(*good, 0, 4096, {});
+      PFS_CHECK(read.ok() && *read == 4096);
+    }
+    *out = co_await c->Close(*good);
+  }(&client, &result));
+  server.scheduler()->Run();
+  EXPECT_TRUE(result.ok()) << result.ToString();
+}
+
 class OnlineTest : public ::testing::Test {
  protected:
   void SetUp() override {

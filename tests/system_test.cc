@@ -553,6 +553,115 @@ TEST_F(SystemTest, ShardedStripedAndMirroredAcrossShardCounts) {
             (std::vector<std::string>{"f2", "f3", "f4", "f5", "g1"}));
 }
 
+// -- Shard-owned fd tables ---------------------------------------------------
+
+// Reads block `block` of `fd`: kCorrupt unless every byte is `value`.
+Task<Status> ExpectBlock(ClientInterface* c, Fd fd, uint64_t block, std::byte value) {
+  std::vector<std::byte> back(kDefaultBlockSize);
+  auto n = co_await c->Read(fd, block * kDefaultBlockSize, back.size(), back);
+  PFS_CO_RETURN_IF_ERROR(n.status());
+  if (*n != back.size() || std::count(back.begin(), back.end(), value) !=
+                               static_cast<std::ptrdiff_t>(back.size())) {
+    co_return Status(ErrorCode::kCorrupt, "block " + std::to_string(block));
+  }
+  co_return OkStatus();
+}
+
+std::byte BlockValue(uint64_t block) { return static_cast<std::byte>(0x40 + block); }
+
+constexpr int kFdRounds = 40;
+
+// One shard's part of the cross-shard fd test, from a thread on that shard.
+// `step` 0: each round writes this side's block through `fds[0]` and reads
+// it back, and opens and closes a third fd, so both sides take and free
+// slots of one table. Each round ends with a yield, so the shards' calls
+// interleave (and, under ASan, whose resume chains do not collapse, the
+// shard-local side's stack stays shallow). Step 1: reads the other side's
+// blocks through `fds[side]`. Step 2: closes `fds[side]`. Step 3: both fds
+// are closed.
+Task<Status> FdSide(ClientInterface* c, const Fd* fds, int side, int step) {
+  Scheduler* self = Scheduler::Current();
+  switch (step) {
+    case 0:
+      for (int r = 0; r < kFdRounds; ++r) {
+        const uint64_t block = 2 * static_cast<uint64_t>(r) + static_cast<uint64_t>(side);
+        std::vector<std::byte> data(kDefaultBlockSize, BlockValue(block));
+        auto wrote = co_await c->Write(fds[0], block * kDefaultBlockSize, data.size(), data);
+        PFS_CO_RETURN_IF_ERROR(wrote.status());
+        PFS_CO_RETURN_IF_ERROR(co_await ExpectBlock(c, fds[0], block, BlockValue(block)));
+        auto extra = co_await c->Open("/fs1/shared", OpenOptions{});
+        PFS_CO_RETURN_IF_ERROR(extra.status());
+        PFS_CO_RETURN_IF_ERROR(co_await c->Close(*extra));
+        co_await self->Yield();
+      }
+      co_return OkStatus();
+    case 1:
+      for (int r = 0; r < kFdRounds; ++r) {
+        const uint64_t block = 2 * static_cast<uint64_t>(r) + static_cast<uint64_t>(1 - side);
+        PFS_CO_RETURN_IF_ERROR(co_await ExpectBlock(c, fds[side], block, BlockValue(block)));
+        co_await self->Yield();
+      }
+      co_return OkStatus();
+    case 2:
+      co_return co_await c->Close(fds[side]);
+    default:
+      for (int i = 0; i < 2; ++i) {
+        if ((co_await c->FStat(fds[i])).code() != ErrorCode::kInvalidArgument) {
+          co_return Status(ErrorCode::kCorrupt, "closed fd still open");
+        }
+      }
+      co_return OkStatus();
+  }
+}
+
+TEST_F(SystemTest, FdsOfOneShardWorkFromEveryShardOnTheRealClock) {
+  // fs1 lives on shard 1, so the fds of its files name shard 1's table.
+  // Shard 0 opens two; then a thread on each shard, each on its own OS
+  // thread, writes, reads and closes through them at once. Shard 0's calls
+  // hop to shard 1, which alone touches its table.
+  SystemConfig config = SmallConfig();
+  config.backend = BackendKind::kFileBacked;
+  config.image_path = image_;
+  config.shards = 2;
+  auto built = SystemBuilder::Build(config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  System& sys = **built;
+  ASSERT_TRUE(sys.Setup().ok());
+  ASSERT_EQ(sys.fs_shard(1), 1);
+
+  Fd fds[2] = {-1, -1};
+  Status opened(ErrorCode::kAborted);
+  sys.shard_scheduler(0)->Spawn("test.open", [](ClientInterface* c, Fd* out,
+                                                Status* st) -> Task<> {
+    OpenOptions create;
+    create.create = true;
+    for (int i = 0; i < 2; ++i) {
+      auto fd = co_await c->Open("/fs1/shared", create);
+      *st = fd.status();
+      if (!fd.ok()) {
+        co_return;
+      }
+      out[i] = *fd;
+    }
+  }(sys.client(), fds, &opened));
+  sys.RunToCompletion();
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+
+  for (int step = 0; step < 4; ++step) {
+    Status results[2] = {Status(ErrorCode::kAborted), Status(ErrorCode::kAborted)};
+    for (int side = 0; side < 2; ++side) {
+      sys.shard_scheduler(side)->Spawn(
+          "test.side", [](ClientInterface* c, const Fd* f, int sd, int st,
+                          Status* out) -> Task<> {
+            *out = co_await FdSide(c, f, sd, st);
+          }(sys.client(), fds, side, step, &results[side]));
+    }
+    sys.RunToCompletion();
+    EXPECT_TRUE(results[0].ok()) << "step " << step << ", shard 0: " << results[0].ToString();
+    EXPECT_TRUE(results[1].ok()) << "step " << step << ", shard 1: " << results[1].ToString();
+  }
+}
+
 // -- Validation: every config error surfaces in one place ------------------
 
 TEST(SystemValidateTest, RejectsZeroDisks) {
