@@ -1,5 +1,7 @@
 #include "sched/scheduler.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -21,14 +23,42 @@ constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
 // take turns on one OS thread (lockstep mode), so this is per-step, not
 // per-thread-lifetime.
 thread_local Scheduler* g_current_scheduler = nullptr;
+
+int64_t Nanos(const timespec& ts) {
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+// Two ticks of the coarse monotonic clock (0 without one).
+int64_t CoarseSlackNanos() {
+#ifdef CLOCK_MONOTONIC_COARSE
+  timespec res{};
+  if (clock_getres(CLOCK_MONOTONIC_COARSE, &res) == 0) {
+    return 2 * Nanos(res);
+  }
+#endif
+  return 0;
+}
 }  // namespace
 
-RealClock::RealClock() : epoch_ns_(MonotonicNanos()) {}
+RealClock::RealClock() : RealClock(MonotonicNanos()) {}
+
+RealClock::RealClock(int64_t epoch_ns)
+    : epoch_ns_(epoch_ns), coarse_slack_ns_(CoarseSlackNanos()) {}
 
 int64_t RealClock::SteadyEpochNow() { return MonotonicNanos(); }
 
 TimePoint RealClock::Now() const {
   return TimePoint::FromNanos(MonotonicNanos() - epoch_ns_);
+}
+
+TimePoint RealClock::NowUpperBound() const {
+#ifdef CLOCK_MONOTONIC_COARSE
+  timespec ts{};
+  if (coarse_slack_ns_ > 0 && clock_gettime(CLOCK_MONOTONIC_COARSE, &ts) == 0) {
+    return TimePoint::FromNanos(Nanos(ts) + coarse_slack_ns_ - epoch_ns_);
+  }
+#endif
+  return Now();
 }
 
 Scheduler* Scheduler::Current() { return g_current_scheduler; }
@@ -112,6 +142,7 @@ void Notification::Notify() {
 Scheduler::Scheduler(std::unique_ptr<Clock> clock, uint64_t seed)
     : clock_(std::move(clock)), rng_(seed) {
   PFS_CHECK(clock_ != nullptr);
+  real_clock_ = dynamic_cast<const RealClock*>(clock_.get());
 }
 
 Scheduler::~Scheduler() {
@@ -260,6 +291,20 @@ void Scheduler::MakeRunnable(Thread* t) {
 }
 
 void Scheduler::WakeExpired() {
+  // A timer is nearly always pending on the real clock (the write-delay
+  // scanner sleeps 5 s at a time). While a thread is runnable the loop
+  // comes straight back, so a timer the coarse bound shows is not yet due
+  // skips the precise read, which costs several times as much. An idle
+  // loop reads the precise clock, so its wait never spins on a stale coarse
+  // reading. No timer fires early; one fires late only if the coarse clock
+  // lags by more than two ticks.
+  if (delayed_.empty()) {
+    return;
+  }
+  if (real_clock_ != nullptr && !runnable_.empty() &&
+      real_clock_->NowUpperBound() < delayed_.top().wake) {
+    return;
+  }
   const TimePoint now = Now();
   while (!delayed_.empty() && delayed_.top().wake <= now) {
     Thread* t = delayed_.top().thread;

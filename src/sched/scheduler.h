@@ -64,15 +64,22 @@ class RealClock final : public Clock {
   // Shared-epoch construction: every shard of a SchedulerGroup reads the
   // same zero point, so cross-shard timestamps (trace spans, fault events)
   // are directly comparable.
-  explicit RealClock(int64_t epoch_ns) : epoch_ns_(epoch_ns) {}
+  explicit RealClock(int64_t epoch_ns);
   static int64_t SteadyEpochNow();
 
   TimePoint Now() const override;
   bool is_virtual() const override { return false; }
   void AdvanceTo(TimePoint) override {}
 
+  // A bound from above on Now() at a fraction of its cost: the kernel's
+  // coarse monotonic clock, which lags the precise one by at most a tick,
+  // plus two ticks. It is below Now() only when the coarse clock lags by
+  // more than that. Where there is no coarse clock, it is Now().
+  TimePoint NowUpperBound() const;
+
  private:
   int64_t epoch_ns_;  // steady_clock reading at construction
+  int64_t coarse_slack_ns_;  // two ticks of the coarse clock
 };
 
 enum class ThreadState : uint8_t {
@@ -347,6 +354,7 @@ class Scheduler {
   bool HasPosted() const { return !mailbox_.empty(); }
 
   std::unique_ptr<Clock> clock_;
+  const RealClock* real_clock_ = nullptr;  // clock_, when it is a RealClock
   Rng rng_;
   std::vector<std::unique_ptr<Thread>> threads_;
   // Finished transient records kept for reuse, so a per-request spawn

@@ -495,6 +495,34 @@ TEST(SchedulerTest, RealClockSleepTakesWallTime) {
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 18);
 }
 
+// While a thread is runnable, the real-clock loop checks its timers against
+// the coarse clock's bound; the timer still fires on time, never early.
+TEST(SchedulerTest, RealClockTimerFiresOnTimeWhileAThreadYields) {
+  auto sched = Scheduler::CreateReal();
+  TimePoint due;
+  TimePoint woke;
+  bool done = false;
+  uint64_t yields = 0;
+  sched->Spawn("sleeper", [](Scheduler* s, TimePoint* due_out, TimePoint* woke_out,
+                             bool* done_out) -> Task<> {
+    *due_out = s->Now() + Duration::Millis(20);
+    co_await s->SleepUntil(*due_out);
+    *woke_out = s->Now();
+    *done_out = true;
+  }(sched.get(), &due, &woke, &done));
+  sched->Spawn("yielder", [](Scheduler* s, const bool* stop, uint64_t* count) -> Task<> {
+    while (!*stop) {
+      ++*count;
+      co_await s->Yield();
+    }
+  }(sched.get(), &done, &yields));
+  sched->Run();
+  ASSERT_TRUE(done);
+  EXPECT_GE(woke, due);
+  EXPECT_LT(woke - due, Duration::Millis(500));
+  EXPECT_GT(yields, 0u);
+}
+
 TEST(SchedulerTest, RealClockPostFromOtherOsThread) {
   auto sched = Scheduler::CreateReal();
   sched->set_keep_alive(true);
