@@ -8,10 +8,10 @@
 #ifndef PFS_DISK_DISK_MODEL_H_
 #define PFS_DISK_DISK_MODEL_H_
 
-#include <deque>
 #include <string>
 
 #include "bus/connection.h"
+#include "core/ring_queue.h"
 #include "disk/geometry.h"
 #include "disk/io_request.h"
 #include "disk/seek_model.h"
@@ -109,8 +109,8 @@ class DiskModel : public StatSource {
   Connection* bus_;
 
   Event work_;
-  std::deque<IoRequest*> external_;
-  std::deque<InternalJob> destage_queue_;
+  RingQueue<IoRequest*> external_;
+  RingQueue<InternalJob> destage_queue_;
   bool prefetch_armed_ = false;
   bool started_ = false;
 

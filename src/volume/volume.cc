@@ -604,8 +604,8 @@ size_t MirrorVolume::live_member_count() const {
   return live;
 }
 
-std::vector<size_t> MirrorVolume::ReadOrder() {
-  std::vector<size_t> live;
+MirrorVolume::MemberList MirrorVolume::ReadOrder() {
+  MemberList live;
   for (size_t i = 0; i < members_.size(); ++i) {
     if (!failed_[i]) {
       live.push_back(i);
@@ -614,19 +614,28 @@ std::vector<size_t> MirrorVolume::ReadOrder() {
   if (live.size() < 2) {
     return live;
   }
-  std::stable_sort(live.begin(), live.end(), [this](size_t a, size_t b) {
-    return members_[a].device->QueueDepthHint() < members_[b].device->QueueDepthHint();
-  });
+  const auto depth = [this](size_t m) { return members_[m].device->QueueDepthHint(); };
+  // A stable insertion sort: the order a stable sort gives, with no
+  // temporary buffer, over a mirror's few members.
+  size_t* order = live.data();
+  for (size_t i = 1; i < live.size(); ++i) {
+    const size_t m = order[i];
+    const size_t d = depth(m);
+    size_t j = i;
+    for (; j > 0 && depth(order[j - 1]) > d; --j) {
+      order[j] = order[j - 1];
+    }
+    order[j] = m;
+  }
   // Rotate the equal-shortest prefix so members with identical queues share
   // the read load instead of member 0 taking everything.
-  const size_t d0 = members_[live[0]].device->QueueDepthHint();
+  const size_t d0 = depth(order[0]);
   size_t ties = 1;
-  while (ties < live.size() && members_[live[ties]].device->QueueDepthHint() == d0) {
+  while (ties < live.size() && depth(order[ties]) == d0) {
     ++ties;
   }
   if (ties > 1) {
-    std::rotate(live.begin(), live.begin() + static_cast<ptrdiff_t>(rr_++ % ties),
-                live.begin() + static_cast<ptrdiff_t>(ties));
+    std::rotate(order, order + rr_++ % ties, order + ties);
   }
   return live;
 }
@@ -634,7 +643,7 @@ std::vector<size_t> MirrorVolume::ReadOrder() {
 Task<Status> MirrorVolume::Read(uint64_t sector, uint32_t count, std::span<std::byte> out) {
   PFS_CHECK(sector + count <= total_);
   const TimePoint op_begin = OpBegin();
-  const std::vector<size_t> order = ReadOrder();
+  const MemberList order = ReadOrder();
   if (order.empty()) {
     fanout_.Record(0);
     OpFinish(op_begin, count);
@@ -670,7 +679,7 @@ Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
                                  std::span<const std::byte> in) {
   PFS_CHECK(sector + count <= total_);
   FragmentList fragments;
-  std::vector<size_t> skipped;  // failed at issue: they will miss this write
+  MemberList skipped;  // failed at issue: they will miss this write
   for (size_t m = 0; m < members_.size(); ++m) {
     if (!failed_[m]) {
       fragments.Add(m, sector, count, 0);
@@ -692,13 +701,14 @@ Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
   // Per-fragment statuses, not just the first error: a member whose write
   // fails while a replica succeeds must leave the mirror degraded — treating
   // it as still live would let later reads return divergent data.
-  std::vector<Status> results(fragments.size());
-  const Status first_error = co_await RunFragments(true, {}, in, fragments, results);
+  VectorPool<Status>::Lease results(&write_results_);
+  results->resize(fragments.size());
+  const Status first_error = co_await RunFragments(true, {}, in, fragments, *results);
   for (size_t m : skipped) {
     --inflight_missing_[m];
   }
   size_t successes = 0;
-  for (const Status& s : results) {
+  for (const Status& s : *results) {
     successes += s.ok() ? 1 : 0;
   }
   if (successes == 0) {
@@ -719,7 +729,7 @@ Task<Status> MirrorVolume::Write(uint64_t sector, uint32_t count,
     AddDebt(m, sector, count);
   }
   for (size_t i = 0; i < fragments.size(); ++i) {
-    if (!results[i].ok()) {
+    if (!(*results)[i].ok()) {
       MarkMemberFailed(fragments[i].member);
       missed_writes_.Inc();
       member_missed_[fragments[i].member].Inc();

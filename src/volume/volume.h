@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/inline_vector.h"
+#include "core/vector_pool.h"
 #include "obs/metrics.h"
 #include "sched/affinity.h"
 #include "sched/scheduler.h"
@@ -379,8 +380,10 @@ class MirrorVolume final : public Volume {
   std::string StatJson() const override;
 
  private:
+  // Member indices, held inline up to kInlineFragments members.
+  using MemberList = InlineVector<size_t, kInlineFragments>;
   // Live members, shortest queue first; `rr_` rotates equal-depth choices.
-  std::vector<size_t> ReadOrder();
+  MemberList ReadOrder();
 
   // The one place a member transitions to failed (explicit SetMemberFailed
   // and the Read/Write fail-out paths), so the degraded-time clock and
@@ -397,6 +400,7 @@ class MirrorVolume final : public Volume {
   std::vector<bool> failed_;
   uint64_t total_ = 0;
   size_t rr_ = 0;
+  VectorPool<Status> write_results_;  // Write's per-member statuses
   Counter missed_writes_;  // writes a failed member did not see (rebuild debt)
   std::vector<Counter> member_missed_;  // the same debt, per member
   Counter degraded_reads_;

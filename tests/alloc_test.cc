@@ -1,6 +1,8 @@
 // Pins the allocation counts of the hot paths: after warm-up, waiting on
 // and signalling an Event or a Notification, a cache hit or an overwrite
-// through LocalClient, a cross-shard CallOn round trip, a cache miss that
+// through LocalClient, an open and close of an existing file, a
+// cross-shard CallOn round trip, a simulated disk's write-behind destaging,
+// a two-way mirrored read and write, a cache miss that
 // evicts, and a file-backed round of read misses, overwrites and an fsync
 // through LFS allocate nothing. It also bounds the bytes that creating a
 // small file allocates. This binary replaces the global operator new and
@@ -16,15 +18,18 @@
 #include <string>
 #include <vector>
 
+#include "bus/scsi_bus.h"
 #include "cache/buffer_cache.h"
 #include "cache/flush_policy.h"
 #include "cache/replacement.h"
 #include "client/local_client.h"
+#include "disk/disk_model.h"
 #include "sched/event.h"
 #include "sched/scheduler.h"
 #include "sched/shard.h"
 #include "sched/task.h"
 #include "system/system_builder.h"
+#include "volume/volume.h"
 
 namespace {
 
@@ -158,6 +163,34 @@ TEST(AllocTest, CacheHitsAndOverwritesThroughLocalClientAllocateNothing) {
   EXPECT_EQ(allocations, 0);
 }
 
+// A closed fd's slot is the next one taken, so once the first open has
+// sized the fd table, opening and closing an existing file allocates
+// nothing.
+TEST(AllocTest, WarmOpenAndCloseAllocateNothing) {
+  PFS_SKIP_WITHOUT_FRAME_POOL();
+  SystemConfig config;
+  auto system = SystemBuilder::Build(config);
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  ASSERT_TRUE((*system)->Setup().ok());
+  ClientInterface* client = (*system)->client();
+  Fd fd = 0;
+  Status created(ErrorCode::kAborted);
+  (*system)->scheduler()->Spawn("create", CreateHotFile(client, &fd, &created));
+  (*system)->RunToCompletion();
+  ASSERT_TRUE(created.ok()) << created.ToString();
+
+  const std::string path = "/fs0/hot";
+  int64_t allocations = -1;
+  auto round = [client, &path]() -> Task<> {
+    auto opened = co_await client->Open(path, OpenOptions{});
+    PFS_CHECK(opened.ok());
+    PFS_CHECK((co_await client->Close(*opened)).ok());
+  };
+  (*system)->scheduler()->Spawn("rounds", CountAfterWarmUp(round, kRounds, &allocations));
+  (*system)->RunToCompletion();
+  EXPECT_EQ(allocations, 0);
+}
+
 TEST(AllocTest, LockstepCallOnRoundTripAllocatesNothing) {
   PFS_SKIP_WITHOUT_FRAME_POOL();
   SchedulerGroup group(2, /*virtual_clock=*/true, 7);
@@ -174,6 +207,60 @@ TEST(AllocTest, LockstepCallOnRoundTripAllocatesNothing) {
   home->Spawn("rounds", CountAfterWarmUp(round, kRounds, &allocations));
   group.Run();
   EXPECT_EQ(allocations, 0);
+}
+
+// A burst of immediate-reported writes through the simulated disk, then a
+// wait long enough for the mechanism to destage them all. The queue of
+// destage jobs reuses its ring, so the warmed rounds allocate nothing.
+TEST(AllocTest, DiskDestagingAllocatesNothing) {
+  PFS_SKIP_WITHOUT_FRAME_POOL();
+  auto sched = Scheduler::CreateVirtual();
+  ScsiBus bus(sched.get(), "scsi0", ScsiBus::Params{});
+  DiskModel disk(sched.get(), "d0", DiskParams::Hp97560(), &bus);
+  disk.Start();
+  int64_t allocations = -1;
+  auto round = [&sched, &disk]() -> Task<> {
+    for (uint64_t i = 0; i < 40; ++i) {
+      IoRequest req(sched.get(), IoOp::kWrite, 72 * 19 * (10 + i * 3), 8, {}, {});
+      req.dispatch_time = sched->Now();
+      co_await disk.Submit(&req);
+      co_await req.done.Wait();
+    }
+    co_await sched->Sleep(Duration::Seconds(2));
+  };
+  sched->Spawn("rounds", CountAfterWarmUp(round, 20, &allocations));
+  sched->Run();
+  EXPECT_EQ(allocations, 0);
+  EXPECT_GE(disk.destages(), 21u * 32);
+}
+
+// A device that completes every request inline.
+class InlineDevice final : public BlockDevice {
+ public:
+  Task<Status> Read(uint64_t, uint32_t, std::span<std::byte>) override { co_return OkStatus(); }
+  Task<Status> Write(uint64_t, uint32_t, std::span<const std::byte>) override {
+    co_return OkStatus();
+  }
+  uint64_t total_sectors() const override { return 1024; }
+  uint32_t sector_bytes() const override { return 512; }
+};
+
+TEST(AllocTest, MirroredReadsAndWritesAllocateNothing) {
+  PFS_SKIP_WITHOUT_FRAME_POOL();
+  auto sched = Scheduler::CreateVirtual();
+  MetricRegistry metrics(1, "pfs");
+  InlineDevice a;
+  InlineDevice b;
+  MirrorVolume mirror(sched.get(), &metrics, "m0", {&a, &b});
+  int64_t allocations = -1;
+  auto round = [&mirror]() -> Task<> {
+    PFS_CHECK((co_await mirror.Read(0, 8, {})).ok());
+    PFS_CHECK((co_await mirror.Write(0, 8, {})).ok());
+  };
+  sched->Spawn("rounds", CountAfterWarmUp(round, 100, &allocations));
+  sched->Run();
+  EXPECT_EQ(allocations, 0);
+  EXPECT_EQ(mirror.member_reads(0) + mirror.member_reads(1), 101u);
 }
 
 // Fills without I/O: every miss costs only the cache's own bookkeeping.

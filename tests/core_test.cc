@@ -14,6 +14,7 @@
 #include "core/intrusive_list.h"
 #include "core/random.h"
 #include "core/result.h"
+#include "core/ring_queue.h"
 #include "core/serializer.h"
 #include "core/status.h"
 #include "core/units.h"
@@ -269,6 +270,30 @@ TEST(ZipfTest, ThetaZeroIsUniformish) {
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02);
   }
+}
+
+TEST(RingQueueTest, KeepsFifoOrderAcrossWrapAndGrowth) {
+  RingQueue<int> queue;
+  EXPECT_TRUE(queue.empty());
+  int next_in = 0;
+  int next_out = 0;
+  // Interleaved pushes and pops wrap the ring; bursts of pushes grow it
+  // while its live range wraps.
+  for (int burst = 1; burst <= 40; ++burst) {
+    for (int i = 0; i < burst; ++i) {
+      queue.push_back(next_in++);
+    }
+    for (int i = 0; i < burst / 2 + 1 && !queue.empty(); ++i) {
+      EXPECT_EQ(queue.front(), next_out++);
+      queue.pop_front();
+    }
+    EXPECT_EQ(queue.size(), static_cast<size_t>(next_in - next_out));
+  }
+  while (!queue.empty()) {
+    EXPECT_EQ(queue.front(), next_out++);
+    queue.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 struct ListItem {
